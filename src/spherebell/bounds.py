@@ -253,19 +253,22 @@ def verify_curve(curve: CorrelationCurve) -> list[BoundReport]:
     """Check an already-computed curve against the chain bounds (and
     the strict quantum sandwich where it applies).
 
-    Grid points must sit in (0, pi/2].  Points carrying a stderr get
-    the statistical treatment; others the strict one.  The chain-bound
-    report carries a ``saturated`` flag marking equality-within-slack
-    with either edge, the way the hemisphere curve touches the lower
-    bound at theta = pi / 2N.
+    Grid points must sit in [0, pi/2]; theta = 0, where no chain bound
+    applies, is skipped.  Points carrying a stderr get the statistical
+    treatment; others the strict one.  The chain-bound report carries a
+    ``saturated`` flag marking equality-within-slack with either edge,
+    the way the hemisphere curve touches the lower bound at
+    theta = pi / 2N.
     """
     for point in curve.points:
-        if not SNAP < point.theta <= HALF_PI + SNAP:
+        if not -SNAP <= point.theta <= HALF_PI + SNAP:
             raise ValueError(
-                f"curve point theta {point.theta!r} outside (0, pi/2]"
+                f"curve point theta {point.theta!r} outside [0, pi/2]"
             )
     reports: list[BoundReport] = []
     for point in curve.points:
+        if point.theta <= SNAP:
+            continue
         statistical = point.stderr is not None
         slack = 3.0 * point.stderr if statistical else EXACT_SLACK
         frame = theorem1_bounds(point.theta)

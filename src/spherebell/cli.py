@@ -16,7 +16,8 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -24,10 +25,8 @@ from . import bounds as bounds_mod
 from . import search as search_mod
 from .colourings import load_colouring, make_catalogue
 from .correlation import (
-    ClosedFormDomainError,
-    CorrelationCurve,
-    QuadratureError,
     SamplingPlan,
+    antisymmetric,
     closed_form,
     curve_for,
     format_sig,
@@ -99,16 +98,19 @@ def _resolve_colouring(label: str):
     return make_catalogue(label)
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(args: argparse.Namespace, config: dict) -> Iterator[TextIO]:
+    """The --out file (stdout when absent or "-"), closed on exit."""
+    path = _merged(args, config, "out", None)
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        yield fh
 
 
-def _c1_extended(theta: float) -> float:
-    if theta > PI / 2.0:
-        return -closed_form("1", PI - theta)
-    return closed_form("1", theta)
+def _c1(theta: float) -> float:
+    return antisymmetric(lambda t: closed_form("1", t), theta)
 
 
 def _theorem1_pair(theta: float) -> tuple[float, float]:
@@ -120,8 +122,8 @@ def _theorem1_pair(theta: float) -> tuple[float, float]:
 
 
 REFERENCE_COLUMNS = {
-    "c1": _c1_extended,
-    "neg_c1": lambda t: -_c1_extended(t),
+    "c1": _c1,
+    "neg_c1": lambda t: -_c1(t),
     "q_singlet": singlet_correlation,
     "theorem1_lower": lambda t: _theorem1_pair(t)[0],
     "theorem1_upper": lambda t: _theorem1_pair(t)[1],
@@ -151,12 +153,8 @@ def run_curve(args: argparse.Namespace) -> int:
         tol=float(_merged(args, config, "tol", DEFAULT_TOL)),
         jobs=jobs,
     )
-    fh, owned = _open_out(_merged(args, config, "out", None))
-    try:
+    with _output(args, config) as fh:
         write_curve_csv(curve, fh, references=REFERENCE_COLUMNS)
-    finally:
-        if owned:
-            fh.close()
     return 0
 
 
@@ -195,16 +193,15 @@ def run_verify(args: argparse.Namespace) -> int:
         )
         label = colouring.label
     text = bounds_mod.report_to_json(label, method, reports)
-    fh, owned = _open_out(_merged(args, config, "out", None))
-    try:
+    with _output(args, config) as fh:
         fh.write(text + "\n")
-    finally:
-        if owned:
-            fh.close()
     return 0 if all(r.satisfied for r in reports) else 1
 
 
-def _parse_delta_grid(spec: str) -> np.ndarray:
+def _parse_delta_grid(spec: str | None, default: Sequence[float]) -> Sequence[float]:
+    """Parse "start:stop:count" (units of pi); None gives the default."""
+    if spec is None:
+        return default
     parts = spec.split(":")
     if len(parts) != 3:
         raise UsageError(f"delta grid {spec!r} must be start:stop:count")
@@ -221,8 +218,8 @@ def run_sweep(args: argparse.Namespace) -> int:
     tol = float(_merged(args, config, "tol", 1e-4))
     jobs = int(_merged(args, config, "jobs", 1))
     delta = _merged(args, config, "delta", None)
-    fh, owned = _open_out(_merged(args, config, "out", None))
-    try:
+    delta_grid = _merged(args, config, "delta_grid", None)
+    with _output(args, config) as fh:
         if family == "3_delta" and delta is not None:
             # single-deformation mode: curve table plus crossing summary
             d = float(delta) * PI
@@ -239,8 +236,8 @@ def run_sweep(args: argparse.Namespace) -> int:
                 fh.write(",".join(row) + "\n")
             hit = search_mod.find_crossing(
                 lambda t: closed_form("3_delta", t, delta=d),
-                search_mod._REFERENCES[reference],
-                (PI / 3.0 + 1e-9, PI / 2.0 - 1e-4),
+                search_mod.reference_curve(reference),
+                search_mod.CROSSING_BRACKET,
                 tol,
             )
             print(
@@ -249,9 +246,7 @@ def run_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         elif family == "3_delta":
-            grid = _parse_delta_grid(
-                _merged(args, config, "delta_grid", "-0.0556:0.0417:25")
-            )
+            grid = _parse_delta_grid(delta_grid, search_mod.DELTA_GRID)
             result = search_mod.sweep_delta(grid, reference, tol, jobs=jobs)
             search_mod.sweep_to_csv(result, fh)
             print(
@@ -260,37 +255,16 @@ def run_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         elif family == "2_Delta":
-            from .correlation import correlation_quadrature
-
-            grid = _parse_delta_grid(_merged(args, config, "delta_grid", "0:0.0833:13"))
-            fh.write("Delta_over_pi,theta_star_over_pi,reference\n")
-            best = None
-            for cap in grid:
-                colouring = make_catalogue("2_Delta", Delta=float(cap))
-                try:
-                    hit = search_mod.find_crossing(
-                        lambda t: correlation_quadrature(colouring, t, 1e-6),
-                        lambda t: -search_mod._REFERENCES[reference](t),
-                        (PI / 3.0 + 1e-9, PI / 2.0 - 1e-4),
-                        tol,
-                    )
-                    star = hit.theta_star
-                    fh.write(f"{format_sig(cap / PI)},{format_sig(star / PI)},neg_{reference}\n")
-                    if best is None or star < best[0]:
-                        best = (star, cap)
-                except search_mod.NoCrossingError:
-                    fh.write(f"{format_sig(cap / PI)},,neg_{reference}\n")
-            if best is not None:
-                print(
-                    f"best Delta/pi = {best[1] / PI:.6f} with exit theta/pi = "
-                    f"{best[0] / PI:.6f}",
-                    file=sys.stderr,
-                )
+            grid = _parse_delta_grid(delta_grid, search_mod.TWO_DELTA_GRID)
+            result = search_mod.sweep_two_delta(grid, reference, tol, jobs=jobs)
+            search_mod.sweep_to_csv(result, fh)
+            print(
+                f"best Delta/pi = {result.best_delta / PI:.6f} with exit theta/pi = "
+                f"{result.best_theta / PI:.6f}",
+                file=sys.stderr,
+            )
         else:
             raise UsageError(f"unknown family {family!r}; expected 3_delta or 2_Delta")
-    finally:
-        if owned:
-            fh.close()
     return 0
 
 
@@ -312,12 +286,8 @@ def run_search(args: argparse.Namespace) -> int:
         max_iter=int(_merged(args, config, "max_iter", 400)),
         jobs=int(_merged(args, config, "jobs", 1)),
     )
-    fh, owned = _open_out(_merged(args, config, "out", None))
-    try:
+    with _output(args, config) as fh:
         fh.write(search_mod.search_report_json(outcome) + "\n")
-    finally:
-        if owned:
-            fh.close()
     return 0
 
 
@@ -343,8 +313,7 @@ def run_quantum(args: argparse.Namespace) -> int:
         int(_merged(args, config, "seed", DEFAULT_SEED)),
         int(_merged(args, config, "n", 100_000)),
     )
-    fh, owned = _open_out(_merged(args, config, "out", None))
-    try:
+    with _output(args, config) as fh:
         fh.write("theta_over_pi,value,stderr,method,state_r\n")
         for t in grid:
             if use_mc:
@@ -365,9 +334,6 @@ def run_quantum(args: argparse.Namespace) -> int:
                     format_sig(w.r),
                 )
             fh.write(",".join(row) + "\n")
-    finally:
-        if owned:
-            fh.close()
     return 0
 
 
@@ -384,12 +350,8 @@ def run_slope(args: argparse.Namespace) -> int:
         "c_at_half_pi": estimate.c_at_half_pi,
         "reference_abs_slope": estimate.reference,
     }
-    fh, owned = _open_out(_merged(args, config, "out", None))
-    try:
+    with _output(args, config) as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
-    finally:
-        if owned:
-            fh.close()
     return 0
 
 
@@ -490,19 +452,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError, ClosedFormDomainError, bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, search_mod.NoCrossingError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except ClosedFormDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
+    except RuntimeError as exc:  # QuadratureError, NoCrossingError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

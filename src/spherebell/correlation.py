@@ -18,8 +18,10 @@ compute it:
   circle arcs between band-edge crossings, and the outer integral by
   adaptive quadrature with mandatory breakpoints at the derivative
   kinks,
-- ``closed_form``: exact piecewise expressions for the catalogue
-  colourings (sums of cosines and of the band-overlap integral ``chi``).
+- ``closed_form``: the same pairs (catalogue labels, both deformed
+  families, band files, m = 0 harmonics), with the outer integral done
+  exactly as well: a sum of cosines and of the band-overlap integral
+  ``chi`` over pieces derived from the colouring's flip edges.
 
 Shared plumbing: gamma estimation, curve containers, antisymmetry
 extension to [0, pi], finite mixtures, the exact circle-colouring
@@ -29,7 +31,9 @@ correlation, and the CSV schema.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -67,7 +71,7 @@ class QuadratureError(RuntimeError):
 
 
 class ClosedFormDomainError(ValueError):
-    """No closed-form branch covers the requested (label, theta, delta)."""
+    """The closed form does not cover the requested colouring or theta."""
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +208,10 @@ def polar_edges(c: Colouring) -> tuple[float, ...]:
 
 
 def _require_antipodal_azimuthal(c: Colouring) -> tuple[float, ...]:
-    """Check the quadrature preconditions, returning the edge set."""
+    """Check the exact engines' preconditions, returning the edge set."""
     if not c.is_azimuthal:
         raise ValueError(
-            f"quadrature requires an azimuthally symmetric colouring, got {c.label!r}"
+            f"exact engines need an azimuthally symmetric colouring, got {c.label!r}"
         )
     edges = polar_edges(c)
     raw = sorted({0.0, PI, *edges, *(PI - e for e in edges)})
@@ -267,33 +271,6 @@ def _inner_arc_integral(
     return float(np.sum(value_at(mids) * np.diff(bounds)))
 
 
-def _inner_gl_integral(
-    theta: float,
-    eps: float,
-    value_many: Callable[[np.ndarray], np.ndarray],
-    tol: float = 1e-9,
-    max_doublings: int = 12,
-) -> float:
-    """Gauss-Legendre fallback for the omega integral, 64 nodes doubled
-    until two successive levels agree within ``tol``.
-
-    The integrand is piecewise constant in omega, so convergence is
-    slow; this path is a cross-check and last resort, not the default.
-    """
-    prev = None
-    n = 64
-    for _ in range(max_doublings):
-        x, w = np.polynomial.legendre.leggauss(n)
-        omega = 0.5 * PI * (x + 1.0)
-        alpha = partner_polar_many(theta, np.full(n, eps), omega)
-        est = 0.5 * PI * float(np.sum(w * value_many(alpha)))
-        if prev is not None and abs(est - prev) <= tol:
-            return est
-        prev = est
-        n *= 2
-    return est
-
-
 def correlation_quadrature(
     c: Colouring | ColouringPair, theta: float, tol: float = 1e-8
 ) -> float:
@@ -350,7 +327,7 @@ def correlation_quadrature(
 
 
 # ---------------------------------------------------------------------------
-# The band-overlap integral chi and the piecewise closed forms
+# The band-overlap integral chi
 
 
 def chi(theta: float, a: float, b: float, alpha: float, tol: float = 1e-9) -> float:
@@ -402,447 +379,120 @@ def chi(theta: float, a: float, b: float, alpha: float, tol: float = 1e-9) -> fl
     return result if a <= b else -result
 
 
-# Piecewise closed forms.  Each piece is a sum of cosines plus signed
-# chi terms; the dispatcher in closed_form() picks the piece from theta
-# (and, for the deformed family, delta).
+# ---------------------------------------------------------------------------
+# The exact engine: sums of cosines and chi terms over derived pieces
 
 
-def _c2_piece1(t: float, X) -> float:
-    return (
-        -1.0
-        + 2.0 * (math.cos(PI / 4) - math.cos(PI / 4 + t))
-        + X(PI / 4 - t, PI / 4, PI / 4)
-        - X(PI / 4, PI / 4 + t, PI / 4)
-        + X(PI / 2 - t, PI / 2, PI / 2)
-    )
+@functools.lru_cache(maxsize=256)
+def _colour_flips(
+    c: Colouring | str | int, delta: float | None
+) -> tuple[int, tuple[float, ...]]:
+    """(value at the north pole, polar angles where the colour flips) of
+    a colouring or catalogue label (``delta`` as in :func:`closed_form`).
+
+    Validates the colouring as :func:`correlation_quadrature` does.
+    Band endpoints where two plus bands touch are not flips and are
+    dropped, so consecutive flips alternate in direction.
+    """
+    if isinstance(c, (str, int)):
+        c = make_catalogue(c, delta=delta, Delta=delta)
+    edges = _require_antipodal_azimuthal(c)
+    bounds = np.array([0.0, *edges, PI])
+    values = c.evaluate_polar(0.5 * (bounds[:-1] + bounds[1:]))
+    flips = tuple(v for v, lo, hi in zip(edges, values[:-1], values[1:]) if lo != hi)
+    return int(values[0]), flips
 
 
-def _c2_piece2(t: float, X) -> float:
-    return (
-        1.0
-        + 2.0 * (math.cos(PI / 4) - math.cos(t - PI / 4))
-        + X(t - PI / 4, PI / 4, PI / 4)
-        - X(PI / 2 - t, PI / 4, PI / 2)
-        + X(PI / 4, PI / 2, PI / 2)
-        - X(PI / 4, PI / 2, PI / 4)
-        - X(3 * PI / 4 - t, PI / 2, 3 * PI / 4)
-    )
+def _flips_of(
+    c: Colouring | str | int, delta: float | None
+) -> tuple[int, tuple[float, ...]]:
+    try:
+        hash(c)
+    except TypeError:
+        return _colour_flips.__wrapped__(c, delta)
+    return _colour_flips(c, delta)
 
 
-def _c3_piece1(t: float, X) -> float:
-    return (
-        -1.0
-        + 2.0
-        * (
-            math.cos(PI / 6)
-            - math.cos(PI / 6 + t)
-            + math.cos(PI / 3)
-            - math.cos(PI / 3 + t)
-        )
-        + X(PI / 6 - t, PI / 6, PI / 6)
-        - X(PI / 6, PI / 6 + t, PI / 6)
-        + X(PI / 3 - t, PI / 3, PI / 3)
-        - X(PI / 3, PI / 3 + t, PI / 3)
-        + X(PI / 2 - t, PI / 2, PI / 2)
-    )
+def _exact_value(
+    t: float, north: int, flips: tuple[float, ...], chi_tol: float
+) -> float:
+    """C(t) for t in (0, pi/2] from the colour-flip structure.
 
+    The inner omega integral of ``correlation_quadrature`` is
+    pi a(|t - eps|) + 2 sum_v s_v omega_v(eps), summed over the flips v
+    in (|t - eps|, t + eps) with s_v the jump sign at v.  The outer
+    integral -(1/pi) int_0^{pi/2} sin(eps) a(eps) [...] d eps is then
 
-def _c3_piece2(t: float, X) -> float:
-    return (
-        1.0
-        + 2.0
-        * (
-            math.cos(PI / 6)
-            - math.cos(t - PI / 6)
-            + math.cos(PI / 6 + t)
-            - math.cos(PI / 3)
-        )
-        + X(t - PI / 6, PI / 6, PI / 6)
-        - X(PI / 3 - t, PI / 6, PI / 3)
-        + X(PI / 6, PI / 2 - t, PI / 3)
-        - X(PI / 6, PI / 3, PI / 6)
-        + X(PI / 2 - t, PI / 3, PI / 3)
-        - X(PI / 2 - t, PI / 3, PI / 2)
-        + X(PI / 3, PI / 6 + t, PI / 6)
-        + X(PI / 3, PI / 2, PI / 2)
-        - X(PI / 3, PI / 2, PI / 3)
-        - X(2 * PI / 3 - t, PI / 2, 2 * PI / 3)
-    )
+        C(t) = -sum_pieces a a_bottom (cos p - cos q)
+               - sum_v s_v sum_runs a chi(t, p, q, v)
 
+    where a a_bottom = a(eps) a(|t - eps|) is constant on the pieces
+    between the breakpoints {t, v, t - v, t + v}, flip v is active for
+    eps in (|v - t|, v + t), and its runs split that interval where
+    a(eps) flips.
+    """
 
-def _c3_piece3(t: float, X) -> float:
-    return (
-        1.0
-        + 2.0
-        * (
-            math.cos(PI / 6)
-            - math.cos(t - PI / 6)
-            + math.cos(PI / 6 + t)
-            - math.cos(PI / 3)
-        )
-        - X(PI / 3 - t, PI / 6, PI / 3)
-        + X(t - PI / 6, PI / 6, PI / 6)
-        + X(PI / 6, PI / 3, PI / 3)
-        - X(PI / 6, PI / 3, PI / 6)
-        - X(PI / 2 - t, PI / 3, PI / 2)
-        + X(PI / 3, PI / 2, PI / 2)
-        - X(PI / 3, PI / 2, PI / 3)
-        + X(PI / 3, PI / 6 + t, PI / 6)
-        - X(2 * PI / 3 - t, PI / 2, 2 * PI / 3)
-    )
-
-
-def _c3_piece4(t: float, X) -> float:
-    return (
-        -1.0
-        + 2.0
-        * (
-            math.cos(t - PI / 3)
-            - math.cos(PI / 6)
-            + math.cos(t - PI / 6)
-            - math.cos(PI / 3)
-        )
-        - X(t - PI / 3, PI / 6, PI / 3)
-        + X(PI / 2 - t, PI / 6, PI / 2)
-        + X(PI / 6, PI / 3, PI / 3)
-        - X(PI / 6, PI / 3, PI / 2)
-        - X(t - PI / 6, PI / 3, PI / 6)
-        + X(2 * PI / 3 - t, PI / 3, 2 * PI / 3)
-        - X(PI / 3, PI / 2, 2 * PI / 3)
-        + X(PI / 3, PI / 2, PI / 2)
-        - X(PI / 3, PI / 2, PI / 3)
-        + X(PI / 3, PI / 2, PI / 6)
-        + X(5 * PI / 6 - t, PI / 2, 5 * PI / 6)
-    )
-
-
-def _c4_piece1(t: float, X) -> float:
-    return (
-        -1.0
-        + 2.0
-        * (
-            math.cos(PI / 8)
-            - math.cos(PI / 8 + t)
-            + math.cos(PI / 4)
-            - math.cos(PI / 4 + t)
-            + math.cos(3 * PI / 8)
-            - math.cos(3 * PI / 8 + t)
-        )
-        + X(PI / 8 - t, PI / 8, PI / 8)
-        - X(PI / 8, PI / 8 + t, PI / 8)
-        + X(PI / 4 - t, PI / 4, PI / 4)
-        - X(PI / 4, PI / 4 + t, PI / 4)
-        + X(3 * PI / 8 - t, 3 * PI / 8, 3 * PI / 8)
-        - X(3 * PI / 8, 3 * PI / 8 + t, 3 * PI / 8)
-        + X(PI / 2 - t, PI / 2, PI / 2)
-    )
-
-
-def _c4_piece2(t: float, X) -> float:
-    return (
-        1.0
-        + 2.0
-        * (
-            math.cos(PI / 8)
-            - math.cos(t - PI / 8)
-            + math.cos(t + PI / 8)
-            - math.cos(PI / 4)
-            + math.cos(t + PI / 4)
-            - math.cos(3 * PI / 8)
-        )
-        + X(t - PI / 8, PI / 8, PI / 8)
-        - X(PI / 4 - t, PI / 8, PI / 4)
-        + X(PI / 8, PI / 4, PI / 4)
-        - X(PI / 8, PI / 4, PI / 8)
-        - X(3 * PI / 8 - t, PI / 4, 3 * PI / 8)
-        + X(PI / 4, PI / 8 + t, PI / 8)
-        + X(PI / 4, 3 * PI / 8, 3 * PI / 8)
-        - X(PI / 4, 3 * PI / 8, PI / 4)
-        - X(PI / 2 - t, 3 * PI / 8, PI / 2)
-        + X(3 * PI / 8, PI / 4 + t, PI / 4)
-        + X(3 * PI / 8, PI / 2, PI / 2)
-        - X(3 * PI / 8, PI / 2, 3 * PI / 8)
-        - X(5 * PI / 8 - t, PI / 2, 5 * PI / 8)
-    )
-
-
-def _c4_piece3(t: float, X) -> float:
-    return (
-        -1.0
-        + 2.0
-        * (
-            math.cos(t - PI / 4)
-            - math.cos(PI / 8)
-            + math.cos(t - PI / 8)
-            - math.cos(PI / 4)
-            + math.cos(3 * PI / 8)
-            - math.cos(t + PI / 8)
-        )
-        - X(t - PI / 4, PI / 8, PI / 4)
-        + X(3 * PI / 8 - t, PI / 8, 3 * PI / 8)
-        - X(PI / 8, PI / 4, 3 * PI / 8)
-        + X(PI / 8, PI / 4, PI / 4)
-        - X(t - PI / 8, PI / 4, PI / 8)
-        + X(PI / 2 - t, PI / 4, PI / 2)
-        - X(PI / 4, 3 * PI / 8, PI / 2)
-        + X(PI / 4, 3 * PI / 8, 3 * PI / 8)
-        - X(PI / 4, 3 * PI / 8, PI / 4)
-        + X(PI / 4, 3 * PI / 8, PI / 8)
-        + X(5 * PI / 8 - t, 3 * PI / 8, 5 * PI / 8)
-        - X(3 * PI / 8, PI / 2, 5 * PI / 8)
-        + X(3 * PI / 8, PI / 2, PI / 2)
-        - X(3 * PI / 8, PI / 2, 3 * PI / 8)
-        + X(3 * PI / 8, PI / 2, PI / 4)
-        - X(3 * PI / 8, PI / 8 + t, PI / 8)
-        + X(3 * PI / 4 - t, PI / 2, 3 * PI / 4)
-    )
-
-
-def _c4_piece4(t: float, X) -> float:
-    return (
-        1.0
-        + 2.0
-        * (
-            math.cos(PI / 8)
-            - math.cos(t - 3 * PI / 8)
-            + math.cos(PI / 4)
-            - math.cos(t - PI / 4)
-            + math.cos(3 * PI / 8)
-            - math.cos(t - PI / 8)
-        )
-        + X(t - 3 * PI / 8, PI / 8, 3 * PI / 8)
-        - X(PI / 2 - t, PI / 8, PI / 2)
-        + X(PI / 8, PI / 4, PI / 2)
-        - X(PI / 8, PI / 4, 3 * PI / 8)
-        + X(t - PI / 4, PI / 4, PI / 4)
-        - X(5 * PI / 8 - t, PI / 4, 5 * PI / 8)
-        + X(PI / 4, 3 * PI / 8, 5 * PI / 8)
-        - X(PI / 4, 3 * PI / 8, PI / 2)
-        + X(PI / 4, 3 * PI / 8, 3 * PI / 8)
-        - X(PI / 4, 3 * PI / 8, PI / 4)
-        + X(t - PI / 8, 3 * PI / 8, PI / 8)
-        - X(3 * PI / 4 - t, 3 * PI / 8, 3 * PI / 4)
-        + X(3 * PI / 8, PI / 2, 3 * PI / 4)
-        - X(3 * PI / 8, PI / 2, 5 * PI / 8)
-        + X(3 * PI / 8, PI / 2, PI / 2)
-        - X(3 * PI / 8, PI / 2, 3 * PI / 8)
-        + X(3 * PI / 8, PI / 2, PI / 4)
-        - X(3 * PI / 8, PI / 2, PI / 8)
-        - X(7 * PI / 8 - t, PI / 2, 7 * PI / 8)
-    )
-
-
-def _c3d_low_neg(t: float, d: float, X) -> float:
-    return (
-        -1.0
-        + 2.0
-        * (
-            math.cos(t - PI / 3)
-            - math.cos(PI / 6 + d)
-            + math.cos(t - PI / 6 - d)
-            - math.cos(PI / 3)
-            + math.cos(t + PI / 6 + d)
-        )
-        - X(t - PI / 3, PI / 6 + d, PI / 3)
-        + X(PI / 6 + d, PI / 3, PI / 3)
-        - X(PI / 2 - t, PI / 3, PI / 2)
-        - X(t - PI / 6 - d, PI / 3, PI / 6 + d)
-        + X(2 * PI / 3 - t, PI / 3, 2 * PI / 3)
-        - X(PI / 3, PI / 2, 2 * PI / 3)
-        + X(PI / 3, PI / 2, PI / 2)
-        - X(PI / 3, PI / 2, PI / 3)
-        + X(PI / 3, t + PI / 6 + d, PI / 6 + d)
-    )
-
-
-def _c3d_mid(t: float, d: float, X) -> float:
-    return (
-        -1.0
-        + 2.0
-        * (
-            math.cos(t - PI / 3)
-            - math.cos(PI / 6 + d)
-            + math.cos(t - PI / 6 - d)
-            - math.cos(PI / 3)
-        )
-        - X(t - PI / 3, PI / 6 + d, PI / 3)
-        + X(PI / 2 - t, PI / 6 + d, PI / 2)
-        - X(PI / 6 + d, PI / 3, PI / 2)
-        + X(PI / 6 + d, PI / 3, PI / 3)
-        - X(t - PI / 6 - d, PI / 3, PI / 6 + d)
-        + X(2 * PI / 3 - t, PI / 3, 2 * PI / 3)
-        - X(PI / 3, PI / 2, 2 * PI / 3)
-        + X(PI / 3, PI / 2, PI / 2)
-        - X(PI / 3, PI / 2, PI / 3)
-        + X(PI / 3, PI / 2, PI / 6 + d)
-        + X(5 * PI / 6 - d - t, PI / 2, 5 * PI / 6 - d)
-    )
-
-
-def _c3d_cap_neg(t: float, d: float, X) -> float:
-    return (
-        -1.0
-        + 2.0
-        * (
-            math.cos(PI / 6 + d)
-            - math.cos(t - PI / 3)
-            + math.cos(PI / 3)
-            - math.cos(t - PI / 6 - d)
-        )
-        + X(PI / 2 - t, PI / 6 + d, PI / 2)
-        - X(PI / 6 + d, PI / 3, PI / 2)
-        + X(t - PI / 3, PI / 3, PI / 3)
-        + X(2 * PI / 3 - t, PI / 3, 2 * PI / 3)
-        - X(PI / 3, PI / 2, 2 * PI / 3)
-        + X(PI / 3, PI / 2, PI / 2)
-        - X(PI / 3, PI / 2, PI / 3)
-        + X(t - PI / 6 - d, PI / 2, PI / 6 + d)
-        + X(5 * PI / 6 - d - t, PI / 2, 5 * PI / 6 - d)
-    )
-
-
-def _c3d_low_pos(t: float, d: float, X) -> float:
-    return (
-        -1.0
-        + 2.0
-        * (
-            math.cos(t - PI / 3)
-            - math.cos(t - PI / 6 - d)
-            + math.cos(PI / 6 + d)
-            - math.cos(PI / 3)
-        )
-        - X(t - PI / 3, PI / 6 + d, PI / 3)
-        + X(t - PI / 6 - d, PI / 6 + d, PI / 6 + d)
-        + X(PI / 2 - t, PI / 6 + d, PI / 2)
-        - X(PI / 6 + d, PI / 3, PI / 2)
-        + X(PI / 6 + d, PI / 3, PI / 3)
-        - X(PI / 6 + d, PI / 3, PI / 6 + d)
-        + X(2 * PI / 3 - t, PI / 3, 2 * PI / 3)
-        - X(PI / 3, PI / 2, 2 * PI / 3)
-        + X(PI / 3, PI / 2, PI / 2)
-        - X(PI / 3, PI / 2, PI / 3)
-        + X(PI / 3, PI / 2, PI / 6 + d)
-        + X(5 * PI / 6 - d - t, PI / 2, 5 * PI / 6 - d)
-    )
-
-
-def _c3d_cap_pos(t: float, d: float, X) -> float:
-    return (
-        -1.0
-        + 2.0
-        * (
-            math.cos(t - PI / 3)
-            - math.cos(PI / 6 + d)
-            + math.cos(t - PI / 6 - d)
-            - math.cos(PI / 3)
-        )
-        + X(PI / 2 - t, PI / 6 + d, PI / 2)
-        - X(t - PI / 3, PI / 6 + d, PI / 3)
-        - X(2 * PI / 3 - t, PI / 6 + d, 2 * PI / 3)
-        + X(PI / 6 + d, PI / 3, 2 * PI / 3)
-        - X(PI / 6 + d, PI / 3, PI / 2)
-        + X(PI / 6 + d, PI / 3, PI / 3)
-        - X(t - PI / 6 - d, PI / 3, PI / 6 + d)
-        - X(5 * PI / 6 - d - t, PI / 3, 5 * PI / 6 - d)
-        + X(PI / 3, PI / 2, 5 * PI / 6 - d)
-        - X(PI / 3, PI / 2, 2 * PI / 3)
-        + X(PI / 3, PI / 2, PI / 2)
-        - X(PI / 3, PI / 2, PI / 3)
-        + X(PI / 3, PI / 2, PI / 6 + d)
-    )
-
-
-def _parse_closed_form_label(
-    label: str | int, delta: float | None
-) -> tuple[str, float | None]:
-    name = str(label).strip()
-    if ":" in name:
-        name, _, arg = name.partition(":")
-        if name == "3_delta":
-            delta = float(arg) * PI
-        elif name == "2_Delta":
-            pass  # handled below: no closed form either way
-        else:
-            raise ValueError(f"label {name!r} takes no parameter")
-    if name == "hemisphere":
-        name = "1"
-    return name, delta
+    # level[k] is a(eps) between flips k - 1 and k; the jump at flip i
+    # goes to level[i + 1]
+    level = [north if k % 2 == 0 else -north for k in range(len(flips) + 1)]
+    breaks = {0.0, HALF_PI, t, *flips}
+    for v in flips:
+        breaks.update((t - v, t + v))
+    cuts = sorted(x for x in breaks if 0.0 <= x <= HALF_PI)
+    total = 0.0
+    p, cos_p = 0.0, 1.0
+    for q in cuts[1:]:
+        cos_q = math.cos(q)
+        m = 0.5 * (p + q)
+        here = level[bisect_right(flips, m)]
+        total += here * level[bisect_right(flips, abs(t - m))] * (cos_p - cos_q)
+        p, cos_p = q, cos_q
+    for i, v in enumerate(flips):
+        lo, hi = abs(v - t), min(v + t, HALF_PI)
+        if lo >= hi:
+            continue
+        j, k = bisect_right(flips, lo), bisect_left(flips, hi)
+        bounds = [lo, *flips[j:k], hi]
+        for r in range(len(bounds) - 1):
+            run = level[i + 1] * level[j + r]
+            total += run * chi(t, bounds[r], bounds[r + 1], v, tol=chi_tol)
+    return -total
 
 
 def closed_form(
-    label: str | int,
+    c: Colouring | str | int,
     theta: float,
     delta: float | None = None,
     chi_tol: float = 1e-9,
 ) -> float:
-    """Exact piecewise value of C(theta) for a catalogue colouring.
+    """Exact C(theta) on [0, pi/2] for an antipodal azimuthal colouring.
 
-    Colouring 1 is the linear law -(1 - 2 theta / pi), evaluated with
-    no quadrature at all.  Colourings 2-4 are covered on [0, pi/2] by
-    two or four branches; the deformed family 3_delta only on
-    [pi/3, pi/2] (by branch tables split on the sign of delta).
-    Requests outside the branch tables raise
-    :class:`ClosedFormDomainError` naming the missing branch.
+    ``c`` is a colouring or a catalogue label, built by
+    :func:`make_catalogue`; ``delta`` is the parameter of 3_delta or
+    2_Delta when the label does not inline it.  The value is a sum of
+    cosines and ``chi`` terms over pieces derived from the colouring's
+    flip edges (each ``chi`` to ``chi_tol``).  A single flip at the
+    equator is the hemisphere, whose value is the linear law
+    -(1 - 2 theta / pi) with no quadrature at all.  Raises
+    :class:`ClosedFormDomainError` for theta outside [0, pi/2], a bad
+    label or parameter, and a colouring that is not antipodal and
+    azimuthal.
     """
-    name, delta = _parse_closed_form_label(label, delta)
     t = float(theta)
     if not -SNAP <= t <= HALF_PI + SNAP:
         raise ClosedFormDomainError(
             f"closed forms cover theta in [0, pi/2]; got theta={t / PI:g}*pi"
         )
+    try:
+        north, flips = _flips_of(c, delta)
+    except ValueError as exc:
+        raise ClosedFormDomainError(str(exc)) from None
     t = min(max(t, 0.0), HALF_PI)
-
-    if name == "1":
+    if t < SNAP:
+        return -1.0
+    if len(flips) == 1 and abs(flips[0] - HALF_PI) < SNAP:
         return -(1.0 - 2.0 * t / PI)
-    if name == "2_Delta":
-        raise ClosedFormDomainError(
-            "colouring 2_Delta has no closed-form branches; use quadrature or mc"
-        )
-
-    def X(a: float, b: float, alpha: float) -> float:
-        return chi(t, a, b, alpha, tol=chi_tol)
-
-    if name == "2":
-        return _c2_piece1(t, X) if t <= PI / 4 + SNAP else _c2_piece2(t, X)
-    if name == "3":
-        if t <= PI / 6 + SNAP:
-            return _c3_piece1(t, X)
-        if t <= PI / 4 + SNAP:
-            return _c3_piece2(t, X)
-        if t <= PI / 3 + SNAP:
-            return _c3_piece3(t, X)
-        return _c3_piece4(t, X)
-    if name == "4":
-        if t <= PI / 8 + SNAP:
-            return _c4_piece1(t, X)
-        if t <= PI / 4 + SNAP:
-            return _c4_piece2(t, X)
-        if t <= 3 * PI / 8 + SNAP:
-            return _c4_piece3(t, X)
-        return _c4_piece4(t, X)
-    if name == "3_delta":
-        if delta is None:
-            raise ClosedFormDomainError("label 3_delta requires the delta parameter")
-        d = float(delta)
-        if not -PI / 18 - SNAP <= d <= PI / 24 + SNAP:
-            raise ClosedFormDomainError(f"delta {d!r} outside [-pi/18, pi/24]")
-        if t < PI / 3 - SNAP:
-            raise ClosedFormDomainError(
-                "colouring 3_delta has closed-form branches only for theta in "
-                f"[pi/3, pi/2]; no branch covers theta={t / PI:g}*pi"
-            )
-        if d <= 0.0:
-            if t <= PI / 3 - d + SNAP:
-                return _c3d_low_neg(t, d, X)
-            if t <= PI / 2 + d + SNAP:
-                return _c3d_mid(t, d, X)
-            return _c3d_cap_neg(t, d, X)
-        if t <= PI / 3 + 2 * d + SNAP:
-            return _c3d_low_pos(t, d, X)
-        if t <= PI / 2 - d + SNAP:
-            return _c3d_mid(t, d, X)
-        return _c3d_cap_pos(t, d, X)
-    raise ClosedFormDomainError(f"unknown catalogue label {label!r}")
+    return _exact_value(t, north, flips, chi_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -915,15 +565,21 @@ def curve_for(
             value, stderr = correlation_mc(pair, t, plan)
             return CurvePoint(t, value, stderr)
 
-    elif method == "quadrature":
-
-        def compute(t: float) -> CurvePoint:
-            return CurvePoint(t, _deterministic_value(pair.alice, t, tol), None)
-
     else:
+        alice = pair.alice
+        if method == "quadrature":
+
+            def exact(t: float) -> float:
+                if t < SNAP:
+                    _require_antipodal_azimuthal(alice)
+                    return -1.0
+                return correlation_quadrature(alice, t, tol)
+
+        else:
+            exact = functools.partial(closed_form, alice)
 
         def compute(t: float) -> CurvePoint:
-            return CurvePoint(t, _closed_form_reflected(label, t), None)
+            return CurvePoint(t, antisymmetric(exact, t), None)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -933,26 +589,15 @@ def curve_for(
     return CorrelationCurve(colouring_label=label, method=method, points=tuple(points))
 
 
-def _deterministic_value(c: Colouring, t: float, tol: float) -> float:
-    if t < SNAP:
-        _require_antipodal_azimuthal(c)
-        return -1.0
+def antisymmetric(value: Callable[[float], float], theta: float) -> float:
+    """An engine defined on [0, pi/2], extended to theta in [0, pi] by
+    the antisymmetry C(pi - theta) = -C(theta)."""
+    t = float(theta)
+    if t > PI + SNAP:
+        raise ValueError(f"theta {t!r} outside [0, pi]")
     if t > HALF_PI + SNAP:
-        if t > PI + SNAP:
-            raise ValueError(f"theta {t!r} outside [0, pi]")
-        if t >= PI - SNAP:
-            _require_antipodal_azimuthal(c)
-            return 1.0
-        return -correlation_quadrature(c, PI - t, tol)
-    return correlation_quadrature(c, t, tol)
-
-
-def _closed_form_reflected(label: str, t: float) -> float:
-    if t > HALF_PI + SNAP:
-        if t > PI + SNAP:
-            raise ValueError(f"theta {t!r} outside [0, pi]")
-        return -closed_form(label, PI - min(t, PI))
-    return closed_form(label, t)
+        return -value(max(PI - t, 0.0))
+    return value(t)
 
 
 def extend_to_pi(curve: CorrelationCurve) -> CorrelationCurve:

@@ -22,6 +22,8 @@ from scipy.optimize import minimize
 
 from .bounds import theorem1_bounds
 from .colourings import (
+    DELTA_CAP_RANGE,
+    DELTA_RANGE,
     Colouring,
     ColouringPair,
     HarmonicColouring,
@@ -123,13 +125,23 @@ def find_crossing(
 
 # scan window for catalogue crossings: away from the pi/2 degeneracy
 # where every curve pinches to zero and float noise owns the sign
-_CROSS_LO = PI / 3.0 + 1e-9
-_CROSS_HI = HALF_PI - 1e-4
+CROSSING_BRACKET = (PI / 3.0 + 1e-9, HALF_PI - 1e-4)
+
+# default parameter grids of the two deformed families
+DELTA_GRID = tuple(float(d) for d in np.linspace(*DELTA_RANGE, 25))
+TWO_DELTA_GRID = tuple(float(d) for d in np.linspace(*DELTA_CAP_RANGE, 13))
 
 _REFERENCES: dict[str, Callable[[float], float]] = {
     "c1": lambda t: closed_form("1", t),
     "singlet": singlet_correlation,
 }
+
+
+def reference_curve(name: str) -> Callable[[float], float]:
+    """The reference a sweep crosses: "c1" (the linear law) or "singlet"."""
+    if name not in _REFERENCES:
+        raise ValueError(f"reference {name!r} not one of {sorted(_REFERENCES)}")
+    return _REFERENCES[name]
 
 
 @dataclass(frozen=True)
@@ -144,10 +156,62 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     best_delta: float
     best_theta: float
+    parameter: str = "delta"  # the swept parameter's name, for the CSV header
+
+
+def _first_crossing_with_sign(
+    f: Callable[[float], float],
+    g: Callable[[float], float],
+    wanted_left_sign: int | None,
+    tol: float,
+) -> float | None:
+    """The first crossing of f and g in ``CROSSING_BRACKET`` whose left
+    sign is the wanted one (any sign when None)."""
+    for hit in all_crossings(f, g, CROSSING_BRACKET, tol):
+        if wanted_left_sign is None or hit.left_sign == wanted_left_sign:
+            return hit.theta_star
+    return None
+
+
+def _sweep(
+    parameter: str,
+    members: Sequence[tuple[float, Colouring]],
+    target: Callable[[float], float],
+    left_sign: int | None,
+    reference: str,
+    tol: float,
+    jobs: int,
+) -> SweepResult:
+    """First crossing (with the given left sign) of ``target`` by each
+    (parameter value, colouring) member, evaluated in closed form."""
+
+    def row(member: tuple[float, Colouring]) -> SweepRow:
+        value, colouring = member
+        star = _first_crossing_with_sign(
+            lambda t: closed_form(colouring, t), target, left_sign, tol
+        )
+        return SweepRow(value, math.nan if star is None else star)
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            rows = tuple(pool.map(row, members))
+    else:
+        rows = tuple(row(m) for m in members)
+    finite = [(r.theta_star, r.delta) for r in rows if not math.isnan(r.theta_star)]
+    if not finite:
+        raise NoCrossingError(f"no {parameter} in the grid crosses {reference}")
+    best_theta, best_delta = min(finite)
+    return SweepResult(
+        reference=reference,
+        rows=rows,
+        best_delta=best_delta,
+        best_theta=best_theta,
+        parameter=parameter,
+    )
 
 
 def sweep_delta(
-    delta_grid: Sequence[float],
+    delta_grid: Sequence[float] = DELTA_GRID,
     reference: str = "c1",
     tol: float = 1e-4,
     jobs: int = 1,
@@ -158,40 +222,36 @@ def sweep_delta(
     Rows without a crossing carry nan; the arg-min row is reported
     alongside the table.
     """
-    if reference not in _REFERENCES:
-        raise ValueError(f"reference {reference!r} not one of {sorted(_REFERENCES)}")
-    ref = _REFERENCES[reference]
-    deltas = [float(d) for d in delta_grid]
-    for d in deltas:
-        if not -PI / 18.0 - 1e-12 <= d <= PI / 24.0 + 1e-12:
-            raise ValueError(f"delta {d!r} outside [-pi/18, pi/24]")
+    target = reference_curve(reference)
+    members = [
+        (float(d), make_catalogue("3_delta", delta=float(d))) for d in delta_grid
+    ]
+    return _sweep("delta", members, target, None, reference, tol, jobs)
 
-    def row(d: float) -> SweepRow:
-        fam = lambda t: closed_form("3_delta", t, delta=d)
-        try:
-            hit = find_crossing(fam, ref, (_CROSS_LO, _CROSS_HI), tol)
-        except NoCrossingError:
-            return SweepRow(d, math.nan)
-        return SweepRow(d, hit.theta_star)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(row, deltas))
-    else:
-        rows = tuple(row(d) for d in deltas)
-    finite = [(r.theta_star, r.delta) for r in rows if not math.isnan(r.theta_star)]
-    if not finite:
-        raise NoCrossingError(f"no delta in the grid crosses {reference}")
-    best_theta, best_delta = min(finite)
-    return SweepResult(
-        reference=reference, rows=rows, best_delta=best_delta, best_theta=best_theta
+def sweep_two_delta(
+    two_delta_grid: Sequence[float] = TWO_DELTA_GRID,
+    reference: str = "c1",
+    tol: float = 1e-4,
+    jobs: int = 1,
+) -> SweepResult:
+    """Upper exit angle of the widened two-band family: for each Delta in
+    the grid, the first angle where C(theta) rises above the negated
+    reference curve, as colouring 2 does.
+    """
+    ref = reference_curve(reference)
+    members = [
+        (float(d), make_catalogue("2_Delta", Delta=float(d))) for d in two_delta_grid
+    ]
+    return _sweep(
+        "Delta", members, lambda t: -ref(t), -1, f"neg_{reference}", tol, jobs
     )
 
 
 def sweep_to_csv(result: SweepResult, fh) -> None:
     from .correlation import format_sig
 
-    fh.write("delta_over_pi,theta_star_over_pi,reference\n")
+    fh.write(f"{result.parameter}_over_pi,theta_star_over_pi,reference\n")
     for r in result.rows:
         star = "" if math.isnan(r.theta_star) else format_sig(r.theta_star / PI)
         fh.write(f"{format_sig(r.delta / PI)},{star},{result.reference}\n")
@@ -207,29 +267,11 @@ class ThetaMaxEstimate:
     witnesses: dict
 
 
-def _first_crossing_with_sign(
-    f: Callable[[float], float],
-    g: Callable[[float], float],
-    wanted_left_sign: int,
-    bracket: tuple[float, float],
-    tol: float,
-) -> float | None:
-    try:
-        crossings = all_crossings(f, g, bracket, tol)
-    except NoCrossingError:
-        return None
-    for hit in crossings:
-        if hit.left_sign == wanted_left_sign:
-            return hit.theta_star
-    return None
-
-
 def estimate_theta_max(
     include_two_delta: bool = False,
-    delta_grid: Sequence[float] | None = None,
-    two_delta_grid: Sequence[float] | None = None,
+    delta_grid: Sequence[float] = DELTA_GRID,
+    two_delta_grid: Sequence[float] = TWO_DELTA_GRID,
     tol: float = 1e-4,
-    quad_tol: float = 1e-6,
     jobs: int = 1,
 ) -> ThetaMaxEstimate:
     """Threshold estimates from the catalogue plus the swept families.
@@ -240,8 +282,8 @@ def estimate_theta_max(
     The strong bound is the smallest angle where any colouring exits
     the band between the linear law and its negative; the two-band
     upper exit supplies it from the catalogue, and the widened two-band
-    family (no closed form, so evaluated by quadrature) pushes it lower
-    when ``include_two_delta`` is set.
+    family pushes it lower when ``include_two_delta`` is set.  Every
+    curve is evaluated with :func:`closed_form`.
     """
     c1 = _REFERENCES["c1"]
     neg_c1 = lambda t: -c1(t)
@@ -251,42 +293,25 @@ def estimate_theta_max(
     s_candidates: list[tuple[float, str]] = []
     for label in ("2", "3", "4"):
         fam = lambda t, lab=label: closed_form(lab, t)
-        below = _first_crossing_with_sign(fam, c1, +1, (_CROSS_LO, _CROSS_HI), tol)
+        below = _first_crossing_with_sign(fam, c1, +1, tol)
         if below is not None:
             w_candidates.append((below, label))
             s_candidates.append((below, label))
-        above = _first_crossing_with_sign(fam, neg_c1, -1, (_CROSS_LO, _CROSS_HI), tol)
+        above = _first_crossing_with_sign(fam, neg_c1, -1, tol)
         if above is not None:
             s_candidates.append((above, label))
 
-    if delta_grid is None:
-        delta_grid = np.linspace(-PI / 18.0, PI / 24.0, 25)
     sweep = sweep_delta(delta_grid, "c1", tol, jobs=jobs)
     w_candidates.append((sweep.best_theta, f"3_delta:{sweep.best_delta / PI:g}"))
     s_candidates.append((sweep.best_theta, f"3_delta:{sweep.best_delta / PI:g}"))
 
     if include_two_delta:
-        if two_delta_grid is None:
-            two_delta_grid = np.linspace(0.0, PI / 12.0, 13)
-
-        def two_delta_exit(cap: float) -> tuple[float, str] | None:
-            colouring = make_catalogue("2_Delta", Delta=cap)
-            fam = lambda t: correlation_quadrature(colouring, t, quad_tol)
-            # the widened family exits on the upper side, like colouring 2
-            star = _first_crossing_with_sign(
-                fam, neg_c1, -1, (_CROSS_LO, _CROSS_HI), tol
-            )
-            if star is None:
-                return None
-            return star, colouring.label
-
-        caps = [float(v) for v in two_delta_grid]
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                exits = list(pool.map(two_delta_exit, caps))
-        else:
-            exits = [two_delta_exit(v) for v in caps]
-        s_candidates.extend(e for e in exits if e is not None)
+        widened = sweep_two_delta(two_delta_grid, "c1", tol, jobs=jobs)
+        s_candidates.extend(
+            (r.theta_star, f"2_Delta:{r.delta / PI:g}")
+            for r in widened.rows
+            if not math.isnan(r.theta_star)
+        )
 
     if not w_candidates or not s_candidates:
         raise NoCrossingError("catalogue produced no threshold witnesses")

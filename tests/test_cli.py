@@ -128,20 +128,38 @@ class TestCurveCommand:
         code, _, _ = run(capsys, "curve", "--colouring", "1", "--grid", "0.5:0.2:10")
         assert code == 2
 
-    def test_widened_two_band_has_no_closed_form(self, capsys):
-        code, _, err = run(
-            capsys, "curve", "--colouring", "2_Delta:0.02", "--method", "closed_form",
-            "--grid", "0.35:0.5:3",
-        )
-        assert code == 2
-        assert "closed form" in err or "2_Delta" in err
+    @staticmethod
+    def values_by_method(capsys, label, grid):
+        values = {}
+        for method in ("closed_form", "quadrature"):
+            code, out, _ = run(
+                capsys, "curve", "--colouring", label, "--method", method,
+                "--grid", grid, "--tol", "1e-10",
+            )
+            assert code == 0
+            values[method] = [float(r[1]) for r in rows_of(out)[1:]]
+        return values
 
-    def test_deformed_family_below_domain(self, capsys):
-        code, _, _ = run(
-            capsys, "curve", "--colouring", "3_delta:-0.03", "--method", "closed_form",
-            "--grid", "0.2:0.4:3",
-        )
-        assert code == 2
+    def test_widened_two_band_closed_form_matches_quadrature(self, capsys):
+        values = self.values_by_method(capsys, "2_Delta:0.02", "0.35:0.5:3")
+        assert values["closed_form"] == pytest.approx(values["quadrature"], abs=1e-9)
+
+    def test_deformed_family_below_the_tables_matches_quadrature(self, capsys):
+        values = self.values_by_method(capsys, "3_delta:-0.03", "0.2:0.4:3")
+        assert values["closed_form"] == pytest.approx(values["quadrature"], abs=1e-9)
+
+    def test_band_file_has_a_closed_form(self, tmp_path, capsys):
+        path = tmp_path / "bands.json"
+        path.write_text(json.dumps(
+            {"kind": "bands", "bands": [[0, 0.2], [0.3, 0.5], [0.7, 0.8]]}
+        ))
+        code, out, _ = run(capsys, "curve", "--colouring", str(path), "--grid", "0:1:5")
+        assert code == 0
+        rows = rows_of(out)[1:]
+        assert [r[4] for r in rows] == ["bands"] * 5
+        values = [float(r[1]) for r in rows]
+        assert values[0] == -1.0 and values[-1] == 1.0
+        assert values[1] == pytest.approx(-values[3], abs=1e-15)
 
     def test_widened_two_band_by_quadrature(self, capsys):
         code, out, _ = run(
@@ -202,6 +220,19 @@ class TestVerifyCommand:
         assert code == 0
         assert all(e["satisfied"] for e in json.loads(out)["grid"])
 
+    def test_curve_on_its_default_grid_verifies(self, tmp_path, capsys):
+        # the default grid starts at theta = 0, where no chain bound applies
+        path = tmp_path / "c2.csv"
+        assert run(
+            capsys, "curve", "--colouring", "2", "--method", "mc", "--n", "20000",
+            "--seed", "0x42d", "--out", str(path),
+        )[0] == 0
+        code, out, _ = run(capsys, "verify", "--curve-file", str(path))
+        assert code == 0
+        grid = json.loads(out)["grid"]
+        assert len(grid) == 100
+        assert grid[0]["theta_over_pi"] == pytest.approx(0.005, abs=1e-12)
+
     def test_missing_curve_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "verify", "--curve-file", str(tmp_path / "absent.csv")
@@ -242,6 +273,16 @@ class TestSweepCommand:
         assert float(rows[1][1]) == pytest.approx(0.386, abs=0.003)
         match = re.search(r"best delta/pi = (-?[0-9.]+)", err)
         assert match and float(match.group(1)) == pytest.approx(-0.038, abs=1e-9)
+
+    def test_readme_default_delta_grid(self, capsys):
+        code, out, err = run(capsys, "sweep", "--family", "3_delta", "--reference", "c1")
+        assert code == 0
+        rows = rows_of(out)
+        assert rows[0] == ["delta_over_pi", "theta_star_over_pi", "reference"]
+        assert len(rows) == 26
+        assert float(rows[1][0]) == pytest.approx(-1 / 18, abs=1e-11)
+        assert float(rows[-1][0]) == pytest.approx(1 / 24, abs=1e-11)
+        assert "best delta/pi" in err
 
     def test_widened_two_band_exit_scan(self, capsys):
         code, out, err = run(

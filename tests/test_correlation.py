@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from closed_form_tables import DEFORMED_DOMAIN, table_value
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from spherebell.colourings import (
@@ -259,13 +262,41 @@ class TestClosedForm:
         with pytest.raises(ClosedFormDomainError):
             closed_form("3", 0.6 * PI)
 
-    def test_shrunk_cap_family_has_no_closed_form(self):
-        with pytest.raises(ClosedFormDomainError):
-            closed_form("2_Delta", 0.4 * PI, delta=0.03 * PI)
+    def test_shrunk_cap_family_against_quadrature(self):
+        for cap in (0.01 * PI, 0.03 * PI, PI / 12):
+            c = make_catalogue("2_Delta", Delta=cap)
+            for theta in (0.1 * PI, 0.35 * PI, 0.48 * PI):
+                quad = correlation_quadrature(c, theta, 1e-10)
+                assert abs(closed_form("2_Delta", theta, delta=cap) - quad) <= 1e-9
 
-    def test_deformed_family_missing_branch_named(self):
-        with pytest.raises(ClosedFormDomainError, match="branch"):
-            closed_form("3_delta", 0.2 * PI, delta=-0.03 * PI)
+    def test_deformed_family_below_the_tables_against_quadrature(self):
+        for delta in (-PI / 18, -0.03 * PI, 0.03 * PI, PI / 24):
+            c = make_catalogue("3_delta", delta=delta)
+            for theta in (0.05 * PI, 0.2 * PI, 0.3 * PI):
+                quad = correlation_quadrature(c, theta, 1e-10)
+                assert abs(closed_form("3_delta", theta, delta=delta) - quad) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "colouring",
+        [
+            HarmonicColouring(((3, 0, 1.0), (1, 0, 0.4))),
+            BandColouring(((0.0, 0.3), (0.7, HALF_PI), (PI - 0.7, PI - 0.3))),
+            negate(make_catalogue("3")),
+        ],
+        ids=["m0_harmonic", "bands", "negated"],
+    )
+    def test_any_antipodal_azimuthal_colouring_against_quadrature(self, colouring):
+        for theta in (0.15 * PI, 0.3 * PI, 0.45 * PI):
+            quad = correlation_quadrature(colouring, theta, 1e-10)
+            assert abs(closed_form(colouring, theta) - quad) <= 1e-9
+
+    def test_touching_bands_are_one_band(self):
+        split = BandColouring(((0.0, PI / 8), (PI / 8, PI / 4), (HALF_PI, 3 * PI / 4)))
+        assert closed_form(split, 0.3 * PI) == closed_form("2", 0.3 * PI)
+
+    def test_non_antipodal_colouring_has_no_closed_form(self):
+        with pytest.raises(ClosedFormDomainError):
+            closed_form(BandColouring(((0.0, 0.6 * PI),)), 0.3 * PI)
 
     def test_deformed_family_needs_delta(self):
         with pytest.raises(ClosedFormDomainError):
@@ -278,6 +309,49 @@ class TestClosedForm:
     def test_unknown_label(self):
         with pytest.raises(ClosedFormDomainError):
             closed_form("9", 0.4)
+
+
+class TestAgainstPieceTables:
+    """The engine against the hand-written piece tables it replaced."""
+
+    @pytest.mark.parametrize("label", ["2", "3", "4"])
+    def test_catalogue(self, label):
+        for theta in np.linspace(0.0, 0.5, 61)[1:] * PI:
+            assert abs(closed_form(label, theta) - table_value(label, theta)) <= 1e-12
+
+    @pytest.mark.parametrize("delta", np.linspace(-PI / 18, PI / 24, 6))
+    def test_deformed_family(self, delta):
+        for theta in np.linspace(*DEFORMED_DOMAIN, 25):
+            engine = closed_form("3_delta", theta, delta=delta)
+            assert abs(engine - table_value("3_delta", theta, delta)) <= 1e-12
+
+
+def _antipodal_bands(north_edges, north_value):
+    """The band colouring with the given flips in (0, pi/2), a flip at
+    the equator, and the antipodal reflection of it all below."""
+    flips = sorted(north_edges) + [HALF_PI] + [PI - e for e in reversed(sorted(north_edges))]
+    bounds = [0.0, *flips, PI]
+    value = north_value
+    plus = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if value > 0:
+            plus.append((lo, hi))
+        value = -value
+    return BandColouring(tuple(plus))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    north_edges=st.lists(
+        st.floats(0.05, 1.5), max_size=4, unique_by=lambda x: round(x, 1)
+    ),
+    north_value=st.sampled_from([1, -1]),
+    theta=st.floats(0.02, HALF_PI),
+)
+def test_random_band_sets_against_quadrature(north_edges, north_value, theta):
+    colouring = _antipodal_bands(north_edges, north_value)
+    quad = correlation_quadrature(colouring, theta, 1e-10)
+    assert abs(closed_form(colouring, theta) - quad) <= 1e-9
 
 
 class TestCurveFor:
@@ -320,6 +394,17 @@ class TestCurveFor:
         quad = curve_for(make_catalogue(3), [0.7 * PI], "quadrature")
         assert quad.points[0].value == pytest.approx(
             -correlation_quadrature(make_catalogue(3), 0.3 * PI, 1e-8), abs=1e-12
+        )
+
+    def test_closed_form_uses_the_colouring_not_its_label(self):
+        # the label rounds delta to 6 digits: -pi/18 would leave the range
+        edge = make_catalogue("3_delta", delta=-PI / 18)
+        curve = curve_for(edge, [0.4 * PI], "closed_form")
+        assert curve.points[0].value == closed_form(edge, 0.4 * PI)
+        inner = make_catalogue("3_delta", delta=-0.0123456789 * PI)
+        curve = curve_for(inner, [0.4 * PI], "closed_form")
+        assert curve.points[0].value == closed_form(
+            "3_delta", 0.4 * PI, delta=-0.0123456789 * PI
         )
 
     def test_zero_angle_is_exact(self):
