@@ -48,5 +48,5 @@ slope = slope_at_half_pi("3")
 print()
 print(
     f"three-band slope at pi/2: {slope.slope:+.5f} "
-    f"(closed form {-slope.reference:+.5f}), vs -2/pi = {-2 / PI:+.5f} for the line"
+    f"(analytic {-slope.reference:+.5f}), vs -2/pi = {-2 / PI:+.5f} for the line"
 )

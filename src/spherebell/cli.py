@@ -47,6 +47,7 @@ PI = math.pi
 DEFAULT_SEED = 0x42D
 DEFAULT_N = 1_000_000
 DEFAULT_TOL = 1e-8
+TOL_HELP = "outer-integral tolerance, read by --method quadrature only"
 
 
 class UsageError(ValueError):
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--grid", help="start:stop:count in units of pi")
     p_curve.add_argument("--seed", type=lambda s: int(s, 0))
     p_curve.add_argument("--n", type=int, help="Monte Carlo samples")
-    p_curve.add_argument("--tol", type=float)
+    p_curve.add_argument("--tol", type=float, help=TOL_HELP)
     p_curve.set_defaults(func=run_curve)
 
     p_verify = sub.add_parser("verify", help="bound verification as JSON")
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--grid")
     p_verify.add_argument("--seed", type=lambda s: int(s, 0))
     p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--tol", type=float)
+    p_verify.add_argument("--tol", type=float, help=TOL_HELP)
     p_verify.set_defaults(func=run_verify)
 
     p_sweep = sub.add_parser("sweep", help="deformation sweeps and crossing tables")

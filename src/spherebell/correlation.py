@@ -21,7 +21,13 @@ compute it:
 - ``closed_form``: the same pairs (catalogue labels, both deformed
   families, band files, m = 0 harmonics), with the outer integral done
   exactly as well: a sum of cosines and of the band-overlap integral
-  ``chi`` over pieces derived from the colouring's flip edges.
+  ``chi`` over pieces derived from the colouring's flip edges.  ``chi``
+  itself is elementary (a spherical-triangle antiderivative from
+  Gauss-Bonnet), so this engine does no quadrature at all.
+
+The two exact engines share one validated, cached pass over the
+colouring (``_flips_of``): its value at the north pole and the polar
+angles where its colour flips.
 
 Shared plumbing: gamma estimation, curve containers, antisymmetry
 extension to [0, pi], finite mixtures, the exact circle-colouring
@@ -164,7 +170,6 @@ def correlation_mc(
 # ---------------------------------------------------------------------------
 # Polar edge extraction (bands exactly; other azimuthal colourings by scan)
 
-_EDGE_CACHE: dict = {}
 _SCAN_N = 4096
 
 
@@ -180,12 +185,6 @@ def polar_edges(c: Colouring) -> tuple[float, ...]:
         return core.edges
     if not c.is_azimuthal:
         raise ValueError("colouring is not azimuthally symmetric")
-    try:
-        cached = _EDGE_CACHE.get(c)
-    except TypeError:
-        cached = None
-    if cached is not None:
-        return cached
     grid = np.linspace(0.0, PI, _SCAN_N + 1)
     vals = c.evaluate_polar(grid)
     edges = []
@@ -199,16 +198,23 @@ def polar_edges(c: Colouring) -> tuple[float, ...]:
             else:
                 hi = mid
         edges.append(0.5 * (lo + hi))
-    result = tuple(edges)
-    try:
-        _EDGE_CACHE[c] = result
-    except TypeError:
-        pass
-    return result
+    return tuple(edges)
 
 
-def _require_antipodal_azimuthal(c: Colouring) -> tuple[float, ...]:
-    """Check the exact engines' preconditions, returning the edge set."""
+@functools.lru_cache(maxsize=256)
+def _colour_flips(
+    c: Colouring | str | int, delta: float | None
+) -> tuple[int, tuple[float, ...]]:
+    """(value at the north pole, polar angles where the colour flips) of
+    a colouring or catalogue label (``delta`` as in :func:`closed_form`).
+
+    Checks the exact engines' preconditions: the colouring must be
+    azimuthally symmetric and antipodal.  Band endpoints where two plus
+    bands touch are not flips and are dropped, so consecutive flips
+    alternate in direction.
+    """
+    if isinstance(c, (str, int)):
+        c = make_catalogue(c, delta=delta, Delta=delta)
     if not c.is_azimuthal:
         raise ValueError(
             f"exact engines need an azimuthally symmetric colouring, got {c.label!r}"
@@ -223,11 +229,23 @@ def _require_antipodal_azimuthal(c: Colouring) -> tuple[float, ...]:
             merged_list.append(v)
     merged = np.array(merged_list)
     mids = 0.5 * (merged[:-1] + merged[1:])
-    direct = c.evaluate_polar(mids)
-    mirrored = c.evaluate_polar(PI - mids)
-    if np.any(direct != -mirrored):
+    if np.any(c.evaluate_polar(mids) != -c.evaluate_polar(PI - mids)):
         raise ValueError(f"colouring {c.label!r} is not antipodal")
-    return edges
+    bounds = np.array([0.0, *edges, PI])
+    values = c.evaluate_polar(0.5 * (bounds[:-1] + bounds[1:]))
+    flips = tuple(v for v, lo, hi in zip(edges, values[:-1], values[1:]) if lo != hi)
+    return int(values[0]), flips
+
+
+def _flips_of(
+    c: Colouring | str | int, delta: float | None = None
+) -> tuple[int, tuple[float, ...]]:
+    """:func:`_colour_flips`, cached when the colouring is hashable."""
+    try:
+        hash(c)
+    except TypeError:
+        return _colour_flips.__wrapped__(c, delta)
+    return _colour_flips(c, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +305,8 @@ def correlation_quadrature(
     if not SNAP < theta <= HALF_PI + SNAP:
         raise ValueError(f"theta {theta!r} outside (0, pi/2]")
     theta = min(theta, HALF_PI)
-    edge_list = _require_antipodal_azimuthal(c)
-    edges = np.array(edge_list)
+    _, flips = _flips_of(c)
+    edges = np.array(flips)
     value_at = c.evaluate_polar
 
     def f(eps: float) -> float:
@@ -296,7 +314,7 @@ def correlation_quadrature(
         return math.sin(eps) * a_here * _inner_arc_integral(theta, eps, edges, value_at)
 
     breaks = {theta}
-    for v in edge_list:
+    for v in flips:
         for candidate in (v, v - theta, theta - v, v + theta):
             breaks.add(candidate)
     # coincident candidates land one ulp apart (theta = pi/4 makes
@@ -330,14 +348,66 @@ def correlation_quadrature(
 # The band-overlap integral chi
 
 
-def chi(theta: float, a: float, b: float, alpha: float, tol: float = 1e-9) -> float:
+def _triangle_angle(sin_s: float, sin_x: float, sin_y: float, sin_z: float) -> float:
+    """The angle opposite side x of a spherical triangle with sides x, y,
+    z, from the sines of its half-perimeter s and of s - x, s - y, s - z
+    (the half-angle formula).  Clamping the sines at 0 saturates the
+    angle to 0 or pi off the triangle, which keeps Phi exact there."""
+    opposite = math.sqrt(max(sin_y, 0.0)) * math.sqrt(max(sin_z, 0.0))
+    adjacent = math.sqrt(max(sin_s, 0.0)) * math.sqrt(max(sin_x, 0.0))
+    return 2.0 * math.atan2(opposite, adjacent)
+
+
+def _chi_antiderivative(theta: float, beta: float, alpha: float) -> float:
+    """Phi(beta) of :func:`chi`."""
+    if beta > HALF_PI:
+        # X -> -X: Phi(beta; alpha) = Phi(pi - beta; pi - alpha)
+        # + 2 cos(alpha) - 2 cos(beta), exact near the south pole
+        reflected = _chi_antiderivative(theta, PI - beta, PI - alpha)
+        return reflected + 2.0 * math.cos(alpha) - 2.0 * math.cos(beta)
+    if beta == 0.0:
+        return 0.0
+    # sines of the half-perimeter s and of s - alpha, s - theta, s - beta
+    d = alpha - theta
+    sin_s = math.sin(0.5 * (alpha + beta + theta))
+    sin_alpha = math.sin(0.5 * (beta - d))
+    sin_theta = math.sin(0.5 * (beta + d))
+    sin_beta = math.sin(0.5 * (alpha + theta - beta))
+    at_n = _triangle_angle(sin_s, sin_alpha, sin_beta, sin_theta)
+    at_p = _triangle_angle(sin_s, sin_beta, sin_alpha, sin_theta)
+    at_x = _triangle_angle(sin_s, sin_theta, sin_alpha, sin_beta)
+    cb = math.cos(beta)
+    return (2.0 / PI) * (at_x + math.cos(alpha) * at_p + cb * at_n) - 2.0 * cb
+
+
+def chi(theta: float, a: float, b: float, alpha: float) -> float:
     """The overlap integral
     (2/pi) int_a^b d eps sin(eps) arccos((cos theta cos eps - cos alpha)
-                                         / (sin theta sin eps)).
+                                         / (sin theta sin eps)),
+    in closed form: Phi(b) - Phi(a).
+
+    The arccos is pi - N, where N is the angle at the pole of the
+    spherical triangle with vertices N (the pole), P (at angle theta
+    from N) and X, with sides NP = theta, NX = eps and PX = alpha.  So
+    Phi(eps) is 1/pi times the area of the polar cap of radius eps
+    that lies farther than alpha from P: the cap minus its lens of
+    overlap with the cap of radius alpha around P.  Gauss-Bonnet gives
+    the lens area, 2 pi - 2 (X + cos(alpha) P + cos(eps) N), through
+    the triangle's angles (each from the half-angle formula), hence
+
+        Phi(eps) = (2/pi) (X + cos(alpha) P + cos(eps) N) - 2 cos(eps).
+
+    The differences s - alpha, s - theta and s - eps of the
+    half-perimeter s are formed directly, so they keep full relative
+    precision where the triangle degenerates at the window's edges.  At
+    the north pole eps = 0 the triangle collapses and Phi takes its
+    limit 0; eps > pi/2 is mapped there by reflecting X through the
+    centre, which gives the south-pole limit Phi(pi) = 2 + 2 cos(alpha).
 
     Zero-width intervals return 0; otherwise theta must lie in
-    (0, pi/2] and a, b, alpha in [0, pi].  The arccos argument is
-    clamped to [-1, 1] (drift beyond 1e-6 raises).
+    (0, pi/2], a, b, alpha in [0, pi], and [a, b] inside the window
+    [|alpha - theta|, min(alpha + theta, 2 pi - alpha - theta)] where
+    the triangle exists, to within 1e-9.
     """
     a, b, alpha = float(a), float(b), float(alpha)
     if abs(b - a) < 1e-14:
@@ -347,75 +417,19 @@ def chi(theta: float, a: float, b: float, alpha: float, tol: float = 1e-9) -> fl
     for name, v in (("a", a), ("b", b), ("alpha", alpha)):
         if not -1e-12 <= v <= PI + 1e-12:
             raise ValueError(f"{name}={v!r} outside [0, pi]")
-    a, b = max(a, 0.0), min(b, PI)
-    ct, st = math.cos(theta), math.sin(theta)
-    ca = math.cos(alpha)
-
-    def integrand(eps: float) -> float:
-        se = math.sin(eps)
-        return (2.0 / PI) * se * arccos_clamped((ct * math.cos(eps) - ca) / (st * se))
-
-    lo, hi = (a, b) if a <= b else (b, a)
-    pts = sorted(
-        p for p in (abs(alpha - theta), alpha + theta) if lo + 1e-12 < p < hi - 1e-12
-    )
-    if len(pts) == 2 and pts[1] - pts[0] < 1e-9:
-        pts = pts[:1]
-    result, abserr, info, *tail = quad(
-        integrand,
-        lo,
-        hi,
-        points=pts or None,
-        limit=200,
-        epsabs=tol,
-        epsrel=0.0,
-        full_output=1,
-    )
-    if tail:
-        raise QuadratureError(
-            f"chi({theta}, {a}, {b}, {alpha}) did not converge: {tail[0]}",
-            best_estimate=result if a <= b else -result,
-        )
-    return result if a <= b else -result
+    lo, hi = abs(alpha - theta), min(alpha + theta, 2.0 * PI - alpha - theta)
+    for name, v in (("a", a), ("b", b)):
+        if not lo - 1e-9 <= v <= hi + 1e-9:
+            raise ValueError(f"{name}={v!r} outside the window [{lo!r}, {hi!r}]")
+    a, b = min(max(a, lo), hi), min(max(b, lo), hi)
+    return _chi_antiderivative(theta, b, alpha) - _chi_antiderivative(theta, a, alpha)
 
 
 # ---------------------------------------------------------------------------
 # The exact engine: sums of cosines and chi terms over derived pieces
 
 
-@functools.lru_cache(maxsize=256)
-def _colour_flips(
-    c: Colouring | str | int, delta: float | None
-) -> tuple[int, tuple[float, ...]]:
-    """(value at the north pole, polar angles where the colour flips) of
-    a colouring or catalogue label (``delta`` as in :func:`closed_form`).
-
-    Validates the colouring as :func:`correlation_quadrature` does.
-    Band endpoints where two plus bands touch are not flips and are
-    dropped, so consecutive flips alternate in direction.
-    """
-    if isinstance(c, (str, int)):
-        c = make_catalogue(c, delta=delta, Delta=delta)
-    edges = _require_antipodal_azimuthal(c)
-    bounds = np.array([0.0, *edges, PI])
-    values = c.evaluate_polar(0.5 * (bounds[:-1] + bounds[1:]))
-    flips = tuple(v for v, lo, hi in zip(edges, values[:-1], values[1:]) if lo != hi)
-    return int(values[0]), flips
-
-
-def _flips_of(
-    c: Colouring | str | int, delta: float | None
-) -> tuple[int, tuple[float, ...]]:
-    try:
-        hash(c)
-    except TypeError:
-        return _colour_flips.__wrapped__(c, delta)
-    return _colour_flips(c, delta)
-
-
-def _exact_value(
-    t: float, north: int, flips: tuple[float, ...], chi_tol: float
-) -> float:
+def _exact_value(t: float, north: int, flips: tuple[float, ...]) -> float:
     """C(t) for t in (0, pi/2] from the colour-flip structure.
 
     The inner omega integral of ``correlation_quadrature`` is
@@ -455,7 +469,7 @@ def _exact_value(
         bounds = [lo, *flips[j:k], hi]
         for r in range(len(bounds) - 1):
             run = level[i + 1] * level[j + r]
-            total += run * chi(t, bounds[r], bounds[r + 1], v, tol=chi_tol)
+            total += run * chi(t, bounds[r], bounds[r + 1], v)
     return -total
 
 
@@ -463,20 +477,19 @@ def closed_form(
     c: Colouring | str | int,
     theta: float,
     delta: float | None = None,
-    chi_tol: float = 1e-9,
 ) -> float:
     """Exact C(theta) on [0, pi/2] for an antipodal azimuthal colouring.
 
     ``c`` is a colouring or a catalogue label, built by
     :func:`make_catalogue`; ``delta`` is the parameter of 3_delta or
     2_Delta when the label does not inline it.  The value is a sum of
-    cosines and ``chi`` terms over pieces derived from the colouring's
-    flip edges (each ``chi`` to ``chi_tol``).  A single flip at the
-    equator is the hemisphere, whose value is the linear law
-    -(1 - 2 theta / pi) with no quadrature at all.  Raises
-    :class:`ClosedFormDomainError` for theta outside [0, pi/2], a bad
-    label or parameter, and a colouring that is not antipodal and
-    azimuthal.
+    cosines and closed-form ``chi`` terms over pieces derived from the
+    colouring's flip edges, so it carries rounding error only and has
+    no tolerance to set.  A single flip at the equator is the
+    hemisphere, whose value is the linear law -(1 - 2 theta / pi) with
+    no ``chi`` term at all.  Raises :class:`ClosedFormDomainError` for
+    theta outside [0, pi/2], a bad label or parameter, and a colouring
+    that is not antipodal and azimuthal.
     """
     t = float(theta)
     if not -SNAP <= t <= HALF_PI + SNAP:
@@ -492,7 +505,7 @@ def closed_form(
         return -1.0
     if len(flips) == 1 and abs(flips[0] - HALF_PI) < SNAP:
         return -(1.0 - 2.0 * t / PI)
-    return _exact_value(t, north, flips, chi_tol)
+    return _exact_value(t, north, flips)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +556,11 @@ def curve_for(
 
     The deterministic engines are defined on [0, pi/2]; points beyond
     pi/2 are obtained from the antisymmetry C(pi - theta) = -C(theta),
-    and theta = 0 returns -1 exactly (perfect anticorrelation).  Grid
-    points are evaluated concurrently when jobs > 1; results are
-    assembled by index, so the output is independent of jobs.
+    and theta = 0 returns -1 exactly (perfect anticorrelation).  ``tol``
+    is the outer-integral tolerance of ``quadrature``; the closed form
+    has none.  Grid points are evaluated concurrently when jobs > 1;
+    results are assembled by index, so the output is independent of
+    jobs.
     """
     if method not in METHODS:
         raise ValueError(f"method {method!r} not one of {METHODS}")
@@ -571,7 +586,7 @@ def curve_for(
 
             def exact(t: float) -> float:
                 if t < SNAP:
-                    _require_antipodal_azimuthal(alice)
+                    _flips_of(alice)
                     return -1.0
                 return correlation_quadrature(alice, t, tol)
 

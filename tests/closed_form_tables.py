@@ -364,11 +364,11 @@ def _c3d_cap_pos(t: float, d: float, X) -> float:
     )
 
 
-def table_value(label: str, t: float, delta: float | None = None, chi_tol: float = 1e-9) -> float:
+def table_value(label: str, t: float, delta: float | None = None) -> float:
     """C(t) from the piece tables, for t in [0, pi/2] (3_delta: [pi/3, pi/2])."""
 
     def X(a: float, b: float, alpha: float) -> float:
-        return chi(t, a, b, alpha, tol=chi_tol)
+        return chi(t, a, b, alpha)
 
     if label == "2":
         return _c2_piece1(t, X) if t <= PI / 4 + SNAP else _c2_piece2(t, X)

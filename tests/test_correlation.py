@@ -1,10 +1,11 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from closed_form_tables import DEFORMED_DOMAIN, table_value
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -204,6 +205,61 @@ class TestChi:
         with pytest.raises(ValueError):
             chi(0.2, 0.1, 0.2, PI)
 
+    def test_interval_outside_the_window_raises(self):
+        theta, alpha = 0.3 * PI, 0.6
+        lo, hi = abs(alpha - theta), alpha + theta
+        with pytest.raises(ValueError):
+            chi(theta, lo - 1e-6, hi, alpha)
+        with pytest.raises(ValueError):
+            chi(theta, lo, hi + 1e-6, alpha)
+
+    def test_pole_limits(self):
+        # alpha = theta puts the window's lower edge on the north pole,
+        # alpha + theta = pi its upper edge on the south pole
+        assert chi(HALF_PI, 0.0, HALF_PI, HALF_PI) == pytest.approx(
+            _chi_mpmath(HALF_PI, 0.0, HALF_PI, HALF_PI), abs=1e-13
+        )
+        theta, alpha = PI / 3, 2 * PI / 3
+        assert chi(theta, PI / 3, PI, alpha) == pytest.approx(
+            _chi_mpmath(theta, PI / 3, PI, alpha), abs=1e-13
+        )
+
+
+def _chi_mpmath(theta, a, b, alpha):
+    """chi by tanh-sinh quadrature at 30 digits."""
+    with mpmath.workdps(30):
+        t, al = mpmath.mpf(theta), mpmath.mpf(alpha)
+
+        def integrand(eps):
+            u = (mpmath.cos(t) * mpmath.cos(eps) - mpmath.cos(al)) / (
+                mpmath.sin(t) * mpmath.sin(eps)
+            )
+            return mpmath.sin(eps) * mpmath.acos(min(max(u, -1), 1))
+
+        return float(2 / mpmath.pi * mpmath.quad(integrand, [a, b]))
+
+
+_WINDOW_POINT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    theta=st.floats(1e-3, HALF_PI),
+    alpha=st.floats(1e-3, PI - 1e-3),
+    u=_WINDOW_POINT,
+    v=_WINDOW_POINT,
+)
+@example(theta=HALF_PI, alpha=0.9 * PI, u=0.0, v=1.0)
+@example(theta=0.4 * PI, alpha=0.8 * PI, u=0.3, v=1.0)
+@example(theta=HALF_PI, alpha=HALF_PI, u=0.0, v=0.5)
+@example(theta=1.0, alpha=1.0, u=1.0, v=6e-144)  # eps far below ulp(theta)
+def test_chi_against_mpmath(theta, alpha, u, v):
+    # the window [|alpha - theta|, min(alpha + theta, 2 pi - alpha - theta)],
+    # its edges included, and alpha + theta > pi among the draws
+    lo, hi = abs(alpha - theta), min(alpha + theta, 2 * PI - alpha - theta)
+    a, b = lo + u * (hi - lo), lo + v * (hi - lo)
+    assert abs(chi(theta, a, b, alpha) - _chi_mpmath(theta, a, b, alpha)) <= 1e-13
+
 
 CATALOGUE_THETAS = [0.1 * PI, 0.2 * PI, 0.3 * PI, 0.4 * PI, 0.45 * PI]
 
@@ -309,6 +365,32 @@ class TestClosedForm:
     def test_unknown_label(self):
         with pytest.raises(ClosedFormDomainError):
             closed_form("9", 0.4)
+
+
+EXACT_ENGINE_CASES = [
+    make_catalogue("1"),
+    make_catalogue("2"),
+    make_catalogue("3"),
+    make_catalogue("4"),
+    make_catalogue("3_delta", delta=-0.03 * PI),
+    make_catalogue("3_delta", delta=0.03 * PI),
+    make_catalogue("2_Delta", Delta=0.03 * PI),
+    HarmonicColouring(((3, 0, 1.0), (1, 0, 0.4))),
+]
+
+
+@pytest.mark.parametrize("colouring", EXACT_ENGINE_CASES, ids=lambda c: c.label)
+def test_closed_form_against_tight_quadrature_on_and_off_the_flips(colouring):
+    # theta on a flip makes chi windows and pieces degenerate
+    flips = [e for e in polar_edges(colouring) if e <= HALF_PI]
+    for theta in sorted({0.13 * PI, 0.37 * PI, HALF_PI, *flips}):
+        quad = correlation_quadrature(colouring, theta, 1e-11)
+        assert abs(closed_form(colouring, theta) - quad) <= 1e-12
+
+
+@pytest.mark.parametrize("colouring", EXACT_ENGINE_CASES, ids=lambda c: c.label)
+def test_closed_form_vanishes_at_right_angle(colouring):
+    assert abs(closed_form(colouring, HALF_PI)) <= 1e-14
 
 
 class TestAgainstPieceTables:

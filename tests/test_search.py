@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spherebell.bounds import theorem1_bounds
+from spherebell.colourings import BandColouring, make_catalogue
 from spherebell.correlation import SamplingPlan, closed_form, correlation_quadrature
 from spherebell.quantum import singlet_correlation
 from spherebell.search import (
@@ -23,6 +24,7 @@ from spherebell.search import (
 )
 
 PI = math.pi
+HALF_PI = math.pi / 2
 BRACKET = (PI / 3 + 1e-9, PI / 2 - 1e-4)
 
 
@@ -147,6 +149,22 @@ class TestSlope:
     def test_steeper_than_linear(self):
         # the whole point: the three-band response beats 2/pi
         assert abs(slope_at_half_pi("3").slope) > 2.0 / PI
+
+    def test_four_band_slope_against_quadrature(self):
+        # the same Richardson pass on the independent engine
+        est = slope_at_half_pi("4")
+        root2 = math.sqrt(2.0)
+        q = [
+            correlation_quadrature(make_catalogue("4"), HALF_PI - k * est.step, 1e-12)
+            / (k * est.step)
+            for k in (1, 2, 4)
+        ]
+        slope = (4 + 2 * root2) * q[0] - (4 + 3 * root2) * q[1] + (1 + root2) * q[2]
+        assert est.slope == pytest.approx(slope, abs=1e-9)
+
+    def test_rejects_a_non_antipodal_colouring(self):
+        with pytest.raises(ValueError):
+            slope_at_half_pi(BandColouring(((0.0, 0.6 * PI),)))
 
 
 class TestHarmonicSearch:
