@@ -33,6 +33,7 @@ from .correlation import (
     read_curve_csv,
     write_curve_csv,
 )
+from .geometry import NumericalError
 from .quantum import (
     TwoQubitState,
     mc_quantum_correlation,
@@ -453,6 +454,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NumericalError as exc:  # a ValueError, but not the input's fault
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:  # UsageError, ClosedFormDomainError, bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2

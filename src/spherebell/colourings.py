@@ -20,10 +20,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
-from scipy.special import lpmv
 
 from .geometry import Direction, antipode
 
@@ -159,25 +158,137 @@ class HarmonicColouring:
         return math.sqrt(sum(c * c for _, _, c in self.terms))
 
     def amplitude(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """The underlying real harmonic sum, before taking the sign."""
-        eps = np.asarray(eps, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        x = np.cos(eps)
-        total = np.zeros(np.broadcast(eps, phi).shape)
-        for l, m, c in self.terms:
-            if c == 0.0:
-                continue
-            total += c * real_spherical_harmonic(l, m, x, phi)
+        """The underlying real harmonic sum, before taking the sign.
+
+        The basis rows come from :func:`harmonic_rows` at cos(eps) and
+        are summed by :meth:`amplitude_from_rows`.
+        """
+        live = [(l, m) for l, m, c in self.terms if c != 0.0]
+        x = np.cos(np.asarray(eps, dtype=float))
+        return self.amplitude_from_rows(harmonic_rows(live, x, phi))
+
+    def amplitude_from_rows(
+        self, rows: Iterable[tuple[int, int, np.ndarray]]
+    ) -> np.ndarray:
+        """The harmonic sum from basis rows (l, m, Y_lm), as
+        :func:`harmonic_rows` yields them.
+
+        c * Y_lm is added in term order as the rows arrive, and terms
+        with c = 0 are skipped.  A row that arrives before its term's
+        turn waits for it, and a row is dropped after its last term, so
+        terms listed degree by degree (as the search and the colouring
+        files list them) never hold more than one row.  Summing the
+        same rows always takes the same steps, so cached rows give the
+        amplitude bit for bit.
+        """
+        live = [(l, m, c) for l, m, c in self.terms if c != 0.0]
+        last_use = {(l, m): k for k, (l, m, _) in enumerate(live)}
+        waiting: dict[tuple[int, int], np.ndarray] = {}
+        total = None
+        k = 0
+        for l, m, row in rows:
+            waiting[l, m] = row
+            while k < len(live) and live[k][:2] in waiting:
+                mode, c = live[k][:2], live[k][2]
+                if total is None:
+                    total = c * waiting[mode]
+                else:
+                    total += c * waiting[mode]
+                if last_use[mode] == k:
+                    del waiting[mode]
+                k += 1
+        if k < len(live):
+            raise ValueError(f"no basis row for the term {live[k]!r}")
         return total
 
+    def evaluate_rows(self, rows: Iterable[tuple[int, int, np.ndarray]]) -> np.ndarray:
+        """Values +-1 from basis rows, as :meth:`amplitude_from_rows`."""
+        return np.where(self.amplitude_from_rows(rows) >= 0.0, 1, -1)
+
     def evaluate_many(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        amp = self.amplitude(eps, phi)
-        return np.where(amp >= 0.0, 1, -1)
+        return np.where(self.amplitude(eps, phi) >= 0.0, 1, -1)
 
     def evaluate_polar(self, eps: np.ndarray) -> np.ndarray:
         if not self.is_azimuthal:
             raise ValueError("colouring is not azimuthally symmetric")
         return self.evaluate_many(eps, np.zeros(1))
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def harmonic_rows(
+    modes: Iterable[tuple[int, int]], x: np.ndarray, phi: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Rows (l, m, Y_lm(x, phi)) of the real orthonormal spherical
+    harmonics at cos(polar) = x, for each distinct requested mode.
+
+    Rows come degree by degree: l ascending and, within a degree, m
+    from -l to l; each has the broadcast shape of x and phi.  The
+    convention is :func:`real_spherical_harmonic`'s.  One recurrence
+    builds every row (Holmes and Featherstone 2002): the normalized
+    associated Legendre functions P_lm (orthonormal with the sqrt(2)
+    of m != 0 and without the Condon-Shortley phase) start from
+    P_00 = 1 / sqrt(4 pi), take the sectoral step
+
+        P_mm = sqrt((2m + 1) / 2m) sin(eps) P_{m-1,m-1},
+
+    and then the three-term step in l
+
+        P_lm = a_lm x P_{l-1,m} - b_lm P_{l-2,m},
+        a_lm = sqrt((4 l^2 - 1) / (l^2 - m^2)),
+        b_lm = sqrt((2l + 1) ((l - 1)^2 - m^2) / ((2l - 3) (l^2 - m^2))),
+
+    where b vanishes at m = l - 1.  cos(m phi) and sin(m phi) follow by
+    angle addition, so there is one trig call per argument, none when
+    every m is 0.  Only the current and the previous degree are held,
+    for the orders up to the largest requested |m|.
+    """
+    wanted = {(int(l), int(m)) for l, m in modes}
+    for l, m in wanted:
+        if l < 0 or abs(m) > l:
+            raise ValueError(f"no spherical harmonic of degree {l} and order {m}")
+    x, phi = np.broadcast_arrays(
+        np.asarray(x, dtype=float), np.asarray(phi, dtype=float)
+    )
+    l_top = max(l for l, _ in wanted)
+    m_top = max(abs(m) for _, m in wanted)
+    if m_top:
+        sin_eps = np.sqrt((1.0 - x) * (1.0 + x))
+        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+        # sqrt(2) cos(m phi) and sqrt(2) sin(m phi), the factor of Y_lm at m != 0
+        cos_m = [None, _SQRT2 * cos_phi]
+        sin_m = [None, _SQRT2 * sin_phi]
+    # P[m] of the current and the previous degree, for m <= min(l, m_top)
+    cur = [np.full(x.shape, 1.0 / math.sqrt(4.0 * math.pi))]
+    prev: list[np.ndarray] = []
+    for l in range(l_top + 1):
+        if l:
+            new = []
+            for m in range(min(l - 1, m_top) + 1):
+                lm = l * l - m * m
+                a = math.sqrt((4 * l * l - 1) / lm)
+                if m == l - 1:
+                    new.append(a * x * cur[m])
+                else:
+                    b2 = (2 * l + 1) * ((l - 1) ** 2 - m * m) / ((2 * l - 3) * lm)
+                    b = math.sqrt(b2)
+                    new.append(a * x * cur[m] - b * prev[m])
+            if l <= m_top:
+                new.append(math.sqrt((2 * l + 1) / (2 * l)) * sin_eps * cur[l - 1])
+                if l > 1:
+                    cos_m.append(cos_m[l - 1] * cos_phi - sin_m[l - 1] * sin_phi)
+                    sin_m.append(sin_m[l - 1] * cos_phi + cos_m[l - 1] * sin_phi)
+            prev, cur = cur, new
+        for m in range(-l, l + 1):
+            if (l, m) not in wanted:
+                continue
+            if m == 0:
+                yield l, m, cur[0]
+            elif m > 0:
+                yield l, m, cur[m] * cos_m[m]
+            else:
+                yield l, m, cur[-m] * sin_m[-m]
 
 
 def real_spherical_harmonic(
@@ -187,19 +298,11 @@ def real_spherical_harmonic(
 
     Standard tesseral convention: m > 0 pairs with cos(m phi), m < 0
     with sin(|m| phi), and the Condon-Shortley phase of the associated
-    Legendre function is cancelled.
+    Legendre function is cancelled.  This is the one-mode view of
+    :func:`harmonic_rows`.
     """
-    am = abs(m)
-    norm = math.sqrt(
-        (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - am) / math.factorial(l + am)
-    )
-    leg = lpmv(am, l, x)
-    if m == 0:
-        return norm * leg
-    base = math.sqrt(2.0) * (-1.0) ** am * norm * leg
-    if m > 0:
-        return base * np.cos(am * phi)
-    return base * np.sin(am * phi)
+    ((_, _, row),) = harmonic_rows([(l, m)], x, phi)
+    return row
 
 
 @dataclass(frozen=True)

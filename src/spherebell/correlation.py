@@ -7,7 +7,9 @@ compute it:
 
 - ``correlation_mc``: direct Monte Carlo over sampled axis pairs, with
   deterministic chunked streams (bit-identical output for a given
-  sampling plan, independent of scheduling),
+  sampling plan, independent of scheduling); ``correlation_mc_grid``
+  runs a whole theta grid on one set of draws, evaluating alice once
+  per chunk,
 - ``correlation_quadrature``: for azimuthally symmetric, antipodal,
   perfectly anticorrelated pairs, the average reduces to
 
@@ -41,8 +43,9 @@ import functools
 import math
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -122,6 +125,17 @@ class SamplingPlan:
     def scaled(self, factor: int) -> "SamplingPlan":
         return SamplingPlan(self.master_seed, self.n_samples * factor, self.chunk_size)
 
+    def draws(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The sample points chunk by chunk: alice's axis (eps, phi),
+        uniform on the sphere, and bob's position omega on her partner
+        circle, uniform on [0, 2pi)."""
+        for index, length in self.chunks():
+            rng = self.chunk_rng(index)
+            cos_eps = rng.uniform(-1.0, 1.0, length)
+            phi = rng.uniform(0.0, 2.0 * PI, length)
+            omega = rng.uniform(0.0, 2.0 * PI, length)
+            yield np.arccos(cos_eps), phi, omega
+
 
 def _as_pair(c: Colouring | ColouringPair) -> ColouringPair:
     if isinstance(c, ColouringPair):
@@ -129,42 +143,66 @@ def _as_pair(c: Colouring | ColouringPair) -> ColouringPair:
     return ColouringPair.anticorrelated(c)
 
 
-def _chunk_product_sum(
-    pair: ColouringPair, theta: float, rng: np.random.Generator, n: int
-) -> int:
-    cos_eps = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, 2.0 * PI, n)
-    omega = rng.uniform(0.0, 2.0 * PI, n)
-    eps = np.arccos(cos_eps)
-    a_vals = pair.alice.evaluate_many(eps, phi)
-    if pair.bob.is_azimuthal:
-        alpha = partner_polar_many(theta, eps, omega)
-        b_vals = pair.bob.evaluate_many(alpha, phi)
-    else:
-        alpha, beta = partner_many(theta, eps, phi, omega)
-        b_vals = pair.bob.evaluate_many(alpha, beta)
-    return int(np.sum(a_vals * b_vals, dtype=np.int64))
+def partner_points(
+    bob: Colouring, theta: float, eps: np.ndarray, phi: np.ndarray, omega: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's axes (alpha, beta) at separation theta from alice's (eps,
+    phi), at positions omega on her partner circle.  An azimuthal bob
+    reads the polar angle only, so its beta is left at phi."""
+    if bob.is_azimuthal:
+        return partner_polar_many(theta, eps, omega), phi
+    return partner_many(theta, eps, phi, omega)
+
+
+def correlation_mc_grid(
+    c: Colouring | ColouringPair,
+    thetas: Sequence[float],
+    plan: SamplingPlan,
+    jobs: int = 1,
+) -> list[tuple[float, float]]:
+    """Monte Carlo estimates of C on a grid: (value, stderr) per theta.
+
+    The loop is chunk-major: each chunk of ``plan`` is drawn and
+    alice is evaluated on it once, and then, for each theta, only bob
+    moves.  Every theta sees the same draws it would see alone, and the
+    products alice * bob are exactly +-1, so each chunk sum is an
+    integer and every estimate is bit-identical to
+    ``correlation_mc(c, theta, plan)``.  The standard error has the
+    closed form sqrt((1 - mean^2) / (n - 1)).  With jobs > 1 the thetas
+    of a chunk run in that many threads.
+    """
+    grid = [float(t) for t in thetas]
+    for t in grid:
+        if not 0.0 <= t <= PI + SNAP:
+            raise ValueError(f"theta {t!r} outside [0, pi]")
+    pair = _as_pair(c)
+    totals = [0] * len(grid)
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for eps, phi, omega in plan.draws():
+            a_vals = pair.alice.evaluate_many(eps, phi)
+
+            def product_sum(t: float) -> int:
+                alpha, beta = partner_points(pair.bob, t, eps, phi, omega)
+                b_vals = pair.bob.evaluate_many(alpha, beta)
+                return int(np.sum(a_vals * b_vals, dtype=np.int64))
+
+            sums = (pool.map if pool else map)(product_sum, grid)
+            totals = [total + s for total, s in zip(totals, sums)]
+    n = plan.n_samples
+    estimates = []
+    for total in totals:
+        value = total / n
+        variance = max(0.0, 1.0 - value * value) / (n - 1) if n > 1 else math.nan
+        estimates.append((value, math.sqrt(variance)))
+    return estimates
 
 
 def correlation_mc(
     c: Colouring | ColouringPair, theta: float, plan: SamplingPlan
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of C(theta): (value, standard error).
-
-    The products alice * bob are exactly +-1, so the chunk sums are
-    integers and the standard error has the closed form
-    sqrt((1 - mean^2) / (n - 1)).
-    """
-    if not 0.0 <= theta <= PI + SNAP:
-        raise ValueError(f"theta {theta!r} outside [0, pi]")
-    pair = _as_pair(c)
-    total = 0
-    for index, length in plan.chunks():
-        total += _chunk_product_sum(pair, theta, plan.chunk_rng(index), length)
-    n = plan.n_samples
-    value = total / n
-    stderr = math.sqrt(max(0.0, 1.0 - value * value) / (n - 1)) if n > 1 else float("nan")
-    return value, stderr
+    """Monte Carlo estimate of C(theta): (value, standard error), the
+    one-theta case of :func:`correlation_mc_grid`."""
+    return correlation_mc_grid(c, [theta], plan)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +596,11 @@ def curve_for(
     pi/2 are obtained from the antisymmetry C(pi - theta) = -C(theta),
     and theta = 0 returns -1 exactly (perfect anticorrelation).  ``tol``
     is the outer-integral tolerance of ``quadrature``; the closed form
-    has none.  Grid points are evaluated concurrently when jobs > 1;
-    results are assembled by index, so the output is independent of
-    jobs.
+    has none.  ``mc`` runs the whole grid in one chunk-major pass of
+    :func:`correlation_mc_grid`, so every theta shares the plan's draws
+    and alice's values on them.  Grid points are evaluated concurrently
+    when jobs > 1 (for ``mc``, the thetas of each chunk); results are
+    assembled by index, so the output is independent of jobs.
     """
     if method not in METHODS:
         raise ValueError(f"method {method!r} not one of {METHODS}")
@@ -575,26 +615,24 @@ def curve_for(
     if method == "mc":
         if plan is None:
             raise ValueError("mc requires a sampling plan")
+        estimates = correlation_mc_grid(pair, grid, plan, jobs)
+        points = tuple(CurvePoint(t, v, s) for t, (v, s) in zip(grid, estimates))
+        return CorrelationCurve(colouring_label=label, method=method, points=points)
 
-        def compute(t: float) -> CurvePoint:
-            value, stderr = correlation_mc(pair, t, plan)
-            return CurvePoint(t, value, stderr)
+    alice = pair.alice
+    if method == "quadrature":
+
+        def exact(t: float) -> float:
+            if t < SNAP:
+                _flips_of(alice)
+                return -1.0
+            return correlation_quadrature(alice, t, tol)
 
     else:
-        alice = pair.alice
-        if method == "quadrature":
+        exact = functools.partial(closed_form, alice)
 
-            def exact(t: float) -> float:
-                if t < SNAP:
-                    _flips_of(alice)
-                    return -1.0
-                return correlation_quadrature(alice, t, tol)
-
-        else:
-            exact = functools.partial(closed_form, alice)
-
-        def compute(t: float) -> CurvePoint:
-            return CurvePoint(t, antisymmetric(exact, t), None)
+    def compute(t: float) -> CurvePoint:
+        return CurvePoint(t, antisymmetric(exact, t), None)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -29,20 +29,30 @@ ARCCOS_HARD = 1e-6
 POLE_TOL = 1e-12
 
 
+class NumericalError(ValueError):
+    """A quantity left its mathematical range by more than rounding
+    allows: a formula or its inputs are wrong, not the caller's
+    request."""
+
+
 def arccos_clamped(x: float, hard: float = ARCCOS_HARD) -> float:
     """arccos with the argument clamped to [-1, 1].
 
     Excess magnitude up to ``hard`` is clamped away; beyond that a
-    ValueError is raised, since errors that large indicate a wrong
-    formula rather than rounding noise.
+    :class:`NumericalError` is raised, since errors that large indicate
+    a wrong formula rather than rounding noise.
     """
     if x > 1.0:
         if x > 1.0 + hard:
-            raise ValueError(f"arccos argument {x!r} exceeds 1 by more than {hard}")
+            raise NumericalError(
+                f"arccos argument {x!r} exceeds 1 by more than {hard}"
+            )
         x = 1.0
     elif x < -1.0:
         if x < -1.0 - hard:
-            raise ValueError(f"arccos argument {x!r} is below -1 by more than {hard}")
+            raise NumericalError(
+                f"arccos argument {x!r} is below -1 by more than {hard}"
+            )
         x = -1.0
     return math.acos(x)
 
@@ -52,7 +62,9 @@ def arccos_clamped_array(x: np.ndarray, hard: float = ARCCOS_HARD) -> np.ndarray
     x = np.asarray(x, dtype=float)
     excess = np.max(np.abs(x), initial=0.0) - 1.0
     if excess > hard:
-        raise ValueError(f"arccos argument exceeds [-1, 1] by {excess:.3g} (> {hard})")
+        raise NumericalError(
+            f"arccos argument exceeds [-1, 1] by {excess:.3g} (> {hard})"
+        )
     return np.arccos(np.clip(x, -1.0, 1.0))
 
 
@@ -183,7 +195,7 @@ def partner_direction(a: Direction, theta: float, omega: float) -> Direction:
     # harmless cancellation noise blow past the clamp when sin_alpha is
     # small.
     if abs(num) - sin_alpha > ARCCOS_HARD:
-        raise ValueError(
+        raise NumericalError(
             f"azimuth quotient overflows: |{num!r}| > sin(alpha)={sin_alpha!r}"
         )
     arg = min(1.0, max(-1.0, num / sin_alpha))

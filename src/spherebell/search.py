@@ -27,9 +27,10 @@ from .colourings import (
     Colouring,
     ColouringPair,
     HarmonicColouring,
+    harmonic_rows,
     make_catalogue,
 )
-from .correlation import SamplingPlan, closed_form, correlation_mc
+from .correlation import SamplingPlan, closed_form, correlation_mc, partner_points
 from .quantum import singlet_correlation
 
 PI = math.pi
@@ -399,6 +400,44 @@ def _search_modes(l_max: int, azimuthal_only: bool) -> list[tuple[int, int]]:
     return modes
 
 
+def common_random_correlation(
+    theta: float, modes: Sequence[tuple[int, int]], plan: SamplingPlan
+) -> Callable[[HarmonicColouring], float]:
+    """C(theta) on the fixed sample points of ``plan``, as a function of
+    a sign-of-harmonics colouring over ``modes`` whose partner is its
+    colour swap.
+
+    The points never change, so alice's basis rows at her axes and
+    bob's at his partner axes are built here once.  A call only
+    recombines the cached rows, with the colouring's own term-order
+    sum, and so returns
+    ``correlation_mc(ColouringPair.anticorrelated(h), theta, plan)[0]``
+    bit for bit.
+    """
+    # stands in for every colouring over the modes: it picks the same
+    # partner points, which depend only on whether every m is 0
+    probe = HarmonicColouring(tuple((l, m, 1.0) for l, m in modes))
+    chunks = []
+    for eps, phi, omega in plan.draws():
+        alpha, beta = partner_points(probe, theta, eps, phi, omega)
+        chunks.append(
+            (
+                list(harmonic_rows(modes, np.cos(eps), phi)),
+                list(harmonic_rows(modes, np.cos(alpha), beta)),
+            )
+        )
+
+    def correlation(h: HarmonicColouring) -> float:
+        total = 0
+        for alice_rows, bob_rows in chunks:
+            a_vals = h.evaluate_rows(alice_rows)
+            b_vals = -h.evaluate_rows(bob_rows)
+            total += int(np.sum(a_vals * b_vals, dtype=np.int64))
+        return total / plan.n_samples
+
+    return correlation
+
+
 def harmonic_search(
     theta: float,
     l_max: int,
@@ -414,9 +453,12 @@ def harmonic_search(
     the sign is scale invariant so winners are reported unit-norm.
     Each restart runs a Nelder-Mead simplex from a random start, with a
     fixed per-restart sampling plan so every comparison inside the
-    simplex uses common random numbers.  The winning restart is
-    re-evaluated at 10x samples, and the result is checked against the
-    chain lower bound.
+    simplex uses common random numbers: the basis rows at the restart's
+    sample and partner points are built once
+    (:func:`common_random_correlation`), and each simplex step only
+    recombines them.  The winning restart is re-evaluated at 10x
+    samples with :func:`correlation_mc`, and the result is checked
+    against the chain lower bound.
     """
     t = float(theta)
     if not 0.0 < t < HALF_PI:
@@ -447,6 +489,7 @@ def harmonic_search(
             np.random.SeedSequence([plan.master_seed, 0xD1CE, k])
         ).standard_normal(dim)
         x0 /= np.linalg.norm(x0)
+        correlation = common_random_correlation(t, modes, restart_plan)
         evals = 0
 
         def objective(x: np.ndarray) -> float:
@@ -454,8 +497,7 @@ def harmonic_search(
             if float(np.linalg.norm(x)) < 1e-9:
                 return 2.0
             evals += 1
-            pair = ColouringPair.anticorrelated(colouring_from(x))
-            return correlation_mc(pair, t, restart_plan)[0]
+            return correlation(colouring_from(x))
 
         result = minimize(
             objective,

@@ -4,10 +4,13 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
+from spherebell import correlation
 from spherebell.cli import main, parse_grid
 from spherebell.correlation import read_curve_csv
+from spherebell.geometry import arccos_clamped_array
 
 PI = math.pi
 
@@ -97,6 +100,37 @@ class TestCurveCommand:
         assert run(capsys, *base, "--jobs", "1", "--out", str(one))[0] == 0
         assert run(capsys, *base, "--jobs", "3", "--out", str(three))[0] == 0
         assert one.read_bytes() == three.read_bytes()
+
+    @pytest.mark.parametrize("command", ["curve", "verify"])
+    def test_jobs_do_not_change_harmonic_mc_output(self, command, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({
+            "kind": "harmonic",
+            "terms": [[1, 1, 0.5], [3, 0, -0.8], [3, -2, 0.3], [5, 4, 0.2]],
+        }))
+        base = (
+            command, "--colouring", f"@{path}", "--method", "mc", "--n", "5000",
+            "--seed", "9", "--grid", "0.05:0.5:6",
+        )
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{command}_{jobs}.txt"
+            assert run(capsys, *base, "--jobs", jobs, "--out", str(out))[0] in (0, 1)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_numerical_failure_exits_three(self, monkeypatch, capsys):
+        # an arccos drift far beyond rounding in the partner map
+        def drifting(theta, eps, omega):
+            return arccos_clamped_array(np.full(eps.shape, 1.5))
+
+        monkeypatch.setattr(correlation, "partner_polar_many", drifting)
+        code, _, err = run(
+            capsys, "curve", "--colouring", "2", "--method", "mc", "--n", "100",
+            "--grid", "0.1:0.4:2",
+        )
+        assert code == 3
+        assert "numerical failure" in err
 
     def test_csv_survives_a_round_trip(self, tmp_path, capsys):
         path = tmp_path / "c3.csv"

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherical_harmonic_oracle import real_spherical_harmonic as oracle_harmonic
+
 from spherebell.colourings import (
     BandColouring,
     ColouringPair,
@@ -16,6 +18,7 @@ from spherebell.colourings import (
     circle_colouring_value,
     colouring_from_spec,
     evaluate,
+    harmonic_rows,
     load_colouring,
     make_catalogue,
     negate,
@@ -218,6 +221,50 @@ def test_degree_one_harmonics_match_cartesian_forms():
     assert real_spherical_harmonic(1, -1, np.array(x), np.array(phi)) == pytest.approx(
         norm * math.sin(eps) * math.sin(phi)
     )
+
+
+def _oracle_points():
+    rng = np.random.default_rng(8)
+    x = np.concatenate(
+        (rng.uniform(-1.0, 1.0, 400), [1.0, -1.0, 1.0 - 1e-12, -(1.0 - 1e-12)])
+    )
+    return x, rng.uniform(0.0, 2 * PI, x.size)
+
+
+def test_rows_match_the_per_term_formula():
+    # every (l, m) with l <= 15 from one recurrence, against lpmv term by
+    # term at random points, both poles and next to them
+    x, phi = _oracle_points()
+    modes = [(l, m) for l in range(16) for m in range(-l, l + 1)]
+    rows = list(harmonic_rows(modes, x, phi))
+    assert [(l, m) for l, m, _ in rows] == modes
+    for l, m, row in rows:
+        assert np.max(np.abs(row - oracle_harmonic(l, m, x, phi))) <= 1e-13, (l, m)
+
+
+def test_rows_come_degree_by_degree_for_any_request_order():
+    x, phi = _oracle_points()
+    asked = [(5, -2), (1, 1), (3, 0), (1, 1), (1, -1)]
+    got = list(harmonic_rows(asked, x, phi))
+    assert [(l, m) for l, m, _ in got] == [(1, -1), (1, 1), (3, 0), (5, -2)]
+    with pytest.raises(ValueError):
+        list(harmonic_rows([(3, 4)], x, phi))
+    assert real_spherical_harmonic(3, -2, x, phi) == pytest.approx(
+        oracle_harmonic(3, -2, x, phi), abs=1e-13
+    )
+
+
+def test_amplitude_sums_the_terms_in_any_order():
+    # out of degree order, a repeated mode and a zero coefficient: the
+    # rows that arrive early wait for their term
+    terms = ((5, -3, 0.2), (1, 0, 0.4), (3, 2, -0.7), (1, 0, 0.25), (3, -1, 0.0))
+    h = HarmonicColouring(terms)
+    x, phi = _oracle_points()
+    eps = np.arccos(x)
+    expected = sum(c * oracle_harmonic(l, m, np.cos(eps), phi) for l, m, c in terms)
+    assert np.max(np.abs(h.amplitude(eps, phi) - expected)) <= 1e-13
+    with pytest.raises(ValueError):
+        h.amplitude_from_rows(harmonic_rows([(1, 0), (3, 2)], x, phi))
 
 
 class TestNegation:

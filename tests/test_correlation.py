@@ -26,6 +26,7 @@ from spherebell.correlation import (
     circle_correlation,
     closed_form,
     correlation_mc,
+    correlation_mc_grid,
     correlation_quadrature,
     curve_for,
     extend_to_pi,
@@ -36,6 +37,7 @@ from spherebell.correlation import (
     read_curve_csv,
     write_curve_csv,
 )
+from spherebell.geometry import partner_many, partner_polar_many
 
 PI = math.pi
 HALF_PI = math.pi / 2
@@ -105,6 +107,64 @@ class TestCorrelationMC:
             correlation_mc(pair_for(1), -0.2, SamplingPlan(1, 10))
         with pytest.raises(ValueError):
             correlation_mc(pair_for(1), PI + 0.2, SamplingPlan(1, 10))
+
+
+def per_point_mc(pair, theta, plan):
+    """The theta-major loop: every chunk redrawn and both parties
+    evaluated afresh for this theta alone."""
+    total = 0
+    for index, length in plan.chunks():
+        rng = plan.chunk_rng(index)
+        cos_eps = rng.uniform(-1.0, 1.0, length)
+        phi = rng.uniform(0.0, 2.0 * PI, length)
+        omega = rng.uniform(0.0, 2.0 * PI, length)
+        eps = np.arccos(cos_eps)
+        a_vals = pair.alice.evaluate_many(eps, phi)
+        if pair.bob.is_azimuthal:
+            b_vals = pair.bob.evaluate_many(partner_polar_many(theta, eps, omega), phi)
+        else:
+            b_vals = pair.bob.evaluate_many(*partner_many(theta, eps, phi, omega))
+        total += int(np.sum(a_vals * b_vals, dtype=np.int64))
+    return total / plan.n_samples
+
+
+class TestGridMC:
+    GRID = (0.0, 0.05 * PI, 0.3 * PI, HALF_PI, 0.8 * PI, PI)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            pair_for(2),
+            ColouringPair.anticorrelated(make_catalogue("3_delta", delta=-0.03 * PI)),
+            ColouringPair.anticorrelated(
+                HarmonicColouring(((3, 2, 1.0), (1, 0, 0.5), (5, -1, -0.3)))
+            ),
+            ColouringPair(
+                make_catalogue(3), HarmonicColouring(((1, 1, 1.0), (3, 0, 0.4)))
+            ),
+        ],
+        ids=["label_2", "3_delta", "harmonic_m_nonzero", "unrelated_bob"],
+    )
+    def test_grid_is_bit_identical_to_per_point_runs(self, pair):
+        # 2500 samples in chunks of 1000: the last chunk is short
+        plan = SamplingPlan(91, 2500, chunk_size=1000)
+        grid = correlation_mc_grid(pair, self.GRID, plan)
+        for t, estimate in zip(self.GRID, grid):
+            assert estimate[0] == per_point_mc(pair, t, plan)
+            assert estimate == correlation_mc(pair, t, plan)
+        assert correlation_mc_grid(pair, self.GRID, plan, jobs=3) == grid
+
+    def test_mc_curve_is_the_grid(self):
+        h = HarmonicColouring(((3, 2, 1.0), (1, 0, 0.5)))
+        plan = SamplingPlan(17, 3000, chunk_size=1024)
+        curve = curve_for(h, self.GRID, "mc", plan=plan, jobs=2)
+        assert [(p.value, p.stderr) for p in curve.points] == correlation_mc_grid(
+            h, self.GRID, plan
+        )
+
+    def test_theta_validation_covers_the_whole_grid(self):
+        with pytest.raises(ValueError):
+            correlation_mc_grid(pair_for(1), [0.2, PI + 0.2], SamplingPlan(1, 10))
 
 
 class TestCorrelationQuadrature:

@@ -10,9 +10,11 @@ from spherebell.geometry import (
     ARCCOS_HARD,
     AxisPair,
     Direction,
+    NumericalError,
     angle_between,
     antipode,
     arccos_clamped,
+    arccos_clamped_array,
     partner_direction,
     partner_many,
     partner_polar_many,
@@ -30,6 +32,15 @@ def test_arccos_clamped_soft_overshoot():
 def test_arccos_clamped_hard_overshoot_raises():
     with pytest.raises(ValueError):
         arccos_clamped(1.0 + 1e-5)
+
+
+def test_arccos_drift_is_a_numerical_error():
+    # a ValueError still, but one the CLI reports as a numerical failure
+    with pytest.raises(NumericalError):
+        arccos_clamped(-1.0 - 1e-5)
+    with pytest.raises(NumericalError):
+        arccos_clamped_array(np.array([0.2, 1.0 + 1e-5]))
+    assert issubclass(NumericalError, ValueError)
 
 
 def test_arccos_clamped_interior_matches_acos():

@@ -1,0 +1,39 @@
+"""The traced benchmark's hooks into the library stay in place.
+
+``perfbench/spans.py`` wraps library functions by module and
+qualified name, and reads the sampling plan from the third positional
+argument of ``correlation_mc``.  Renaming any of them breaks
+``perfbench/run.py --trace 1`` without a change under ``perfbench/``,
+so these checks load that module from its file and only read it.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+from spherebell import correlation
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_target_resolves():
+    for module_name, qualname in load_spans().TARGETS:
+        module = importlib.import_module(f"spherebell.{module_name}")
+        owner_name, _, attr = qualname.rpartition(".")
+        if owner_name:
+            # methods are rebound on the class that defines them
+            assert attr in vars(getattr(module, owner_name)), qualname
+        else:
+            assert callable(getattr(module, attr)), qualname
+
+
+def test_correlation_mc_takes_the_plan_third():
+    assert list(inspect.signature(correlation.correlation_mc).parameters)[2] == "plan"

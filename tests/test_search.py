@@ -6,14 +6,25 @@ import numpy as np
 import pytest
 
 from spherebell.bounds import theorem1_bounds
-from spherebell.colourings import BandColouring, make_catalogue
-from spherebell.correlation import SamplingPlan, closed_form, correlation_quadrature
+from spherebell.colourings import (
+    BandColouring,
+    ColouringPair,
+    HarmonicColouring,
+    make_catalogue,
+)
+from spherebell.correlation import (
+    SamplingPlan,
+    closed_form,
+    correlation_mc,
+    correlation_quadrature,
+)
 from spherebell.quantum import singlet_correlation
 from spherebell.search import (
     SLOPE_REFERENCE_THREE_BANDS,
     NoCrossingError,
     SearchOutcome,
     all_crossings,
+    common_random_correlation,
     estimate_theta_max,
     find_crossing,
     harmonic_search,
@@ -224,6 +235,13 @@ class TestHarmonicSearch:
         with pytest.raises(ValueError):
             harmonic_search(PI / 2, 1)
 
+    def test_readme_search_is_pinned(self):
+        # `spherebell search --theta 0.45 --lmax 5 --azimuthal-only` at the
+        # default seed, 16 restarts and 20,000 samples
+        out = harmonic_search(0.45 * PI, 5, azimuthal_only=True)
+        assert out.evaluations == 1451
+        assert out.objective_value == -0.18133
+
     def test_outcome_validation(self):
         with pytest.raises(ValueError):
             SearchOutcome(((1, 0, 1.0),), 0.3, -1.5, 0.01, 10, 0, 1, 1)
@@ -247,3 +265,27 @@ def test_search_report_layout():
     assert payload["seed"] == 5
     assert payload["best_coefficients"][0]["l"] == 1
     assert payload["theta_over_pi"] == pytest.approx(0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "modes, coefficients",
+    [
+        ([(1, 0), (3, 0), (5, 0)], (0.3, -0.9, 0.5)),
+        ([(l, m) for l in (1, 3) for m in range(-l, l + 1)], None),
+        ([(1, -1), (1, 0), (1, 1), (3, 2)], (0.0, 0.4, -0.2, 0.7)),
+    ],
+    ids=["azimuthal", "all_m_lmax3", "zero_coefficient"],
+)
+def test_cached_objective_is_correlation_mc(modes, coefficients):
+    theta = 0.35 * PI
+    # two chunks, the second one short
+    plan = SamplingPlan(29, 3000, chunk_size=2048)
+    cached = common_random_correlation(theta, modes, plan)
+    if coefficients is None:
+        vectors = np.random.default_rng(4).standard_normal((3, len(modes)))
+    else:
+        vectors = [coefficients]
+    for c in vectors:
+        h = HarmonicColouring(tuple((l, m, float(v)) for (l, m), v in zip(modes, c)))
+        pair = ColouringPair.anticorrelated(h)
+        assert cached(h) == correlation_mc(pair, theta, plan)[0]
