@@ -92,12 +92,25 @@ def _merged(args: argparse.Namespace, config: dict, key: str, default):
     return value
 
 
+def _jobs(args: argparse.Namespace, config: dict) -> int:
+    jobs = int(_merged(args, config, "jobs", 1))
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, not {jobs}")
+    return jobs
+
+
 def _resolve_colouring(label: str):
-    if label.startswith("@"):
-        return load_colouring(label[1:])
-    if label.endswith(".json"):
-        return load_colouring(label)
-    return make_catalogue(label)
+    if not (label.startswith("@") or label.endswith(".json")):
+        return make_catalogue(label)
+    path = label.removeprefix("@")
+    try:
+        return load_colouring(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read colouring {path!r}: {exc}") from None
+    except KeyError as exc:
+        raise UsageError(f"colouring {path!r} lacks the field {exc}") from None
+    except TypeError as exc:
+        raise UsageError(f"colouring {path!r} is malformed: {exc}") from None
 
 
 @contextmanager
@@ -107,7 +120,11 @@ def _output(args: argparse.Namespace, config: dict) -> Iterator[TextIO]:
     if path in (None, "-"):
         yield sys.stdout
         return
-    with open(path, "w", newline="") as fh:
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc}") from None
+    with fh:
         yield fh
 
 
@@ -139,7 +156,7 @@ def run_curve(args: argparse.Namespace) -> int:
         raise UsageError("curve requires --colouring")
     method = _merged(args, config, "method", "closed_form")
     grid = parse_grid(_merged(args, config, "grid", "0:0.5:101"))
-    jobs = int(_merged(args, config, "jobs", 1))
+    jobs = _jobs(args, config)
     colouring = _resolve_colouring(str(label))
     plan = None
     if method == "mc":
@@ -191,7 +208,7 @@ def run_verify(args: argparse.Namespace) -> int:
             method,
             plan=plan,
             tol=float(_merged(args, config, "tol", DEFAULT_TOL)),
-            jobs=int(_merged(args, config, "jobs", 1)),
+            jobs=_jobs(args, config),
         )
         label = colouring.label
     text = bounds_mod.report_to_json(label, method, reports)
@@ -218,7 +235,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     family = _merged(args, config, "family", "3_delta")
     reference = _merged(args, config, "reference", "c1")
     tol = float(_merged(args, config, "tol", 1e-4))
-    jobs = int(_merged(args, config, "jobs", 1))
+    jobs = _jobs(args, config)
     delta = _merged(args, config, "delta", None)
     delta_grid = _merged(args, config, "delta_grid", None)
     with _output(args, config) as fh:
@@ -286,7 +303,7 @@ def run_search(args: argparse.Namespace) -> int:
         plan=plan,
         azimuthal_only=bool(_merged(args, config, "azimuthal_only", False)),
         max_iter=int(_merged(args, config, "max_iter", 400)),
-        jobs=int(_merged(args, config, "jobs", 1)),
+        jobs=_jobs(args, config),
     )
     with _output(args, config) as fh:
         fh.write(search_mod.search_report_json(outcome) + "\n")
@@ -368,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON file with the same keys as the flags")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--jobs", type=int, help="worker threads (default 1)")
 
     p_curve = sub.add_parser("curve", help="correlation curve as CSV")
     common(p_curve)
@@ -445,6 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_slope.add_argument("--colouring")
     p_slope.add_argument("--h", type=float, help="finite-difference step (radians)")
     p_slope.set_defaults(func=run_slope)
+
+    for p in (p_curve, p_verify, p_sweep, p_search):
+        p.add_argument("--jobs", type=int, help="worker threads (default 1)")
 
     return parser
 

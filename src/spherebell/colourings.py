@@ -24,8 +24,6 @@ from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .geometry import Direction, antipode
-
 EDGE_TOL = 1e-9
 
 
@@ -37,12 +35,6 @@ class Colouring(Protocol):
     is_azimuthal: bool
 
     def evaluate_many(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray: ...
-
-
-def evaluate(c: Colouring, d: Direction) -> int:
-    """Value of the colouring at one direction, +1 or -1."""
-    out = c.evaluate_many(np.array([d.epsilon]), np.array([d.phi]))
-    return int(out[0])
 
 
 @dataclass(frozen=True)
@@ -92,9 +84,6 @@ class BandColouring:
 
     def evaluate_many(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
         return self.evaluate_polar(eps)
-
-    def value_at(self, eps: float) -> int:
-        return int(self.evaluate_polar(np.array([eps]))[0])
 
     def minus_bands(self) -> tuple[tuple[float, float], ...]:
         """Complement intervals of the plus set within [0, pi]."""
@@ -512,6 +501,8 @@ def colouring_from_spec(spec: dict) -> Colouring:
       units of pi (optional ``label``),
     - ``kind: "harmonic"`` with ``terms``, a list of [l, m, coefficient].
     """
+    if not isinstance(spec, dict):
+        raise ValueError("a colouring description must be a JSON object")
     kind = spec.get("kind")
     if kind == "catalogue":
         delta = spec.get("delta")

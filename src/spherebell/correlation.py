@@ -59,7 +59,7 @@ from .colourings import (
     make_catalogue,
     negate,
 )
-from .geometry import arccos_clamped, partner_many, partner_polar_many
+from .geometry import arccos_clamped_array, partner_many, partner_polar_many
 
 PI = math.pi
 HALF_PI = math.pi / 2.0
@@ -294,7 +294,7 @@ def _inner_arc_integral(
     theta: float,
     eps: float,
     edges: np.ndarray,
-    value_at: Callable[[np.ndarray], np.ndarray],
+    colour_at: Callable[[np.ndarray], np.ndarray],
 ) -> float:
     """int_0^pi a[alpha(theta, eps, omega)] d omega, analytically.
 
@@ -309,7 +309,7 @@ def _inner_arc_integral(
     denom = st * se
     if denom < 1e-14:
         # collapsed circle: alpha is constant (removable limit)
-        return PI * float(value_at(np.array([arccos_clamped(ct * ce)]))[0])
+        return PI * float(colour_at(arccos_clamped_array(np.array([ct * ce])))[0])
     lo, hi = abs(theta - eps), theta + eps
     i0, i1 = np.searchsorted(edges, lo, side="right"), np.searchsorted(
         edges, hi, side="left"
@@ -324,7 +324,7 @@ def _inner_arc_integral(
         bounds = np.array([0.0, PI])
         alphas = np.array([hi, lo])
     mids = 0.5 * (alphas[:-1] + alphas[1:])
-    return float(np.sum(value_at(mids) * np.diff(bounds)))
+    return float(np.sum(colour_at(mids) * np.diff(bounds)))
 
 
 def correlation_quadrature(
@@ -345,11 +345,11 @@ def correlation_quadrature(
     theta = min(theta, HALF_PI)
     _, flips = _flips_of(c)
     edges = np.array(flips)
-    value_at = c.evaluate_polar
+    colour_at = c.evaluate_polar
 
     def f(eps: float) -> float:
-        a_here = float(value_at(np.array([eps]))[0])
-        return math.sin(eps) * a_here * _inner_arc_integral(theta, eps, edges, value_at)
+        a_here = float(colour_at(np.array([eps]))[0])
+        return math.sin(eps) * a_here * _inner_arc_integral(theta, eps, edges, colour_at)
 
     breaks = {theta}
     for v in flips:

@@ -162,6 +162,34 @@ class TestCurveCommand:
         code, _, _ = run(capsys, "curve", "--colouring", "1", "--grid", "0.5:0.2:10")
         assert code == 2
 
+    def test_missing_colouring_file_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "curve", "--colouring", f"@{tmp_path / 'missing.json'}")
+        assert code == 2
+        assert err.startswith("error: cannot read colouring")
+
+    def test_colouring_file_missing_a_field_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"kind": "harmonic"}))
+        code, _, err = run(capsys, "curve", "--colouring", f"@{path}")
+        assert code == 2
+        assert err.startswith("error:") and "'terms'" in err
+
+    @pytest.mark.parametrize("spec", [{"kind": "harmonic", "terms": 5}, [1, 2]])
+    def test_malformed_colouring_file_is_usage_error(self, spec, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "curve", "--colouring", f"@{path}")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_out_in_missing_directory_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "c.csv"
+        code, _, err = run(
+            capsys, "curve", "--colouring", "1", "--grid", "0:0.5:3", "--out", str(out)
+        )
+        assert code == 2
+        assert err.startswith("error: cannot write")
+
     @staticmethod
     def values_by_method(capsys, label, grid):
         values = {}
@@ -204,6 +232,30 @@ class TestCurveCommand:
         rows = rows_of(out)[1:]
         assert len(rows) == 3
         assert all(-1.0 <= float(r[1]) <= 1.0 for r in rows)
+
+
+class TestJobsFlag:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("curve", "--colouring", "1", "--grid", "0:0.5:3"),
+            ("verify", "--colouring", "1", "--grid", "0.1:0.5:3"),
+            ("sweep", "--delta-grid", "0:0.01:2"),
+            ("search", "--theta", "0.3", "--lmax", "1", "--restarts", "1", "--n", "100"),
+        ],
+    )
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, command, jobs, capsys):
+        code, _, err = run(capsys, *command, "--jobs", jobs)
+        assert code == 2
+        assert err.startswith("error: jobs must be at least 1")
+
+    @pytest.mark.parametrize("command", ["slope", "quantum"])
+    def test_serial_commands_take_no_jobs(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

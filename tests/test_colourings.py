@@ -17,14 +17,12 @@ from spherebell.colourings import (
     check_antipodal,
     circle_colouring_value,
     colouring_from_spec,
-    evaluate,
     harmonic_rows,
     load_colouring,
     make_catalogue,
     negate,
     real_spherical_harmonic,
 )
-from spherebell.geometry import Direction
 
 PI = math.pi
 
@@ -110,19 +108,16 @@ class TestCatalogue:
 class TestBandColouring:
     def test_hemisphere_value(self):
         c = make_catalogue(1)
-        assert c.value_at(PI / 4) == 1
-        assert c.value_at(3 * PI / 4) == -1
+        assert c.evaluate_polar(np.array([PI / 4, 3 * PI / 4])).tolist() == [1, -1]
 
     def test_three_band_values(self):
         c = make_catalogue(3)
-        assert c.value_at(PI / 4) == -1  # inside the first gap
-        assert c.value_at(0.4 * PI) == 1
-        assert c.value_at(0.99 * PI) == -1
+        # PI / 4 lies inside the first gap
+        assert c.evaluate_polar(np.array([PI / 4, 0.4 * PI, 0.99 * PI])).tolist() == [-1, 1, -1]
 
     def test_edges_take_plus_one(self):
         c = make_catalogue(3)
-        assert c.value_at(PI / 6) == 1
-        assert c.value_at(PI / 3) == 1
+        assert c.evaluate_polar(np.array([PI / 6, PI / 3])).tolist() == [1, 1]
 
     def test_phi_independence(self):
         c = make_catalogue(2)
@@ -161,7 +156,7 @@ class TestHarmonicColouring:
 
     def test_nodal_tie_goes_to_plus(self):
         h = HarmonicColouring(((1, 0, 1.0),))
-        assert evaluate(h, Direction(PI / 2, 0.3)) == 1
+        assert h.evaluate_many(np.array([PI / 2]), np.array([0.3])).tolist() == [1]
 
     @given(scale=st.floats(0.1, 50.0))
     @settings(max_examples=40, deadline=None)

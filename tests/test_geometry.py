@@ -6,142 +6,149 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from spherebell import geometry
+from spherebell.correlation import SamplingPlan
 from spherebell.geometry import (
     ARCCOS_HARD,
-    AxisPair,
-    Direction,
     NumericalError,
-    angle_between,
-    antipode,
-    arccos_clamped,
     arccos_clamped_array,
-    partner_direction,
     partner_many,
     partner_polar_many,
-    sample_axis_pair,
 )
 
 PI = math.pi
 
+# beta is an arccos, which keeps only half the digits where its argument
+# is +-1, i.e. where Bob sits on Alice's meridian (theta = 0 or pi,
+# omega = 0 or pi): there the axis is good to ~2e-8 only.  Away from the
+# meridian the partner maps agree with the oracle to ~1e-11.
+MERIDIAN_TOL = 1e-7
+
+
+def unit(eps, phi):
+    """Cartesian unit vector of the polar coordinates (eps, phi)."""
+    s = math.sin(eps)
+    return np.array([s * math.cos(phi), s * math.sin(phi), math.cos(eps)])
+
+
+def cartesian_partner(eps, phi, theta, omega):
+    """Independent oracle for one axis pair: Alice's unit vector a and
+    Bob's b = cos theta a + sin theta (cos omega s + sin omega e), where
+    s and e are the south- and east-pointing unit vectors tangent to the
+    sphere at a."""
+    a = unit(eps, phi)
+    s = np.array([math.cos(eps) * math.cos(phi), math.cos(eps) * math.sin(phi), -math.sin(eps)])
+    e = np.array([-math.sin(phi), math.cos(phi), 0.0])
+    b = math.cos(theta) * a + math.sin(theta) * (math.cos(omega) * s + math.sin(omega) * e)
+    return a, b
+
+
+def partner_axis(theta, eps, phi, omega):
+    """``partner_many`` on one point, as a Cartesian unit vector."""
+    alpha, beta = partner_many(theta, np.array([eps]), np.array([phi]), np.array([omega]))
+    return unit(alpha[0], beta[0])
+
+
+def random_points(seed, n):
+    rng = np.random.default_rng(seed)
+    eps = rng.uniform(0.05, PI - 0.05, n)
+    phi = rng.uniform(0.0, 2 * PI, n)
+    omega = rng.uniform(0.0, 2 * PI, n)
+    return eps, phi, omega
+
 
 def test_arccos_clamped_soft_overshoot():
-    assert arccos_clamped(1.0 + 5e-10) == 0.0
-    assert arccos_clamped(-1.0 - 5e-10) == PI
+    assert arccos_clamped_array(np.array([1.0 + 5e-10, -1.0 - 5e-10])).tolist() == [0.0, PI]
 
 
 def test_arccos_clamped_hard_overshoot_raises():
     with pytest.raises(ValueError):
-        arccos_clamped(1.0 + 1e-5)
+        arccos_clamped_array(np.array([1.0 + 1e-5]))
 
 
 def test_arccos_drift_is_a_numerical_error():
     # a ValueError still, but one the CLI reports as a numerical failure
     with pytest.raises(NumericalError):
-        arccos_clamped(-1.0 - 1e-5)
+        arccos_clamped_array(np.array([-1.0 - 1e-5]))
     with pytest.raises(NumericalError):
         arccos_clamped_array(np.array([0.2, 1.0 + 1e-5]))
     assert issubclass(NumericalError, ValueError)
 
 
 def test_arccos_clamped_interior_matches_acos():
-    for x in (-0.99, -0.5, 0.0, 0.3, 0.999):
-        assert arccos_clamped(x) == math.acos(x)
+    x = np.array([-0.99, -0.5, 0.0, 0.3, 0.999])
+    assert arccos_clamped_array(x).tolist() == np.arccos(x).tolist()
 
 
 class TestDirection:
+    """Bob's axis as ``partner_many`` writes it: azimuth in [0, 2pi),
+    and the canonical azimuth 0 on a pole."""
+
     def test_phi_wraps_into_range(self):
-        d = Direction(1.0, 2 * PI + 0.3)
-        assert abs(d.phi - 0.3) < 1e-12
+        eps, phi, omega = random_points(23, 500)
+        for theta in (0.3, 2.5):
+            _, beta = partner_many(theta, eps, phi, omega)
+            _, shifted = partner_many(theta, eps, phi + 2 * PI, omega)
+            assert np.all((0.0 <= shifted) & (shifted < 2 * PI))
+            assert np.allclose(np.cos(shifted - beta), 1.0, atol=1e-12)
 
     def test_negative_phi_wraps(self):
-        d = Direction(1.0, -0.25)
-        assert abs(d.phi - (2 * PI - 0.25)) < 1e-12
+        eps, phi, omega = random_points(29, 500)
+        for theta in (0.3, 2.5):
+            _, beta = partner_many(theta, eps, phi, omega)
+            _, shifted = partner_many(theta, eps, phi - 2 * PI, omega)
+            assert np.all((0.0 <= shifted) & (shifted < 2 * PI))
+            assert np.allclose(np.cos(shifted - beta), 1.0, atol=1e-12)
 
     def test_poles_canonicalize_phi(self):
-        assert Direction(0.0, 1.7).phi == 0.0
-        assert Direction(PI, 2.9).phi == 0.0
-
-    def test_polar_angle_out_of_range(self):
-        with pytest.raises(ValueError):
-            Direction(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            Direction(PI + 0.1, 0.0)
-
-    @given(
-        eps=st.floats(0.01, PI - 0.01),
-        phi=st.floats(0.0, 2 * PI - 1e-9),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_vector_round_trip(self, eps, phi):
-        d = Direction(eps, phi)
-        back = Direction.from_vector(d.as_vector())
-        assert abs(back.epsilon - d.epsilon) < 1e-12
-        assert abs(math.cos(back.phi - d.phi) - 1.0) < 1e-12
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            Direction.from_vector(np.zeros(3))
-
-
-def test_angle_between_poles():
-    north = Direction(0.0)
-    south = Direction(PI)
-    assert angle_between(north, south) == pytest.approx(PI, abs=1e-12)
-    assert angle_between(north, north) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_angle_between_orthogonal_on_equator():
-    a = Direction(PI / 2, 0.0)
-    b = Direction(PI / 2, PI / 2)
-    assert angle_between(a, b) == pytest.approx(PI / 2, abs=1e-12)
+        # Alice on the north pole at theta 0; on the equator, a quarter
+        # turn towards omega = pi (north) or omega = 0 (south)
+        alpha, beta = partner_many(
+            0.0, np.array([0.0]), np.array([1.7]), np.array([0.4])
+        )
+        assert (alpha.tolist(), beta.tolist()) == ([0.0], [0.0])
+        alpha, beta = partner_many(
+            PI / 2, np.array([PI / 2, PI / 2]), np.array([1.7, 2.9]), np.array([PI, 0.0])
+        )
+        assert (alpha.tolist(), beta.tolist()) == ([0.0, PI], [0.0, 0.0])
 
 
 def test_antipode_coordinates():
-    d = Direction(PI / 4, 0.3)
-    opp = antipode(d)
-    assert opp.epsilon == pytest.approx(3 * PI / 4, abs=1e-15)
-    assert opp.phi == pytest.approx(0.3 + PI, abs=1e-15)
-
-
-@given(eps=st.floats(0.0, PI), phi=st.floats(0.0, 2 * PI - 1e-9))
-@settings(max_examples=60, deadline=None)
-def test_antipode_is_an_involution(eps, phi):
-    d = Direction(eps, phi)
-    back = antipode(antipode(d))
-    assert abs(back.epsilon - d.epsilon) < 1e-12
-    # phi is degenerate at the poles; elsewhere it must come back
-    if 1e-9 < eps < PI - 1e-9:
-        assert abs(math.cos(back.phi - d.phi) - 1.0) < 1e-12
+    alpha, beta = partner_many(PI, np.array([PI / 4]), np.array([0.3]), np.array([1.0]))
+    assert alpha[0] == pytest.approx(3 * PI / 4, abs=1e-15)
+    assert beta[0] == pytest.approx(0.3 + PI, abs=MERIDIAN_TOL)
 
 
 class TestPartnerDirection:
     def test_zero_separation_returns_the_axis(self):
-        a = Direction(0.7, 1.2)
-        assert partner_direction(a, 0.0, 2.0) == a
+        a, b = cartesian_partner(0.7, 1.2, 0.0, 2.0)
+        assert np.array_equal(a, b)
+        assert np.allclose(partner_axis(0.0, 0.7, 1.2, 2.0), a, atol=MERIDIAN_TOL)
 
     def test_pi_separation_returns_the_antipode(self):
-        a = Direction(0.7, 1.2)
-        assert partner_direction(a, PI, 2.0) == antipode(a)
+        a, b = cartesian_partner(0.7, 1.2, PI, 2.0)
+        assert np.allclose(b, -a, atol=1e-15)
+        assert np.allclose(partner_axis(PI, 0.7, 1.2, 2.0), b, atol=MERIDIAN_TOL)
 
     def test_from_north_pole(self):
         # partner of the pole sits at polar angle theta, azimuth omega
-        a = Direction(0.0)
         for omega in (0.0, 1.0, PI, 4.0):
-            b = partner_direction(a, 0.6, omega)
-            assert b.epsilon == pytest.approx(0.6, abs=1e-12)
-            assert math.cos(b.phi - omega) == pytest.approx(1.0, abs=1e-12)
+            alpha, beta = partner_many(
+                0.6, np.array([0.0]), np.array([0.0]), np.array([omega])
+            )
+            assert alpha[0] == pytest.approx(0.6, abs=1e-12)
+            assert math.cos(beta[0] - omega) == pytest.approx(1.0, abs=1e-12)
+            _, b = cartesian_partner(0.0, 0.0, 0.6, omega)
+            assert np.allclose(unit(alpha[0], beta[0]), b, atol=MERIDIAN_TOL)
 
     def test_equator_quarter_turn(self):
-        a = Direction(PI / 2, 0.0)
-        b = partner_direction(a, PI / 2, PI / 2)
-        assert b.epsilon == pytest.approx(PI / 2, abs=1e-12)
-        assert b.phi == pytest.approx(PI / 2, abs=1e-12)
-
-    def test_separation_out_of_range(self):
-        with pytest.raises(ValueError):
-            partner_direction(Direction(1.0), -0.1, 0.0)
-        with pytest.raises(ValueError):
-            partner_direction(Direction(1.0), PI + 0.1, 0.0)
+        alpha, beta = partner_many(
+            PI / 2, np.array([PI / 2]), np.array([0.0]), np.array([PI / 2])
+        )
+        assert alpha[0] == pytest.approx(PI / 2, abs=1e-12)
+        assert beta[0] == pytest.approx(PI / 2, abs=1e-12)
+        _, b = cartesian_partner(PI / 2, 0.0, PI / 2, PI / 2)
+        assert np.allclose(unit(alpha[0], beta[0]), b, atol=1e-12)
 
     @given(
         eps=st.floats(0.05, PI - 0.05),
@@ -151,11 +158,13 @@ class TestPartnerDirection:
     )
     @settings(max_examples=200, deadline=None)
     def test_partner_sits_at_theta(self, eps, phi, theta, omega):
-        a = Direction(eps, phi)
-        b = partner_direction(a, theta, omega)
-        if min(b.epsilon, PI - b.epsilon) < 1e-4:
+        a, b = cartesian_partner(eps, phi, theta, omega)
+        got = partner_axis(theta, eps, phi, omega)
+        assert np.allclose(got, b, atol=MERIDIAN_TOL)
+        if math.hypot(got[0], got[1]) < 1e-4:
             return  # polar coordinates lose accuracy at the pole itself
-        assert abs(angle_between(a, b) - theta) < 1e-10
+        realized = math.atan2(np.linalg.norm(np.cross(a, got)), np.dot(a, got))
+        assert abs(realized - theta) < 1e-10
 
     @given(
         eps=st.floats(0.05, PI - 0.05),
@@ -164,81 +173,83 @@ class TestPartnerDirection:
     )
     @settings(max_examples=100, deadline=None)
     def test_mirrored_circle_position_same_polar_angle(self, eps, theta, omega):
-        a = Direction(eps, 0.4)
-        b1 = partner_direction(a, theta, omega)
-        b2 = partner_direction(a, theta, 2 * PI - omega)
-        assert abs(b1.epsilon - b2.epsilon) < 1e-12
-
-
-def test_axis_pair_rejects_wrong_separation():
-    a = Direction(PI / 2, 0.0)
-    b = Direction(PI / 2, PI / 2)
-    with pytest.raises(ValueError):
-        AxisPair(a, b, PI / 3)
-
-
-def test_axis_pair_accepts_constructed_partner():
-    a = Direction(1.1, 0.5)
-    b = partner_direction(a, 0.8, 2.2)
-    pair = AxisPair(a, b, 0.8)
-    assert pair.theta == 0.8
+        # the two partners mirror each other in Alice's meridian plane
+        alpha = partner_polar_many(theta, np.array([eps, eps]), np.array([omega, 2 * PI - omega]))
+        assert abs(alpha[0] - alpha[1]) < 1e-12
+        full, beta = partner_many(
+            theta, np.array([eps, eps]), np.array([0.4, 0.4]), np.array([omega, 2 * PI - omega])
+        )
+        assert full.tolist() == alpha.tolist()
+        # ... so their azimuths lie on either side of phi = 0.4
+        assert math.cos(beta[0] + beta[1] - 0.8) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSampleAxisPair:
+    """The Monte Carlo engine's axis pairs: ``SamplingPlan.draws`` for
+    Alice, the partner maps for Bob."""
+
+    @staticmethod
+    def drawn(seed, n):
+        (draw,) = SamplingPlan(seed, n, chunk_size=n).draws()
+        return draw
+
     def test_degenerate_separations(self):
-        rng = np.random.default_rng(11)
-        pair = sample_axis_pair(0.0, rng)
-        assert pair.b == pair.a
-        pair = sample_axis_pair(PI, rng)
-        assert pair.b == antipode(pair.a)
+        eps, phi, omega = self.drawn(11, 2000)
+        for theta, sign in ((0.0, 1.0), (PI, -1.0)):
+            alpha, beta = partner_many(theta, eps, phi, omega)
+            for i in range(0, 2000, 7):
+                got = unit(alpha[i], beta[i])
+                assert np.allclose(got, sign * unit(eps[i], phi[i]), atol=MERIDIAN_TOL)
 
     def test_mean_cosine_at_fixed_angle(self):
-        rng = np.random.default_rng(5)
-        n = 1000
-        dots = []
-        for _ in range(n):
-            pair = sample_axis_pair(PI / 3, rng)
-            dots.append(float(np.dot(pair.a.as_vector(), pair.b.as_vector())))
+        eps, phi, omega = self.drawn(5, 1000)
+        alpha, beta = partner_many(PI / 3, eps, phi, omega)
+        dots = [float(np.dot(unit(eps[i], phi[i]), unit(alpha[i], beta[i]))) for i in range(1000)]
         mean = np.mean(dots)
-        sigma = np.std(dots, ddof=1) / math.sqrt(n) + 1e-12
+        sigma = np.std(dots, ddof=1) / math.sqrt(1000) + 1e-12
         assert abs(mean - 0.5) <= 3 * sigma
 
     def test_first_axis_polar_cosine_is_uniform(self):
-        rng = np.random.default_rng(7)
-        n = 100_000
-        cos_eps = np.array(
-            [math.cos(sample_axis_pair(0.4, rng).a.epsilon) for _ in range(n)]
-        )
-        result = stats.kstest(cos_eps, stats.uniform(loc=-1.0, scale=2.0).cdf)
+        eps, _, _ = self.drawn(7, 100_000)
+        result = stats.kstest(np.cos(eps), stats.uniform(loc=-1.0, scale=2.0).cdf)
+        assert result.pvalue > 1e-3
+
+    @pytest.mark.parametrize("theta", [0.4, 1.9])
+    def test_partner_polar_cosine_is_uniform(self, theta):
+        # Bob's axis must be uniform on the sphere too
+        eps, _, omega = self.drawn(7, 100_000)
+        alpha = partner_polar_many(theta, eps, omega)
+        result = stats.kstest(np.cos(alpha), stats.uniform(loc=-1.0, scale=2.0).cdf)
         assert result.pvalue > 1e-3
 
 
 def test_partner_polar_many_matches_scalar():
-    rng = np.random.default_rng(3)
-    theta = 0.9
-    eps = rng.uniform(0.05, PI - 0.05, 300)
-    omega = rng.uniform(0.0, 2 * PI, 300)
-    alpha = partner_polar_many(theta, eps, omega)
-    for i in range(0, 300, 17):
-        b = partner_direction(Direction(eps[i], 0.0), theta, omega[i])
-        assert alpha[i] == pytest.approx(b.epsilon, abs=1e-12)
+    eps, phi, omega = random_points(3, 2000)
+    for theta in (0.3, 1.2, 2.5):
+        alpha = partner_polar_many(theta, eps, omega)
+        for i in range(2000):
+            _, b = cartesian_partner(eps[i], phi[i], theta, omega[i])
+            assert alpha[i] == pytest.approx(math.acos(b[2]), abs=1e-13)
 
 
 def test_partner_many_matches_scalar_pointwise():
-    rng = np.random.default_rng(19)
-    theta = 1.2
-    n = 400
-    eps = rng.uniform(0.05, PI - 0.05, n)
-    phi = rng.uniform(0.0, 2 * PI, n)
-    omega = rng.uniform(0.0, 2 * PI, n)
-    alpha, beta = partner_many(theta, eps, phi, omega)
-    for i in range(0, n, 13):
-        b = partner_direction(Direction(eps[i], phi[i]), theta, omega[i])
-        if min(b.epsilon, PI - b.epsilon) < 1e-6:
-            continue
-        # compare as unit vectors to dodge the 2 pi azimuth seam
-        got = Direction(alpha[i], beta[i]).as_vector()
-        assert np.allclose(got, b.as_vector(), atol=1e-9)
+    eps, phi, omega = random_points(19, 2000)
+    for theta in (0.3, 1.2, 2.5):
+        alpha, beta = partner_many(theta, eps, phi, omega)
+        for i in range(2000):
+            _, b = cartesian_partner(eps[i], phi[i], theta, omega[i])
+            # compare as unit vectors to dodge the 2 pi azimuth seam
+            assert np.allclose(unit(alpha[i], beta[i]), b, atol=1e-10)
+
+
+def test_azimuth_overflow_is_a_numerical_error(monkeypatch):
+    # a polar angle off by far more than rounding leaves |num| > sin(alpha)
+    eps, phi, omega = random_points(31, 50)
+    monkeypatch.setattr(
+        geometry, "arccos_clamped_array", lambda x: np.full(np.shape(x), 0.01)
+    )
+    with pytest.raises(NumericalError, match="azimuth"):
+        partner_many(1.2, eps, phi, omega)
 
 
 def test_hard_clamp_is_wider_than_soft():
