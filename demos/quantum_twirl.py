@@ -4,7 +4,8 @@ Averaging U (x) U conjugations over Haar-random U projects any state
 onto a Werner state; its singlet fidelity r is all that survives.  The
 Monte Carlo engine rotates a fixed axis pair through Haar frames and
 averages the quantum expectation, so for any input state it must land
-on the Werner curve of its own twirl.  Chained-inequality values for
+on the Werner curve of its own twirl; one pass over the frames gives
+the whole curve.  Chained-inequality values for
 the singlet show the quantum-over-classical gap growing with N.
 """
 
@@ -17,7 +18,7 @@ from spherebell import (
     SamplingPlan,
     TwoQubitState,
     braunstein_caves_value,
-    mc_quantum_correlation,
+    mc_quantum_curve,
     random_state,
     twirl,
     werner_correlation,
@@ -35,11 +36,9 @@ r = twirl(state).r
 print(f"\na random mixed state twirls to r = {r:.4f}")
 plan = SamplingPlan(17, 200_000)
 print(f"{'theta/pi':>9} {'MC':>9} {'Werner':>9} {'stderr':>9}")
-for t in np.array([1 / 6, 1 / 3, 0.45]) * PI:
-    value, stderr = mc_quantum_correlation(state, float(t), plan)
-    print(
-        f"{t / PI:9.3f} {value:9.4f} {werner_correlation(r, float(t)):9.4f} {stderr:9.5f}"
-    )
+grid = [float(t) for t in np.array([1 / 6, 1 / 3, 0.45]) * PI]
+for t, (value, stderr) in zip(grid, mc_quantum_curve(state, grid, plan)):
+    print(f"{t / PI:9.3f} {value:9.4f} {werner_correlation(r, t):9.4f} {stderr:9.5f}")
 
 print("\nchained inequality at the optimal singlet settings:")
 for n in (2, 3, 4, 6):

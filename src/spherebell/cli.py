@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from typing import Iterator, Sequence, TextIO
@@ -36,7 +37,7 @@ from .correlation import (
 from .geometry import NumericalError
 from .quantum import (
     TwoQubitState,
-    mc_quantum_correlation,
+    mc_quantum_curve,
     parse_state_text,
     singlet_correlation,
     twirl,
@@ -113,11 +114,24 @@ def _resolve_colouring(label: str):
         raise UsageError(f"colouring {path!r} is malformed: {exc}") from None
 
 
-@contextmanager
-def _output(args: argparse.Namespace, config: dict) -> Iterator[TextIO]:
-    """The --out file (stdout when absent or "-"), closed on exit."""
+def _out_path(args: argparse.Namespace, config: dict) -> str | None:
+    """The --out path, None for stdout (absent or "-").  Its directory
+    is checked here, before any work, so that a bad path fails at once;
+    the file is opened by :func:`_output` once the output is ready, so
+    that a failed run leaves no empty file behind."""
     path = _merged(args, config, "out", None)
     if path in (None, "-"):
+        return None
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"cannot write {path!r}: no directory {folder!r}")
+    return path
+
+
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The --out file (stdout for None), closed on exit."""
+    if path is None:
         yield sys.stdout
         return
     try:
@@ -151,6 +165,7 @@ REFERENCE_COLUMNS = {
 
 def run_curve(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    out = _out_path(args, config)
     label = _merged(args, config, "colouring", None)
     if label is None:
         raise UsageError("curve requires --colouring")
@@ -172,13 +187,14 @@ def run_curve(args: argparse.Namespace) -> int:
         tol=float(_merged(args, config, "tol", DEFAULT_TOL)),
         jobs=jobs,
     )
-    with _output(args, config) as fh:
+    with _output(out) as fh:
         write_curve_csv(curve, fh, references=REFERENCE_COLUMNS)
     return 0
 
 
 def run_verify(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    out = _out_path(args, config)
     curve_file = _merged(args, config, "curve_file", None)
     if curve_file:
         # pre-computed curve: check it as given, no recomputation
@@ -212,7 +228,7 @@ def run_verify(args: argparse.Namespace) -> int:
         )
         label = colouring.label
     text = bounds_mod.report_to_json(label, method, reports)
-    with _output(args, config) as fh:
+    with _output(out) as fh:
         fh.write(text + "\n")
     return 0 if all(r.satisfied for r in reports) else 1
 
@@ -232,13 +248,14 @@ def _parse_delta_grid(spec: str | None, default: Sequence[float]) -> Sequence[fl
 
 def run_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    out = _out_path(args, config)
     family = _merged(args, config, "family", "3_delta")
     reference = _merged(args, config, "reference", "c1")
     tol = float(_merged(args, config, "tol", 1e-4))
     jobs = _jobs(args, config)
     delta = _merged(args, config, "delta", None)
     delta_grid = _merged(args, config, "delta_grid", None)
-    with _output(args, config) as fh:
+    with _output(out) as fh:
         if family == "3_delta" and delta is not None:
             # single-deformation mode: curve table plus crossing summary
             d = float(delta) * PI
@@ -289,6 +306,7 @@ def run_sweep(args: argparse.Namespace) -> int:
 
 def run_search(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    out = _out_path(args, config)
     theta = _merged(args, config, "theta", None)
     if theta is None:
         raise UsageError("search requires --theta (units of pi)")
@@ -305,7 +323,7 @@ def run_search(args: argparse.Namespace) -> int:
         max_iter=int(_merged(args, config, "max_iter", 400)),
         jobs=_jobs(args, config),
     )
-    with _output(args, config) as fh:
+    with _output(out) as fh:
         fh.write(search_mod.search_report_json(outcome) + "\n")
     return 0
 
@@ -324,6 +342,7 @@ def _resolve_state(args: argparse.Namespace, config: dict) -> TwoQubitState:
 
 def run_quantum(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    out = _out_path(args, config)
     state = _resolve_state(args, config)
     grid = parse_grid(_merged(args, config, "grid", "0:0.5:51"))
     use_mc = bool(_merged(args, config, "mc", False))
@@ -332,32 +351,26 @@ def run_quantum(args: argparse.Namespace) -> int:
         int(_merged(args, config, "seed", DEFAULT_SEED)),
         int(_merged(args, config, "n", 100_000)),
     )
-    with _output(args, config) as fh:
+    if use_mc:
+        rows = [
+            (value, format_sig(stderr), "mc")
+            for value, stderr in mc_quantum_curve(state, grid, plan)
+        ]
+    else:
+        rows = [(werner_correlation(w, t), "", "werner") for t in grid]
+    with _output(out) as fh:
         fh.write("theta_over_pi,value,stderr,method,state_r\n")
-        for t in grid:
-            if use_mc:
-                value, stderr = mc_quantum_correlation(state, t, plan)
-                row = (
-                    format_sig(t / PI),
-                    format_sig(value),
-                    format_sig(stderr),
-                    "mc",
-                    format_sig(w.r),
-                )
-            else:
-                row = (
-                    format_sig(t / PI),
-                    format_sig(werner_correlation(w, t)),
-                    "",
-                    "werner",
-                    format_sig(w.r),
-                )
+        for t, (value, stderr, method) in zip(grid, rows):
+            row = (
+                format_sig(t / PI), format_sig(value), stderr, method, format_sig(w.r)
+            )
             fh.write(",".join(row) + "\n")
     return 0
 
 
 def run_slope(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    out = _out_path(args, config)
     label = str(_merged(args, config, "colouring", "3"))
     h = float(_merged(args, config, "h", 1e-3))
     estimate = search_mod.slope_at_half_pi(_resolve_colouring(label), h=h)
@@ -369,7 +382,7 @@ def run_slope(args: argparse.Namespace) -> int:
         "c_at_half_pi": estimate.c_at_half_pi,
         "reference_abs_slope": estimate.reference,
     }
-    with _output(args, config) as fh:
+    with _output(out) as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
     return 0
 

@@ -24,6 +24,8 @@ from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from .geometry import arccos_clamped_array
+
 EDGE_TOL = 1e-9
 
 
@@ -84,6 +86,43 @@ class BandColouring:
 
     def evaluate_many(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
         return self.evaluate_polar(eps)
+
+    def evaluate_cos(self, x: np.ndarray) -> np.ndarray:
+        """Values at the polar angles arccos(x), bit for bit
+        ``evaluate_polar(arccos_clamped_array(x))``, mostly without the
+        arccos.
+
+        arccos is decreasing, so the band [lo, hi] holds the x in
+        [cos hi, cos lo], and a sample farther than EDGE_TOL from every
+        edge cosine is decided by comparing it with them: since
+        |d arccos / dx| >= 1, its polar angle is also farther than
+        EDGE_TOL from every edge, which rounding cannot bridge.  The
+        samples within EDGE_TOL of an edge cosine, of -1 or of 1, or
+        beyond +-1 (where the drift check of ``arccos_clamped_array``
+        raises) take the arccos path.
+        """
+        x = np.asarray(x, dtype=float)
+        return _signs_from_cos(self, *self._plus_from_cos(x), x)
+
+    def _plus_from_cos(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The comparison step of :meth:`evaluate_cos`: the mask of
+        samples it puts on a plus band, valid except at the returned
+        indices of the samples it leaves to the arccos path."""
+        near = (x >= 1.0 - EDGE_TOL) | (x <= EDGE_TOL - 1.0)
+        # above[v] is x > cos(v), i.e. alpha < v, away from the edge v;
+        # edges at the poles bound alpha trivially and need no mask
+        above = {}
+        for v in {v for band in self.plus_bands for v in band if 0.0 < v < math.pi}:
+            c = math.cos(v)
+            above[v] = x > c + EDGE_TOL
+            near |= (x >= c - EDGE_TOL) ^ above[v]
+        plus = np.zeros(x.shape, dtype=bool)
+        for lo, hi in self.plus_bands:
+            inside = np.ones(x.shape, dtype=bool) if hi == math.pi else above[hi]
+            if lo > 0.0:
+                inside = inside & ~above[lo]
+            plus |= inside
+        return plus, np.flatnonzero(near)
 
     def minus_bands(self) -> tuple[tuple[float, float], ...]:
         """Complement intervals of the plus set within [0, pi]."""
@@ -313,6 +352,24 @@ class Negated:
 
     def evaluate_polar(self, eps: np.ndarray) -> np.ndarray:
         return -self.inner.evaluate_polar(eps)
+
+    def evaluate_cos(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`BandColouring.evaluate_cos` of the colour swap; the
+        inner colouring must be a band colouring."""
+        x = np.asarray(x, dtype=float)
+        plus, near = self.inner._plus_from_cos(x)
+        return _signs_from_cos(self, ~plus, near, x)
+
+
+def _signs_from_cos(
+    c: BandColouring | Negated, plus: np.ndarray, near: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """+-1 from the plus mask, with the samples at ``near`` evaluated
+    on the arccos path."""
+    values = 2 * plus.astype(np.int64) - 1
+    if near.size:
+        values[near] = c.evaluate_polar(arccos_clamped_array(x[near]))
+    return values
 
 
 def negate(c: Colouring) -> Colouring:

@@ -59,7 +59,12 @@ from .colourings import (
     make_catalogue,
     negate,
 )
-from .geometry import arccos_clamped_array, partner_many, partner_polar_many
+from .geometry import (
+    arccos_clamped_array,
+    partner_cos_many,
+    partner_many,
+    partner_polar_many,
+)
 
 PI = math.pi
 HALF_PI = math.pi / 2.0
@@ -164,9 +169,14 @@ def correlation_mc_grid(
 
     The loop is chunk-major: each chunk of ``plan`` is drawn and
     alice is evaluated on it once, and then, for each theta, only bob
-    moves.  Every theta sees the same draws it would see alone, and the
-    products alice * bob are exactly +-1, so each chunk sum is an
-    integer and every estimate is bit-identical to
+    moves.  A band bob (or its colour swap) is read from cos(alpha)
+    without an arccos: the chunk's cos(eps), sin(eps) and cos(omega)
+    are computed once, ``partner_cos_many`` combines them per theta,
+    and ``evaluate_cos`` compares the result with the band edges'
+    cosines, bit for bit the arccos path.  Other bobs move by
+    ``partner_points``.  Every theta sees the same draws it would see
+    alone, and the products alice * bob are exactly +-1, so each chunk
+    sum is an integer and every estimate is bit-identical to
     ``correlation_mc(c, theta, plan)``.  The standard error has the
     closed form sqrt((1 - mean^2) / (n - 1)).  With jobs > 1 the thetas
     of a chunk run in that many threads.
@@ -176,14 +186,21 @@ def correlation_mc_grid(
         if not 0.0 <= t <= PI + SNAP:
             raise ValueError(f"theta {t!r} outside [0, pi]")
     pair = _as_pair(c)
+    bob = pair.bob
+    bob_core = bob.inner if isinstance(bob, Negated) else bob
+    bob_bands = isinstance(bob_core, BandColouring)
     totals = [0] * len(grid)
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         for eps, phi, omega in plan.draws():
             a_vals = pair.alice.evaluate_many(eps, phi)
+            if bob_bands:
+                trig = np.cos(eps), np.sin(eps), np.cos(omega)
 
             def product_sum(t: float) -> int:
-                alpha, beta = partner_points(pair.bob, t, eps, phi, omega)
-                b_vals = pair.bob.evaluate_many(alpha, beta)
+                if bob_bands:
+                    b_vals = bob.evaluate_cos(partner_cos_many(t, *trig))
+                else:
+                    b_vals = bob.evaluate_many(*partner_points(bob, t, eps, phi, omega))
                 return int(np.sum(a_vals * b_vals, dtype=np.int64))
 
             sums = (pool.map if pool else map)(product_sum, grid)

@@ -8,7 +8,12 @@ parametrized by an angle omega in [0, 2pi).  ``partner_polar_many``
 and ``partner_many`` map arrays of (epsilon, phi, omega) to the polar
 coordinates of the points on those circles; the Monte Carlo engines
 draw the arrays (``correlation.SamplingPlan.draws``) and move Bob with
-these maps.
+these maps.  ``partner_cos_many`` is the one formula for the partner's
+polar angle: it gives cos(alpha) from cos(epsilon), sin(epsilon) and
+cos(omega), which a theta grid computes once per chunk of draws, and
+``partner_polar_many`` is its clamped arccos.  A band colouring reads
+cos(alpha) directly (``BandColouring.evaluate_cos``), so the band
+engine needs no arccos.
 """
 
 from __future__ import annotations
@@ -51,12 +56,28 @@ def arccos_clamped_array(x: np.ndarray, hard: float = ARCCOS_HARD) -> np.ndarray
     return np.arccos(np.clip(x, -1.0, 1.0))
 
 
+def partner_cos_many(
+    theta: float, cos_eps: np.ndarray, sin_eps: np.ndarray, cos_omega: np.ndarray
+) -> np.ndarray:
+    """Vectorized cos(alpha) of the partner axis,
+
+        cos alpha = cos theta cos eps - sin theta sin eps cos omega,
+
+    from the trig values of the draws, which do not depend on theta:
+    a grid computes them once and calls this for each theta.  The
+    result is unclamped; it may leave [-1, 1] by rounding."""
+    ct, st = math.cos(theta), math.sin(theta)
+    return ct * cos_eps - st * sin_eps * cos_omega
+
+
 def partner_polar_many(
     theta: float, eps: np.ndarray, omega: np.ndarray
 ) -> np.ndarray:
-    """Vectorized polar angle alpha of the partner axis."""
-    ct, st = math.cos(theta), math.sin(theta)
-    return arccos_clamped_array(ct * np.cos(eps) - st * np.sin(eps) * np.cos(omega))
+    """Vectorized polar angle alpha of the partner axis: the clamped
+    arccos of :func:`partner_cos_many`."""
+    return arccos_clamped_array(
+        partner_cos_many(theta, np.cos(eps), np.sin(eps), np.cos(omega))
+    )
 
 
 def partner_many(
@@ -78,12 +99,12 @@ def partner_many(
     those rows get the canonical beta = 0.
     """
     ct, st = math.cos(theta), math.sin(theta)
-    sin_eps, cos_eps = np.sin(eps), np.cos(eps)
-    alpha = arccos_clamped_array(ct * cos_eps - st * sin_eps * np.cos(omega))
+    sin_eps, cos_eps, cos_omega = np.sin(eps), np.cos(eps), np.cos(omega)
+    alpha = arccos_clamped_array(partner_cos_many(theta, cos_eps, sin_eps, cos_omega))
     sin_alpha = np.sin(alpha)
     pole = (alpha < POLE_TOL) | (math.pi - alpha < POLE_TOL)
     safe = np.where(pole, 1.0, sin_alpha)
-    num = cos_eps * st * np.cos(omega) + sin_eps * ct
+    num = cos_eps * st * cos_omega + sin_eps * ct
     # Mathematically |num| <= sin_alpha (the quotient is a cosine).  The
     # overflow check is done before dividing: dividing first would let
     # harmless cancellation noise blow past the clamp when sin_alpha is

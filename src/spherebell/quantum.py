@@ -9,12 +9,18 @@ same singlet fidelity.  The module provides the analytic curves, the
 twirl, a Monte Carlo estimator over Haar-random measurement frames
 (sharing the deterministic chunking of the classical engine), and the
 PR-box curve as the no-signalling reference.
+
+The frame expectation is linear in (sin theta, cos theta), so the
+estimator draws and multiplies the frames once for a whole theta grid
+(``mc_quantum_curve``); ``mc_quantum_correlation`` is its one-theta
+case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -172,50 +178,82 @@ def haar_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
     return u
 
 
-def _frame_expectations(
-    rho4: np.ndarray, theta: float, u: np.ndarray
-) -> np.ndarray:
-    """Exact correlation Tr(rho A_U (x) B_U) for each frame U.
+def _frame_moments(rho4: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and scatter (sum of centred outer products) of (p, q) over
+    a batch of frames U, where
 
-    A_U = U sigma_z U^dag is the difference of the up/down projectors
-    U|0><0|U^dag; B_U likewise for |chi> = cos(theta/2)|0> +
-    sin(theta/2)|1>, whose projector difference is
-    sin(theta) sigma_x + cos(theta) sigma_z.
+        p = Tr(rho A_U (x) U sigma_x U^dag),  q = Tr(rho A_U (x) A_U)
+
+    and A_U = U sigma_z U^dag.  Bob's operator at separation theta is
+    B_U = U (sin(theta) sigma_x + cos(theta) sigma_z) U^dag, the
+    projector difference of cos(theta/2)|0> + sin(theta/2)|1> in the
+    frame, so Tr(rho A_U (x) B_U) = sin(theta) p + cos(theta) q.
     """
-    sigma_chi = math.sin(theta) * _SIGMA_X + math.cos(theta) * _SIGMA_Z
     udag = np.conj(np.swapaxes(u, 1, 2))
     a_ops = u @ _SIGMA_Z @ udag
-    b_ops = u @ sigma_chi @ udag
+    x_ops = u @ _SIGMA_X @ udag
     # (A (x) B)[2a+b, 2c+d] = A[a,c] B[b,d]; trace against rho reshaped
-    return np.real(np.einsum("abcd,nca,ndb->n", rho4, a_ops, b_ops))
+    pq = np.stack(
+        [
+            np.einsum("abcd,nca,ndb->n", rho4, a_ops, x_ops).real,
+            np.einsum("abcd,nca,ndb->n", rho4, a_ops, a_ops).real,
+        ]
+    )
+    mean = pq.mean(axis=1)
+    centred = pq - mean[:, None]
+    return mean, centred @ centred.T
+
+
+def mc_quantum_curve(
+    state: TwoQubitState, thetas: Sequence[float], plan: SamplingPlan
+) -> list[tuple[float, float]]:
+    """Monte Carlo estimates of the frame-averaged correlation on a
+    grid: (value, stderr) per theta.
+
+    Each sample draws one Haar frame and contributes the exact quantum
+    expectation in that frame, sin(theta) p + cos(theta) q (see
+    ``_frame_moments``), so the estimator converges to
+    werner_correlation(twirl(state), theta).  Only (p, q) are random:
+    each chunk of ``plan`` gives their mean and 2x2 scatter once for
+    the whole grid, and the chunks are merged in index order by the
+    pairwise update of Chan, Golub and LeVeque (1979).  The value at
+    theta is w . mean and its variance w^T scatter w / (n - 1), with
+    w = (sin theta, cos theta); centred moments keep the variance of a
+    rotation-invariant state (a Werner state, where every frame gives
+    the same expectation) at rounding level.  The result depends only
+    on the plan.
+    """
+    grid = [_check_theta(t) for t in thetas]
+    rho4 = state.rho.reshape(2, 2, 2, 2)
+    n, mean, scatter = 0, np.zeros(2), np.zeros((2, 2))
+    for index, length in plan.chunks():
+        chunk_mean, chunk_scatter = _frame_moments(
+            rho4, haar_unitaries(plan.chunk_rng(index), length)
+        )
+        delta = chunk_mean - mean
+        mean = mean + delta * (length / (n + length))
+        weight = n * length / (n + length)
+        scatter = scatter + chunk_scatter + np.outer(delta, delta) * weight
+        n += length
+    estimates = []
+    for t in grid:
+        w = np.array([math.sin(t), math.cos(t)])
+        value = float(w @ mean)
+        if n > 1:
+            stderr = math.sqrt(max(0.0, float(w @ scatter @ w)) / (n - 1) / n)
+        else:
+            stderr = float("nan")
+        estimates.append((value, stderr))
+    return estimates
 
 
 def mc_quantum_correlation(
     state: TwoQubitState, theta: float, plan: SamplingPlan
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of the frame-averaged correlation.
-
-    Each sample draws one Haar frame and contributes the exact quantum
-    expectation in that frame, so the estimator converges to
-    werner_correlation(twirl(state), theta).  Chunked like the
-    classical engine: the result depends only on the plan.
-    """
-    t = _check_theta(theta)
-    rho4 = state.rho.reshape(2, 2, 2, 2)
-    total = 0.0
-    total_sq = 0.0
-    for index, length in plan.chunks():
-        e = _frame_expectations(rho4, t, haar_unitaries(plan.chunk_rng(index), length))
-        total += float(np.sum(e))
-        total_sq += float(np.sum(e * e))
-    n = plan.n_samples
-    mean = total / n
-    if n > 1:
-        variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-        stderr = math.sqrt(variance / n)
-    else:
-        stderr = float("nan")
-    return mean, stderr
+    """Monte Carlo estimate of the frame-averaged correlation at one
+    theta: (value, stderr), the one-theta case of
+    :func:`mc_quantum_curve`."""
+    return mc_quantum_curve(state, [theta], plan)[0]
 
 
 def random_state(rng: np.random.Generator) -> TwoQubitState:

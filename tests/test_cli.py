@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -120,13 +121,32 @@ class TestCurveCommand:
         assert outs[0] == outs[1]
 
     def test_numerical_failure_exits_three(self, monkeypatch, capsys):
-        # an arccos drift far beyond rounding in the partner map
+        # a cos(alpha) drift far beyond rounding in the cosine partner
+        # map, which a band bob reads without an arccos
+        def drifting(theta, cos_eps, sin_eps, cos_omega):
+            return np.full(cos_eps.shape, 1.5)
+
+        monkeypatch.setattr(correlation, "partner_cos_many", drifting)
+        code, _, err = run(
+            capsys, "curve", "--colouring", "2", "--method", "mc", "--n", "100",
+            "--grid", "0.1:0.4:2",
+        )
+        assert code == 3
+        assert "numerical failure" in err
+
+    def test_numerical_failure_of_an_azimuthal_harmonic_exits_three(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # an m = 0 harmonic bob still moves by the polar partner map
         def drifting(theta, eps, omega):
             return arccos_clamped_array(np.full(eps.shape, 1.5))
 
+        path = tmp_path / "h.json"
+        terms = [[3, 0, 1.0], [1, 0, 0.4]]
+        path.write_text(json.dumps({"kind": "harmonic", "terms": terms}))
         monkeypatch.setattr(correlation, "partner_polar_many", drifting)
         code, _, err = run(
-            capsys, "curve", "--colouring", "2", "--method", "mc", "--n", "100",
+            capsys, "curve", "--colouring", f"@{path}", "--method", "mc", "--n", "100",
             "--grid", "0.1:0.4:2",
         )
         assert code == 3
@@ -189,6 +209,31 @@ class TestCurveCommand:
         )
         assert code == 2
         assert err.startswith("error: cannot write")
+
+    def test_out_in_missing_directory_fails_before_the_work(self, tmp_path, capsys):
+        # the README Monte Carlo curve takes seconds; a bad --out must not
+        out = tmp_path / "nodir" / "c2.csv"
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "curve", "--colouring", "2", "--method", "mc", "--n", "1000000",
+            "--out", str(out),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err.startswith("error: cannot write")
+
+    def test_failed_run_leaves_no_out_file(self, monkeypatch, tmp_path, capsys):
+        def drifting(theta, cos_eps, sin_eps, cos_omega):
+            return np.full(cos_eps.shape, 1.5)
+
+        monkeypatch.setattr(correlation, "partner_cos_many", drifting)
+        out = tmp_path / "c2.csv"
+        code, _, _ = run(
+            capsys, "curve", "--colouring", "2", "--method", "mc", "--n", "100",
+            "--grid", "0.1:0.4:2", "--out", str(out),
+        )
+        assert code == 3
+        assert not out.exists()
 
     @staticmethod
     def values_by_method(capsys, label, grid):

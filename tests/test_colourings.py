@@ -23,6 +23,7 @@ from spherebell.colourings import (
     negate,
     real_spherical_harmonic,
 )
+from spherebell.geometry import NumericalError, arccos_clamped_array
 
 PI = math.pi
 
@@ -144,6 +145,85 @@ class TestBandColouring:
 
     def test_non_antipodal_detected(self):
         assert not BandColouring(((0.0, 0.6 * PI),)).is_antipodal()
+
+
+def _edge_probes(c):
+    """cos(polar) values at and around every band edge, the poles and
+    beyond them: the samples the comparison step must hand on."""
+    cosines = [-1.0, 1.0, *(math.cos(v) for band in c.plus_bands for v in band)]
+    offsets = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 2e-9, -2e-9)
+    return np.array([x + d for x in cosines for d in offsets])
+
+
+def _antipodal_bands(north_flips, north_value, split):
+    """The band colouring with the given flips in (0, pi/2), a flip at
+    the equator and the antipodal reflection below; with ``split``, its
+    first plus band is cut in two touching bands at its midpoint."""
+    north = sorted(north_flips)
+    flips = north + [PI / 2] + [PI - e for e in reversed(north)]
+    bounds = [0.0, *flips, PI]
+    plus = [(lo, hi) for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            if (north_value > 0) == (k % 2 == 0)]
+    if split:
+        lo, hi = plus[0]
+        plus[:1] = [(lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)]
+    return BandColouring(tuple(plus))
+
+
+class TestEvaluateCos:
+    """Band values read from cos(polar) by comparison, against the
+    arccos path they must reproduce bit for bit."""
+
+    COLOURINGS = [
+        make_catalogue(1),
+        make_catalogue(2),
+        make_catalogue(3),
+        make_catalogue(4),
+        make_catalogue("3_delta", delta=-0.03 * PI),
+        make_catalogue("2_Delta", Delta=0.05 * PI),
+        # touching bands and a flip at pi/2
+        BandColouring(((0.0, PI / 6), (PI / 6, PI / 2))),
+        # not antipodal, no band at a pole
+        BandColouring(((0.2, 0.6 * PI), (0.7 * PI, 0.8 * PI))),
+        # a sliver band narrower than the edge window
+        BandColouring(((0.0, 0.3), (0.5, 0.5 + 1e-10), (2.0, PI))),
+    ]
+
+    @staticmethod
+    def assert_matches_arccos_path(c, x):
+        for colouring in (c, Negated(c)):
+            expected = colouring.evaluate_polar(arccos_clamped_array(x))
+            assert np.array_equal(colouring.evaluate_cos(x), expected)
+
+    @pytest.mark.parametrize("c", COLOURINGS)
+    def test_edge_cosines_and_their_neighbours(self, c):
+        self.assert_matches_arccos_path(c, _edge_probes(c))
+
+    @pytest.mark.parametrize("c", COLOURINGS)
+    def test_uniform_samples(self, c):
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, 20_000)
+        self.assert_matches_arccos_path(c, x)
+
+    def test_drift_beyond_rounding_is_a_numerical_error(self):
+        c = make_catalogue(2)
+        self.assert_matches_arccos_path(c, np.array([1.0 + 1e-7, -1.0 - 1e-7]))
+        for colouring in (c, Negated(c)):
+            with pytest.raises(NumericalError):
+                colouring.evaluate_cos(np.array([0.3, 1.5]))
+
+    @given(
+        north_flips=st.lists(
+            st.floats(0.01, 1.56), max_size=4, unique_by=lambda x: round(x, 2)
+        ),
+        north_value=st.sampled_from([1, -1]),
+        split=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_antipodal_band_sets(self, north_flips, north_value, split, seed):
+        c = _antipodal_bands(north_flips, north_value, split)
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, 2000)
+        self.assert_matches_arccos_path(c, np.concatenate([x, _edge_probes(c)]))
 
 
 class TestHarmonicColouring:

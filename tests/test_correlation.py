@@ -13,6 +13,7 @@ from spherebell.colourings import (
     BandColouring,
     ColouringPair,
     HarmonicColouring,
+    colouring_from_spec,
     make_catalogue,
     negate,
 )
@@ -142,8 +143,22 @@ class TestGridMC:
             ColouringPair(
                 make_catalogue(3), HarmonicColouring(((1, 1, 1.0), (3, 0, 0.4)))
             ),
+            # touching bands at 0.15 pi and a flip at pi/2
+            ColouringPair.anticorrelated(
+                colouring_from_spec(
+                    {"kind": "bands", "bands": [[0.0, 0.15], [0.15, 0.35], [0.5, 0.65]]}
+                )
+            ),
+            ColouringPair(make_catalogue(3), make_catalogue("2_Delta", Delta=0.05 * PI)),
         ],
-        ids=["label_2", "3_delta", "harmonic_m_nonzero", "unrelated_bob"],
+        ids=[
+            "label_2",
+            "3_delta",
+            "harmonic_m_nonzero",
+            "unrelated_bob",
+            "touching_bands",
+            "band_bob_of_another_set",
+        ],
     )
     def test_grid_is_bit_identical_to_per_point_runs(self, pair):
         # 2500 samples in chunks of 1000: the last chunk is short

@@ -12,6 +12,7 @@ from spherebell.geometry import (
     ARCCOS_HARD,
     NumericalError,
     arccos_clamped_array,
+    partner_cos_many,
     partner_many,
     partner_polar_many,
 )
@@ -230,6 +231,20 @@ def test_partner_polar_many_matches_scalar():
         for i in range(2000):
             _, b = cartesian_partner(eps[i], phi[i], theta, omega[i])
             assert alpha[i] == pytest.approx(math.acos(b[2]), abs=1e-13)
+
+
+def test_partner_cos_many_matches_the_oracle():
+    # cos(alpha) is b_z; a grid passes the trig of the draws once
+    eps, phi, omega = random_points(5, 2000)
+    trig = np.cos(eps), np.sin(eps), np.cos(omega)
+    for theta in (0.0, 0.3, 1.2, 2.5, PI):
+        cos_alpha = partner_cos_many(theta, *trig)
+        for i in range(2000):
+            _, b = cartesian_partner(eps[i], phi[i], theta, omega[i])
+            assert cos_alpha[i] == pytest.approx(b[2], abs=1e-15)
+        assert np.array_equal(
+            partner_polar_many(theta, eps, omega), arccos_clamped_array(cos_alpha)
+        )
 
 
 def test_partner_many_matches_scalar_pointwise():

@@ -2,7 +2,7 @@
 
 ``perfbench/spans.py`` wraps library functions by module and
 qualified name, and reads the sampling plan from the third positional
-argument of ``correlation_mc``.  Renaming any of them breaks
+argument of the Monte Carlo entry points.  Renaming any of them breaks
 ``perfbench/run.py --trace 1`` without a change under ``perfbench/``,
 so these checks load that module from its file and only read it.
 """
@@ -12,7 +12,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from spherebell import correlation
+import pytest
+
+from spherebell import correlation, quantum
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,3 +39,16 @@ def test_every_span_target_resolves():
 
 def test_correlation_mc_takes_the_plan_third():
     assert list(inspect.signature(correlation.correlation_mc).parameters)[2] == "plan"
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        correlation.correlation_mc_grid,
+        quantum.mc_quantum_correlation,
+        quantum.mc_quantum_curve,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_other_monte_carlo_entries_take_the_plan_third(fn):
+    assert list(inspect.signature(fn).parameters)[2] == "plan"

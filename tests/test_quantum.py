@@ -9,6 +9,7 @@ from spherebell.quantum import (
     WernerParam,
     haar_unitaries,
     mc_quantum_correlation,
+    mc_quantum_curve,
     parse_state_text,
     pr_box_correlation,
     random_state,
@@ -210,6 +211,60 @@ class TestMonteCarloQuantum:
         with pytest.raises(ValueError):
             mc_quantum_correlation(
                 TwoQubitState.named("singlet"), -0.2, SamplingPlan(1, 10)
+            )
+
+
+def per_theta_quantum_mc(state, theta, plan):
+    """The direct estimator: Bob's operator U sigma_chi U^dag built for
+    this theta alone, the expectation Tr(rho A_U (x) B_U) taken frame
+    by frame, and the mean and standard error over all frames at once."""
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]])
+    sigma_chi = math.sin(theta) * sigma_x + math.cos(theta) * sigma_z
+    values = []
+    for index, length in plan.chunks():
+        u = haar_unitaries(plan.chunk_rng(index), length)
+        udag = np.conj(np.swapaxes(u, 1, 2))
+        a_ops, b_ops = u @ sigma_z @ udag, u @ sigma_chi @ udag
+        big = np.einsum("nac,nbd->nabcd", a_ops, b_ops).reshape(length, 4, 4)
+        values.append(np.real(np.einsum("ij,nji->n", state.rho, big)))
+    e = np.concatenate(values)
+    return float(np.mean(e)), float(np.std(e, ddof=1) / math.sqrt(e.size))
+
+
+class TestMonteCarloQuantumCurve:
+    GRID = (0.0, 0.2 * PI, 0.5 * PI, 0.9 * PI, PI)
+
+    def test_each_theta_is_the_one_theta_run(self):
+        state = random_state(np.random.default_rng(41))
+        plan = SamplingPlan(23, 5000, chunk_size=2048)
+        curve = mc_quantum_curve(state, self.GRID, plan)
+        assert curve == [mc_quantum_correlation(state, t, plan) for t in self.GRID]
+
+    def test_agrees_with_the_per_theta_estimator(self):
+        state = random_state(np.random.default_rng(43))
+        plan = SamplingPlan(29, 5000, chunk_size=2048)
+        curve = mc_quantum_curve(state, self.GRID, plan)
+        for (value, stderr), t in zip(curve, self.GRID):
+            ref_value, ref_stderr = per_theta_quantum_mc(state, t, plan)
+            assert value == pytest.approx(ref_value, abs=1e-14)
+            assert stderr == pytest.approx(ref_stderr, rel=1e-10)
+
+    @pytest.mark.parametrize("r", [0.0, 0.37, 1.0])
+    def test_werner_state_has_no_spread(self, r):
+        # every frame gives the same expectation, so the stderr is
+        # rounding noise, not the cancellation of two large sums
+        plan = SamplingPlan(31, 100_000)
+        state = TwoQubitState.werner(r)
+        curve = mc_quantum_curve(state, self.GRID, plan)
+        for (value, stderr), t in zip(curve, self.GRID):
+            assert stderr <= 1e-14
+            assert abs(value - werner_correlation(r, t)) <= 1e-12
+
+    def test_theta_validation_covers_the_whole_grid(self):
+        with pytest.raises(ValueError):
+            mc_quantum_curve(
+                TwoQubitState.named("singlet"), [0.2, PI + 0.2], SamplingPlan(1, 10)
             )
 
 
