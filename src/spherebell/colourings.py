@@ -24,14 +24,19 @@ from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .geometry import arccos_clamped_array
+from .geometry import arccos_clamped_array, clamp_cos, unit_vectors
 
 EDGE_TOL = 1e-9
 
 
 @runtime_checkable
 class Colouring(Protocol):
-    """Anything that can be evaluated to +-1 on arrays of directions."""
+    """Anything that can be evaluated to +-1 on arrays of directions.
+
+    The Monte Carlo engine reads an azimuthally symmetric colouring by
+    ``evaluate_cos`` (values from cos(polar) alone) and any other by
+    ``evaluate_vectors`` (values at Cartesian unit vectors).
+    """
 
     label: str
     is_azimuthal: bool
@@ -102,12 +107,6 @@ class BandColouring:
         raises) take the arccos path.
         """
         x = np.asarray(x, dtype=float)
-        return _signs_from_cos(self, *self._plus_from_cos(x), x)
-
-    def _plus_from_cos(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The comparison step of :meth:`evaluate_cos`: the mask of
-        samples it puts on a plus band, valid except at the returned
-        indices of the samples it leaves to the arccos path."""
         near = (x >= 1.0 - EDGE_TOL) | (x <= EDGE_TOL - 1.0)
         # above[v] is x > cos(v), i.e. alpha < v, away from the edge v;
         # edges at the poles bound alpha trivially and need no mask
@@ -122,7 +121,11 @@ class BandColouring:
             if lo > 0.0:
                 inside = inside & ~above[lo]
             plus |= inside
-        return plus, np.flatnonzero(near)
+        values = 2 * plus.astype(np.int64) - 1
+        near = np.flatnonzero(near)
+        if near.size:
+            values[near] = self.evaluate_polar(arccos_clamped_array(x[near]))
+        return values
 
     def minus_bands(self) -> tuple[tuple[float, float], ...]:
         """Complement intervals of the plus set within [0, pi]."""
@@ -186,14 +189,14 @@ class HarmonicColouring:
         return math.sqrt(sum(c * c for _, _, c in self.terms))
 
     def amplitude(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """The underlying real harmonic sum, before taking the sign.
+        """The underlying real harmonic sum at polar angles (eps, phi),
+        before taking the sign: :meth:`amplitude_from_rows` of the
+        basis rows from :func:`harmonic_rows` at the unit vectors."""
+        v = unit_vectors(eps, phi)
+        return self.amplitude_from_rows(harmonic_rows(self._live_modes(), v[2], v[:2]))
 
-        The basis rows come from :func:`harmonic_rows` at cos(eps) and
-        are summed by :meth:`amplitude_from_rows`.
-        """
-        live = [(l, m) for l, m, c in self.terms if c != 0.0]
-        x = np.cos(np.asarray(eps, dtype=float))
-        return self.amplitude_from_rows(harmonic_rows(live, x, phi))
+    def _live_modes(self) -> list[tuple[int, int]]:
+        return [(l, m) for l, m, c in self.terms if c != 0.0]
 
     def amplitude_from_rows(
         self, rows: Iterable[tuple[int, int, np.ndarray]]
@@ -234,61 +237,73 @@ class HarmonicColouring:
         return np.where(self.amplitude_from_rows(rows) >= 0.0, 1, -1)
 
     def evaluate_many(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        return np.where(self.amplitude(eps, phi) >= 0.0, 1, -1)
+        return self.evaluate_vectors(unit_vectors(eps, phi))
 
-    def evaluate_polar(self, eps: np.ndarray) -> np.ndarray:
+    def evaluate_vectors(self, v: np.ndarray) -> np.ndarray:
+        """Values at the unit vectors v, a (3, ...) array of Cartesian
+        coordinates."""
+        return self.evaluate_rows(harmonic_rows(self._live_modes(), v[2], v[:2]))
+
+    def evaluate_cos(self, x: np.ndarray) -> np.ndarray:
+        """Values of an azimuthally symmetric colouring at the polar
+        angles arccos(x), from x alone.  x is clamped to [-1, 1], with
+        the drift check of :func:`clamp_cos`."""
         if not self.is_azimuthal:
             raise ValueError("colouring is not azimuthally symmetric")
-        return self.evaluate_many(eps, np.zeros(1))
+        return self.evaluate_rows(harmonic_rows(self._live_modes(), clamp_cos(x)))
+
+    def evaluate_polar(self, eps: np.ndarray) -> np.ndarray:
+        return self.evaluate_cos(np.cos(np.asarray(eps, dtype=float)))
 
 
 _SQRT2 = math.sqrt(2.0)
 
 
 def harmonic_rows(
-    modes: Iterable[tuple[int, int]], x: np.ndarray, phi: np.ndarray
+    modes: Iterable[tuple[int, int]], z: np.ndarray, xy: Sequence[np.ndarray] | None = None
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Rows (l, m, Y_lm(x, phi)) of the real orthonormal spherical
-    harmonics at cos(polar) = x, for each distinct requested mode.
+    """Rows (l, m, Y_lm) of the real orthonormal spherical harmonics at
+    the unit vectors (x, y, z), for each distinct requested mode.
 
-    Rows come degree by degree: l ascending and, within a degree, m
-    from -l to l; each has the broadcast shape of x and phi.  The
-    convention is :func:`real_spherical_harmonic`'s.  One recurrence
-    builds every row (Holmes and Featherstone 2002): the normalized
-    associated Legendre functions P_lm (orthonormal with the sqrt(2)
-    of m != 0 and without the Condon-Shortley phase) start from
-    P_00 = 1 / sqrt(4 pi), take the sectoral step
+    ``xy`` holds x and y and is read only when some m is nonzero, so an
+    azimuthal basis needs z = cos(polar) alone.  Rows come degree by
+    degree, l ascending and, within a degree, m from -l to l, in the
+    broadcast shape of the coordinates and the convention of
+    :func:`real_spherical_harmonic`.  One recurrence builds every row
+    (Holmes and Featherstone 2002) with the sectoral factor split off:
+    Y_lm is Q_lm(z) times sqrt(2) Re (x + i y)^m for m > 0, sqrt(2)
+    Im (x + i y)^|m| for m < 0 and 1 for m = 0, where Q_lm is P_lm /
+    sin^|m|(polar) and P_lm the normalized associated Legendre
+    function (orthonormal with the sqrt(2) of m != 0, no Condon-Shortley
+    phase).  Q_00 = 1 / sqrt(4 pi), the sectoral step is the constant
+    Q_mm = sqrt((2m + 1) / 2m) Q_{m-1,m-1}, and the three-term step is
 
-        P_mm = sqrt((2m + 1) / 2m) sin(eps) P_{m-1,m-1},
-
-    and then the three-term step in l
-
-        P_lm = a_lm x P_{l-1,m} - b_lm P_{l-2,m},
+        Q_lm = a_lm z Q_{l-1,m} - b_lm Q_{l-2,m},
         a_lm = sqrt((4 l^2 - 1) / (l^2 - m^2)),
         b_lm = sqrt((2l + 1) ((l - 1)^2 - m^2) / ((2l - 3) (l^2 - m^2))),
 
-    where b vanishes at m = l - 1.  cos(m phi) and sin(m phi) follow by
-    angle addition, so there is one trig call per argument, none when
-    every m is 0.  Only the current and the previous degree are held,
-    for the orders up to the largest requested |m|.
+    where b vanishes at m = l - 1.  The powers of x + i y follow by
+    angle addition, so no coordinate passes through a sqrt or a trig
+    call and the poles need no special case.  Only the current and the
+    previous degree are held, for orders up to the largest |m|.
     """
     wanted = {(int(l), int(m)) for l, m in modes}
     for l, m in wanted:
         if l < 0 or abs(m) > l:
             raise ValueError(f"no spherical harmonic of degree {l} and order {m}")
-    x, phi = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(phi, dtype=float)
-    )
     l_top = max(l for l, _ in wanted)
     m_top = max(abs(m) for _, m in wanted)
     if m_top:
-        sin_eps = np.sqrt((1.0 - x) * (1.0 + x))
-        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-        # sqrt(2) cos(m phi) and sqrt(2) sin(m phi), the factor of Y_lm at m != 0
-        cos_m = [None, _SQRT2 * cos_phi]
-        sin_m = [None, _SQRT2 * sin_phi]
-    # P[m] of the current and the previous degree, for m <= min(l, m_top)
-    cur = [np.full(x.shape, 1.0 / math.sqrt(4.0 * math.pi))]
+        if xy is None:
+            raise ValueError("orders m != 0 need the x and y coordinates")
+        z, x, y = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (z, *xy)))
+        # sqrt(2) Re and Im of (x + i y)^m, the factor of Y_lm at m != 0
+        cos_m = [None, _SQRT2 * x]
+        sin_m = [None, _SQRT2 * y]
+    else:
+        z = np.asarray(z, dtype=float)
+    # Q[m] of the current and the previous degree, for m <= min(l, m_top)
+    cur = [np.full(z.shape, 1.0 / math.sqrt(4.0 * math.pi))]
     prev: list[np.ndarray] = []
     for l in range(l_top + 1):
         if l:
@@ -297,16 +312,16 @@ def harmonic_rows(
                 lm = l * l - m * m
                 a = math.sqrt((4 * l * l - 1) / lm)
                 if m == l - 1:
-                    new.append(a * x * cur[m])
+                    new.append(a * z * cur[m])
                 else:
                     b2 = (2 * l + 1) * ((l - 1) ** 2 - m * m) / ((2 * l - 3) * lm)
                     b = math.sqrt(b2)
-                    new.append(a * x * cur[m] - b * prev[m])
+                    new.append(a * z * cur[m] - b * prev[m])
             if l <= m_top:
-                new.append(math.sqrt((2 * l + 1) / (2 * l)) * sin_eps * cur[l - 1])
+                new.append(math.sqrt((2 * l + 1) / (2 * l)) * cur[l - 1])
                 if l > 1:
-                    cos_m.append(cos_m[l - 1] * cos_phi - sin_m[l - 1] * sin_phi)
-                    sin_m.append(sin_m[l - 1] * cos_phi + cos_m[l - 1] * sin_phi)
+                    cos_m.append(cos_m[l - 1] * x - sin_m[l - 1] * y)
+                    sin_m.append(sin_m[l - 1] * x + cos_m[l - 1] * y)
             prev, cur = cur, new
         for m in range(-l, l + 1):
             if (l, m) not in wanted:
@@ -320,16 +335,16 @@ def harmonic_rows(
 
 
 def real_spherical_harmonic(
-    l: int, m: int, x: np.ndarray, phi: np.ndarray
+    l: int, m: int, z: np.ndarray, xy: Sequence[np.ndarray] | None = None
 ) -> np.ndarray:
-    """Real orthonormal spherical harmonic Y_{lm} at cos(polar) = x.
+    """Real orthonormal spherical harmonic Y_{lm} at the unit vectors
+    (x, y, z), the one-mode view of :func:`harmonic_rows`.
 
     Standard tesseral convention: m > 0 pairs with cos(m phi), m < 0
     with sin(|m| phi), and the Condon-Shortley phase of the associated
-    Legendre function is cancelled.  This is the one-mode view of
-    :func:`harmonic_rows`.
+    Legendre function is cancelled.
     """
-    ((_, _, row),) = harmonic_rows([(l, m)], x, phi)
+    ((_, _, row),) = harmonic_rows([(l, m)], z, xy)
     return row
 
 
@@ -354,22 +369,10 @@ class Negated:
         return -self.inner.evaluate_polar(eps)
 
     def evaluate_cos(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`BandColouring.evaluate_cos` of the colour swap; the
-        inner colouring must be a band colouring."""
-        x = np.asarray(x, dtype=float)
-        plus, near = self.inner._plus_from_cos(x)
-        return _signs_from_cos(self, ~plus, near, x)
+        return -self.inner.evaluate_cos(x)
 
-
-def _signs_from_cos(
-    c: BandColouring | Negated, plus: np.ndarray, near: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """+-1 from the plus mask, with the samples at ``near`` evaluated
-    on the arccos path."""
-    values = 2 * plus.astype(np.int64) - 1
-    if near.size:
-        values[near] = c.evaluate_polar(arccos_clamped_array(x[near]))
-    return values
+    def evaluate_vectors(self, v: np.ndarray) -> np.ndarray:
+        return -self.inner.evaluate_vectors(v)
 
 
 def negate(c: Colouring) -> Colouring:

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.polynomial import legendre
 from scipy.integrate import quad
 
 from .colourings import (
@@ -62,8 +63,8 @@ from .colourings import (
 from .geometry import (
     arccos_clamped_array,
     partner_cos_many,
+    partner_frame,
     partner_many,
-    partner_polar_many,
 )
 
 PI = math.pi
@@ -148,17 +149,6 @@ def _as_pair(c: Colouring | ColouringPair) -> ColouringPair:
     return ColouringPair.anticorrelated(c)
 
 
-def partner_points(
-    bob: Colouring, theta: float, eps: np.ndarray, phi: np.ndarray, omega: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's axes (alpha, beta) at separation theta from alice's (eps,
-    phi), at positions omega on her partner circle.  An azimuthal bob
-    reads the polar angle only, so its beta is left at phi."""
-    if bob.is_azimuthal:
-        return partner_polar_many(theta, eps, omega), phi
-    return partner_many(theta, eps, phi, omega)
-
-
 def correlation_mc_grid(
     c: Colouring | ColouringPair,
     thetas: Sequence[float],
@@ -167,19 +157,21 @@ def correlation_mc_grid(
 ) -> list[tuple[float, float]]:
     """Monte Carlo estimates of C on a grid: (value, stderr) per theta.
 
-    The loop is chunk-major: each chunk of ``plan`` is drawn and
-    alice is evaluated on it once, and then, for each theta, only bob
-    moves.  A band bob (or its colour swap) is read from cos(alpha)
-    without an arccos: the chunk's cos(eps), sin(eps) and cos(omega)
-    are computed once, ``partner_cos_many`` combines them per theta,
-    and ``evaluate_cos`` compares the result with the band edges'
-    cosines, bit for bit the arccos path.  Other bobs move by
-    ``partner_points``.  Every theta sees the same draws it would see
-    alone, and the products alice * bob are exactly +-1, so each chunk
-    sum is an integer and every estimate is bit-identical to
-    ``correlation_mc(c, theta, plan)``.  The standard error has the
-    closed form sqrt((1 - mean^2) / (n - 1)).  With jobs > 1 the thetas
-    of a chunk run in that many threads.
+    The loop is chunk-major: each chunk of ``plan`` is drawn and alice
+    is evaluated on it once, and then, for each theta, only bob moves.
+    An azimuthally symmetric bob (bands, an m = 0 harmonic, or the
+    colour swap of either) reads cos(alpha) alone: ``partner_cos_many``
+    combines the chunk's cos(eps), sin(eps) and cos(omega) per theta,
+    and ``evaluate_cos`` decides the colours (a band bob by comparison
+    with its edges' cosines, bit for bit the arccos path).  Any other
+    bob moves as a vector: ``partner_many`` combines the chunk's
+    ``partner_frame`` per theta, and ``evaluate_vectors`` reads his
+    harmonic basis from the Cartesian coordinates.  Every theta sees
+    the same draws it would see alone, and the products alice * bob
+    are exactly +-1, so each chunk sum is an integer and every estimate
+    is bit-identical to ``correlation_mc(c, theta, plan)``.  The
+    standard error is sqrt((1 - mean^2) / (n - 1)).  With jobs > 1 the
+    thetas of a chunk run in that many threads.
     """
     grid = [float(t) for t in thetas]
     for t in grid:
@@ -187,21 +179,24 @@ def correlation_mc_grid(
             raise ValueError(f"theta {t!r} outside [0, pi]")
     pair = _as_pair(c)
     bob = pair.bob
-    bob_core = bob.inner if isinstance(bob, Negated) else bob
-    bob_bands = isinstance(bob_core, BandColouring)
     totals = [0] * len(grid)
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         for eps, phi, omega in plan.draws():
             a_vals = pair.alice.evaluate_many(eps, phi)
-            if bob_bands:
+            if bob.is_azimuthal:
                 trig = np.cos(eps), np.sin(eps), np.cos(omega)
 
+                def bob_at(t: float) -> np.ndarray:
+                    return bob.evaluate_cos(partner_cos_many(t, *trig))
+
+            else:
+                frame = partner_frame(eps, phi, omega)
+
+                def bob_at(t: float) -> np.ndarray:
+                    return bob.evaluate_vectors(partner_many(t, *frame))
+
             def product_sum(t: float) -> int:
-                if bob_bands:
-                    b_vals = bob.evaluate_cos(partner_cos_many(t, *trig))
-                else:
-                    b_vals = bob.evaluate_many(*partner_points(bob, t, eps, phi, omega))
-                return int(np.sum(a_vals * b_vals, dtype=np.int64))
+                return int(np.sum(a_vals * bob_at(t), dtype=np.int64))
 
             sums = (pool.map if pool else map)(product_sum, grid)
             totals = [total + s for total, s in zip(totals, sums)]
@@ -223,37 +218,31 @@ def correlation_mc(
 
 
 # ---------------------------------------------------------------------------
-# Polar edge extraction (bands exactly; other azimuthal colourings by scan)
-
-_SCAN_N = 4096
+# Polar edge extraction (bands exactly; m = 0 harmonics from Legendre roots)
 
 
 def polar_edges(c: Colouring) -> tuple[float, ...]:
     """Sign-change polar angles of an azimuthally symmetric colouring.
 
-    Band colourings report their band endpoints exactly; any other
-    azimuthal colouring is scanned on a dense grid and each sign change
-    is bisected to machine precision.
+    Band colourings report their band endpoints exactly.  An m = 0
+    harmonic colouring is the sign of the Legendre series
+    sum_l c_l sqrt((2l + 1) / 4 pi) P_l(cos eps); its edges are the
+    arccos of the series' real roots in (-1, 1), each polished by one
+    Newton step.
     """
     core = c.inner if isinstance(c, Negated) else c
     if isinstance(core, BandColouring):
         return core.edges
     if not c.is_azimuthal:
         raise ValueError("colouring is not azimuthally symmetric")
-    grid = np.linspace(0.0, PI, _SCAN_N + 1)
-    vals = c.evaluate_polar(grid)
-    edges = []
-    for i in np.nonzero(vals[:-1] != vals[1:])[0]:
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        vlo = int(vals[i])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if int(c.evaluate_polar(np.array([mid]))[0]) == vlo:
-                lo = mid
-            else:
-                hi = mid
-        edges.append(0.5 * (lo + hi))
-    return tuple(edges)
+    series = np.zeros(max(l for l, _, _ in core.terms) + 1)
+    for l, _, coefficient in core.terms:
+        series[l] += coefficient * math.sqrt((2 * l + 1) / (4.0 * PI))
+    roots = legendre.legroots(series)
+    roots = roots.real[(roots.imag == 0.0) & (np.abs(roots.real) < 1.0)]
+    slope = legendre.legval(roots, legendre.legder(series))
+    roots = roots - legendre.legval(roots, series) / np.where(slope == 0.0, np.inf, slope)
+    return tuple(sorted(float(v) for v in np.arccos(np.clip(roots, -1.0, 1.0))))
 
 
 @functools.lru_cache(maxsize=256)

@@ -30,7 +30,8 @@ from .colourings import (
     harmonic_rows,
     make_catalogue,
 )
-from .correlation import SamplingPlan, closed_form, correlation_mc, partner_points
+from .correlation import SamplingPlan, closed_form, correlation_mc
+from .geometry import clamp_cos, partner_cos_many, partner_frame, partner_many
 from .quantum import singlet_correlation
 
 PI = math.pi
@@ -408,24 +409,25 @@ def common_random_correlation(
     colour swap.
 
     The points never change, so alice's basis rows at her axes and
-    bob's at his partner axes are built here once.  A call only
-    recombines the cached rows, with the colouring's own term-order
-    sum, and so returns
+    bob's at his partner axes are built here once, with the partner
+    maps of ``correlation_mc_grid``: cos(alpha) alone when every m is 0,
+    bob's Cartesian axis otherwise.  A call only recombines the cached
+    rows, with the colouring's own term-order sum, and so returns
     ``correlation_mc(ColouringPair.anticorrelated(h), theta, plan)[0]``
     bit for bit.
     """
-    # stands in for every colouring over the modes: it picks the same
-    # partner points, which depend only on whether every m is 0
-    probe = HarmonicColouring(tuple((l, m, 1.0) for l, m in modes))
+    azimuthal = all(m == 0 for _, m in modes)
     chunks = []
     for eps, phi, omega in plan.draws():
-        alpha, beta = partner_points(probe, theta, eps, phi, omega)
-        chunks.append(
-            (
-                list(harmonic_rows(modes, np.cos(eps), phi)),
-                list(harmonic_rows(modes, np.cos(alpha), beta)),
-            )
-        )
+        if azimuthal:
+            cos_eps = np.cos(eps)
+            cos_alpha = partner_cos_many(theta, cos_eps, np.sin(eps), np.cos(omega))
+            alice, bob = (cos_eps,), (clamp_cos(cos_alpha),)
+        else:
+            a, u = partner_frame(eps, phi, omega)
+            b = partner_many(theta, a, u)
+            alice, bob = (a[2], a[:2]), (b[2], b[:2])
+        chunks.append((list(harmonic_rows(modes, *alice)), list(harmonic_rows(modes, *bob))))
 
     def correlation(h: HarmonicColouring) -> float:
         total = 0

@@ -21,7 +21,7 @@ from spherebell.correlation import (
     SamplingPlan,
     circle_correlation,
     closed_form,
-    correlation_mc,
+    correlation_mc_grid,
     correlation_quadrature,
     curve_for,
 )
@@ -69,11 +69,10 @@ def test_criterion_01_hemisphere_engines():
     with criterion(1, "hemisphere: closed form vs Monte Carlo and quadrature"):
         start = time.monotonic()
         col = make_catalogue("1")
-        plan = SamplingPlan(MC_SEED, 1_000_000)
-        for t in np.linspace(0.05, 0.5, 10) * PI:
-            t = float(t)
+        grid = [float(t) for t in np.linspace(0.05, 0.5, 10) * PI]
+        estimates = correlation_mc_grid(col, grid, SamplingPlan(MC_SEED, 1_000_000))
+        for t, (value, stderr) in zip(grid, estimates):
             reference = closed_form("1", t)
-            value, stderr = correlation_mc(col, t, plan)
             assert abs(value - reference) <= 3 * stderr
             assert abs(correlation_quadrature(col, t, 1e-8) - reference) <= 1e-6
         assert time.monotonic() - start < 60
@@ -86,11 +85,10 @@ def test_criterion_02_catalogue_engines():
         for label in ("2", "3", "4", "3_delta:0.03", "3_delta:-0.03"):
             col = make_catalogue(label)
             lo = 0.335 if label.startswith("3_delta") else 0.01
-            for t in np.linspace(lo, 0.5, 50) * PI:
-                t = float(t)
+            grid = [float(t) for t in np.linspace(lo, 0.5, 50) * PI]
+            for t, (value, stderr) in zip(grid, correlation_mc_grid(col, grid, plan)):
                 reference = _closed(label, t)
                 assert abs(correlation_quadrature(col, t, 1e-8) - reference) <= 1e-5
-                value, stderr = correlation_mc(col, t, plan)
                 assert abs(value - reference) <= 3 * stderr, (label, t / PI)
         assert time.monotonic() - start < 600
 
@@ -192,9 +190,12 @@ def test_criterion_08_antisymmetry():
         # Monte Carlo samples both angles for real, on independent draws
         for label in ("2", "3"):
             col = make_catalogue(label)
-            for t in (0.2 * PI, 0.41 * PI):
-                v1, s1 = correlation_mc(col, t, SamplingPlan(0x51, 1_000_000))
-                v2, s2 = correlation_mc(col, PI - t, SamplingPlan(0x52, 1_000_000))
+            near = (0.2 * PI, 0.41 * PI)
+            direct = correlation_mc_grid(col, near, SamplingPlan(0x51, 1_000_000))
+            mirrored = correlation_mc_grid(
+                col, [PI - t for t in near], SamplingPlan(0x52, 1_000_000)
+            )
+            for (v1, s1), (v2, s2) in zip(direct, mirrored):
                 assert abs(v1 + v2) <= 3 * math.hypot(s1, s2) + 1e-12
 
 

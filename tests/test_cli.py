@@ -11,7 +11,6 @@ import pytest
 from spherebell import correlation
 from spherebell.cli import main, parse_grid
 from spherebell.correlation import read_curve_csv
-from spherebell.geometry import arccos_clamped_array
 
 PI = math.pi
 
@@ -137,14 +136,15 @@ class TestCurveCommand:
     def test_numerical_failure_of_an_azimuthal_harmonic_exits_three(
         self, monkeypatch, tmp_path, capsys
     ):
-        # an m = 0 harmonic bob still moves by the polar partner map
-        def drifting(theta, eps, omega):
-            return arccos_clamped_array(np.full(eps.shape, 1.5))
+        # an m = 0 harmonic bob reads cos(alpha) from the cosine partner
+        # map too, through its own drift check
+        def drifting(theta, cos_eps, sin_eps, cos_omega):
+            return np.full(cos_eps.shape, 1.5)
 
         path = tmp_path / "h.json"
         terms = [[3, 0, 1.0], [1, 0, 0.4]]
         path.write_text(json.dumps({"kind": "harmonic", "terms": terms}))
-        monkeypatch.setattr(correlation, "partner_polar_many", drifting)
+        monkeypatch.setattr(correlation, "partner_cos_many", drifting)
         code, _, err = run(
             capsys, "curve", "--colouring", f"@{path}", "--method", "mc", "--n", "100",
             "--grid", "0.1:0.4:2",

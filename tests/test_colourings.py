@@ -23,7 +23,7 @@ from spherebell.colourings import (
     negate,
     real_spherical_harmonic,
 )
-from spherebell.geometry import NumericalError, arccos_clamped_array
+from spherebell.geometry import NumericalError, arccos_clamped_array, unit_vectors
 
 PI = math.pi
 
@@ -277,54 +277,58 @@ def test_real_harmonic_normalization():
     phi = (np.arange(n_phi) + 0.5) * 2 * PI / n_phi
     de, dp = PI / n_eps, 2 * PI / n_phi
     eps_g, phi_g = np.meshgrid(eps, phi, indexing="ij")
+    v = unit_vectors(eps_g, phi_g)
     for l, m in ((1, 0), (3, 2), (5, -4)):
-        y = real_spherical_harmonic(l, m, np.cos(eps_g), phi_g)
+        y = real_spherical_harmonic(l, m, v[2], v[:2])
         total = np.sum(y * y * np.sin(eps_g)) * de * dp
         assert total == pytest.approx(1.0, abs=1e-3)
 
 
 def test_degree_one_harmonics_match_cartesian_forms():
-    eps, phi = 0.7, 1.3
-    x = math.cos(eps)
+    # Y_10, Y_11 and Y_1-1 are sqrt(3 / 4 pi) times z, x and y
+    v = unit_vectors(np.array([0.7]), np.array([1.3]))
     norm = math.sqrt(3.0 / (4.0 * PI))
-    assert real_spherical_harmonic(1, 0, np.array(x), np.array(phi)) == pytest.approx(
-        norm * math.cos(eps)
-    )
-    assert real_spherical_harmonic(1, 1, np.array(x), np.array(phi)) == pytest.approx(
-        norm * math.sin(eps) * math.cos(phi)
-    )
-    assert real_spherical_harmonic(1, -1, np.array(x), np.array(phi)) == pytest.approx(
-        norm * math.sin(eps) * math.sin(phi)
-    )
+    for m, coordinate in ((0, 2), (1, 0), (-1, 1)):
+        assert real_spherical_harmonic(1, m, v[2], v[:2]) == pytest.approx(
+            norm * v[coordinate], rel=1e-15
+        )
+    assert real_spherical_harmonic(1, 0, v[2]) == pytest.approx(norm * math.cos(0.7))
 
 
 def _oracle_points():
+    """cos(polar) x and azimuth phi, and the points' (x, y) coordinates."""
     rng = np.random.default_rng(8)
     x = np.concatenate(
         (rng.uniform(-1.0, 1.0, 400), [1.0, -1.0, 1.0 - 1e-12, -(1.0 - 1e-12)])
     )
-    return x, rng.uniform(0.0, 2 * PI, x.size)
+    phi = rng.uniform(0.0, 2 * PI, x.size)
+    rho = np.sqrt((1.0 - x) * (1.0 + x))
+    return x, phi, (rho * np.cos(phi), rho * np.sin(phi))
 
 
 def test_rows_match_the_per_term_formula():
     # every (l, m) with l <= 15 from one recurrence, against lpmv term by
     # term at random points, both poles and next to them
-    x, phi = _oracle_points()
+    x, phi, xy = _oracle_points()
     modes = [(l, m) for l in range(16) for m in range(-l, l + 1)]
-    rows = list(harmonic_rows(modes, x, phi))
+    rows = list(harmonic_rows(modes, x, xy))
     assert [(l, m) for l, m, _ in rows] == modes
     for l, m, row in rows:
         assert np.max(np.abs(row - oracle_harmonic(l, m, x, phi))) <= 1e-13, (l, m)
 
 
 def test_rows_come_degree_by_degree_for_any_request_order():
-    x, phi = _oracle_points()
+    x, phi, xy = _oracle_points()
     asked = [(5, -2), (1, 1), (3, 0), (1, 1), (1, -1)]
-    got = list(harmonic_rows(asked, x, phi))
+    got = list(harmonic_rows(asked, x, xy))
     assert [(l, m) for l, m, _ in got] == [(1, -1), (1, 1), (3, 0), (5, -2)]
     with pytest.raises(ValueError):
-        list(harmonic_rows([(3, 4)], x, phi))
-    assert real_spherical_harmonic(3, -2, x, phi) == pytest.approx(
+        list(harmonic_rows([(3, 4)], x, xy))
+    with pytest.raises(ValueError):
+        list(harmonic_rows([(3, 1)], x))  # m != 0 needs x and y
+    ((_, _, row),) = harmonic_rows([(3, 0)], x)
+    assert np.array_equal(row, got[2][2])
+    assert real_spherical_harmonic(3, -2, x, xy) == pytest.approx(
         oracle_harmonic(3, -2, x, phi), abs=1e-13
     )
 
@@ -334,12 +338,34 @@ def test_amplitude_sums_the_terms_in_any_order():
     # rows that arrive early wait for their term
     terms = ((5, -3, 0.2), (1, 0, 0.4), (3, 2, -0.7), (1, 0, 0.25), (3, -1, 0.0))
     h = HarmonicColouring(terms)
-    x, phi = _oracle_points()
+    x, phi, xy = _oracle_points()
     eps = np.arccos(x)
     expected = sum(c * oracle_harmonic(l, m, np.cos(eps), phi) for l, m, c in terms)
     assert np.max(np.abs(h.amplitude(eps, phi) - expected)) <= 1e-13
     with pytest.raises(ValueError):
-        h.amplitude_from_rows(harmonic_rows([(1, 0), (3, 2)], x, phi))
+        h.amplitude_from_rows(harmonic_rows([(1, 0), (3, 2)], x, xy))
+
+
+def test_harmonic_values_from_vectors_and_cosines():
+    h = HarmonicColouring(((3, 2, 1.0), (1, 0, 0.5), (5, -1, -0.3)))
+    rng = np.random.default_rng(12)
+    eps = np.arccos(rng.uniform(-1.0, 1.0, 2000))
+    phi = rng.uniform(0.0, 2 * PI, 2000)
+    v = unit_vectors(eps, phi)
+    for c in (h, Negated(h)):
+        assert np.array_equal(c.evaluate_vectors(v), c.evaluate_many(eps, phi))
+    with pytest.raises(ValueError):
+        h.evaluate_cos(v[2])
+    # an m = 0 colouring reads cos(polar) alone, with the drift check
+    z = HarmonicColouring(((3, 0, 1.0), (1, 0, 0.4)))
+    for c in (z, Negated(z)):
+        assert np.array_equal(c.evaluate_cos(v[2]), c.evaluate_many(eps, phi))
+        assert np.array_equal(c.evaluate_cos(np.cos(eps)), c.evaluate_polar(eps))
+        assert np.array_equal(
+            c.evaluate_cos(np.array([1.0 + 1e-9])), c.evaluate_polar(np.array([0.0]))
+        )
+        with pytest.raises(NumericalError):
+            c.evaluate_cos(np.array([0.3, 1.5]))
 
 
 class TestNegation:

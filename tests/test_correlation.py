@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import legendre, polynomial
 from closed_form_tables import DEFORMED_DOMAIN, table_value
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -38,7 +39,7 @@ from spherebell.correlation import (
     read_curve_csv,
     write_curve_csv,
 )
-from spherebell.geometry import partner_many, partner_polar_many
+from spherebell.geometry import partner_cos_many, partner_frame, partner_many
 
 PI = math.pi
 HALF_PI = math.pi / 2
@@ -122,9 +123,12 @@ def per_point_mc(pair, theta, plan):
         eps = np.arccos(cos_eps)
         a_vals = pair.alice.evaluate_many(eps, phi)
         if pair.bob.is_azimuthal:
-            b_vals = pair.bob.evaluate_many(partner_polar_many(theta, eps, omega), phi)
+            cos_alpha = partner_cos_many(theta, np.cos(eps), np.sin(eps), np.cos(omega))
+            b_vals = pair.bob.evaluate_cos(cos_alpha)
         else:
-            b_vals = pair.bob.evaluate_many(*partner_many(theta, eps, phi, omega))
+            b_vals = pair.bob.evaluate_vectors(
+                partner_many(theta, *partner_frame(eps, phi, omega))
+            )
         total += int(np.sum(a_vals * b_vals, dtype=np.int64))
     return total / plan.n_samples
 
@@ -779,3 +783,26 @@ def test_polar_edges_for_bands_and_harmonics():
     # P_3 sign changes at cos eps = +-sqrt(3/5) and 0
     expected = (math.acos(math.sqrt(0.6)), HALF_PI, math.acos(-math.sqrt(0.6)))
     assert np.allclose(edges, expected, atol=1e-9)
+
+
+def test_polar_edges_resolve_close_harmonic_flips():
+    # the m = 0 quintic z (z^2 - r1^2) (z^2 - r2^2), with its two
+    # northern flips 0.4 pi / 4096 apart: all five flips are found, and
+    # the closed form is that of the band colouring with those edges
+    e1, e2 = 1365.3 * PI / 4096, 1365.7 * PI / 4096
+    r1, r2 = math.cos(e1), math.cos(e2)
+    series = legendre.poly2leg(polynomial.polyfromroots([-r1, -r2, 0.0, r2, r1]))
+    h = HarmonicColouring(
+        tuple(
+            (l, 0, float(c / math.sqrt((2 * l + 1) / (4 * PI))))
+            for l, c in enumerate(series)
+            if l % 2
+        )
+    )
+    expected = (e1, e2, HALF_PI, PI - e2, PI - e1)
+    edges = polar_edges(h)
+    assert len(edges) == 5
+    assert np.max(np.abs(np.array(edges) - expected)) <= 1e-12
+    bands = BandColouring(((0.0, e1), (e2, HALF_PI), (PI - e2, PI - e1)))
+    for theta in (0.1 * PI, 0.3 * PI):
+        assert abs(closed_form(h, theta) - closed_form(bands, theta)) <= 1e-11

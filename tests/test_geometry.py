@@ -6,24 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from spherebell import geometry
 from spherebell.correlation import SamplingPlan
 from spherebell.geometry import (
     ARCCOS_HARD,
     NumericalError,
     arccos_clamped_array,
     partner_cos_many,
+    partner_frame,
     partner_many,
     partner_polar_many,
+    unit_vectors,
 )
 
 PI = math.pi
-
-# beta is an arccos, which keeps only half the digits where its argument
-# is +-1, i.e. where Bob sits on Alice's meridian (theta = 0 or pi,
-# omega = 0 or pi): there the axis is good to ~2e-8 only.  Away from the
-# meridian the partner maps agree with the oracle to ~1e-11.
-MERIDIAN_TOL = 1e-7
 
 
 def unit(eps, phi):
@@ -45,9 +40,9 @@ def cartesian_partner(eps, phi, theta, omega):
 
 
 def partner_axis(theta, eps, phi, omega):
-    """``partner_many`` on one point, as a Cartesian unit vector."""
-    alpha, beta = partner_many(theta, np.array([eps]), np.array([phi]), np.array([omega]))
-    return unit(alpha[0], beta[0])
+    """``partner_many`` on one point."""
+    frame = partner_frame(np.array([eps]), np.array([phi]), np.array([omega]))
+    return partner_many(theta, *frame)[:, 0]
 
 
 def random_points(seed, n):
@@ -81,75 +76,44 @@ def test_arccos_clamped_interior_matches_acos():
     assert arccos_clamped_array(x).tolist() == np.arccos(x).tolist()
 
 
-class TestDirection:
-    """Bob's axis as ``partner_many`` writes it: azimuth in [0, 2pi),
-    and the canonical azimuth 0 on a pole."""
-
-    def test_phi_wraps_into_range(self):
-        eps, phi, omega = random_points(23, 500)
-        for theta in (0.3, 2.5):
-            _, beta = partner_many(theta, eps, phi, omega)
-            _, shifted = partner_many(theta, eps, phi + 2 * PI, omega)
-            assert np.all((0.0 <= shifted) & (shifted < 2 * PI))
-            assert np.allclose(np.cos(shifted - beta), 1.0, atol=1e-12)
-
-    def test_negative_phi_wraps(self):
-        eps, phi, omega = random_points(29, 500)
-        for theta in (0.3, 2.5):
-            _, beta = partner_many(theta, eps, phi, omega)
-            _, shifted = partner_many(theta, eps, phi - 2 * PI, omega)
-            assert np.all((0.0 <= shifted) & (shifted < 2 * PI))
-            assert np.allclose(np.cos(shifted - beta), 1.0, atol=1e-12)
-
-    def test_poles_canonicalize_phi(self):
-        # Alice on the north pole at theta 0; on the equator, a quarter
-        # turn towards omega = pi (north) or omega = 0 (south)
-        alpha, beta = partner_many(
-            0.0, np.array([0.0]), np.array([1.7]), np.array([0.4])
-        )
-        assert (alpha.tolist(), beta.tolist()) == ([0.0], [0.0])
-        alpha, beta = partner_many(
-            PI / 2, np.array([PI / 2, PI / 2]), np.array([1.7, 2.9]), np.array([PI, 0.0])
-        )
-        assert (alpha.tolist(), beta.tolist()) == ([0.0, PI], [0.0, 0.0])
+def test_unit_vectors_broadcast():
+    eps, phi, _ = random_points(23, 50)
+    v = unit_vectors(eps, phi)
+    assert v.shape == (3, 50)
+    for i in range(50):
+        assert np.allclose(v[:, i], unit(eps[i], phi[i]), rtol=0.0, atol=1e-15)
+    assert unit_vectors(eps, 0.3).shape == (3, 50)
 
 
 def test_antipode_coordinates():
-    alpha, beta = partner_many(PI, np.array([PI / 4]), np.array([0.3]), np.array([1.0]))
-    assert alpha[0] == pytest.approx(3 * PI / 4, abs=1e-15)
-    assert beta[0] == pytest.approx(0.3 + PI, abs=MERIDIAN_TOL)
+    b = partner_axis(PI, PI / 4, 0.3, 1.0)
+    assert np.allclose(b, unit(3 * PI / 4, 0.3 + PI), rtol=0.0, atol=1e-15)
 
 
 class TestPartnerDirection:
     def test_zero_separation_returns_the_axis(self):
         a, b = cartesian_partner(0.7, 1.2, 0.0, 2.0)
         assert np.array_equal(a, b)
-        assert np.allclose(partner_axis(0.0, 0.7, 1.2, 2.0), a, atol=MERIDIAN_TOL)
+        assert np.allclose(partner_axis(0.0, 0.7, 1.2, 2.0), a, rtol=0.0, atol=1e-15)
 
     def test_pi_separation_returns_the_antipode(self):
         a, b = cartesian_partner(0.7, 1.2, PI, 2.0)
         assert np.allclose(b, -a, atol=1e-15)
-        assert np.allclose(partner_axis(PI, 0.7, 1.2, 2.0), b, atol=MERIDIAN_TOL)
+        assert np.allclose(partner_axis(PI, 0.7, 1.2, 2.0), b, rtol=0.0, atol=1e-15)
 
     def test_from_north_pole(self):
         # partner of the pole sits at polar angle theta, azimuth omega
         for omega in (0.0, 1.0, PI, 4.0):
-            alpha, beta = partner_many(
-                0.6, np.array([0.0]), np.array([0.0]), np.array([omega])
-            )
-            assert alpha[0] == pytest.approx(0.6, abs=1e-12)
-            assert math.cos(beta[0] - omega) == pytest.approx(1.0, abs=1e-12)
+            got = partner_axis(0.6, 0.0, 0.0, omega)
+            assert np.allclose(got, unit(0.6, omega), rtol=0.0, atol=1e-15)
             _, b = cartesian_partner(0.0, 0.0, 0.6, omega)
-            assert np.allclose(unit(alpha[0], beta[0]), b, atol=MERIDIAN_TOL)
+            assert np.allclose(got, b, rtol=0.0, atol=1e-15)
 
     def test_equator_quarter_turn(self):
-        alpha, beta = partner_many(
-            PI / 2, np.array([PI / 2]), np.array([0.0]), np.array([PI / 2])
-        )
-        assert alpha[0] == pytest.approx(PI / 2, abs=1e-12)
-        assert beta[0] == pytest.approx(PI / 2, abs=1e-12)
+        got = partner_axis(PI / 2, PI / 2, 0.0, PI / 2)
+        assert np.allclose(got, [0.0, 1.0, 0.0], rtol=0.0, atol=1e-15)
         _, b = cartesian_partner(PI / 2, 0.0, PI / 2, PI / 2)
-        assert np.allclose(unit(alpha[0], beta[0]), b, atol=1e-12)
+        assert np.allclose(got, b, rtol=0.0, atol=1e-15)
 
     @given(
         eps=st.floats(0.05, PI - 0.05),
@@ -161,9 +125,7 @@ class TestPartnerDirection:
     def test_partner_sits_at_theta(self, eps, phi, theta, omega):
         a, b = cartesian_partner(eps, phi, theta, omega)
         got = partner_axis(theta, eps, phi, omega)
-        assert np.allclose(got, b, atol=MERIDIAN_TOL)
-        if math.hypot(got[0], got[1]) < 1e-4:
-            return  # polar coordinates lose accuracy at the pole itself
+        assert np.allclose(got, b, rtol=0.0, atol=1e-15)
         realized = math.atan2(np.linalg.norm(np.cross(a, got)), np.dot(a, got))
         assert abs(realized - theta) < 1e-10
 
@@ -177,12 +139,15 @@ class TestPartnerDirection:
         # the two partners mirror each other in Alice's meridian plane
         alpha = partner_polar_many(theta, np.array([eps, eps]), np.array([omega, 2 * PI - omega]))
         assert abs(alpha[0] - alpha[1]) < 1e-12
-        full, beta = partner_many(
-            theta, np.array([eps, eps]), np.array([0.4, 0.4]), np.array([omega, 2 * PI - omega])
+        frame = partner_frame(
+            np.array([eps, eps]), np.array([0.4, 0.4]), np.array([omega, 2 * PI - omega])
         )
-        assert full.tolist() == alpha.tolist()
-        # ... so their azimuths lie on either side of phi = 0.4
-        assert math.cos(beta[0] + beta[1] - 0.8) == pytest.approx(1.0, abs=1e-12)
+        b = partner_many(theta, *frame)
+        assert np.allclose(b[2], np.cos(alpha), rtol=0.0, atol=1e-15)
+        # ... so each is the other reflected in the plane of phi = 0.4
+        normal = np.array([-math.sin(0.4), math.cos(0.4), 0.0])
+        mirrored = b[:, 0] - 2.0 * np.dot(b[:, 0], normal) * normal
+        assert np.allclose(mirrored, b[:, 1], rtol=0.0, atol=1e-15)
 
 
 class TestSampleAxisPair:
@@ -196,16 +161,16 @@ class TestSampleAxisPair:
 
     def test_degenerate_separations(self):
         eps, phi, omega = self.drawn(11, 2000)
-        for theta, sign in ((0.0, 1.0), (PI, -1.0)):
-            alpha, beta = partner_many(theta, eps, phi, omega)
-            for i in range(0, 2000, 7):
-                got = unit(alpha[i], beta[i])
-                assert np.allclose(got, sign * unit(eps[i], phi[i]), atol=MERIDIAN_TOL)
+        a, u = partner_frame(eps, phi, omega)
+        assert np.array_equal(partner_many(0.0, a, u), a)
+        assert np.allclose(partner_many(PI, a, u), -a, rtol=0.0, atol=1e-15)
+        for i in range(0, 2000, 7):
+            assert np.allclose(a[:, i], unit(eps[i], phi[i]), rtol=0.0, atol=1e-15)
 
     def test_mean_cosine_at_fixed_angle(self):
         eps, phi, omega = self.drawn(5, 1000)
-        alpha, beta = partner_many(PI / 3, eps, phi, omega)
-        dots = [float(np.dot(unit(eps[i], phi[i]), unit(alpha[i], beta[i]))) for i in range(1000)]
+        b = partner_many(PI / 3, *partner_frame(eps, phi, omega))
+        dots = [float(np.dot(unit(eps[i], phi[i]), b[:, i])) for i in range(1000)]
         mean = np.mean(dots)
         sigma = np.std(dots, ddof=1) / math.sqrt(1000) + 1e-12
         assert abs(mean - 0.5) <= 3 * sigma
@@ -248,23 +213,16 @@ def test_partner_cos_many_matches_the_oracle():
 
 
 def test_partner_many_matches_scalar_pointwise():
+    # on Alice's meridian too: theta = 0 and pi, and omega = 0 and pi
     eps, phi, omega = random_points(19, 2000)
-    for theta in (0.3, 1.2, 2.5):
-        alpha, beta = partner_many(theta, eps, phi, omega)
+    omega[:4] = (0.0, PI, 0.0, PI)
+    frame = partner_frame(eps, phi, omega)
+    for theta in (0.0, 0.3, 1.2, 2.5, PI):
+        b = partner_many(theta, *frame)
+        assert b.shape == (3, 2000)
         for i in range(2000):
-            _, b = cartesian_partner(eps[i], phi[i], theta, omega[i])
-            # compare as unit vectors to dodge the 2 pi azimuth seam
-            assert np.allclose(unit(alpha[i], beta[i]), b, atol=1e-10)
-
-
-def test_azimuth_overflow_is_a_numerical_error(monkeypatch):
-    # a polar angle off by far more than rounding leaves |num| > sin(alpha)
-    eps, phi, omega = random_points(31, 50)
-    monkeypatch.setattr(
-        geometry, "arccos_clamped_array", lambda x: np.full(np.shape(x), 0.01)
-    )
-    with pytest.raises(NumericalError, match="azimuth"):
-        partner_many(1.2, eps, phi, omega)
+            _, expected = cartesian_partner(eps[i], phi[i], theta, omega[i])
+            assert np.allclose(b[:, i], expected, rtol=0.0, atol=1e-15)
 
 
 def test_hard_clamp_is_wider_than_soft():

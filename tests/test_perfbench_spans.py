@@ -12,9 +12,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spherebell import correlation, quantum
+from spherebell import correlation, geometry, quantum
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -52,3 +53,13 @@ def test_correlation_mc_takes_the_plan_third():
 )
 def test_other_monte_carlo_entries_take_the_plan_third(fn):
     assert list(inspect.signature(fn).parameters)[2] == "plan"
+
+
+def test_partner_map_spans_count_the_points():
+    # the traced benchmark reads a point count off each partner map's result
+    quantity = load_spans().QUANTITY
+    eps, phi, omega = np.full(7, 0.4), np.full(7, 1.1), np.full(7, 2.3)
+    b = geometry.partner_many(0.3, *geometry.partner_frame(eps, phi, omega))
+    alpha = geometry.partner_polar_many(0.3, eps, omega)
+    assert quantity["geometry.partner_many"]((), {}, b) == 7
+    assert quantity["geometry.partner_polar_many"]((), {}, alpha) == 7
