@@ -260,16 +260,16 @@ def run_sweep(args: argparse.Namespace) -> int:
             # single-deformation mode: curve table plus crossing summary
             d = float(delta) * PI
             grid = parse_grid(_merged(args, config, "grid", "0.34:0.5:81"))
+            columns = (
+                grid / PI,
+                closed_form("3_delta", grid, delta=d),
+                closed_form("3", grid),
+                closed_form("1", grid),
+                singlet_correlation(grid),
+            )
             fh.write("theta_over_pi,c_3_delta,c_3,c_1,q_singlet\n")
-            for t in grid:
-                row = (
-                    format_sig(t / PI),
-                    format_sig(closed_form("3_delta", t, delta=d)),
-                    format_sig(closed_form("3", t)),
-                    format_sig(closed_form("1", t)),
-                    format_sig(singlet_correlation(t)),
-                )
-                fh.write(",".join(row) + "\n")
+            for row in zip(*columns):
+                fh.write(",".join(map(format_sig, row)) + "\n")
             hit = search_mod.find_crossing(
                 lambda t: closed_form("3_delta", t, delta=d),
                 search_mod.reference_curve(reference),

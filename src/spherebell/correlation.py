@@ -25,7 +25,10 @@ compute it:
   exactly as well: a sum of cosines and of the band-overlap integral
   ``chi`` over pieces derived from the colouring's flip edges.  ``chi``
   itself is elementary (a spherical-triangle antiderivative from
-  Gauss-Bonnet), so this engine does no quadrature at all.
+  Gauss-Bonnet), so this engine does no quadrature at all.  It takes
+  an array of theta and evaluates it in one pass of numpy calls (a
+  crossing scan or a curve is one call); a float theta is the
+  one-element case.
 
 The two exact engines share one validated, cached pass over the
 colouring (``_flips_of``): its value at the north pole and the polar
@@ -41,7 +44,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -49,7 +51,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.integrate import quad
 
 from .colourings import (
     BandColouring,
@@ -72,6 +73,15 @@ HALF_PI = math.pi / 2.0
 SNAP = 1e-12
 
 METHODS = ("mc", "quadrature", "closed_form")
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first use: scipy.integrate
+    takes most of the time of a cold ``import spherebell``, and only
+    ``correlation_quadrature`` needs it."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 class QuadratureError(RuntimeError):
@@ -392,36 +402,58 @@ def correlation_quadrature(
 # The band-overlap integral chi
 
 
-def _triangle_angle(sin_s: float, sin_x: float, sin_y: float, sin_z: float) -> float:
-    """The angle opposite side x of a spherical triangle with sides x, y,
-    z, from the sines of its half-perimeter s and of s - x, s - y, s - z
-    (the half-angle formula).  Clamping the sines at 0 saturates the
-    angle to 0 or pi off the triangle, which keeps Phi exact there."""
-    opposite = math.sqrt(max(sin_y, 0.0)) * math.sqrt(max(sin_z, 0.0))
-    adjacent = math.sqrt(max(sin_s, 0.0)) * math.sqrt(max(sin_x, 0.0))
-    return 2.0 * math.atan2(opposite, adjacent)
+def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """libm's atan2 of two 1-d arrays, elementwise.  numpy's arctan2
+    rounds differently from libm's on a few percent of arguments; with
+    libm's the array engine returns, bit for bit, the values of the
+    per-theta scalar sum (math.atan2) kept as an oracle in the tests."""
+    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, y.size)
 
 
-def _chi_antiderivative(theta: float, beta: float, alpha: float) -> float:
-    """Phi(beta) of :func:`chi`."""
-    if beta > HALF_PI:
+def _triangle_angles(
+    sin_s: np.ndarray, sin_a: np.ndarray, sin_t: np.ndarray, sin_b: np.ndarray
+) -> np.ndarray:
+    """The angles at N, P and X of the spherical triangle of :func:`chi`
+    (sides NP = theta, NX = beta, PX = alpha), elementwise over 1-d
+    arrays, from the sines of its half-perimeter s and of s - alpha,
+    s - theta, s - beta (the half-angle formula).  Clamping the sines
+    at 0 saturates an angle to 0 or pi off the triangle, which keeps Phi
+    exact there."""
+    r_s, r_a, r_t, r_b = (
+        np.sqrt(np.where(x < 0.0, 0.0, x)) for x in (sin_s, sin_a, sin_t, sin_b)
+    )
+    opposite = np.concatenate((r_b * r_t, r_a * r_t, r_a * r_b))
+    adjacent = np.concatenate((r_s * r_a, r_s * r_b, r_s * r_t))
+    return 2.0 * _atan2(opposite, adjacent).reshape(3, -1)
+
+
+def _chi_antiderivative(
+    theta: float | np.ndarray, beta: np.ndarray, alpha: float | np.ndarray
+) -> np.ndarray:
+    """Phi(beta) of :func:`chi`, elementwise: ``beta`` is a 1-d array,
+    and ``theta`` and ``alpha`` broadcast against it."""
+    south = beta > HALF_PI
+    if south.any():
         # X -> -X: Phi(beta; alpha) = Phi(pi - beta; pi - alpha)
         # + 2 cos(alpha) - 2 cos(beta), exact near the south pole
-        reflected = _chi_antiderivative(theta, PI - beta, PI - alpha)
-        return reflected + 2.0 * math.cos(alpha) - 2.0 * math.cos(beta)
-    if beta == 0.0:
-        return 0.0
+        phi = _chi_antiderivative(
+            theta,
+            np.where(south, PI - beta, beta),
+            np.where(south, PI - alpha, alpha),
+        )
+        return np.where(south, phi + 2.0 * np.cos(alpha) - 2.0 * np.cos(beta), phi)
     # sines of the half-perimeter s and of s - alpha, s - theta, s - beta
     d = alpha - theta
-    sin_s = math.sin(0.5 * (alpha + beta + theta))
-    sin_alpha = math.sin(0.5 * (beta - d))
-    sin_theta = math.sin(0.5 * (beta + d))
-    sin_beta = math.sin(0.5 * (alpha + theta - beta))
-    at_n = _triangle_angle(sin_s, sin_alpha, sin_beta, sin_theta)
-    at_p = _triangle_angle(sin_s, sin_beta, sin_alpha, sin_theta)
-    at_x = _triangle_angle(sin_s, sin_theta, sin_alpha, sin_beta)
-    cb = math.cos(beta)
-    return (2.0 / PI) * (at_x + math.cos(alpha) * at_p + cb * at_n) - 2.0 * cb
+    at_n, at_p, at_x = _triangle_angles(
+        np.sin(0.5 * (alpha + beta + theta)),
+        np.sin(0.5 * (beta - d)),
+        np.sin(0.5 * (beta + d)),
+        np.sin(0.5 * (alpha + theta - beta)),
+    )
+    cb = np.cos(beta)
+    phi = (2.0 / PI) * (at_x + np.cos(alpha) * at_p + cb * at_n) - 2.0 * cb
+    # the north-pole limit
+    return np.where(beta == 0.0, 0.0, phi)
 
 
 def chi(theta: float, a: float, b: float, alpha: float) -> float:
@@ -451,7 +483,8 @@ def chi(theta: float, a: float, b: float, alpha: float) -> float:
     Zero-width intervals return 0; otherwise theta must lie in
     (0, pi/2], a, b, alpha in [0, pi], and [a, b] inside the window
     [|alpha - theta|, min(alpha + theta, 2 pi - alpha - theta)] where
-    the triangle exists, to within 1e-9.
+    the triangle exists, to within 1e-9.  This is the scalar view of
+    the elementwise Phi that :func:`closed_form` evaluates on arrays.
     """
     a, b, alpha = float(a), float(b), float(alpha)
     if abs(b - a) < 1e-14:
@@ -466,15 +499,34 @@ def chi(theta: float, a: float, b: float, alpha: float) -> float:
         if not lo - 1e-9 <= v <= hi + 1e-9:
             raise ValueError(f"{name}={v!r} outside the window [{lo!r}, {hi!r}]")
     a, b = min(max(a, lo), hi), min(max(b, lo), hi)
-    return _chi_antiderivative(theta, b, alpha) - _chi_antiderivative(theta, a, alpha)
+    phi_b, phi_a = _chi_antiderivative(float(theta), np.array([b, a]), alpha)
+    return float(phi_b - phi_a)
 
 
 # ---------------------------------------------------------------------------
 # The exact engine: sums of cosines and chi terms over derived pieces
 
 
-def _exact_value(t: float, north: int, flips: tuple[float, ...]) -> float:
-    """C(t) for t in (0, pi/2] from the colour-flip structure.
+def clamp_angles(
+    theta: float | np.ndarray, top: float
+) -> tuple[float | np.ndarray, float | None]:
+    """theta clamped into [0, top] (a float stays a float, an array
+    gives an array), and its first element outside [-SNAP, top + SNAP]
+    (nan included), or None if there is none."""
+    if isinstance(theta, (int, float)) or np.ndim(theta) == 0:
+        t = float(theta)
+        return min(max(t, 0.0), top), (None if -SNAP <= t <= top + SNAP else t)
+    t = np.asarray(theta, dtype=float)
+    outside = t[~((-SNAP <= t) & (t <= top + SNAP))]
+    return np.clip(t, 0.0, top), (float(outside[0]) if outside.size else None)
+
+
+# rows per engine block, which bounds its temporary arrays
+_ENGINE_ROWS = 128
+
+
+def _exact_values(t: np.ndarray, north: int, flips: tuple[float, ...]) -> np.ndarray:
+    """C(t) for a 1-d array of t in (0, pi/2] from the colour-flip structure.
 
     The inner omega integral of ``correlation_quadrature`` is
     pi a(|t - eps|) + 2 sum_v s_v omega_v(eps), summed over the flips v
@@ -488,68 +540,103 @@ def _exact_value(t: float, north: int, flips: tuple[float, ...]) -> float:
     between the breakpoints {t, v, t - v, t + v}, flip v is active for
     eps in (|v - t|, v + t), and its runs split that interval where
     a(eps) flips.
-    """
 
+    Every row has the same columns, so the whole array is one set of
+    numpy calls.  The pieces' breakpoints {0, pi/2, t, v, t - v, t + v}
+    are clipped into [0, pi/2] and sorted per row: a repeated or
+    out-of-range breakpoint gives a zero-width piece, whose cosine
+    difference is exactly 0.  Flip v's runs are cut at every flip
+    clipped into [|v - t|, min(v + t, pi/2)], so a flip outside that
+    interval, or an inactive v, gives zero-width runs; like ``chi``,
+    a run narrower than 1e-14 adds 0, and Phi is evaluated only at the
+    ends of the others.  Each row's terms are added in column order by
+    ``cumsum``, which is the order of the per-theta sum, so every value
+    is independent of the rest of the array.
+    """
+    f = np.array(flips)
+    n = t.size
     # level[k] is a(eps) between flips k - 1 and k; the jump at flip i
     # goes to level[i + 1]
-    level = [north if k % 2 == 0 else -north for k in range(len(flips) + 1)]
-    breaks = {0.0, HALF_PI, t, *flips}
-    for v in flips:
-        breaks.update((t - v, t + v))
-    cuts = sorted(x for x in breaks if 0.0 <= x <= HALF_PI)
-    total = 0.0
-    p, cos_p = 0.0, 1.0
-    for q in cuts[1:]:
-        cos_q = math.cos(q)
-        m = 0.5 * (p + q)
-        here = level[bisect_right(flips, m)]
-        total += here * level[bisect_right(flips, abs(t - m))] * (cos_p - cos_q)
-        p, cos_p = q, cos_q
-    for i, v in enumerate(flips):
-        lo, hi = abs(v - t), min(v + t, HALF_PI)
-        if lo >= hi:
-            continue
-        j, k = bisect_right(flips, lo), bisect_left(flips, hi)
-        bounds = [lo, *flips[j:k], hi]
-        for r in range(len(bounds) - 1):
-            run = level[i + 1] * level[j + r]
-            total += run * chi(t, bounds[r], bounds[r + 1], v)
-    return -total
+    level = north * (1.0 - 2.0 * (np.arange(f.size + 1) % 2))
+    col = t[:, None]
+    fixed = np.broadcast_to(np.concatenate(([0.0, HALF_PI], f)), (n, f.size + 2))
+    cuts = np.concatenate((fixed, col, col - f, col + f), axis=1)
+    np.clip(cuts, 0.0, HALF_PI, out=cuts)
+    cuts.sort(axis=1)
+    cos_cuts = np.cos(cuts)
+    mids = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+    here = level[np.searchsorted(f, mids, side="right")]
+    bottom = level[np.searchsorted(f, np.abs(col - mids), side="right")]
+    pieces = here * bottom * (cos_cuts[:, :-1] - cos_cuts[:, 1:])
+
+    # bounds[row, i] = [lo, flips clipped into [lo, hi], hi] of flip i
+    lo = np.abs(f - col)
+    hi = np.maximum(np.minimum(f + col, HALF_PI), lo)
+    lo, hi = lo[..., None], hi[..., None]
+    bounds = np.concatenate((lo, np.clip(f, lo, hi), hi), axis=2)
+    runs = bounds[..., 1:] - bounds[..., :-1] >= 1e-14
+    ends = np.zeros(bounds.shape, dtype=bool)
+    ends[..., 1:] = runs
+    ends[..., :-1] |= runs
+    row, flip, _ = np.nonzero(ends)
+    phi = np.zeros(bounds.shape)
+    phi[ends] = _chi_antiderivative(t[row], bounds[ends], f[flip])
+    chis = np.where(runs, phi[..., 1:] - phi[..., :-1], 0.0)
+    # run r of flip i has a = level[r] and jumps to level[i + 1]
+    signs = level[1:, None] * level[None, :]
+    terms = (np.zeros((n, 1)), pieces, (signs * chis).reshape(n, -1))
+    return -np.cumsum(np.concatenate(terms, axis=1), axis=1)[:, -1]
 
 
 def closed_form(
     c: Colouring | str | int,
-    theta: float,
+    theta: float | np.ndarray,
     delta: float | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Exact C(theta) on [0, pi/2] for an antipodal azimuthal colouring.
 
     ``c`` is a colouring or a catalogue label, built by
     :func:`make_catalogue`; ``delta`` is the parameter of 3_delta or
-    2_Delta when the label does not inline it.  The value is a sum of
-    cosines and closed-form ``chi`` terms over pieces derived from the
-    colouring's flip edges, so it carries rounding error only and has
-    no tolerance to set.  A single flip at the equator is the
+    2_Delta when the label does not inline it.  ``theta`` is a float,
+    which gives a float, or an array, which gives an array of its shape
+    from one call of the array engine (a crossing scan or a curve is
+    one call); each element is the value its float gives.  The value is
+    a sum of cosines and closed-form ``chi`` terms over pieces derived
+    from the colouring's flip edges, so it carries rounding error only
+    and has no tolerance to set.  A single flip at the equator is the
     hemisphere, whose value is the linear law -(1 - 2 theta / pi) with
     no ``chi`` term at all.  Raises :class:`ClosedFormDomainError` for
-    theta outside [0, pi/2], a bad label or parameter, and a colouring
-    that is not antipodal and azimuthal.
+    any theta outside [0, pi/2], a bad label or parameter, and a
+    colouring that is not antipodal and azimuthal.
     """
-    t = float(theta)
-    if not -SNAP <= t <= HALF_PI + SNAP:
+    t, bad = clamp_angles(theta, HALF_PI)
+    if bad is not None:
         raise ClosedFormDomainError(
-            f"closed forms cover theta in [0, pi/2]; got theta={t / PI:g}*pi"
+            f"closed forms cover theta in [0, pi/2]; got theta={bad / PI:g}*pi"
         )
     try:
         north, flips = _flips_of(c, delta)
     except ValueError as exc:
         raise ClosedFormDomainError(str(exc)) from None
-    t = min(max(t, 0.0), HALF_PI)
-    if t < SNAP:
-        return -1.0
-    if len(flips) == 1 and abs(flips[0] - HALF_PI) < SNAP:
-        return -(1.0 - 2.0 * t / PI)
-    return _exact_value(t, north, flips)
+    hemisphere = len(flips) == 1 and abs(flips[0] - HALF_PI) < SNAP
+    if isinstance(t, float):
+        # the hemisphere's linear law stays O(1) per call
+        if t < SNAP:
+            return -1.0
+        if hemisphere:
+            return -(1.0 - 2.0 * t / PI)
+        return float(_exact_values(np.array([t]), north, flips)[0])
+    if hemisphere:
+        values = -(1.0 - 2.0 * t / PI)
+    else:
+        flat = t.ravel()
+        values = np.empty(flat.size)
+        for i in range(0, flat.size, _ENGINE_ROWS):
+            values[i : i + _ENGINE_ROWS] = _exact_values(
+                flat[i : i + _ENGINE_ROWS], north, flips
+            )
+        values = values.reshape(t.shape)
+    return np.where(t < SNAP, -1.0, values)
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +689,13 @@ def curve_for(
     pi/2 are obtained from the antisymmetry C(pi - theta) = -C(theta),
     and theta = 0 returns -1 exactly (perfect anticorrelation).  ``tol``
     is the outer-integral tolerance of ``quadrature``; the closed form
-    has none.  ``mc`` runs the whole grid in one chunk-major pass of
-    :func:`correlation_mc_grid`, so every theta shares the plan's draws
-    and alice's values on them.  Grid points are evaluated concurrently
-    when jobs > 1 (for ``mc``, the thetas of each chunk); results are
-    assembled by index, so the output is independent of jobs.
+    has none.  ``closed_form`` evaluates the whole grid in one call of
+    the array engine.  ``mc`` runs the whole grid in one chunk-major
+    pass of :func:`correlation_mc_grid`, so every theta shares the
+    plan's draws and alice's values on them.  With jobs > 1 the
+    quadrature points, or the thetas of each Monte Carlo chunk, run in
+    that many threads; results are assembled by index, so the output is
+    independent of jobs.
     """
     if method not in METHODS:
         raise ValueError(f"method {method!r} not one of {METHODS}")
@@ -626,16 +715,16 @@ def curve_for(
         return CorrelationCurve(colouring_label=label, method=method, points=points)
 
     alice = pair.alice
-    if method == "quadrature":
+    if method == "closed_form":
+        values = antisymmetric(functools.partial(closed_form, alice), grid)
+        points = [CurvePoint(t, float(v), None) for t, v in zip(grid, values)]
+        return CorrelationCurve(colouring_label=label, method=method, points=tuple(points))
 
-        def exact(t: float) -> float:
-            if t < SNAP:
-                _flips_of(alice)
-                return -1.0
-            return correlation_quadrature(alice, t, tol)
-
-    else:
-        exact = functools.partial(closed_form, alice)
+    def exact(t: float) -> float:
+        if t < SNAP:
+            _flips_of(alice)
+            return -1.0
+        return correlation_quadrature(alice, t, tol)
 
     def compute(t: float) -> CurvePoint:
         return CurvePoint(t, antisymmetric(exact, t), None)
@@ -648,15 +737,22 @@ def curve_for(
     return CorrelationCurve(colouring_label=label, method=method, points=tuple(points))
 
 
-def antisymmetric(value: Callable[[float], float], theta: float) -> float:
+def antisymmetric(value: Callable, theta: float | np.ndarray) -> float | np.ndarray:
     """An engine defined on [0, pi/2], extended to theta in [0, pi] by
-    the antisymmetry C(pi - theta) = -C(theta)."""
-    t = float(theta)
-    if t > PI + SNAP:
-        raise ValueError(f"theta {t!r} outside [0, pi]")
-    if t > HALF_PI + SNAP:
-        return -value(max(PI - t, 0.0))
-    return value(t)
+    the antisymmetry C(pi - theta) = -C(theta).  An array of theta goes
+    to ``value`` folded into [0, pi/2] in one call, and gives an array."""
+    if isinstance(theta, (int, float)) or np.ndim(theta) == 0:
+        t = float(theta)
+        if t > PI + SNAP:
+            raise ValueError(f"theta {t!r} outside [0, pi]")
+        return -value(max(PI - t, 0.0)) if t > HALF_PI + SNAP else value(t)
+    t = np.asarray(theta, dtype=float)
+    beyond = t > PI + SNAP
+    if beyond.any():
+        raise ValueError(f"theta {float(t[beyond][0])!r} outside [0, pi]")
+    folded = t > HALF_PI + SNAP
+    values = value(np.where(folded, np.maximum(PI - t, 0.0), t))
+    return np.where(folded, -values, values)
 
 
 def extend_to_pi(curve: CorrelationCurve) -> CorrelationCurve:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correlation import SamplingPlan
+from .correlation import SamplingPlan, clamp_angles
 
 PI = math.pi
 SNAP = 1e-12
@@ -43,11 +43,13 @@ _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _check_theta(theta: float) -> float:
-    t = float(theta)
-    if not -SNAP <= t <= PI + SNAP:
-        raise ValueError(f"theta {t!r} outside [0, pi]")
-    return min(max(t, 0.0), PI)
+def _check_theta(theta: float | np.ndarray) -> float | np.ndarray:
+    """theta clamped into [0, pi]: a float for a float, an array for an
+    array.  Raises ValueError if any theta lies outside."""
+    t, bad = clamp_angles(theta, PI)
+    if bad is not None:
+        raise ValueError(f"theta {bad!r} outside [0, pi]")
+    return t
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,10 @@ def twirl(state: TwoQubitState) -> WernerParam:
     return WernerParam(min(1.0, max(0.0, r)))
 
 
-def singlet_correlation(theta: float) -> float:
-    return -math.cos(_check_theta(theta))
+def singlet_correlation(theta: float | np.ndarray) -> float | np.ndarray:
+    """Q(theta) = -cos(theta); an array of theta gives an array."""
+    t = _check_theta(theta)
+    return -np.cos(t) if isinstance(t, np.ndarray) else -math.cos(t)
 
 
 def _fidelity(w: float | WernerParam) -> float:

@@ -7,6 +7,13 @@ monogamy thresholds), and how negative can C(theta) be made at a fixed
 angle over a family of sign-of-harmonics colourings.  A slope probe at
 theta = pi/2 backs the linear-response claim for the three-band
 colouring.
+
+Every crossing search goes through :func:`all_crossings`: it scans
+f - g on a fixed grid of ``SCAN_POINTS`` angles with one array call of
+each curve (``closed_form``, the linear law and the singlet curve all
+take theta arrays), takes the sign changes between consecutive nonzero
+samples as brackets, and bisects each bracket with float calls down to
+``tol``; the reported angle is the final bracket's midpoint.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bounds import theorem1_bounds
 from .colourings import (
@@ -38,6 +44,14 @@ PI = math.pi
 HALF_PI = math.pi / 2.0
 
 SCAN_POINTS = 400
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use, so that
+    importing spherebell does not load scipy.optimize."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 class NoCrossingError(RuntimeError):
@@ -67,33 +81,36 @@ def _bisect_crossing(
 
 
 def all_crossings(
-    f: Callable[[float], float],
-    g: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray], np.ndarray],
     bracket: tuple[float, float],
     tol: float = 1e-4,
     scan_points: int = SCAN_POINTS,
 ) -> list[CrossingResult]:
     """Every sign change of f - g on the bracket, smallest first.
 
-    A fixed-density scan locates brackets; each is then bisected to the
-    requested width.
+    f and g take an array of theta (and a float, giving a float): the
+    fixed-density scan evaluates each once on the whole grid to locate
+    brackets, and each bracket is then bisected to the requested width
+    with float calls.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"empty bracket {bracket!r}")
     xs = np.linspace(lo, hi, scan_points)
+    ds = np.broadcast_to(f(xs) - g(xs), xs.shape)
     diff = lambda t: f(t) - g(t)
-    ds = np.array([diff(t) for t in xs])
     out: list[CrossingResult] = []
     # sign changes between consecutive nonzero samples; exact zeros in
     # between belong to the same crossing, and an identically zero
     # difference is no crossing at all
-    nonzero = [i for i in range(scan_points) if ds[i] != 0.0]
-    for i, j in zip(nonzero, nonzero[1:]):
+    nonzero = np.flatnonzero(ds)
+    above = ds[nonzero] > 0.0
+    for k in np.flatnonzero(above[:-1] != above[1:]):
+        i, j = nonzero[k], nonzero[k + 1]
         a = ds[i]
-        if (a > 0.0) != (ds[j] > 0.0):
-            star, width = _bisect_crossing(diff, float(xs[i]), float(xs[j]), a, tol)
-            out.append(CrossingResult(star, 1 if a > 0.0 else -1, width))
+        star, width = _bisect_crossing(diff, float(xs[i]), float(xs[j]), a, tol)
+        out.append(CrossingResult(star, 1 if a > 0.0 else -1, width))
     return out
 
 

@@ -364,11 +364,12 @@ def _c3d_cap_pos(t: float, d: float, X) -> float:
     )
 
 
-def table_value(label: str, t: float, delta: float | None = None) -> float:
-    """C(t) from the piece tables, for t in [0, pi/2] (3_delta: [pi/3, pi/2])."""
+def table_value(label: str, t: float, delta: float | None = None, chi_fn=chi) -> float:
+    """C(t) from the piece tables, for t in [0, pi/2] (3_delta: [pi/3, pi/2]),
+    with each overlap integral from ``chi_fn(theta, a, b, alpha)``."""
 
     def X(a: float, b: float, alpha: float) -> float:
-        return chi(t, a, b, alpha)
+        return chi_fn(t, a, b, alpha)
 
     if label == "2":
         return _c2_piece1(t, X) if t <= PI / 4 + SNAP else _c2_piece2(t, X)

@@ -2,8 +2,12 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +104,22 @@ class TestCurveCommand:
         assert run(capsys, *base, "--jobs", "1", "--out", str(one))[0] == 0
         assert run(capsys, *base, "--jobs", "3", "--out", str(three))[0] == 0
         assert one.read_bytes() == three.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("curve", "--colouring", "3", "--method", "closed_form", "--grid", "0:1:61"),
+            ("verify", "--colouring", "2"),
+        ],
+        ids=["curve_closed_form", "verify_2"],
+    )
+    def test_jobs_do_not_change_closed_form_output(self, argv, tmp_path, capsys):
+        outs = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"{jobs}.txt"
+            assert run(capsys, *argv, "--jobs", jobs, "--out", str(out))[0] == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("command", ["curve", "verify"])
     def test_jobs_do_not_change_harmonic_mc_output(self, command, tmp_path, capsys):
@@ -563,3 +583,17 @@ class TestConfigMerge:
         code, _, err = run(capsys, "curve", "--config", str(path))
         assert code == 2
         assert "JSON object" in err
+
+
+def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
+    # both are imported on first use; they dominate a cold import
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), *sys.path]))
+    probe = (
+        "import sys, spherebell.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre, polynomial
 from closed_form_tables import DEFORMED_DOMAIN, table_value
+from scalar_sum_oracle import chi as oracle_chi
+from scalar_sum_oracle import exact_value as oracle_value
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -22,8 +24,11 @@ from spherebell.correlation import (
     ClosedFormDomainError,
     CorrelationCurve,
     CurvePoint,
+    SNAP,
     QuadratureError,
     SamplingPlan,
+    _flips_of,
+    antisymmetric,
     chi,
     circle_correlation,
     closed_form,
@@ -515,6 +520,144 @@ def test_random_band_sets_against_quadrature(north_edges, north_value, theta):
     assert abs(closed_form(colouring, theta) - quad) <= 1e-9
 
 
+# The array engine equals the per-theta scalar sum bit for bit where
+# numpy's float64 sin and cos round as libm's (probed here); elsewhere
+# the two may part by a few ulp.
+_PROBE = np.linspace(0.0, PI, 1001)
+ORACLE_TOL = (
+    0.0
+    if np.array_equal(np.sin(_PROBE), [math.sin(x) for x in _PROBE])
+    and np.array_equal(np.cos(_PROBE), [math.cos(x) for x in _PROBE])
+    else 1e-14
+)
+
+ARRAY_ENGINE_CASES = EXACT_ENGINE_CASES[1:] + [
+    make_catalogue("3_delta", delta=-PI / 18),
+    make_catalogue("2_Delta", Delta=PI / 12),
+    negate(make_catalogue("4")),
+]
+
+
+def special_thetas(flips):
+    """Angles where pieces and runs degenerate: every flip v, v/2, 2v,
+    the sums and differences of two flips, pi/2, SNAP and 0."""
+    points = {0.0, SNAP, HALF_PI}
+    for v in flips:
+        points.update((v, 0.5 * v, 2.0 * v))
+        for w in flips:
+            points.update((v - w, v + w))
+    return np.array(sorted(p for p in points if 0.0 <= p <= HALF_PI))
+
+
+def assert_matches_scalar_sum(colouring, thetas):
+    """The array call against the float calls (bit for bit) and against
+    the per-theta scalar sum of ``scalar_sum_oracle`` (the linear law
+    for the hemisphere)."""
+    north, flips = _flips_of(colouring)
+    values = closed_form(colouring, thetas)
+    assert isinstance(values, np.ndarray) and values.shape == thetas.shape
+    for t, value in zip(thetas.tolist(), values.tolist()):
+        assert closed_form(colouring, t) == value, t
+        if t < SNAP:
+            oracle = -1.0
+        elif flips == (HALF_PI,):
+            oracle = -(1.0 - 2.0 * t / PI)
+        else:
+            oracle = oracle_value(t, north, flips)
+        assert abs(value - oracle) <= ORACLE_TOL, t
+
+
+class TestArrayEngine:
+    @pytest.mark.parametrize("colouring", ARRAY_ENGINE_CASES, ids=lambda c: c.label)
+    def test_degenerate_angles_match_the_scalar_sum(self, colouring):
+        _, flips = _flips_of(colouring)
+        thetas = np.concatenate((special_thetas(flips), np.linspace(0.0, HALF_PI, 97)))
+        assert_matches_scalar_sum(colouring, thetas)
+
+    @pytest.mark.parametrize("label", ["2", "3", "4"])
+    def test_catalogue_against_piece_tables(self, label):
+        thetas = np.linspace(0.0, 0.5, 61)[1:] * PI
+        for t, value in zip(thetas, closed_form(label, thetas)):
+            assert abs(value - table_value(label, t)) <= 1e-14
+
+    @pytest.mark.parametrize("delta", np.linspace(-PI / 18, PI / 24, 6))
+    def test_deformed_family_against_piece_tables(self, delta):
+        thetas = np.linspace(*DEFORMED_DOMAIN, 25)
+        for t, value in zip(thetas, closed_form("3_delta", thetas, delta=delta)):
+            assert abs(value - table_value("3_delta", t, delta)) <= 1e-14
+
+    # one theta inside each of the 15 hand-written pieces
+    @pytest.mark.parametrize(
+        "label, delta, theta",
+        [
+            ("2", None, 0.15), ("2", None, 0.4),
+            ("3", None, 0.1), ("3", None, 0.2), ("3", None, 0.3), ("3", None, 0.4),
+            ("4", None, 0.06), ("4", None, 0.2), ("4", None, 0.3), ("4", None, 0.45),
+            ("3_delta", -0.03, 0.345), ("3_delta", -0.03, 0.4), ("3_delta", -0.03, 0.49),
+            ("3_delta", 0.02, 0.35), ("3_delta", 0.02, 0.49),
+        ],
+    )
+    def test_piece_tables_summed_over_the_mpmath_chi(self, label, delta, theta):
+        delta = None if delta is None else delta * PI
+        oracle = table_value(label, theta * PI, delta, chi_fn=_chi_mpmath)
+        value = closed_form(label, np.array([theta * PI]), delta=delta)[0]
+        assert abs(value - oracle) <= 1e-14
+
+    def test_float_gives_float_and_array_keeps_its_shape(self):
+        assert type(closed_form("3", 0.3)) is float
+        assert type(closed_form("1", 0.3)) is float
+        grid = np.linspace(0.1, 1.4, 6).reshape(2, 3)
+        for label in ("1", "3"):
+            values = closed_form(label, grid)
+            assert values.shape == (2, 3)
+            assert values[1, 2] == closed_form(label, float(grid[1, 2]))
+        assert closed_form("3", np.array([])).shape == (0,)
+
+    def test_snap_angle_is_evaluated(self):
+        # SNAP itself lies past the zero-angle snap, and is a value
+        assert closed_form("3", SNAP) == pytest.approx(-1.0, abs=1e-11)
+        assert closed_form("3", 0.5 * SNAP) == -1.0
+
+    @pytest.mark.parametrize("bad", [-1e-9, 0.6 * PI, math.nan])
+    def test_one_angle_out_of_range_fails_the_array(self, bad):
+        with pytest.raises(ClosedFormDomainError):
+            closed_form("3", np.array([0.1, bad, 0.2]))
+
+    def test_array_rows_are_independent(self):
+        # a long array runs in blocks; each value is its float's value
+        thetas = np.random.default_rng(11).uniform(0.0, HALF_PI, 700)
+        values = closed_form("4", thetas)
+        assert np.array_equal(values[::-1], closed_form("4", thetas[::-1]))
+        assert values[523] == closed_form("4", float(thetas[523]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    theta=st.floats(1e-3, HALF_PI),
+    alpha=st.floats(1e-3, PI - 1e-3),
+    u=_WINDOW_POINT,
+    v=_WINDOW_POINT,
+)
+def test_chi_is_the_scalar_antiderivative(theta, alpha, u, v):
+    # both hemispheres of the window, so the south-pole reflection runs
+    lo, hi = abs(alpha - theta), min(alpha + theta, 2 * PI - alpha - theta)
+    a, b = lo + u * (hi - lo), lo + v * (hi - lo)
+    assert abs(chi(theta, a, b, alpha) - oracle_chi(theta, a, b, alpha)) <= ORACLE_TOL
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    north_edges=st.lists(st.floats(0.02, 1.55), max_size=5, unique=True),
+    north_value=st.sampled_from([1, -1]),
+    thetas=st.lists(st.floats(0.0, HALF_PI), min_size=1, max_size=30),
+)
+def test_random_band_sets_match_the_scalar_sum(north_edges, north_value, thetas):
+    colouring = _antipodal_bands(north_edges, north_value)
+    _, flips = _flips_of(colouring)
+    grid = np.concatenate((np.array(thetas), special_thetas(flips)))
+    assert_matches_scalar_sum(colouring, grid)
+
+
 class TestCurveFor:
     def test_closed_form_curve_matches_pointwise(self):
         thetas = [0.1 * PI, 0.2 * PI, 0.3 * PI]
@@ -556,6 +699,18 @@ class TestCurveFor:
         assert quad.points[0].value == pytest.approx(
             -correlation_quadrature(make_catalogue(3), 0.3 * PI, 1e-8), abs=1e-12
         )
+
+    def test_closed_form_grid_is_the_folded_float_calls(self):
+        colouring = make_catalogue("3_delta", delta=-0.02 * PI)
+        grid = [0.0, 1e-13, 0.2 * PI, HALF_PI, HALF_PI + 1e-13, 0.7 * PI, PI - 1e-13, PI]
+        curve = curve_for(colouring, grid, "closed_form")
+        expected = [
+            antisymmetric(lambda t: closed_form(colouring, t), t) for t in grid
+        ]
+        assert [p.value for p in curve.points] == expected
+        assert curve.points[0].value == -1.0 and curve.points[-1].value == 1.0
+        with pytest.raises(ValueError):
+            curve_for(colouring, [0.2, PI + 1e-9], "closed_form")
 
     def test_closed_form_uses_the_colouring_not_its_label(self):
         # the label rounds delta to 6 digits: -pi/18 would leave the range

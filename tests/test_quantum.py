@@ -31,6 +31,17 @@ def test_singlet_curve_values():
     assert singlet_correlation(PI / 2) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_singlet_curve_takes_an_array():
+    thetas = np.array([-1e-13, 0.0, PI / 3, PI / 2, PI, PI + 1e-13])
+    values = singlet_correlation(thetas)
+    assert isinstance(values, np.ndarray) and values.shape == thetas.shape
+    assert values.tolist() == [singlet_correlation(float(t)) for t in thetas]
+    assert type(singlet_correlation(0.3)) is float
+    for bad in (-0.1, PI + 0.1, math.nan):
+        with pytest.raises(ValueError):
+            singlet_correlation(np.array([0.2, bad]))
+
+
 def test_singlet_theta_domain():
     with pytest.raises(ValueError):
         singlet_correlation(-0.1)

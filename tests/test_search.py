@@ -20,14 +20,20 @@ from spherebell.correlation import (
 )
 from spherebell.quantum import singlet_correlation
 from spherebell.search import (
+    CROSSING_BRACKET,
+    DELTA_GRID,
     SLOPE_REFERENCE_THREE_BANDS,
+    TWO_DELTA_GRID,
+    CrossingResult,
     NoCrossingError,
     SearchOutcome,
+    _bisect_crossing,
     all_crossings,
     common_random_correlation,
     estimate_theta_max,
     find_crossing,
     harmonic_search,
+    reference_curve,
     search_report_json,
     slope_at_half_pi,
     sweep_delta,
@@ -74,12 +80,64 @@ class TestFindCrossing:
             find_crossing(c1, c3, (1.0, 1.0))
 
     def test_all_crossings_ordered_with_signs(self):
-        hits = all_crossings(lambda t: math.cos(4 * t), lambda t: 0.0, (0.1, 1.5), tol=1e-9)
+        hits = all_crossings(lambda t: np.cos(4 * t), lambda t: 0.0, (0.1, 1.5), tol=1e-9)
         assert len(hits) == 2
         assert hits[0].theta_star == pytest.approx(PI / 8, abs=1e-8)
         assert hits[1].theta_star == pytest.approx(3 * PI / 8, abs=1e-8)
         assert hits[0].left_sign == 1
         assert hits[1].left_sign == -1
+
+
+def per_point_crossings(f, g, bracket, tol=1e-4, scan_points=400):
+    """The crossing scan one float call at a time: every sign change
+    between consecutive nonzero samples of f - g, bisected to ``tol``."""
+    xs = np.linspace(bracket[0], bracket[1], scan_points)
+    diff = lambda t: f(t) - g(t)
+    ds = [diff(float(t)) for t in xs]
+    nonzero = [i for i in range(scan_points) if ds[i] != 0.0]
+    out = []
+    for i, j in zip(nonzero, nonzero[1:]):
+        if (ds[i] > 0.0) != (ds[j] > 0.0):
+            star, width = _bisect_crossing(diff, float(xs[i]), float(xs[j]), ds[i], tol)
+            out.append(CrossingResult(star, 1 if ds[i] > 0.0 else -1, width))
+    return out
+
+
+CROSSING_FAMILIES = {
+    "catalogue": [make_catalogue(label) for label in ("2", "3", "4")],
+    "3_delta": [make_catalogue("3_delta", delta=d) for d in DELTA_GRID],
+    "2_Delta": [make_catalogue("2_Delta", Delta=d) for d in TWO_DELTA_GRID],
+}
+
+
+class TestCrossingScan:
+    @pytest.mark.parametrize("reference", ["c1", "singlet"])
+    @pytest.mark.parametrize("family", sorted(CROSSING_FAMILIES))
+    def test_array_scan_finds_the_per_point_crossings(self, family, reference):
+        g = reference_curve(reference)
+        for colouring in CROSSING_FAMILIES[family]:
+            f = lambda t: closed_form(colouring, t)
+            expected = per_point_crossings(f, g, CROSSING_BRACKET)
+            assert all_crossings(f, g, CROSSING_BRACKET) == expected, colouring.label
+
+    def test_scan_makes_one_array_call(self):
+        calls = []
+
+        def f(t):
+            calls.append(np.shape(t))
+            return c3(t)
+
+        hits = all_crossings(f, c1, BRACKET, tol=1e-6)
+        assert len(hits) == 1
+        assert calls[0] == (400,)
+        # the rest are the bisection's float calls
+        assert len(calls) > 1 and all(shape == () for shape in calls[1:])
+
+    def test_references_take_arrays(self):
+        thetas = np.linspace(0.0, HALF_PI, 9)
+        for name in ("c1", "singlet"):
+            values = reference_curve(name)(thetas)
+            assert values.tolist() == [reference_curve(name)(float(t)) for t in thetas]
 
 
 class TestSweepDelta:
@@ -136,6 +194,37 @@ class TestThetaMax:
         assert est.witnesses["weak"]["colouring"].startswith("3_delta")
         weak_candidates = est.witnesses["candidates"]["weak"]
         assert weak_candidates == sorted(weak_candidates)
+
+    def test_bounds_and_witnesses_are_pinned(self):
+        # recorded from the per-point scan the array scan replaced
+        est = estimate_theta_max(include_two_delta=True, tol=1e-5)
+        assert est.upper_bound_w == float.fromhex("0x1.36a1302818594p+0")
+        assert est.upper_bound_s == float.fromhex("0x1.152894c701dc7p+0")
+        assert est.witnesses == {
+            "weak": {"colouring": "3_delta:-0.0393519", "theta_star_over_pi": 0.3862362722330898},
+            "strong": {"colouring": "2_Delta:0.0347222", "theta_star_over_pi": 0.34461834768674066},
+            "candidates": {
+                "weak": [(0.3862362722330898, "3_delta:-0.0393519"), (0.40467892979243575, "3")],
+                "strong": [
+                    (0.34461834768674066, "2_Delta:0.0347222"),
+                    (0.3454014061235815, "2_Delta:0.0416667"),
+                    (0.3454960256846997, "2_Delta:0.0277778"),
+                    (0.3477717892667686, "2_Delta:0.0486111"),
+                    (0.3482905654811757, "2_Delta:0.0208333"),
+                    (0.3519024225211042, "2_Delta:0.0555556"),
+                    (0.35348485311222017, "2_Delta:0.0138889"),
+                    (0.35863183096270546, "2_Delta:0.0625"),
+                    (0.36195493520404903, "2_Delta:0.00694444"),
+                    (0.37545127363735015, "2"),
+                    (0.37545127363735015, "2_Delta:0"),
+                    (0.3773273511422814, "2_Delta:0.0694444"),
+                    (0.3862362722330898, "3_delta:-0.0393519"),
+                    (0.40467892979243575, "3"),
+                    (0.41284883948347556, "2_Delta:0.0763889"),
+                    (0.42242988573257234, "4"),
+                ],
+            },
+        }
 
     def test_two_band_exit_supplies_strong_witness(self):
         est = estimate_theta_max(tol=1e-5)
