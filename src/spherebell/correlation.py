@@ -17,9 +17,10 @@ compute it:
                            * int_0^pi d omega a[alpha(theta, eps, omega)]
 
   where the inner integral is done analytically as a signed sum of
-  circle arcs between band-edge crossings, and the outer integral by
-  adaptive quadrature with mandatory breakpoints at the derivative
-  kinks,
+  circle arcs between the crossings of the colour flips, each arc
+  coloured by the parity of the flips below it, in scalar ``math``
+  code per node (no array call), and the outer integral by adaptive
+  quadrature with mandatory breakpoints at the derivative kinks,
 - ``closed_form``: the same pairs (catalogue labels, both deformed
   families, band files, m = 0 harmonics), with the outer integral done
   exactly as well: a sum of cosines and of the band-overlap integral
@@ -44,6 +45,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -306,41 +308,47 @@ def _flips_of(
 # Deterministic quadrature over the reduced integral
 
 
-def _inner_arc_integral(
-    theta: float,
-    eps: float,
-    edges: np.ndarray,
-    colour_at: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """int_0^pi a[alpha(theta, eps, omega)] d omega, analytically.
+def _quadrature_integrand(
+    c: Colouring, theta: float, north: int, flips: tuple[float, ...]
+) -> Callable[[float], float]:
+    """The outer integrand eps -> sin(eps) a(eps) int_0^pi a[alpha] d omega
+    of :func:`correlation_quadrature`, in Python floats.
 
-    As omega runs 0 -> pi the partner's polar angle alpha falls
-    monotonically from theta + eps to |theta - eps|, so the integral is
-    a signed sum of arcs between the crossings of the colouring's edge
-    values, each crossing at
+    ``north`` and ``flips`` are ``_flips_of(c)``.  Consecutive flips
+    alternate, so the colour at a polar angle x is north times
+    (-1)^(number of flips <= x), and at a flip itself the colour above
+    it.  As omega runs 0 -> pi the partner's polar angle alpha falls
+    monotonically from theta + eps to |theta - eps|, so the inner
+    integral is a signed sum of arcs whose colour changes at each flip
+    v strictly inside that window, crossed at
     omega = arccos((cos theta cos eps - cos v) / (sin theta sin eps)).
     """
-    st, se = math.sin(theta), math.sin(eps)
-    ct, ce = math.cos(theta), math.cos(eps)
-    denom = st * se
-    if denom < 1e-14:
-        # collapsed circle: alpha is constant (removable limit)
-        return PI * float(colour_at(arccos_clamped_array(np.array([ct * ce])))[0])
-    lo, hi = abs(theta - eps), theta + eps
-    i0, i1 = np.searchsorted(edges, lo, side="right"), np.searchsorted(
-        edges, hi, side="left"
-    )
-    cuts = edges[i0:i1]
-    if cuts.size:
-        omegas = np.arccos(np.clip((ct * ce - np.cos(cuts)) / denom, -1.0, 1.0))
-        # alpha decreasing in omega: descending cuts give ascending omegas
-        bounds = np.concatenate(([0.0], omegas[::-1], [PI]))
-        alphas = np.concatenate(([hi], cuts[::-1], [lo]))
-    else:
-        bounds = np.array([0.0, PI])
-        alphas = np.array([hi, lo])
-    mids = 0.5 * (alphas[:-1] + alphas[1:])
-    return float(np.sum(colour_at(mids) * np.diff(bounds)))
+    cos_flips = [math.cos(v) for v in flips]
+    st, ct = math.sin(theta), math.cos(theta)
+
+    def f(eps: float) -> float:
+        se, ce = math.sin(eps), math.cos(eps)
+        a_here = -north if bisect_right(flips, eps) % 2 else north
+        denom = st * se
+        if denom < 1e-14:
+            # collapsed circle: alpha is constant (removable limit)
+            alpha = arccos_clamped_array(np.array([ct * ce]))
+            return se * a_here * (PI * float(c.evaluate_polar(alpha)[0]))
+        i0 = bisect_right(flips, abs(theta - eps))
+        i1 = bisect_left(flips, theta + eps)
+        # the first arc lies above the i1 flips below theta + eps, and
+        # descending flips are crossed at ascending omegas
+        colour = -north if i1 % 2 else north
+        x = ct * ce
+        inner = start = 0.0
+        for cos_v in reversed(cos_flips[i0:i1]):
+            omega = math.acos(min(max((x - cos_v) / denom, -1.0), 1.0))
+            inner += colour * (omega - start)
+            colour, start = -colour, omega
+        inner += colour * (PI - start)
+        return se * a_here * inner
+
+    return f
 
 
 def correlation_quadrature(
@@ -359,14 +367,7 @@ def correlation_quadrature(
     if not SNAP < theta <= HALF_PI + SNAP:
         raise ValueError(f"theta {theta!r} outside (0, pi/2]")
     theta = min(theta, HALF_PI)
-    _, flips = _flips_of(c)
-    edges = np.array(flips)
-    colour_at = c.evaluate_polar
-
-    def f(eps: float) -> float:
-        a_here = float(colour_at(np.array([eps]))[0])
-        return math.sin(eps) * a_here * _inner_arc_integral(theta, eps, edges, colour_at)
-
+    north, flips = _flips_of(c)
     breaks = {theta}
     for v in flips:
         for candidate in (v, v - theta, theta - v, v + theta):
@@ -382,7 +383,7 @@ def correlation_quadrature(
             continue
         pts.append(candidate)
     result, abserr, info, *tail = quad(
-        f,
+        _quadrature_integrand(c, theta, north, flips),
         0.0,
         HALF_PI,
         points=pts,
@@ -692,9 +693,10 @@ def curve_for(
     has none.  ``closed_form`` evaluates the whole grid in one call of
     the array engine.  ``mc`` runs the whole grid in one chunk-major
     pass of :func:`correlation_mc_grid`, so every theta shares the
-    plan's draws and alice's values on them.  With jobs > 1 the
-    quadrature points, or the thetas of each Monte Carlo chunk, run in
-    that many threads; results are assembled by index, so the output is
+    plan's draws and alice's values on them.  ``quadrature`` runs its
+    points one after another.  ``jobs`` is read by ``mc`` alone: with
+    jobs > 1 the thetas of each Monte Carlo chunk run in that many
+    threads, and the sums are assembled by index, so the output is
     independent of jobs.
     """
     if method not in METHODS:
@@ -726,15 +728,8 @@ def curve_for(
             return -1.0
         return correlation_quadrature(alice, t, tol)
 
-    def compute(t: float) -> CurvePoint:
-        return CurvePoint(t, antisymmetric(exact, t), None)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(compute, grid))
-    else:
-        points = [compute(t) for t in grid]
-    return CorrelationCurve(colouring_label=label, method=method, points=tuple(points))
+    points = tuple(CurvePoint(t, antisymmetric(exact, t), None) for t in grid)
+    return CorrelationCurve(colouring_label=label, method=method, points=points)
 
 
 def antisymmetric(value: Callable, theta: float | np.ndarray) -> float | np.ndarray:

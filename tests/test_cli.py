@@ -121,6 +121,15 @@ class TestCurveCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_jobs_do_not_change_quadrature_output(self, tmp_path, capsys):
+        base = ("curve", "--colouring", "4", "--method", "quadrature", "--grid", "0:1:13")
+        outs = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"{jobs}.csv"
+            assert run(capsys, *base, "--jobs", jobs, "--out", str(out))[0] == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("command", ["curve", "verify"])
     def test_jobs_do_not_change_harmonic_mc_output(self, command, tmp_path, capsys):
         path = tmp_path / "h.json"

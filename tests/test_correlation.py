@@ -1,3 +1,4 @@
+import bisect
 import io
 import math
 
@@ -5,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import legendre, polynomial
+import arc_integral_oracle
 from closed_form_tables import DEFORMED_DOMAIN, table_value
 from scalar_sum_oracle import chi as oracle_chi
 from scalar_sum_oracle import exact_value as oracle_value
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from spherebell import correlation
 from spherebell.colourings import (
     BandColouring,
     ColouringPair,
@@ -28,6 +31,7 @@ from spherebell.correlation import (
     QuadratureError,
     SamplingPlan,
     _flips_of,
+    _quadrature_integrand,
     antisymmetric,
     chi,
     circle_correlation,
@@ -961,3 +965,137 @@ def test_polar_edges_resolve_close_harmonic_flips():
     bands = BandColouring(((0.0, e1), (e2, HALF_PI), (PI - e2, PI - e1)))
     for theta in (0.1 * PI, 0.3 * PI):
         assert abs(closed_form(h, theta) - closed_form(bands, theta)) <= 1e-11
+
+
+# The scalar quadrature integrand against the numpy one it replaced
+# (tests/arc_integral_oracle.py).  The crossings' omegas come from
+# libm's acos instead of numpy's arccos, which rounds differently on a
+# few percent of arguments: each of the few omegas in a window may
+# move by an ulp of pi and enters the signed arc sum twice.  Over 520
+# catalogue, family and harmonic points C(theta) moved by at most
+# 3.3e-16; QUAD_ORACLE_TOL is the bound the tests hold it to.
+INTEGRAND_ORACLE_TOL = 16 * math.ulp(PI)
+QUAD_ORACLE_TOL = 2e-15
+
+INTEGRAND_CASES = [
+    *EXACT_ENGINE_CASES,
+    HarmonicColouring(((3, 0, 1.0),)),
+    negate(make_catalogue("3")),
+    # a band edge at 0.3 that is not a flip
+    BandColouring(((0.0, 0.3), (0.3, 0.9), (HALF_PI, PI - 0.9)), label="touching"),
+]
+
+
+def _integrands(colouring, theta):
+    north, flips = _flips_of(colouring)
+    return (
+        _quadrature_integrand(colouring, theta, north, flips),
+        arc_integral_oracle.integrand(colouring, theta, north, flips),
+    )
+
+
+@pytest.mark.parametrize("colouring", INTEGRAND_CASES, ids=lambda c: c.label)
+class TestScalarIntegrand:
+    def test_random_points(self, colouring):
+        rng = np.random.default_rng(4242)
+        for theta, eps in rng.uniform(0.0, HALF_PI, (300, 2)):
+            f, oracle = _integrands(colouring, theta)
+            assert abs(f(eps) - oracle(eps)) <= INTEGRAND_ORACLE_TOL
+
+    def test_special_points(self, colouring):
+        # eps on a flip, one ulp either side of it, and near 0 and pi/2.
+        # On a flip (a null set of the outer integral) the oracle reads
+        # the colouring's tie-break and the scalar integrand the colour
+        # above the flip.  An m = 0 harmonic's flips are Legendre roots
+        # good to rounding, so one ulp off a flip its sign may also
+        # disagree with the parity.  Elsewhere the colours agree.
+        north, flips = _flips_of(colouring)
+        points = [x for v in flips for x in (math.nextafter(v, 0.0), v, math.nextafter(v, PI))]
+        points += [1e-300, 1e-15, 1e-9, HALF_PI - 1e-9, math.nextafter(HALF_PI, 0.0), HALF_PI]
+        for theta in (0.3 * PI, HALF_PI):
+            f, oracle = _integrands(colouring, theta)
+            for eps in points:
+                if eps > HALF_PI:
+                    continue
+                parity = north * (-1) ** bisect.bisect_right(flips, eps)
+                fix = parity * int(colouring.evaluate_polar(np.array([eps]))[0])
+                if eps not in flips and not isinstance(colouring, HarmonicColouring):
+                    assert fix == 1
+                assert abs(f(eps) - fix * oracle(eps)) <= INTEGRAND_ORACLE_TOL
+
+    def test_collapsed_circle(self, colouring):
+        # sin(theta) sin(eps) < 1e-14: the partner circle is one point
+        f, oracle = _integrands(colouring, 0.3 * PI)
+        for eps in (0.0, 1e-300, 5e-15):
+            assert f(eps) == oracle(eps)
+
+    def test_quadrature_against_the_oracle_integrand(self, colouring, monkeypatch):
+        thetas = (0.05 * PI, 0.2 * PI, 0.37 * PI, HALF_PI)
+        values = [correlation_quadrature(colouring, t, 1e-8) for t in thetas]
+        monkeypatch.setattr(
+            correlation, "_quadrature_integrand", arc_integral_oracle.integrand
+        )
+        for theta, value in zip(thetas, values):
+            oracle = correlation_quadrature(colouring, theta, 1e-8)
+            assert abs(value - oracle) <= QUAD_ORACLE_TOL
+
+
+def test_one_ulp_arc_is_coloured_by_parity():
+    # theta = pi/4 and eps one ulp above the flip 3pi/8 put theta + eps
+    # one ulp above the flip 5pi/8, so the first inner arc spans one ulp
+    # of alpha and ~2.6e-8 of omega.  The oracle's midpoint of that arc
+    # rounds onto 5pi/8 and reads the closed band edge's +1; the scalar
+    # integrand reads the arc's colour, -1, from the flip parity.
+    colouring = make_catalogue("4")
+    theta, eps = PI / 4, math.nextafter(3 * PI / 8, PI)
+    f, oracle = _integrands(colouring, theta)
+    x = math.cos(theta) * math.cos(eps)
+    first_arc = math.acos((x - math.cos(5 * PI / 8)) / (math.sin(theta) * math.sin(eps)))
+    assert 1e-8 < first_arc < 1e-7
+    # a(eps) = -1, so the arc's colour moves the integrand by
+    # sin(eps) * (-1) * (-1 - 1) * first_arc
+    expected = 2 * math.sin(eps) * first_arc
+    assert abs((f(eps) - oracle(eps)) - expected) <= INTEGRAND_ORACLE_TOL
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    north_edges=st.lists(
+        st.floats(0.05, 1.5), max_size=4, unique_by=lambda x: round(x, 1)
+    ),
+    north_value=st.sampled_from([1, -1]),
+    theta=st.floats(0.02, HALF_PI),
+)
+def test_random_band_sets_against_the_oracle_integrand(north_edges, north_value, theta):
+    colouring = _antipodal_bands(north_edges, north_value)
+    value = correlation_quadrature(colouring, theta, 1e-10)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlation, "_quadrature_integrand", arc_integral_oracle.integrand)
+        oracle = correlation_quadrature(colouring, theta, 1e-10)
+    assert abs(value - oracle) <= QUAD_ORACLE_TOL
+
+
+def test_quadrature_reads_colours_from_the_flips(monkeypatch):
+    # the integrand decides colours by flip parity: evaluate_polar runs
+    # only in _flips_of (at most three calls, none once cached), never
+    # once per node of the outer integral
+    calls = []
+    evaluate_polar = BandColouring.evaluate_polar
+
+    def counted(self, eps):
+        calls.append(np.size(eps))
+        return evaluate_polar(self, eps)
+
+    nodes = []
+    quad = correlation.quad
+
+    def counted_quad(f, *args, **kwargs):
+        out = quad(f, *args, **kwargs)
+        nodes.append(out[2]["neval"])
+        return out
+
+    monkeypatch.setattr(BandColouring, "evaluate_polar", counted)
+    monkeypatch.setattr(correlation, "quad", counted_quad)
+    correlation_quadrature(make_catalogue("4"), 0.3 * PI)
+    assert len(calls) <= 3
+    assert nodes[0] > 100
