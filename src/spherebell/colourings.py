@@ -122,8 +122,7 @@ class BandColouring:
                 inside = inside & ~above[lo]
             plus |= inside
         values = 2 * plus.astype(np.int64) - 1
-        near = np.flatnonzero(near)
-        if near.size:
+        if near.any():
             values[near] = self.evaluate_polar(arccos_clamped_array(x[near]))
         return values
 
@@ -172,11 +171,13 @@ class HarmonicColouring:
         terms = tuple((int(l), int(m), float(c)) for l, m, c in self.terms)
         if not terms:
             raise ValueError("at least one harmonic term is required")
-        for l, m, _ in terms:
+        for l, m, c in terms:
             if l < 0 or l % 2 == 0:
                 raise ValueError(f"degree {l} must be odd and non-negative")
             if abs(m) > l:
                 raise ValueError(f"order {m} exceeds degree {l}")
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient {c!r} of Y_{l},{m} is not finite")
         if all(c == 0.0 for _, _, c in terms):
             raise ValueError("all coefficients are zero")
         object.__setattr__(self, "terms", terms)

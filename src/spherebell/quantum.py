@@ -11,9 +11,11 @@ twirl, a Monte Carlo estimator over Haar-random measurement frames
 PR-box curve as the no-signalling reference.
 
 The frame expectation is linear in (sin theta, cos theta), so the
-estimator draws and multiplies the frames once for a whole theta grid
+estimator draws the frames once for a whole theta grid
 (``mc_quantum_curve``); ``mc_quantum_correlation`` is its one-theta
-case.
+case.  A frame is read as two real 3-vectors, the classical engine's
+``partner_frame`` of its Euler angles, against the state's 3x3
+spin-correlation tensor (``spin_tensor``), with no complex matrix.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .correlation import SamplingPlan, clamp_angles
+from .geometry import partner_frame
 
 PI = math.pi
 SNAP = 1e-12
@@ -39,8 +42,11 @@ _PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
 _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
 _PHI_MINUS = np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0)
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_PAULI = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
 
 
 def _check_theta(theta: float | np.ndarray) -> float | np.ndarray:
@@ -73,6 +79,8 @@ class TwoQubitState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("density matrix has a non-finite entry")
         if np.max(np.abs(rho - rho.conj().T)) > HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
@@ -163,15 +171,25 @@ def pr_box_correlation(theta: float) -> float:
 # Haar-random measurement frames
 
 
-def haar_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Batch of Haar-random 2x2 unitaries, shape (n, 2, 2).
-
-    Euler construction Rz(phi) Ry(eps) Rz(omega) with cos(eps) uniform
-    on [-1, 1] and phi, omega uniform on [0, 2pi).
-    """
+def haar_angles(
+    rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Euler angles (eps, phi, omega) of n Haar-random frames: phi and
+    omega uniform on [0, 2pi) and cos(eps) uniform on [-1, 1], drawn in
+    the order phi, cos(eps), omega."""
     phi = rng.uniform(0.0, 2.0 * PI, n)
     eps = np.arccos(rng.uniform(-1.0, 1.0, n))
     omega = rng.uniform(0.0, 2.0 * PI, n)
+    return eps, phi, omega
+
+
+def haar_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Batch of Haar-random 2x2 unitaries, shape (n, 2, 2).
+
+    Euler construction Rz(phi) Ry(eps) Rz(omega) from
+    :func:`haar_angles`.
+    """
+    eps, phi, omega = haar_angles(rng, n)
     half = eps / 2.0
     c, s = np.cos(half), np.sin(half)
     u = np.empty((n, 2, 2), dtype=complex)
@@ -182,27 +200,34 @@ def haar_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
     return u
 
 
-def _frame_moments(rho4: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and scatter (sum of centred outer products) of (p, q) over
-    a batch of frames U, where
+def spin_tensor(state: TwoQubitState) -> np.ndarray:
+    """The 3x3 spin-correlation tensor T_ij = Re Tr(rho sigma_i (x) sigma_j),
+    with i, j over x, y, z.  For unit vectors a and b,
+    Tr(rho (a . sigma) (x) (b . sigma)) = a^T T b."""
+    return np.array(
+        [[np.trace(state.rho @ np.kron(si, sj)).real for sj in _PAULI] for si in _PAULI]
+    )
 
-        p = Tr(rho A_U (x) U sigma_x U^dag),  q = Tr(rho A_U (x) A_U)
 
-    and A_U = U sigma_z U^dag.  Bob's operator at separation theta is
-    B_U = U (sin(theta) sigma_x + cos(theta) sigma_z) U^dag, the
+def _frame_pq(tensor: np.ndarray, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(p, q) of a batch of frames, as a (2, n) array:
+
+        p = a^T T u = Tr(rho A_U (x) U sigma_x U^dag),
+        q = a^T T a = Tr(rho A_U (x) A_U),
+
+    where A_U = U sigma_z U^dag = a . sigma, U sigma_x U^dag = u . sigma,
+    and a and u are (3, n) arrays.  Bob's operator at separation theta
+    is B_U = U (sin(theta) sigma_x + cos(theta) sigma_z) U^dag, the
     projector difference of cos(theta/2)|0> + sin(theta/2)|1> in the
     frame, so Tr(rho A_U (x) B_U) = sin(theta) p + cos(theta) q.
     """
-    udag = np.conj(np.swapaxes(u, 1, 2))
-    a_ops = u @ _SIGMA_Z @ udag
-    x_ops = u @ _SIGMA_X @ udag
-    # (A (x) B)[2a+b, 2c+d] = A[a,c] B[b,d]; trace against rho reshaped
-    pq = np.stack(
-        [
-            np.einsum("abcd,nca,ndb->n", rho4, a_ops, x_ops).real,
-            np.einsum("abcd,nca,ndb->n", rho4, a_ops, a_ops).real,
-        ]
-    )
+    ta = tensor.T @ a
+    return np.stack([np.sum(ta * u, axis=0), np.sum(ta * a, axis=0)])
+
+
+def _frame_moments(pq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and scatter (sum of centred outer products) of the columns
+    of ``pq``."""
     mean = pq.mean(axis=1)
     centred = pq - mean[:, None]
     return mean, centred @ centred.T
@@ -216,24 +241,27 @@ def mc_quantum_curve(
 
     Each sample draws one Haar frame and contributes the exact quantum
     expectation in that frame, sin(theta) p + cos(theta) q (see
-    ``_frame_moments``), so the estimator converges to
-    werner_correlation(twirl(state), theta).  Only (p, q) are random:
-    each chunk of ``plan`` gives their mean and 2x2 scatter once for
-    the whole grid, and the chunks are merged in index order by the
-    pairwise update of Chan, Golub and LeVeque (1979).  The value at
-    theta is w . mean and its variance w^T scatter w / (n - 1), with
-    w = (sin theta, cos theta); centred moments keep the variance of a
+    ``_frame_pq``), so the estimator converges to
+    werner_correlation(twirl(state), theta).  The frame U = Rz(phi)
+    Ry(eps) Rz(omega) rotates z to Alice's axis a and x to the tangent
+    u of ``geometry.partner_frame(eps, phi, omega)``, so a frame costs
+    two 3-vectors against the state's ``spin_tensor``, computed once,
+    and no complex matrix.  Only (p, q) are random: each chunk of
+    ``plan`` gives their mean and 2x2 scatter once for the whole grid,
+    and the chunks are merged in index order by the pairwise update of
+    Chan, Golub and LeVeque (1979).  The value at theta is w . mean and
+    its variance w^T scatter w / (n - 1), with w = (sin theta,
+    cos theta); centred moments keep the variance of a
     rotation-invariant state (a Werner state, where every frame gives
     the same expectation) at rounding level.  The result depends only
     on the plan.
     """
     grid = [_check_theta(t) for t in thetas]
-    rho4 = state.rho.reshape(2, 2, 2, 2)
+    tensor = spin_tensor(state)
     n, mean, scatter = 0, np.zeros(2), np.zeros((2, 2))
     for index, length in plan.chunks():
-        chunk_mean, chunk_scatter = _frame_moments(
-            rho4, haar_unitaries(plan.chunk_rng(index), length)
-        )
+        a, u = partner_frame(*haar_angles(plan.chunk_rng(index), length))
+        chunk_mean, chunk_scatter = _frame_moments(_frame_pq(tensor, a, u))
         delta = chunk_mean - mean
         mean = mean + delta * (length / (n + length))
         weight = n * length / (n + length)

@@ -231,6 +231,19 @@ class TestCurveCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_non_finite_harmonic_coefficient_is_usage_error(self, tmp_path, capsys):
+        # JSON admits NaN, and the sign of a nan amplitude reads as -1
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"kind": "harmonic", "terms": [[1, 0, math.nan]]}))
+        assert "NaN" in path.read_text()
+        code, out, err = run(
+            capsys, "curve", "--colouring", f"@{path}", "--method", "mc", "--n", "100",
+            "--grid", "0.1:0.4:2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
+
     def test_out_in_missing_directory_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "absent" / "c.csv"
         code, _, err = run(
@@ -541,6 +554,18 @@ class TestQuantumCommand:
     def test_unknown_state_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "quantum", "--state", "ghz")
         assert code == 2
+
+    @pytest.mark.parametrize("mc", [(), ("--mc", "--n", "100")], ids=["analytic", "mc"])
+    def test_non_finite_state_file_is_usage_error(self, mc, tmp_path, capsys):
+        # a nan entry passes every tolerance check that compares with <
+        path = tmp_path / "nan.txt"
+        path.write_text("nan 0 0 0\n0 0.5 -0.5 0\n0 -0.5 0.5 0\n0 0 0 0\n")
+        code, out, err = run(
+            capsys, "quantum", "--state-file", str(path), "--grid", "0:0.5:3", *mc
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "non-finite" in err
 
 
 class TestSlopeCommand:

@@ -10,7 +10,7 @@ import arc_integral_oracle
 from closed_form_tables import DEFORMED_DOMAIN, table_value
 from scalar_sum_oracle import chi as oracle_chi
 from scalar_sum_oracle import exact_value as oracle_value
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -181,6 +181,42 @@ class TestGridMC:
             assert estimate[0] == per_point_mc(pair, t, plan)
             assert estimate == correlation_mc(pair, t, plan)
         assert correlation_mc_grid(pair, self.GRID, plan, jobs=3) == grid
+
+    # 46 distinct thetas, at least EVENT_POINTS_PER_FLIP per flip of
+    # every band bob below, unsorted and with GRID's points repeated
+    DENSE_GRID = tuple(float(t) for t in np.linspace(0.0, PI, 42)[::-1]) + GRID + GRID[:3]
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            pair_for(2),
+            ColouringPair.anticorrelated(make_catalogue("3_delta", delta=-0.03 * PI)),
+            ColouringPair.anticorrelated(
+                colouring_from_spec(
+                    {"kind": "bands", "bands": [[0.0, 0.15], [0.15, 0.35], [0.5, 0.65]]}
+                )
+            ),
+            ColouringPair(make_catalogue(3), make_catalogue("2_Delta", Delta=0.05 * PI)),
+        ],
+        ids=["label_2", "3_delta", "touching_bands", "band_bob_of_another_set"],
+    )
+    def test_dense_grid_is_bit_identical_to_per_point_runs(self, pair, monkeypatch):
+        flips = correlation._band_flips(pair.bob)
+        assert len(set(self.DENSE_GRID)) >= correlation.EVENT_POINTS_PER_FLIP * len(flips)
+        calls = []
+        event_sums = correlation._event_sums
+        monkeypatch.setattr(
+            correlation,
+            "_event_sums",
+            lambda *args: calls.append(1) or event_sums(*args),
+        )
+        plan = SamplingPlan(91, 2500, chunk_size=1000)
+        grid = correlation_mc_grid(pair, self.DENSE_GRID, plan)
+        assert len(calls) == 3
+        for t, estimate in zip(self.DENSE_GRID, grid):
+            assert estimate[0] == per_point_mc(pair, t, plan)
+            assert estimate == correlation_mc(pair, t, plan)
+        assert correlation_mc_grid(pair, self.DENSE_GRID, plan, jobs=3) == grid
 
     def test_mc_curve_is_the_grid(self):
         h = HarmonicColouring(((3, 2, 1.0), (1, 0, 0.5)))
@@ -1099,3 +1135,115 @@ def test_quadrature_reads_colours_from_the_flips(monkeypatch):
     correlation_quadrature(make_catalogue("4"), 0.3 * PI)
     assert len(calls) <= 3
     assert nodes[0] > 100
+
+
+# ---------------------------------------------------------------------------
+# The event path of correlation_mc_grid (band bobs on dense grids)
+
+
+@st.composite
+def band_colourings(draw):
+    """A band colouring, antipodal or not: up to four bands on sorted
+    distinct edges, each band touching the one before it or not."""
+    edges = sorted(
+        draw(st.lists(st.floats(0.02, PI - 0.02), min_size=1, max_size=8, unique=True))
+    )
+    points = [0.0, *edges, PI] if draw(st.booleans()) else edges
+    bands, k = [], draw(st.integers(0, 1))
+    while k + 1 < len(points) and len(bands) < 4:
+        bands.append((points[k], points[k + 1]))
+        k += draw(st.sampled_from([1, 2]))
+    if not bands:
+        bands = [(0.0, edges[0])]
+    return BandColouring(tuple(bands))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    alice=band_colourings(),
+    bob=band_colourings(),
+    relation=st.sampled_from(["swap", "unrelated", "negated_unrelated"]),
+    extra=st.integers(0, 12),
+    seed=st.integers(0, 2**32),
+)
+def test_event_path_is_bit_identical_to_per_theta_runs(alice, bob, relation, extra, seed):
+    if relation == "swap":
+        pair = ColouringPair.anticorrelated(alice)
+    else:
+        pair = ColouringPair(alice, negate(bob) if relation == "negated_unrelated" else bob)
+    flips = correlation._band_flips(pair.bob)
+    assume(flips)
+    # 0, pi/2, pi, every flip angle itself, and a dense enough linspace,
+    # shuffled, with duplicates
+    on_flips = [math.acos(c) for c, _ in flips]
+    count = correlation.EVENT_POINTS_PER_FLIP * len(flips) + extra
+    rng = np.random.default_rng(seed)
+    grid = [0.0, HALF_PI, PI, *on_flips, *np.linspace(0.0, PI, count).tolist()]
+    grid += rng.choice(grid, 5).tolist()
+    rng.shuffle(grid)
+    assert len(set(grid)) >= correlation.EVENT_POINTS_PER_FLIP * len(flips)
+    plan = SamplingPlan(seed, 2100, chunk_size=1024)
+    estimates = correlation_mc_grid(pair, grid, plan)
+    assert estimates == [correlation_mc(pair, t, plan) for t in grid]
+    assert correlation_mc_grid(pair, grid, plan, jobs=3) == estimates
+
+
+def test_event_path_falls_back_sample_by_sample(monkeypatch):
+    # margins wide enough that most samples miss the certificate: the
+    # per-theta fallback must give the same integers
+    pair = ColouringPair(make_catalogue(3), negate(make_catalogue(4)))
+    grid = np.linspace(0.0, PI, 60).tolist()
+    plan = SamplingPlan(5, 3000, chunk_size=1024)
+    expected = [correlation_mc(pair, t, plan) for t in grid]
+    assert correlation_mc_grid(pair, grid, plan) == expected
+    monkeypatch.setattr(correlation, "EVENT_TAU", 0.02)
+    monkeypatch.setattr(correlation, "EVENT_SIGMA", 0.1)
+    assert correlation_mc_grid(pair, grid, plan) == expected
+
+
+def test_band_flips_read_the_jumps():
+    # touching bands at 0.15 pi carry no flip; a colour swap negates jumps
+    c = BandColouring(((0.0, 0.15 * PI), (0.15 * PI, 0.35 * PI), (0.5 * PI, 0.65 * PI)))
+    flips = correlation._band_flips(c)
+    assert [round(math.acos(v) / PI, 12) for v, _ in flips] == [0.35, 0.5, 0.65]
+    assert [j for _, j in flips] == [-2, 2, -2]
+    assert [j for _, j in correlation._band_flips(negate(c))] == [2, -2, 2]
+    assert correlation._band_flips(HarmonicColouring(((1, 0, 1.0),))) is None
+
+
+def test_event_path_certifies_crossings_on_grid_thetas():
+    # grid thetas placed on the crossing times of some samples, and
+    # samples that cross a flip at theta = 0 itself (alice's polar angle
+    # on a flip angle), whose other crossing time may wrap to 2 pi: the
+    # per-theta colours there are decided by rounding, which the event
+    # times cannot see, so only the certificate's fallback keeps the
+    # sums exact
+    bob = negate(make_catalogue(2))
+    flips = correlation._band_flips(bob)
+    rng = np.random.default_rng(3)
+    n = 400
+    cos_eps = rng.uniform(-1.0, 1.0, n)
+    cos_eps[: n // 4] = [flips[k % len(flips)][0] for k in range(n // 4)]
+    eps = np.arccos(cos_eps)
+    omega = rng.uniform(0.0, 2.0 * PI, n)
+    trig = np.cos(eps), np.sin(eps), np.cos(omega)
+    y = trig[1] * trig[2]
+    r, psi = np.hypot(trig[0], y), np.arctan2(y, trig[0])
+    # the grid stops short of pi, where a sample crossing a flip v at 0
+    # crosses the flip pi - v
+    grid = set(np.linspace(0.0, 0.9 * PI, 30).tolist())
+    # the crossing times of the second quarter of the samples only, so
+    # that the others stay certified
+    placed = np.arange(n) // (n // 4) == 1
+    for c, _ in flips:
+        crossing = placed & (r > abs(c) + 1e-3)
+        for sign in (1.0, -1.0):
+            times = (sign * np.arccos(c / r[crossing]) - psi[crossing]) % (2.0 * PI)
+            grid |= set(times[times <= 0.9 * PI].tolist())
+    grid = sorted(grid)
+    a_vals = rng.choice([-1, 1], n)
+    sums = correlation._event_sums(bob, flips, a_vals, trig, grid)
+    expected = [
+        int(np.sum(a_vals * bob.evaluate_cos(partner_cos_many(t, *trig)))) for t in grid
+    ]
+    assert sums.tolist() == expected

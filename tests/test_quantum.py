@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from quantum_frame_oracle import frame_pq
 from spherebell.correlation import SamplingPlan
+from spherebell.geometry import partner_frame
 from spherebell.quantum import (
     TwoQubitState,
     WernerParam,
+    _frame_pq,
+    haar_angles,
     haar_unitaries,
     mc_quantum_correlation,
     mc_quantum_curve,
@@ -14,6 +18,7 @@ from spherebell.quantum import (
     pr_box_correlation,
     random_state,
     singlet_correlation,
+    spin_tensor,
     twirl,
     werner_correlation,
     werner_pp,
@@ -277,6 +282,43 @@ class TestMonteCarloQuantumCurve:
             mc_quantum_curve(
                 TwoQubitState.named("singlet"), [0.2, PI + 0.2], SamplingPlan(1, 10)
             )
+
+
+class TestSpinTensor:
+    @pytest.mark.parametrize(
+        "name, diagonal",
+        [
+            ("singlet", (-1.0, -1.0, -1.0)),
+            ("psi+", (1.0, 1.0, -1.0)),
+            ("phi+", (1.0, -1.0, 1.0)),
+            ("phi-", (-1.0, 1.0, 1.0)),
+            ("mixed", (0.0, 0.0, 0.0)),
+        ],
+    )
+    def test_bell_states(self, name, diagonal):
+        tensor = spin_tensor(TwoQubitState.named(name))
+        assert np.max(np.abs(tensor - np.diag(diagonal))) <= 1e-15
+
+    def test_werner_state_is_isotropic(self):
+        # T = -((4r - 1) / 3) I, the Werner curve's slope
+        tensor = spin_tensor(TwoQubitState.werner(0.37))
+        expected = -((4 * 0.37 - 1.0) / 3.0) * np.eye(3)
+        assert np.max(np.abs(tensor - expected)) <= 1e-15
+
+    # the complex-matrix oracle itself rounds by up to 1.4e-15 on the
+    # phi states (measured against the tensor formula in long double on
+    # the same axes, which rounds by 3e-16), so Bell states get 1.5e-15
+    @pytest.mark.parametrize(
+        "state, tol",
+        [(TwoQubitState.named(name), 1.5e-15) for name in ("singlet", "phi+", "phi-")]
+        + [(random_state(np.random.default_rng(k)), 1e-15) for k in range(4)],
+    )
+    def test_frames_agree_with_the_matrix_oracle(self, state, tol):
+        # the same draws: haar_unitaries builds U from haar_angles
+        u = haar_unitaries(np.random.default_rng(61), 20_000)
+        a, tangent = partner_frame(*haar_angles(np.random.default_rng(61), 20_000))
+        pq = _frame_pq(spin_tensor(state), a, tangent)
+        assert np.max(np.abs(pq - frame_pq(state.rho, u))) <= tol
 
 
 class TestHaarSampling:
