@@ -425,33 +425,54 @@ def common_random_correlation(
     a sign-of-harmonics colouring over ``modes`` whose partner is its
     colour swap.
 
-    The points never change, so alice's basis rows at her axes and
-    bob's at his partner axes are built here once, with the partner
-    maps of ``correlation_mc_grid``: cos(alpha) alone when every m is 0,
-    bob's Cartesian axis otherwise.  A call only recombines the cached
-    rows, with the colouring's own term-order sum, and so returns
+    The points never change, so each chunk's basis is built here once,
+    with the partner maps of ``correlation_mc_grid`` (cos(alpha) alone
+    when every m is 0, bob's Cartesian axis otherwise), as one stacked
+    (modes, 2 len) array: alice's rows at her axes, then bob's at his
+    partner axes.  A call sums c * row in the colouring's own term order,
+    skipping c = 0 and allowing repeated modes, exactly as
+    :meth:`HarmonicColouring.amplitude_from_rows` does, and takes one
+    sign of the stacked amplitude.  alice * (-bob) is +1 where the two
+    signs differ and -1 where they agree, so a chunk adds twice its
+    count of sign disagreements minus its length: the same integer as
     ``correlation_mc(ColouringPair.anticorrelated(h), theta, plan)[0]``
-    bit for bit.
+    sums, bit for bit.
     """
     azimuthal = all(m == 0 for _, m in modes)
+    distinct = list(dict.fromkeys(modes))
+    index = {mode: k for k, mode in enumerate(distinct)}
     chunks = []
     for eps, phi, omega in plan.draws():
         if azimuthal:
             cos_eps = np.cos(eps)
             cos_alpha = partner_cos_many(theta, cos_eps, np.sin(eps), np.cos(omega))
-            alice, bob = (cos_eps,), (clamp_cos(cos_alpha),)
+            z = np.concatenate([cos_eps, clamp_cos(cos_alpha)])
+            rows = harmonic_rows(distinct, z)
         else:
             a, u = partner_frame(eps, phi, omega)
-            b = partner_many(theta, a, u)
-            alice, bob = (a[2], a[:2]), (b[2], b[:2])
-        chunks.append((list(harmonic_rows(modes, *alice)), list(harmonic_rows(modes, *bob))))
+            v = np.concatenate([a, partner_many(theta, a, u)], axis=1)
+            rows = harmonic_rows(distinct, v[2], v[:2])
+        stacked = np.empty((len(distinct), 2 * eps.size))
+        for l, m, row in rows:
+            stacked[index[l, m]] = row
+        chunks.append((eps.size, stacked))
 
     def correlation(h: HarmonicColouring) -> float:
+        live = []
+        for term in h.terms:
+            l, m, c = term
+            if c != 0.0:
+                if (l, m) not in index:
+                    raise ValueError(f"no basis row for the term {term!r}")
+                live.append((c, index[l, m]))
+        (c0, k0), *rest = live
         total = 0
-        for alice_rows, bob_rows in chunks:
-            a_vals = h.evaluate_rows(alice_rows)
-            b_vals = -h.evaluate_rows(bob_rows)
-            total += int(np.sum(a_vals * b_vals, dtype=np.int64))
+        for size, stacked in chunks:
+            amp = c0 * stacked[k0]
+            for c, k in rest:
+                amp += c * stacked[k]
+            plus = amp >= 0.0
+            total += 2 * int(np.count_nonzero(plus[:size] != plus[size:])) - size
         return total / plan.n_samples
 
     return correlation
@@ -473,9 +494,10 @@ def harmonic_search(
     Each restart runs a Nelder-Mead simplex from a random start, with a
     fixed per-restart sampling plan so every comparison inside the
     simplex uses common random numbers: the basis rows at the restart's
-    sample and partner points are built once
-    (:func:`common_random_correlation`), and each simplex step only
-    recombines them.  The winning restart is re-evaluated at 10x
+    sample and partner points are built once, alice's beside bob's in
+    one stacked array (:func:`common_random_correlation`), and each
+    simplex step only recombines them and counts the points where the
+    two signs disagree.  The winning restart is re-evaluated at 10x
     samples with :func:`correlation_mc`, and the result is checked
     against the chain lower bound.
     """
@@ -484,6 +506,10 @@ def harmonic_search(
         raise ValueError(f"theta {t!r} outside (0, pi/2)")
     if l_max < 1 or l_max % 2 == 0:
         raise ValueError(f"l_max {l_max} must be a positive odd integer")
+    if restarts < 1:
+        raise ValueError(f"restarts {restarts} must be at least 1")
+    if max_iter < 1:
+        raise ValueError(f"max_iter {max_iter} must be at least 1")
     if plan is None:
         plan = SamplingPlan(master_seed=0x42D, n_samples=20_000)
     modes = _search_modes(l_max, azimuthal_only)

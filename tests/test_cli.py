@@ -505,6 +505,16 @@ class TestSearchCommand:
         assert code == 2
         assert "theta" in err
 
+    @pytest.mark.parametrize("flag", ["--restarts", "--max-iter"])
+    def test_rejects_a_zero_count(self, capsys, flag):
+        code, out, err = run(
+            capsys, "search", "--theta", "0.45", "--lmax", "3", "--azimuthal-only",
+            flag, "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{flag[2:].replace('-', '_')} 0 must be at least 1" in err
+
 
 class TestQuantumCommand:
     def test_singlet_curve(self, capsys):

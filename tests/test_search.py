@@ -323,6 +323,10 @@ class TestHarmonicSearch:
             harmonic_search(0.0, 1)
         with pytest.raises(ValueError):
             harmonic_search(PI / 2, 1)
+        with pytest.raises(ValueError, match="restarts"):
+            harmonic_search(0.3 * PI, 1, restarts=0)
+        with pytest.raises(ValueError, match="max_iter"):
+            harmonic_search(0.3 * PI, 1, max_iter=0)
 
     def test_readme_search_is_pinned(self):
         # `spherebell search --theta 0.45 --lmax 5 --azimuthal-only` at the
@@ -330,6 +334,13 @@ class TestHarmonicSearch:
         out = harmonic_search(0.45 * PI, 5, azimuthal_only=True)
         assert out.evaluations == 1451
         assert out.objective_value == -0.18133
+
+    def test_full_m_search_is_pinned(self):
+        # the all-m branch (Cartesian partner axes, 10 modes) at the
+        # default seed and 20,000 samples
+        out = harmonic_search(0.3 * PI, 3, restarts=3, max_iter=150)
+        assert out.evaluations == 1043
+        assert out.objective_value == -0.38148
 
     def test_outcome_validation(self):
         with pytest.raises(ValueError):
@@ -357,24 +368,51 @@ def test_search_report_layout():
 
 
 @pytest.mark.parametrize(
-    "modes, coefficients",
+    "modes, terms",
     [
-        ([(1, 0), (3, 0), (5, 0)], (0.3, -0.9, 0.5)),
+        ([(1, 0), (3, 0), (5, 0)], ((1, 0, 0.3), (3, 0, -0.9), (5, 0, 0.5))),
         ([(l, m) for l in (1, 3) for m in range(-l, l + 1)], None),
-        ([(1, -1), (1, 0), (1, 1), (3, 2)], (0.0, 0.4, -0.2, 0.7)),
+        (
+            [(1, -1), (1, 0), (1, 1), (3, 2)],
+            ((1, -1, 0.0), (1, 0, 0.4), (1, 1, -0.2), (3, 2, 0.7)),
+        ),
+        (
+            [(1, -1), (1, 0), (1, 1), (3, 2)],
+            ((3, 2, 0.7), (1, 1, -0.2), (1, -1, 0.3), (1, 0, 0.4)),
+        ),
+        ([(1, 0), (3, 1)], ((1, 0, 0.4), (3, 1, -0.6), (1, 0, -0.55))),
+        ([(1, 0), (3, 0), (5, 0)], ((1, 0, 0.3), (3, 0, -0.0), (5, 0, -0.5))),
     ],
-    ids=["azimuthal", "all_m_lmax3", "zero_coefficient"],
+    ids=[
+        "azimuthal",
+        "all_m_lmax3",
+        "zero_coefficient",
+        "out_of_mode_order",
+        "repeated_mode",
+        "negative_zero_coefficient",
+    ],
 )
-def test_cached_objective_is_correlation_mc(modes, coefficients):
+def test_cached_objective_is_correlation_mc(modes, terms):
     theta = 0.35 * PI
     # two chunks, the second one short
     plan = SamplingPlan(29, 3000, chunk_size=2048)
     cached = common_random_correlation(theta, modes, plan)
-    if coefficients is None:
+    if terms is None:
         vectors = np.random.default_rng(4).standard_normal((3, len(modes)))
+        colourings = [
+            HarmonicColouring(tuple((l, m, float(v)) for (l, m), v in zip(modes, c)))
+            for c in vectors
+        ]
     else:
-        vectors = [coefficients]
-    for c in vectors:
-        h = HarmonicColouring(tuple((l, m, float(v)) for (l, m), v in zip(modes, c)))
+        colourings = [HarmonicColouring(terms)]
+    for h in colourings:
         pair = ColouringPair.anticorrelated(h)
         assert cached(h) == correlation_mc(pair, theta, plan)[0]
+
+
+def test_cached_objective_needs_a_row_for_every_term():
+    cached = common_random_correlation(0.35 * PI, [(1, 0), (3, 0)], SamplingPlan(29, 100))
+    # a zero coefficient needs no row; a live term without one is an error
+    assert -1.0 <= cached(HarmonicColouring(((1, 0, 1.0), (5, 0, 0.0)))) <= 1.0
+    with pytest.raises(ValueError, match="no basis row for the term"):
+        cached(HarmonicColouring(((1, 0, 1.0), (5, 0, 0.2))))
