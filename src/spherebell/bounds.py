@@ -233,10 +233,10 @@ def verify_colouring(
     method: str,
     plan: SamplingPlan | None = None,
     tol: float = 1e-8,
-    jobs: int = 1,
 ) -> list[BoundReport]:
-    """Evaluate the curve and check the chain bounds at every grid
-    point, plus the strict quantum sandwich where it applies.
+    """Evaluate the curve with :func:`curve_for` and check the chain
+    bounds at every grid point, plus the strict quantum sandwich where
+    it applies.
 
     Exact methods use a 1e-9 slack; Monte Carlo points get a 3 stderr
     band and are reported inconclusive (not violated) inside it.
@@ -245,7 +245,7 @@ def verify_colouring(
     for t in grid:
         if not SNAP < t <= HALF_PI + SNAP:
             raise ValueError(f"verification grid point {t!r} outside (0, pi/2]")
-    curve = curve_for(c, grid, method, plan=plan, tol=tol, jobs=jobs)
+    curve = curve_for(c, grid, method, plan=plan, tol=tol)
     return verify_curve(curve)
 
 

