@@ -13,6 +13,7 @@ usage or configuration, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -73,7 +74,10 @@ def parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start * PI, stop * PI, count)
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(args: argparse.Namespace) -> dict:
+    """The --config file's keys, each one a flag's dest of the
+    subcommand (the namespace's other attributes)."""
+    path = args.config
     if not path:
         return {}
     try:
@@ -83,6 +87,10 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"cannot read config {path!r}: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError(f"config {path!r} must hold a JSON object")
+    known = set(vars(args)) - {"command", "func", "config"}
+    for key in config:
+        if key not in known:
+            raise UsageError(f"config {path!r} has the unknown key {key!r}")
     return config
 
 
@@ -157,7 +165,7 @@ REFERENCE_COLUMNS = {
 
 
 def run_curve(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     out = _out_path(args, config)
     label = _merged(args, config, "colouring", None)
     if label is None:
@@ -184,7 +192,7 @@ def run_curve(args: argparse.Namespace) -> int:
 
 
 def run_verify(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     out = _out_path(args, config)
     curve_file = _merged(args, config, "curve_file", None)
     if curve_file:
@@ -240,7 +248,7 @@ def _parse_delta_grid(spec: str | None, default: Sequence[float]) -> Sequence[fl
 
 
 def run_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     out = _out_path(args, config)
     family = _merged(args, config, "family", "3_delta")
     reference = _merged(args, config, "reference", "c1")
@@ -256,55 +264,59 @@ def run_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--delta and --delta-grid exclude each other")
     if theta_grid is not None and delta is None:
         raise UsageError("--grid sets the theta grid of a single --delta table only")
-    with _output(out) as fh:
-        if delta is not None:
-            # single-deformation mode: curve table plus crossing summary
-            d = float(delta) * PI
-            grid = parse_grid(_merged(args, config, "grid", "0.34:0.5:81"))
-            columns = (
-                grid / PI,
-                closed_form("3_delta", grid, delta=d),
-                closed_form("3", grid),
-                closed_form("1", grid),
-                singlet_correlation(grid),
-            )
+    if delta is not None:
+        # single-deformation mode: curve table plus crossing summary
+        d = float(delta) * PI
+        grid = parse_grid(_merged(args, config, "grid", "0.34:0.5:81"))
+        columns = (
+            grid / PI,
+            closed_form("3_delta", grid, delta=d),
+            closed_form("3", grid),
+            closed_form("1", grid),
+            singlet_correlation(grid),
+        )
+        hit = search_mod.find_crossing(
+            lambda t: closed_form("3_delta", t, delta=d),
+            search_mod.reference_curve(reference),
+            search_mod.CROSSING_BRACKET,
+            tol,
+        )
+        summary = (
+            f"crossing vs {reference}: theta/pi = {hit.theta_star / PI:.6f} "
+            f"(bracket width {hit.bracket_width / PI:.2e} pi)"
+        )
+
+        def write(fh: TextIO) -> None:
             fh.write("theta_over_pi,c_3_delta,c_3,c_1,q_singlet\n")
             for row in zip(*columns):
                 fh.write(",".join(map(format_sig, row)) + "\n")
-            hit = search_mod.find_crossing(
-                lambda t: closed_form("3_delta", t, delta=d),
-                search_mod.reference_curve(reference),
-                search_mod.CROSSING_BRACKET,
-                tol,
-            )
-            print(
-                f"crossing vs {reference}: theta/pi = {hit.theta_star / PI:.6f} "
-                f"(bracket width {hit.bracket_width / PI:.2e} pi)",
-                file=sys.stderr,
-            )
-        elif family == "3_delta":
-            grid = _parse_delta_grid(delta_grid, search_mod.DELTA_GRID)
-            result = search_mod.sweep_delta(grid, reference, tol)
-            search_mod.sweep_to_csv(result, fh)
-            print(
-                f"best delta/pi = {result.best_delta / PI:.6f} with crossing "
-                f"theta/pi = {result.best_theta / PI:.6f}",
-                file=sys.stderr,
-            )
-        else:
-            grid = _parse_delta_grid(delta_grid, search_mod.TWO_DELTA_GRID)
-            result = search_mod.sweep_two_delta(grid, reference, tol)
-            search_mod.sweep_to_csv(result, fh)
-            print(
-                f"best Delta/pi = {result.best_delta / PI:.6f} with exit theta/pi = "
-                f"{result.best_theta / PI:.6f}",
-                file=sys.stderr,
-            )
+
+    elif family == "3_delta":
+        grid = _parse_delta_grid(delta_grid, search_mod.DELTA_GRID)
+        result = search_mod.sweep_delta(grid, reference, tol)
+        summary = (
+            f"best delta/pi = {result.best_delta / PI:.6f} with crossing "
+            f"theta/pi = {result.best_theta / PI:.6f}"
+        )
+        write = functools.partial(search_mod.sweep_to_csv, result)
+    else:
+        grid = _parse_delta_grid(delta_grid, search_mod.TWO_DELTA_GRID)
+        result = search_mod.sweep_two_delta(grid, reference, tol)
+        summary = (
+            f"best Delta/pi = {result.best_delta / PI:.6f} with exit theta/pi = "
+            f"{result.best_theta / PI:.6f}"
+        )
+        write = functools.partial(search_mod.sweep_to_csv, result)
+    # the file is opened once every number is computed, so that a failed
+    # run leaves no partial file
+    with _output(out) as fh:
+        write(fh)
+    print(summary, file=sys.stderr)
     return 0
 
 
 def run_search(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     out = _out_path(args, config)
     theta = _merged(args, config, "theta", None)
     if theta is None:
@@ -343,7 +355,7 @@ def _resolve_state(args: argparse.Namespace, config: dict) -> TwoQubitState:
 
 
 def run_quantum(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     out = _out_path(args, config)
     state = _resolve_state(args, config)
     grid = parse_grid(_merged(args, config, "grid", "0:0.5:51"))
@@ -371,7 +383,7 @@ def run_quantum(args: argparse.Namespace) -> int:
 
 
 def run_slope(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     out = _out_path(args, config)
     label = str(_merged(args, config, "colouring", "3"))
     h = float(_merged(args, config, "h", 1e-3))

@@ -191,10 +191,19 @@ class HarmonicColouring:
 
     def amplitude(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """The underlying real harmonic sum at polar angles (eps, phi),
-        before taking the sign: :meth:`amplitude_from_rows` of the
-        basis rows from :func:`harmonic_rows` at the unit vectors."""
-        v = unit_vectors(eps, phi)
+        before taking the sign."""
+        return self.amplitude_vectors(unit_vectors(eps, phi))
+
+    def amplitude_vectors(self, v: np.ndarray) -> np.ndarray:
+        """The harmonic sum at the unit vectors v, a (3, ...) array of
+        Cartesian coordinates: :meth:`amplitude_from_rows` of the basis
+        rows from :func:`harmonic_rows`."""
         return self.amplitude_from_rows(harmonic_rows(self._live_modes(), v[2], v[:2]))
+
+    def amplitude_cos(self, x: np.ndarray) -> np.ndarray:
+        """The harmonic sum of an azimuthally symmetric colouring at the
+        polar angles arccos(x), from x alone, unclamped."""
+        return self.amplitude_from_rows(harmonic_rows(self._live_modes(), x))
 
     def _live_modes(self) -> list[tuple[int, int]]:
         return [(l, m) for l, m, c in self.terms if c != 0.0]
@@ -233,17 +242,13 @@ class HarmonicColouring:
             raise ValueError(f"no basis row for the term {live[k]!r}")
         return total
 
-    def evaluate_rows(self, rows: Iterable[tuple[int, int, np.ndarray]]) -> np.ndarray:
-        """Values +-1 from basis rows, as :meth:`amplitude_from_rows`."""
-        return np.where(self.amplitude_from_rows(rows) >= 0.0, 1, -1)
-
     def evaluate_many(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
         return self.evaluate_vectors(unit_vectors(eps, phi))
 
     def evaluate_vectors(self, v: np.ndarray) -> np.ndarray:
         """Values at the unit vectors v, a (3, ...) array of Cartesian
         coordinates."""
-        return self.evaluate_rows(harmonic_rows(self._live_modes(), v[2], v[:2]))
+        return np.where(self.amplitude_vectors(v) >= 0.0, 1, -1)
 
     def evaluate_cos(self, x: np.ndarray) -> np.ndarray:
         """Values of an azimuthally symmetric colouring at the polar
@@ -251,7 +256,7 @@ class HarmonicColouring:
         the drift check of :func:`clamp_cos`."""
         if not self.is_azimuthal:
             raise ValueError("colouring is not azimuthally symmetric")
-        return self.evaluate_rows(harmonic_rows(self._live_modes(), clamp_cos(x)))
+        return np.where(self.amplitude_cos(clamp_cos(x)) >= 0.0, 1, -1)
 
     def evaluate_polar(self, eps: np.ndarray) -> np.ndarray:
         return self.evaluate_cos(np.cos(np.asarray(eps, dtype=float)))

@@ -10,7 +10,9 @@ compute it:
   sampling plan, independent of scheduling); ``correlation_mc_grid``
   runs a whole theta grid on one set of draws, evaluating alice once
   per chunk; on a dense grid a band bob pays per draw, not per (draw,
-  theta), by summing his certified colour flip events,
+  theta), by summing his certified colour flip events, and a harmonic
+  bob pays L + 1 evaluations per draw, interpolating his amplitude (a
+  trig polynomial along the grid) with a certified margin,
 - ``correlation_quadrature``: for azimuthally symmetric, antipodal,
   perfectly anticorrelated pairs, the average reduces to
 
@@ -244,6 +246,104 @@ def _event_sums(
     return sums
 
 
+# The trig path of correlation_mc_grid: a harmonic bob on a dense grid.
+# Margin of the certificate, in units of S (1 + Lambda) (see the
+# docstring).
+TRIG_MARGIN = 1e-9
+# A grid takes the trig path when it has more than this many distinct
+# points per node (L + 1 nodes for degree L).  Measured on one chunk of
+# 20000 and of 65536 samples (2-core Xeon, numpy 2.4.6) for m = 0 and
+# all-m bobs with L = 1 to 11, the per-theta path took 0.6 to 1.5 times
+# as long as the trig path at L + 2 points, 1.0 to 2.2 times at 2 L + 3
+# points and 0.9 to 3.1 times at 3 L + 4 points (a shared, noisy host).
+TRIG_POINTS_PER_NODE = 2
+# interpolated grid rows held at once, which bounds the temporaries
+TRIG_BLOCK = 4
+
+
+def _trig_grid(
+    bob: Colouring, grid: list[float]
+) -> tuple[list[float], np.ndarray, float] | None:
+    """(nodes, interpolation matrix K, certificate margin) of the trig
+    path for a harmonic bob (or his colour swap) on a sorted grid of
+    distinct thetas; None for any other bob, or for a grid with at most
+    TRIG_POINTS_PER_NODE points per node.  For degree L there are
+    L + 1 nodes pi j / (L + 1), and K[g, j] = (2 / (L + 1))
+    sum_{k = 1, 3, ..., L} cos(k (theta_g - node_j))."""
+    core = bob.inner if isinstance(bob, Negated) else bob
+    if not isinstance(core, HarmonicColouring):
+        return None
+    live = [(l, c) for l, _, c in core.terms if c != 0.0]
+    size = max(l for l, _ in live) + 1
+    if len(grid) <= TRIG_POINTS_PER_NODE * size:
+        return None
+    nodes = PI * np.arange(size) / size
+    gaps = np.subtract.outer(np.array(grid), nodes)
+    kernel = (2.0 / size) * sum(np.cos(k * gaps) for k in range(1, size, 2))
+    lebesgue = float(np.max(np.sum(np.abs(kernel), axis=1)))
+    bound = sum(abs(c) * math.sqrt((2 * l + 1) / (4.0 * PI)) for l, c in live)
+    return nodes.tolist(), kernel, TRIG_MARGIN * bound * (1.0 + lebesgue)
+
+
+def _partner(
+    bob: Colouring, eps: np.ndarray, phi: np.ndarray, omega: np.ndarray
+) -> tuple[Callable, Callable]:
+    """(position, read) for bob on a chunk's draws: position(theta,
+    cols) is his position at theta on the draws ``cols`` (all by
+    default) and read(position) his colours there.  An azimuthally
+    symmetric bob is placed by his polar cosine (``partner_cos_many``)
+    and read by ``evaluate_cos``, any other by his Cartesian axis
+    (``partner_many``) and ``evaluate_vectors``."""
+    every = slice(None)
+    if bob.is_azimuthal:
+        trig = np.cos(eps), np.sin(eps), np.cos(omega)
+        position = lambda t, cols=every: partner_cos_many(t, *(v[cols] for v in trig))
+        return position, bob.evaluate_cos
+    a, u = partner_frame(eps, phi, omega)
+    position = lambda t, cols=every: partner_many(t, a[:, cols], u[:, cols])
+    return position, bob.evaluate_vectors
+
+
+def _harmonic_sums(
+    bob: Colouring,
+    interp: tuple[list[float], np.ndarray, float],
+    a_vals: np.ndarray,
+    partner: tuple[Callable, Callable],
+    grid: list[float],
+) -> np.ndarray:
+    """The chunk's integer sums of alice * bob at each theta of a
+    sorted grid of distinct thetas, from his amplitude at the nodes of
+    :func:`_trig_grid` (the trig path of :func:`correlation_mc_grid`)."""
+    nodes, kernel, margin = interp
+    position, read = partner
+    core, sign = (bob.inner, -1) if isinstance(bob, Negated) else (bob, 1)
+    amplitude = core.amplitude_cos if bob.is_azimuthal else core.amplitude_vectors
+    values = np.empty((len(nodes), a_vals.size))
+    for j, t in enumerate(nodes):
+        values[j] = amplitude(position(t))
+    weights = sign * a_vals.astype(float)
+    sums = np.empty(len(grid), dtype=np.int64)
+    for lo in range(0, len(grid), TRIG_BLOCK):
+        # einsum, not a BLAS product: OpenBLAS threads these shapes and
+        # a thread hand-off on a busy core costs milliseconds per call
+        amp = np.einsum("gj,jn->gn", kernel[lo : lo + TRIG_BLOCK], values)
+        colours = np.sign(amp)
+        amp *= colours
+        shaky = None
+        if amp.min() <= margin:
+            shaky = amp <= margin
+            colours[shaky] = 0.0
+        # integers below 2^53 in floats: the products sum exactly
+        sums[lo : lo + TRIG_BLOCK] = np.einsum("gn,n->g", colours, weights)
+        if shaky is not None:
+            rows, cols = np.nonzero(shaky)
+            for k in np.unique(rows).tolist():
+                idx = cols[rows == k]
+                exact = read(position(grid[lo + k], idx))
+                sums[lo + k] += np.sum(a_vals[idx] * exact, dtype=np.int64)
+    return sums
+
+
 def correlation_mc_grid(
     c: Colouring | ColouringPair,
     thetas: Sequence[float],
@@ -252,24 +352,27 @@ def correlation_mc_grid(
     """Monte Carlo estimates of C on a grid: (value, stderr) per theta.
 
     The loop is chunk-major: each chunk of ``plan`` is drawn and alice
-    is evaluated on it once, and then, for each theta, only bob moves.
-    An azimuthally symmetric bob (bands, an m = 0 harmonic, or the
-    colour swap of either) reads cos(alpha) alone: ``partner_cos_many``
-    combines the chunk's cos(eps), sin(eps) and cos(omega) per theta,
-    and ``evaluate_cos`` decides the colours (a band bob by comparison
-    with its edges' cosines, bit for bit the arccos path).  Any other
-    bob moves as a vector: ``partner_many`` combines the chunk's
-    ``partner_frame`` per theta, and ``evaluate_vectors`` reads his
-    harmonic basis from the Cartesian coordinates.  Every theta sees
-    the same draws it would see alone, and the products alice * bob
-    are exactly +-1, so each chunk sum is an integer and every estimate
-    is bit-identical to ``correlation_mc(c, theta, plan)``.  The
-    standard error is sqrt((1 - mean^2) / (n - 1)).
+    is evaluated on it once, and then only bob moves, over the distinct
+    thetas of the grid.  Per theta, an azimuthally symmetric bob
+    (bands, an m = 0 harmonic, or the colour swap of either) reads
+    cos(alpha) alone: ``partner_cos_many`` combines the chunk's
+    cos(eps), sin(eps) and cos(omega) per theta, and ``evaluate_cos``
+    decides the colours (a band bob by comparison with its edges'
+    cosines, bit for bit the arccos path).  Any other bob moves as a
+    vector: ``partner_many`` combines the chunk's ``partner_frame`` per
+    theta, and ``evaluate_vectors`` reads his harmonic basis from the
+    Cartesian coordinates.  Every theta sees the same draws it would see
+    alone, and the products alice * bob are exactly +-1, so each chunk
+    sum is an integer and every estimate is bit-identical to
+    ``correlation_mc(c, theta, plan)``.  The standard error is
+    sqrt((1 - mean^2) / (n - 1)).
+
+    Two paths pay per draw rather than per (draw, theta) on a dense
+    grid, and give every chunk the same integer sums.
 
     A band bob (or his colour swap) on a grid with at least
     ``EVENT_POINTS_PER_FLIP`` distinct thetas per colour flip takes the
-    event path instead, which pays per draw rather than per (draw,
-    theta).  Along the grid his polar cosine is
+    event path.  Along the grid his polar cosine is
     x(theta) = R cos(theta + psi), with R = hypot(cos eps,
     sin eps cos omega) and psi = atan2(sin eps cos omega, cos eps), so
     he crosses a flip v where R > |cos v| at the two times
@@ -292,6 +395,31 @@ def correlation_mc_grid(
     sample exactly the colours its events give.  The others, about
     2 * flips * (points + 2) * EVENT_TAU / pi of the samples, take the
     per-theta path, so every sum is the same integer.
+
+    A harmonic bob of degree L (or his colour swap) on a grid with more
+    than ``TRIG_POINTS_PER_NODE`` * (L + 1) distinct thetas takes the
+    trig path.  Along the grid his axis is b = cos theta a + sin theta u,
+    and every Y_lm is a homogeneous polynomial of degree l in b, so his
+    amplitude p(theta) = sum c_lm Y_lm(b) is an odd trig polynomial:
+    frequencies 1, 3, ..., L only, and p(theta + pi) = -p(theta).  Its
+    L + 1 coefficients are fixed by its values at the L + 1 nodes
+    pi j / (L + 1), where the cosines and sines of those frequencies
+    are orthogonal, so p = K V exactly: V holds the chunk's amplitudes
+    at the nodes (``harmonic_rows`` and ``amplitude_from_rows``, as per
+    theta) and K is the interpolation matrix of :func:`_trig_grid`.
+    Every |Y_lm| <= sqrt((2l + 1) / 4 pi), so |p| <= S = sum |c_lm|
+    sqrt((2l + 1) / 4 pi).  The per-theta amplitude and each node value
+    round by at most about 1e-14 S for L <= 11 (a recurrence over the
+    degrees, on an axis whose length is 1 to within 1e-16), and the
+    interpolated value by Lambda times that plus the rounding of the
+    product, where Lambda, the largest absolute row sum of K, is its
+    Lebesgue constant (2.1 to 2.6 for L <= 11).  A pair (draw, theta) is
+    certified when |K V| > TRIG_MARGIN S (1 + Lambda), 1e5 times that
+    error bound, and then the per-theta amplitude has the sign of K V
+    and cannot be the tie 0.  The others, a fraction of about
+    2 TRIG_MARGIN S (1 + Lambda) rho, with rho the density of p at 0
+    (about 2.5e-8 for a random unit coefficient vector over every (l, m)
+    with l <= 5), are read per theta, so every sum is the same integer.
     """
     grid = [float(t) for t in thetas]
     for t in grid:
@@ -299,46 +427,30 @@ def correlation_mc_grid(
             raise ValueError(f"theta {t!r} outside [0, pi]")
     pair = _as_pair(c)
     bob = pair.bob
-    flips = _event_flips(bob)
     distinct = sorted(set(grid))
-    if flips and len(distinct) >= EVENT_POINTS_PER_FLIP * len(flips):
-        event_totals = np.zeros(len(distinct), dtype=np.int64)
-        for eps, phi, omega in plan.draws():
-            a_vals = pair.alice.evaluate_many(eps, phi)
-            trig = np.cos(eps), np.sin(eps), np.cos(omega)
-            event_totals += _event_sums(bob, flips, a_vals, trig, distinct)
-        by_theta = dict(zip(distinct, event_totals.tolist()))
-        totals = [by_theta[t] for t in grid]
-    else:
-        totals = _per_theta_totals(pair, grid, plan)
+    flips = _event_flips(bob)
+    events = bool(flips) and len(distinct) >= EVENT_POINTS_PER_FLIP * len(flips)
+    interp = _trig_grid(bob, distinct)
+    totals = np.zeros(len(distinct), dtype=np.int64)
+    for eps, phi, omega in plan.draws():
+        a_vals = pair.alice.evaluate_many(eps, phi)
+        if events:
+            cos_draws = np.cos(eps), np.sin(eps), np.cos(omega)
+            totals += _event_sums(bob, flips, a_vals, cos_draws, distinct)
+        elif interp is not None:
+            partner = _partner(bob, eps, phi, omega)
+            totals += _harmonic_sums(bob, interp, a_vals, partner, distinct)
+        else:
+            position, read = _partner(bob, eps, phi, omega)
+            totals += [np.sum(a_vals * read(position(t)), dtype=np.int64) for t in distinct]
+    by_theta = dict(zip(distinct, totals.tolist()))
     n = plan.n_samples
     estimates = []
-    for total in totals:
-        value = total / n
+    for t in grid:
+        value = by_theta[t] / n
         variance = max(0.0, 1.0 - value * value) / (n - 1) if n > 1 else math.nan
         estimates.append((value, math.sqrt(variance)))
     return estimates
-
-
-def _per_theta_totals(
-    pair: ColouringPair, grid: list[float], plan: SamplingPlan
-) -> list[int]:
-    """The integer sums of alice * bob over the plan at each theta of
-    the grid, bob moved per theta (see :func:`correlation_mc_grid`)."""
-    bob = pair.bob
-    azimuthal = bob.is_azimuthal
-    totals = [0] * len(grid)
-    for eps, phi, omega in plan.draws():
-        a_vals = pair.alice.evaluate_many(eps, phi)
-        if azimuthal:
-            trig = np.cos(eps), np.sin(eps), np.cos(omega)
-            bob_at = lambda t: bob.evaluate_cos(partner_cos_many(t, *trig))
-        else:
-            frame = partner_frame(eps, phi, omega)
-            bob_at = lambda t: bob.evaluate_vectors(partner_many(t, *frame))
-        for k, t in enumerate(grid):
-            totals[k] += int(np.sum(a_vals * bob_at(t), dtype=np.int64))
-    return totals
 
 
 def correlation_mc(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -346,6 +347,32 @@ class TestVerifyCommand:
         assert len(grid) == 100
         assert grid[0]["theta_over_pi"] == pytest.approx(0.005, abs=1e-12)
 
+    def test_dense_all_m_mc_output_is_pinned(self, tmp_path, capsys):
+        # 40 angles of an all-m l <= 5 colouring: the grid takes the
+        # trig path, whose output must stay the per-angle loop's, byte
+        # for byte (digest of the per-angle output)
+        terms = [
+            [1, -1, 0.11], [1, 0, -0.155], [1, 1, -0.249], [3, -3, -0.463],
+            [3, -2, -0.056], [3, -1, 0.198], [3, 0, 0.005], [3, 1, 0.081],
+            [3, 2, 0.162], [3, 3, -0.14], [5, -5, 0.42], [5, -4, -0.139],
+            [5, -3, 0.059], [5, -2, 0.434], [5, -1, -0.018], [5, 0, 0.018],
+            [5, 1, -0.081], [5, 2, 0.053], [5, 3, -0.337], [5, 4, -0.102],
+            [5, 5, 0.268],
+        ]
+        spec = tmp_path / "pinned.json"
+        spec.write_text(json.dumps({"kind": "harmonic", "label": "pinned", "terms": terms}))
+        out = tmp_path / "v.json"
+        code, _, _ = run(
+            capsys, "verify", "--colouring", f"@{spec}", "--method", "mc", "--n", "20000",
+            "--seed", "0x51", "--grid", "0.005:0.5:40", "--out", str(out),
+        )
+        assert code == 0
+        values = [p["value"] for p in json.loads(out.read_text())["grid"]]
+        assert (values[0], values[19], values[-1]) == (-0.9655, 0.1568, 0.0075)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8315307fda49429cd693e1e25d5598e52703cc151e4b360365f983e78ede1a8b"
+        )
+
     def test_missing_curve_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "verify", "--curve-file", str(tmp_path / "absent.csv")
@@ -437,6 +464,26 @@ class TestSweepCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --")
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # the table computes, then the crossing search finds no
+            # sign change
+            (("--delta", "0.04", "--reference", "singlet", "--grid", "0.34:0.36:3"), 3),
+            # the sweep reaches a delta outside the family's range
+            (("--delta-grid=-0.2:0:3",), 2),
+        ],
+        ids=["no_crossing", "delta_out_of_range"],
+    )
+    def test_failed_sweep_leaves_no_out_file(self, argv, code, tmp_path, capsys):
+        path = tmp_path / "nc.csv"
+        exit_code, out, _ = run(
+            capsys, "sweep", "--family", "3_delta", *argv, "--out", str(path)
+        )
+        assert exit_code == code
+        assert out == ""
         assert not path.exists()
 
     def test_bad_delta_grid_names_the_spec(self, capsys):
@@ -591,6 +638,37 @@ class TestConfigMerge:
         code, _, err = run(capsys, "curve", "--config", str(path))
         assert code == 2
         assert "JSON object" in err
+
+    @pytest.mark.parametrize("key", ["sed", "jobs", "config", "func"])
+    def test_unknown_key_is_usage_error(self, key, tmp_path, capsys):
+        # jobs is a flag of search only, so curve rejects it here as its
+        # parser rejects --jobs
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"colouring": "1", "grid": "0:0.5:3", key: 7}))
+        code, out, err = run(capsys, "curve", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"unknown key {key!r}" in err
+
+    def test_search_takes_jobs_from_config(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"jobs": 2, "theta": 0.3, "lmax": 1}))
+        code, out, _ = run(
+            capsys, "search", "--config", str(config), "--restarts", "2",
+            "--n", "2000", "--azimuthal-only",
+        )
+        assert code == 0
+        assert json.loads(out)["L_max"] == 1
+
+    def test_every_flag_is_a_config_key(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "colouring": "3", "method": "mc", "grid": "0.1:0.5:3", "seed": 5,
+            "n": 1000, "tol": 1e-8, "out": str(tmp_path / "c.csv"),
+        }))
+        code, _, _ = run(capsys, "curve", "--config", str(config))
+        assert code == 0
+        assert len(rows_of((tmp_path / "c.csv").read_text())) == 4
 
 
 def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():

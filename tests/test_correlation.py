@@ -1238,3 +1238,135 @@ def test_event_path_certifies_crossings_on_grid_thetas():
         int(np.sum(a_vals * bob.evaluate_cos(partner_cos_many(t, *trig)))) for t in grid
     ]
     assert sums.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# The trig path of correlation_mc_grid (harmonic bobs on dense grids)
+
+
+@st.composite
+def harmonic_colourings(draw, top=11):
+    """A sign-of-harmonics colouring of odd degree up to ``top``, over
+    every (l, m) or over m = 0 only, some coefficients zero, the terms
+    in a random order."""
+    degree = draw(st.sampled_from(range(1, top + 1, 2)))
+    all_m = draw(st.booleans())
+    modes = [
+        (l, m) for l in range(1, degree + 1, 2) for m in (range(-l, l + 1) if all_m else (0,))
+    ]
+    coefficients = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+            min_size=len(modes),
+            max_size=len(modes),
+        )
+    )
+    assume(coefficients[-1] != 0.0)
+    terms = [(l, m, c) for (l, m), c in zip(modes, coefficients)]
+    return HarmonicColouring(tuple(draw(st.permutations(terms))))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    bob=harmonic_colourings(),
+    alice=st.one_of(harmonic_colourings(top=5), band_colourings()),
+    relation=st.sampled_from(["swap", "unrelated", "negated_unrelated", "same"]),
+    extra=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
+)
+def test_trig_path_is_bit_identical_to_per_theta_runs(bob, alice, relation, extra, seed):
+    if relation == "swap":
+        pair = ColouringPair.anticorrelated(bob)
+    elif relation == "same":
+        pair = ColouringPair(bob, bob)
+    else:
+        pair = ColouringPair(alice, negate(bob) if relation == "negated_unrelated" else bob)
+    degree = max(l for l, _, c in bob.terms if c != 0.0)
+    # 0, pi/2, pi and a dense enough linspace, shuffled, with duplicates
+    count = correlation.TRIG_POINTS_PER_NODE * (degree + 1) + extra
+    rng = np.random.default_rng(seed)
+    grid = [0.0, HALF_PI, PI, *np.linspace(0.0, PI, count).tolist()]
+    grid += rng.choice(grid, 5).tolist()
+    rng.shuffle(grid)
+    assert correlation._trig_grid(pair.bob, sorted(set(grid))) is not None
+    plan = SamplingPlan(seed, 1500, chunk_size=1024)
+    estimates = correlation_mc_grid(pair, grid, plan)
+    assert estimates == [correlation_mc(pair, t, plan) for t in grid]
+
+
+def test_trig_path_falls_back_pair_by_pair(monkeypatch):
+    # a margin wide enough that many pairs miss the certificate: the
+    # per-theta fallback must give the same integers
+    rng = np.random.default_rng(11)
+    bob = HarmonicColouring(
+        tuple(
+            (l, m, float(rng.standard_normal())) for l in (1, 3, 5) for m in range(-l, l + 1)
+        )
+    )
+    pair = ColouringPair(make_catalogue(3), negate(bob))
+    grid = np.linspace(0.0, PI, 40).tolist()
+    plan = SamplingPlan(5, 3000, chunk_size=1024)
+    expected = [correlation_mc(pair, t, plan) for t in grid]
+    assert correlation_mc_grid(pair, grid, plan) == expected
+    fallbacks = []
+    partner = correlation._partner
+
+    def counting(*args):
+        position, read = partner(*args)
+
+        def placed(theta, cols=slice(None)):
+            if not isinstance(cols, slice):
+                fallbacks.append(cols.size)
+            return position(theta, cols)
+
+        return placed, read
+
+    monkeypatch.setattr(correlation, "_partner", counting)
+    monkeypatch.setattr(correlation, "TRIG_MARGIN", 0.01)
+    assert correlation_mc_grid(pair, grid, plan) == expected
+    assert sum(fallbacks) >= 0.01 * plan.n_samples * len(grid)
+
+
+@pytest.mark.parametrize("degree", [1, 5, 11])
+@pytest.mark.parametrize("all_m", [True, False])
+def test_trig_interpolation_error_is_far_inside_the_margin(degree, all_m):
+    rng = np.random.default_rng(degree)
+    terms = tuple(
+        (l, m, float(rng.standard_normal()))
+        for l in range(1, degree + 1, 2)
+        for m in (range(-l, l + 1) if all_m else (0,))
+    )
+    bob = HarmonicColouring(terms)
+    bound = sum(abs(c) * math.sqrt((2 * l + 1) / (4.0 * PI)) for l, _, c in terms)
+    grid = sorted({0.0, PI, *np.linspace(0.0, PI, 57).tolist(), *rng.uniform(0.0, PI, 40)})
+    nodes, kernel, margin = correlation._trig_grid(bob, grid)
+    assert len(nodes) == degree + 1
+    lebesgue = np.max(np.sum(np.abs(kernel), axis=1))
+    expected = correlation.TRIG_MARGIN * bound * (1.0 + lebesgue)
+    assert margin == pytest.approx(expected, rel=1e-12)
+    amplitude = bob.amplitude_vectors if all_m else bob.amplitude_cos
+    eps, phi, omega = next(SamplingPlan(degree, 20_000).draws())
+    position, _ = correlation._partner(bob, eps, phi, omega)
+    values = np.array([amplitude(position(t)) for t in nodes])
+    direct = np.array([amplitude(position(t)) for t in grid])
+    assert np.max(np.abs(kernel @ values - direct)) / bound <= 1e-12
+
+
+def test_sparse_grids_stay_per_theta(monkeypatch):
+    # degree 5 has 6 nodes; a grid takes the trig path only beyond
+    # TRIG_POINTS_PER_NODE points per node, so never at 6 points or fewer
+    assert correlation.TRIG_POINTS_PER_NODE >= 1
+    bob = HarmonicColouring(((5, 2, 1.0), (1, 0, 0.3)))
+    calls = []
+    harmonic_sums = correlation._harmonic_sums
+    monkeypatch.setattr(
+        correlation, "_harmonic_sums", lambda *args: calls.append(1) or harmonic_sums(*args)
+    )
+    plan = SamplingPlan(3, 500)
+    dense = correlation.TRIG_POINTS_PER_NODE * 6 + 1
+    for count in (3, 6, dense - 1, dense):
+        calls.clear()
+        grid = np.linspace(0.1, 3.0, count).tolist()
+        estimates = correlation_mc_grid(bob, grid + grid[:2], plan)
+        assert bool(calls) == (count == dense)
+        assert estimates[:count] == [correlation_mc(bob, t, plan) for t in grid]
