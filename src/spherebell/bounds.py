@@ -255,15 +255,21 @@ def verify_curve(curve: CorrelationCurve) -> list[BoundReport]:
 
     Grid points must sit in [0, pi/2]; theta = 0, where no chain bound
     applies, is skipped.  Points carrying a stderr get the statistical
-    treatment; others the strict one.  The chain-bound report carries a
-    ``saturated`` flag marking equality-within-slack with either edge,
-    the way the hemisphere curve touches the lower bound at
-    theta = pi / 2N.
+    treatment, and a stderr that is not finite (the nan of a one-sample
+    estimate) raises ``ValueError``; others the strict one.  The
+    chain-bound report carries a ``saturated`` flag marking
+    equality-within-slack with either edge, the way the hemisphere curve
+    touches the lower bound at theta = pi / 2N.
     """
     for point in curve.points:
         if not -SNAP <= point.theta <= HALF_PI + SNAP:
             raise ValueError(
                 f"curve point theta {point.theta!r} outside [0, pi/2]"
+            )
+        if point.stderr is not None and not math.isfinite(point.stderr):
+            raise ValueError(
+                f"curve point at theta {point.theta!r} has stderr {point.stderr!r}, "
+                "which bounds no statistical test"
             )
     reports: list[BoundReport] = []
     for point in curve.points:

@@ -143,6 +143,18 @@ def _output(path: str | None) -> Iterator[TextIO]:
         yield fh
 
 
+def _mc_plan(args: argparse.Namespace, config: dict, default_n: int) -> SamplingPlan:
+    """The sampling plan of a Monte Carlo estimate from --seed and --n;
+    --n must be at least 2, since one sample has no standard error."""
+    n = int(_merged(args, config, "n", default_n))
+    if n < 2:
+        raise UsageError(
+            f"--n must be at least 2 for Monte Carlo, not {n}: "
+            "one sample has no standard error"
+        )
+    return SamplingPlan(int(_merged(args, config, "seed", DEFAULT_SEED)), n)
+
+
 def _c1(theta: float) -> float:
     return antisymmetric(lambda t: closed_form("1", t), theta)
 
@@ -173,12 +185,7 @@ def run_curve(args: argparse.Namespace) -> int:
     method = _merged(args, config, "method", "closed_form")
     grid = parse_grid(_merged(args, config, "grid", "0:0.5:101"))
     colouring = _resolve_colouring(str(label))
-    plan = None
-    if method == "mc":
-        plan = SamplingPlan(
-            int(_merged(args, config, "seed", DEFAULT_SEED)),
-            int(_merged(args, config, "n", DEFAULT_N)),
-        )
+    plan = _mc_plan(args, config, DEFAULT_N) if method == "mc" else None
     curve = curve_for(
         colouring,
         grid,
@@ -211,12 +218,7 @@ def run_verify(args: argparse.Namespace) -> int:
         method = _merged(args, config, "method", "closed_form")
         grid = parse_grid(_merged(args, config, "grid", "0.005:0.5:100"))
         colouring = _resolve_colouring(str(label))
-        plan = None
-        if method == "mc":
-            plan = SamplingPlan(
-                int(_merged(args, config, "seed", DEFAULT_SEED)),
-                int(_merged(args, config, "n", DEFAULT_N)),
-            )
+        plan = _mc_plan(args, config, DEFAULT_N) if method == "mc" else None
         reports = bounds_mod.verify_colouring(
             colouring,
             grid,
@@ -361,11 +363,8 @@ def run_quantum(args: argparse.Namespace) -> int:
     grid = parse_grid(_merged(args, config, "grid", "0:0.5:51"))
     use_mc = bool(_merged(args, config, "mc", False))
     w = twirl(state)
-    plan = SamplingPlan(
-        int(_merged(args, config, "seed", DEFAULT_SEED)),
-        int(_merged(args, config, "n", 100_000)),
-    )
     if use_mc:
+        plan = _mc_plan(args, config, 100_000)
         rows = [
             (value, format_sig(stderr), "mc")
             for value, stderr in mc_quantum_curve(state, grid, plan)

@@ -35,7 +35,9 @@ class Colouring(Protocol):
 
     The Monte Carlo engine reads an azimuthally symmetric colouring by
     ``evaluate_cos`` (values from cos(polar) alone) and any other by
-    ``evaluate_vectors`` (values at Cartesian unit vectors).
+    ``evaluate_vectors`` (values at Cartesian unit vectors), for both
+    parties: alice at her drawn axes (cos(eps) as drawn, or the frame's
+    axis a) and bob at his partner axes.
     """
 
     label: str

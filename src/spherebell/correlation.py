@@ -145,16 +145,59 @@ class SamplingPlan:
     def scaled(self, factor: int) -> "SamplingPlan":
         return SamplingPlan(self.master_seed, self.n_samples * factor, self.chunk_size)
 
-    def draws(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The sample points chunk by chunk: alice's axis (eps, phi),
-        uniform on the sphere, and bob's position omega on her partner
-        circle, uniform on [0, 2pi)."""
+    def draws(self) -> Iterator[Draws]:
+        """The sample points chunk by chunk, one :class:`Draws` record
+        each: alice's axis (eps, phi), uniform on the sphere, and bob's
+        position omega on her partner circle, uniform on [0, 2pi).
+        cos(eps) is drawn uniform on [-1, 1] and kept as drawn; no eps
+        is formed."""
         for index, length in self.chunks():
             rng = self.chunk_rng(index)
             cos_eps = rng.uniform(-1.0, 1.0, length)
             phi = rng.uniform(0.0, 2.0 * PI, length)
             omega = rng.uniform(0.0, 2.0 * PI, length)
-            yield np.arccos(cos_eps), phi, omega
+            yield Draws(cos_eps, phi, omega)
+
+
+class Draws:
+    """One chunk of sample points, as the trig values the partner maps
+    read: cos(eps) as drawn, sin(eps) = sqrt((1 - cos eps)(1 + cos eps))
+    (eps lies in [0, pi], so the root is its sine), and phi and omega.
+    Each cosine and sine of phi and omega is computed on first use and
+    at most once per chunk.
+
+    :meth:`colours` reads a colouring at alice's axes by the rule of
+    the :class:`Colouring` protocol: an azimuthally symmetric one by
+    ``evaluate_cos(cos eps)``, any other by ``evaluate_vectors`` of the
+    frame's axis a.  Bob is read by the same rule at his axes."""
+
+    def __init__(self, cos_eps: np.ndarray, phi: np.ndarray, omega: np.ndarray):
+        self.cos_eps = cos_eps
+        self.sin_eps = np.sqrt((1.0 - cos_eps) * (1.0 + cos_eps))
+        self.phi = phi
+        self.omega = omega
+
+    @functools.cached_property
+    def cos_omega(self) -> np.ndarray:
+        return np.cos(self.omega)
+
+    @functools.cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alice's axes a and the tangents u of ``partner_frame``."""
+        return partner_frame(
+            self.cos_eps,
+            self.sin_eps,
+            np.cos(self.phi),
+            np.sin(self.phi),
+            self.cos_omega,
+            np.sin(self.omega),
+        )
+
+    def colours(self, c: Colouring) -> np.ndarray:
+        """The colours of ``c`` at alice's axes."""
+        if c.is_azimuthal:
+            return c.evaluate_cos(self.cos_eps)
+        return c.evaluate_vectors(self.frame[0])
 
 
 def _as_pair(c: Colouring | ColouringPair) -> ColouringPair:
@@ -190,6 +233,32 @@ def _event_flips(bob: Colouring) -> tuple[tuple[float, int], ...] | None:
     return tuple((math.cos(v), -2 * north * (-1) ** i) for i, v in enumerate(flips))
 
 
+def _grid_slots(
+    grid: list[float], t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(slot, below, above) of the times t on a sorted grid of distinct
+    thetas: slot is ``np.searchsorted(grid, t)``, the number of grid
+    thetas below t, and below < t <= above are the grid thetas around
+    t (-inf before the first, inf after the last).
+
+    The slot is guessed from the grid's mean spacing and checked; on an
+    evenly spaced grid the guess is wrong only where rounding meets a
+    grid theta.  The times that fail the check take ``np.searchsorted``,
+    so every slot is searchsorted's."""
+    guard = np.array([-np.inf, *grid, np.inf])
+    lower, upper = guard[:-1], guard[1:]
+    scale = (len(grid) - 1) / (grid[-1] - grid[0]) if len(grid) > 1 else 0.0
+    slot = ((t - grid[0]) * scale + 1.0).astype(np.intp)
+    np.clip(slot, 0, len(grid), out=slot)
+    below, above = lower[slot], upper[slot]
+    bad = np.flatnonzero((below >= t) | (above < t))
+    if bad.size:
+        fix = np.searchsorted(grid, t[bad])
+        slot[bad] = fix
+        below[bad], above[bad] = lower[fix], upper[fix]
+    return slot, below, above
+
+
 def _event_sums(
     bob: Colouring,
     flips: tuple[tuple[float, int], ...],
@@ -199,7 +268,8 @@ def _event_sums(
 ) -> np.ndarray:
     """The chunk's integer sums of alice * bob at each theta of a
     sorted grid of distinct thetas, from bob's crossing times of his
-    flips (the event path of :func:`correlation_mc_grid`)."""
+    flips (the event path of :func:`correlation_mc_grid`).  ``trig``
+    holds the draws' cos eps, sin eps and cos omega."""
     cos_eps, sin_eps, cos_omega = trig
     first = bob.evaluate_cos(partner_cos_many(grid[0], *trig))
     # x(theta) = cos theta cos eps - sin theta (sin eps cos omega)
@@ -220,28 +290,29 @@ def _event_sums(
             t += (t < 0.0) * (2.0 * PI)
             shaky[idx[(t < EVENT_TAU) | (t > 2.0 * PI - EVENT_TAU)]] = True
             keep = np.flatnonzero((t > lo) & (t < hi))
+            owner = idx[keep]
             times.append(t[keep])
-            weights.append(a_vals[idx[keep]] * step)
-            owners.append(idx[keep])
+            owners.append(owner)
+            weights.append(a_vals[owner] * float(step))
     t = np.concatenate(times)
     owners = np.concatenate(owners)
-    guard = np.array([-np.inf, *grid, np.inf])
-    slot = np.searchsorted(guard, t)
-    shaky[owners[np.minimum(t - guard[slot - 1], guard[slot] - t) < EVENT_TAU]] = True
-    sure = ~shaky[owners]
-    # slot - 1 is the number of grid thetas below the crossing, the
+    slot, below, above = _grid_slots(grid, t)
+    shaky[owners[(t - below < EVENT_TAU) | (above - t < EVENT_TAU)]] = True
+    weights = np.concatenate(weights)
+    weights[shaky[owners]] = 0.0
+    # the slot is the number of grid thetas below the crossing, the
     # first grid index it affects; 0 (before grid[0]) and len(grid)
     # (after grid[-1]) drop out
-    counts = np.bincount(
-        slot[sure] - 1, weights=np.concatenate(weights)[sure], minlength=len(grid) + 1
-    )
+    counts = np.bincount(slot, weights=weights, minlength=len(grid) + 1)
     sums = np.zeros(len(grid), dtype=np.int64)
     sums[1:] = np.cumsum(counts[1:-1]).astype(np.int64)
     sums += int(np.sum(a_vals[~shaky] * first[~shaky], dtype=np.int64))
     rest = np.flatnonzero(shaky)
     if rest.size:
-        sub = tuple(v[rest] for v in trig)
-        x = np.array([partner_cos_many(theta, *sub) for theta in grid])
+        # partner_cos_many on the (grid x shaky draws) broadcast
+        ct = np.array([[math.cos(theta)] for theta in grid])
+        st = np.array([[math.sin(theta)] for theta in grid])
+        x = ct * cos_eps[rest] - st * sin_eps[rest] * cos_omega[rest]
         sums += np.sum(a_vals[rest] * bob.evaluate_cos(x), axis=1, dtype=np.int64)
     return sums
 
@@ -285,21 +356,21 @@ def _trig_grid(
     return nodes.tolist(), kernel, TRIG_MARGIN * bound * (1.0 + lebesgue)
 
 
-def _partner(
-    bob: Colouring, eps: np.ndarray, phi: np.ndarray, omega: np.ndarray
-) -> tuple[Callable, Callable]:
+def _partner(bob: Colouring, draws: Draws) -> tuple[Callable, Callable]:
     """(position, read) for bob on a chunk's draws: position(theta,
     cols) is his position at theta on the draws ``cols`` (all by
-    default) and read(position) his colours there.  An azimuthally
-    symmetric bob is placed by his polar cosine (``partner_cos_many``)
-    and read by ``evaluate_cos``, any other by his Cartesian axis
-    (``partner_many``) and ``evaluate_vectors``."""
+    default) and read(position) his colours there.  He is read by the
+    rule alice is read by (:meth:`Draws.colours`): an azimuthally
+    symmetric bob is placed by his polar cosine (``partner_cos_many`` of
+    the record's cos eps as drawn, sin eps and cos omega) and read by
+    ``evaluate_cos``, any other by his Cartesian axis (``partner_many``
+    of the record's frame) and ``evaluate_vectors``."""
     every = slice(None)
     if bob.is_azimuthal:
-        trig = np.cos(eps), np.sin(eps), np.cos(omega)
+        trig = draws.cos_eps, draws.sin_eps, draws.cos_omega
         position = lambda t, cols=every: partner_cos_many(t, *(v[cols] for v in trig))
         return position, bob.evaluate_cos
-    a, u = partner_frame(eps, phi, omega)
+    a, u = draws.frame
     position = lambda t, cols=every: partner_many(t, a[:, cols], u[:, cols])
     return position, bob.evaluate_vectors
 
@@ -351,20 +422,24 @@ def correlation_mc_grid(
 ) -> list[tuple[float, float]]:
     """Monte Carlo estimates of C on a grid: (value, stderr) per theta.
 
-    The loop is chunk-major: each chunk of ``plan`` is drawn and alice
-    is evaluated on it once, and then only bob moves, over the distinct
-    thetas of the grid.  Per theta, an azimuthally symmetric bob
+    The loop is chunk-major: each chunk of ``plan`` is drawn once, as a
+    :class:`Draws` record that keeps cos(eps) as drawn and takes each
+    trig value of the draws at most once, and alice is evaluated on it
+    once; then only bob moves, over the distinct thetas of the grid.
+    Both are read by one rule (:meth:`Draws.colours` for alice, which
+    is bob's rule at theta = 0).  Per theta, an azimuthally symmetric bob
     (bands, an m = 0 harmonic, or the colour swap of either) reads
-    cos(alpha) alone: ``partner_cos_many`` combines the chunk's
+    cos(alpha) alone: ``partner_cos_many`` combines the record's
     cos(eps), sin(eps) and cos(omega) per theta, and ``evaluate_cos``
     decides the colours (a band bob by comparison with its edges'
-    cosines, bit for bit the arccos path).  Any other bob moves as a
-    vector: ``partner_many`` combines the chunk's ``partner_frame`` per
-    theta, and ``evaluate_vectors`` reads his harmonic basis from the
-    Cartesian coordinates.  Every theta sees the same draws it would see
-    alone, and the products alice * bob are exactly +-1, so each chunk
-    sum is an integer and every estimate is bit-identical to
-    ``correlation_mc(c, theta, plan)``.  The standard error is
+    cosines, bit for bit the arccos path), as alice's are decided from
+    cos(eps).  Any other bob moves as a vector: ``partner_many``
+    combines the record's ``partner_frame`` per theta, and
+    ``evaluate_vectors`` reads his harmonic basis from the Cartesian
+    coordinates, as alice's from the frame's axis a.  Every theta sees
+    the same draws it would see alone, and the products alice * bob are
+    exactly +-1, so each chunk sum is an integer and every estimate is
+    bit-identical to ``correlation_mc(c, theta, plan)``.  The standard error is
     sqrt((1 - mean^2) / (n - 1)).
 
     Two paths pay per draw rather than per (draw, theta) on a dense
@@ -376,10 +451,14 @@ def correlation_mc_grid(
     x(theta) = R cos(theta + psi), with R = hypot(cos eps,
     sin eps cos omega) and psi = atan2(sin eps cos omega, cos eps), so
     he crosses a flip v where R > |cos v| at the two times
-    theta = +-arccos(cos v / R) - psi (mod 2 pi), and nowhere else.  A
-    chunk's sums over the sorted grid are its per-theta sum at the
-    first theta plus a cumulative ``bincount`` of alice times bob's
-    colour jump at the crossing times.  A sample is certified when, for
+    theta = +-arccos(cos v / R) - psi (mod 2 pi), and nowhere else; cos
+    eps is the drawn one and sin eps its root, as in the per-theta
+    path.  A chunk's sums over the sorted grid are its per-theta sum at
+    the first theta plus a cumulative ``bincount`` of alice times bob's
+    colour jump at the crossing times, each in the grid slot that
+    :func:`_grid_slots` finds from the grid's mean spacing (checked,
+    with ``np.searchsorted`` where the check fails).  A sample is
+    certified when, for
     every flip, |R - |cos v|| >= EVENT_SIGMA and every crossing lies
     EVENT_TAU or more from every grid theta and from 0 and 2 pi.  Then
     at every grid theta |x - cos v| >= g sin(EVENT_TAU / 2), where
@@ -393,8 +472,10 @@ def correlation_mc_grid(
     is conditioned by R / g and psi by 1 / R, both <= 1 / EVENT_SIGMA),
     far inside EVENT_TAU.  So the per-theta path gives every certified
     sample exactly the colours its events give.  The others, about
-    2 * flips * (points + 2) * EVENT_TAU / pi of the samples, take the
-    per-theta path, so every sum is the same integer.
+    2 * flips * (points + 2) * EVENT_TAU / pi of the samples, keep
+    their events with weight 0 and are read per theta, in one (grid x
+    samples) broadcast of ``partner_cos_many``'s expression, so every
+    sum is the same integer.
 
     A harmonic bob of degree L (or his colour swap) on a grid with more
     than ``TRIG_POINTS_PER_NODE`` * (L + 1) distinct thetas takes the
@@ -432,16 +513,16 @@ def correlation_mc_grid(
     events = bool(flips) and len(distinct) >= EVENT_POINTS_PER_FLIP * len(flips)
     interp = _trig_grid(bob, distinct)
     totals = np.zeros(len(distinct), dtype=np.int64)
-    for eps, phi, omega in plan.draws():
-        a_vals = pair.alice.evaluate_many(eps, phi)
+    for draws in plan.draws():
+        a_vals = draws.colours(pair.alice)
         if events:
-            cos_draws = np.cos(eps), np.sin(eps), np.cos(omega)
-            totals += _event_sums(bob, flips, a_vals, cos_draws, distinct)
+            trig = draws.cos_eps, draws.sin_eps, draws.cos_omega
+            totals += _event_sums(bob, flips, a_vals, trig, distinct)
         elif interp is not None:
-            partner = _partner(bob, eps, phi, omega)
+            partner = _partner(bob, draws)
             totals += _harmonic_sums(bob, interp, a_vals, partner, distinct)
         else:
-            position, read = _partner(bob, eps, phi, omega)
+            position, read = _partner(bob, draws)
             totals += [np.sum(a_vals * read(position(t)), dtype=np.int64) for t in distinct]
     by_theta = dict(zip(distinct, totals.tolist()))
     n = plan.n_samples

@@ -8,12 +8,15 @@ moves as the vector
     b = cos theta a + sin theta u,   u = cos omega s + sin omega e,
 
 with s and e the south- and east-pointing unit tangents at a.  The
-Monte Carlo engines draw (epsilon, phi, omega) once
-(``correlation.SamplingPlan.draws``); ``partner_frame`` forms a and u
-from them and ``partner_many`` moves Bob per theta.  An azimuthally
-symmetric colouring needs only b_z = cos(alpha): ``partner_cos_many``
-gives it from cos(epsilon), sin(epsilon) and cos(omega), and
-``partner_polar_many`` is its clamped arccos.
+Monte Carlo engines draw cos(epsilon), phi and omega once per chunk
+(``correlation.SamplingPlan.draws``) and keep cos(epsilon) as drawn,
+with sin(epsilon) = sqrt((1 - cos) (1 + cos)), so no trig call undoes
+an arccos.  ``partner_frame`` forms a and u from the cosines and sines
+of the three angles, and ``partner_many`` moves Bob per theta.  An
+azimuthally symmetric colouring needs only b_z = cos(alpha):
+``partner_cos_many`` gives it from cos(epsilon), sin(epsilon) and
+cos(omega), and ``partner_polar_many`` is its clamped arccos.  Alice is
+read by the same rule at theta = 0, where b = a and b_z = cos(epsilon).
 """
 
 from __future__ import annotations
@@ -66,14 +69,23 @@ def unit_vectors(eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.array([sin_eps * np.cos(phi), sin_eps * np.sin(phi), np.cos(eps)])
 
 
+def cos_sin(*angles: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The cosine and sine of each angle array in turn: for the angles
+    (eps, phi, omega), the arguments of :func:`partner_frame`."""
+    return tuple(f(v) for v in angles for f in (np.cos, np.sin))
+
+
 def partner_frame(
-    eps: np.ndarray, phi: np.ndarray, omega: np.ndarray
+    cos_eps: np.ndarray,
+    sin_eps: np.ndarray,
+    cos_phi: np.ndarray,
+    sin_phi: np.ndarray,
+    cos_omega: np.ndarray,
+    sin_omega: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alice's axis a at (eps, phi) and the unit tangent u at a towards
-    the position omega on her partner circle, each a (3, n) array."""
-    cos_eps, sin_eps = np.cos(eps), np.sin(eps)
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    cos_omega, sin_omega = np.cos(omega), np.sin(omega)
+    the position omega on her partner circle, each a (3, n) array, from
+    the cosines and sines of the three angles."""
     a = np.array([sin_eps * cos_phi, sin_eps * sin_phi, cos_eps])
     # cos omega s + sin omega e, with s = (cos eps cos phi, cos eps sin phi,
     # -sin eps) and e = (-sin phi, cos phi, 0)

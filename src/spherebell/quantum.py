@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .correlation import SamplingPlan, clamp_angles
-from .geometry import partner_frame
+from .geometry import cos_sin, partner_frame
 
 PI = math.pi
 SNAP = 1e-12
@@ -244,7 +244,7 @@ def mc_quantum_curve(
     ``_frame_pq``), so the estimator converges to
     werner_correlation(twirl(state), theta).  The frame U = Rz(phi)
     Ry(eps) Rz(omega) rotates z to Alice's axis a and x to the tangent
-    u of ``geometry.partner_frame(eps, phi, omega)``, so a frame costs
+    u of ``geometry.partner_frame`` at (eps, phi, omega), so a frame costs
     two 3-vectors against the state's ``spin_tensor``, computed once,
     and no complex matrix.  Only (p, q) are random: each chunk of
     ``plan`` gives their mean and 2x2 scatter once for the whole grid,
@@ -260,7 +260,7 @@ def mc_quantum_curve(
     tensor = spin_tensor(state)
     n, mean, scatter = 0, np.zeros(2), np.zeros((2, 2))
     for index, length in plan.chunks():
-        a, u = partner_frame(*haar_angles(plan.chunk_rng(index), length))
+        a, u = partner_frame(*cos_sin(*haar_angles(plan.chunk_rng(index), length)))
         chunk_mean, chunk_scatter = _frame_moments(_frame_pq(tensor, a, u))
         delta = chunk_mean - mean
         mean = mean + delta * (length / (n + length))

@@ -37,7 +37,7 @@ from .colourings import (
     make_catalogue,
 )
 from .correlation import SamplingPlan, closed_form, correlation_mc
-from .geometry import clamp_cos, partner_cos_many, partner_frame, partner_many
+from .geometry import clamp_cos, partner_cos_many, partner_many
 from .quantum import singlet_correlation
 
 PI = math.pi
@@ -416,11 +416,13 @@ def common_random_correlation(
     colour swap.
 
     The points never change, so each chunk's basis is built here once,
-    with the partner maps of ``correlation_mc_grid`` (cos(alpha) alone
-    when every m is 0, bob's Cartesian axis otherwise), as one stacked
-    (modes, 2 len) array: alice's rows at her axes, then bob's at his
-    partner axes.  A call sums c * row in the colouring's own term order,
-    skipping c = 0 and allowing repeated modes, exactly as
+    from the plan's :class:`~spherebell.correlation.Draws` records by
+    the rule of ``correlation_mc_grid`` (cos(eps) as drawn and
+    cos(alpha) alone when every m is 0, the frame's axes a and bob's
+    Cartesian axes otherwise), as one stacked (modes, 2 len) array:
+    alice's rows at her axes, then bob's at his partner axes.  A call
+    sums c * row in the colouring's own term order, skipping c = 0 and
+    allowing repeated modes, exactly as
     :meth:`HarmonicColouring.amplitude_from_rows` does, and takes one
     sign of the stacked amplitude.  alice * (-bob) is +1 where the two
     signs differ and -1 where they agree, so a chunk adds twice its
@@ -432,20 +434,22 @@ def common_random_correlation(
     distinct = list(dict.fromkeys(modes))
     index = {mode: k for k, mode in enumerate(distinct)}
     chunks = []
-    for eps, phi, omega in plan.draws():
+    for draws in plan.draws():
         if azimuthal:
-            cos_eps = np.cos(eps)
-            cos_alpha = partner_cos_many(theta, cos_eps, np.sin(eps), np.cos(omega))
-            z = np.concatenate([cos_eps, clamp_cos(cos_alpha)])
+            cos_alpha = partner_cos_many(
+                theta, draws.cos_eps, draws.sin_eps, draws.cos_omega
+            )
+            z = np.concatenate([draws.cos_eps, clamp_cos(cos_alpha)])
             rows = harmonic_rows(distinct, z)
         else:
-            a, u = partner_frame(eps, phi, omega)
+            a, u = draws.frame
             v = np.concatenate([a, partner_many(theta, a, u)], axis=1)
             rows = harmonic_rows(distinct, v[2], v[:2])
-        stacked = np.empty((len(distinct), 2 * eps.size))
+        size = draws.cos_eps.size
+        stacked = np.empty((len(distinct), 2 * size))
         for l, m, row in rows:
             stacked[index[l, m]] = row
-        chunks.append((eps.size, stacked))
+        chunks.append((size, stacked))
 
     def correlation(h: HarmonicColouring) -> float:
         live = []

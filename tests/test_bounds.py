@@ -302,6 +302,18 @@ class TestVerify:
         assert any(not r.satisfied for r in reports)
         assert all(r.status == "violated" for r in reports if not r.satisfied)
 
+    @pytest.mark.parametrize("stderr", [math.nan, math.inf])
+    def test_non_finite_stderr_is_rejected(self, stderr):
+        # a one-sample estimate has stderr nan, which tests nothing: it
+        # must not read as a violation
+        curve = CorrelationCurve("one_sample", "mc", (CurvePoint(0.3 * PI, -1.0, stderr),))
+        with pytest.raises(ValueError, match="stderr"):
+            verify_curve(curve)
+
+    def test_one_sample_monte_carlo_is_rejected(self):
+        with pytest.raises(ValueError, match="stderr"):
+            verify_colouring(make_catalogue("2"), [0.3 * PI], "mc", plan=SamplingPlan(1, 1))
+
     def test_json_shape(self):
         reports = verify_colouring(
             make_catalogue("1"), [PI / 4, 0.4 * PI], "closed_form"

@@ -95,6 +95,57 @@ class TestCurveCommand:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # the README curve: 101 angles of colouring 2, the event path
+            (
+                ("--colouring", "2", "--n", "1000000", "--seed", "0x42d"),
+                "bde5c1692dca52165be67af021b244da663b9396ab8917d428fbb2d30b1e6da4",
+            ),
+            # 5 angles of colouring 4, the per-angle loop
+            (
+                ("--colouring", "4", "--n", "200000", "--seed", "7", "--grid", "0.1:0.4:5"),
+                "f7fe4956c232e150cef6feec738901b8434bbe2995334eaefe2c06c25c88bfbe",
+            ),
+        ],
+        ids=["readme_event_path", "per_theta_band"],
+    )
+    def test_band_mc_output_is_pinned(self, argv, digest, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code, _, _ = run(capsys, "curve", "--method", "mc", *argv, "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("curve", "--colouring", "2", "--method", "mc", "--grid", "0.1:0.4:3"),
+            ("verify", "--colouring", "2", "--method", "mc", "--grid", "0.1:0.4:3"),
+            ("quantum", "--mc", "--grid", "0.1:0.4:3"),
+        ],
+        ids=["curve", "verify", "quantum"],
+    )
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_monte_carlo_needs_two_samples(self, argv, n, capsys):
+        # one sample has no standard error; verify used to read its nan
+        # stderr as a violation and exit 1
+        code, out, err = run(capsys, *argv, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "--n must be at least 2" in err and "standard error" in err
+
+    def test_one_sample_curve_file_is_usage_error(self, tmp_path, capsys):
+        curve = tmp_path / "one.csv"
+        curve.write_text(
+            "theta_over_pi,value,stderr,method,colouring_label\n"
+            "0.1,-1,nan,mc,2\n0.25,1,nan,mc,2\n"
+        )
+        code, out, err = run(capsys, "verify", "--curve-file", str(curve))
+        assert code == 2
+        assert out == ""
+        assert "stderr nan" in err
+
     def test_numerical_failure_exits_three(self, monkeypatch, capsys):
         # a cos(alpha) drift far beyond rounding in the cosine partner
         # map, which a band bob reads without an arccos

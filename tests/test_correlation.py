@@ -48,7 +48,7 @@ from spherebell.correlation import (
     read_curve_csv,
     write_curve_csv,
 )
-from spherebell.geometry import partner_cos_many, partner_frame, partner_many
+from spherebell.geometry import cos_sin, partner_cos_many, partner_frame, partner_many
 
 PI = math.pi
 HALF_PI = math.pi / 2
@@ -121,8 +121,13 @@ class TestCorrelationMC:
 
 
 def per_point_mc(pair, theta, plan):
-    """The theta-major loop: every chunk redrawn and both parties
-    evaluated afresh for this theta alone."""
+    """The theta-major loop on the angle path, an oracle independent of
+    ``SamplingPlan.draws``: every chunk redrawn, eps = arccos of the
+    drawn cosine, alice read by ``evaluate_many`` (``unit_vectors`` for
+    a harmonic), bob moved from ``np.cos``/``np.sin`` of the angles,
+    both evaluated afresh for this theta alone.  Its trig values differ
+    from the engine's drawn cosine and its root in the last bit on some
+    draws, so equal sums show that no colour moved."""
     total = 0
     for index, length in plan.chunks():
         rng = plan.chunk_rng(index)
@@ -136,7 +141,7 @@ def per_point_mc(pair, theta, plan):
             b_vals = pair.bob.evaluate_cos(cos_alpha)
         else:
             b_vals = pair.bob.evaluate_vectors(
-                partner_many(theta, *partner_frame(eps, phi, omega))
+                partner_many(theta, *partner_frame(*cos_sin(eps, phi, omega)))
             )
         total += int(np.sum(a_vals * b_vals, dtype=np.int64))
     return total / plan.n_samples
@@ -180,6 +185,44 @@ class TestGridMC:
         for t, estimate in zip(self.GRID, grid):
             assert estimate[0] == per_point_mc(pair, t, plan)
             assert estimate == correlation_mc(pair, t, plan)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            pair_for(4),
+            ColouringPair(
+                HarmonicColouring(((1, 1, 1.0), (3, -2, 0.4))),
+                make_catalogue("3_delta", delta=0.05),
+            ),
+            ColouringPair.anticorrelated(
+                HarmonicColouring(((5, 0, 1.0), (1, 0, -0.3), (3, 0, 0.6)))
+            ),
+            ColouringPair(make_catalogue(2), HarmonicColouring(((3, 0, 1.0), (1, 0, 0.45)))),
+            ColouringPair.anticorrelated(
+                HarmonicColouring(((3, 2, 1.0), (1, 0, 0.5), (5, -1, -0.3), (5, 4, 0.2)))
+            ),
+            ColouringPair(
+                HarmonicColouring(((1, 0, 1.0), (3, 0, -0.5))),
+                HarmonicColouring(((1, -1, 0.7), (3, 3, 1.0), (5, 1, 0.25))),
+            ),
+        ],
+        ids=[
+            "band_swap",
+            "band_bob_unrelated_alice",
+            "m0_swap",
+            "m0_bob_band_alice",
+            "all_m_swap",
+            "all_m_bob_m0_alice",
+        ],
+    )
+    def test_drawn_cosine_matches_the_angle_path_oracle(self, pair):
+        # 2e5 draws in four chunks: the engine reads cos eps as drawn and
+        # sin eps as its root, the oracle the trig of eps = arccos; the
+        # integer sums must not move
+        plan = SamplingPlan(2718, 200_000, chunk_size=65536)
+        grid = correlation_mc_grid(pair, self.GRID, plan)
+        for t, estimate in zip(self.GRID, grid):
+            assert estimate[0] == per_point_mc(pair, t, plan)
 
     # 46 distinct thetas, at least EVENT_POINTS_PER_FLIP per flip of
     # every band bob below, unsorted and with GRID's points repeated
@@ -1202,24 +1245,45 @@ def test_band_flips_read_the_jumps():
     assert events[0][1] == -2 * north
 
 
+class _ShapeSpy:
+    """A bob that records the shape of every ``evaluate_cos`` input."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.shapes = []
+
+    def evaluate_cos(self, x):
+        self.shapes.append(np.shape(x))
+        return self.inner.evaluate_cos(x)
+
+
 def test_event_path_certifies_crossings_on_grid_thetas():
-    # grid thetas placed on the crossing times of some samples, and
-    # samples that cross a flip at theta = 0 itself (alice's polar angle
-    # on a flip angle), whose other crossing time may wrap to 2 pi: the
+    # grid thetas placed on the crossing times of some samples, samples
+    # that cross a flip at theta = 0 itself (alice's polar cosine on a
+    # flip's cosine), whose other crossing time may wrap to 2 pi, and
+    # samples that graze a flip (R within EVENT_SIGMA of |cos v|): the
     # per-theta colours there are decided by rounding, which the event
-    # times cannot see, so only the certificate's fallback keeps the
-    # sums exact
+    # times cannot see, so only the certificate's fallback, one
+    # (grid x samples) broadcast, keeps the sums exact
     bob = negate(make_catalogue(2))
     flips = correlation._event_flips(bob)
     rng = np.random.default_rng(3)
     n = 400
     cos_eps = rng.uniform(-1.0, 1.0, n)
     cos_eps[: n // 4] = [flips[k % len(flips)][0] for k in range(n // 4)]
-    eps = np.arccos(cos_eps)
-    omega = rng.uniform(0.0, 2.0 * PI, n)
-    trig = np.cos(eps), np.sin(eps), np.cos(omega)
+    cos_omega = np.cos(rng.uniform(0.0, 2.0 * PI, n))
+    # grazes: cos omega = 0 makes R = |cos eps|, within 3e-7 of |cos v|
+    graze = np.arange(n // 2, n // 2 + 3 * len(flips))
+    cos_omega[graze] = 0.0
+    cos_eps[graze] = [
+        flips[k % len(flips)][0] + (k // len(flips) - 1) * 3e-7 for k in range(graze.size)
+    ]
+    trig = cos_eps, np.sqrt((1.0 - cos_eps) * (1.0 + cos_eps)), cos_omega
     y = trig[1] * trig[2]
     r, psi = np.hypot(trig[0], y), np.arctan2(y, trig[0])
+    assert all(
+        min(abs(r[i] - abs(c)) for c, _ in flips) < correlation.EVENT_SIGMA for i in graze
+    )
     # the grid stops short of pi, where a sample crossing a flip v at 0
     # crosses the flip pi - v
     grid = set(np.linspace(0.0, 0.9 * PI, 30).tolist())
@@ -1233,11 +1297,82 @@ def test_event_path_certifies_crossings_on_grid_thetas():
             grid |= set(times[times <= 0.9 * PI].tolist())
     grid = sorted(grid)
     a_vals = rng.choice([-1, 1], n)
-    sums = correlation._event_sums(bob, flips, a_vals, trig, grid)
+    spy = _ShapeSpy(bob)
+    sums = correlation._event_sums(spy, flips, a_vals, trig, grid)
     expected = [
         int(np.sum(a_vals * bob.evaluate_cos(partner_cos_many(t, *trig)))) for t in grid
     ]
     assert sums.tolist() == expected
+    ((rows, shaky),) = [shape for shape in spy.shapes if len(shape) == 2]
+    assert rows == len(grid) and n // 4 + graze.size <= shaky < n
+
+
+def _searchsorted_calls(monkeypatch):
+    calls = []
+    searchsorted = np.searchsorted
+
+    def counting(a, v, *args, **kwargs):
+        calls.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    return calls
+
+
+def _check_slots(grid, t):
+    slot, below, above = correlation._grid_slots(grid, t)
+    assert np.array_equal(slot, np.searchsorted(grid, t, side="left"))
+    guard = np.array([-np.inf, *grid, np.inf])
+    assert np.array_equal(below, guard[slot]) and np.array_equal(above, guard[slot + 1])
+    assert np.all(below < t) and np.all(t <= above)
+    return slot
+
+
+def test_grid_slots_on_an_even_grid_need_no_search(monkeypatch):
+    grid = np.linspace(0.0, 0.5 * PI, 101).tolist()
+    t = np.random.default_rng(8).uniform(-1e-7, 0.5 * PI + 1e-7, 50_000)
+    calls = _searchsorted_calls(monkeypatch)
+    correlation._grid_slots(grid, t)
+    assert sum(calls) == 0
+    monkeypatch.undo()
+    _check_slots(grid, t)
+
+
+def test_grid_slots_fall_back_to_searchsorted_on_an_uneven_grid(monkeypatch):
+    # thetas bunched near 0 and two far points: the mean spacing guesses
+    # many slots wrong, and only those times are searched
+    grid = [0.001 * k for k in range(12)] + [1.0, 3.0]
+    t = np.random.default_rng(9).uniform(0.0, 3.0, 5_000)
+    calls = _searchsorted_calls(monkeypatch)
+    correlation._grid_slots(grid, t)
+    assert calls and 0 < sum(calls) < t.size
+    monkeypatch.undo()
+    _check_slots(grid, t)
+
+
+def test_grid_slots_put_a_time_on_a_grid_theta_below_it():
+    # side="left": a crossing exactly at a grid theta is not below it,
+    # so that theta is its upper neighbour, 0 from it
+    grid = np.linspace(0.1, 1.3, 25).tolist()
+    t = np.array(grid + [math.nextafter(v, 2.0) for v in grid])
+    slot = _check_slots(grid, t)
+    assert slot[: len(grid)].tolist() == list(range(len(grid)))
+    assert slot[len(grid) :].tolist() == list(range(1, len(grid) + 1))
+
+
+def test_grid_slots_beyond_the_grid_ends():
+    # crossings kept within EVENT_TAU outside the grid's ends are before
+    # the first theta or after the last, and near that end
+    grid = np.linspace(0.2, 1.4, 40).tolist()
+    tau = correlation.EVENT_TAU
+    t = np.array(
+        [grid[0] - 0.5 * tau, grid[0] - 0.99 * tau, grid[-1] + 0.5 * tau, grid[-1] + 0.99 * tau]
+    )
+    slot, below, above = correlation._grid_slots(grid, t)
+    assert slot.tolist() == [0, 0, len(grid), len(grid)]
+    assert below[:2].tolist() == [-np.inf] * 2 and above[2:].tolist() == [np.inf] * 2
+    assert np.all(np.minimum(t - below, above - t) < tau)
+    _check_slots(grid, t)
 
 
 # ---------------------------------------------------------------------------
@@ -1345,8 +1480,7 @@ def test_trig_interpolation_error_is_far_inside_the_margin(degree, all_m):
     expected = correlation.TRIG_MARGIN * bound * (1.0 + lebesgue)
     assert margin == pytest.approx(expected, rel=1e-12)
     amplitude = bob.amplitude_vectors if all_m else bob.amplitude_cos
-    eps, phi, omega = next(SamplingPlan(degree, 20_000).draws())
-    position, _ = correlation._partner(bob, eps, phi, omega)
+    position, _ = correlation._partner(bob, next(SamplingPlan(degree, 20_000).draws()))
     values = np.array([amplitude(position(t)) for t in nodes])
     direct = np.array([amplitude(position(t)) for t in grid])
     assert np.max(np.abs(kernel @ values - direct)) / bound <= 1e-12

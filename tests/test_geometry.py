@@ -11,6 +11,7 @@ from spherebell.geometry import (
     ARCCOS_HARD,
     NumericalError,
     arccos_clamped_array,
+    cos_sin,
     partner_cos_many,
     partner_frame,
     partner_many,
@@ -41,7 +42,7 @@ def cartesian_partner(eps, phi, theta, omega):
 
 def partner_axis(theta, eps, phi, omega):
     """``partner_many`` on one point."""
-    frame = partner_frame(np.array([eps]), np.array([phi]), np.array([omega]))
+    frame = partner_frame(*cos_sin(np.array([eps]), np.array([phi]), np.array([omega])))
     return partner_many(theta, *frame)[:, 0]
 
 
@@ -140,7 +141,7 @@ class TestPartnerDirection:
         alpha = partner_polar_many(theta, np.array([eps, eps]), np.array([omega, 2 * PI - omega]))
         assert abs(alpha[0] - alpha[1]) < 1e-12
         frame = partner_frame(
-            np.array([eps, eps]), np.array([0.4, 0.4]), np.array([omega, 2 * PI - omega])
+            *cos_sin(np.array([eps, eps]), np.array([0.4, 0.4]), np.array([omega, 2 * PI - omega]))
         )
         b = partner_many(theta, *frame)
         assert np.allclose(b[2], np.cos(alpha), rtol=0.0, atol=1e-15)
@@ -160,32 +161,48 @@ class TestSampleAxisPair:
         return draw
 
     def test_degenerate_separations(self):
-        eps, phi, omega = self.drawn(11, 2000)
-        a, u = partner_frame(eps, phi, omega)
+        draw = self.drawn(11, 2000)
+        eps = np.arccos(draw.cos_eps)
+        a, u = draw.frame
         assert np.array_equal(partner_many(0.0, a, u), a)
         assert np.allclose(partner_many(PI, a, u), -a, rtol=0.0, atol=1e-15)
         for i in range(0, 2000, 7):
-            assert np.allclose(a[:, i], unit(eps[i], phi[i]), rtol=0.0, atol=1e-15)
+            assert np.allclose(a[:, i], unit(eps[i], draw.phi[i]), rtol=0.0, atol=1e-15)
+
+    def test_record_keeps_the_drawn_cosine(self):
+        # sin eps from the drawn cosine: within an ulp or so of the
+        # trig of eps = arccos(cos eps), computed once per chunk
+        draw = self.drawn(13, 20_000)
+        eps = np.arccos(draw.cos_eps)
+        assert np.max(np.abs(draw.sin_eps - np.sin(eps))) <= 5e-16
+        assert np.max(np.abs(draw.cos_eps - np.cos(eps))) <= 5e-16
+        assert np.array_equal(draw.cos_omega, np.cos(draw.omega))
+        assert draw.frame is draw.frame
+        a, u = draw.frame
+        assert np.array_equal(a[2], draw.cos_eps)
+        assert np.allclose(np.sum(u * u, axis=0), 1.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(np.sum(a * u, axis=0), 0.0, rtol=0.0, atol=1e-15)
 
     def test_mean_cosine_at_fixed_angle(self):
-        eps, phi, omega = self.drawn(5, 1000)
-        b = partner_many(PI / 3, *partner_frame(eps, phi, omega))
-        dots = [float(np.dot(unit(eps[i], phi[i]), b[:, i])) for i in range(1000)]
+        draw = self.drawn(5, 1000)
+        eps = np.arccos(draw.cos_eps)
+        b = partner_many(PI / 3, *draw.frame)
+        dots = [float(np.dot(unit(eps[i], draw.phi[i]), b[:, i])) for i in range(1000)]
         mean = np.mean(dots)
         sigma = np.std(dots, ddof=1) / math.sqrt(1000) + 1e-12
         assert abs(mean - 0.5) <= 3 * sigma
 
     def test_first_axis_polar_cosine_is_uniform(self):
-        eps, _, _ = self.drawn(7, 100_000)
-        result = stats.kstest(np.cos(eps), stats.uniform(loc=-1.0, scale=2.0).cdf)
+        draw = self.drawn(7, 100_000)
+        result = stats.kstest(draw.cos_eps, stats.uniform(loc=-1.0, scale=2.0).cdf)
         assert result.pvalue > 1e-3
 
     @pytest.mark.parametrize("theta", [0.4, 1.9])
     def test_partner_polar_cosine_is_uniform(self, theta):
         # Bob's axis must be uniform on the sphere too
-        eps, _, omega = self.drawn(7, 100_000)
-        alpha = partner_polar_many(theta, eps, omega)
-        result = stats.kstest(np.cos(alpha), stats.uniform(loc=-1.0, scale=2.0).cdf)
+        draw = self.drawn(7, 100_000)
+        cos_alpha = partner_cos_many(theta, draw.cos_eps, draw.sin_eps, draw.cos_omega)
+        result = stats.kstest(cos_alpha, stats.uniform(loc=-1.0, scale=2.0).cdf)
         assert result.pvalue > 1e-3
 
 
@@ -216,7 +233,7 @@ def test_partner_many_matches_scalar_pointwise():
     # on Alice's meridian too: theta = 0 and pi, and omega = 0 and pi
     eps, phi, omega = random_points(19, 2000)
     omega[:4] = (0.0, PI, 0.0, PI)
-    frame = partner_frame(eps, phi, omega)
+    frame = partner_frame(*cos_sin(eps, phi, omega))
     for theta in (0.0, 0.3, 1.2, 2.5, PI):
         b = partner_many(theta, *frame)
         assert b.shape == (3, 2000)

@@ -59,7 +59,7 @@ def test_partner_map_spans_count_the_points():
     # the traced benchmark reads a point count off each partner map's result
     quantity = load_spans().QUANTITY
     eps, phi, omega = np.full(7, 0.4), np.full(7, 1.1), np.full(7, 2.3)
-    b = geometry.partner_many(0.3, *geometry.partner_frame(eps, phi, omega))
+    b = geometry.partner_many(0.3, *geometry.partner_frame(*geometry.cos_sin(eps, phi, omega)))
     alpha = geometry.partner_polar_many(0.3, eps, omega)
     assert quantity["geometry.partner_many"]((), {}, b) == 7
     assert quantity["geometry.partner_polar_many"]((), {}, alpha) == 7

@@ -5,7 +5,7 @@ import pytest
 
 from quantum_frame_oracle import frame_pq
 from spherebell.correlation import SamplingPlan
-from spherebell.geometry import partner_frame
+from spherebell.geometry import cos_sin, partner_frame
 from spherebell.quantum import (
     TwoQubitState,
     WernerParam,
@@ -316,7 +316,7 @@ class TestSpinTensor:
     def test_frames_agree_with_the_matrix_oracle(self, state, tol):
         # the same draws: haar_unitaries builds U from haar_angles
         u = haar_unitaries(np.random.default_rng(61), 20_000)
-        a, tangent = partner_frame(*haar_angles(np.random.default_rng(61), 20_000))
+        a, tangent = partner_frame(*cos_sin(*haar_angles(np.random.default_rng(61), 20_000)))
         pq = _frame_pq(spin_tensor(state), a, tangent)
         assert np.max(np.abs(pq - frame_pq(state.rho, u))) <= tol
 
