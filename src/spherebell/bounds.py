@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .colourings import Colouring, ColouringPair
 from .correlation import CorrelationCurve, SamplingPlan, curve_for
@@ -104,19 +104,22 @@ def braunstein_caves_value(chain: ChainCorrelations) -> float:
     return abs(sum(chain.diagonal) + sum(chain.offdiagonal) - chain.wrap)
 
 
+def _snapped(t: float, k: float, rounding: Callable[[float], int]) -> int:
+    """rounding(pi / (k t)), except that a t within SNAP of pi / (k n)
+    gives that n."""
+    ratio = PI / (k * t)
+    nearest = round(ratio)
+    if abs(t - PI / (k * nearest)) < SNAP:
+        return nearest
+    return rounding(ratio)
+
+
 def chain_length_for(theta: float) -> int:
     """N = max(2, ceil(pi / 2 theta)), with 1e-12 boundary snapping."""
     t = float(theta)
     if not SNAP < t <= HALF_PI + SNAP:
         raise ValueError(f"theta {t!r} outside (0, pi/2]")
-    t = min(t, HALF_PI)
-    ratio = PI / (2.0 * t)
-    nearest = round(ratio)
-    if nearest >= 1 and abs(t - PI / (2.0 * nearest)) < SNAP:
-        n = nearest
-    else:
-        n = math.ceil(ratio)
-    return max(2, n)
+    return max(2, _snapped(min(t, HALF_PI), 2.0, math.ceil))
 
 
 def theorem1_bounds(theta: float) -> BoundReport:
@@ -170,13 +173,7 @@ def lemma2_bound(theta: float, gamma: float) -> float:
     g = float(gamma)
     if not -SNAP <= g <= 1.0 + SNAP:
         raise ValueError(f"gamma {g!r} outside [0, 1]")
-    ratio = PI / t
-    nearest = round(ratio)
-    if nearest >= 3 and abs(t - PI / nearest) < SNAP:
-        n = nearest
-    else:
-        n = math.ceil(ratio)
-    return -1.0 + 2.0 / n - 2.0 * g
+    return -1.0 + 2.0 / _snapped(t, 1.0, math.ceil) - 2.0 * g
 
 
 @dataclass(frozen=True)
@@ -194,12 +191,7 @@ def lemma3_reflection_angles(theta: float) -> list[ReflectionAngle]:
     if not SNAP < t <= HALF_PI + SNAP:
         raise ValueError(f"theta {t!r} outside (0, pi/2]")
     t = min(t, HALF_PI)
-    ratio = PI / t
-    nearest = round(ratio)
-    if nearest >= 2 and abs(t - PI / nearest) < SNAP:
-        m = nearest
-    else:
-        m = math.floor(ratio)
+    m = _snapped(t, 1.0, math.floor)
     out = []
     for j in range(1, m):
         theta_j = PI / (m + 1 - j) - t

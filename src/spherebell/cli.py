@@ -27,6 +27,7 @@ from . import bounds as bounds_mod
 from . import search as search_mod
 from .colourings import load_colouring, make_catalogue
 from .correlation import (
+    METHODS,
     SamplingPlan,
     antisymmetric,
     closed_form,
@@ -74,12 +75,12 @@ def parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start * PI, stop * PI, count)
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    """The --config file's keys, each one a flag's dest of the
-    subcommand (the namespace's other attributes)."""
-    path = args.config
-    if not path:
-        return {}
+def _config_argv(path: str, sub: argparse.ArgumentParser) -> list[str]:
+    """The --config file's keys as flags of the subcommand parser
+    ``sub``: ``--flag=value`` for each key, a bare ``--flag`` for true,
+    nothing for null and false.  Parsed before the command line's own
+    flags, so each value goes through its flag's parsing and the flags
+    win."""
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -87,18 +88,16 @@ def _load_config(args: argparse.Namespace) -> dict:
         raise UsageError(f"cannot read config {path!r}: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError(f"config {path!r} must hold a JSON object")
-    known = set(vars(args)) - {"command", "func", "config"}
-    for key in config:
-        if key not in known:
+    flags = {a.dest: a.option_strings[-1] for a in sub._actions if a.option_strings}
+    argv = []
+    for key, value in config.items():
+        if key in ("help", "config") or key not in flags:
             raise UsageError(f"config {path!r} has the unknown key {key!r}")
-    return config
-
-
-def _merged(args: argparse.Namespace, config: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    return value
+        if value is True:
+            argv.append(flags[key])
+        elif value is not None and value is not False:
+            argv.append(f"{flags[key]}={value}")
+    return argv
 
 
 def _resolve_colouring(label: str):
@@ -115,12 +114,12 @@ def _resolve_colouring(label: str):
         raise UsageError(f"colouring {path!r} is malformed: {exc}") from None
 
 
-def _out_path(args: argparse.Namespace, config: dict) -> str | None:
+def _out_path(args: argparse.Namespace) -> str | None:
     """The --out path, None for stdout (absent or "-").  Its directory
     is checked here, before any work, so that a bad path fails at once;
     the file is opened by :func:`_output` once the output is ready, so
     that a failed run leaves no empty file behind."""
-    path = _merged(args, config, "out", None)
+    path = args.out
     if path in (None, "-"):
         return None
     folder = os.path.dirname(path) or "."
@@ -143,16 +142,15 @@ def _output(path: str | None) -> Iterator[TextIO]:
         yield fh
 
 
-def _mc_plan(args: argparse.Namespace, config: dict, default_n: int) -> SamplingPlan:
+def _mc_plan(args: argparse.Namespace) -> SamplingPlan:
     """The sampling plan of a Monte Carlo estimate from --seed and --n;
     --n must be at least 2, since one sample has no standard error."""
-    n = int(_merged(args, config, "n", default_n))
-    if n < 2:
+    if args.n < 2:
         raise UsageError(
-            f"--n must be at least 2 for Monte Carlo, not {n}: "
+            f"--n must be at least 2 for Monte Carlo, not {args.n}: "
             "one sample has no standard error"
         )
-    return SamplingPlan(int(_merged(args, config, "seed", DEFAULT_SEED)), n)
+    return SamplingPlan(args.seed, args.n)
 
 
 def _c1(theta: float) -> float:
@@ -177,31 +175,21 @@ REFERENCE_COLUMNS = {
 
 
 def run_curve(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = _out_path(args, config)
-    label = _merged(args, config, "colouring", None)
-    if label is None:
+    out = _out_path(args)
+    if args.colouring is None:
         raise UsageError("curve requires --colouring")
-    method = _merged(args, config, "method", "closed_form")
-    grid = parse_grid(_merged(args, config, "grid", "0:0.5:101"))
-    colouring = _resolve_colouring(str(label))
-    plan = _mc_plan(args, config, DEFAULT_N) if method == "mc" else None
-    curve = curve_for(
-        colouring,
-        grid,
-        method,
-        plan=plan,
-        tol=float(_merged(args, config, "tol", DEFAULT_TOL)),
-    )
+    grid = parse_grid(args.grid)
+    colouring = _resolve_colouring(args.colouring)
+    plan = _mc_plan(args) if args.method == "mc" else None
+    curve = curve_for(colouring, grid, args.method, plan=plan, tol=args.tol)
     with _output(out) as fh:
         write_curve_csv(curve, fh, references=REFERENCE_COLUMNS)
     return 0
 
 
 def run_verify(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = _out_path(args, config)
-    curve_file = _merged(args, config, "curve_file", None)
+    out = _out_path(args)
+    curve_file = args.curve_file
     if curve_file:
         # pre-computed curve: check it as given, no recomputation
         try:
@@ -212,19 +200,14 @@ def run_verify(args: argparse.Namespace) -> int:
         reports = bounds_mod.verify_curve(curve)
         label, method = curve.colouring_label, curve.method
     else:
-        label = _merged(args, config, "colouring", None)
-        if label is None:
+        if args.colouring is None:
             raise UsageError("verify requires --colouring or --curve-file")
-        method = _merged(args, config, "method", "closed_form")
-        grid = parse_grid(_merged(args, config, "grid", "0.005:0.5:100"))
-        colouring = _resolve_colouring(str(label))
-        plan = _mc_plan(args, config, DEFAULT_N) if method == "mc" else None
+        method = args.method
+        grid = parse_grid(args.grid)
+        colouring = _resolve_colouring(args.colouring)
+        plan = _mc_plan(args) if method == "mc" else None
         reports = bounds_mod.verify_colouring(
-            colouring,
-            grid,
-            method,
-            plan=plan,
-            tol=float(_merged(args, config, "tol", DEFAULT_TOL)),
+            colouring, grid, method, plan=plan, tol=args.tol
         )
         label = colouring.label
     text = bounds_mod.report_to_json(label, method, reports)
@@ -250,16 +233,9 @@ def _parse_delta_grid(spec: str | None, default: Sequence[float]) -> Sequence[fl
 
 
 def run_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = _out_path(args, config)
-    family = _merged(args, config, "family", "3_delta")
-    reference = _merged(args, config, "reference", "c1")
-    tol = float(_merged(args, config, "tol", 1e-4))
-    delta = _merged(args, config, "delta", None)
-    delta_grid = _merged(args, config, "delta_grid", None)
-    theta_grid = _merged(args, config, "grid", None)
-    if family not in ("3_delta", "2_Delta"):
-        raise UsageError(f"unknown family {family!r}; expected 3_delta or 2_Delta")
+    out = _out_path(args)
+    family, reference, tol = args.family, args.reference, args.tol
+    delta, delta_grid, theta_grid = args.delta, args.delta_grid, args.grid
     if delta is not None and family != "3_delta":
         raise UsageError(f"--delta deforms 3_delta only, not {family}")
     if delta is not None and delta_grid is not None:
@@ -268,8 +244,8 @@ def run_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--grid sets the theta grid of a single --delta table only")
     if delta is not None:
         # single-deformation mode: curve table plus crossing summary
-        d = float(delta) * PI
-        grid = parse_grid(_merged(args, config, "grid", "0.34:0.5:81"))
+        d = delta * PI
+        grid = parse_grid(theta_grid or "0.34:0.5:81")
         columns = (
             grid / PI,
             closed_form("3_delta", grid, delta=d),
@@ -318,53 +294,40 @@ def run_sweep(args: argparse.Namespace) -> int:
 
 
 def run_search(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = _out_path(args, config)
-    theta = _merged(args, config, "theta", None)
-    if theta is None:
+    out = _out_path(args)
+    if args.theta is None:
         raise UsageError("search requires --theta (units of pi)")
-    jobs = int(_merged(args, config, "jobs", 1))
-    if jobs < 1:
-        raise UsageError(f"jobs must be at least 1, not {jobs}")
-    plan = SamplingPlan(
-        int(_merged(args, config, "seed", DEFAULT_SEED)),
-        int(_merged(args, config, "n", 20_000)),
-    )
     outcome = search_mod.harmonic_search(
-        float(theta) * PI,
-        int(_merged(args, config, "lmax", 3)),
-        restarts=int(_merged(args, config, "restarts", 16)),
-        plan=plan,
-        azimuthal_only=bool(_merged(args, config, "azimuthal_only", False)),
-        max_iter=int(_merged(args, config, "max_iter", 400)),
-        jobs=jobs,
+        args.theta * PI,
+        args.lmax,
+        restarts=args.restarts,
+        plan=SamplingPlan(args.seed, args.n),
+        azimuthal_only=args.azimuthal_only,
+        max_iter=args.max_iter,
     )
     with _output(out) as fh:
         fh.write(search_mod.search_report_json(outcome) + "\n")
     return 0
 
 
-def _resolve_state(args: argparse.Namespace, config: dict) -> TwoQubitState:
-    state_file = _merged(args, config, "state_file", None)
+def _resolve_state(args: argparse.Namespace) -> TwoQubitState:
+    state_file = args.state_file
     if state_file:
         try:
             with open(state_file) as fh:
                 return parse_state_text(fh.read())
         except OSError as exc:
             raise UsageError(f"cannot read state file {state_file!r}: {exc}") from None
-    name = _merged(args, config, "state", "singlet")
-    return TwoQubitState.named(str(name))
+    return TwoQubitState.named(args.state)
 
 
 def run_quantum(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = _out_path(args, config)
-    state = _resolve_state(args, config)
-    grid = parse_grid(_merged(args, config, "grid", "0:0.5:51"))
-    use_mc = bool(_merged(args, config, "mc", False))
+    out = _out_path(args)
+    state = _resolve_state(args)
+    grid = parse_grid(args.grid)
     w = twirl(state)
-    if use_mc:
-        plan = _mc_plan(args, config, 100_000)
+    if args.mc:
+        plan = _mc_plan(args)
         rows = [
             (value, format_sig(stderr), "mc")
             for value, stderr in mc_quantum_curve(state, grid, plan)
@@ -382,11 +345,9 @@ def run_quantum(args: argparse.Namespace) -> int:
 
 
 def run_slope(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = _out_path(args, config)
-    label = str(_merged(args, config, "colouring", "3"))
-    h = float(_merged(args, config, "h", 1e-3))
-    estimate = search_mod.slope_at_half_pi(_resolve_colouring(label), h=h)
+    out = _out_path(args)
+    label = args.colouring
+    estimate = search_mod.slope_at_half_pi(_resolve_colouring(label), h=args.h)
     payload = {
         "colouring": label,
         "slope": estimate.slope,
@@ -407,19 +368,21 @@ def build_parser() -> argparse.ArgumentParser:
         "Bell-type bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = lambda s: int(s, 0)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON file with the same keys as the flags")
         p.add_argument("--out", help="output path (default: stdout)")
+        p.set_defaults(parser=p)
 
     p_curve = sub.add_parser("curve", help="correlation curve as CSV")
     common(p_curve)
     p_curve.add_argument("--colouring", help="catalogue label, label:param, or @file.json")
-    p_curve.add_argument("--method", choices=("mc", "quadrature", "closed_form"))
-    p_curve.add_argument("--grid", help="start:stop:count in units of pi")
-    p_curve.add_argument("--seed", type=lambda s: int(s, 0))
-    p_curve.add_argument("--n", type=int, help="Monte Carlo samples")
-    p_curve.add_argument("--tol", type=float, help=TOL_HELP)
+    p_curve.add_argument("--method", choices=METHODS, default="closed_form")
+    p_curve.add_argument("--grid", default="0:0.5:101", help="start:stop:count in units of pi")
+    p_curve.add_argument("--seed", type=seed, default=DEFAULT_SEED)
+    p_curve.add_argument("--n", type=int, default=DEFAULT_N, help="Monte Carlo samples")
+    p_curve.add_argument("--tol", type=float, default=DEFAULT_TOL, help=TOL_HELP)
     p_curve.set_defaults(func=run_curve)
 
     p_verify = sub.add_parser("verify", help="bound verification as JSON")
@@ -430,63 +393,67 @@ def build_parser() -> argparse.ArgumentParser:
         dest="curve_file",
         help="verify a curve CSV as-is instead of computing one",
     )
-    p_verify.add_argument("--method", choices=("mc", "quadrature", "closed_form"))
-    p_verify.add_argument("--grid")
-    p_verify.add_argument("--seed", type=lambda s: int(s, 0))
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--tol", type=float, help=TOL_HELP)
+    p_verify.add_argument("--method", choices=METHODS, default="closed_form")
+    p_verify.add_argument("--grid", default="0.005:0.5:100")
+    p_verify.add_argument("--seed", type=seed, default=DEFAULT_SEED)
+    p_verify.add_argument("--n", type=int, default=DEFAULT_N)
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL, help=TOL_HELP)
     p_verify.set_defaults(func=run_verify)
 
     p_sweep = sub.add_parser("sweep", help="deformation sweeps and crossing tables")
     common(p_sweep)
-    p_sweep.add_argument("--family", choices=("3_delta", "2_Delta"))
+    p_sweep.add_argument("--family", choices=("3_delta", "2_Delta"), default="3_delta")
     p_sweep.add_argument("--delta", type=float, help="single deformation, units of pi")
     p_sweep.add_argument(
         "--delta-grid", dest="delta_grid", help="start:stop:count, units of pi"
     )
-    p_sweep.add_argument("--reference", choices=("c1", "singlet"))
+    p_sweep.add_argument("--reference", choices=("c1", "singlet"), default="c1")
     p_sweep.add_argument("--grid", help="theta grid for single-delta tables")
-    p_sweep.add_argument("--tol", type=float, help="crossing bisection tolerance")
+    p_sweep.add_argument(
+        "--tol", type=float, default=1e-4, help="crossing bisection tolerance"
+    )
     p_sweep.set_defaults(func=run_sweep)
 
     p_search = sub.add_parser("search", help="harmonic colouring search")
     common(p_search)
     p_search.add_argument("--theta", type=float, help="angle in units of pi")
-    p_search.add_argument("--lmax", type=int)
-    p_search.add_argument("--restarts", type=int)
-    p_search.add_argument("--n", type=int, help="Monte Carlo samples per evaluation")
-    p_search.add_argument("--seed", type=lambda s: int(s, 0))
-    p_search.add_argument("--max-iter", dest="max_iter", type=int)
+    p_search.add_argument("--lmax", type=int, default=3)
+    p_search.add_argument("--restarts", type=int, default=16)
+    p_search.add_argument(
+        "--n", type=int, default=20_000, help="Monte Carlo samples per evaluation"
+    )
+    p_search.add_argument("--seed", type=seed, default=DEFAULT_SEED)
+    p_search.add_argument("--max-iter", dest="max_iter", type=int, default=400)
     p_search.add_argument(
         "--azimuthal-only",
         dest="azimuthal_only",
-        action="store_const",
-        const=True,
+        action="store_true",
         help="restrict the ansatz to m = 0",
     )
-    p_search.add_argument("--jobs", type=int, help="restart threads (default 1)")
     p_search.set_defaults(func=run_search)
 
     p_quantum = sub.add_parser("quantum", help="quantum reference curves")
     common(p_quantum)
     p_quantum.add_argument(
-        "--state", help="singlet|phi+|phi-|psi+|mixed (default singlet)"
+        "--state", default="singlet", help="singlet|phi+|phi-|psi+|mixed (default singlet)"
     )
     p_quantum.add_argument(
         "--state-file", dest="state_file", help="plain-text 4x4 density matrix"
     )
-    p_quantum.add_argument("--grid")
+    p_quantum.add_argument("--grid", default="0:0.5:51")
     p_quantum.add_argument(
-        "--mc", action="store_const", const=True, help="Monte Carlo instead of analytic"
+        "--mc", action="store_true", help="Monte Carlo instead of analytic"
     )
-    p_quantum.add_argument("--n", type=int)
-    p_quantum.add_argument("--seed", type=lambda s: int(s, 0))
+    p_quantum.add_argument("--n", type=int, default=100_000)
+    p_quantum.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     p_quantum.set_defaults(func=run_quantum)
 
     p_slope = sub.add_parser("slope", help="slope of C at pi/2")
     common(p_slope)
-    p_slope.add_argument("--colouring")
-    p_slope.add_argument("--h", type=float, help="finite-difference step (radians)")
+    p_slope.add_argument("--colouring", default="3")
+    p_slope.add_argument(
+        "--h", type=float, default=1e-3, help="finite-difference step (radians)"
+    )
     p_slope.set_defaults(func=run_slope)
 
     return parser
@@ -494,8 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # argv[0] is the command: the top-level parser has no options
+            tokens = _config_argv(args.config, args.parser)
+            args = parser.parse_args([argv[0], *tokens, *argv[1:]])
         return args.func(args)
     except NumericalError as exc:  # a ValueError, but not the input's fault
         print(f"numerical failure: {exc}", file=sys.stderr)

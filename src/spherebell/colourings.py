@@ -33,11 +33,11 @@ EDGE_TOL = 1e-9
 class Colouring(Protocol):
     """Anything that can be evaluated to +-1 on arrays of directions.
 
-    The Monte Carlo engine reads an azimuthally symmetric colouring by
-    ``evaluate_cos`` (values from cos(polar) alone) and any other by
-    ``evaluate_vectors`` (values at Cartesian unit vectors), for both
-    parties: alice at her drawn axes (cos(eps) as drawn, or the frame's
-    axis a) and bob at his partner axes.
+    The Monte Carlo engine (``correlation.Draws``) reads an azimuthally
+    symmetric colouring by ``evaluate_cos`` (values from cos(polar)
+    alone) and any other by ``evaluate_vectors`` (values at Cartesian
+    unit vectors), for both parties: alice at her drawn axes (cos(eps)
+    as drawn, or the frame's axis a) and bob at his partner axes.
     """
 
     label: str
@@ -391,27 +391,17 @@ def negate(c: Colouring) -> Colouring:
 
 @dataclass(frozen=True)
 class ColouringPair:
-    """The two parties' colourings, with an optional declared gamma.
-
-    gamma is 1 minus the probability of opposite values at zero
-    separation; pairs built by :meth:`anticorrelated` have gamma = 0 by
-    construction (the partner is the colour swap of the first party).
-    """
+    """The two parties' colourings.  Pairs built by
+    :meth:`anticorrelated` have gamma = 0 (gamma is 1 minus the
+    probability of opposite values at zero separation): the partner is
+    the colour swap of the first party."""
 
     alice: Colouring
     bob: Colouring
-    gamma_declared: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.gamma_declared is not None:
-            g = float(self.gamma_declared)
-            if not 0.0 <= g <= 1.0:
-                raise ValueError(f"gamma {g!r} outside [0, 1]")
-            object.__setattr__(self, "gamma_declared", g)
 
     @classmethod
     def anticorrelated(cls, alice: Colouring) -> "ColouringPair":
-        return cls(alice=alice, bob=negate(alice), gamma_declared=0.0)
+        return cls(alice=alice, bob=negate(alice))
 
 
 DELTA_RANGE = (-math.pi / 18.0, math.pi / 24.0)

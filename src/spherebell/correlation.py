@@ -62,11 +62,13 @@ from .colourings import (
     ColouringPair,
     HarmonicColouring,
     Negated,
+    harmonic_rows,
     make_catalogue,
     negate,
 )
 from .geometry import (
     arccos_clamped_array,
+    clamp_cos,
     partner_cos_many,
     partner_frame,
     partner_many,
@@ -166,10 +168,13 @@ class Draws:
     Each cosine and sine of phi and omega is computed on first use and
     at most once per chunk.
 
-    :meth:`colours` reads a colouring at alice's axes by the rule of
-    the :class:`Colouring` protocol: an azimuthally symmetric one by
-    ``evaluate_cos(cos eps)``, any other by ``evaluate_vectors`` of the
-    frame's axis a.  Bob is read by the same rule at his axes."""
+    This is the one place that forms and reads a party's axes.
+    :meth:`axes` gives them at separation theta from alice's (hers at
+    theta = 0) in the form the colouring's reader takes: the polar
+    cosine for an azimuthally symmetric colouring, read by
+    ``evaluate_cos``, and the Cartesian axis for any other, read by
+    ``evaluate_vectors``.  :meth:`colours` reads a colouring there and
+    :meth:`rows` gives the harmonic basis there."""
 
     def __init__(self, cos_eps: np.ndarray, phi: np.ndarray, omega: np.ndarray):
         self.cos_eps = cos_eps
@@ -193,11 +198,36 @@ class Draws:
             np.sin(self.omega),
         )
 
-    def colours(self, c: Colouring) -> np.ndarray:
-        """The colours of ``c`` at alice's axes."""
+    def axes(self, c: Colouring, theta: float = 0.0, cols=slice(None)) -> np.ndarray:
+        """The axes at separation theta on the draws ``cols``, for the
+        reader of ``c``: ``partner_cos_many`` of cos eps as drawn, sin
+        eps and cos omega (unclamped) for an azimuthally symmetric
+        colouring, ``partner_many`` of the frame for any other."""
         if c.is_azimuthal:
-            return c.evaluate_cos(self.cos_eps)
-        return c.evaluate_vectors(self.frame[0])
+            if not theta:
+                return self.cos_eps[cols]
+            trig = self.cos_eps, self.sin_eps, self.cos_omega
+            return partner_cos_many(theta, *(v[cols] for v in trig))
+        a, u = self.frame
+        return partner_many(theta, a[:, cols], u[:, cols]) if theta else a[:, cols]
+
+    def colours(self, c: Colouring, theta: float = 0.0, cols=slice(None)) -> np.ndarray:
+        """The colours of ``c`` at the axes at separation theta."""
+        read = c.evaluate_cos if c.is_azimuthal else c.evaluate_vectors
+        return read(self.axes(c, theta, cols))
+
+    def rows(
+        self, c: HarmonicColouring, thetas: Sequence[float]
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """:func:`harmonic_rows` of the live modes of ``c`` at its axes
+        at each theta, side by side, clamped as ``evaluate_cos`` clamps:
+        :meth:`HarmonicColouring.amplitude_from_rows` of them is the
+        amplitude the reader of ``c`` signs."""
+        axes = np.concatenate([self.axes(c, t) for t in thetas], axis=-1)
+        modes = [(l, m) for l, m, w in c.terms if w != 0.0]
+        if c.is_azimuthal:
+            return harmonic_rows(modes, clamp_cos(axes))
+        return harmonic_rows(modes, axes[2], axes[:2])
 
 
 def _as_pair(c: Colouring | ColouringPair) -> ColouringPair:
@@ -263,15 +293,14 @@ def _event_sums(
     bob: Colouring,
     flips: tuple[tuple[float, int], ...],
     a_vals: np.ndarray,
-    trig: tuple[np.ndarray, np.ndarray, np.ndarray],
+    draws: Draws,
     grid: list[float],
 ) -> np.ndarray:
     """The chunk's integer sums of alice * bob at each theta of a
     sorted grid of distinct thetas, from bob's crossing times of his
-    flips (the event path of :func:`correlation_mc_grid`).  ``trig``
-    holds the draws' cos eps, sin eps and cos omega."""
-    cos_eps, sin_eps, cos_omega = trig
-    first = bob.evaluate_cos(partner_cos_many(grid[0], *trig))
+    flips (the event path of :func:`correlation_mc_grid`)."""
+    cos_eps, sin_eps, cos_omega = draws.cos_eps, draws.sin_eps, draws.cos_omega
+    first = draws.colours(bob, grid[0])
     # x(theta) = cos theta cos eps - sin theta (sin eps cos omega)
     #          = r cos(theta + psi)
     y = sin_eps * cos_omega
@@ -356,42 +385,21 @@ def _trig_grid(
     return nodes.tolist(), kernel, TRIG_MARGIN * bound * (1.0 + lebesgue)
 
 
-def _partner(bob: Colouring, draws: Draws) -> tuple[Callable, Callable]:
-    """(position, read) for bob on a chunk's draws: position(theta,
-    cols) is his position at theta on the draws ``cols`` (all by
-    default) and read(position) his colours there.  He is read by the
-    rule alice is read by (:meth:`Draws.colours`): an azimuthally
-    symmetric bob is placed by his polar cosine (``partner_cos_many`` of
-    the record's cos eps as drawn, sin eps and cos omega) and read by
-    ``evaluate_cos``, any other by his Cartesian axis (``partner_many``
-    of the record's frame) and ``evaluate_vectors``."""
-    every = slice(None)
-    if bob.is_azimuthal:
-        trig = draws.cos_eps, draws.sin_eps, draws.cos_omega
-        position = lambda t, cols=every: partner_cos_many(t, *(v[cols] for v in trig))
-        return position, bob.evaluate_cos
-    a, u = draws.frame
-    position = lambda t, cols=every: partner_many(t, a[:, cols], u[:, cols])
-    return position, bob.evaluate_vectors
-
-
 def _harmonic_sums(
     bob: Colouring,
     interp: tuple[list[float], np.ndarray, float],
     a_vals: np.ndarray,
-    partner: tuple[Callable, Callable],
+    draws: Draws,
     grid: list[float],
 ) -> np.ndarray:
     """The chunk's integer sums of alice * bob at each theta of a
     sorted grid of distinct thetas, from his amplitude at the nodes of
     :func:`_trig_grid` (the trig path of :func:`correlation_mc_grid`)."""
     nodes, kernel, margin = interp
-    position, read = partner
     core, sign = (bob.inner, -1) if isinstance(bob, Negated) else (bob, 1)
-    amplitude = core.amplitude_cos if bob.is_azimuthal else core.amplitude_vectors
     values = np.empty((len(nodes), a_vals.size))
     for j, t in enumerate(nodes):
-        values[j] = amplitude(position(t))
+        values[j] = core.amplitude_from_rows(draws.rows(core, [t]))
     weights = sign * a_vals.astype(float)
     sums = np.empty(len(grid), dtype=np.int64)
     for lo in range(0, len(grid), TRIG_BLOCK):
@@ -410,7 +418,7 @@ def _harmonic_sums(
             rows, cols = np.nonzero(shaky)
             for k in np.unique(rows).tolist():
                 idx = cols[rows == k]
-                exact = read(position(grid[lo + k], idx))
+                exact = draws.colours(bob, grid[lo + k], idx)
                 sums[lo + k] += np.sum(a_vals[idx] * exact, dtype=np.int64)
     return sums
 
@@ -426,20 +434,16 @@ def correlation_mc_grid(
     :class:`Draws` record that keeps cos(eps) as drawn and takes each
     trig value of the draws at most once, and alice is evaluated on it
     once; then only bob moves, over the distinct thetas of the grid.
-    Both are read by one rule (:meth:`Draws.colours` for alice, which
-    is bob's rule at theta = 0).  Per theta, an azimuthally symmetric bob
-    (bands, an m = 0 harmonic, or the colour swap of either) reads
-    cos(alpha) alone: ``partner_cos_many`` combines the record's
-    cos(eps), sin(eps) and cos(omega) per theta, and ``evaluate_cos``
-    decides the colours (a band bob by comparison with its edges'
-    cosines, bit for bit the arccos path), as alice's are decided from
-    cos(eps).  Any other bob moves as a vector: ``partner_many``
-    combines the record's ``partner_frame`` per theta, and
-    ``evaluate_vectors`` reads his harmonic basis from the Cartesian
-    coordinates, as alice's from the frame's axis a.  Every theta sees
-    the same draws it would see alone, and the products alice * bob are
-    exactly +-1, so each chunk sum is an integer and every estimate is
-    bit-identical to ``correlation_mc(c, theta, plan)``.  The standard error is
+    Both are read by :meth:`Draws.colours`, alice at theta = 0 and bob
+    per theta: an azimuthally symmetric bob (bands, an m = 0 harmonic,
+    or the colour swap of either) by his polar cosine alone, which
+    ``evaluate_cos`` decides (a band bob by comparison with its edges'
+    cosines, bit for bit the arccos path), any other by his Cartesian
+    axis, from whose coordinates ``evaluate_vectors`` reads his harmonic
+    basis.  Every theta sees the same draws it would see alone, and the
+    products alice * bob are exactly +-1, so each chunk sum is an
+    integer and every estimate is bit-identical to
+    ``correlation_mc(c, theta, plan)``.  The standard error is
     sqrt((1 - mean^2) / (n - 1)).
 
     Two paths pay per draw rather than per (draw, theta) on a dense
@@ -486,7 +490,7 @@ def correlation_mc_grid(
     L + 1 coefficients are fixed by its values at the L + 1 nodes
     pi j / (L + 1), where the cosines and sines of those frequencies
     are orthogonal, so p = K V exactly: V holds the chunk's amplitudes
-    at the nodes (``harmonic_rows`` and ``amplitude_from_rows``, as per
+    at the nodes (:meth:`Draws.rows` and ``amplitude_from_rows``, as per
     theta) and K is the interpolation matrix of :func:`_trig_grid`.
     Every |Y_lm| <= sqrt((2l + 1) / 4 pi), so |p| <= S = sum |c_lm|
     sqrt((2l + 1) / 4 pi).  The per-theta amplitude and each node value
@@ -516,14 +520,11 @@ def correlation_mc_grid(
     for draws in plan.draws():
         a_vals = draws.colours(pair.alice)
         if events:
-            trig = draws.cos_eps, draws.sin_eps, draws.cos_omega
-            totals += _event_sums(bob, flips, a_vals, trig, distinct)
+            totals += _event_sums(bob, flips, a_vals, draws, distinct)
         elif interp is not None:
-            partner = _partner(bob, draws)
-            totals += _harmonic_sums(bob, interp, a_vals, partner, distinct)
+            totals += _harmonic_sums(bob, interp, a_vals, draws, distinct)
         else:
-            position, read = _partner(bob, draws)
-            totals += [np.sum(a_vals * read(position(t)), dtype=np.int64) for t in distinct]
+            totals += [np.sum(a_vals * draws.colours(bob, t), dtype=np.int64) for t in distinct]
     by_theta = dict(zip(distinct, totals.tolist()))
     n = plan.n_samples
     estimates = []

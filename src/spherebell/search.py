@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,11 +32,9 @@ from .colourings import (
     Colouring,
     ColouringPair,
     HarmonicColouring,
-    harmonic_rows,
     make_catalogue,
 )
 from .correlation import SamplingPlan, closed_form, correlation_mc
-from .geometry import clamp_cos, partner_cos_many, partner_many
 from .quantum import singlet_correlation
 
 PI = math.pi
@@ -415,57 +412,26 @@ def common_random_correlation(
     a sign-of-harmonics colouring over ``modes`` whose partner is its
     colour swap.
 
-    The points never change, so each chunk's basis is built here once,
-    from the plan's :class:`~spherebell.correlation.Draws` records by
-    the rule of ``correlation_mc_grid`` (cos(eps) as drawn and
-    cos(alpha) alone when every m is 0, the frame's axes a and bob's
-    Cartesian axes otherwise), as one stacked (modes, 2 len) array:
-    alice's rows at her axes, then bob's at his partner axes.  A call
-    sums c * row in the colouring's own term order, skipping c = 0 and
-    allowing repeated modes, exactly as
-    :meth:`HarmonicColouring.amplitude_from_rows` does, and takes one
-    sign of the stacked amplitude.  alice * (-bob) is +1 where the two
-    signs differ and -1 where they agree, so a chunk adds twice its
-    count of sign disagreements minus its length: the same integer as
+    The points never change, so each chunk's basis is built here once:
+    :meth:`~spherebell.correlation.Draws.rows` of ``modes`` at alice's
+    axes and, beside them, at bob's axes at theta, in the form the
+    colouring's reader takes.  A call sums the rows by
+    :meth:`HarmonicColouring.amplitude_from_rows` and takes one sign of
+    the amplitude.  alice * (-bob) is +1 where the two signs differ and
+    -1 where they agree, so a chunk adds twice its count of sign
+    disagreements minus its length: the same integer as
     ``correlation_mc(ColouringPair.anticorrelated(h), theta, plan)[0]``
     sums, bit for bit.
     """
-    azimuthal = all(m == 0 for _, m in modes)
-    distinct = list(dict.fromkeys(modes))
-    index = {mode: k for k, mode in enumerate(distinct)}
-    chunks = []
-    for draws in plan.draws():
-        if azimuthal:
-            cos_alpha = partner_cos_many(
-                theta, draws.cos_eps, draws.sin_eps, draws.cos_omega
-            )
-            z = np.concatenate([draws.cos_eps, clamp_cos(cos_alpha)])
-            rows = harmonic_rows(distinct, z)
-        else:
-            a, u = draws.frame
-            v = np.concatenate([a, partner_many(theta, a, u)], axis=1)
-            rows = harmonic_rows(distinct, v[2], v[:2])
-        size = draws.cos_eps.size
-        stacked = np.empty((len(distinct), 2 * size))
-        for l, m, row in rows:
-            stacked[index[l, m]] = row
-        chunks.append((size, stacked))
+    # is_azimuthal reads only the orders, so the rows come in the form
+    # every colouring over modes is read in
+    basis = HarmonicColouring(tuple((l, m, 1.0) for l, m in modes))
+    chunks = [(d.cos_eps.size, list(d.rows(basis, [0.0, theta]))) for d in plan.draws()]
 
     def correlation(h: HarmonicColouring) -> float:
-        live = []
-        for term in h.terms:
-            l, m, c = term
-            if c != 0.0:
-                if (l, m) not in index:
-                    raise ValueError(f"no basis row for the term {term!r}")
-                live.append((c, index[l, m]))
-        (c0, k0), *rest = live
         total = 0
-        for size, stacked in chunks:
-            amp = c0 * stacked[k0]
-            for c, k in rest:
-                amp += c * stacked[k]
-            plus = amp >= 0.0
+        for size, rows in chunks:
+            plus = h.amplitude_from_rows(rows) >= 0.0
             total += 2 * int(np.count_nonzero(plus[:size] != plus[size:])) - size
         return total / plan.n_samples
 
@@ -479,7 +445,6 @@ def harmonic_search(
     plan: SamplingPlan | None = None,
     azimuthal_only: bool = False,
     max_iter: int = 400,
-    jobs: int = 1,
 ) -> SearchOutcome:
     """Minimize C(theta) over sign-of-harmonics colourings.
 
@@ -488,12 +453,11 @@ def harmonic_search(
     Each restart runs a Nelder-Mead simplex from a random start, with a
     fixed per-restart sampling plan so every comparison inside the
     simplex uses common random numbers: the basis rows at the restart's
-    sample and partner points are built once, alice's beside bob's in
-    one stacked array (:func:`common_random_correlation`), and each
-    simplex step only recombines them and counts the points where the
-    two signs disagree.  With jobs > 1 the restarts run in that many
-    threads; each has its own seeds, so the outcome does not depend on
-    jobs.  The winning restart is re-evaluated at 10x samples with
+    sample and partner points are built once, alice's beside bob's
+    (:func:`common_random_correlation`), and each simplex step only
+    recombines them and counts the points where the two signs disagree.
+    The restarts run one after another, each on its own seeds.  The
+    winning restart is re-evaluated at 10x samples with
     :func:`correlation_mc`, and the result is checked against the chain
     lower bound.
     """
@@ -554,14 +518,8 @@ def harmonic_search(
         )
         return float(result.fun), np.asarray(result.x), evals
 
-    indices = list(range(restarts))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_restart, indices))
-    else:
-        outcomes = [run_restart(k) for k in indices]
-
-    best_k = min(indices, key=lambda k: (outcomes[k][0], k))
+    outcomes = [run_restart(k) for k in range(restarts)]
+    best_k = min(range(restarts), key=lambda k: (outcomes[k][0], k))
     best_x = outcomes[best_k][1]
     total_evals = sum(o[2] for o in outcomes)
 

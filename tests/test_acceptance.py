@@ -206,7 +206,7 @@ def test_criterion_09_circle_nodes():
 
 
 def test_criterion_10_deterministic_outputs(tmp_path, capsys):
-    with criterion(10, "bit-identical output on reruns and for any search --jobs"):
+    with criterion(10, "bit-identical output on reruns"):
         def run_to_bytes(name, *argv):
             path = tmp_path / name
             code = main([*argv, "--out", str(path)])
@@ -233,12 +233,11 @@ def test_criterion_10_deterministic_outputs(tmp_path, capsys):
         )
         assert run_to_bytes("s1.csv", *sweep_args) == run_to_bytes("s2.csv", *sweep_args)
 
-        # the restart pool is the one threaded path: all m, so the
-        # restarts take the vector partner map
+        # all m, so the restarts take the vector partner map
         search_args = (
             "search", "--theta", "0.3", "--lmax", "3", "--restarts", "4", "--n", "5000",
         )
-        assert run_to_bytes("h1.json", *search_args, "--jobs", "1") == run_to_bytes(
-            "h2.json", *search_args, "--jobs", "2"
+        assert run_to_bytes("h1.json", *search_args) == run_to_bytes(
+            "h2.json", *search_args
         )
         capsys.readouterr()

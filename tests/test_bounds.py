@@ -112,6 +112,24 @@ class TestChainLength:
             chain_length_for(PI / 2 + 0.01)
 
 
+@pytest.mark.parametrize("n", range(2, 41))
+@pytest.mark.parametrize("offset", [0.0, 0.5e-12, -0.5e-12, 2e-12, -2e-12])
+def test_pi_over_n_snaps_within_snap(n, offset):
+    # within SNAP of pi / (k n) each count is n; farther off, a larger
+    # theta gives ceil(pi / k theta) = n and floor = n - 1, a smaller
+    # one n + 1 and n
+    if abs(offset) < 1e-12:
+        ceil, floor = n, n
+    else:
+        ceil, floor = (n, n - 1) if offset > 0.0 else (n + 1, n)
+    assert chain_length_for(PI / (2 * n) + offset) == ceil
+    theta = PI / n + offset
+    if n >= 3:
+        assert lemma2_bound(theta, 0.0) == -1.0 + 2.0 / ceil
+    if theta <= PI / 2 + 1e-12:
+        assert len(lemma3_reflection_angles(theta)) == floor - 1
+
+
 class TestTheorem1:
     def test_two_chain_window(self):
         rep = theorem1_bounds(PI / 4)

@@ -320,16 +320,9 @@ class TestCurveCommand:
 
 
 class TestJobsFlag:
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_below_one_is_usage_error(self, jobs, capsys):
-        code, _, err = run(
-            capsys, "search", "--theta", "0.3", "--lmax", "1", "--restarts", "1",
-            "--n", "100", "--jobs", jobs,
-        )
-        assert code == 2
-        assert err.startswith("error: jobs must be at least 1")
-
-    @pytest.mark.parametrize("command", ["curve", "verify", "sweep", "slope", "quantum"])
+    @pytest.mark.parametrize(
+        "command", ["curve", "verify", "sweep", "search", "slope", "quantum"]
+    )
     def test_serial_commands_take_no_jobs(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--jobs", "2"])
@@ -494,9 +487,10 @@ class TestSweepCommand:
     def test_unknown_family_from_config(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"family": "zebra"}))
-        code, _, err = run(capsys, "sweep", "--config", str(config))
-        assert code == 2
-        assert "zebra" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(config)])
+        assert exc.value.code == 2
+        assert "zebra" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -692,8 +686,7 @@ class TestConfigMerge:
 
     @pytest.mark.parametrize("key", ["sed", "jobs", "config", "func"])
     def test_unknown_key_is_usage_error(self, key, tmp_path, capsys):
-        # jobs is a flag of search only, so curve rejects it here as its
-        # parser rejects --jobs
+        # no command has a jobs flag
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"colouring": "1", "grid": "0:0.5:3", key: 7}))
         code, out, err = run(capsys, "curve", "--config", str(config))
@@ -701,15 +694,37 @@ class TestConfigMerge:
         assert out == ""
         assert f"unknown key {key!r}" in err
 
-    def test_search_takes_jobs_from_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, key, value, expected",
+        [
+            (("curve", "--colouring", "2", "--method", "mc", "--n", "1000",
+              "--grid", "0.1:0.4:3"), "seed", "0x42d", 0),
+            (("search", "--theta", "0.3", "--lmax", "3", "--restarts", "1",
+              "--n", "500"), "azimuthal_only", "false", 2),
+            (("quantum", "--grid", "0.1:0.4:3", "--n", "1000"), "mc", "no", 2),
+            (("curve", "--colouring", "2", "--method", "mc",
+              "--grid", "0.1:0.4:3"), "n", 1000.5, 2),
+        ],
+    )
+    def test_config_value_parses_as_its_flag(
+        self, argv, key, value, expected, tmp_path, capsys
+    ):
+        # each config value goes through its flag's own parsing: the
+        # same exit code and output as --flag=value on the command line
+        def outcome(*args):
+            try:
+                code = main([*argv, *args])
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"jobs": 2, "theta": 0.3, "lmax": 1}))
-        code, out, _ = run(
-            capsys, "search", "--config", str(config), "--restarts", "2",
-            "--n", "2000", "--azimuthal-only",
-        )
-        assert code == 0
-        assert json.loads(out)["L_max"] == 1
+        config.write_text(json.dumps({key: value}))
+        from_config = outcome("--config", str(config))
+        assert from_config[0] == expected
+        flag = "--" + key.replace("_", "-")
+        assert from_config == outcome(f"{flag}={value}")
 
     def test_every_flag_is_a_config_key(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -384,12 +384,7 @@ class TestNegation:
 
     def test_pair_anticorrelated(self):
         pair = ColouringPair.anticorrelated(make_catalogue(2))
-        assert pair.gamma_declared == 0.0
         assert isinstance(pair.bob, Negated)
-
-    def test_pair_gamma_validation(self):
-        with pytest.raises(ValueError):
-            ColouringPair(make_catalogue(1), make_catalogue(1), gamma_declared=1.5)
 
 
 class TestCheckAntipodal:

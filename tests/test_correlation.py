@@ -1248,6 +1248,8 @@ def test_band_flips_read_the_jumps():
 class _ShapeSpy:
     """A bob that records the shape of every ``evaluate_cos`` input."""
 
+    is_azimuthal = True
+
     def __init__(self, inner):
         self.inner = inner
         self.shapes = []
@@ -1278,7 +1280,9 @@ def test_event_path_certifies_crossings_on_grid_thetas():
     cos_eps[graze] = [
         flips[k % len(flips)][0] + (k // len(flips) - 1) * 3e-7 for k in range(graze.size)
     ]
-    trig = cos_eps, np.sqrt((1.0 - cos_eps) * (1.0 + cos_eps)), cos_omega
+    draws = correlation.Draws(cos_eps, np.zeros(n), np.zeros(n))
+    draws.cos_omega = cos_omega
+    trig = draws.cos_eps, draws.sin_eps, draws.cos_omega
     y = trig[1] * trig[2]
     r, psi = np.hypot(trig[0], y), np.arctan2(y, trig[0])
     assert all(
@@ -1298,7 +1302,7 @@ def test_event_path_certifies_crossings_on_grid_thetas():
     grid = sorted(grid)
     a_vals = rng.choice([-1, 1], n)
     spy = _ShapeSpy(bob)
-    sums = correlation._event_sums(spy, flips, a_vals, trig, grid)
+    sums = correlation._event_sums(spy, flips, a_vals, draws, grid)
     expected = [
         int(np.sum(a_vals * bob.evaluate_cos(partner_cos_many(t, *trig)))) for t in grid
     ]
@@ -1444,19 +1448,14 @@ def test_trig_path_falls_back_pair_by_pair(monkeypatch):
     expected = [correlation_mc(pair, t, plan) for t in grid]
     assert correlation_mc_grid(pair, grid, plan) == expected
     fallbacks = []
-    partner = correlation._partner
+    colours = correlation.Draws.colours
 
-    def counting(*args):
-        position, read = partner(*args)
+    def counting(draws, c, theta=0.0, cols=slice(None)):
+        if not isinstance(cols, slice):
+            fallbacks.append(cols.size)
+        return colours(draws, c, theta, cols)
 
-        def placed(theta, cols=slice(None)):
-            if not isinstance(cols, slice):
-                fallbacks.append(cols.size)
-            return position(theta, cols)
-
-        return placed, read
-
-    monkeypatch.setattr(correlation, "_partner", counting)
+    monkeypatch.setattr(correlation.Draws, "colours", counting)
     monkeypatch.setattr(correlation, "TRIG_MARGIN", 0.01)
     assert correlation_mc_grid(pair, grid, plan) == expected
     assert sum(fallbacks) >= 0.01 * plan.n_samples * len(grid)
@@ -1479,11 +1478,45 @@ def test_trig_interpolation_error_is_far_inside_the_margin(degree, all_m):
     lebesgue = np.max(np.sum(np.abs(kernel), axis=1))
     expected = correlation.TRIG_MARGIN * bound * (1.0 + lebesgue)
     assert margin == pytest.approx(expected, rel=1e-12)
-    amplitude = bob.amplitude_vectors if all_m else bob.amplitude_cos
-    position, _ = correlation._partner(bob, next(SamplingPlan(degree, 20_000).draws()))
-    values = np.array([amplitude(position(t)) for t in nodes])
-    direct = np.array([amplitude(position(t)) for t in grid])
+    draws = next(SamplingPlan(degree, 20_000).draws())
+    amplitude = lambda t: bob.amplitude_from_rows(draws.rows(bob, [t]))
+    values = np.array([amplitude(t) for t in nodes])
+    direct = np.array([amplitude(t) for t in grid])
     assert np.max(np.abs(kernel @ values - direct)) / bound <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        make_catalogue(3),
+        HarmonicColouring(((1, 0, 0.4), (3, 0, -1.0))),
+        HarmonicColouring(((1, 1, 0.5), (3, -2, 1.0), (3, 0, 0.2))),
+    ],
+    ids=["band", "m0", "all_m"],
+)
+def test_draws_read_every_party_by_one_rule(c):
+    (draws,) = SamplingPlan(17, 3000, chunk_size=3000).draws()
+    a, u = draws.frame
+    # alice at theta = 0: her drawn polar cosine, or the frame's axis a
+    alice = c.evaluate_cos(draws.cos_eps) if c.is_azimuthal else c.evaluate_vectors(a)
+    assert np.array_equal(draws.colours(c, 0.0), alice)
+    assert np.array_equal(draws.colours(c), alice)
+    bob = negate(c)
+    cols = np.arange(0, 3000, 7)
+    trig = draws.cos_eps[cols], draws.sin_eps[cols], draws.cos_omega[cols]
+    for t in (0.3, 1.2, PI):
+        if c.is_azimuthal:
+            expected = bob.evaluate_cos(partner_cos_many(t, *trig))
+        else:
+            expected = bob.evaluate_vectors(partner_many(t, a[:, cols], u[:, cols]))
+        assert np.array_equal(draws.colours(bob, t, cols), expected)
+        assert np.array_equal(draws.colours(bob, t)[cols], expected)
+    if isinstance(c, HarmonicColouring):
+        # the basis rows at alice's axes and, beside them, at her
+        # partner's at theta sum to the amplitudes her reader signs
+        amplitude = c.amplitude_from_rows(draws.rows(c, [0.0, 0.3]))
+        expected = np.concatenate([alice, -draws.colours(bob, 0.3)])
+        assert np.array_equal(np.where(amplitude >= 0.0, 1, -1), expected)
 
 
 def test_sparse_grids_stay_per_theta(monkeypatch):

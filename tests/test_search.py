@@ -305,19 +305,6 @@ class TestHarmonicSearch:
         b = harmonic_search(0.3 * PI, 3, **kwargs)
         assert a == b
 
-    def test_jobs_do_not_change_outcome(self):
-        kwargs = dict(restarts=3, plan=SamplingPlan(7, 5_000), azimuthal_only=True)
-        serial = harmonic_search(0.3 * PI, 3, jobs=1, **kwargs)
-        threaded = harmonic_search(0.3 * PI, 3, jobs=2, **kwargs)
-        assert serial == threaded
-
-    def test_jobs_do_not_change_all_m_outcome(self):
-        kwargs = dict(restarts=3, plan=SamplingPlan(7, 2_000), azimuthal_only=False)
-        serial = harmonic_search(0.3 * PI, 3, jobs=1, **kwargs)
-        threaded = harmonic_search(0.3 * PI, 3, jobs=2, **kwargs)
-        assert any(m != 0 for _, m, _ in serial.colouring_params)
-        assert serial == threaded
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             harmonic_search(0.3 * PI, 2)
