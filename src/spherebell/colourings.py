@@ -33,17 +33,19 @@ EDGE_TOL = 1e-9
 class Colouring(Protocol):
     """Anything that can be evaluated to +-1 on arrays of directions.
 
-    The Monte Carlo engine (``correlation.Draws``) reads an azimuthally
-    symmetric colouring by ``evaluate_cos`` (values from cos(polar)
-    alone) and any other by ``evaluate_vectors`` (values at Cartesian
-    unit vectors), for both parties: alice at her drawn axes (cos(eps)
-    as drawn, or the frame's axis a) and bob at his partner axes.
+    ``correlation.Draws`` reads an azimuthally symmetric colouring by
+    ``evaluate_cos`` (values from cos(polar) alone) and any other by
+    ``evaluate_vectors`` (values at Cartesian unit vectors), for Monte
+    Carlo and the sampled checks; the exact engines read its colour
+    flips by ``evaluate_polar`` (values from the polar angle).
     """
 
     label: str
     is_azimuthal: bool
 
-    def evaluate_many(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray: ...
+    def evaluate_cos(self, x: np.ndarray) -> np.ndarray: ...
+    def evaluate_vectors(self, v: np.ndarray) -> np.ndarray: ...
+    def evaluate_polar(self, eps: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,7 @@ class BandColouring:
             inside |= (eps >= lo) & (eps <= hi)
         return np.where(inside, 1, -1)
 
+    # no engine reads this; kept because perfbench/spans.py rebinds it
     def evaluate_many(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
         return self.evaluate_polar(eps)
 
@@ -128,31 +131,9 @@ class BandColouring:
             values[near] = self.evaluate_polar(arccos_clamped_array(x[near]))
         return values
 
-    def minus_bands(self) -> tuple[tuple[float, float], ...]:
-        """Complement intervals of the plus set within [0, pi]."""
-        gaps = []
-        cursor = 0.0
-        for lo, hi in self.plus_bands:
-            if lo - cursor > 0.0:
-                gaps.append((cursor, lo))
-            cursor = hi
-        if math.pi - cursor > 0.0:
-            gaps.append((cursor, math.pi))
-        return tuple(gaps)
-
-    def is_antipodal(self, tol: float = EDGE_TOL) -> bool:
-        """Structural antipodality: the reflected complement is the plus set.
-
-        Checked up to the measure-zero band edges, i.e. band endpoints
-        compare within ``tol``.
-        """
-        reflected = sorted((math.pi - hi, math.pi - lo) for lo, hi in self.minus_bands())
-        if len(reflected) != len(self.plus_bands):
-            return False
-        return all(
-            abs(rlo - lo) <= tol and abs(rhi - hi) <= tol
-            for (rlo, rhi), (lo, hi) in zip(reflected, self.plus_bands)
-        )
+    def evaluate_vectors(self, v: np.ndarray) -> np.ndarray:
+        """Values at the unit vectors v, from their z coordinates."""
+        return self.evaluate_cos(v[2])
 
 
 @dataclass(frozen=True)
@@ -188,24 +169,11 @@ class HarmonicColouring:
     def is_azimuthal(self) -> bool:
         return all(m == 0 for _, m, _ in self.terms)
 
-    def coefficient_norm(self) -> float:
-        return math.sqrt(sum(c * c for _, _, c in self.terms))
-
-    def amplitude(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """The underlying real harmonic sum at polar angles (eps, phi),
-        before taking the sign."""
-        return self.amplitude_vectors(unit_vectors(eps, phi))
-
     def amplitude_vectors(self, v: np.ndarray) -> np.ndarray:
         """The harmonic sum at the unit vectors v, a (3, ...) array of
         Cartesian coordinates: :meth:`amplitude_from_rows` of the basis
         rows from :func:`harmonic_rows`."""
         return self.amplitude_from_rows(harmonic_rows(self._live_modes(), v[2], v[:2]))
-
-    def amplitude_cos(self, x: np.ndarray) -> np.ndarray:
-        """The harmonic sum of an azimuthally symmetric colouring at the
-        polar angles arccos(x), from x alone, unclamped."""
-        return self.amplitude_from_rows(harmonic_rows(self._live_modes(), x))
 
     def _live_modes(self) -> list[tuple[int, int]]:
         return [(l, m) for l, m, c in self.terms if c != 0.0]
@@ -244,6 +212,7 @@ class HarmonicColouring:
             raise ValueError(f"no basis row for the term {live[k]!r}")
         return total
 
+    # no engine reads this; kept because perfbench/spans.py rebinds it
     def evaluate_many(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
         return self.evaluate_vectors(unit_vectors(eps, phi))
 
@@ -258,7 +227,8 @@ class HarmonicColouring:
         the drift check of :func:`clamp_cos`."""
         if not self.is_azimuthal:
             raise ValueError("colouring is not azimuthally symmetric")
-        return np.where(self.amplitude_cos(clamp_cos(x)) >= 0.0, 1, -1)
+        rows = harmonic_rows(self._live_modes(), clamp_cos(x))
+        return np.where(self.amplitude_from_rows(rows) >= 0.0, 1, -1)
 
     def evaluate_polar(self, eps: np.ndarray) -> np.ndarray:
         return self.evaluate_cos(np.cos(np.asarray(eps, dtype=float)))
@@ -370,9 +340,6 @@ class Negated:
     def is_azimuthal(self) -> bool:
         return self.inner.is_azimuthal
 
-    def evaluate_many(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        return -self.inner.evaluate_many(eps, phi)
-
     def evaluate_polar(self, eps: np.ndarray) -> np.ndarray:
         return -self.inner.evaluate_polar(eps)
 
@@ -481,56 +448,6 @@ def make_catalogue(
 def catalogue_labels() -> tuple[str, ...]:
     """The parameter-free catalogue labels."""
     return ("1", "2", "3", "4")
-
-
-@dataclass(frozen=True)
-class AntipodalReport:
-    n_tested: int
-    n_violations: int
-
-    @property
-    def violation_fraction(self) -> float:
-        return self.n_violations / self.n_tested if self.n_tested else 0.0
-
-
-def check_antipodal(
-    c: Colouring, n_samples: int, rng: np.random.Generator
-) -> AntipodalReport:
-    """Sampled antipodality check: value(-d) must equal -value(d).
-
-    Directions are uniform on the sphere, thinned to stay more than
-    1e-9 away from the colouring's edge set (band edges, or the nodal
-    set measured by the harmonic amplitude relative to the coefficient
-    norm), where either colour is legitimate.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    kept_eps: list[np.ndarray] = []
-    kept_phi: list[np.ndarray] = []
-    kept = 0
-    while kept < n_samples:
-        n = n_samples - kept
-        eps = np.arccos(rng.uniform(-1.0, 1.0, n))
-        phi = rng.uniform(0.0, 2.0 * math.pi, n)
-        ok = np.ones(n, dtype=bool)
-        core = c.inner if isinstance(c, Negated) else c
-        if isinstance(core, BandColouring):
-            for edge in core.edges:
-                ok &= np.abs(eps - edge) > EDGE_TOL
-                ok &= np.abs((math.pi - eps) - edge) > EDGE_TOL
-        elif isinstance(core, HarmonicColouring):
-            floor = EDGE_TOL * core.coefficient_norm()
-            ok &= np.abs(core.amplitude(eps, phi)) > floor
-            ok &= np.abs(core.amplitude(math.pi - eps, phi + math.pi)) > floor
-        kept_eps.append(eps[ok])
-        kept_phi.append(phi[ok])
-        kept += int(np.count_nonzero(ok))
-    eps = np.concatenate(kept_eps)[:n_samples]
-    phi = np.concatenate(kept_phi)[:n_samples]
-    direct = c.evaluate_many(eps, phi)
-    mirrored = c.evaluate_many(math.pi - eps, (phi + math.pi) % (2.0 * math.pi))
-    violations = int(np.count_nonzero(direct != -mirrored))
-    return AntipodalReport(n_tested=n_samples, n_violations=violations)
 
 
 def circle_colouring_value(n: int, epsilon: float) -> int:

@@ -39,9 +39,9 @@ colouring (``_flips_of``): its value at the north pole and the polar
 angles where its colour flips.  The Monte Carlo event path reads a
 band bob's flips with the same midpoint test (``_flips_at``).
 
-Shared plumbing: gamma estimation, curve containers, antisymmetry
-extension to [0, pi], finite mixtures, the exact circle-colouring
-correlation, and the CSV schema.
+Shared plumbing: the sampled gamma and antipodality checks, curve
+containers, antisymmetry extension to [0, pi], finite mixtures, the
+exact circle-colouring correlation, and the CSV schema.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .colourings import (
+    EDGE_TOL,
     BandColouring,
     Colouring,
     ColouringPair,
@@ -161,6 +162,11 @@ class SamplingPlan:
             yield Draws(cos_eps, phi, omega)
 
 
+def _reader(c: Colouring) -> Callable[[np.ndarray], np.ndarray]:
+    """The reader of ``c`` at the axes of :meth:`Draws.axes`."""
+    return c.evaluate_cos if c.is_azimuthal else c.evaluate_vectors
+
+
 class Draws:
     """One chunk of sample points, as the trig values the partner maps
     read: cos(eps) as drawn, sin(eps) = sqrt((1 - cos eps)(1 + cos eps))
@@ -168,13 +174,13 @@ class Draws:
     Each cosine and sine of phi and omega is computed on first use and
     at most once per chunk.
 
-    This is the one place that forms and reads a party's axes.
-    :meth:`axes` gives them at separation theta from alice's (hers at
-    theta = 0) in the form the colouring's reader takes: the polar
-    cosine for an azimuthally symmetric colouring, read by
-    ``evaluate_cos``, and the Cartesian axis for any other, read by
-    ``evaluate_vectors``.  :meth:`colours` reads a colouring there and
-    :meth:`rows` gives the harmonic basis there."""
+    This is the one place that forms and reads a party's axes, also for
+    the sampled checks (at theta = 0, omega = 0).  :meth:`axes` gives
+    them at separation theta from alice's in the form the colouring's
+    reader (:func:`_reader`) takes: the polar cosine, read by
+    ``evaluate_cos``, for an azimuthally symmetric colouring and the
+    Cartesian axis, read by ``evaluate_vectors``, for any other.
+    :meth:`colours` reads a colouring there, :meth:`rows` the basis."""
 
     def __init__(self, cos_eps: np.ndarray, phi: np.ndarray, omega: np.ndarray):
         self.cos_eps = cos_eps
@@ -213,8 +219,7 @@ class Draws:
 
     def colours(self, c: Colouring, theta: float = 0.0, cols=slice(None)) -> np.ndarray:
         """The colours of ``c`` at the axes at separation theta."""
-        read = c.evaluate_cos if c.is_azimuthal else c.evaluate_vectors
-        return read(self.axes(c, theta, cols))
+        return _reader(c)(self.axes(c, theta, cols))
 
     def rows(
         self, c: HarmonicColouring, thetas: Sequence[float]
@@ -572,8 +577,8 @@ def polar_edges(c: Colouring) -> tuple[float, ...]:
 
 
 @functools.lru_cache(maxsize=256)
-def _colour_flips(
-    c: Colouring | str | int, delta: float | None
+def _flips_of(
+    c: Colouring | str | int, delta: float | None = None
 ) -> tuple[int, tuple[float, ...]]:
     """(value at the north pole, polar angles where the colour flips) of
     a colouring or catalogue label (``delta`` as in :func:`closed_form`).
@@ -581,7 +586,8 @@ def _colour_flips(
     Checks the exact engines' preconditions: the colouring must be
     azimuthally symmetric and antipodal.  Band endpoints where two plus
     bands touch are not flips and are dropped, so consecutive flips
-    alternate in direction.
+    alternate, and the K flips f_i are antipodal when K is odd and each
+    f_i + f_(K-1-i) is within 1e-9 of pi.
     """
     if isinstance(c, (str, int)):
         c = make_catalogue(c, delta=delta, Delta=delta)
@@ -589,19 +595,11 @@ def _colour_flips(
         raise ValueError(
             f"exact engines need an azimuthally symmetric colouring, got {c.label!r}"
         )
-    edges = polar_edges(c)
-    raw = sorted({0.0, PI, *edges, *(PI - e for e in edges)})
-    merged_list = [raw[0]]
-    for v in raw[1:]:
-        # collapse float twins of reflected edges so no midpoint lands
-        # on an edge, where the tie-break convention is one-sided
-        if v - merged_list[-1] > 1e-9:
-            merged_list.append(v)
-    merged = np.array(merged_list)
-    mids = 0.5 * (merged[:-1] + merged[1:])
-    if np.any(c.evaluate_polar(mids) != -c.evaluate_polar(PI - mids)):
+    north, flips = _flips_at(c, polar_edges(c))
+    pairs = zip(flips, reversed(flips))
+    if len(flips) % 2 == 0 or any(abs(lo + hi - PI) > 1e-9 for lo, hi in pairs):
         raise ValueError(f"colouring {c.label!r} is not antipodal")
-    return _flips_at(c, edges)
+    return north, flips
 
 
 def _flips_at(c: Colouring, edges: Sequence[float]) -> tuple[int, tuple[float, ...]]:
@@ -613,17 +611,6 @@ def _flips_at(c: Colouring, edges: Sequence[float]) -> tuple[int, tuple[float, .
     values = c.evaluate_polar(0.5 * (bounds[:-1] + bounds[1:]))
     flips = tuple(v for v, lo, hi in zip(edges, values[:-1], values[1:]) if lo != hi)
     return int(values[0]), flips
-
-
-def _flips_of(
-    c: Colouring | str | int, delta: float | None = None
-) -> tuple[int, tuple[float, ...]]:
-    """:func:`_colour_flips`, cached when the colouring is hashable."""
-    try:
-        hash(c)
-    except TypeError:
-        return _colour_flips.__wrapped__(c, delta)
-    return _colour_flips(c, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -1104,17 +1091,25 @@ class GammaEstimate:
         return -1.0 + 2.0 * self.gamma
 
 
+def _sampled_axes(rng: np.random.Generator, n: int) -> Draws:
+    """n uniform axes from ``rng``, cos eps then phi; omega is 0."""
+    cos_eps = rng.uniform(-1.0, 1.0, n)
+    return Draws(cos_eps, rng.uniform(0.0, 2.0 * PI, n), np.zeros(n))
+
+
 def gamma_of(
     pair: ColouringPair, n_samples: int, rng: np.random.Generator
 ) -> GammaEstimate:
+    """Sampled gamma of a pair, and C(0) from fresh samples: each batch
+    reads both parties by :meth:`Draws.colours` at ``n_samples`` axes
+    of :func:`_sampled_axes`."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     n = int(n_samples)
 
     def batch() -> tuple[np.ndarray, np.ndarray]:
-        eps = np.arccos(rng.uniform(-1.0, 1.0, n))
-        phi = rng.uniform(0.0, 2.0 * PI, n)
-        return pair.alice.evaluate_many(eps, phi), pair.bob.evaluate_many(eps, phi)
+        draws = _sampled_axes(rng, n)
+        return draws.colours(pair.alice), draws.colours(pair.bob)
 
     a_vals, b_vals = batch()
     p_opposite = float(np.mean(a_vals == -b_vals))
@@ -1125,6 +1120,44 @@ def gamma_of(
     c0 = float(np.mean(a2 * b2))
     c0_stderr = math.sqrt(max(0.0, 1.0 - c0 * c0) / max(1, n - 1))
     return GammaEstimate(gamma, gamma_stderr, c0, c0_stderr)
+
+
+@dataclass(frozen=True)
+class AntipodalReport:
+    n_tested: int
+    n_violations: int
+
+    @property
+    def violation_fraction(self) -> float:
+        return self.n_violations / self.n_tested if self.n_tested else 0.0
+
+
+def check_antipodal(
+    c: Colouring, n_samples: int, rng: np.random.Generator
+) -> AntipodalReport:
+    """Sampled antipodality check: c(-a) must equal -c(a), with ``c``
+    read by :func:`_reader` at the axes a of :func:`_sampled_axes` and
+    at their exact negations.  A band colouring (or its swap) redraws
+    axes whose polar cosine is within EDGE_TOL of +-(an edge cosine),
+    where either colour is legitimate.  A harmonic needs no thinning:
+    every step of ``harmonic_rows`` and of the term-order sum is
+    sign-symmetric in IEEE arithmetic, so its amplitude at -a is
+    exactly minus that at a."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    core = c.inner if isinstance(c, Negated) else c
+    edges = np.abs(np.cos(core.edges)) if isinstance(core, BandColouring) else []
+    read = _reader(c)
+    tested = violations = 0
+    while tested < n_samples:
+        draws = _sampled_axes(rng, n_samples - tested)
+        # |x| - |e| is x - e or x + e up to sign, exactly
+        gaps = np.subtract.outer(np.abs(draws.cos_eps), edges)
+        ok = np.all(np.abs(gaps) > EDGE_TOL, axis=1)
+        axes = draws.axes(c)[..., ok]
+        violations += int(np.count_nonzero(read(axes) != -read(-axes)))
+        tested += int(np.count_nonzero(ok))
+    return AntipodalReport(n_tested=n_samples, n_violations=violations)
 
 
 def mixture_correlation(
@@ -1230,7 +1263,7 @@ def write_curve_csv(
 def read_curve_csv(fh) -> CorrelationCurve:
     """Read back a curve CSV (reference columns are ignored)."""
     reader = csv.reader(fh)
-    header = next(reader)
+    header = next(reader, [])
     if tuple(header[:5]) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header {header!r}")
     points = []
@@ -1238,6 +1271,8 @@ def read_curve_csv(fh) -> CorrelationCurve:
     for row in reader:
         if not row:
             continue
+        if len(row) < len(CSV_COLUMNS):
+            raise ValueError(f"CSV row {row!r} has fewer than {len(CSV_COLUMNS)} fields")
         theta = float(row[0]) * PI
         value = float(row[1])
         stderr = float(row[2]) if row[2] else None

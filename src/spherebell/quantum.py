@@ -30,7 +30,6 @@ from .correlation import SamplingPlan, clamp_angles
 from .geometry import cos_sin, partner_frame
 
 PI = math.pi
-SNAP = 1e-12
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12

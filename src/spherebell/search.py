@@ -353,8 +353,11 @@ def slope_at_half_pi(c: Colouring | str | int, h: float = 1e-3) -> SlopeEstimate
     Richardson pass over steps h, 2h, 4h cancels both the tau^(1/2)
     and tau^1 error terms of the quotient.  The closed form carries
     rounding error only, so the quotients lose no more than about
-    1e-15 / h to it.
+    1e-15 / h to it.  h must lie in (0, pi/8), so that every quotient
+    point pi/2 - k h stays in (0, pi/2).
     """
+    if not 0.0 < h < PI / 8.0:
+        raise ValueError(f"slope step h must lie in (0, pi/8); got {h!r}")
     colouring = make_catalogue(c) if isinstance(c, (str, int)) else c
     c_half = closed_form(colouring, HALF_PI)
     if abs(c_half) > 1e-8:

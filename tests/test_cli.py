@@ -146,6 +146,29 @@ class TestCurveCommand:
         assert out == ""
         assert "stderr nan" in err
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (
+                "theta_over_pi,value,stderr,method,colouring_label\n"
+                "0.1,-0.5\n0.25,0,,closed_form,1\n",
+                "'0.1', '-0.5'",
+            ),
+            ("", "header []"),
+        ],
+        ids=["short-row", "empty-file"],
+    )
+    def test_malformed_curve_file_is_usage_error(self, text, named, tmp_path, capsys):
+        # a row of fewer than five fields used to raise IndexError, and an
+        # empty file StopIteration: tracebacks with exit 1
+        curve = tmp_path / "malformed.csv"
+        curve.write_text(text)
+        code, out, err = run(capsys, "verify", "--curve-file", str(curve))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_numerical_failure_exits_three(self, monkeypatch, capsys):
         # a cos(alpha) drift far beyond rounding in the cosine partner
         # map, which a band bob reads without an arccos
@@ -645,6 +668,16 @@ class TestSlopeCommand:
         )
         assert abs(payload["abs_slope"] - 1.5) < 0.01
         assert abs(payload["c_at_half_pi"]) < 1e-10
+
+    @pytest.mark.parametrize("h", ["0", "-1", "1"])
+    def test_step_outside_the_range_is_usage_error(self, h, capsys):
+        # h must keep every quotient point pi/2 - k h, k = 1, 2, 4, in
+        # (0, pi/2); h = 0 used to divide by zero
+        code, out, err = run(capsys, "slope", "--colouring", "3", "--h", h)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "(0, pi/8)" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_hemisphere_has_no_reference(self, capsys):
         code, out, _ = run(capsys, "slope", "--colouring", "1")

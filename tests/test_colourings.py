@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from antipodal_midpoint_oracle import is_antipodal as midpoint_is_antipodal
 from spherical_harmonic_oracle import real_spherical_harmonic as oracle_harmonic
 
 from spherebell.colourings import (
@@ -14,7 +15,6 @@ from spherebell.colourings import (
     HarmonicColouring,
     Negated,
     catalogue_labels,
-    check_antipodal,
     circle_colouring_value,
     colouring_from_spec,
     harmonic_rows,
@@ -23,6 +23,7 @@ from spherebell.colourings import (
     negate,
     real_spherical_harmonic,
 )
+from spherebell.correlation import _flips_of, check_antipodal
 from spherebell.geometry import NumericalError, arccos_clamped_array, unit_vectors
 
 PI = math.pi
@@ -100,10 +101,11 @@ class TestCatalogue:
         assert catalogue_labels() == ("1", "2", "3", "4")
 
     def test_every_catalogue_colouring_is_antipodal(self):
+        # _flips_of raises on a colouring that is not antipodal
         for label in catalogue_labels():
-            assert make_catalogue(label).is_antipodal()
-        assert make_catalogue("3_delta", delta=-0.04 * PI).is_antipodal()
-        assert make_catalogue("2_Delta", Delta=0.03 * PI).is_antipodal()
+            _flips_of(make_catalogue(label))
+        _flips_of(make_catalogue("3_delta", delta=-0.04 * PI))
+        _flips_of(make_catalogue("2_Delta", Delta=0.03 * PI))
 
 
 class TestBandColouring:
@@ -139,12 +141,9 @@ class TestBandColouring:
         with pytest.raises(ValueError):
             BandColouring(((0.0, 0.6), (0.5, 0.9)))
 
-    def test_minus_bands_complement(self):
-        c = make_catalogue(2)
-        assert c.minus_bands() == ((PI / 4, PI / 2), (3 * PI / 4, PI))
-
     def test_non_antipodal_detected(self):
-        assert not BandColouring(((0.0, 0.6 * PI),)).is_antipodal()
+        with pytest.raises(ValueError, match="not antipodal"):
+            _flips_of(BandColouring(((0.0, 0.6 * PI),)))
 
 
 def _edge_probes(c):
@@ -155,12 +154,23 @@ def _edge_probes(c):
     return np.array([x + d for x in cosines for d in offsets])
 
 
-def _antipodal_bands(north_flips, north_value, split):
-    """The band colouring with the given flips in (0, pi/2), a flip at
-    the equator and the antipodal reflection below; with ``split``, its
-    first plus band is cut in two touching bands at its midpoint."""
+def _antipodal_flips(north_flips):
+    """The given flips in (0, pi/2), a flip at the equator and the
+    antipodal reflection below."""
     north = sorted(north_flips)
-    flips = north + [PI / 2] + [PI - e for e in reversed(north)]
+    return north + [PI / 2] + [PI - e for e in reversed(north)]
+
+
+def _antipodal_bands(north_flips, north_value, split):
+    """The band colouring with the flips of :func:`_antipodal_flips`;
+    with ``split``, its first plus band is cut in two touching bands at
+    its midpoint."""
+    return _bands_from_flips(_antipodal_flips(north_flips), north_value, split)
+
+
+def _bands_from_flips(flips, north_value, split=False):
+    """The band colouring whose colour is ``north_value`` at the north
+    pole and flips at each of the sorted polar angles ``flips``."""
     bounds = [0.0, *flips, PI]
     plus = [(lo, hi) for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
             if (north_value > 0) == (k % 2 == 0)]
@@ -341,7 +351,8 @@ def test_amplitude_sums_the_terms_in_any_order():
     x, phi, xy = _oracle_points()
     eps = np.arccos(x)
     expected = sum(c * oracle_harmonic(l, m, np.cos(eps), phi) for l, m, c in terms)
-    assert np.max(np.abs(h.amplitude(eps, phi) - expected)) <= 1e-13
+    amplitude = h.amplitude_vectors(unit_vectors(eps, phi))
+    assert np.max(np.abs(amplitude - expected)) <= 1e-13
     with pytest.raises(ValueError):
         h.amplitude_from_rows(harmonic_rows([(1, 0), (3, 2)], x, xy))
 
@@ -352,14 +363,15 @@ def test_harmonic_values_from_vectors_and_cosines():
     eps = np.arccos(rng.uniform(-1.0, 1.0, 2000))
     phi = rng.uniform(0.0, 2 * PI, 2000)
     v = unit_vectors(eps, phi)
-    for c in (h, Negated(h)):
-        assert np.array_equal(c.evaluate_vectors(v), c.evaluate_many(eps, phi))
+    signs = np.where(h.amplitude_vectors(v) >= 0.0, 1, -1)
+    assert np.array_equal(h.evaluate_vectors(v), signs)
+    assert np.array_equal(Negated(h).evaluate_vectors(v), -signs)
     with pytest.raises(ValueError):
         h.evaluate_cos(v[2])
     # an m = 0 colouring reads cos(polar) alone, with the drift check
     z = HarmonicColouring(((3, 0, 1.0), (1, 0, 0.4)))
     for c in (z, Negated(z)):
-        assert np.array_equal(c.evaluate_cos(v[2]), c.evaluate_many(eps, phi))
+        assert np.array_equal(c.evaluate_cos(v[2]), c.evaluate_vectors(v))
         assert np.array_equal(c.evaluate_cos(np.cos(eps)), c.evaluate_polar(eps))
         assert np.array_equal(
             c.evaluate_cos(np.array([1.0 + 1e-9])), c.evaluate_polar(np.array([0.0]))
@@ -374,9 +386,9 @@ class TestNegation:
         n = negate(c)
         assert n.label == "-3"
         eps = np.linspace(0, PI, 50)
-        assert np.array_equal(
-            n.evaluate_many(eps, np.zeros(50)), -c.evaluate_many(eps, np.zeros(50))
-        )
+        assert np.array_equal(n.evaluate_cos(np.cos(eps)), -c.evaluate_cos(np.cos(eps)))
+        v = unit_vectors(eps, np.zeros(50))
+        assert np.array_equal(n.evaluate_vectors(v), -c.evaluate_vectors(v))
 
     def test_double_negation_unwraps(self):
         c = make_catalogue(3)
@@ -411,9 +423,97 @@ class TestCheckAntipodal:
         report = check_antipodal(whole_sphere_plus, 2000, rng)
         assert report.violation_fraction == 1.0
 
+    def test_moved_flip_fails_on_the_mismatched_strips(self):
+        # moving the flip pi/6 to pi/6 + w leaves the strips (pi/6, pi/6 + w)
+        # and their antipodes both plus: together a fraction cos(pi/6) -
+        # cos(pi/6 + w) of the sphere
+        w = 1e-3
+        moved = BandColouring(((0.0, PI / 6 + w), (PI / 3, PI / 2), (2 * PI / 3, 5 * PI / 6)))
+        n = 400_000
+        report = check_antipodal(moved, n, np.random.default_rng(43))
+        p = math.cos(PI / 6) - math.cos(PI / 6 + w)
+        sigma = math.sqrt(p * (1.0 - p) / n)
+        assert abs(report.violation_fraction - p) <= 4.0 * sigma
+
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             check_antipodal(make_catalogue(1), 0, np.random.default_rng(1))
+
+
+def _flip_rule_accepts(c):
+    try:
+        _flips_of(c)
+    except ValueError as exc:
+        assert "not antipodal" in str(exc)
+        return False
+    return True
+
+
+class TestAntipodalFlipRule:
+    """``_flips_of`` checks antipodality on the flip record: an odd
+    number of flips, each pair f_i + f_(K-1-i) within 1e-9 of pi.  It
+    must accept and reject exactly as the midpoint pass it replaced."""
+
+    @staticmethod
+    def assert_agrees(c):
+        for colouring in (c, Negated(c)):
+            assert _flip_rule_accepts(colouring) == midpoint_is_antipodal(colouring)
+
+    @given(
+        gaps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=7),
+        north_value=st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_random_band_sets(self, gaps, north_value):
+        # edges at least 1e-6 apart: a sliver band narrower than 1e-9 is
+        # where the two rules part (see test_sliver_band_is_rejected)
+        flips = [e for e in np.cumsum(gaps).tolist() if e < PI - 1e-3]
+        if flips:
+            self.assert_agrees(_bands_from_flips(flips, north_value))
+
+    @given(
+        north_flips=st.lists(
+            st.floats(0.01, 1.56), max_size=4, unique_by=lambda x: round(x, 2)
+        ),
+        north_value=st.sampled_from([1, -1]),
+        split=st.booleans(),
+        moved=st.integers(0, 7),
+        shift=st.sampled_from([0.0, 1e-12, 5e-10, 2e-9, 1e-6]),
+        sign=st.sampled_from([1, -1]),
+        equator=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_perturbed_antipodal_band_sets(
+        self, north_flips, north_value, split, moved, shift, sign, equator
+    ):
+        flips = _antipodal_flips(north_flips)
+        if not equator:
+            # an even number of symmetric flips: c(pi - x) = c(x)
+            flips.remove(PI / 2)
+        assume(flips or north_value > 0)
+        # one flip moves, never the equator's: it pairs with itself, so
+        # a shift of 5e-10 would put both rules at their 1e-9 tolerance
+        off_equator = [k for k, v in enumerate(flips) if v != PI / 2]
+        if off_equator:
+            k = off_equator[moved % len(off_equator)]
+            flips[k] += sign * shift
+        self.assert_agrees(_bands_from_flips(flips, north_value, split))
+
+    @given(
+        coefficients=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4).filter(any)
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_azimuthal_harmonics(self, coefficients):
+        terms = tuple((2 * k + 1, 0, c) for k, c in enumerate(coefficients))
+        self.assert_agrees(HarmonicColouring(terms))
+
+    def test_sliver_band_is_rejected(self):
+        # a plus band of width 5e-10 in the south has no mirror: the
+        # midpoint pass merged its edges and stepped over it, the flip
+        # rule sees three flips that are not symmetric about pi/2
+        sliver = BandColouring(((0.0, PI / 2), (2.0, 2.0 + 5e-10)))
+        assert midpoint_is_antipodal(sliver)
+        assert not _flip_rule_accepts(sliver)
 
 
 class TestCircleColouring:

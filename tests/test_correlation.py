@@ -27,6 +27,7 @@ from spherebell.correlation import (
     ClosedFormDomainError,
     CorrelationCurve,
     CurvePoint,
+    GammaEstimate,
     SNAP,
     QuadratureError,
     SamplingPlan,
@@ -871,6 +872,37 @@ class TestGamma:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             gamma_of(pair_for(1), 0, np.random.default_rng(1))
+
+    TILTED = HarmonicColouring(((1, 1, math.sin(PI / 6)), (1, 0, math.cos(PI / 6))))
+
+    @pytest.mark.parametrize(
+        "pair, n, seed, expected",
+        [
+            (pair_for(1), 50_000, 5, GammaEstimate(0.0, 0.0, -1.0, 0.0)),
+            (
+                ColouringPair(make_catalogue(1), make_catalogue(1)),
+                50_000, 5, GammaEstimate(1.0, 0.0, 1.0, 0.0),
+            ),
+            (
+                ColouringPair(make_catalogue(1), negate(TILTED)), 400_000, 61,
+                GammaEstimate(
+                    0.16715500000000005, 0.0005899453491108309, -0.668225, 0.0011763043112507417
+                ),
+            ),
+            (
+                ColouringPair(make_catalogue(1), negate(TILTED)), 200_000, 67,
+                GammaEstimate(
+                    0.16569500000000004, 0.0008313848897321866, -0.66799, 0.0016640194242565868
+                ),
+            ),
+        ],
+        ids=["anticorrelated", "identical", "tilted-61", "tilted-67"],
+    )
+    def test_estimates_are_pinned(self, pair, n, seed, expected):
+        # the estimates of the cases above when gamma_of read each party
+        # by evaluate_many at eps = arccos of the drawn cosine: reading
+        # through Draws.colours moved no colour
+        assert gamma_of(pair, n, np.random.default_rng(seed)) == expected
 
 
 class TestMixture:
