@@ -254,7 +254,7 @@ def run_sweep(args: argparse.Namespace) -> int:
             singlet_correlation(grid),
         )
         hit = search_mod.find_crossing(
-            lambda t: closed_form("3_delta", t, delta=d),
+            make_catalogue("3_delta", delta=d),
             search_mod.reference_curve(reference),
             search_mod.CROSSING_BRACKET,
             tol,

@@ -13,7 +13,11 @@ f - g on a fixed grid of ``SCAN_POINTS`` angles with one array call of
 each curve (``closed_form``, the linear law and the singlet curve all
 take theta arrays), takes the sign changes between consecutive nonzero
 samples as brackets, and bisects each bracket with float calls down to
-``tol``; the reported angle is the final bracket's midpoint.
+``tol``; the reported angle is the final bracket's midpoint.  When f is
+a colouring, the scan reads only the signs of its closed form minus g,
+from ``closed_form_signs`` (numpy's atan2, with libm's where the sign
+is in doubt), and the bisection calls ``closed_form``; the sweeps and
+the threshold estimates pass colourings.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .colourings import (
     HarmonicColouring,
     make_catalogue,
 )
-from .correlation import SamplingPlan, closed_form, correlation_mc
+from .correlation import SamplingPlan, closed_form, closed_form_signs, correlation_mc
 from .quantum import singlet_correlation
 
 PI = math.pi
@@ -78,7 +82,7 @@ def _bisect_crossing(
 
 
 def all_crossings(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Colouring | Callable[[np.ndarray], np.ndarray],
     g: Callable[[np.ndarray], np.ndarray],
     bracket: tuple[float, float],
     tol: float = 1e-4,
@@ -89,13 +93,21 @@ def all_crossings(
     f and g take an array of theta (and a float, giving a float): the
     fixed-density scan evaluates each once on the whole grid to locate
     brackets, and each bracket is then bisected to the requested width
-    with float calls.
+    with float calls.  f may instead be a colouring, which stands for
+    its closed form: the scan takes the signs of f - g from
+    :func:`closed_form_signs`, bit for bit those of the closed form's
+    values, and the bisection calls :func:`closed_form`.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"empty bracket {bracket!r}")
     xs = np.linspace(lo, hi, scan_points)
-    ds = np.broadcast_to(f(xs) - g(xs), xs.shape)
+    if isinstance(f, Colouring):
+        colouring = f
+        ds = closed_form_signs(colouring, xs, g(xs))
+        f = lambda t: closed_form(colouring, t)
+    else:
+        ds = np.broadcast_to(f(xs) - g(xs), xs.shape)
     diff = lambda t: f(t) - g(t)
     out: list[CrossingResult] = []
     # sign changes between consecutive nonzero samples; exact zeros in
@@ -112,13 +124,14 @@ def all_crossings(
 
 
 def find_crossing(
-    f: Callable[[float], float],
+    f: Colouring | Callable[[float], float],
     g: Callable[[float], float],
     bracket: tuple[float, float],
     tol: float = 1e-4,
     scan_points: int = SCAN_POINTS,
 ) -> CrossingResult:
-    """Smallest crossing of f and g on the bracket.
+    """Smallest crossing of f and g on the bracket (f a curve or a
+    colouring, as in :func:`all_crossings`).
 
     Raises :class:`NoCrossingError` when the scan finds no sign change.
     """
@@ -171,7 +184,7 @@ class SweepResult:
 
 
 def _first_crossing_with_sign(
-    f: Callable[[float], float],
+    f: Colouring | Callable[[float], float],
     g: Callable[[float], float],
     wanted_left_sign: int | None,
     tol: float,
@@ -197,9 +210,7 @@ def _sweep(
 
     def row(member: tuple[float, Colouring]) -> SweepRow:
         value, colouring = member
-        star = _first_crossing_with_sign(
-            lambda t: closed_form(colouring, t), target, left_sign, tol
-        )
+        star = _first_crossing_with_sign(colouring, target, left_sign, tol)
         return SweepRow(value, math.nan if star is None else star)
 
     rows = tuple(row(m) for m in members)
@@ -285,6 +296,10 @@ def estimate_theta_max(
     upper exit supplies it from the catalogue, and the widened two-band
     family pushes it lower when ``include_two_delta`` is set.  Every
     curve is evaluated with :func:`closed_form`.
+
+    Both bounds range over azimuthally symmetric colourings only (the
+    catalogue and the two one-parameter families): colourings without
+    that symmetry are not searched.
     """
     c1 = _REFERENCES["c1"]
     neg_c1 = lambda t: -c1(t)
@@ -293,7 +308,7 @@ def estimate_theta_max(
     w_candidates: list[tuple[float, str]] = []
     s_candidates: list[tuple[float, str]] = []
     for label in ("2", "3", "4"):
-        fam = lambda t, lab=label: closed_form(lab, t)
+        fam = make_catalogue(label)
         below = _first_crossing_with_sign(fam, c1, +1, tol)
         if below is not None:
             w_candidates.append((below, label))

@@ -155,12 +155,18 @@ class TestCurveCommand:
                 "'0.1', '-0.5'",
             ),
             ("", "header []"),
+            (
+                "theta_over_pi,value,stderr,method,colouring_label\n"
+                "0.1,abc,,mc,2\n",
+                "CSV row ['0.1', 'abc', '', 'mc', '2']: could not convert",
+            ),
         ],
-        ids=["short-row", "empty-file"],
+        ids=["short-row", "empty-file", "non-numeric-field"],
     )
     def test_malformed_curve_file_is_usage_error(self, text, named, tmp_path, capsys):
         # a row of fewer than five fields used to raise IndexError, and an
-        # empty file StopIteration: tracebacks with exit 1
+        # empty file StopIteration: tracebacks with exit 1; a field that
+        # is not a number is named with its row
         curve = tmp_path / "malformed.csv"
         curve.write_text(text)
         code, out, err = run(capsys, "verify", "--curve-file", str(curve))

@@ -31,12 +31,14 @@ from spherebell.correlation import (
     SNAP,
     QuadratureError,
     SamplingPlan,
+    _closed_form,
     _flips_of,
     _quadrature_integrand,
     antisymmetric,
     chi,
     circle_correlation,
     closed_form,
+    closed_form_signs,
     correlation_mc,
     correlation_mc_grid,
     correlation_quadrature,
@@ -50,6 +52,8 @@ from spherebell.correlation import (
     write_curve_csv,
 )
 from spherebell.geometry import cos_sin, partner_cos_many, partner_frame, partner_many
+from spherebell.quantum import singlet_correlation
+from spherebell.search import CROSSING_BRACKET, DELTA_GRID, TWO_DELTA_GRID
 
 PI = math.pi
 HALF_PI = math.pi / 2
@@ -738,6 +742,109 @@ def test_random_band_sets_match_the_scalar_sum(north_edges, north_value, thetas)
     _, flips = _flips_of(colouring)
     grid = np.concatenate((np.array(thetas), special_thetas(flips)))
     assert_matches_scalar_sum(colouring, grid)
+
+
+# The sign path of the exact engine (closed_form_signs): numpy's arctan2
+# against the libm engine whose signs it must give.
+SIGN_PATH_FAMILIES = {
+    "exact_cases": EXACT_ENGINE_CASES,
+    "3_delta": [make_catalogue("3_delta", delta=d) for d in DELTA_GRID],
+    "2_Delta": [make_catalogue("2_Delta", Delta=d) for d in TWO_DELTA_GRID],
+}
+
+
+def sign_path_grid(colouring):
+    """The crossing scan's grid, an even grid over [0, pi/2] and the
+    colouring's degenerate angles."""
+    _, flips = _flips_of(colouring)
+    return np.concatenate(
+        (
+            np.linspace(*CROSSING_BRACKET, 400),
+            np.linspace(0.0, HALF_PI, 201),
+            special_thetas(flips),
+        )
+    )
+
+
+def assert_sign_path_is_exact(colouring, thetas, ref):
+    """closed_form_signs against np.sign of the libm values, bit for bit."""
+    expected = np.sign(closed_form(colouring, thetas) - ref)
+    assert closed_form_signs(colouring, thetas, ref).tobytes() == expected.tobytes()
+
+
+class TestSignPath:
+    @pytest.mark.parametrize("reference", ["c1", "singlet"])
+    @pytest.mark.parametrize("colouring", EXACT_ENGINE_CASES, ids=lambda c: c.label)
+    def test_sign_path_gives_the_exact_signs(self, colouring, reference):
+        thetas = sign_path_grid(colouring)
+        ref = closed_form("1", thetas) if reference == "c1" else singlet_correlation(thetas)
+        assert_sign_path_is_exact(colouring, thetas, ref)
+
+    @pytest.mark.parametrize("colouring", EXACT_ENGINE_CASES, ids=lambda c: c.label)
+    def test_sign_path_at_the_exact_values_falls_back_everywhere(
+        self, colouring, monkeypatch
+    ):
+        thetas = sign_path_grid(colouring)
+        exact = closed_form(colouring, thetas)
+        passes = []
+
+        def spy(c, theta, delta, fast):
+            passes.append((fast, np.size(theta)))
+            return _closed_form(c, theta, delta, fast)
+
+        monkeypatch.setattr(correlation, "_closed_form", spy)
+        assert not closed_form_signs(colouring, thetas, exact).any()
+        assert passes == [(True, thetas.size), (False, thetas.size)]
+        assert_sign_path_is_exact(colouring, thetas, exact)
+
+    def test_sign_path_takes_floats_and_shapes(self):
+        c = make_catalogue("4")
+        for t in (0.0, 0.7, HALF_PI):
+            for ref in (closed_form(c, t), -0.2, 0.2):
+                expected = np.sign(closed_form(c, t) - ref)
+                got = closed_form_signs(c, t, ref)
+                assert got == expected and np.ndim(got) == 0
+        grid = np.linspace(0.1, 1.4, 6).reshape(2, 3)
+        assert_sign_path_is_exact(c, grid, closed_form("1", grid))
+        assert_sign_path_is_exact(c, grid, 0.0)
+
+    def test_sign_path_shares_the_domain_errors(self):
+        with pytest.raises(ClosedFormDomainError):
+            closed_form_signs("3", np.array([0.1, 0.6 * PI]), 0.0)
+        with pytest.raises(ClosedFormDomainError):
+            closed_form_signs(HarmonicColouring(((1, 1, 1.0),)), np.array([0.1]), 0.0)
+
+    def test_sign_path_with_many_flips_stays_on_libm(self):
+        # 15 flips put the stated bound past one percent of the margin
+        colouring = _antipodal_bands([0.1, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3], 1)
+        assert len(_flips_of(colouring)[1]) == 15
+        thetas = sign_path_grid(colouring)
+        fast = _closed_form(colouring, thetas, None, fast=True)
+        assert fast.tobytes() == closed_form(colouring, thetas).tobytes()
+        assert_sign_path_is_exact(colouring, thetas, closed_form("1", thetas))
+
+    @pytest.mark.parametrize("family", sorted(SIGN_PATH_FAMILIES))
+    def test_sign_path_error_is_far_inside_the_margin(self, family):
+        for colouring in SIGN_PATH_FAMILIES[family]:
+            thetas = sign_path_grid(colouring)
+            fast = _closed_form(colouring, thetas, None, fast=True)
+            error = np.max(np.abs(fast - closed_form(colouring, thetas)))
+            assert error <= 1e-13, colouring.label
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    north_edges=st.lists(st.floats(0.02, 1.55), max_size=6, unique=True),
+    north_value=st.sampled_from([1, -1]),
+    thetas=st.lists(st.floats(0.0, HALF_PI), min_size=1, max_size=30),
+)
+def test_sign_path_error_on_random_band_sets(north_edges, north_value, thetas):
+    colouring = _antipodal_bands(north_edges, north_value)
+    _, flips = _flips_of(colouring)
+    grid = np.concatenate((np.array(thetas), special_thetas(flips)))
+    fast = _closed_form(colouring, grid, None, fast=True)
+    assert np.max(np.abs(fast - closed_form(colouring, grid))) <= 1e-13
+    assert_sign_path_is_exact(colouring, grid, closed_form("1", grid))
 
 
 class TestCurveFor:

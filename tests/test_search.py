@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from spherebell.correlation import (
     correlation_quadrature,
 )
 from spherebell.quantum import singlet_correlation
+from spherebell import search
 from spherebell.search import (
     CROSSING_BRACKET,
     DELTA_GRID,
@@ -110,15 +112,48 @@ CROSSING_FAMILIES = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def family_crossings(family, reference):
+    """``per_point_crossings`` of each member of a family against a
+    reference, on ``CROSSING_BRACKET``."""
+    g = reference_curve(reference)
+    return [
+        per_point_crossings(lambda t: closed_form(c, t), g, CROSSING_BRACKET)
+        for c in CROSSING_FAMILIES[family]
+    ]
+
+
 class TestCrossingScan:
     @pytest.mark.parametrize("reference", ["c1", "singlet"])
     @pytest.mark.parametrize("family", sorted(CROSSING_FAMILIES))
     def test_array_scan_finds_the_per_point_crossings(self, family, reference):
         g = reference_curve(reference)
-        for colouring in CROSSING_FAMILIES[family]:
+        expected = family_crossings(family, reference)
+        for colouring, hits in zip(CROSSING_FAMILIES[family], expected):
             f = lambda t: closed_form(colouring, t)
-            expected = per_point_crossings(f, g, CROSSING_BRACKET)
-            assert all_crossings(f, g, CROSSING_BRACKET) == expected, colouring.label
+            assert all_crossings(f, g, CROSSING_BRACKET) == hits, colouring.label
+
+    @pytest.mark.parametrize("reference", ["c1", "singlet"])
+    @pytest.mark.parametrize("family", sorted(CROSSING_FAMILIES))
+    def test_colouring_scan_finds_the_per_point_crossings(self, family, reference):
+        # the scan reads certified signs; the crossings are the same
+        g = reference_curve(reference)
+        expected = family_crossings(family, reference)
+        for colouring, hits in zip(CROSSING_FAMILIES[family], expected):
+            assert all_crossings(colouring, g, CROSSING_BRACKET) == hits, colouring.label
+
+    def test_colouring_scan_bisects_with_float_calls(self, monkeypatch):
+        calls = []
+
+        def spy(c, theta, delta=None):
+            calls.append(np.shape(theta))
+            return closed_form(c, theta, delta)
+
+        monkeypatch.setattr(search, "closed_form", spy)
+        hits = find_crossing(make_catalogue("3"), c1, BRACKET, tol=1e-6)
+        assert hits == find_crossing(c3, c1, BRACKET, tol=1e-6)
+        # the scan goes through closed_form_signs, not closed_form
+        assert calls and all(shape == () for shape in calls)
 
     def test_scan_makes_one_array_call(self):
         calls = []
