@@ -247,8 +247,8 @@ def verify_curve(curve: CorrelationCurve) -> list[BoundReport]:
 
     Grid points must sit in [0, pi/2]; theta = 0, where no chain bound
     applies, is skipped.  Points carrying a stderr get the statistical
-    treatment, and a stderr that is not finite (the nan of a one-sample
-    estimate) raises ``ValueError``; others the strict one.  The
+    treatment, and a stderr that is negative or not finite (the nan of a
+    one-sample estimate) raises ``ValueError``; others the strict one.  The
     chain-bound report carries a ``saturated`` flag marking
     equality-within-slack with either edge, the way the hemisphere curve
     touches the lower bound at theta = pi / 2N.
@@ -258,7 +258,7 @@ def verify_curve(curve: CorrelationCurve) -> list[BoundReport]:
             raise ValueError(
                 f"curve point theta {point.theta!r} outside [0, pi/2]"
             )
-        if point.stderr is not None and not math.isfinite(point.stderr):
+        if point.stderr is not None and not 0.0 <= point.stderr < math.inf:
             raise ValueError(
                 f"curve point at theta {point.theta!r} has stderr {point.stderr!r}, "
                 "which bounds no statistical test"

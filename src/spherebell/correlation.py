@@ -677,8 +677,11 @@ def correlation_quadrature(
     ``c`` is the first party's colouring (the partner is its colour
     swap); it must be azimuthally symmetric and antipodal, and theta
     must lie in (0, pi/2].  Raises :class:`QuadratureError` carrying the
-    best estimate if the outer integral does not converge.
+    best estimate if the outer integral does not converge.  ``tol``, the
+    outer integral's absolute tolerance, must be finite and positive.
     """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"quadrature tolerance {tol!r} must be finite and positive")
     if isinstance(c, ColouringPair):
         c = c.alice
     theta = float(theta)

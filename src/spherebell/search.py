@@ -71,6 +71,8 @@ def _bisect_crossing(
 ) -> tuple[float, float]:
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: the bracket is final
+            break
         d_mid = diff(mid)
         if d_mid == 0.0:
             return mid, 0.0
@@ -96,8 +98,12 @@ def all_crossings(
     with float calls.  f may instead be a colouring, which stands for
     its closed form: the scan takes the signs of f - g from
     :func:`closed_form_signs`, bit for bit those of the closed form's
-    values, and the bisection calls :func:`closed_form`.
+    values, and the bisection calls :func:`closed_form`.  ``tol`` must
+    be finite and positive; a bracket narrows no further than adjacent
+    floats.
     """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"crossing tolerance {tol!r} must be finite and positive")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"empty bracket {bracket!r}")

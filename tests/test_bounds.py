@@ -320,10 +320,11 @@ class TestVerify:
         assert any(not r.satisfied for r in reports)
         assert all(r.status == "violated" for r in reports if not r.satisfied)
 
-    @pytest.mark.parametrize("stderr", [math.nan, math.inf])
+    @pytest.mark.parametrize("stderr", [math.nan, math.inf, -0.5])
     def test_non_finite_stderr_is_rejected(self, stderr):
         # a one-sample estimate has stderr nan, which tests nothing: it
-        # must not read as a violation
+        # must not read as a violation; nor may a negative stderr, whose
+        # slack 3 * stderr < 0 used to make the point a violation
         curve = CorrelationCurve("one_sample", "mc", (CurvePoint(0.3 * PI, -1.0, stderr),))
         with pytest.raises(ValueError, match="stderr"):
             verify_curve(curve)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spherebell import correlation
+from spherebell import cli, correlation
 from spherebell.cli import main, parse_grid
 from spherebell.correlation import read_curve_csv
 
@@ -160,13 +160,19 @@ class TestCurveCommand:
                 "0.1,abc,,mc,2\n",
                 "CSV row ['0.1', 'abc', '', 'mc', '2']: could not convert",
             ),
+            (
+                "theta_over_pi,value,stderr,method,colouring_label\n"
+                "0.1,-0.5,-1,mc,2\n",
+                "has stderr -1.0",
+            ),
         ],
-        ids=["short-row", "empty-file", "non-numeric-field"],
+        ids=["short-row", "empty-file", "non-numeric-field", "negative-stderr"],
     )
     def test_malformed_curve_file_is_usage_error(self, text, named, tmp_path, capsys):
         # a row of fewer than five fields used to raise IndexError, and an
         # empty file StopIteration: tracebacks with exit 1; a field that
-        # is not a number is named with its row
+        # is not a number is named with its row; a negative stderr gave
+        # a negative slack and read as a bound violation (exit 1)
         curve = tmp_path / "malformed.csv"
         curve.write_text(text)
         code, out, err = run(capsys, "verify", "--curve-file", str(curve))
@@ -233,6 +239,18 @@ class TestCurveCommand:
         code, _, err = run(capsys, "curve", "--colouring", "zebra")
         assert code == 2
         assert "zebra" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_bad_quadrature_tolerance_is_usage_error(self, tol, capsys):
+        # a nan tolerance used to exit 3, as if the integral had not
+        # converged
+        code, out, err = run(
+            capsys, "curve", "--colouring", "3", "--method", "quadrature",
+            "--grid", "0.1:0.4:2", "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: quadrature tolerance")
 
     def test_bad_grid_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "curve", "--colouring", "1", "--grid", "0.5:0.2:10")
@@ -560,6 +578,15 @@ class TestSweepCommand:
         assert out == ""
         assert not path.exists()
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_bad_crossing_tolerance_is_usage_error(self, tol, capsys):
+        # a tolerance of 0 or below used to bisect forever, and a nan
+        # one to report the scan bracket unrefined
+        code, out, err = run(capsys, "sweep", "--delta", "0", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: crossing tolerance")
+
     def test_bad_delta_grid_names_the_spec(self, capsys):
         code, _, err = run(capsys, "sweep", "--delta-grid", "a:0.02:2")
         assert code == 2
@@ -776,15 +803,95 @@ class TestConfigMerge:
         assert len(rows_of((tmp_path / "c.csv").read_text())) == 4
 
 
-def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
-    # both are imported on first use; they dominate a cold import
+def run_probe(probe, *args):
+    """stdout of ``python -c probe args...`` in a fresh interpreter that
+    imports spherebell from this checkout."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), *sys.path]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
+    # both are imported on first use; they dominate a cold import
     probe = (
         "import sys, spherebell.cli; "
         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "[]"
+    assert run_probe(probe) == "[]"
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(not _glibc(), reason="the heap policy is set through glibc")
+    def test_second_monte_carlo_curve_reuses_the_heap(self, tmp_path):
+        # without the policy glibc unmaps each freed temporary, and a
+        # second identical curve faulted its pages in again (about 4,500
+        # minor faults); with it the second call finds them mapped
+        probe = (
+            "import resource, sys\n"
+            "from spherebell.cli import main\n"
+            "argv = ['curve', '--colouring', '2', '--method', 'mc', '--n', '200000',\n"
+            "        '--out', sys.argv[1]]\n"
+            "assert main(argv) == 0\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "assert main(argv) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        assert int(run_probe(probe, str(tmp_path / "c2.csv"))) < 500
+
+    @pytest.mark.parametrize("confstr", ["raises", "none"])
+    def test_no_glibc_is_a_no_op(self, confstr, monkeypatch):
+        import ctypes
+
+        def no_glibc(name):
+            if confstr == "raises":
+                raise ValueError(f"unrecognized configuration name {name!r}")
+            return None
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("ctypes was loaded off glibc")
+
+        monkeypatch.setattr(os, "confstr", no_glibc)
+        monkeypatch.setattr(ctypes, "CDLL", untouched)
+        cli._keep_freed_heap.__wrapped__()
+
+    @pytest.mark.parametrize("accepted", [1, 0])
+    def test_glibc_gets_both_thresholds_or_neither(self, accepted, monkeypatch):
+        # either mallopt call alone switches off glibc's dynamic mmap
+        # threshold and leaves more faults than the default, so the trim
+        # threshold follows only an accepted mmap threshold
+        import ctypes
+
+        calls = []
+
+        class Mallopt:
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return accepted
+
+        class FakeLibc:
+            mallopt = Mallopt()
+
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.99")
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc())
+        cli._keep_freed_heap.__wrapped__()
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)][: 1 + accepted]
+        assert FakeLibc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+    def test_import_leaves_the_heap_alone(self):
+        # the policy is set by main, not by importing the package
+        probe = (
+            "import spherebell, spherebell.cli as cli; "
+            "print(cli._keep_freed_heap.cache_info().currsize)"
+        )
+        assert run_probe(probe) == "0"

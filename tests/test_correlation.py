@@ -303,6 +303,13 @@ class TestCorrelationQuadrature:
         with pytest.raises(ValueError):
             correlation_quadrature(lopsided, 0.3 * PI, 1e-8)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a nan tolerance used to fail every convergence test and read
+        # as a numerical failure
+        with pytest.raises(ValueError, match="quadrature tolerance"):
+            correlation_quadrature(make_catalogue(3), 0.3 * PI, tol)
+
     def test_non_azimuthal_colouring_rejected(self):
         h = HarmonicColouring(((3, 2, 1.0),))
         with pytest.raises(ValueError):

@@ -81,6 +81,19 @@ class TestFindCrossing:
         with pytest.raises(ValueError):
             find_crossing(c1, c3, (1.0, 1.0))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # tol <= 0 used to bisect forever, a nan tol to return the scan
+        # bracket unrefined
+        with pytest.raises(ValueError, match="crossing tolerance"):
+            find_crossing(c3, c1, BRACKET, tol=tol)
+
+    def test_bisection_stops_at_adjacent_floats(self):
+        hit = find_crossing(c3, c1, BRACKET, tol=1e-300)
+        coarse = find_crossing(c3, c1, BRACKET, tol=1e-12)
+        assert 0.0 < hit.bracket_width <= math.ulp(hit.theta_star)
+        assert abs(hit.theta_star - coarse.theta_star) <= 1e-12
+
     def test_all_crossings_ordered_with_signs(self):
         hits = all_crossings(lambda t: np.cos(4 * t), lambda t: 0.0, (0.1, 1.5), tol=1e-9)
         assert len(hits) == 2
