@@ -8,16 +8,17 @@ angle over a family of sign-of-harmonics colourings.  A slope probe at
 theta = pi/2 backs the linear-response claim for the three-band
 colouring.
 
-Every crossing search goes through :func:`all_crossings`: it scans
-f - g on a fixed grid of ``SCAN_POINTS`` angles with one array call of
-each curve (``closed_form``, the linear law and the singlet curve all
-take theta arrays), takes the sign changes between consecutive nonzero
-samples as brackets, and bisects each bracket with float calls down to
-``tol``; the reported angle is the final bracket's midpoint.  When f is
-a colouring, the scan reads only the signs of its closed form minus g,
-from ``closed_form_signs`` (numpy's atan2, with libm's where the sign
-is in doubt), and the bisection calls ``closed_form``; the sweeps and
-the threshold estimates pass colourings.
+Every crossing search goes through :func:`all_crossings`: it reads the
+signs of f - g on a fixed grid of ``SCAN_POINTS`` angles with one array
+call of each curve (``closed_form``, the linear law and the singlet
+curve all take theta arrays), takes the sign changes between
+consecutive nonzero samples as brackets, and bisects each bracket down
+to ``tol``; the reported angle is the final bracket's midpoint.  The
+scan and the bisection share one sign reader, and the bisection reads
+``BISECT_DEPTH`` levels of midpoints per call.  When f is a colouring,
+the reader takes the signs of its closed form minus g from
+``closed_form_signs`` (numpy's atan2, with libm's where the sign is in
+doubt); the sweeps and the threshold estimates pass colourings.
 """
 
 from __future__ import annotations
@@ -66,18 +67,63 @@ class CrossingResult:
     bracket_width: float
 
 
+# Bisection levels read per call of the sign reader: the midpoints of
+# every bracket the next BISECT_DEPTH steps can reach, up to
+# 2**BISECT_DEPTH - 1 of them.  A call's fixed cost (about 120 us for a
+# 3_delta member) dwarfs its cost per point (about 3 us), so a deeper
+# read saves calls until the points spent on branches not taken
+# outweigh them.  Per crossing of the README sweep (the 25 3_delta
+# members against c1; 2-core Xeon, numpy 2.4.6), depths 1 to 6 took
+# 0.77, 0.43, 0.45, 0.28, 0.28, 0.28 ms at tol 1e-4, which the 400-point
+# scan's brackets reach in 4 steps, and 1.95, 1.18, 0.86, 0.75, 0.88,
+# 0.81 ms at tol 1e-6 (11 steps).
+BISECT_DEPTH = 4
+
+
+def _reachable_midpoints(lo: float, hi: float, tol: float) -> list[float]:
+    """The midpoints of the brackets the next ``BISECT_DEPTH`` steps of
+    :func:`_bisect_crossing` from [lo, hi] can reach, breadth first:
+    those wider than ``tol`` whose midpoint is neither end."""
+    level, mids = [(lo, hi)], []
+    for _ in range(BISECT_DEPTH):
+        below = []
+        for a, b in level:
+            mid = 0.5 * (a + b)
+            if b - a > tol and mid != a and mid != b:
+                mids.append(mid)
+                below += [(a, mid), (mid, b)]
+        level = below
+    return mids
+
+
 def _bisect_crossing(
-    diff: Callable[[float], float], lo: float, hi: float, d_lo: float, tol: float
+    signs: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    left: float,
+    tol: float,
 ) -> tuple[float, float]:
+    """Bisect [lo, hi] to ``tol``, given the sign ``left`` of f - g at lo.
+
+    This is the sequential loop, one midpoint per step, except that the
+    sign at a midpoint is looked up in a batch read by one call of
+    ``signs`` for all the midpoints the next steps can reach.  A step's
+    midpoint is missing from the batch only once the walk has left it,
+    since the batch holds no midpoint inside a bracket it has not split.
+    """
+    read: dict[float, float] = {}
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # adjacent floats: the bracket is final
             break
-        d_mid = diff(mid)
-        if d_mid == 0.0:
+        if mid not in read:
+            mids = _reachable_midpoints(lo, hi, tol)
+            read = dict(zip(mids, signs(np.array(mids)).tolist()))
+        s_mid = read[mid]
+        if s_mid == 0.0:
             return mid, 0.0
-        if (d_lo > 0.0) == (d_mid > 0.0):
-            lo, d_lo = mid, d_mid
+        if (left > 0.0) == (s_mid > 0.0):
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi), hi - lo
@@ -92,29 +138,28 @@ def all_crossings(
 ) -> list[CrossingResult]:
     """Every sign change of f - g on the bracket, smallest first.
 
-    f and g take an array of theta (and a float, giving a float): the
-    fixed-density scan evaluates each once on the whole grid to locate
-    brackets, and each bracket is then bisected to the requested width
-    with float calls.  f may instead be a colouring, which stands for
-    its closed form: the scan takes the signs of f - g from
+    f and g take an array of theta and return an array of its values,
+    each the value its float gives.  One sign reader serves the scan
+    and the bisection: the fixed-density scan reads the signs of f - g
+    on the whole grid to locate brackets, and each bracket is then
+    bisected to the requested width, several levels per read (see
+    :func:`_bisect_crossing`).  f may instead be a colouring, which
+    stands for its closed form: the signs then come from
     :func:`closed_form_signs`, bit for bit those of the closed form's
-    values, and the bisection calls :func:`closed_form`.  ``tol`` must
-    be finite and positive; a bracket narrows no further than adjacent
-    floats.
+    values.  ``tol`` must be finite and positive; a bracket narrows no
+    further than adjacent floats.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"crossing tolerance {tol!r} must be finite and positive")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"empty bracket {bracket!r}")
-    xs = np.linspace(lo, hi, scan_points)
     if isinstance(f, Colouring):
-        colouring = f
-        ds = closed_form_signs(colouring, xs, g(xs))
-        f = lambda t: closed_form(colouring, t)
+        signs = lambda ts: closed_form_signs(f, ts, g(ts))
     else:
-        ds = np.broadcast_to(f(xs) - g(xs), xs.shape)
-    diff = lambda t: f(t) - g(t)
+        signs = lambda ts: np.broadcast_to(np.sign(f(ts) - g(ts)), ts.shape)
+    xs = np.linspace(lo, hi, scan_points)
+    ds = signs(xs)
     out: list[CrossingResult] = []
     # sign changes between consecutive nonzero samples; exact zeros in
     # between belong to the same crossing, and an identically zero
@@ -124,14 +169,14 @@ def all_crossings(
     for k in np.flatnonzero(above[:-1] != above[1:]):
         i, j = nonzero[k], nonzero[k + 1]
         a = ds[i]
-        star, width = _bisect_crossing(diff, float(xs[i]), float(xs[j]), a, tol)
+        star, width = _bisect_crossing(signs, float(xs[i]), float(xs[j]), a, tol)
         out.append(CrossingResult(star, 1 if a > 0.0 else -1, width))
     return out
 
 
 def find_crossing(
-    f: Colouring | Callable[[float], float],
-    g: Callable[[float], float],
+    f: Colouring | Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray], np.ndarray],
     bracket: tuple[float, float],
     tol: float = 1e-4,
     scan_points: int = SCAN_POINTS,

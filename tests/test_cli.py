@@ -123,8 +123,9 @@ class TestCurveCommand:
             ("curve", "--colouring", "2", "--method", "mc", "--grid", "0.1:0.4:3"),
             ("verify", "--colouring", "2", "--method", "mc", "--grid", "0.1:0.4:3"),
             ("quantum", "--mc", "--grid", "0.1:0.4:3"),
+            ("search", "--theta", "0.45", "--lmax", "1", "--restarts", "1"),
         ],
-        ids=["curve", "verify", "quantum"],
+        ids=["curve", "verify", "quantum", "search"],
     )
     @pytest.mark.parametrize("n", ["1", "0"])
     def test_monte_carlo_needs_two_samples(self, argv, n, capsys):
@@ -895,3 +896,47 @@ class TestHeapPolicy:
             "print(cli._keep_freed_heap.cache_info().currsize)"
         )
         assert run_probe(probe) == "0"
+
+
+class TestParserCache:
+    def test_import_builds_no_parser(self):
+        # the parser is built by main, not by importing the package
+        probe = (
+            "import spherebell, spherebell.cli as cli; "
+            "print(cli.build_parser.cache_info().currsize)"
+        )
+        assert run_probe(probe) == "0"
+
+    def test_main_builds_the_parser_once(self):
+        probe = (
+            "import os, spherebell.cli as cli\n"
+            "for _ in range(2):\n"
+            "    assert cli.main(['quantum', '--grid', '0:0.5:3', '--out', os.devnull]) == 0\n"
+            "print(cli.build_parser.cache_info().currsize)\n"
+        )
+        assert run_probe(probe) == "1"
+
+    def test_earlier_runs_leave_the_parser_unchanged(self, tmp_path):
+        # a --config run and a run argparse rejects, then a plain run,
+        # in one process: the plain run prints what it prints alone
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"state": "phi+", "grid": "0.1:0.3:3"}))
+        plain = "from spherebell.cli import main\nmain(['quantum'])\n"
+        probe = (
+            "import contextlib, io, sys\n"
+            "from spherebell.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    assert main(['quantum', '--config', sys.argv[1]]) == 0\n"
+            "assert out.getvalue().count('\\n') == 4\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        main(['quantum', '--grid'])\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 2\n"
+            "    else:\n"
+            "        raise AssertionError('argparse took a flag without its value')\n"
+            "main(['quantum'])\n"
+        )
+        alone = run_probe(plain)
+        assert alone.count("\n") == 51
+        assert run_probe(probe, str(config)) == alone

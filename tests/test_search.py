@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bisection_oracle import bisect_crossing
 from spherebell.bounds import theorem1_bounds
 from spherebell.colourings import (
     BandColouring,
@@ -16,12 +19,15 @@ from spherebell.colourings import (
 from spherebell.correlation import (
     SamplingPlan,
     closed_form,
+    closed_form_signs,
     correlation_mc,
     correlation_quadrature,
 )
 from spherebell.quantum import singlet_correlation
 from spherebell import search
+from spherebell.cli import main
 from spherebell.search import (
+    BISECT_DEPTH,
     CROSSING_BRACKET,
     DELTA_GRID,
     SLOPE_REFERENCE_THREE_BANDS,
@@ -29,6 +35,8 @@ from spherebell.search import (
     CrossingResult,
     NoCrossingError,
     SearchOutcome,
+    SweepResult,
+    SweepRow,
     _bisect_crossing,
     all_crossings,
     common_random_correlation,
@@ -113,7 +121,7 @@ def per_point_crossings(f, g, bracket, tol=1e-4, scan_points=400):
     out = []
     for i, j in zip(nonzero, nonzero[1:]):
         if (ds[i] > 0.0) != (ds[j] > 0.0):
-            star, width = _bisect_crossing(diff, float(xs[i]), float(xs[j]), ds[i], tol)
+            star, width = bisect_crossing(diff, float(xs[i]), float(xs[j]), ds[i], tol)
             out.append(CrossingResult(star, 1 if ds[i] > 0.0 else -1, width))
     return out
 
@@ -155,20 +163,30 @@ class TestCrossingScan:
         for colouring, hits in zip(CROSSING_FAMILIES[family], expected):
             assert all_crossings(colouring, g, CROSSING_BRACKET) == hits, colouring.label
 
-    def test_colouring_scan_bisects_with_float_calls(self, monkeypatch):
-        calls = []
+    def test_colouring_scan_and_bisection_read_certified_signs(self, monkeypatch):
+        sign_calls, value_calls = [], []
 
-        def spy(c, theta, delta=None):
-            calls.append(np.shape(theta))
+        def signs_spy(c, theta, ref, delta=None):
+            sign_calls.append(np.shape(theta))
+            return closed_form_signs(c, theta, ref, delta)
+
+        def values_spy(c, theta, delta=None):
+            value_calls.append(np.shape(theta))
             return closed_form(c, theta, delta)
 
-        monkeypatch.setattr(search, "closed_form", spy)
-        hits = find_crossing(make_catalogue("3"), c1, BRACKET, tol=1e-6)
-        assert hits == find_crossing(c3, c1, BRACKET, tol=1e-6)
-        # the scan goes through closed_form_signs, not closed_form
-        assert calls and all(shape == () for shape in calls)
+        monkeypatch.setattr(search, "closed_form_signs", signs_spy)
+        monkeypatch.setattr(search, "closed_form", values_spy)
+        c1_reference = reference_curve("c1")
+        hit = find_crossing(make_catalogue("3"), c1_reference, BRACKET, tol=1e-6)
+        monkeypatch.undo()
+        assert hit == find_crossing(c3, c1, BRACKET, tol=1e-6)
+        # one 400-point scan, then 11 bisection steps read 4, 4 and 3
+        # levels at a time
+        assert sign_calls == [(400,), (15,), (15,), (7,)]
+        # the linear law takes the same arrays; no float closed_form call
+        assert value_calls == sign_calls
 
-    def test_scan_makes_one_array_call(self):
+    def test_curve_scan_and_bisection_share_one_reader(self):
         calls = []
 
         def f(t):
@@ -178,14 +196,108 @@ class TestCrossingScan:
         hits = all_crossings(f, c1, BRACKET, tol=1e-6)
         assert len(hits) == 1
         assert calls[0] == (400,)
-        # the rest are the bisection's float calls
-        assert len(calls) > 1 and all(shape == () for shape in calls[1:])
+        assert len(calls) == 4
+        assert all(len(shape) == 1 and shape[0] <= 15 for shape in calls[1:])
 
     def test_references_take_arrays(self):
         thetas = np.linspace(0.0, HALF_PI, 9)
         for name in ("c1", "singlet"):
             values = reference_curve(name)(thetas)
             assert values.tolist() == [reference_curve(name)(float(t)) for t in thetas]
+
+
+def walk_both(diff, lo, hi, tol):
+    """The oracle's bisection of [lo, hi] and the batched walk's, given
+    f - g as ``diff`` on floats, with the number of points the oracle
+    evaluated and the sizes of the batched walk's sign reads."""
+    evals = []
+
+    def counted(t):
+        evals.append(t)
+        return diff(t)
+
+    expected = bisect_crossing(counted, lo, hi, diff(lo), tol)
+    reads = []
+
+    def signs(ts):
+        reads.append(ts.size)
+        return np.sign([diff(t) for t in ts.tolist()])
+
+    got = _bisect_crossing(signs, lo, hi, float(np.sign(diff(lo))), tol)
+    return expected, got, len(evals), reads
+
+
+brackets = st.tuples(
+    st.floats(-2.0, 2.0),  # lo
+    st.floats(-12.0, 0.5),  # log10 of the width
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),  # root, as a fraction
+)
+
+
+class TestCrossingBisection:
+    """The batched walk of ``_bisect_crossing`` against the sequential
+    float loop of ``bisection_oracle``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        brackets,
+        st.floats(-300.0, -2.0),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(0.0, 50.0),
+    )
+    def test_batched_walk_is_the_sequential_loop(self, bracket, log_tol, sign, w):
+        lo, log_width, frac = bracket
+        hi = lo + 10.0**log_width
+        root = lo + frac * (hi - lo)
+        assume(lo < root < hi)
+        diff = lambda t: sign * (t - root) * (2.0 + math.cos(w * t))
+        expected, got, evals, reads = walk_both(diff, lo, hi, 10.0**log_tol)
+        assert got == expected
+        # one read per BISECT_DEPTH steps, each of at most 15 points
+        assert len(reads) == -(-evals // BISECT_DEPTH)
+        assert all(size <= 2**BISECT_DEPTH - 1 for size in reads)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        brackets,
+        st.lists(st.booleans(), max_size=30),
+        st.floats(-300.0, -20.0),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    def test_exact_zero_at_a_midpoint_ends_both(self, bracket, path, log_tol, sign):
+        lo, log_width, _ = bracket
+        hi = lo + 10.0 ** max(log_width, -6.0)
+        # the midpoint reached by following ``path`` down the tree
+        a, b = lo, hi
+        for right in path:
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if right else (a, mid)
+        root = 0.5 * (a + b)
+        diff = lambda t: sign * (t - root)
+        expected, got, _, _ = walk_both(diff, lo, hi, 10.0**log_tol)
+        assert expected == (root, 0.0)
+        assert got == expected
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(brackets, st.floats(0.0, 3.0))
+    def test_bracket_narrower_than_tol_reads_nothing(self, bracket, log_excess):
+        lo, log_width, frac = bracket
+        hi = lo + 10.0**log_width
+        tol = (hi - lo) * 10.0**log_excess
+        diff = lambda t: t - (lo + frac * (hi - lo))
+        expected, got, evals, reads = walk_both(diff, lo, hi, tol)
+        assert got == expected == (0.5 * (lo + hi), hi - lo)
+        assert evals == 0 and reads == []
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.floats(-2.0, 2.0), st.floats(-300.0, -2.0))
+    def test_adjacent_floats_read_nothing(self, lo, log_tol):
+        hi = math.nextafter(lo, math.inf)
+        diff = lambda t: t - hi
+        expected, got, evals, reads = walk_both(diff, lo, hi, 10.0**log_tol)
+        assert got == expected
+        assert got[1] == hi - lo
+        assert evals == 0 and reads == []
 
 
 class TestSweepDelta:
@@ -205,6 +317,26 @@ class TestSweepDelta:
         stars = {round(r.delta / PI, 3): r.theta_star for r in result.rows}
         assert stars[-0.046] == pytest.approx(0.431 * PI, abs=0.003 * PI)
         assert result.best_delta == pytest.approx(-0.046 * PI, abs=1e-12)
+
+    def test_readme_sweep_matches_the_oracle(self, capsys):
+        # the README sweep through the CLI: every DELTA_GRID member's
+        # first crossing of c1, as the sequential float bisection finds it
+        assert main(["sweep", "--family", "3_delta", "--reference", "c1"]) == 0
+        out, err = capsys.readouterr()
+        rows = tuple(
+            SweepRow(d, hits[0].theta_star if hits else math.nan)
+            for d, hits in zip(DELTA_GRID, family_crossings("3_delta", "c1"))
+        )
+        best_theta, best_delta = min(
+            (r.theta_star, r.delta) for r in rows if not math.isnan(r.theta_star)
+        )
+        expected = io.StringIO()
+        sweep_to_csv(SweepResult("c1", rows, best_delta, best_theta), expected)
+        assert out == expected.getvalue()
+        assert err == (
+            f"best delta/pi = {best_delta / PI:.6f} "
+            f"with crossing theta/pi = {best_theta / PI:.6f}\n"
+        )
 
     def test_rejects_out_of_range_delta(self):
         with pytest.raises(ValueError):
