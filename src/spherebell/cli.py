@@ -339,6 +339,8 @@ def run_search(args: argparse.Namespace) -> int:
     out = _out_path(args)
     if args.theta is None:
         raise UsageError("search requires --theta (units of pi)")
+    if not 0.0 < args.theta < 0.5:
+        raise UsageError(f"--theta {args.theta!r} outside (0, 0.5) (units of pi)")
     outcome = search_mod.harmonic_search(
         args.theta * PI,
         args.lmax,

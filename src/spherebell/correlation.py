@@ -183,7 +183,8 @@ class Draws:
     reader (:func:`_reader`) takes: the polar cosine, read by
     ``evaluate_cos``, for an azimuthally symmetric colouring and the
     Cartesian axis, read by ``evaluate_vectors``, for any other.
-    :meth:`colours` reads a colouring there, :meth:`rows` the basis."""
+    :meth:`colours` reads a colouring there, :meth:`rows` the basis at
+    the coordinates of :meth:`coords`."""
 
     def __init__(self, cos_eps: np.ndarray, phi: np.ndarray, omega: np.ndarray):
         self.cos_eps = cos_eps
@@ -224,18 +225,26 @@ class Draws:
         """The colours of ``c`` at the axes at separation theta."""
         return _reader(c)(self.axes(c, theta, cols))
 
+    def coords(
+        self, c: HarmonicColouring, thetas: Sequence[float]
+    ) -> tuple[np.ndarray, ...]:
+        """The axes of ``c`` at each theta, side by side, as the
+        coordinates :func:`harmonic_rows` takes: the polar cosine,
+        clamped as ``evaluate_cos`` clamps, for an azimuthally symmetric
+        colouring, z and (x, y) for any other."""
+        axes = np.concatenate([self.axes(c, t) for t in thetas], axis=-1)
+        if c.is_azimuthal:
+            return (clamp_cos(axes),)
+        return axes[2], axes[:2]
+
     def rows(
         self, c: HarmonicColouring, thetas: Sequence[float]
     ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """:func:`harmonic_rows` of the live modes of ``c`` at its axes
-        at each theta, side by side, clamped as ``evaluate_cos`` clamps:
-        :meth:`HarmonicColouring.amplitude_from_rows` of them is the
-        amplitude the reader of ``c`` signs."""
-        axes = np.concatenate([self.axes(c, t) for t in thetas], axis=-1)
+        """:func:`harmonic_rows` of the live modes of ``c`` at its
+        :meth:`coords`: :meth:`HarmonicColouring.amplitude_from_rows` of
+        them is the amplitude the reader of ``c`` signs."""
         modes = [(l, m) for l, m, w in c.terms if w != 0.0]
-        if c.is_azimuthal:
-            return harmonic_rows(modes, clamp_cos(axes))
-        return harmonic_rows(modes, axes[2], axes[:2])
+        return harmonic_rows(modes, *self.coords(c, thetas))
 
 
 def _as_pair(c: Colouring | ColouringPair) -> ColouringPair:

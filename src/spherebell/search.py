@@ -37,9 +37,16 @@ from .colourings import (
     Colouring,
     ColouringPair,
     HarmonicColouring,
+    harmonic_rows,
     make_catalogue,
 )
-from .correlation import SamplingPlan, closed_form, closed_form_signs, correlation_mc
+from .correlation import (
+    Draws,
+    SamplingPlan,
+    closed_form,
+    closed_form_signs,
+    correlation_mc,
+)
 from .quantum import singlet_correlation
 
 PI = math.pi
@@ -474,34 +481,130 @@ def _search_modes(l_max: int, azimuthal_only: bool) -> list[tuple[int, int]]:
     return modes
 
 
+# float32 unit roundoff, and the largest error of a float32 rounding
+# that lands in the subnormal range
+_U32 = 2.0**-24
+_ETA32 = 2.0**-150
+
+
+class _RowStack:
+    """One chunk's basis rows of ``modes`` at alice's axes and, beside
+    them, at bob's at theta, as one (len(modes), 2n) float32 matrix.
+
+    It keeps beside them each row's largest |Y_k| in float64 (``M_k``,
+    from the float64 row) and the points' coordinates, from which
+    :meth:`reread` rebuilds float64 rows at a few points."""
+
+    def __init__(self, draws: Draws, modes: Sequence[tuple[int, int]], theta: float):
+        # is_azimuthal reads only the orders, so the coordinates come in
+        # the form every colouring over modes is read in
+        basis = HarmonicColouring(tuple((l, m, 1.0) for l, m in modes))
+        self.modes = list(modes)
+        self.size = draws.cos_eps.size
+        self.coords = draws.coords(basis, [0.0, theta])
+        self.rows = np.empty((len(modes), 2 * self.size), dtype=np.float32)
+        self.row_max = np.empty(len(modes))
+        slots: dict[tuple[int, int], list[int]] = {}
+        for k, mode in enumerate(self.modes):
+            slots.setdefault(mode, []).append(k)
+        for l, m, row in harmonic_rows(slots, *self.coords):
+            for k in slots[l, m]:
+                self.rows[k] = row
+                self.row_max[k] = np.abs(row).max()
+        self.floor = 2.0 * _ETA32 * float(np.sum(self.row_max + 2.0))
+
+    def bound(self, c: np.ndarray) -> float:
+        """B of :func:`common_random_correlation` for the vector c."""
+        scale = 2.0 * (len(self.modes) + 3) * _U32
+        bound = scale * float(np.abs(c).dot(self.row_max)) + self.floor
+        if not math.isfinite(bound):
+            raise ValueError(f"coefficients {c!r} are not finite")
+        return bound
+
+    def amplitude(self, c32: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
+        """Sum c32[k] * rows[k] in mode order into the float32 ``out``,
+        with ``term`` as scratch; both are 2n long."""
+        np.multiply(self.rows[0], c32[0], out=out)
+        for k in range(1, len(self.modes)):
+            np.multiply(self.rows[k], c32[k], out=term)
+            out += term
+
+    def reread(self, c: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """The float64 amplitude at the points ``idx``, as the reader of
+        the colouring of c sums it: the rows rebuilt there by
+        :func:`harmonic_rows`, which works element by element and so
+        gives the bits of the full rows, summed by
+        :meth:`HarmonicColouring.amplitude_from_rows`."""
+        terms = tuple((l, m, ck) for (l, m), ck in zip(self.modes, c.tolist()))
+        coords = [v[..., idx] for v in self.coords]
+        return HarmonicColouring(terms).amplitude_from_rows(
+            harmonic_rows(self.modes, *coords)
+        )
+
+
 def common_random_correlation(
     theta: float, modes: Sequence[tuple[int, int]], plan: SamplingPlan
-) -> Callable[[HarmonicColouring], float]:
+) -> Callable[[np.ndarray], float]:
     """C(theta) on the fixed sample points of ``plan``, as a function of
-    a sign-of-harmonics colouring over ``modes`` whose partner is its
-    colour swap.
+    the unit coefficient vector c over ``modes`` (in that order) of a
+    sign-of-harmonics colouring h whose partner is its colour swap: the
+    value ``correlation_mc(ColouringPair.anticorrelated(h), theta,
+    plan)[0]``, bit for bit.
 
-    The points never change, so each chunk's basis is built here once:
-    :meth:`~spherebell.correlation.Draws.rows` of ``modes`` at alice's
-    axes and, beside them, at bob's axes at theta, in the form the
-    colouring's reader takes.  A call sums the rows by
-    :meth:`HarmonicColouring.amplitude_from_rows` and takes one sign of
-    the amplitude.  alice * (-bob) is +1 where the two signs differ and
-    -1 where they agree, so a chunk adds twice its count of sign
-    disagreements minus its length: the same integer as
-    ``correlation_mc(ColouringPair.anticorrelated(h), theta, plan)[0]``
-    sums, bit for bit.
+    The points never change, so each chunk's basis is built here once,
+    as a float32 stack of rows (:class:`_RowStack`).  A call rounds c
+    to float32 and sums c_k * Y_k in mode order in float32 buffers
+    reused from call to call.  With K = len(modes), S = sum_k |c_k| M_k
+    and M_k the largest |Y_k| on the chunk, the float32 amplitude is
+    within
+
+        B = 2 (K + 3) 2^-24 S + 2^-149 sum_k (M_k + 2)
+
+    of the float64 amplitude the colouring's reader signs: rounding c
+    and the rows to float32, the products and the K - 1 sums take at
+    most K + 2 relative roundings of 2^-24 per term, the float64 sum
+    at most K + 1 of 2^-53, and the second term bounds the absolute
+    error of float32 roundings into the subnormal range (at most
+    2^-150 each; |c_k| <= 1).  The factor 2 also covers rounding B to
+    float32 for the comparison.  Where |amplitude| > B the float32
+    sign is the float64 one; the points where |amplitude| <= B are
+    re-read in float64 (:meth:`_RowStack.reread`).  Over every step of
+    five searches (the README one, all-m l <= 3 and 5, m = 0 l <= 7)
+    the float32 error was at most 0.88 K 2^-24 S, under a quarter of
+    B, and 2 to 13 points in a million were re-read (2 on the README
+    search).  With the tie sgn(0) := +1, alice * (-bob) is +1 where
+    the two signs differ and -1 where they agree, so a chunk adds twice
+    its count of sign disagreements minus its length, the integer
+    ``correlation_mc`` sums.
+
+    A vector of the wrong length, with a non-finite entry or all zero
+    is an error.  Zero entries (also -0.0) are skipped, as
+    ``HarmonicColouring`` skips them.
     """
-    # is_azimuthal reads only the orders, so the rows come in the form
-    # every colouring over modes is read in
-    basis = HarmonicColouring(tuple((l, m, 1.0) for l, m in modes))
-    chunks = [(d.cos_eps.size, list(d.rows(basis, [0.0, theta]))) for d in plan.draws()]
+    stacks = [_RowStack(d, modes, theta) for d in plan.draws()]
+    width = 2 * max(s.size for s in stacks)
+    amp = np.empty(width, dtype=np.float32)
+    term = np.empty(width, dtype=np.float32)
+    plus = np.empty(width, dtype=bool)
+    differ = np.empty(width // 2, dtype=bool)
 
-    def correlation(h: HarmonicColouring) -> float:
+    def correlation(c: np.ndarray) -> float:
+        if c.shape != (len(modes),):
+            raise ValueError(f"{c.size} coefficients for {len(modes)} modes")
+        c32 = c.astype(np.float32)
         total = 0
-        for size, rows in chunks:
-            plus = h.amplitude_from_rows(rows) >= 0.0
-            total += 2 * int(np.count_nonzero(plus[:size] != plus[size:])) - size
+        for s in stacks:
+            n = s.size
+            bound = s.bound(c)
+            a, t, p = amp[: 2 * n], term[: 2 * n], plus[: 2 * n]
+            s.amplitude(c32, a, t)
+            np.greater_equal(a, 0.0, out=p)
+            np.abs(a, out=t)
+            if t.min() <= bound:
+                idx = np.flatnonzero(t <= bound)
+                p[idx] = s.reread(c, idx) >= 0.0
+            np.not_equal(p[:n], p[n:], out=differ[:n])
+            total += 2 * int(np.count_nonzero(differ[:n])) - n
         return total / plan.n_samples
 
     return correlation
@@ -522,9 +625,13 @@ def harmonic_search(
     Each restart runs a Nelder-Mead simplex from a random start, with a
     fixed per-restart sampling plan so every comparison inside the
     simplex uses common random numbers: the basis rows at the restart's
-    sample and partner points are built once, alice's beside bob's
-    (:func:`common_random_correlation`), and each simplex step only
-    recombines them and counts the points where the two signs disagree.
+    sample and partner points are built once, alice's beside bob's, as
+    one float32 stack (:func:`common_random_correlation`).  A simplex
+    step divides its vector by its norm, sums the rows in float32,
+    re-reads in float64 the few points whose float32 amplitude is
+    within the stated bound of zero, and counts the points where the
+    two signs disagree: the value ``correlation_mc`` gives the unit
+    vector's colouring, bit for bit.
     The restarts run one after another, each on its own seeds.  The
     winning restart is re-evaluated at 10x samples with
     :func:`correlation_mc`, and the result is checked against the chain
@@ -568,11 +675,12 @@ def harmonic_search(
 
         def objective(x: np.ndarray) -> float:
             nonlocal evals
-            norm = float(np.linalg.norm(x))
+            # np.linalg.norm of a float vector is this, bit for bit
+            norm = math.sqrt(x.dot(x))
             if norm < 1e-9:
                 return 2.0
             evals += 1
-            return correlation(colouring_from(x, norm))
+            return correlation(x / norm)
 
         result = minimize(
             objective,

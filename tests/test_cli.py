@@ -618,6 +618,15 @@ class TestSearchCommand:
         assert code == 2
         assert "theta" in err
 
+    @pytest.mark.parametrize("theta", ["0.6", "0.5", "0", "-0.1", "nan"])
+    def test_theta_out_of_range_is_reported_in_units_of_pi(self, capsys, theta):
+        # the library's radian message ("theta 1.88... outside (0, pi/2)")
+        # named a number the user never typed
+        code, out, err = run(capsys, "search", "--theta", theta, "--lmax", "1")
+        assert code == 2
+        assert out == ""
+        assert f"--theta {float(theta)!r} outside (0, 0.5) (units of pi)" in err
+
     @pytest.mark.parametrize("flag", ["--restarts", "--max-iter"])
     def test_rejects_a_zero_count(self, capsys, flag):
         code, out, err = run(

@@ -17,6 +17,7 @@ from spherebell.colourings import (
     make_catalogue,
 )
 from spherebell.correlation import (
+    Draws,
     SamplingPlan,
     closed_form,
     closed_form_signs,
@@ -536,52 +537,174 @@ def test_search_report_layout():
     assert payload["theta_over_pi"] == pytest.approx(0.3, abs=1e-12)
 
 
+# two chunks, the second one short
+TWO_CHUNKS = SamplingPlan(29, 3000, chunk_size=2048)
+ALL_M_L3 = [(l, m) for l in (1, 3) for m in range(-l, l + 1)]
+
+
+def unit_colouring(modes, vector):
+    """The unit coefficient vector of ``vector`` and its colouring."""
+    c = np.asarray(vector, dtype=float)
+    c = c / np.linalg.norm(c)
+    return c, HarmonicColouring(tuple((l, m, float(v)) for (l, m), v in zip(modes, c)))
+
+
+def mc_value(h, theta, plan=TWO_CHUNKS):
+    return correlation_mc(ColouringPair.anticorrelated(h), theta, plan)[0]
+
+
+@pytest.mark.parametrize(
+    "modes, vectors",
+    [
+        ([(1, 0), (3, 0), (5, 0)], [(0.3, -0.9, 0.5)]),
+        ([(1, 0), (3, 0), (5, 0)], np.random.default_rng(3).standard_normal((3, 3))),
+        (ALL_M_L3, np.random.default_rng(4).standard_normal((3, len(ALL_M_L3)))),
+        ([(1, -1), (1, 0), (1, 1), (3, 2)], [(0.0, 0.4, -0.2, 0.7)]),
+        ([(1, 0), (3, 0), (5, 0)], [(0.3, -0.0, -0.5)]),
+    ],
+    ids=[
+        "azimuthal",
+        "azimuthal_random",
+        "all_m_lmax3",
+        "zero_coefficient",
+        "negative_zero_coefficient",
+    ],
+)
+def test_cached_objective_is_correlation_mc(modes, vectors):
+    theta = 0.35 * PI
+    cached = common_random_correlation(theta, modes, TWO_CHUNKS)
+    for v in vectors:
+        c, h = unit_colouring(modes, v)
+        assert cached(c) == mc_value(h, theta)
+
+
+def test_cached_objective_reuses_its_buffers_safely():
+    # A, B, A: nothing of one call's float32 sums leaks into the next
+    theta = 0.3 * PI
+    vectors = np.random.default_rng(8).standard_normal((2, len(ALL_M_L3)))
+    cached = common_random_correlation(theta, ALL_M_L3, TWO_CHUNKS)
+    (a, ha), (b, hb) = (unit_colouring(ALL_M_L3, v) for v in vectors)
+    values = [cached(a), cached(b), cached(a)]
+    assert values == [mc_value(ha, theta), mc_value(hb, theta), mc_value(ha, theta)]
+    assert values[0] != values[1]
+
+
+def test_planted_near_zero_amplitudes_are_reread_in_float64(monkeypatch):
+    # a vector orthogonal, up to rounding, to six points' columns of
+    # basis values puts their amplitudes far inside the float32 bound,
+    # where the float32 signs are noise: only the float64 re-read gives
+    # the six signs the Monte Carlo reader takes
+    theta = 0.3 * PI
+    draws = next(TWO_CHUNKS.draws())
+    basis = HarmonicColouring(tuple((l, m, 1.0) for l, m in ALL_M_L3))
+    points = [5, 311, 1500, 2048 + 5, 2048 + 700, 2048 + 2047]  # alice's, bob's
+    rows = np.array([row for _, _, row in draws.rows(basis, [0.0, theta])])
+    q, _ = np.linalg.qr(rows[:, points])
+    v = np.random.default_rng(12).standard_normal(len(ALL_M_L3))
+    c, h = unit_colouring(ALL_M_L3, v - q @ (q.T @ v))
+    planted = h.amplitude_from_rows(draws.rows(h, [0.0, theta]))[points]
+    assert np.all(np.abs(planted) < 1e-14)
+    cached = common_random_correlation(theta, ALL_M_L3, TWO_CHUNKS)
+    reread = search._RowStack.reread
+    seen = []
+
+    def recording(stack, c, idx):
+        seen.append((stack.size, idx.tolist()))
+        return reread(stack, c, idx)
+
+    monkeypatch.setattr(search._RowStack, "reread", recording)
+    assert cached(c) == mc_value(h, theta)
+    first_chunk = [p for size, idx in seen if size == 2048 for p in idx]
+    assert set(points) <= set(first_chunk)
+
+
+@pytest.mark.parametrize("modes", [[(1, 0), (3, 0), (5, 0), (7, 0)], ALL_M_L3])
+def test_float32_amplitude_is_within_the_stated_bound(modes):
+    theta = 0.4 * PI
+    rng = np.random.default_rng(len(modes))
+    for draws in SamplingPlan(5, 30_000, chunk_size=20_000).draws():
+        stack = search._RowStack(draws, modes, theta)
+        basis = HarmonicColouring(tuple((l, m, 1.0) for l, m in modes))
+        rows = {(l, m): row for l, m, row in draws.rows(basis, [0.0, theta])}
+        rows64 = np.array([rows[mode] for mode in modes])
+        assert np.array_equal(stack.rows, rows64.astype(np.float32))
+        assert np.array_equal(stack.row_max, np.abs(rows64).max(axis=1))
+        amp = np.empty(stack.rows.shape[1], dtype=np.float32)
+        term = np.empty_like(amp)
+        K, u = len(modes), 2.0**-24
+        for v in rng.standard_normal((20, len(modes))):
+            c, h = unit_colouring(modes, v)
+            stack.amplitude(c.astype(np.float32), amp, term)
+            exact = h.amplitude_from_rows(draws.rows(h, [0.0, theta]))
+            error = np.max(np.abs(amp.astype(float) - exact))
+            S = float(np.abs(c) @ stack.row_max)
+            bound = stack.bound(c)
+            assert bound == pytest.approx(
+                2 * (K + 3) * u * S + 2.0**-149 * np.sum(stack.row_max + 2.0),
+                rel=1e-12,
+            )
+            assert error <= bound
+            # the float32 sum really is float32: the bound is not slack
+            # around a float64 sum
+            assert error > 0.0
+
+
+def test_float32_bound_floor_covers_subnormal_rows():
+    # polar cosines of 1e-45 to 1e-40 put every row in float32's
+    # subnormal range, where rounding errs by up to 2^-150 absolutely
+    # and the relative term of the bound alone does not hold
+    modes = [(1, 0), (3, 0)]
+    rng = np.random.default_rng(9)
+    z = np.exp(rng.uniform(math.log(1e-45), math.log(1e-40), 2000))
+    z *= rng.choice([-1.0, 1.0], z.size)
+    draws = Draws(z, rng.uniform(0.0, 2 * PI, z.size), rng.uniform(0.0, 2 * PI, z.size))
+    stack = search._RowStack(draws, modes, 0.0)
+    amp = np.empty(2 * z.size, dtype=np.float32)
+    term = np.empty_like(amp)
+    for v in rng.standard_normal((10, 2)):
+        c, h = unit_colouring(modes, v)
+        stack.amplitude(c.astype(np.float32), amp, term)
+        exact = h.amplitude_from_rows(draws.rows(h, [0.0, 0.0]))
+        error = np.max(np.abs(amp.astype(float) - exact))
+        bound = stack.bound(c)
+        assert error <= bound
+        assert error > bound - stack.floor
+
+
 @pytest.mark.parametrize(
     "modes, terms",
     [
-        ([(1, 0), (3, 0), (5, 0)], ((1, 0, 0.3), (3, 0, -0.9), (5, 0, 0.5))),
-        ([(l, m) for l in (1, 3) for m in range(-l, l + 1)], None),
-        (
-            [(1, -1), (1, 0), (1, 1), (3, 2)],
-            ((1, -1, 0.0), (1, 0, 0.4), (1, 1, -0.2), (3, 2, 0.7)),
-        ),
         (
             [(1, -1), (1, 0), (1, 1), (3, 2)],
             ((3, 2, 0.7), (1, 1, -0.2), (1, -1, 0.3), (1, 0, 0.4)),
         ),
         ([(1, 0), (3, 1)], ((1, 0, 0.4), (3, 1, -0.6), (1, 0, -0.55))),
-        ([(1, 0), (3, 0), (5, 0)], ((1, 0, 0.3), (3, 0, -0.0), (5, 0, -0.5))),
     ],
-    ids=[
-        "azimuthal",
-        "all_m_lmax3",
-        "zero_coefficient",
-        "out_of_mode_order",
-        "repeated_mode",
-        "negative_zero_coefficient",
-    ],
+    ids=["out_of_mode_order", "repeated_mode"],
 )
-def test_cached_objective_is_correlation_mc(modes, terms):
+def test_term_order_sum_of_draws_rows_is_correlation_mc(modes, terms):
+    # the Monte Carlo reader sums its rows in term order, whatever order
+    # the terms come in and however often a mode repeats; the rows of
+    # every chunk's basis give it bit for bit
     theta = 0.35 * PI
-    # two chunks, the second one short
-    plan = SamplingPlan(29, 3000, chunk_size=2048)
-    cached = common_random_correlation(theta, modes, plan)
-    if terms is None:
-        vectors = np.random.default_rng(4).standard_normal((3, len(modes)))
-        colourings = [
-            HarmonicColouring(tuple((l, m, float(v)) for (l, m), v in zip(modes, c)))
-            for c in vectors
-        ]
-    else:
-        colourings = [HarmonicColouring(terms)]
-    for h in colourings:
-        pair = ColouringPair.anticorrelated(h)
-        assert cached(h) == correlation_mc(pair, theta, plan)[0]
+    basis = HarmonicColouring(tuple((l, m, 1.0) for l, m in modes))
+    h = HarmonicColouring(terms)
+    total = 0
+    for draws in TWO_CHUNKS.draws():
+        n = draws.cos_eps.size
+        plus = h.amplitude_from_rows(draws.rows(basis, [0.0, theta])) >= 0.0
+        total += 2 * int(np.count_nonzero(plus[:n] != plus[n:])) - n
+    assert total / TWO_CHUNKS.n_samples == mc_value(h, theta)
 
 
 def test_cached_objective_needs_a_row_for_every_term():
     cached = common_random_correlation(0.35 * PI, [(1, 0), (3, 0)], SamplingPlan(29, 100))
-    # a zero coefficient needs no row; a live term without one is an error
-    assert -1.0 <= cached(HarmonicColouring(((1, 0, 1.0), (5, 0, 0.0)))) <= 1.0
-    with pytest.raises(ValueError, match="no basis row for the term"):
-        cached(HarmonicColouring(((1, 0, 1.0), (5, 0, 0.2))))
+    # a zero entry is skipped; a vector of the wrong length, a
+    # non-finite one and the zero vector are errors
+    assert -1.0 <= cached(np.array([1.0, 0.0])) <= 1.0
+    with pytest.raises(ValueError, match="3 coefficients for 2 modes"):
+        cached(np.array([1.0, 0.0, 0.2]))
+    with pytest.raises(ValueError, match="not finite"):
+        cached(np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="all coefficients are zero"):
+        cached(np.array([0.0, -0.0]))
