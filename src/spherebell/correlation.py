@@ -32,10 +32,10 @@ compute it:
   Gauss-Bonnet), so this engine does no quadrature at all.  It takes
   an array of theta and evaluates it in one pass of numpy calls (a
   crossing scan or a curve is one call); a float theta is the
-  one-element case.  Its values take their atan2 from libm;
-  ``closed_form_signs``, which a crossing scan reads, gives the signs
-  of its values minus a reference from numpy's faster ``arctan2``,
-  recomputing with libm's only where the sign is in doubt.
+  one-element case.  It takes the triangle angles from numpy's
+  ``arctan2``, within a stated bound of the values libm's atan2 would
+  give; a crossing scan reads the signs of its values minus a
+  reference.
 
 The two exact engines share one validated, cached pass over the
 colouring (``_flips_of``): its value at the north pole and the polar
@@ -253,6 +253,21 @@ def _as_pair(c: Colouring | ColouringPair) -> ColouringPair:
     return ColouringPair.anticorrelated(c)
 
 
+def _first_party(
+    c: Colouring | ColouringPair | str | int,
+) -> Colouring | str | int:
+    """The colouring a deterministic engine reads from ``c``.  Those
+    engines assume the second party holds the first's colour swap, so
+    a pair passes only when its bob is ``negate(alice)``."""
+    if not isinstance(c, ColouringPair):
+        return c
+    if c.bob != negate(c.alice):
+        raise ValueError(
+            "deterministic engines assume the second party holds the colour swap"
+        )
+    return c.alice
+
+
 # The event path of correlation_mc_grid: a band bob on a dense grid.
 # Margins of the certificate (see the docstring).
 EVENT_SIGMA = 1e-6
@@ -376,12 +391,6 @@ TRIG_MARGIN = 1e-9
 TRIG_POINTS_PER_NODE = 2
 # interpolated grid rows held at once, which bounds the temporaries
 TRIG_BLOCK = 4
-
-# The sign path of the exact engine, closed_form_signs: the margin of its
-# certificate, and the bound per Phi end of a row that the certificate
-# rests on (see the docstring).
-SCAN_MARGIN = 1e-9
-SCAN_END_ERROR = 5e-14
 
 
 def _trig_grid(
@@ -684,15 +693,16 @@ def correlation_quadrature(
     """Deterministic C(theta) for an anticorrelated azimuthal pair.
 
     ``c`` is the first party's colouring (the partner is its colour
-    swap); it must be azimuthally symmetric and antipodal, and theta
+    swap), or a pair whose second party holds that swap (any other
+    pair raises ``ValueError``); the colouring must be azimuthally
+    symmetric and antipodal, and theta
     must lie in (0, pi/2].  Raises :class:`QuadratureError` carrying the
     best estimate if the outer integral does not converge.  ``tol``, the
     outer integral's absolute tolerance, must be finite and positive.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"quadrature tolerance {tol!r} must be finite and positive")
-    if isinstance(c, ColouringPair):
-        c = c.alice
+    c = _first_party(c)
     theta = float(theta)
     if not SNAP < theta <= HALF_PI + SNAP:
         raise ValueError(f"theta {theta!r} outside (0, pi/2]")
@@ -733,25 +743,8 @@ def correlation_quadrature(
 # The band-overlap integral chi
 
 
-Atan2 = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """libm's atan2 of two 1-d arrays, elementwise.  numpy's arctan2
-    rounds differently from libm's on a few percent of arguments; with
-    libm's the array engine returns, bit for bit, the values of the
-    per-theta scalar sum (math.atan2) kept as an oracle in the tests.
-    Crossing scans, which need only signs, take numpy's
-    (:func:`closed_form_signs`)."""
-    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, y.size)
-
-
 def _triangle_angles(
-    sin_s: np.ndarray,
-    sin_a: np.ndarray,
-    sin_t: np.ndarray,
-    sin_b: np.ndarray,
-    atan2: Atan2 = _atan2,
+    sin_s: np.ndarray, sin_a: np.ndarray, sin_t: np.ndarray, sin_b: np.ndarray
 ) -> np.ndarray:
     """The angles at N, P and X of the spherical triangle of :func:`chi`
     (sides NP = theta, NX = beta, PX = alpha), elementwise over 1-d
@@ -764,14 +757,11 @@ def _triangle_angles(
     )
     opposite = np.concatenate((r_b * r_t, r_a * r_t, r_a * r_b))
     adjacent = np.concatenate((r_s * r_a, r_s * r_b, r_s * r_t))
-    return 2.0 * atan2(opposite, adjacent).reshape(3, -1)
+    return 2.0 * np.arctan2(opposite, adjacent).reshape(3, -1)
 
 
 def _chi_antiderivative(
-    theta: float | np.ndarray,
-    beta: np.ndarray,
-    alpha: float | np.ndarray,
-    atan2: Atan2 = _atan2,
+    theta: float | np.ndarray, beta: np.ndarray, alpha: float | np.ndarray
 ) -> np.ndarray:
     """Phi(beta) of :func:`chi`, elementwise: ``beta`` is a 1-d array,
     and ``theta`` and ``alpha`` broadcast against it."""
@@ -783,7 +773,6 @@ def _chi_antiderivative(
             theta,
             np.where(south, PI - beta, beta),
             np.where(south, PI - alpha, alpha),
-            atan2,
         )
         return np.where(south, phi + 2.0 * np.cos(alpha) - 2.0 * np.cos(beta), phi)
     # sines of the half-perimeter s and of s - alpha, s - theta, s - beta
@@ -793,7 +782,6 @@ def _chi_antiderivative(
         np.sin(0.5 * (beta - d)),
         np.sin(0.5 * (beta + d)),
         np.sin(0.5 * (alpha + theta - beta)),
-        atan2,
     )
     cb = np.cos(beta)
     phi = (2.0 / PI) * (at_x + np.cos(alpha) * at_p + cb * at_n) - 2.0 * cb
@@ -870,11 +858,9 @@ def clamp_angles(
 _ENGINE_ROWS = 128
 
 
-def _exact_values(
-    t: np.ndarray, north: int, flips: tuple[float, ...], atan2: Atan2 = _atan2
-) -> np.ndarray:
+def _exact_values(t: np.ndarray, north: int, flips: tuple[float, ...]) -> np.ndarray:
     """C(t) for a 1-d array of t in (0, pi/2] from the colour-flip
-    structure, with the triangle angles of Phi from ``atan2``.
+    structure.
 
     The inner omega integral of ``correlation_quadrature`` is
     pi a(|t - eps|) + 2 sum_v s_v omega_v(eps), summed over the flips v
@@ -928,7 +914,7 @@ def _exact_values(
     ends[..., :-1] |= runs
     row, flip, _ = np.nonzero(ends)
     phi = np.zeros(bounds.shape)
-    phi[ends] = _chi_antiderivative(t[row], bounds[ends], f[flip], atan2)
+    phi[ends] = _chi_antiderivative(t[row], bounds[ends], f[flip])
     chis = np.where(runs, phi[..., 1:] - phi[..., :-1], 0.0)
     # run r of flip i has a = level[r] and jumps to level[i + 1]
     signs = level[1:, None] * level[None, :]
@@ -937,100 +923,58 @@ def _exact_values(
 
 
 def closed_form(
-    c: Colouring | str | int,
+    c: Colouring | ColouringPair | str | int,
     theta: float | np.ndarray,
     delta: float | None = None,
 ) -> float | np.ndarray:
     """Exact C(theta) on [0, pi/2] for an antipodal azimuthal colouring.
 
-    ``c`` is a colouring or a catalogue label, built by
-    :func:`make_catalogue`; ``delta`` is the parameter of 3_delta or
+    ``c`` is a colouring, a catalogue label, built by
+    :func:`make_catalogue`, or a pair whose second party holds the
+    first's colour swap; ``delta`` is the parameter of 3_delta or
     2_Delta when the label does not inline it.  ``theta`` is a float,
     which gives a float, or an array, which gives an array of its shape
     from one call of the array engine (a crossing scan or a curve is
-    one call); each element is the value its float gives.  The value is
-    a sum of cosines and closed-form ``chi`` terms over pieces derived
-    from the colouring's flip edges, so it carries rounding error only
-    and has no tolerance to set.  A single flip at the equator is the
-    hemisphere, whose value is the linear law -(1 - 2 theta / pi) with
-    no ``chi`` term at all.  Raises :class:`ClosedFormDomainError` for
-    any theta outside [0, pi/2], a bad label or parameter, and a
-    colouring that is not antipodal and azimuthal.
+    one call); each element is the value its float gives, bit for bit.
+    The value is a sum of cosines and closed-form ``chi`` terms over
+    pieces derived from the colouring's flip edges, so it carries
+    rounding error only and has no tolerance to set.  A single flip at
+    the equator is the hemisphere, whose value is the linear law
+    -(1 - 2 theta / pi) with no ``chi`` term at all.  Raises
+    :class:`ClosedFormDomainError` for any theta outside [0, pi/2], a
+    bad label or parameter, a pair whose second party is not the
+    first's colour swap, and a colouring that is not antipodal and
+    azimuthal.
+
+    The triangle angles of Phi come from numpy's ``arctan2``.  With K
+    flips each value lies within K (K + 2) 5e-14 of the one libm's
+    atan2 gives (1.75e-12 for the five flips of the three-band
+    colourings; at most 3.2e-15 measured over the catalogue and both
+    deformed families).  Both atan2 are within about an ulp, so each
+    triangle angle (twice an atan2 in [0, pi/2]) moves by at most
+    3.6e-15 and each Phi, whose eight further roundings are within an
+    ulp of |Phi| <= 12, by at most 2e-14; a row evaluates Phi at no
+    more than K (K + 2) run ends, each shared by at most two runs.  The
+    last bits may differ between numpy's AVX-512 loop and its other
+    loops, so between hosts; reruns on one host are identical.
     """
-    return _closed_form(c, theta, delta, fast=False)
-
-
-def closed_form_signs(
-    c: Colouring | str | int,
-    theta: float | np.ndarray,
-    ref: float | np.ndarray,
-    delta: float | None = None,
-) -> float | np.ndarray:
-    """``np.sign(closed_form(c, theta, delta) - ref)``, bit for bit, exact
-    zeros included, for a crossing scan: ``ref`` is a float or an array
-    of theta's shape.
-
-    The engine runs once with numpy's ``np.arctan2`` for the triangle
-    angles of Phi in place of libm's, then once more, with libm's, on
-    the entries where the fast value lies within SCAN_MARGIN of ``ref``.
-    The sign of a float difference is that of the exact difference of
-    its operands, so every other entry has the sign the exact value
-    gives, provided the fast and exact values of a row differ by less
-    than SCAN_MARGIN.  They do:
-
-    - both atan2 return the angle to within a few ulps (measured: under
-      one for numpy's AVX-512 loop and for libm's, which numpy's other
-      loops call), so each triangle angle, twice an atan2 in [0, pi/2],
-      differs by at most 3.6e-15 between the two;
-    - Phi weighs each angle by 2/pi times a cosine, and its eight further
-      roundings, each within an ulp of |Phi| <= 12, may fall differently,
-      so the two Phi at an end differ by at most 2e-14;
-    - a row of K flips evaluates Phi at K (K + 2) run ends or fewer,
-      each shared by at most two runs, and adds each run's chi to a
-      partial sum of size at most 1 + 2 K, one rounding per term.
-
-    So |fast - exact| <= K (K + 2) SCAN_END_ERROR, 1.75e-12 for the five
-    flips of the three-band colourings, against 3.1e-15 measured over
-    the catalogue and both deformed families.  A colouring with more
-    flips than keep that bound within one percent of SCAN_MARGIN (K > 13)
-    is scanned with libm's atan2 throughout.  The hemisphere's linear
-    law and theta < SNAP need no atan2, and their fast values are exact.
-    """
-    theta = np.asarray(theta, dtype=float)
-    diff = np.asarray(_closed_form(c, theta, delta, fast=True) - ref)
-    doubt = np.abs(diff) <= SCAN_MARGIN
-    if doubt.any():
-        exact = _closed_form(c, theta[doubt], delta, fast=False)
-        diff[doubt] = exact - np.broadcast_to(ref, diff.shape)[doubt]
-    return np.sign(diff)
-
-
-def _closed_form(
-    c: Colouring | str | int, theta: float | np.ndarray, delta: float | None, fast: bool
-) -> float | np.ndarray:
-    """The body of :func:`closed_form` (``fast`` False, libm's atan2) and
-    of the first pass of :func:`closed_form_signs` (``fast`` True,
-    numpy's atan2 where its certificate holds)."""
     t, bad = clamp_angles(theta, HALF_PI)
     if bad is not None:
         raise ClosedFormDomainError(
             f"closed forms cover theta in [0, pi/2]; got theta={bad / PI:g}*pi"
         )
     try:
-        north, flips = _flips_of(c, delta)
+        north, flips = _flips_of(_first_party(c), delta)
     except ValueError as exc:
         raise ClosedFormDomainError(str(exc)) from None
-    k = len(flips)
-    certified = k * (k + 2) * SCAN_END_ERROR <= 0.01 * SCAN_MARGIN
-    atan2 = np.arctan2 if fast and certified else _atan2
-    hemisphere = k == 1 and abs(flips[0] - HALF_PI) < SNAP
+    hemisphere = len(flips) == 1 and abs(flips[0] - HALF_PI) < SNAP
     if isinstance(t, float):
         # the hemisphere's linear law stays O(1) per call
         if t < SNAP:
             return -1.0
         if hemisphere:
             return -(1.0 - 2.0 * t / PI)
-        return float(_exact_values(np.array([t]), north, flips, atan2)[0])
+        return float(_exact_values(np.array([t]), north, flips)[0])
     if hemisphere:
         values = -(1.0 - 2.0 * t / PI)
     else:
@@ -1038,7 +982,7 @@ def _closed_form(
         values = np.empty(flat.size)
         for i in range(0, flat.size, _ENGINE_ROWS):
             values[i : i + _ENGINE_ROWS] = _exact_values(
-                flat[i : i + _ENGINE_ROWS], north, flips, atan2
+                flat[i : i + _ENGINE_ROWS], north, flips
             )
         values = values.reshape(t.shape)
     return np.where(t < SNAP, -1.0, values)
@@ -1103,10 +1047,6 @@ def curve_for(
         raise ValueError(f"method {method!r} not one of {METHODS}")
     pair = _as_pair(c)
     label = pair.alice.label
-    if method != "mc" and pair.bob != negate(pair.alice):
-        raise ValueError(
-            "deterministic engines assume the second party holds the colour swap"
-        )
     grid = [float(t) for t in thetas]
 
     if method == "mc":
@@ -1116,7 +1056,7 @@ def curve_for(
         points = tuple(CurvePoint(t, v, s) for t, (v, s) in zip(grid, estimates))
         return CorrelationCurve(colouring_label=label, method=method, points=points)
 
-    alice = pair.alice
+    alice = _first_party(pair)
     if method == "closed_form":
         values = antisymmetric(functools.partial(closed_form, alice), grid)
         points = [CurvePoint(t, float(v), None) for t, v in zip(grid, values)]
@@ -1356,13 +1296,15 @@ def write_curve_csv(
 
 
 def read_curve_csv(fh) -> CorrelationCurve:
-    """Read back a curve CSV (reference columns are ignored)."""
+    """Read back a curve CSV (reference columns are ignored).  Every row
+    must carry the first row's method and colouring label, and an
+    ``mc`` row its stderr."""
     reader = csv.reader(fh)
     header = next(reader, [])
     if tuple(header[:5]) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header {header!r}")
     points = []
-    label = method = None
+    first = None
     for row in reader:
         if not row:
             continue
@@ -1374,9 +1316,15 @@ def read_curve_csv(fh) -> CorrelationCurve:
             stderr = float(row[2]) if row[2] else None
         except ValueError as exc:
             raise ValueError(f"CSV row {row!r}: {exc}") from None
-        method = row[3]
-        label = row[4]
+        first = first or row
+        if row[3:5] != first[3:5]:
+            raise ValueError(
+                f"CSV row {row!r}: method and label differ from the first row's "
+                f"{first[3]!r}, {first[4]!r}"
+            )
+        if row[3] == "mc" and stderr is None:
+            raise ValueError(f"CSV row {row!r}: an mc row needs a stderr")
         points.append(CurvePoint(theta, value, stderr))
-    if label is None:
+    if first is None:
         raise ValueError("CSV contains no data rows")
-    return CorrelationCurve(colouring_label=label, method=method, points=tuple(points))
+    return CorrelationCurve(colouring_label=first[4], method=first[3], points=tuple(points))

@@ -16,9 +16,8 @@ consecutive nonzero samples as brackets, and bisects each bracket down
 to ``tol``; the reported angle is the final bracket's midpoint.  The
 scan and the bisection share one sign reader, and the bisection reads
 ``BISECT_DEPTH`` levels of midpoints per call.  When f is a colouring,
-the reader takes the signs of its closed form minus g from
-``closed_form_signs`` (numpy's atan2, with libm's where the sign is in
-doubt); the sweeps and the threshold estimates pass colourings.
+the reader takes the signs of its closed form minus g; the sweeps and
+the threshold estimates pass colourings.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .correlation import (
     Draws,
     SamplingPlan,
     closed_form,
-    closed_form_signs,
     correlation_mc,
 )
 from .quantum import singlet_correlation
@@ -151,20 +149,16 @@ def all_crossings(
     on the whole grid to locate brackets, and each bracket is then
     bisected to the requested width, several levels per read (see
     :func:`_bisect_crossing`).  f may instead be a colouring, which
-    stands for its closed form: the signs then come from
-    :func:`closed_form_signs`, bit for bit those of the closed form's
-    values.  ``tol`` must be finite and positive; a bracket narrows no
-    further than adjacent floats.
+    stands for its closed form.  ``tol`` must be finite and positive; a
+    bracket narrows no further than adjacent floats.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"crossing tolerance {tol!r} must be finite and positive")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"empty bracket {bracket!r}")
-    if isinstance(f, Colouring):
-        signs = lambda ts: closed_form_signs(f, ts, g(ts))
-    else:
-        signs = lambda ts: np.broadcast_to(np.sign(f(ts) - g(ts)), ts.shape)
+    curve = (lambda ts: closed_form(f, ts)) if isinstance(f, Colouring) else f
+    signs = lambda ts: np.broadcast_to(np.sign(curve(ts) - g(ts)), ts.shape)
     xs = np.linspace(lo, hi, scan_points)
     ds = signs(xs)
     out: list[CrossingResult] = []

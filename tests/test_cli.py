@@ -166,14 +166,39 @@ class TestCurveCommand:
                 "0.1,-0.5,-1,mc,2\n",
                 "has stderr -1.0",
             ),
+            (
+                "theta_over_pi,value,stderr,method,colouring_label\n"
+                "0.1,-0.5,0.01,mc,2\n0.2,-0.3,,closed_form,2\n",
+                "CSV row ['0.2', '-0.3', '', 'closed_form', '2']: method and label",
+            ),
+            (
+                "theta_over_pi,value,stderr,method,colouring_label\n"
+                "0.1,-0.5,,closed_form,2\n0.2,-0.3,,closed_form,3\n",
+                "CSV row ['0.2', '-0.3', '', 'closed_form', '3']: method and label",
+            ),
+            (
+                "theta_over_pi,value,stderr,method,colouring_label\n"
+                "0.1,-0.5,0.01,mc,2\n0.2,-0.3,,mc,2\n",
+                "CSV row ['0.2', '-0.3', '', 'mc', '2']: an mc row needs a stderr",
+            ),
         ],
-        ids=["short-row", "empty-file", "non-numeric-field", "negative-stderr"],
+        ids=[
+            "short-row",
+            "empty-file",
+            "non-numeric-field",
+            "negative-stderr",
+            "mixed-methods",
+            "mixed-labels",
+            "mc-without-stderr",
+        ],
     )
     def test_malformed_curve_file_is_usage_error(self, text, named, tmp_path, capsys):
         # a row of fewer than five fields used to raise IndexError, and an
         # empty file StopIteration: tracebacks with exit 1; a field that
         # is not a number is named with its row; a negative stderr gave
-        # a negative slack and read as a bound violation (exit 1)
+        # a negative slack and read as a bound violation (exit 1); rows
+        # of mixed methods or labels took the last row's, so an mc row
+        # without a stderr was verified with the exact slack
         curve = tmp_path / "malformed.csv"
         curve.write_text(text)
         code, out, err = run(capsys, "verify", "--curve-file", str(curve))

@@ -31,14 +31,12 @@ from spherebell.correlation import (
     SNAP,
     QuadratureError,
     SamplingPlan,
-    _closed_form,
     _flips_of,
     _quadrature_integrand,
     antisymmetric,
     chi,
     circle_correlation,
     closed_form,
-    closed_form_signs,
     correlation_mc,
     correlation_mc_grid,
     correlation_quadrature,
@@ -53,7 +51,13 @@ from spherebell.correlation import (
 )
 from spherebell.geometry import cos_sin, partner_cos_many, partner_frame, partner_many
 from spherebell.quantum import singlet_correlation
-from spherebell.search import CROSSING_BRACKET, DELTA_GRID, TWO_DELTA_GRID
+from spherebell.search import (
+    CROSSING_BRACKET,
+    DELTA_GRID,
+    TWO_DELTA_GRID,
+    all_crossings,
+    reference_curve,
+)
 
 PI = math.pi
 HALF_PI = math.pi / 2
@@ -613,14 +617,19 @@ def test_random_band_sets_against_quadrature(north_edges, north_value, theta):
     assert abs(closed_form(colouring, theta) - quad) <= 1e-9
 
 
-# The array engine equals the per-theta scalar sum bit for bit where
-# numpy's float64 sin and cos round as libm's (probed here); elsewhere
-# the two may part by a few ulp.
+# The array engine equals the per-theta scalar sum, which takes numpy's
+# arctan2 as the engine does, bit for bit where numpy's float64 sin and
+# cos round as libm's and its scalar arctan2 calls as its array loop
+# (probed here); elsewhere the two may part by a few ulp.
 _PROBE = np.linspace(0.0, PI, 1001)
 ORACLE_TOL = (
     0.0
     if np.array_equal(np.sin(_PROBE), [math.sin(x) for x in _PROBE])
     and np.array_equal(np.cos(_PROBE), [math.cos(x) for x in _PROBE])
+    and np.array_equal(
+        np.arctan2(_PROBE, 1.0 - _PROBE),
+        [float(np.arctan2(x, 1.0 - x)) for x in _PROBE],
+    )
     else 1e-14
 )
 
@@ -642,22 +651,32 @@ def special_thetas(flips):
     return np.array(sorted(p for p in points if 0.0 <= p <= HALF_PI))
 
 
+def scalar_sum(colouring, thetas, atan2=np.arctan2):
+    """The per-theta scalar sum of ``scalar_sum_oracle`` with the given
+    atan2 (the linear law for the hemisphere), as an array of the shape
+    of ``thetas``."""
+    north, flips = _flips_of(colouring)
+
+    def value(t):
+        if t < SNAP:
+            return -1.0
+        if flips == (HALF_PI,):
+            return -(1.0 - 2.0 * t / PI)
+        return oracle_value(t, north, flips, atan2)
+
+    thetas = np.asarray(thetas, dtype=float)
+    return np.array([value(t) for t in thetas.ravel().tolist()]).reshape(thetas.shape)
+
+
 def assert_matches_scalar_sum(colouring, thetas):
     """The array call against the float calls (bit for bit) and against
-    the per-theta scalar sum of ``scalar_sum_oracle`` (the linear law
-    for the hemisphere)."""
-    north, flips = _flips_of(colouring)
+    the per-theta scalar sum."""
     values = closed_form(colouring, thetas)
     assert isinstance(values, np.ndarray) and values.shape == thetas.shape
-    for t, value in zip(thetas.tolist(), values.tolist()):
+    oracle = scalar_sum(colouring, thetas)
+    for t, value, expected in zip(thetas.tolist(), values.tolist(), oracle.tolist()):
         assert closed_form(colouring, t) == value, t
-        if t < SNAP:
-            oracle = -1.0
-        elif flips == (HALF_PI,):
-            oracle = -(1.0 - 2.0 * t / PI)
-        else:
-            oracle = oracle_value(t, north, flips)
-        assert abs(value - oracle) <= ORACLE_TOL, t
+        assert abs(value - expected) <= ORACLE_TOL, t
 
 
 class TestArrayEngine:
@@ -751,8 +770,12 @@ def test_random_band_sets_match_the_scalar_sum(north_edges, north_value, thetas)
     assert_matches_scalar_sum(colouring, grid)
 
 
-# The sign path of the exact engine (closed_form_signs): numpy's arctan2
-# against the libm engine whose signs it must give.
+# The sign path: a crossing scan over a colouring reads
+# np.sign(closed_form - reference).  The engine takes numpy's arctan2;
+# against the scalar sum with libm's atan2 its stated bound is
+# K (K + 2) 5e-14 for K flips, and the tests hold it to LIBM_TOL.
+LIBM_TOL = 1e-13
+
 SIGN_PATH_FAMILIES = {
     "exact_cases": EXACT_ENGINE_CASES,
     "3_delta": [make_catalogue("3_delta", delta=d) for d in DELTA_GRID],
@@ -773,70 +796,68 @@ def sign_path_grid(colouring):
     )
 
 
-def assert_sign_path_is_exact(colouring, thetas, ref):
-    """closed_form_signs against np.sign of the libm values, bit for bit."""
-    expected = np.sign(closed_form(colouring, thetas) - ref)
-    assert closed_form_signs(colouring, thetas, ref).tobytes() == expected.tobytes()
+def libm_error(colouring, thetas):
+    """The largest distance of the closed form from the scalar sum with
+    libm's atan2."""
+    libm = scalar_sum(colouring, thetas, math.atan2)
+    return float(np.max(np.abs(closed_form(colouring, thetas) - libm)))
 
 
 class TestSignPath:
     @pytest.mark.parametrize("reference", ["c1", "singlet"])
     @pytest.mark.parametrize("colouring", EXACT_ENGINE_CASES, ids=lambda c: c.label)
     def test_sign_path_gives_the_exact_signs(self, colouring, reference):
+        # the signs of the values libm's atan2 gives, wherever the
+        # stated bound decides them
         thetas = sign_path_grid(colouring)
-        ref = closed_form("1", thetas) if reference == "c1" else singlet_correlation(thetas)
-        assert_sign_path_is_exact(colouring, thetas, ref)
+        ref = reference_curve(reference)(thetas)
+        libm = scalar_sum(colouring, thetas, math.atan2)
+        k = len(_flips_of(colouring)[1])
+        decided = np.abs(libm - ref) > k * (k + 2) * 5e-14
+        signs = np.sign(closed_form(colouring, thetas) - ref)
+        assert np.array_equal(signs[decided], np.sign(libm - ref)[decided])
 
     @pytest.mark.parametrize("colouring", EXACT_ENGINE_CASES, ids=lambda c: c.label)
-    def test_sign_path_at_the_exact_values_falls_back_everywhere(
-        self, colouring, monkeypatch
-    ):
+    def test_sign_path_at_its_own_values_reads_no_crossing(self, colouring):
         thetas = sign_path_grid(colouring)
-        exact = closed_form(colouring, thetas)
-        passes = []
-
-        def spy(c, theta, delta, fast):
-            passes.append((fast, np.size(theta)))
-            return _closed_form(c, theta, delta, fast)
-
-        monkeypatch.setattr(correlation, "_closed_form", spy)
-        assert not closed_form_signs(colouring, thetas, exact).any()
-        assert passes == [(True, thetas.size), (False, thetas.size)]
-        assert_sign_path_is_exact(colouring, thetas, exact)
+        values = closed_form(colouring, thetas)
+        assert not np.sign(values - closed_form(colouring, thetas)).any()
+        own = lambda t: closed_form(colouring, t)
+        assert all_crossings(colouring, own, CROSSING_BRACKET) == []
 
     def test_sign_path_takes_floats_and_shapes(self):
         c = make_catalogue("4")
         for t in (0.0, 0.7, HALF_PI):
-            for ref in (closed_form(c, t), -0.2, 0.2):
-                expected = np.sign(closed_form(c, t) - ref)
-                got = closed_form_signs(c, t, ref)
-                assert got == expected and np.ndim(got) == 0
+            value = closed_form(c, t)
+            assert value == closed_form(c, np.array([t]))[0]
+            assert abs(value - scalar_sum(c, t, math.atan2)) <= LIBM_TOL
         grid = np.linspace(0.1, 1.4, 6).reshape(2, 3)
-        assert_sign_path_is_exact(c, grid, closed_form("1", grid))
-        assert_sign_path_is_exact(c, grid, 0.0)
+        assert closed_form(c, grid).shape == (2, 3)
+        assert libm_error(c, grid) <= LIBM_TOL
+        # a reference that gives one float for the whole array
+        level, bracket = lambda t: -0.5, (1e-3, HALF_PI - 1e-4)
+        hits = all_crossings(c, level, bracket)
+        assert hits and hits == all_crossings(lambda t: closed_form(c, t), level, bracket)
 
     def test_sign_path_shares_the_domain_errors(self):
+        c1 = reference_curve("c1")
         with pytest.raises(ClosedFormDomainError):
-            closed_form_signs("3", np.array([0.1, 0.6 * PI]), 0.0)
+            all_crossings(make_catalogue("3"), c1, (0.1, 0.6 * PI))
         with pytest.raises(ClosedFormDomainError):
-            closed_form_signs(HarmonicColouring(((1, 1, 1.0),)), np.array([0.1]), 0.0)
+            all_crossings(HarmonicColouring(((1, 1, 1.0),)), c1, CROSSING_BRACKET)
 
-    def test_sign_path_with_many_flips_stays_on_libm(self):
-        # 15 flips put the stated bound past one percent of the margin
+    def test_sign_path_with_many_flips_stays_within_the_bound(self):
         colouring = _antipodal_bands([0.1, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3], 1)
         assert len(_flips_of(colouring)[1]) == 15
-        thetas = sign_path_grid(colouring)
-        fast = _closed_form(colouring, thetas, None, fast=True)
-        assert fast.tobytes() == closed_form(colouring, thetas).tobytes()
-        assert_sign_path_is_exact(colouring, thetas, closed_form("1", thetas))
+        assert libm_error(colouring, sign_path_grid(colouring)) <= LIBM_TOL
 
     @pytest.mark.parametrize("family", sorted(SIGN_PATH_FAMILIES))
     def test_sign_path_error_is_far_inside_the_margin(self, family):
+        # LIBM_TOL is a fraction of the stated bound (1.5e-13 for the
+        # hemisphere, 1.75e-12 for the three-band colourings)
         for colouring in SIGN_PATH_FAMILIES[family]:
             thetas = sign_path_grid(colouring)
-            fast = _closed_form(colouring, thetas, None, fast=True)
-            error = np.max(np.abs(fast - closed_form(colouring, thetas)))
-            assert error <= 1e-13, colouring.label
+            assert libm_error(colouring, thetas) <= LIBM_TOL, colouring.label
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -849,9 +870,7 @@ def test_sign_path_error_on_random_band_sets(north_edges, north_value, thetas):
     colouring = _antipodal_bands(north_edges, north_value)
     _, flips = _flips_of(colouring)
     grid = np.concatenate((np.array(thetas), special_thetas(flips)))
-    fast = _closed_form(colouring, grid, None, fast=True)
-    assert np.max(np.abs(fast - closed_form(colouring, grid))) <= 1e-13
-    assert_sign_path_is_exact(colouring, grid, closed_form("1", grid))
+    assert libm_error(colouring, grid) <= LIBM_TOL
 
 
 class TestCurveFor:
@@ -885,6 +904,7 @@ class TestCurveFor:
         c = make_catalogue(1)
         with pytest.raises(ValueError):
             curve_for(ColouringPair(c, c), [0.3], "quadrature")
+
 
     def test_reflection_beyond_half_turn(self):
         curve = curve_for(make_catalogue(3), [0.3 * PI, 0.7 * PI], "closed_form")
@@ -922,6 +942,45 @@ class TestCurveFor:
     def test_zero_angle_is_exact(self):
         curve = curve_for(make_catalogue(2), [0.0], "quadrature")
         assert curve.points[0].value == -1.0
+
+
+# A pair passes the deterministic engines only when its second party
+# holds the first's colour swap; any other pair is refused, not read as
+# the first party alone.
+THREE = make_catalogue(3)
+NOT_THE_SWAP = [
+    ColouringPair(THREE, THREE),
+    ColouringPair(THREE, negate(make_catalogue(4))),
+    ColouringPair(negate(THREE), negate(THREE)),
+]
+
+
+class TestPairsInDeterministicEngines:
+    def test_closed_form(self):
+        thetas = np.array([0.1, 0.3, 0.45]) * PI
+        value = closed_form(ColouringPair.anticorrelated(THREE), thetas)
+        assert np.array_equal(value, closed_form(THREE, thetas))
+        for pair in NOT_THE_SWAP:
+            with pytest.raises(ClosedFormDomainError, match="colour swap"):
+                closed_form(pair, 0.3 * PI)
+
+    def test_quadrature(self):
+        pair = ColouringPair.anticorrelated(THREE)
+        value = correlation_quadrature(pair, 0.3 * PI)
+        assert value == correlation_quadrature(THREE, 0.3 * PI)
+        assert value == pytest.approx(0.0503478, abs=1e-7)
+        for pair in NOT_THE_SWAP:
+            with pytest.raises(ValueError, match="colour swap"):
+                correlation_quadrature(pair, 0.3 * PI)
+
+    @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+    def test_curve_for(self, method):
+        pair = ColouringPair.anticorrelated(THREE)
+        curve = curve_for(pair, [0.3 * PI, 0.7 * PI], method)
+        assert curve == curve_for(THREE, [0.3 * PI, 0.7 * PI], method)
+        for pair in NOT_THE_SWAP:
+            with pytest.raises(ValueError, match="colour swap"):
+                curve_for(pair, [0.3 * PI], method)
 
 
 class TestExtendToPi:

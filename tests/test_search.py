@@ -20,7 +20,6 @@ from spherebell.correlation import (
     Draws,
     SamplingPlan,
     closed_form,
-    closed_form_signs,
     correlation_mc,
     correlation_quadrature,
 )
@@ -158,34 +157,31 @@ class TestCrossingScan:
     @pytest.mark.parametrize("reference", ["c1", "singlet"])
     @pytest.mark.parametrize("family", sorted(CROSSING_FAMILIES))
     def test_colouring_scan_finds_the_per_point_crossings(self, family, reference):
-        # the scan reads certified signs; the crossings are the same
+        # the scan reads the closed form's array calls; the crossings
+        # are those of its float calls
         g = reference_curve(reference)
         expected = family_crossings(family, reference)
         for colouring, hits in zip(CROSSING_FAMILIES[family], expected):
             assert all_crossings(colouring, g, CROSSING_BRACKET) == hits, colouring.label
 
-    def test_colouring_scan_and_bisection_read_certified_signs(self, monkeypatch):
-        sign_calls, value_calls = [], []
-
-        def signs_spy(c, theta, ref, delta=None):
-            sign_calls.append(np.shape(theta))
-            return closed_form_signs(c, theta, ref, delta)
+    def test_colouring_scan_and_bisection_read_the_closed_form(self, monkeypatch):
+        calls = []
 
         def values_spy(c, theta, delta=None):
-            value_calls.append(np.shape(theta))
+            calls.append((getattr(c, "label", c), np.shape(theta)))
             return closed_form(c, theta, delta)
 
-        monkeypatch.setattr(search, "closed_form_signs", signs_spy)
+        # through the module's name, which perfbench's tracing rebinds
         monkeypatch.setattr(search, "closed_form", values_spy)
         c1_reference = reference_curve("c1")
         hit = find_crossing(make_catalogue("3"), c1_reference, BRACKET, tol=1e-6)
         monkeypatch.undo()
         assert hit == find_crossing(c3, c1, BRACKET, tol=1e-6)
         # one 400-point scan, then 11 bisection steps read 4, 4 and 3
-        # levels at a time
-        assert sign_calls == [(400,), (15,), (15,), (7,)]
-        # the linear law takes the same arrays; no float closed_form call
-        assert value_calls == sign_calls
+        # levels at a time, each an array call of the colouring and of
+        # the linear law; no float call
+        shapes = [(400,), (15,), (15,), (7,)]
+        assert calls == [(label, shape) for shape in shapes for label in ("3", "1")]
 
     def test_curve_scan_and_bisection_share_one_reader(self):
         calls = []
