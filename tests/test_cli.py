@@ -117,6 +117,19 @@ class TestCurveCommand:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_hemisphere_closed_form_output_is_pinned(self, tmp_path, capsys):
+        # every reference column, and the fold past pi/2; the hemisphere
+        # values and np.cos round alike with and without AVX-512 dispatch
+        out = tmp_path / "c1.csv"
+        code, _, _ = run(
+            capsys, "curve", "--colouring", "1", "--method", "closed_form",
+            "--grid", "0:1:201", "--out", str(out),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d9b9a459f50112ca05d190afcef40f6801ca1a8445fc9fd43bdc3871c45b34e0"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

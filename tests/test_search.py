@@ -438,6 +438,18 @@ class TestSlope:
         with pytest.raises(ValueError):
             slope_at_half_pi(BandColouring(((0.0, 0.6 * PI),)))
 
+    @pytest.mark.parametrize("label", ["1", "2", "3", "4"])
+    @pytest.mark.parametrize("h", [1e-3, 0.05])
+    def test_slope_is_the_richardson_pass_over_float_closed_forms(self, label, h):
+        est = slope_at_half_pi(label, h=h)
+        c_half = closed_form(label, HALF_PI)
+        q = [closed_form(label, HALF_PI - k * h) / (k * h) for k in (1, 2, 4)]
+        root2 = math.sqrt(2.0)
+        slope = (4 + 2 * root2) * q[0] - (4 + 3 * root2) * q[1] + (1 + root2) * q[2]
+        assert type(est.slope) is float and type(est.c_at_half_pi) is float
+        assert est.slope == slope
+        assert est.c_at_half_pi == c_half
+
 
 class TestHarmonicSearch:
     def test_dipoles_recover_the_hemisphere(self):
