@@ -219,6 +219,16 @@ def _classify(
     return STATUS_VIOLATED
 
 
+def _chain_point(theta: float) -> bool:
+    """Whether a verification checks a grid point: theta must lie in
+    [0, pi/2], and theta = 0, where no chain bound applies, is skipped."""
+    if not -SNAP <= theta <= HALF_PI + SNAP:
+        raise ValueError(
+            f"verification grid point theta={theta / PI:g}*pi outside [0, pi/2]"
+        )
+    return theta > SNAP
+
+
 def verify_colouring(
     c: Colouring | ColouringPair,
     theta_grid: Sequence[float],
@@ -231,12 +241,10 @@ def verify_colouring(
     it applies.
 
     Exact methods use a 1e-9 slack; Monte Carlo points get a 3 stderr
-    band and are reported inconclusive (not violated) inside it.
+    band and are reported inconclusive (not violated) inside it.  The
+    grid is checked as :func:`verify_curve` checks, before any work.
     """
-    grid = [float(t) for t in theta_grid]
-    for t in grid:
-        if not SNAP < t <= HALF_PI + SNAP:
-            raise ValueError(f"verification grid point {t!r} outside (0, pi/2]")
+    grid = [t for t in map(float, theta_grid) if _chain_point(t)]
     curve = curve_for(c, grid, method, plan=plan, tol=tol)
     return verify_curve(curve)
 
@@ -253,20 +261,15 @@ def verify_curve(curve: CorrelationCurve) -> list[BoundReport]:
     equality-within-slack with either edge, the way the hemisphere curve
     touches the lower bound at theta = pi / 2N.
     """
+    points = [p for p in curve.points if _chain_point(p.theta)]
     for point in curve.points:
-        if not -SNAP <= point.theta <= HALF_PI + SNAP:
-            raise ValueError(
-                f"curve point theta {point.theta!r} outside [0, pi/2]"
-            )
         if point.stderr is not None and not 0.0 <= point.stderr < math.inf:
             raise ValueError(
                 f"curve point at theta {point.theta!r} has stderr {point.stderr!r}, "
                 "which bounds no statistical test"
             )
     reports: list[BoundReport] = []
-    for point in curve.points:
-        if point.theta <= SNAP:
-            continue
+    for point in points:
         statistical = point.stderr is not None
         slack = 3.0 * point.stderr if statistical else EXACT_SLACK
         frame = theorem1_bounds(point.theta)

@@ -195,24 +195,29 @@ def _mc_plan(args: argparse.Namespace) -> SamplingPlan:
     return SamplingPlan(args.seed, args.n)
 
 
-def _c1(theta: float) -> float:
-    return antisymmetric(lambda t: closed_form("1", t), theta)
+def _c1(thetas: np.ndarray) -> np.ndarray:
+    return antisymmetric(lambda t: closed_form("1", t), thetas)
 
 
-def _theorem1_pair(theta: float) -> tuple[float, float]:
-    t = min(theta, PI - theta)
-    if t < 1e-12:
-        return -1.0, 1.0
-    report = bounds_mod.theorem1_bounds(t)
-    return report.lower, report.upper
+@functools.lru_cache(maxsize=1)
+def _theorem1_pairs(thetas: tuple[float, ...]) -> np.ndarray:
+    """(lower, upper) of theorem 1 at each theta folded into [0, pi/2],
+    and (-1, 1) at 0 and pi.  The last grid's pairs are kept, so that
+    its two columns share them."""
+    pairs = [(-1.0, 1.0)] * len(thetas)
+    for i, t in enumerate(min(theta, PI - theta) for theta in thetas):
+        if t >= 1e-12:
+            report = bounds_mod.theorem1_bounds(t)
+            pairs[i] = report.lower, report.upper
+    return np.array(pairs).reshape(-1, 2)
 
 
 REFERENCE_COLUMNS = {
     "c1": _c1,
-    "neg_c1": lambda t: -_c1(t),
+    "neg_c1": lambda ts: -_c1(ts),
     "q_singlet": singlet_correlation,
-    "theorem1_lower": lambda t: _theorem1_pair(t)[0],
-    "theorem1_upper": lambda t: _theorem1_pair(t)[1],
+    "theorem1_lower": lambda ts: _theorem1_pairs(tuple(ts.tolist()))[:, 0],
+    "theorem1_upper": lambda ts: _theorem1_pairs(tuple(ts.tolist()))[:, 1],
 }
 
 

@@ -31,11 +31,13 @@ compute it:
   itself is elementary (a spherical-triangle antiderivative from
   Gauss-Bonnet), so this engine does no quadrature at all.  It takes
   an array of theta and evaluates it in one pass of numpy calls (a
-  crossing scan or a curve is one call); a float theta is the
-  one-element case.  It takes the triangle angles from numpy's
-  ``arctan2``, within a stated bound of the values libm's atan2 would
-  give; a crossing scan reads the signs of its values minus a
-  reference.
+  crossing scan or a curve is one call).  It takes the triangle angles
+  from numpy's ``arctan2``, within a stated bound of the values libm's
+  atan2 would give; a crossing scan reads the signs of its values
+  minus a reference.
+
+Every theta-taking function here has one array body; a float theta
+runs as the 0-d case of the array path and gives a float.
 
 The two exact engines share one validated, cached pass over the
 colouring (``_flips_of``): its value at the north pole and the polar
@@ -542,6 +544,8 @@ def correlation_mc_grid(
     for t in grid:
         if not 0.0 <= t <= PI + SNAP:
             raise ValueError(f"theta {t!r} outside [0, pi]")
+    if not grid:
+        return []
     pair = _as_pair(c)
     bob = pair.bob
     distinct = sorted(set(grid))
@@ -842,13 +846,10 @@ def chi(theta: float, a: float, b: float, alpha: float) -> float:
 
 def clamp_angles(
     theta: float | np.ndarray, top: float
-) -> tuple[float | np.ndarray, float | None]:
-    """theta clamped into [0, top] (a float stays a float, an array
-    gives an array), and its first element outside [-SNAP, top + SNAP]
-    (nan included), or None if there is none."""
-    if isinstance(theta, (int, float)) or np.ndim(theta) == 0:
-        t = float(theta)
-        return min(max(t, 0.0), top), (None if -SNAP <= t <= top + SNAP else t)
+) -> tuple[np.ndarray, float | None]:
+    """theta as an array clamped into [0, top] (a float runs as the 0-d
+    case), and its first element outside [-SNAP, top + SNAP] (nan
+    included), or None if there is none."""
     t = np.asarray(theta, dtype=float)
     outside = t[~((-SNAP <= t) & (t <= top + SNAP))]
     return np.clip(t, 0.0, top), (float(outside[0]) if outside.size else None)
@@ -932,10 +933,11 @@ def closed_form(
     ``c`` is a colouring, a catalogue label, built by
     :func:`make_catalogue`, or a pair whose second party holds the
     first's colour swap; ``delta`` is the parameter of 3_delta or
-    2_Delta when the label does not inline it.  ``theta`` is a float,
-    which gives a float, or an array, which gives an array of its shape
-    from one call of the array engine (a crossing scan or a curve is
-    one call); each element is the value its float gives, bit for bit.
+    2_Delta when the label does not inline it.  ``theta`` is an array,
+    which gives an array of its shape from one call of the array engine
+    (a crossing scan or a curve is one call), or a float, which runs as
+    the 0-d case and gives a float; each element is the value its float
+    gives, bit for bit.
     The value is a sum of cosines and closed-form ``chi`` terms over
     pieces derived from the colouring's flip edges, so it carries
     rounding error only and has no tolerance to set.  A single flip at
@@ -967,25 +969,17 @@ def closed_form(
         north, flips = _flips_of(_first_party(c), delta)
     except ValueError as exc:
         raise ClosedFormDomainError(str(exc)) from None
-    hemisphere = len(flips) == 1 and abs(flips[0] - HALF_PI) < SNAP
-    if isinstance(t, float):
-        # the hemisphere's linear law stays O(1) per call
-        if t < SNAP:
-            return -1.0
-        if hemisphere:
-            return -(1.0 - 2.0 * t / PI)
-        return float(_exact_values(np.array([t]), north, flips)[0])
-    if hemisphere:
+    if len(flips) == 1 and abs(flips[0] - HALF_PI) < SNAP:
         values = -(1.0 - 2.0 * t / PI)
     else:
-        flat = t.ravel()
+        flat = np.ravel(t)
         values = np.empty(flat.size)
         for i in range(0, flat.size, _ENGINE_ROWS):
             values[i : i + _ENGINE_ROWS] = _exact_values(
                 flat[i : i + _ENGINE_ROWS], north, flips
             )
-        values = values.reshape(t.shape)
-    return np.where(t < SNAP, -1.0, values)
+        values = values.reshape(np.shape(t))
+    return float_if_0d(np.where(t < SNAP, -1.0, values))
 
 
 # ---------------------------------------------------------------------------
@@ -1057,37 +1051,35 @@ def curve_for(
         return CorrelationCurve(colouring_label=label, method=method, points=points)
 
     alice = _first_party(pair)
-    if method == "closed_form":
-        values = antisymmetric(functools.partial(closed_form, alice), grid)
-        points = [CurvePoint(t, float(v), None) for t, v in zip(grid, values)]
-        return CorrelationCurve(colouring_label=label, method=method, points=tuple(points))
 
-    def exact(t: float) -> float:
-        if t < SNAP:
-            _flips_of(alice)
-            return -1.0
-        return correlation_quadrature(alice, t, tol)
+    def quadrature(ts: np.ndarray) -> np.ndarray:
+        _flips_of(alice)  # checks alice also where theta = 0 gives -1
+        values = [correlation_quadrature(alice, t, tol) if t >= SNAP else -1.0 for t in ts]
+        return np.array(values)
 
-    points = tuple(CurvePoint(t, antisymmetric(exact, t), None) for t in grid)
+    engine = functools.partial(closed_form, alice) if method == "closed_form" else quadrature
+    values = antisymmetric(engine, grid).tolist()
+    points = tuple(CurvePoint(t, v, None) for t, v in zip(grid, values))
     return CorrelationCurve(colouring_label=label, method=method, points=points)
+
+
+def float_if_0d(values: np.ndarray) -> float | np.ndarray:
+    """A 0-d array (the value of a float theta) as a float."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def antisymmetric(value: Callable, theta: float | np.ndarray) -> float | np.ndarray:
     """An engine defined on [0, pi/2], extended to theta in [0, pi] by
-    the antisymmetry C(pi - theta) = -C(theta).  An array of theta goes
-    to ``value`` folded into [0, pi/2] in one call, and gives an array."""
-    if isinstance(theta, (int, float)) or np.ndim(theta) == 0:
-        t = float(theta)
-        if t > PI + SNAP:
-            raise ValueError(f"theta {t!r} outside [0, pi]")
-        return -value(max(PI - t, 0.0)) if t > HALF_PI + SNAP else value(t)
+    the antisymmetry C(pi - theta) = -C(theta).  theta goes to ``value``
+    folded into [0, pi/2] in one call; a float runs as the 0-d case and
+    gives a float."""
     t = np.asarray(theta, dtype=float)
     beyond = t > PI + SNAP
     if beyond.any():
         raise ValueError(f"theta {float(t[beyond][0])!r} outside [0, pi]")
     folded = t > HALF_PI + SNAP
     values = value(np.where(folded, np.maximum(PI - t, 0.0), t))
-    return np.where(folded, -values, values)
+    return float_if_0d(np.where(folded, -values, values))
 
 
 def extend_to_pi(curve: CorrelationCurve) -> CorrelationCurve:
@@ -1275,24 +1267,24 @@ def format_sig(x: float) -> str:
 def write_curve_csv(
     curve: CorrelationCurve,
     fh,
-    references: dict[str, Callable[[float], float]] | None = None,
+    references: dict[str, Callable[[np.ndarray], np.ndarray]] | None = None,
 ) -> None:
-    """Write a curve as CSV; optional reference columns are computed
-    from theta via the given callables."""
+    """Write a curve as CSV.  Each optional reference column is one
+    call of its callable on the array of the curve's thetas (the curve
+    functions' array path, of which a float theta is the 0-d case)."""
     writer = csv.writer(fh, lineterminator="\n")
-    ref_names = tuple(references or ())
-    writer.writerow(CSV_COLUMNS + ref_names)
-    for p in curve.points:
-        row = [
+    references = references or {}
+    writer.writerow(CSV_COLUMNS + tuple(references))
+    columns = [ref(curve.thetas()).tolist() for ref in references.values()]
+    for p, *refs in zip(curve.points, *columns):
+        writer.writerow([
             format_sig(p.theta / PI),
             format_sig(p.value),
             "" if p.stderr is None else format_sig(p.stderr),
             curve.method,
             curve.colouring_label,
-        ]
-        for name in ref_names:
-            row.append(format_sig(references[name](p.theta)))
-        writer.writerow(row)
+            *map(format_sig, refs),
+        ])
 
 
 def read_curve_csv(fh) -> CorrelationCurve:

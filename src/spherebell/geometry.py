@@ -26,9 +26,7 @@ import math
 import numpy as np
 
 # arccos arguments may drift outside [-1, 1] by rounding; excursions up
-# to ARCCOS_HARD are clamped, anything larger is a caller bug.  Typical
-# drift near band edges is below ARCCOS_SOFT.
-ARCCOS_SOFT = 1e-9
+# to ARCCOS_HARD are clamped, anything larger is a caller bug
 ARCCOS_HARD = 1e-6
 
 
@@ -38,25 +36,25 @@ class NumericalError(ValueError):
     request."""
 
 
-def clamp_cos(x: np.ndarray, hard: float = ARCCOS_HARD) -> np.ndarray:
+def clamp_cos(x: np.ndarray) -> np.ndarray:
     """A cosine clamped to [-1, 1].
 
-    Excess magnitude up to ``hard`` is clamped away; beyond that a
-    :class:`NumericalError` is raised, since errors that large indicate
-    a wrong formula rather than rounding noise.
+    Excess magnitude up to ``ARCCOS_HARD`` is clamped away; beyond that
+    a :class:`NumericalError` is raised, since errors that large
+    indicate a wrong formula rather than rounding noise.
     """
     x = np.asarray(x, dtype=float)
     excess = np.max(np.abs(x), initial=0.0) - 1.0
-    if excess > hard:
+    if excess > ARCCOS_HARD:
         raise NumericalError(
-            f"cosine exceeds [-1, 1] by {excess:.3g} (> {hard})"
+            f"cosine exceeds [-1, 1] by {excess:.3g} (> {ARCCOS_HARD})"
         )
     return np.clip(x, -1.0, 1.0)
 
 
-def arccos_clamped_array(x: np.ndarray, hard: float = ARCCOS_HARD) -> np.ndarray:
+def arccos_clamped_array(x: np.ndarray) -> np.ndarray:
     """arccos of :func:`clamp_cos`."""
-    return np.arccos(clamp_cos(x, hard))
+    return np.arccos(clamp_cos(x))
 
 
 def unit_vectors(eps: np.ndarray, phi: np.ndarray) -> np.ndarray:

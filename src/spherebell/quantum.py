@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correlation import SamplingPlan, clamp_angles
+from .correlation import SamplingPlan, clamp_angles, float_if_0d
 from .geometry import cos_sin, partner_frame
 
 PI = math.pi
@@ -48,9 +48,9 @@ _PAULI = (
 )
 
 
-def _check_theta(theta: float | np.ndarray) -> float | np.ndarray:
-    """theta clamped into [0, pi]: a float for a float, an array for an
-    array.  Raises ValueError if any theta lies outside."""
+def _check_theta(theta: float | np.ndarray) -> np.ndarray:
+    """theta as an array clamped into [0, pi] (a float gives the 0-d
+    case).  Raises ValueError if any theta lies outside."""
     t, bad = clamp_angles(theta, PI)
     if bad is not None:
         raise ValueError(f"theta {bad!r} outside [0, pi]")
@@ -137,9 +137,8 @@ def twirl(state: TwoQubitState) -> WernerParam:
 
 
 def singlet_correlation(theta: float | np.ndarray) -> float | np.ndarray:
-    """Q(theta) = -cos(theta); an array of theta gives an array."""
-    t = _check_theta(theta)
-    return -np.cos(t) if isinstance(t, np.ndarray) else -math.cos(t)
+    """Q(theta) = -cos(theta) on an array of theta; a float is the 0-d case."""
+    return float_if_0d(-np.cos(_check_theta(theta)))
 
 
 def _fidelity(w: float | WernerParam) -> float:
@@ -255,7 +254,7 @@ def mc_quantum_curve(
     the same expectation) at rounding level.  The result depends only
     on the plan.
     """
-    grid = [_check_theta(t) for t in thetas]
+    grid = _check_theta(thetas).tolist()
     tensor = spin_tensor(state)
     n, mean, scatter = 0, np.zeros(2), np.zeros((2, 2))
     for index, length in plan.chunks():

@@ -139,7 +139,6 @@ def all_crossings(
     g: Callable[[np.ndarray], np.ndarray],
     bracket: tuple[float, float],
     tol: float = 1e-4,
-    scan_points: int = SCAN_POINTS,
 ) -> list[CrossingResult]:
     """Every sign change of f - g on the bracket, smallest first.
 
@@ -159,7 +158,7 @@ def all_crossings(
         raise ValueError(f"empty bracket {bracket!r}")
     curve = (lambda ts: closed_form(f, ts)) if isinstance(f, Colouring) else f
     signs = lambda ts: np.broadcast_to(np.sign(curve(ts) - g(ts)), ts.shape)
-    xs = np.linspace(lo, hi, scan_points)
+    xs = np.linspace(lo, hi, SCAN_POINTS)
     ds = signs(xs)
     out: list[CrossingResult] = []
     # sign changes between consecutive nonzero samples; exact zeros in
@@ -180,18 +179,17 @@ def find_crossing(
     g: Callable[[np.ndarray], np.ndarray],
     bracket: tuple[float, float],
     tol: float = 1e-4,
-    scan_points: int = SCAN_POINTS,
 ) -> CrossingResult:
     """Smallest crossing of f and g on the bracket (f a curve or a
     colouring, as in :func:`all_crossings`).
 
     Raises :class:`NoCrossingError` when the scan finds no sign change.
     """
-    crossings = all_crossings(f, g, bracket, tol, scan_points)
+    crossings = all_crossings(f, g, bracket, tol)
     if not crossings:
         raise NoCrossingError(
             f"no sign change of f - g on [{bracket[0]!r}, {bracket[1]!r}] "
-            f"({scan_points}-point scan)"
+            f"({SCAN_POINTS}-point scan)"
         )
     return crossings[0]
 
@@ -207,14 +205,15 @@ CROSSING_BRACKET = (PI / 3.0 + 1e-9, HALF_PI - 1e-4)
 DELTA_GRID = tuple(float(d) for d in np.linspace(*DELTA_RANGE, 25))
 TWO_DELTA_GRID = tuple(float(d) for d in np.linspace(*DELTA_CAP_RANGE, 13))
 
-_REFERENCES: dict[str, Callable[[float], float]] = {
+_REFERENCES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "c1": lambda t: closed_form("1", t),
     "singlet": singlet_correlation,
 }
 
 
-def reference_curve(name: str) -> Callable[[float], float]:
-    """The reference a sweep crosses: "c1" (the linear law) or "singlet"."""
+def reference_curve(name: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The reference a sweep crosses: "c1" (the linear law) or "singlet",
+    a function of a theta array (a float runs as its 0-d case)."""
     if name not in _REFERENCES:
         raise ValueError(f"reference {name!r} not one of {sorted(_REFERENCES)}")
     return _REFERENCES[name]
@@ -236,8 +235,8 @@ class SweepResult:
 
 
 def _first_crossing_with_sign(
-    f: Colouring | Callable[[float], float],
-    g: Callable[[float], float],
+    f: Colouring | Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray], np.ndarray],
     wanted_left_sign: int | None,
     tol: float,
 ) -> float | None:
@@ -252,7 +251,7 @@ def _first_crossing_with_sign(
 def _sweep(
     parameter: str,
     members: Sequence[tuple[float, Colouring]],
-    target: Callable[[float], float],
+    target: Callable[[np.ndarray], np.ndarray],
     left_sign: int | None,
     reference: str,
     tol: float,
@@ -418,20 +417,23 @@ def slope_at_half_pi(c: Colouring | str | int, h: float = 1e-3) -> SlopeEstimate
     edges entering or leaving the reachable ring produce half-power
     terms, so C(pi/2 - tau) expands in powers of sqrt(tau); the
     Richardson pass over steps h, 2h, 4h cancels both the tau^(1/2)
-    and tau^1 error terms of the quotient.  The closed form carries
-    rounding error only, so the quotients lose no more than about
-    1e-15 / h to it.  h must lie in (0, pi/8), so that every quotient
-    point pi/2 - k h stays in (0, pi/2).
+    and tau^1 error terms of the quotient.  One closed-form call reads
+    C at pi/2 and at the quotient points pi/2 - k h; the closed form
+    carries rounding error only, so the quotients lose no more than
+    about 1e-15 / h to it.  h must lie in (0, pi/8), so that every
+    quotient point stays in (0, pi/2).
     """
     if not 0.0 < h < PI / 8.0:
         raise ValueError(f"slope step h must lie in (0, pi/8); got {h!r}")
     colouring = make_catalogue(c) if isinstance(c, (str, int)) else c
-    c_half = closed_form(colouring, HALF_PI)
+    steps = (1, 2, 4)
+    thetas = np.array([HALF_PI] + [HALF_PI - k * h for k in steps])
+    c_half, *values = closed_form(colouring, thetas).tolist()
     if abs(c_half) > 1e-8:
         raise ValueError(
             f"slope probe needs C(pi/2) = 0, got {c_half!r} for {colouring.label!r}"
         )
-    quotients = [closed_form(colouring, HALF_PI - k * h) / (k * h) for k in (1, 2, 4)]
+    quotients = [v / (k * h) for v, k in zip(values, steps)]
     root2 = math.sqrt(2.0)
     slope = (
         (4.0 + 2.0 * root2) * quotients[0]

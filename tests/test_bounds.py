@@ -304,6 +304,11 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_colouring(make_catalogue("1"), [0.7 * PI], "closed_form")
 
+    @pytest.mark.parametrize("method", ["closed_form", "quadrature", "mc"])
+    def test_grid_of_theta_zero_alone_checks_nothing(self, method):
+        plan = SamplingPlan(1, 1000) if method == "mc" else None
+        assert verify_colouring(make_catalogue("2"), [0.0, 1e-13], method, plan=plan) == []
+
     def test_saturation_at_chain_angles(self):
         grid = [PI / 8, 0.2 * PI, PI / 4]
         reports = verify_colouring(make_catalogue("1"), grid, "closed_form")

@@ -477,6 +477,42 @@ class TestVerifyCommand:
         assert len(grid) == 100
         assert grid[0]["theta_over_pi"] == pytest.approx(0.005, abs=1e-12)
 
+    @pytest.mark.parametrize("method", ["closed_form", "mc"])
+    def test_colouring_grid_from_zero_skips_it_as_the_curve_file_does(
+        self, method, tmp_path, capsys
+    ):
+        args = ("--colouring", "2", "--method", method, "--n", "20000", "--grid", "0:0.5:5")
+        code, out, _ = run(capsys, "verify", *args)
+        assert code == 0
+        direct = json.loads(out)["grid"]
+        path = tmp_path / "c2.csv"
+        assert run(capsys, "curve", *args, "--out", str(path))[0] == 0
+        code, out, _ = run(capsys, "verify", "--curve-file", str(path))
+        assert code == 0
+        from_file = json.loads(out)["grid"]
+        assert [e["theta_over_pi"] for e in direct] == pytest.approx(
+            [0.125, 0.25, 0.375, 0.5], abs=1e-12
+        )
+        assert len(from_file) == len(direct)
+        for a, b in zip(direct, from_file):
+            # the file holds theta and the value to 12 digits
+            assert a["theta_over_pi"] == pytest.approx(b["theta_over_pi"], abs=1e-12)
+            assert a["value"] == pytest.approx(b["value"], abs=1e-11)
+            keys = ("lower", "upper", "satisfied", "status", "saturated")
+            assert [a[k] for k in keys] == [b[k] for k in keys]
+
+    def test_grid_past_half_pi_exits_before_monte_carlo(self, monkeypatch, capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran before the grid check")
+
+        monkeypatch.setattr(correlation, "correlation_mc_grid", no_sampling)
+        code, _, err = run(
+            capsys, "verify", "--colouring", "2", "--method", "mc", "--n", "20000",
+            "--grid", "0:0.6:5",
+        )
+        assert code == 2
+        assert "theta=0.6*pi outside [0, pi/2]" in err
+
     def test_dense_all_m_mc_output_is_pinned(self, tmp_path, capsys):
         # 40 angles of an all-m l <= 5 colouring: the grid takes the
         # trig path, whose output must stay the per-angle loop's, byte

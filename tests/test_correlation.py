@@ -1,4 +1,5 @@
 import bisect
+import functools
 import io
 import math
 
@@ -928,6 +929,15 @@ class TestCurveFor:
         with pytest.raises(ValueError):
             curve_for(colouring, [0.2, PI + 1e-9], "closed_form")
 
+    def test_antisymmetric_float_is_its_0d_case(self):
+        fold = functools.partial(antisymmetric, functools.partial(closed_form, "3"))
+        for t in (0.0, 0.2 * PI, HALF_PI, 0.7 * PI, PI):
+            value = fold(t)
+            assert type(value) is float and type(fold(np.float64(t))) is float
+            assert value == fold(np.array([t]))[0]
+        with pytest.raises(ValueError, match="outside"):
+            fold(PI + 1e-9)
+
     def test_closed_form_uses_the_colouring_not_its_label(self):
         # the label rounds delta to 6 digits: -pi/18 would leave the range
         edge = make_catalogue("3_delta", delta=-PI / 18)
@@ -1176,6 +1186,36 @@ class TestCsvRoundTrip:
             assert copy.theta == pytest.approx(orig.theta, rel=1e-11)
             assert copy.value == pytest.approx(orig.value, rel=1e-11)
             assert copy.stderr == pytest.approx(orig.stderr, rel=1e-11)
+
+    def test_each_reference_is_called_once_per_curve(self):
+        grid = [0.0, 0.2 * PI, 0.6 * PI, PI]
+        curve = curve_for(make_catalogue(3), grid, "closed_form")
+        calls = {"c1": [], "q": []}
+
+        def spy(name, fn):
+            def reference(thetas):
+                calls[name].append(thetas)
+                return fn(thetas)
+
+            return reference
+
+        buffer = io.StringIO()
+        write_curve_csv(
+            curve,
+            buffer,
+            references={
+                "c1": spy("c1", lambda t: antisymmetric(lambda u: closed_form("1", u), t)),
+                "q": spy("q", singlet_correlation),
+            },
+        )
+        for name, seen in calls.items():
+            assert len(seen) == 1, name
+            assert seen[0].tolist() == grid
+        rows = [line.split(",") for line in buffer.getvalue().splitlines()[1:]]
+        assert [r[5] for r in rows] == ["-1", "-0.6", "0.2", "1"]
+        assert [float(r[6]) for r in rows] == [
+            float(format_sig(singlet_correlation(t))) for t in grid
+        ]
 
     def test_reference_columns_are_ignored_on_read(self):
         curve = curve_for(make_catalogue(1), [0.2 * PI, 0.3 * PI], "closed_form")
