@@ -539,6 +539,15 @@ class TestVerifyCommand:
             "8315307fda49429cd693e1e25d5598e52703cc151e4b360365f983e78ede1a8b"
         )
 
+    def test_readme_hemisphere_verification_is_pinned(self, capsys):
+        # the README verify: the chain bounds at 100 angles, their
+        # saturation marks and the quantum sandwich below pi/3
+        code, out, _ = run(capsys, "verify", "--colouring", "1", "--grid", "0.005:0.5:100")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3db6ad3943c2495c1153885f073dbf547413a5c2dfb3450f8fcb17883307af88"
+        )
+
     def test_missing_curve_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "verify", "--curve-file", str(tmp_path / "absent.csv")
@@ -605,6 +614,27 @@ class TestSweepCommand:
         # widening pulls the exit angle down
         assert float(rows[2][1]) < float(rows[1][1])
         assert "best Delta/pi" in err
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # the README 2_Delta sweep: exits above -c1
+            (
+                ("--delta-grid", "0:0.0833:13"),
+                "7df90b55a7cd556a7d41ca69d1fc713ef8ab13cb7fb34c1c351b32a55642c1fa",
+            ),
+            # the default grid: exits above the negated singlet curve
+            (
+                ("--reference", "singlet"),
+                "261794f19bdd2cdb6875e3846c91429fae3cee3f7b019a0e84f9a367f4c7a111",
+            ),
+        ],
+        ids=["readme_delta_grid", "singlet_default_grid"],
+    )
+    def test_widened_two_band_sweep_is_pinned(self, argv, digest, capsys):
+        code, out, _ = run(capsys, "sweep", "--family", "2_Delta", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_unknown_family_from_config(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -725,6 +755,14 @@ class TestQuantumCommand:
             assert row[2] == ""
             assert row[3] == "werner"
             assert float(row[4]) == 1.0
+
+    def test_readme_singlet_curve_is_pinned(self, capsys):
+        # the README quantum curve over [0, pi], whose values take np.cos
+        code, out, _ = run(capsys, "quantum", "--state", "singlet", "--grid", "0:1:101")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ca5deac9b6d8ed4f8236075dbddec6ca22766e5ca5554d80694e7b23cbc26e6b"
+        )
 
     def test_mixed_state_is_flat_zero(self, capsys):
         code, out, _ = run(capsys, "quantum", "--state", "mixed", "--grid", "0:0.5:5")

@@ -357,6 +357,38 @@ class TestSweepDelta:
         assert fields[2] == "c1"
 
 
+class TestSweepTwoDelta:
+    def test_default_grid_sweep_matches_the_oracle(self, capsys):
+        # the default-grid 2_Delta sweep through the CLI: every
+        # TWO_DELTA_GRID member's first exit above -c1 (left sign -1),
+        # as the sequential float bisection finds it
+        assert main(["sweep", "--family", "2_Delta", "--reference", "c1"]) == 0
+        out, err = capsys.readouterr()
+        c1_curve = reference_curve("c1")
+        neg_c1 = lambda t: -c1_curve(t)
+        rows = []
+        for d, colouring in zip(TWO_DELTA_GRID, CROSSING_FAMILIES["2_Delta"]):
+            f = lambda t: closed_form(colouring, t)
+            exits = [
+                hit.theta_star
+                for hit in per_point_crossings(f, neg_c1, CROSSING_BRACKET)
+                if hit.left_sign == -1
+            ]
+            rows.append(SweepRow(d, exits[0] if exits else math.nan))
+        best_theta, best_delta = min(
+            (r.theta_star, r.delta) for r in rows if not math.isnan(r.theta_star)
+        )
+        expected = io.StringIO()
+        sweep_to_csv(
+            SweepResult("neg_c1", tuple(rows), best_delta, best_theta, "Delta"), expected
+        )
+        assert out == expected.getvalue()
+        assert err == (
+            f"best Delta/pi = {best_delta / PI:.6f} "
+            f"with exit theta/pi = {best_theta / PI:.6f}\n"
+        )
+
+
 class TestThetaMax:
     def test_catalogue_thresholds(self):
         est = estimate_theta_max(tol=1e-5)
