@@ -12,12 +12,12 @@ import math
 
 import numpy as np
 
-from spherebell import estimate_theta_max, slope_at_half_pi, sweep_delta, sweep_two_delta
+from spherebell import estimate_theta_max, slope_at_half_pi, sweep
 
 PI = math.pi
 
 deltas = np.linspace(-0.05, 0.0, 11) * PI
-result = sweep_delta(deltas, "c1", tol=1e-5)
+result = sweep("3_delta", deltas, "c1", tol=1e-5)
 
 print("crossing of the deformed three-band family against the linear law:")
 def crossing(row):
@@ -31,7 +31,7 @@ print(
     f"theta* = {result.best_theta / PI:.4f} pi"
 )
 
-widened = sweep_two_delta(tol=1e-5)
+widened = sweep("2_Delta", tol=1e-5)
 print()
 print("exit of the widened two-band family above the negated linear law:")
 for row in widened.rows:

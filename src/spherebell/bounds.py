@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .colourings import Colouring, ColouringPair
 from .correlation import CorrelationCurve, SamplingPlan, curve_for
 
@@ -114,12 +116,26 @@ def _snapped(t: float, k: float, rounding: Callable[[float], int]) -> int:
     return rounding(ratio)
 
 
+def chain_bounds(theta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N = max(2, ceil(pi / 2 theta)) and the bound 1 - 1/N, 0 at pi/2,
+    on an array of theta in (0, pi/2], with 1e-12 snapping; a float is
+    the 0-d case."""
+    t = np.asarray(theta, dtype=float)
+    outside = t[~((SNAP < t) & (t <= HALF_PI + SNAP))]
+    if outside.size:
+        raise ValueError(f"theta {float(outside[0])!r} outside (0, pi/2]")
+    at_half_pi = np.abs(t - HALF_PI) < SNAP
+    t = np.minimum(t, HALF_PI)
+    ratio = PI / (2.0 * t)
+    nearest = np.round(ratio)
+    snapped = np.abs(t - PI / (2.0 * nearest)) < SNAP
+    n = np.maximum(np.where(snapped, nearest, np.ceil(ratio)), 2.0)
+    return n.astype(int), np.where(at_half_pi, 0.0, 1.0 - 1.0 / n)
+
+
 def chain_length_for(theta: float) -> int:
     """N = max(2, ceil(pi / 2 theta)), with 1e-12 boundary snapping."""
-    t = float(theta)
-    if not SNAP < t <= HALF_PI + SNAP:
-        raise ValueError(f"theta {t!r} outside (0, pi/2]")
-    return max(2, _snapped(min(t, HALF_PI), 2.0, math.ceil))
+    return int(chain_bounds(float(theta))[0])
 
 
 def theorem1_bounds(theta: float) -> BoundReport:
@@ -129,17 +145,12 @@ def theorem1_bounds(theta: float) -> BoundReport:
     the report degenerates to (0, 0).
     """
     t = float(theta)
-    n = chain_length_for(t)
-    if abs(t - HALF_PI) < SNAP:
-        lower = upper = 0.0
-    else:
-        upper = 1.0 - 1.0 / n
-        lower = -upper
+    n, upper = chain_bounds(t)
     return BoundReport(
         theta=t,
-        n_chain=n,
-        lower=lower,
-        upper=upper,
+        n_chain=int(n),
+        lower=0.0 - float(upper),
+        upper=float(upper),
         tested_value=math.nan,
         satisfied=True,
         source="theorem1",
@@ -259,7 +270,8 @@ def verify_curve(curve: CorrelationCurve) -> list[BoundReport]:
     one-sample estimate) raises ``ValueError``; others the strict one.  The
     chain-bound report carries a ``saturated`` flag marking
     equality-within-slack with either edge, the way the hemisphere curve
-    touches the lower bound at theta = pi / 2N.
+    touches the lower bound at theta = pi / 2N.  The chain bounds of
+    the whole grid are one call of :func:`chain_bounds`.
     """
     points = [p for p in curve.points if _chain_point(p.theta)]
     for point in curve.points:
@@ -268,22 +280,20 @@ def verify_curve(curve: CorrelationCurve) -> list[BoundReport]:
                 f"curve point at theta {point.theta!r} has stderr {point.stderr!r}, "
                 "which bounds no statistical test"
             )
+    chains, uppers = chain_bounds(np.array([p.theta for p in points]))
     reports: list[BoundReport] = []
-    for point in points:
+    for point, n_chain, upper in zip(points, chains.tolist(), uppers.tolist()):
         statistical = point.stderr is not None
         slack = 3.0 * point.stderr if statistical else EXACT_SLACK
-        frame = theorem1_bounds(point.theta)
-        status = _classify(point.value, frame.lower, frame.upper, slack, statistical)
-        touches = (
-            abs(point.value - frame.lower) <= slack
-            or abs(point.value - frame.upper) <= slack
-        )
+        lower = 0.0 - upper
+        status = _classify(point.value, lower, upper, slack, statistical)
+        touches = abs(point.value - lower) <= slack or abs(point.value - upper) <= slack
         reports.append(
             BoundReport(
                 theta=point.theta,
-                n_chain=frame.n_chain,
-                lower=frame.lower,
-                upper=frame.upper,
+                n_chain=n_chain,
+                lower=lower,
+                upper=upper,
                 tested_value=point.value,
                 satisfied=status != STATUS_VIOLATED,
                 source="theorem1",
@@ -297,7 +307,7 @@ def verify_curve(curve: CorrelationCurve) -> list[BoundReport]:
             reports.append(
                 BoundReport(
                     theta=point.theta,
-                    n_chain=frame.n_chain,
+                    n_chain=n_chain,
                     lower=-edge,
                     upper=edge,
                     tested_value=point.value,

@@ -6,6 +6,14 @@ search (harmonic colouring search), quantum (reference curves), slope
 (the pi/2 slope probe).  Angles cross the boundary in units of pi;
 radians stay internal.
 
+Each subcommand's ``run_*`` function computes its whole text from the
+library and returns it with its exit code (``sweep`` also prints a
+summary to stderr); :func:`main` writes the text.  The --out path's
+directory is checked before the command runs, so that a bad path fails
+before any work, and the file is opened only once the text exists, so
+that a failed run leaves no file behind.  Without --out (or with "-")
+the text goes to stdout.
+
 Exit codes: 0 success, 1 a definite bound violation was found, 2 bad
 usage or configuration, 3 numerical failure.
 
@@ -24,12 +32,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
 import sys
-from contextlib import contextmanager
-from typing import Iterator, Sequence, TextIO
+from contextlib import nullcontext
+from typing import Sequence
 
 import numpy as np
 
@@ -100,16 +109,20 @@ def _keep_freed_heap() -> None:
         mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
-def parse_grid(spec: str) -> np.ndarray:
-    """Parse "start:stop:count" (units of pi) into a radian grid."""
+def _split_grid(spec: str, name: str) -> tuple[float, float, int]:
+    """The start, stop and count of "start:stop:count", called ``name``."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise UsageError(f"grid {spec!r} must be start:stop:count")
+        raise UsageError(f"{name} {spec!r} must be start:stop:count")
     try:
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+        return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise UsageError(f"bad grid {spec!r}: {exc}") from None
+        raise UsageError(f"bad {name} {spec!r}: {exc}") from None
+
+
+def parse_grid(spec: str) -> np.ndarray:
+    """Parse "start:stop:count" (units of pi) into a radian grid."""
+    start, stop, count = _split_grid(spec, "grid")
     if not 0.0 <= start < stop <= 1.0:
         raise UsageError(f"grid {spec!r} must satisfy 0 <= start < stop <= 1")
     if count < 2:
@@ -158,9 +171,7 @@ def _resolve_colouring(label: str):
 
 def _out_path(args: argparse.Namespace) -> str | None:
     """The --out path, None for stdout (absent or "-").  Its directory
-    is checked here, before any work, so that a bad path fails at once;
-    the file is opened by :func:`_output` once the output is ready, so
-    that a failed run leaves no empty file behind."""
+    is checked here, before any work, so that a bad path fails at once."""
     path = args.out
     if path in (None, "-"):
         return None
@@ -168,20 +179,6 @@ def _out_path(args: argparse.Namespace) -> str | None:
     if not os.path.isdir(folder):
         raise UsageError(f"cannot write {path!r}: no directory {folder!r}")
     return path
-
-
-@contextmanager
-def _output(path: str | None) -> Iterator[TextIO]:
-    """The --out file (stdout for None), closed on exit."""
-    if path is None:
-        yield sys.stdout
-        return
-    try:
-        fh = open(path, "w", newline="")
-    except OSError as exc:
-        raise UsageError(f"cannot write {path!r}: {exc}") from None
-    with fh:
-        yield fh
 
 
 def _mc_plan(args: argparse.Namespace) -> SamplingPlan:
@@ -195,47 +192,49 @@ def _mc_plan(args: argparse.Namespace) -> SamplingPlan:
     return SamplingPlan(args.seed, args.n)
 
 
+def _sampled_colouring(args: argparse.Namespace):
+    """--grid, --colouring and (for --method mc) the plan, in that order."""
+    grid = parse_grid(args.grid)
+    colouring = _resolve_colouring(args.colouring)
+    plan = _mc_plan(args) if args.method == "mc" else None
+    return grid, colouring, plan
+
+
 def _c1(thetas: np.ndarray) -> np.ndarray:
     return antisymmetric(lambda t: closed_form("1", t), thetas)
 
 
-@functools.lru_cache(maxsize=1)
-def _theorem1_pairs(thetas: tuple[float, ...]) -> np.ndarray:
-    """(lower, upper) of theorem 1 at each theta folded into [0, pi/2],
-    and (-1, 1) at 0 and pi.  The last grid's pairs are kept, so that
-    its two columns share them."""
-    pairs = [(-1.0, 1.0)] * len(thetas)
-    for i, t in enumerate(min(theta, PI - theta) for theta in thetas):
-        if t >= 1e-12:
-            report = bounds_mod.theorem1_bounds(t)
-            pairs[i] = report.lower, report.upper
-    return np.array(pairs).reshape(-1, 2)
+def _theorem1_upper(thetas: np.ndarray) -> np.ndarray:
+    """Theorem 1's upper bound at each theta folded into [0, pi/2], and
+    1 at 0 and pi."""
+    folded = np.minimum(thetas, PI - thetas)
+    inside = folded > bounds_mod.SNAP
+    upper = np.ones(folded.shape)
+    upper[inside] = bounds_mod.chain_bounds(folded[inside])[1]
+    return upper
 
 
 REFERENCE_COLUMNS = {
     "c1": _c1,
     "neg_c1": lambda ts: -_c1(ts),
     "q_singlet": singlet_correlation,
-    "theorem1_lower": lambda ts: _theorem1_pairs(tuple(ts.tolist()))[:, 0],
-    "theorem1_upper": lambda ts: _theorem1_pairs(tuple(ts.tolist()))[:, 1],
+    # 0.0 - upper keeps +0.0 at pi/2, where -upper would print -0
+    "theorem1_lower": lambda ts: 0.0 - _theorem1_upper(ts),
+    "theorem1_upper": _theorem1_upper,
 }
 
 
-def run_curve(args: argparse.Namespace) -> int:
-    out = _out_path(args)
+def run_curve(args: argparse.Namespace) -> tuple[int, str]:
     if args.colouring is None:
         raise UsageError("curve requires --colouring")
-    grid = parse_grid(args.grid)
-    colouring = _resolve_colouring(args.colouring)
-    plan = _mc_plan(args) if args.method == "mc" else None
+    grid, colouring, plan = _sampled_colouring(args)
     curve = curve_for(colouring, grid, args.method, plan=plan, tol=args.tol)
-    with _output(out) as fh:
-        write_curve_csv(curve, fh, references=REFERENCE_COLUMNS)
-    return 0
+    text = io.StringIO()
+    write_curve_csv(curve, text, references=REFERENCE_COLUMNS)
+    return 0, text.getvalue()
 
 
-def run_verify(args: argparse.Namespace) -> int:
-    out = _out_path(args)
+def run_verify(args: argparse.Namespace) -> tuple[int, str]:
     curve_file = args.curve_file
     if curve_file:
         # pre-computed curve: check it as given, no recomputation
@@ -250,37 +249,24 @@ def run_verify(args: argparse.Namespace) -> int:
         if args.colouring is None:
             raise UsageError("verify requires --colouring or --curve-file")
         method = args.method
-        grid = parse_grid(args.grid)
-        colouring = _resolve_colouring(args.colouring)
-        plan = _mc_plan(args) if method == "mc" else None
+        grid, colouring, plan = _sampled_colouring(args)
         reports = bounds_mod.verify_colouring(
             colouring, grid, method, plan=plan, tol=args.tol
         )
         label = colouring.label
-    text = bounds_mod.report_to_json(label, method, reports)
-    with _output(out) as fh:
-        fh.write(text + "\n")
-    return 0 if all(r.satisfied for r in reports) else 1
+    text = bounds_mod.report_to_json(label, method, reports) + "\n"
+    return (0 if all(r.satisfied for r in reports) else 1), text
 
 
-def _parse_delta_grid(spec: str | None, default: Sequence[float]) -> Sequence[float]:
-    """Parse "start:stop:count" (units of pi); None gives the default."""
-    if spec is None:
-        return default
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"delta grid {spec!r} must be start:stop:count")
-    try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"bad delta grid {spec!r}: {exc}") from None
+def _parse_delta_grid(spec: str) -> np.ndarray:
+    """Parse "start:stop:count" (units of pi) into a radian grid."""
+    start, stop, count = _split_grid(spec, "delta grid")
     if count < 1:
         raise UsageError("delta grid count must be at least 1")
     return np.linspace(start * PI, stop * PI, count)
 
 
-def run_sweep(args: argparse.Namespace) -> int:
-    out = _out_path(args)
+def run_sweep(args: argparse.Namespace) -> tuple[int, str]:
     family, reference, tol = args.family, args.reference, args.tol
     delta, delta_grid, theta_grid = args.delta, args.delta_grid, args.grid
     if delta is not None and family != "3_delta":
@@ -310,38 +296,24 @@ def run_sweep(args: argparse.Namespace) -> int:
             f"crossing vs {reference}: theta/pi = {hit.theta_star / PI:.6f} "
             f"(bracket width {hit.bracket_width / PI:.2e} pi)"
         )
-
-        def write(fh: TextIO) -> None:
-            fh.write("theta_over_pi,c_3_delta,c_3,c_1,q_singlet\n")
-            for row in zip(*columns):
-                fh.write(",".join(map(format_sig, row)) + "\n")
-
-    elif family == "3_delta":
-        grid = _parse_delta_grid(delta_grid, search_mod.DELTA_GRID)
-        result = search_mod.sweep_delta(grid, reference, tol)
-        summary = (
-            f"best delta/pi = {result.best_delta / PI:.6f} with crossing "
-            f"theta/pi = {result.best_theta / PI:.6f}"
-        )
-        write = functools.partial(search_mod.sweep_to_csv, result)
+        rows = [",".join(map(format_sig, row)) + "\n" for row in zip(*columns)]
+        text = "theta_over_pi,c_3_delta,c_3,c_1,q_singlet\n" + "".join(rows)
     else:
-        grid = _parse_delta_grid(delta_grid, search_mod.TWO_DELTA_GRID)
-        result = search_mod.sweep_two_delta(grid, reference, tol)
+        grid = None if delta_grid is None else _parse_delta_grid(delta_grid)
+        result = search_mod.sweep(family, grid, reference, tol)
+        found = "crossing" if family == "3_delta" else "exit"
         summary = (
-            f"best Delta/pi = {result.best_delta / PI:.6f} with exit theta/pi = "
-            f"{result.best_theta / PI:.6f}"
+            f"best {result.parameter}/pi = {result.best_delta / PI:.6f} with "
+            f"{found} theta/pi = {result.best_theta / PI:.6f}"
         )
-        write = functools.partial(search_mod.sweep_to_csv, result)
-    # the file is opened once every number is computed, so that a failed
-    # run leaves no partial file
-    with _output(out) as fh:
-        write(fh)
+        buffer = io.StringIO()
+        search_mod.sweep_to_csv(result, buffer)
+        text = buffer.getvalue()
     print(summary, file=sys.stderr)
-    return 0
+    return 0, text
 
 
-def run_search(args: argparse.Namespace) -> int:
-    out = _out_path(args)
+def run_search(args: argparse.Namespace) -> tuple[int, str]:
     if args.theta is None:
         raise UsageError("search requires --theta (units of pi)")
     if not 0.0 < args.theta < 0.5:
@@ -354,9 +326,7 @@ def run_search(args: argparse.Namespace) -> int:
         azimuthal_only=args.azimuthal_only,
         max_iter=args.max_iter,
     )
-    with _output(out) as fh:
-        fh.write(search_mod.search_report_json(outcome) + "\n")
-    return 0
+    return 0, search_mod.search_report_json(outcome) + "\n"
 
 
 def _resolve_state(args: argparse.Namespace) -> TwoQubitState:
@@ -370,8 +340,7 @@ def _resolve_state(args: argparse.Namespace) -> TwoQubitState:
     return TwoQubitState.named(args.state)
 
 
-def run_quantum(args: argparse.Namespace) -> int:
-    out = _out_path(args)
+def run_quantum(args: argparse.Namespace) -> tuple[int, str]:
     state = _resolve_state(args)
     grid = parse_grid(args.grid)
     w = twirl(state)
@@ -382,19 +351,15 @@ def run_quantum(args: argparse.Namespace) -> int:
             for value, stderr in mc_quantum_curve(state, grid, plan)
         ]
     else:
-        rows = [(werner_correlation(w, t), "", "werner") for t in grid]
-    with _output(out) as fh:
-        fh.write("theta_over_pi,value,stderr,method,state_r\n")
-        for t, (value, stderr, method) in zip(grid, rows):
-            row = (
-                format_sig(t / PI), format_sig(value), stderr, method, format_sig(w.r)
-            )
-            fh.write(",".join(row) + "\n")
-    return 0
+        rows = [(value, "", "werner") for value in werner_correlation(w, grid).tolist()]
+    lines = ["theta_over_pi,value,stderr,method,state_r\n"]
+    for t, (value, stderr, method) in zip(grid, rows):
+        row = (format_sig(t / PI), format_sig(value), stderr, method, format_sig(w.r))
+        lines.append(",".join(row) + "\n")
+    return 0, "".join(lines)
 
 
-def run_slope(args: argparse.Namespace) -> int:
-    out = _out_path(args)
+def run_slope(args: argparse.Namespace) -> tuple[int, str]:
     label = args.colouring
     estimate = search_mod.slope_at_half_pi(_resolve_colouring(label), h=args.h)
     payload = {
@@ -405,9 +370,7 @@ def run_slope(args: argparse.Namespace) -> int:
         "c_at_half_pi": estimate.c_at_half_pi,
         "reference_abs_slope": estimate.reference,
     }
-    with _output(out) as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
-    return 0
+    return 0, json.dumps(payload, indent=2) + "\n"
 
 
 @functools.cache
@@ -527,7 +490,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             # argv[0] is the command: the top-level parser has no options
             tokens = _config_argv(args.config, args.parser)
             args = parser.parse_args([argv[0], *tokens, *argv[1:]])
-        return args.func(args)
+        out = _out_path(args)
+        code, text = args.func(args)
+        try:
+            fh = nullcontext(sys.stdout) if out is None else open(out, "w", newline="")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out!r}: {exc}") from None
+        with fh as stream:
+            stream.write(text)
+        return code
     except NumericalError as exc:  # a ValueError, but not the input's fault
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -1071,14 +1071,14 @@ def float_if_0d(values: np.ndarray) -> float | np.ndarray:
 def antisymmetric(value: Callable, theta: float | np.ndarray) -> float | np.ndarray:
     """An engine defined on [0, pi/2], extended to theta in [0, pi] by
     the antisymmetry C(pi - theta) = -C(theta).  theta goes to ``value``
-    folded into [0, pi/2] in one call; a float runs as the 0-d case and
-    gives a float."""
-    t = np.asarray(theta, dtype=float)
-    beyond = t > PI + SNAP
-    if beyond.any():
-        raise ValueError(f"theta {float(t[beyond][0])!r} outside [0, pi]")
+    clamped into [0, pi] and folded into [0, pi/2] in one call; a float
+    runs as the 0-d case and gives a float.  Any theta outside
+    [-1e-12, pi + 1e-12], nan included, raises ``ValueError``."""
+    t, bad = clamp_angles(theta, PI)
+    if bad is not None:
+        raise ValueError(f"theta={bad / PI:g}*pi outside [0, pi]")
     folded = t > HALF_PI + SNAP
-    values = value(np.where(folded, np.maximum(PI - t, 0.0), t))
+    values = value(np.where(folded, PI - t, t))
     return float_if_0d(np.where(folded, -values, values))
 
 

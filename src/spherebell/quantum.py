@@ -145,24 +145,26 @@ def _fidelity(w: float | WernerParam) -> float:
     return w.r if isinstance(w, WernerParam) else WernerParam(float(w)).r
 
 
-def werner_correlation(w: float | WernerParam, theta: float) -> float:
-    return -((4.0 * _fidelity(w) - 1.0) / 3.0) * math.cos(_check_theta(theta))
+def werner_correlation(
+    w: float | WernerParam, theta: float | np.ndarray
+) -> float | np.ndarray:
+    """-((4r - 1)/3) cos(theta) on an array of theta; a float is the 0-d case."""
+    r = _fidelity(w)
+    return float_if_0d(-((4.0 * r - 1.0) / 3.0) * np.cos(_check_theta(theta)))
 
 
-def werner_pp(w: float | WernerParam, theta: float) -> float:
-    """Probability that both parties report +1 at separation theta."""
+def werner_pp(w: float | WernerParam, theta: float | np.ndarray) -> float | np.ndarray:
+    """Probability that both parties report +1 at separation theta, on
+    an array of theta; a float is the 0-d case."""
     r = _fidelity(w)
     t = _check_theta(theta)
-    return (1.0 - r) / 3.0 + ((4.0 * r - 1.0) / 6.0) * math.sin(t / 2.0) ** 2
+    return float_if_0d((1.0 - r) / 3.0 + ((4.0 * r - 1.0) / 6.0) * np.sin(t / 2.0) ** 2)
 
 
-def pr_box_correlation(theta: float) -> float:
-    t = _check_theta(theta)
-    if t < PI / 2.0:
-        return 1.0
-    if t > PI / 2.0:
-        return -1.0
-    return 0.0
+def pr_box_correlation(theta: float | np.ndarray) -> float | np.ndarray:
+    """sign(pi/2 - theta) on an array of theta, 0 at pi/2; a float is
+    the 0-d case."""
+    return float_if_0d(np.sign(PI / 2.0 - _check_theta(theta)))
 
 
 # ---------------------------------------------------------------------------

@@ -248,68 +248,49 @@ def _first_crossing_with_sign(
     return None
 
 
-def _sweep(
-    parameter: str,
-    members: Sequence[tuple[float, Colouring]],
-    target: Callable[[np.ndarray], np.ndarray],
-    left_sign: int | None,
-    reference: str,
-    tol: float,
+# each family's parameter (its make_catalogue keyword), default grid,
+# and the left sign of the crossing reported (None: any)
+_FAMILIES = {
+    "3_delta": ("delta", DELTA_GRID, None),
+    "2_Delta": ("Delta", TWO_DELTA_GRID, -1),
+}
+
+
+def sweep(
+    family: str,
+    grid: Sequence[float] | None = None,
+    reference: str = "c1",
+    tol: float = 1e-4,
 ) -> SweepResult:
-    """First crossing (with the given left sign) of ``target`` by each
-    (parameter value, colouring) member, evaluated in closed form."""
+    """Closed-form crossing angle of each member of a deformed family
+    (``grid``: its parameters, the family's default grid when None).
 
-    def row(member: tuple[float, Colouring]) -> SweepRow:
-        value, colouring = member
+    A 3_delta member's is its first crossing of the reference; a
+    2_Delta member's is its first exit above the negated reference, as
+    colouring 2 exits the band, labelled ``neg_<reference>``.  Rows
+    without a crossing carry nan; the arg-min row is reported too.
+    """
+    if family not in _FAMILIES:
+        raise ValueError(f"family {family!r} not one of {sorted(_FAMILIES)}")
+    parameter, default, left_sign = _FAMILIES[family]
+    ref = reference_curve(reference)
+    if left_sign is None:
+        target, label = ref, reference
+    else:
+        target, label = (lambda t: -ref(t)), f"neg_{reference}"
+    members = [
+        (float(d), make_catalogue(family, **{parameter: float(d)}))
+        for d in (default if grid is None else grid)
+    ]
+    rows = []
+    for value, colouring in members:
         star = _first_crossing_with_sign(colouring, target, left_sign, tol)
-        return SweepRow(value, math.nan if star is None else star)
-
-    rows = tuple(row(m) for m in members)
+        rows.append(SweepRow(value, math.nan if star is None else star))
     finite = [(r.theta_star, r.delta) for r in rows if not math.isnan(r.theta_star)]
     if not finite:
-        raise NoCrossingError(f"no {parameter} in the grid crosses {reference}")
+        raise NoCrossingError(f"no {parameter} in the grid crosses {label}")
     best_theta, best_delta = min(finite)
-    return SweepResult(
-        reference=reference,
-        rows=rows,
-        best_delta=best_delta,
-        best_theta=best_theta,
-        parameter=parameter,
-    )
-
-
-def sweep_delta(
-    delta_grid: Sequence[float] = DELTA_GRID,
-    reference: str = "c1",
-    tol: float = 1e-4,
-) -> SweepResult:
-    """Crossing angle of the deformed three-band family against a
-    reference curve, for each deformation in the grid.
-
-    Rows without a crossing carry nan; the arg-min row is reported
-    alongside the table.
-    """
-    target = reference_curve(reference)
-    members = [
-        (float(d), make_catalogue("3_delta", delta=float(d))) for d in delta_grid
-    ]
-    return _sweep("delta", members, target, None, reference, tol)
-
-
-def sweep_two_delta(
-    two_delta_grid: Sequence[float] = TWO_DELTA_GRID,
-    reference: str = "c1",
-    tol: float = 1e-4,
-) -> SweepResult:
-    """Upper exit angle of the widened two-band family: for each Delta in
-    the grid, the first angle where C(theta) rises above the negated
-    reference curve, as colouring 2 does.
-    """
-    ref = reference_curve(reference)
-    members = [
-        (float(d), make_catalogue("2_Delta", Delta=float(d))) for d in two_delta_grid
-    ]
-    return _sweep("Delta", members, lambda t: -ref(t), -1, f"neg_{reference}", tol)
+    return SweepResult(label, tuple(rows), best_delta, best_theta, parameter)
 
 
 def sweep_to_csv(result: SweepResult, fh) -> None:
@@ -368,12 +349,12 @@ def estimate_theta_max(
         if above is not None:
             s_candidates.append((above, label))
 
-    sweep = sweep_delta(delta_grid, "c1", tol)
-    w_candidates.append((sweep.best_theta, f"3_delta:{sweep.best_delta / PI:g}"))
-    s_candidates.append((sweep.best_theta, f"3_delta:{sweep.best_delta / PI:g}"))
+    deformed = sweep("3_delta", delta_grid, "c1", tol)
+    w_candidates.append((deformed.best_theta, f"3_delta:{deformed.best_delta / PI:g}"))
+    s_candidates.append((deformed.best_theta, f"3_delta:{deformed.best_delta / PI:g}"))
 
     if include_two_delta:
-        widened = sweep_two_delta(two_delta_grid, "c1", tol)
+        widened = sweep("2_Delta", two_delta_grid, "c1", tol)
         s_candidates.extend(
             (r.theta_star, f"2_Delta:{r.delta / PI:g}")
             for r in widened.rows

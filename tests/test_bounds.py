@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from spherebell import bounds
 from spherebell.bounds import (
     BoundReport,
     ChainCorrelations,
     braunstein_caves_value,
+    chain_bounds,
     chain_length_for,
     chsh_value,
     lemma1_bounds,
@@ -156,6 +158,39 @@ class TestTheorem1:
         for n in range(2, 9):
             t = PI / (2 * n)
             assert abs(closed_form("1", t) - theorem1_bounds(t).lower) <= 1e-15
+
+
+    def test_chain_bounds_array_is_the_scalar_rule(self):
+        # one array call gives, element by element, N = max(2, ceil(pi /
+        # 2 theta)) snapped within 1e-12 of pi / 2n and the bound 1 - 1/N,
+        # 0 within 1e-12 of pi/2: the rule theorem1_bounds applied one
+        # float at a time
+        def scalar(t):
+            clamped = min(t, PI / 2)
+            ratio = PI / (2.0 * clamped)
+            nearest = round(ratio)
+            snapped = abs(clamped - PI / (2.0 * nearest)) < 1e-12
+            n = max(2, nearest if snapped else math.ceil(ratio))
+            return n, 0.0 if abs(t - PI / 2) < 1e-12 else 1.0 - 1.0 / n
+
+        thetas = np.concatenate((
+            np.linspace(0.001 * PI, 0.5 * PI, 301),
+            [PI / (2 * n) * (1.0 - 1e-15) for n in range(2, 41)],
+            [PI / (2 * n) + 2e-12 for n in range(2, 41)],
+            [PI / 2 - 0.5e-12, PI / 2 + 0.5e-12],
+        ))
+        chains, uppers = chain_bounds(thetas)
+        assert chains.dtype.kind == "i"
+        assert list(zip(chains.tolist(), uppers.tolist())) == [
+            scalar(t) for t in thetas.tolist()
+        ]
+        n, upper = chain_bounds(0.3 * PI)
+        assert (n.shape, upper.shape) == ((), ())
+        with pytest.raises(ValueError, match="theta 0.0 outside"):
+            chain_bounds(np.array([0.3, 0.0]))
+
+    def test_right_angle_lower_is_positive_zero(self):
+        assert math.copysign(1.0, theorem1_bounds(PI / 2).lower) == 1.0
 
 
 class TestLemma1:
@@ -308,6 +343,21 @@ class TestVerify:
     def test_grid_of_theta_zero_alone_checks_nothing(self, method):
         plan = SamplingPlan(1, 1000) if method == "mc" else None
         assert verify_colouring(make_catalogue("2"), [0.0, 1e-13], method, plan=plan) == []
+
+    def test_chain_bounds_are_one_call_per_curve(self, monkeypatch):
+        calls = []
+        exact = bounds.chain_bounds
+
+        def counted(theta):
+            calls.append(np.shape(theta))
+            return exact(theta)
+
+        monkeypatch.setattr(bounds, "chain_bounds", counted)
+        grid = np.linspace(0.01 * PI, 0.5 * PI, 50)
+        reports = verify_colouring(make_catalogue(3), grid, "closed_form")
+        assert calls == [(50,)]
+        chain = [r for r in reports if r.source == "theorem1"]
+        assert [r.upper for r in chain] == exact(grid)[1].tolist()
 
     def test_saturation_at_chain_angles(self):
         grid = [PI / 8, 0.2 * PI, PI / 4]

@@ -938,6 +938,14 @@ class TestCurveFor:
         with pytest.raises(ValueError, match="outside"):
             fold(PI + 1e-9)
 
+    @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+    @pytest.mark.parametrize("theta", [-0.1, math.nan])
+    def test_negative_or_nan_theta_is_rejected(self, method, theta):
+        # the quadrature engine used to read theta < SNAP, nan included,
+        # as theta = 0 and return -1
+        with pytest.raises(ValueError, match=r"outside \[0, pi\]"):
+            curve_for(make_catalogue("3"), [theta], method)
+
     def test_closed_form_uses_the_colouring_not_its_label(self):
         # the label rounds delta to 6 digits: -pi/18 would leave the range
         edge = make_catalogue("3_delta", delta=-PI / 18)

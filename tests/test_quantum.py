@@ -348,6 +348,31 @@ class TestHaarSampling:
             assert np.max(np.abs(averaged - expected)) < 4.0 / math.sqrt(n)
 
 
+@pytest.mark.parametrize(
+    "curve",
+    [
+        lambda t: werner_correlation(0.7, t),
+        lambda t: werner_pp(0.7, t),
+        pr_box_correlation,
+    ],
+    ids=["werner_correlation", "werner_pp", "pr_box_correlation"],
+)
+def test_array_curve_is_its_float_calls(curve):
+    grid = np.concatenate((np.linspace(0.0, PI, 101), [PI / 2, 1e-13, PI + 1e-13]))
+    values = curve(grid)
+    floats = [curve(t) for t in grid.tolist()]
+    assert all(type(v) is float for v in floats)
+    assert values.shape == grid.shape
+    assert values.tolist() == floats
+    assert [math.copysign(1.0, v) for v in values.tolist()] == [
+        math.copysign(1.0, v) for v in floats
+    ]
+
+
+def test_pr_box_is_positive_zero_at_right_angle():
+    assert math.copysign(1.0, pr_box_correlation(PI / 2)) == 1.0
+
+
 def test_pr_box_reference():
     assert pr_box_correlation(PI / 4) == 1.0
     assert pr_box_correlation(PI / 2) == 0.0

@@ -46,7 +46,7 @@ from spherebell.search import (
     reference_curve,
     search_report_json,
     slope_at_half_pi,
-    sweep_delta,
+    sweep,
     sweep_to_csv,
 )
 
@@ -301,7 +301,7 @@ class TestSweepDelta:
     GRID = (-0.046 * PI, -0.038 * PI, 0.0)
 
     def test_against_linear_law(self):
-        result = sweep_delta(self.GRID, "c1", tol=1e-6)
+        result = sweep("3_delta", self.GRID, "c1", tol=1e-6)
         stars = {round(r.delta / PI, 3): r.theta_star for r in result.rows}
         assert stars[0.0] == pytest.approx(0.405 * PI, abs=0.003 * PI)
         assert stars[-0.038] == pytest.approx(0.386 * PI, abs=0.003 * PI)
@@ -310,7 +310,7 @@ class TestSweepDelta:
         assert result.best_theta == min(r.theta_star for r in result.rows)
 
     def test_against_quantum_curve(self):
-        result = sweep_delta(self.GRID, "singlet", tol=1e-6)
+        result = sweep("3_delta", self.GRID, "singlet", tol=1e-6)
         stars = {round(r.delta / PI, 3): r.theta_star for r in result.rows}
         assert stars[-0.046] == pytest.approx(0.431 * PI, abs=0.003 * PI)
         assert result.best_delta == pytest.approx(-0.046 * PI, abs=1e-12)
@@ -337,16 +337,20 @@ class TestSweepDelta:
 
     def test_rejects_out_of_range_delta(self):
         with pytest.raises(ValueError):
-            sweep_delta([0.1 * PI], "c1")
+            sweep("3_delta", [0.1 * PI], "c1")
         with pytest.raises(ValueError):
-            sweep_delta([-0.06 * PI], "c1")
+            sweep("3_delta", [-0.06 * PI], "c1")
 
     def test_rejects_unknown_reference(self):
         with pytest.raises(ValueError):
-            sweep_delta([0.0], "chsh")
+            sweep("3_delta", [0.0], "chsh")
+
+    def test_rejects_unknown_family(self):
+        with pytest.raises(ValueError, match="family '4_delta'"):
+            sweep("4_delta")
 
     def test_csv_layout(self):
-        result = sweep_delta((0.0,), "c1", tol=1e-5)
+        result = sweep("3_delta", (0.0,), "c1", tol=1e-5)
         buf = io.StringIO()
         sweep_to_csv(result, buf)
         lines = buf.getvalue().splitlines()
