@@ -106,14 +106,13 @@ def braunstein_caves_value(chain: ChainCorrelations) -> float:
     return abs(sum(chain.diagonal) + sum(chain.offdiagonal) - chain.wrap)
 
 
-def _snapped(t: float, k: float, rounding: Callable[[float], int]) -> int:
-    """rounding(pi / (k t)), except that a t within SNAP of pi / (k n)
-    gives that n."""
+def _snapped(t: float | np.ndarray, k: float, rounding: Callable) -> np.ndarray:
+    """rounding(pi / (k t)), as floats, except that a t within SNAP of
+    pi / (k n) gives that n; ``rounding`` is ``np.ceil`` or
+    ``np.floor``."""
     ratio = PI / (k * t)
-    nearest = round(ratio)
-    if abs(t - PI / (k * nearest)) < SNAP:
-        return nearest
-    return rounding(ratio)
+    nearest = np.round(ratio)
+    return np.where(np.abs(t - PI / (k * nearest)) < SNAP, nearest, rounding(ratio))
 
 
 def chain_bounds(theta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,11 +124,7 @@ def chain_bounds(theta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if outside.size:
         raise ValueError(f"theta {float(outside[0])!r} outside (0, pi/2]")
     at_half_pi = np.abs(t - HALF_PI) < SNAP
-    t = np.minimum(t, HALF_PI)
-    ratio = PI / (2.0 * t)
-    nearest = np.round(ratio)
-    snapped = np.abs(t - PI / (2.0 * nearest)) < SNAP
-    n = np.maximum(np.where(snapped, nearest, np.ceil(ratio)), 2.0)
+    n = np.maximum(_snapped(np.minimum(t, HALF_PI), 2.0, np.ceil), 2.0)
     return n.astype(int), np.where(at_half_pi, 0.0, 1.0 - 1.0 / n)
 
 
@@ -184,7 +179,7 @@ def lemma2_bound(theta: float, gamma: float) -> float:
     g = float(gamma)
     if not -SNAP <= g <= 1.0 + SNAP:
         raise ValueError(f"gamma {g!r} outside [0, 1]")
-    return -1.0 + 2.0 / _snapped(t, 1.0, math.ceil) - 2.0 * g
+    return -1.0 + 2.0 / int(_snapped(t, 1.0, np.ceil)) - 2.0 * g
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,7 @@ def lemma3_reflection_angles(theta: float) -> list[ReflectionAngle]:
     if not SNAP < t <= HALF_PI + SNAP:
         raise ValueError(f"theta {t!r} outside (0, pi/2]")
     t = min(t, HALF_PI)
-    m = _snapped(t, 1.0, math.floor)
+    m = int(_snapped(t, 1.0, np.floor))
     out = []
     for j in range(1, m):
         theta_j = PI / (m + 1 - j) - t

@@ -17,12 +17,14 @@ which narrows the polar cap band and widens its antipodal image).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .geometry import arccos_clamped_array, clamp_cos, unit_vectors
 
@@ -36,8 +38,10 @@ class Colouring(Protocol):
     ``correlation.Draws`` reads an azimuthally symmetric colouring by
     ``evaluate_cos`` (values from cos(polar) alone) and any other by
     ``evaluate_vectors`` (values at Cartesian unit vectors), for Monte
-    Carlo and the sampled checks; the exact engines read its colour
-    flips by ``evaluate_polar`` (values from the polar angle).
+    Carlo and the sampled checks.  The exact engines read the ``flips``
+    record (north value, flip angles) of an azimuthal colouring, which
+    is no member here: a non-azimuthal harmonic's raises ``ValueError``,
+    which ``isinstance`` does not catch on Python 3.10 and 3.11.
     """
 
     label: str
@@ -77,13 +81,15 @@ class BandColouring:
             prev_hi = hi
         object.__setattr__(self, "plus_bands", bands)
 
-    @property
-    def edges(self) -> tuple[float, ...]:
-        """All band endpoints in (0, pi), sorted."""
-        out = sorted(
-            {v for band in self.plus_bands for v in band if EDGE_TOL < v < math.pi - EDGE_TOL}
-        )
-        return tuple(out)
+    @functools.cached_property
+    def flips(self) -> tuple[int, tuple[float, ...]]:
+        """(value at the north pole, sorted polar angles in (0, pi) where
+        the colour flips).  The flips are the band endpoints in (0, pi)
+        that exactly one band owns: where two bands touch, both sides
+        are +1.  No endpoint is trimmed near a pole."""
+        ends = [v for band in self.plus_bands for v in band if 0.0 < v < math.pi]
+        flips = tuple(sorted(v for v in set(ends) if ends.count(v) == 1))
+        return (1 if self.plus_bands[0][0] == 0.0 else -1), flips
 
     def evaluate_polar(self, eps: np.ndarray) -> np.ndarray:
         """Vectorized value from the polar angle alone."""
@@ -102,30 +108,26 @@ class BandColouring:
         ``evaluate_polar(arccos_clamped_array(x))``, mostly without the
         arccos.
 
-        arccos is decreasing, so the band [lo, hi] holds the x in
-        [cos hi, cos lo], and a sample farther than EDGE_TOL from every
-        edge cosine is decided by comparing it with them: since
-        |d arccos / dx| >= 1, its polar angle is also farther than
-        EDGE_TOL from every edge, which rounding cannot bridge.  The
-        samples within EDGE_TOL of an edge cosine, of -1 or of 1, or
-        beyond +-1 (where the drift check of ``arccos_clamped_array``
-        raises) take the arccos path.
+        arccos is decreasing, so a sample x < cos v - EDGE_TOL lies
+        below the flip v, and the colour is north times -1 for each
+        flip below it.  A sample farther than EDGE_TOL from every flip
+        cosine is decided so: since |d arccos / dx| >= 1, its polar
+        angle is also farther than EDGE_TOL from every flip, which
+        rounding cannot bridge.  Where two bands touch, both sides are
+        +1, so no sample needs a check there.  The samples within
+        EDGE_TOL of a flip cosine, of -1 or of 1, beyond +-1 (where
+        the drift check of ``arccos_clamped_array`` raises) or nan take
+        the arccos path.
         """
         x = np.asarray(x, dtype=float)
-        near = (x >= 1.0 - EDGE_TOL) | (x <= EDGE_TOL - 1.0)
-        # above[v] is x > cos(v), i.e. alpha < v, away from the edge v;
-        # edges at the poles bound alpha trivially and need no mask
-        above = {}
-        for v in {v for band in self.plus_bands for v in band if 0.0 < v < math.pi}:
+        north, flips = self.flips
+        near = ~(np.abs(x) < 1.0 - EDGE_TOL)
+        plus = np.full(x.shape, north > 0)
+        for v in flips:
             c = math.cos(v)
-            above[v] = x > c + EDGE_TOL
-            near |= (x >= c - EDGE_TOL) ^ above[v]
-        plus = np.zeros(x.shape, dtype=bool)
-        for lo, hi in self.plus_bands:
-            inside = np.ones(x.shape, dtype=bool) if hi == math.pi else above[hi]
-            if lo > 0.0:
-                inside = inside & ~above[lo]
-            plus |= inside
+            below = x < c - EDGE_TOL
+            near |= (x <= c + EDGE_TOL) ^ below
+            plus ^= below
         values = 2 * plus.astype(np.int64) - 1
         if near.any():
             values[near] = self.evaluate_polar(arccos_clamped_array(x[near]))
@@ -232,6 +234,29 @@ class HarmonicColouring:
 
     def evaluate_polar(self, eps: np.ndarray) -> np.ndarray:
         return self.evaluate_cos(np.cos(np.asarray(eps, dtype=float)))
+
+    @functools.cached_property
+    def flips(self) -> tuple[int, tuple[float, ...]]:
+        """(value at the north pole, sorted polar angles where the colour
+        flips) of an m = 0 harmonic, the sign of the Legendre series
+        sum_l c_l sqrt((2l + 1) / 4 pi) P_l(cos eps): the arccos of its
+        real roots in (-1, 1), each polished by one Newton step, where
+        the midpoints on either side differ in colour.  Any other
+        harmonic raises ``ValueError``."""
+        if not self.is_azimuthal:
+            raise ValueError("colouring is not azimuthally symmetric")
+        series = np.zeros(max(l for l, _, _ in self.terms) + 1)
+        for l, _, coefficient in self.terms:
+            series[l] += coefficient * math.sqrt((2 * l + 1) / (4.0 * math.pi))
+        roots = legendre.legroots(series)
+        roots = roots.real[(roots.imag == 0.0) & (np.abs(roots.real) < 1.0)]
+        slope = legendre.legval(roots, legendre.legder(series))
+        roots = roots - legendre.legval(roots, series) / np.where(slope == 0.0, np.inf, slope)
+        edges = sorted(float(v) for v in np.arccos(np.clip(roots, -1.0, 1.0)))
+        bounds = np.array([0.0, *edges, math.pi])
+        values = self.evaluate_polar(0.5 * (bounds[:-1] + bounds[1:]))
+        flips = tuple(v for v, lo, hi in zip(edges, values[:-1], values[1:]) if lo != hi)
+        return int(values[0]), flips
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -340,6 +365,11 @@ class Negated:
     def is_azimuthal(self) -> bool:
         return self.inner.is_azimuthal
 
+    @property
+    def flips(self) -> tuple[int, tuple[float, ...]]:
+        north, flips = self.inner.flips
+        return -north, flips
+
     def evaluate_polar(self, eps: np.ndarray) -> np.ndarray:
         return -self.inner.evaluate_polar(eps)
 
@@ -400,49 +430,35 @@ def make_catalogue(
     if name == "hemisphere":
         name = "1"
 
-    pi = math.pi
-    if name == "1":
-        return BandColouring(((0.0, pi / 2),), label="1")
-    if name == "2":
-        return BandColouring(((0.0, pi / 4), (pi / 2, 3 * pi / 4)), label="2")
-    if name == "3":
-        return BandColouring(
-            ((0.0, pi / 6), (pi / 3, pi / 2), (2 * pi / 3, 5 * pi / 6)), label="3"
-        )
-    if name == "4":
-        return BandColouring(
-            (
-                (0.0, pi / 8),
-                (pi / 4, 3 * pi / 8),
-                (pi / 2, 5 * pi / 8),
-                (3 * pi / 4, 7 * pi / 8),
-            ),
-            label="4",
-        )
+    def bands(k: int) -> list[list[float]]:
+        # label k: the plus bands [j pi / 2k, (j + 1) pi / 2k], j even
+        ends = [j * math.pi / (2 * k) for j in range(2 * k)]
+        return [ends[j : j + 2] for j in range(0, 2 * k, 2)]
+
+    if name in ("1", "2", "3", "4"):
+        return BandColouring(bands(int(name)), label=name)
     if name == "3_delta":
         if delta is None:
             raise ValueError("label 3_delta requires the delta parameter")
         d = float(delta)
         if not DELTA_RANGE[0] - 1e-12 <= d <= DELTA_RANGE[1] + 1e-12:
             raise ValueError(f"delta {d!r} outside [-pi/18, pi/24]")
-        return BandColouring(
-            ((0.0, pi / 6 + d), (pi / 3, pi / 2), (2 * pi / 3, 5 * pi / 6 - d)),
-            label=f"3_delta:{d / pi:g}",
-        )
-    if name == "2_Delta":
+        plus, moves, tag = bands(3), (d, -d), f"3_delta:{d / math.pi:g}"
+    elif name == "2_Delta":
         if Delta is None:
             raise ValueError("label 2_Delta requires the Delta parameter")
         d = float(Delta)
         if not DELTA_CAP_RANGE[0] - 1e-12 <= d <= DELTA_CAP_RANGE[1] + 1e-12:
             raise ValueError(f"Delta {d!r} outside [0, pi/12]")
-        # The polar cap band shrinks by Delta; the southern bands are the
-        # antipodal complement of the northern half, so the band starting
-        # at pi/2 stretches to 3pi/4 + Delta.
-        return BandColouring(
-            ((0.0, pi / 4 - d), (pi / 2, 3 * pi / 4 + d)),
-            label=f"2_Delta:{d / pi:g}",
-        )
-    raise ValueError(f"unknown catalogue label {label!r}")
+        # the polar cap band shrinks by Delta and its antipodal image,
+        # the band starting at pi/2, stretches to 3pi/4 + Delta
+        plus, moves, tag = bands(2), (-d, d), f"2_Delta:{d / math.pi:g}"
+    else:
+        raise ValueError(f"unknown catalogue label {label!r}")
+    # the deformations move the end of the first and of the last band
+    plus[0][1] += moves[0]
+    plus[-1][1] += moves[1]
+    return BandColouring(plus, label=tag)
 
 
 def catalogue_labels() -> tuple[str, ...]:

@@ -39,10 +39,11 @@ compute it:
 Every theta-taking function here has one array body; a float theta
 runs as the 0-d case of the array path and gives a float.
 
-The two exact engines share one validated, cached pass over the
-colouring (``_flips_of``): its value at the north pole and the polar
-angles where its colour flips.  The Monte Carlo event path reads a
-band bob's flips with the same midpoint test (``_flips_at``).
+The two exact engines read the colouring's ``flips`` record, its value
+at the north pole and the polar angles where its colour flips, through
+one validated, cached pass (``_flips_of``).  The Monte Carlo event path
+reads a band bob's record, and the sampled antipodality check thins at
+a band colouring's flip cosines.
 
 Shared plumbing: the sampled gamma and antipodality checks, curve
 containers, antisymmetry extension to [0, pi], finite mixtures, the
@@ -59,7 +60,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from .colourings import (
     EDGE_TOL,
@@ -285,15 +285,13 @@ EVENT_POINTS_PER_FLIP = 8
 def _event_flips(bob: Colouring) -> tuple[tuple[float, int], ...] | None:
     """(cos v, jump) for each colour flip v of a band bob or of its
     colour swap, where jump = +-2 is the change of his colour as his
-    polar angle rises through v; None for any other bob.  Every band
-    endpoint in (0, pi) is a candidate for :func:`_flips_at`, none
-    trimmed near a pole; touching bands are no flip.  Flips alternate,
-    so the jump at flip i is -2 north (-1)^i."""
+    polar angle rises through v; None for any other bob, since an
+    m = 0 harmonic's flips are roots correct only to rounding.  Flips
+    alternate, so the jump at flip i is -2 north (-1)^i."""
     core = bob.inner if isinstance(bob, Negated) else bob
     if not isinstance(core, BandColouring):
         return None
-    ends = sorted({v for band in core.plus_bands for v in band if 0.0 < v < PI})
-    north, flips = _flips_at(bob, ends)
+    north, flips = bob.flips
     return tuple((math.cos(v), -2 * north * (-1) ** i) for i, v in enumerate(flips))
 
 
@@ -540,10 +538,7 @@ def correlation_mc_grid(
     (about 2.5e-8 for a random unit coefficient vector over every (l, m)
     with l <= 5), are read per theta, so every sum is the same integer.
     """
-    grid = [float(t) for t in thetas]
-    for t in grid:
-        if not 0.0 <= t <= PI + SNAP:
-            raise ValueError(f"theta {t!r} outside [0, pi]")
+    grid = checked_theta([float(t) for t in thetas]).tolist()
     if not grid:
         return []
     pair = _as_pair(c)
@@ -580,44 +575,20 @@ def correlation_mc(
 
 
 # ---------------------------------------------------------------------------
-# Polar edge extraction (bands exactly; m = 0 harmonics from Legendre roots)
-
-
-def polar_edges(c: Colouring) -> tuple[float, ...]:
-    """Sign-change polar angles of an azimuthally symmetric colouring.
-
-    Band colourings report their band endpoints exactly.  An m = 0
-    harmonic colouring is the sign of the Legendre series
-    sum_l c_l sqrt((2l + 1) / 4 pi) P_l(cos eps); its edges are the
-    arccos of the series' real roots in (-1, 1), each polished by one
-    Newton step.
-    """
-    core = c.inner if isinstance(c, Negated) else c
-    if isinstance(core, BandColouring):
-        return core.edges
-    if not c.is_azimuthal:
-        raise ValueError("colouring is not azimuthally symmetric")
-    series = np.zeros(max(l for l, _, _ in core.terms) + 1)
-    for l, _, coefficient in core.terms:
-        series[l] += coefficient * math.sqrt((2 * l + 1) / (4.0 * PI))
-    roots = legendre.legroots(series)
-    roots = roots.real[(roots.imag == 0.0) & (np.abs(roots.real) < 1.0)]
-    slope = legendre.legval(roots, legendre.legder(series))
-    roots = roots - legendre.legval(roots, series) / np.where(slope == 0.0, np.inf, slope)
-    return tuple(sorted(float(v) for v in np.arccos(np.clip(roots, -1.0, 1.0))))
+# The flip record of the exact engines
 
 
 @functools.lru_cache(maxsize=256)
 def _flips_of(
     c: Colouring | str | int, delta: float | None = None
 ) -> tuple[int, tuple[float, ...]]:
-    """(value at the north pole, polar angles where the colour flips) of
-    a colouring or catalogue label (``delta`` as in :func:`closed_form`).
+    """The ``flips`` record (value at the north pole, polar angles where
+    the colour flips) of a colouring or catalogue label (``delta`` as in
+    :func:`closed_form`).
 
     Checks the exact engines' preconditions: the colouring must be
-    azimuthally symmetric and antipodal.  Band endpoints where two plus
-    bands touch are not flips and are dropped, so consecutive flips
-    alternate, and the K flips f_i are antipodal when K is odd and each
+    azimuthally symmetric and antipodal.  Consecutive flips alternate,
+    and the K flips f_i are antipodal when K is odd and each
     f_i + f_(K-1-i) is within 1e-9 of pi.
     """
     if isinstance(c, (str, int)):
@@ -626,22 +597,11 @@ def _flips_of(
         raise ValueError(
             f"exact engines need an azimuthally symmetric colouring, got {c.label!r}"
         )
-    north, flips = _flips_at(c, polar_edges(c))
+    north, flips = c.flips
     pairs = zip(flips, reversed(flips))
     if len(flips) % 2 == 0 or any(abs(lo + hi - PI) > 1e-9 for lo, hi in pairs):
         raise ValueError(f"colouring {c.label!r} is not antipodal")
     return north, flips
-
-
-def _flips_at(c: Colouring, edges: Sequence[float]) -> tuple[int, tuple[float, ...]]:
-    """(value at the north pole, the edges where the colour flips) of a
-    colouring whose colour can change only at the sorted polar angles
-    ``edges`` in (0, pi): an edge is a flip when the midpoints of the
-    intervals on either side of it differ in colour."""
-    bounds = np.array([0.0, *edges, PI])
-    values = c.evaluate_polar(0.5 * (bounds[:-1] + bounds[1:]))
-    flips = tuple(v for v, lo, hi in zip(edges, values[:-1], values[1:]) if lo != hi)
-    return int(values[0]), flips
 
 
 # ---------------------------------------------------------------------------
@@ -853,6 +813,16 @@ def clamp_angles(
     t = np.asarray(theta, dtype=float)
     outside = t[~((-SNAP <= t) & (t <= top + SNAP))]
     return np.clip(t, 0.0, top), (float(outside[0]) if outside.size else None)
+
+
+def checked_theta(theta: float | np.ndarray) -> np.ndarray:
+    """theta as an array clamped into [0, pi] by :func:`clamp_angles`.
+    Any theta outside [-1e-12, pi + 1e-12], nan included, raises
+    ``ValueError`` naming the first in units of pi."""
+    t, bad = clamp_angles(theta, PI)
+    if bad is not None:
+        raise ValueError(f"theta={bad / PI:g}*pi outside [0, pi]")
+    return t
 
 
 # rows per engine block, which bounds its temporary arrays
@@ -1072,11 +1042,9 @@ def antisymmetric(value: Callable, theta: float | np.ndarray) -> float | np.ndar
     """An engine defined on [0, pi/2], extended to theta in [0, pi] by
     the antisymmetry C(pi - theta) = -C(theta).  theta goes to ``value``
     clamped into [0, pi] and folded into [0, pi/2] in one call; a float
-    runs as the 0-d case and gives a float.  Any theta outside
-    [-1e-12, pi + 1e-12], nan included, raises ``ValueError``."""
-    t, bad = clamp_angles(theta, PI)
-    if bad is not None:
-        raise ValueError(f"theta={bad / PI:g}*pi outside [0, pi]")
+    runs as the 0-d case and gives a float.  theta is checked by
+    :func:`checked_theta`."""
+    t = checked_theta(theta)
     folded = t > HALF_PI + SNAP
     values = value(np.where(folded, PI - t, t))
     return float_if_0d(np.where(folded, -values, values))
@@ -1165,7 +1133,7 @@ def check_antipodal(
     """Sampled antipodality check: c(-a) must equal -c(a), with ``c``
     read by :func:`_reader` at the axes a of :func:`_sampled_axes` and
     at their exact negations.  A band colouring (or its swap) redraws
-    axes whose polar cosine is within EDGE_TOL of +-(an edge cosine),
+    axes whose polar cosine is within EDGE_TOL of +-(a flip cosine),
     where either colour is legitimate.  A harmonic needs no thinning:
     every step of ``harmonic_rows`` and of the term-order sum is
     sign-symmetric in IEEE arithmetic, so its amplitude at -a is
@@ -1173,7 +1141,7 @@ def check_antipodal(
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     core = c.inner if isinstance(c, Negated) else c
-    edges = np.abs(np.cos(core.edges)) if isinstance(core, BandColouring) else []
+    edges = np.abs(np.cos(c.flips[1])) if isinstance(core, BandColouring) else []
     read = _reader(c)
     tested = violations = 0
     while tested < n_samples:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correlation import SamplingPlan, clamp_angles, float_if_0d
+from .correlation import SamplingPlan, checked_theta, float_if_0d
 from .geometry import cos_sin, partner_frame
 
 PI = math.pi
@@ -46,15 +46,6 @@ _PAULI = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]]),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
-
-
-def _check_theta(theta: float | np.ndarray) -> np.ndarray:
-    """theta as an array clamped into [0, pi] (a float gives the 0-d
-    case).  Raises ValueError if any theta lies outside."""
-    t, bad = clamp_angles(theta, PI)
-    if bad is not None:
-        raise ValueError(f"theta {bad!r} outside [0, pi]")
-    return t
 
 
 @dataclass(frozen=True)
@@ -138,7 +129,7 @@ def twirl(state: TwoQubitState) -> WernerParam:
 
 def singlet_correlation(theta: float | np.ndarray) -> float | np.ndarray:
     """Q(theta) = -cos(theta) on an array of theta; a float is the 0-d case."""
-    return float_if_0d(-np.cos(_check_theta(theta)))
+    return float_if_0d(-np.cos(checked_theta(theta)))
 
 
 def _fidelity(w: float | WernerParam) -> float:
@@ -150,21 +141,21 @@ def werner_correlation(
 ) -> float | np.ndarray:
     """-((4r - 1)/3) cos(theta) on an array of theta; a float is the 0-d case."""
     r = _fidelity(w)
-    return float_if_0d(-((4.0 * r - 1.0) / 3.0) * np.cos(_check_theta(theta)))
+    return float_if_0d(-((4.0 * r - 1.0) / 3.0) * np.cos(checked_theta(theta)))
 
 
 def werner_pp(w: float | WernerParam, theta: float | np.ndarray) -> float | np.ndarray:
     """Probability that both parties report +1 at separation theta, on
     an array of theta; a float is the 0-d case."""
     r = _fidelity(w)
-    t = _check_theta(theta)
+    t = checked_theta(theta)
     return float_if_0d((1.0 - r) / 3.0 + ((4.0 * r - 1.0) / 6.0) * np.sin(t / 2.0) ** 2)
 
 
 def pr_box_correlation(theta: float | np.ndarray) -> float | np.ndarray:
     """sign(pi/2 - theta) on an array of theta, 0 at pi/2; a float is
     the 0-d case."""
-    return float_if_0d(np.sign(PI / 2.0 - _check_theta(theta)))
+    return float_if_0d(np.sign(PI / 2.0 - checked_theta(theta)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +247,7 @@ def mc_quantum_curve(
     the same expectation) at rounding level.  The result depends only
     on the plan.
     """
-    grid = _check_theta(thetas).tolist()
+    grid = checked_theta(thetas).tolist()
     tensor = spin_tensor(state)
     n, mean, scatter = 0, np.zeros(2), np.zeros((2, 2))
     for index, length in plan.chunks():

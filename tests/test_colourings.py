@@ -11,6 +11,7 @@ from spherical_harmonic_oracle import real_spherical_harmonic as oracle_harmonic
 
 from spherebell.colourings import (
     BandColouring,
+    Colouring,
     ColouringPair,
     HarmonicColouring,
     Negated,
@@ -131,7 +132,29 @@ class TestBandColouring:
 
     def test_edges_property(self):
         c = make_catalogue(2)
-        assert np.allclose(c.edges, (PI / 4, PI / 2, 3 * PI / 4))
+        assert c.flips == (1, (PI / 4, PI / 2, 3 * PI / 4))
+        assert BandColouring(((0.3, 0.5 * PI),)).flips == (-1, (0.3, 0.5 * PI))
+
+    def test_touching_bands_share_no_flip(self):
+        # both sides of a shared endpoint are +1, so it is no flip
+        c = BandColouring(((0.0, 0.2 * PI), (0.2 * PI, 0.3 * PI), (0.5 * PI, PI)))
+        assert c.flips == (1, (0.3 * PI, 0.5 * PI))
+
+    def test_negated_record(self):
+        c = make_catalogue(3)
+        north, flips = c.flips
+        assert Negated(c).flips == (-north, flips)
+        h = HarmonicColouring(((3, 0, 1.0), (1, 0, 0.4)))
+        assert Negated(h).flips == (-h.flips[0], h.flips[1])
+
+    def test_non_azimuthal_harmonic_has_no_record(self):
+        h = HarmonicColouring(((1, 1, 1.0),))
+        with pytest.raises(ValueError, match="not azimuthally symmetric"):
+            h.flips
+        with pytest.raises(ValueError, match="not azimuthally symmetric"):
+            Negated(h).flips
+        # flips is no member of the runtime-checkable protocol
+        assert isinstance(h, Colouring) and isinstance(Negated(h), Colouring)
 
     def test_rejects_empty_and_bad_bands(self):
         with pytest.raises(ValueError):
@@ -204,6 +227,11 @@ class TestEvaluateCos:
         for colouring in (c, Negated(c)):
             expected = colouring.evaluate_polar(arccos_clamped_array(x))
             assert np.array_equal(colouring.evaluate_cos(x), expected)
+
+    def test_nan_takes_the_arccos_path(self):
+        # a band reaching the south pole used to read nan as +1
+        c = BandColouring(((0.2, PI),))
+        self.assert_matches_arccos_path(c, np.array([math.nan, 0.5]))
 
     @pytest.mark.parametrize("c", COLOURINGS)
     def test_edge_cosines_and_their_neighbours(self, c):

@@ -46,7 +46,6 @@ from spherebell.correlation import (
     format_sig,
     gamma_of,
     mixture_correlation,
-    polar_edges,
     read_curve_csv,
     write_curve_csv,
 )
@@ -564,7 +563,7 @@ EXACT_ENGINE_CASES = [
 @pytest.mark.parametrize("colouring", EXACT_ENGINE_CASES, ids=lambda c: c.label)
 def test_closed_form_against_tight_quadrature_on_and_off_the_flips(colouring):
     # theta on a flip makes chi windows and pieces degenerate
-    flips = [e for e in polar_edges(colouring) if e <= HALF_PI]
+    flips = [e for e in colouring.flips[1] if e <= HALF_PI]
     for theta in sorted({0.13 * PI, 0.37 * PI, HALF_PI, *flips}):
         quad = correlation_quadrature(colouring, theta, 1e-11)
         assert abs(closed_form(colouring, theta) - quad) <= 1e-12
@@ -946,6 +945,14 @@ class TestCurveFor:
         with pytest.raises(ValueError, match=r"outside \[0, pi\]"):
             curve_for(make_catalogue("3"), [theta], method)
 
+    @pytest.mark.parametrize(
+        "theta, message",
+        [(-0.1, r"theta=-0\.031831\*pi outside \[0, pi\]"), (math.nan, r"theta=nan\*pi")],
+    )
+    def test_mc_theta_domain_is_in_units_of_pi(self, theta, message):
+        with pytest.raises(ValueError, match=message):
+            curve_for(make_catalogue("3"), [0.2, theta], "mc", plan=SamplingPlan(1, 100))
+
     def test_closed_form_uses_the_colouring_not_its_label(self):
         # the label rounds delta to 6 digits: -pi/18 would leave the range
         edge = make_catalogue("3_delta", delta=-PI / 18)
@@ -1253,9 +1260,10 @@ def test_quadrature_error_carries_best_estimate():
 
 
 def test_polar_edges_for_bands_and_harmonics():
-    assert polar_edges(make_catalogue(2)) == (PI / 4, HALF_PI, 3 * PI / 4)
+    assert make_catalogue(2).flips == (1, (PI / 4, HALF_PI, 3 * PI / 4))
     h = HarmonicColouring(((3, 0, 1.0),))
-    edges = polar_edges(h)
+    north, edges = h.flips
+    assert north == 1
     # P_3 sign changes at cos eps = +-sqrt(3/5) and 0
     expected = (math.acos(math.sqrt(0.6)), HALF_PI, math.acos(-math.sqrt(0.6)))
     assert np.allclose(edges, expected, atol=1e-9)
@@ -1276,7 +1284,7 @@ def test_polar_edges_resolve_close_harmonic_flips():
         )
     )
     expected = (e1, e2, HALF_PI, PI - e2, PI - e1)
-    edges = polar_edges(h)
+    _, edges = h.flips
     assert len(edges) == 5
     assert np.max(np.abs(np.array(edges) - expected)) <= 1e-12
     bands = BandColouring(((0.0, e1), (e2, HALF_PI), (PI - e2, PI - e1)))
@@ -1479,6 +1487,20 @@ def test_event_path_falls_back_sample_by_sample(monkeypatch):
     monkeypatch.setattr(correlation, "EVENT_TAU", 0.02)
     monkeypatch.setattr(correlation, "EVENT_SIGMA", 0.1)
     assert correlation_mc_grid(pair, grid, plan) == expected
+
+
+def test_pole_hugging_bands_flip_at_their_ends():
+    # band ends within EDGE_TOL of a pole are flips for the exact
+    # engines as for the event path: the record keeps them, and the
+    # colouring is the hemisphere up to two slivers of 5e-10
+    c = BandColouring(((0.0, 5e-10), (HALF_PI, PI - 5e-10)))
+    assert _flips_of(c) == (1, (5e-10, HALF_PI, PI - 5e-10))
+    north, flips = _flips_of(c)
+    events = correlation._event_flips(c)
+    assert [v for v, _ in events] == [math.cos(v) for v in flips]
+    assert [j for _, j in events] == [-2 * north * (-1) ** i for i in range(3)]
+    t = np.linspace(0.0, HALF_PI, 9)
+    assert np.max(np.abs(closed_form(c, t) + (1.0 - 2.0 * t / PI))) <= 1e-13
 
 
 def test_band_flips_read_the_jumps():

@@ -47,6 +47,15 @@ def test_singlet_curve_takes_an_array():
             singlet_correlation(np.array([0.2, bad]))
 
 
+@pytest.mark.parametrize(
+    "theta, message",
+    [(-0.1, r"theta=-0\.031831\*pi outside \[0, pi\]"), (math.nan, r"theta=nan\*pi")],
+)
+def test_werner_theta_domain_is_in_units_of_pi(theta, message):
+    with pytest.raises(ValueError, match=message):
+        werner_correlation(0.5, theta)
+
+
 def test_singlet_theta_domain():
     with pytest.raises(ValueError):
         singlet_correlation(-0.1)
