@@ -599,6 +599,39 @@ class TestSweepCommand:
         assert float(rows[-1][0]) == pytest.approx(1 / 24, abs=1e-11)
         assert "best delta/pi" in err
 
+    @pytest.mark.parametrize(
+        "reference, digest, summary",
+        [
+            # the README sweep
+            (
+                "c1",
+                "7f9e5454d8877e2a9b1c7fb8232410813f37d69c95ba5b15439e223d1a725268",
+                "best delta/pi = -0.039352 with crossing theta/pi = 0.386229\n",
+            ),
+            (
+                "singlet",
+                "3a51f282ac232fe4e9f474edfca24f6c8b2a43713295786298f7e95e2711a763",
+                "best delta/pi = -0.047454 with crossing theta/pi = 0.430915\n",
+            ),
+        ],
+        ids=["readme_c1", "singlet"],
+    )
+    def test_default_delta_grid_sweep_is_pinned(self, reference, digest, summary, capsys):
+        code, out, err = run(capsys, "sweep", "--family", "3_delta", "--reference", reference)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert err == summary
+
+    def test_readme_delta_table_is_pinned(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--family", "3_delta", "--delta", "-0.046", "--reference", "singlet"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bfc806d3e7f4d5c1ed82ca22a5ef7d576c5556de85f861660355fb76617964ae"
+        )
+        assert err == "crossing vs singlet: theta/pi = 0.430889 (bracket width 2.61e-05 pi)\n"
+
     def test_widened_two_band_exit_scan(self, capsys):
         code, out, err = run(
             capsys, "sweep", "--family", "2_Delta", "--delta-grid", "0:0.02:2",
