@@ -604,6 +604,31 @@ def _flips_of(
     return north, flips
 
 
+def _exact_flips(
+    c: Colouring | ColouringPair | str | int, delta: float | None = None
+) -> tuple[int, tuple[float, ...]]:
+    """``_flips_of`` the colouring ``closed_form`` reads from c."""
+    try:
+        return _flips_of(_first_party(c), delta)
+    except ValueError as exc:
+        raise ClosedFormDomainError(str(exc)) from None
+
+
+def closed_form_slope(c: Colouring | ColouringPair | str | int) -> float:
+    """A bound L on the slope of ``closed_form(c, theta)`` in theta:
+    |C(t1) - C(t2)| <= L |t1 - t2|, with L = (2/pi) sum_k sin v_k over
+    the colour flips v_k.
+
+    Move theta from t1 to t2 with alice's axis and bob's direction from
+    it fixed: bob's axis sweeps a geodesic arc of length |t1 - t2| whose
+    position and direction are uniformly random.  By Crofton's formula
+    it crosses the flip circle at colatitude v on average
+    |t1 - t2| sin v / pi times, and each crossing changes alice * bob by
+    2.  The bound is tight for the hemisphere, whose slope is 2/pi.
+    """
+    return 2.0 / PI * sum(math.sin(v) for v in _exact_flips(c)[1])
+
+
 # ---------------------------------------------------------------------------
 # Deterministic quadrature over the reduced integral
 
@@ -935,10 +960,7 @@ def closed_form(
         raise ClosedFormDomainError(
             f"closed forms cover theta in [0, pi/2]; got theta={bad / PI:g}*pi"
         )
-    try:
-        north, flips = _flips_of(_first_party(c), delta)
-    except ValueError as exc:
-        raise ClosedFormDomainError(str(exc)) from None
+    north, flips = _exact_flips(c, delta)
     if len(flips) == 1 and abs(flips[0] - HALF_PI) < SNAP:
         values = -(1.0 - 2.0 * t / PI)
     else:

@@ -242,6 +242,14 @@ class TestEvaluateCos:
         x = np.random.default_rng(3).uniform(-1.0, 1.0, 20_000)
         self.assert_matches_arccos_path(c, x)
 
+    @pytest.mark.parametrize("label, x", [(1, 1.0), (3, math.cos(PI / 6))])
+    def test_0d_cosine_on_a_pole_or_a_flip(self, label, x):
+        # took the arccos path into a numpy scalar, which raised TypeError
+        c = make_catalogue(label)
+        value = c.evaluate_cos(x)
+        assert value.shape == () and value.dtype == np.int64
+        assert value == c.evaluate_cos(np.array([x]))[0]
+
     def test_drift_beyond_rounding_is_a_numerical_error(self):
         c = make_catalogue(2)
         self.assert_matches_arccos_path(c, np.array([1.0 + 1e-7, -1.0 - 1e-7]))
@@ -262,6 +270,24 @@ class TestEvaluateCos:
         c = _antipodal_bands(north_flips, north_value, split)
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, 2000)
         self.assert_matches_arccos_path(c, np.concatenate([x, _edge_probes(c)]))
+
+
+def test_sign_readers_give_int64_arrays_of_the_input_shape():
+    eps = np.linspace(0.0, PI, 9)
+    all_m = HarmonicColouring(((1, 0, 1.0), (3, 0, -0.7), (3, 2, 0.4)))
+    azimuthal = HarmonicColouring(((1, 0, 1.0), (3, 0, -0.7)))
+    cases = [
+        (make_catalogue(3).evaluate_polar, eps),
+        (all_m.evaluate_vectors, unit_vectors(eps, 0.3 * eps)),
+        (azimuthal.evaluate_cos, np.cos(eps)),
+    ]
+    for read, points in cases:
+        values = read(points)
+        assert values.dtype == np.int64 and values.shape == eps.shape
+        assert set(values.tolist()) <= {-1, 1}
+        # a 0-d input gives a 0-d array
+        one = read(points[..., 4])
+        assert isinstance(one, np.ndarray) and one.shape == () and one == values[4]
 
 
 class TestHarmonicColouring:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bisection_oracle import bisect_crossing
-from spherebell.bounds import theorem1_bounds
+from spherebell.bounds import EXACT_SLACK, theorem1_bounds
 from spherebell.colourings import (
     BandColouring,
     ColouringPair,
@@ -17,9 +17,11 @@ from spherebell.colourings import (
     make_catalogue,
 )
 from spherebell.correlation import (
+    ClosedFormDomainError,
     Draws,
     SamplingPlan,
     closed_form,
+    closed_form_slope,
     correlation_mc,
     correlation_quadrature,
 )
@@ -177,10 +179,11 @@ class TestCrossingScan:
         hit = find_crossing(make_catalogue("3"), c1_reference, BRACKET, tol=1e-6)
         monkeypatch.undo()
         assert hit == find_crossing(c3, c1, BRACKET, tol=1e-6)
-        # one 400-point scan, then 11 bisection steps read 4, 4 and 3
-        # levels at a time, each an array call of the colouring and of
-        # the linear law; no float call
-        shapes = [(400,), (15,), (15,), (7,)]
+        # a certified scan computes 51 points (every 8th and the last),
+        # then the 31 its slope bound leaves open; 11 bisection steps
+        # read 4, 4 and 3 levels at a time, each an array call of the
+        # colouring and of the linear law; no float call
+        shapes = [(51,), (31,), (15,), (15,), (7,)]
         assert calls == [(label, shape) for shape in shapes for label in ("3", "1")]
 
     def test_curve_scan_and_bisection_share_one_reader(self):
@@ -201,6 +204,108 @@ class TestCrossingScan:
         for name in ("c1", "singlet"):
             values = reference_curve(name)(thetas)
             assert values.tolist() == [reference_curve(name)(float(t)) for t in thetas]
+
+
+@st.composite
+def antipodal_band_colourings(draw):
+    """An antipodal band colouring: up to seven northern flips, the
+    equator and their mirror images, either colour at the north pole."""
+    north = sorted(
+        draw(
+            st.lists(
+                st.floats(0.01, HALF_PI - 0.01), max_size=7, unique_by=lambda v: round(v, 3)
+            )
+        )
+    )
+    bounds = [0.0, *north, HALF_PI, *(PI - v for v in reversed(north)), PI]
+    first = draw(st.integers(0, 1))
+    return BandColouring(tuple(zip(bounds[first::2], bounds[first + 1 :: 2])))
+
+
+CERTIFIED_COLOURINGS = [make_catalogue(label) for label in ("1", "2", "3", "4")] + [
+    c for family in ("3_delta", "2_Delta") for c in CROSSING_FAMILIES[family]
+]
+
+
+class TestCrossingCertificate:
+    """The slope bound of ``closed_form_slope`` and the certified scan
+    that skips the closed form where it fixes a sign."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        antipodal_band_colourings(),
+        st.floats(0.0, HALF_PI),
+        st.floats(-12.0, -0.3),
+        st.booleans(),
+        st.integers(0, 10**6),
+    )
+    def test_slope_bound_holds_for_antipodal_bands(self, c, theta, log_step, at_kink, pick):
+        flips = c.flips[1]
+        if at_kink:
+            # straddle a kink |v - w| = theta or v + w = theta
+            kinks = sorted(
+                k for v in flips for w in flips for k in (abs(v - w), v + w)
+                if 0.0 < k < HALF_PI
+            )
+            assume(kinks)
+            theta = kinks[pick % len(kinks)]
+        step = 10.0**log_step
+        t = np.array([max(theta - step, 0.0), min(theta + step, HALF_PI)])
+        low, high = closed_form(c, t)
+        assert abs(high - low) <= closed_form_slope(c) * (t[1] - t[0]) + 1e-12
+
+    def test_hemisphere_slope_bound_is_its_exact_slope(self):
+        assert closed_form_slope("1") == 2.0 / PI
+        t = np.linspace(0.1, 1.5, 8)
+        quotients = np.diff(closed_form("1", t)) / np.diff(t)
+        assert quotients == pytest.approx(2.0 / PI, rel=1e-12)
+
+    @pytest.mark.parametrize("negated", [False, True])
+    @pytest.mark.parametrize("reference", ["c1", "singlet"])
+    def test_certified_signs_are_the_full_scan(self, reference, negated):
+        g = search._REFERENCES[reference][negated]
+        xs = np.linspace(*CROSSING_BRACKET, search.SCAN_POINTS)
+        for c in CERTIFIED_COLOURINGS:
+            slope = closed_form_slope(c) + search._reference_slope(g)
+            assert math.isfinite(slope)
+            diff = lambda ts: closed_form(c, ts) - g(ts)
+            expected = np.sign(diff(xs))
+            assert np.array_equal(search._scan_signs(diff, xs, slope), expected), c.label
+
+    def test_certificate_leaves_rounding_to_the_computation(self):
+        # the exact difference is 1e-9 everywhere, with slope 0, and its
+        # computed values are within 2 EXACT_SLACK of it, of either sign
+        xs = np.linspace(*CROSSING_BRACKET, search.SCAN_POINTS)
+        diff = lambda ts: 1e-9 + 2.0 * EXACT_SLACK * np.cos(1e4 * ts)
+        expected = np.sign(diff(xs))
+        assert (expected < 0.0).any()
+        assert np.array_equal(search._scan_signs(diff, xs, 1e-12), expected)
+
+    @pytest.mark.parametrize("f_kind", ["curve", "colouring"])
+    def test_scan_without_a_slope_reads_the_grid_in_one_call(self, f_kind):
+        # a curve f, or a colouring against a curve outside the
+        # reference registry, has no known slope
+        calls = []
+
+        def spy(curve):
+            def read(t):
+                calls.append(np.shape(t))
+                return curve(t)
+
+            return read
+
+        if f_kind == "colouring":
+            f, g = make_catalogue("3"), spy(reference_curve("c1"))
+        else:
+            f, g = spy(c3), reference_curve("c1")
+        hits = all_crossings(f, g, BRACKET)
+        assert hits == all_crossings(make_catalogue("3"), reference_curve("c1"), BRACKET)
+        # the scan, then one bisection read
+        assert calls == [(400,), (15,)]
+
+    def test_scan_past_half_pi_still_raises(self):
+        with pytest.raises(ClosedFormDomainError):
+            all_crossings(make_catalogue("3"), singlet_correlation, (1.0, HALF_PI + 1e-3))
 
 
 def walk_both(diff, lo, hi, tol):
