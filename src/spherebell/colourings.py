@@ -260,7 +260,11 @@ class HarmonicColouring:
         series = np.zeros(max(l for l, _, _ in self.terms) + 1)
         for l, _, coefficient in self.terms:
             series[l] += coefficient * math.sqrt((2 * l + 1) / (4.0 * math.pi))
-        roots = legendre.legroots(series)
+        # a trailing coefficient within rounding of the largest lies below
+        # legroots' own backward error, and a subnormal one overflows
+        # its companion matrix
+        top = legendre.legtrim(series, np.finfo(float).eps * np.max(np.abs(series)))
+        roots = legendre.legroots(top)
         roots = roots.real[(roots.imag == 0.0) & (np.abs(roots.real) < 1.0)]
         slope = legendre.legval(roots, legendre.legder(series))
         roots = roots - legendre.legval(roots, series) / np.where(slope == 0.0, np.inf, slope)

@@ -21,9 +21,13 @@ compute it:
 
   where the inner integral is done analytically as a signed sum of
   circle arcs between the crossings of the colour flips, each arc
-  coloured by the parity of the flips below it, in scalar ``math``
-  code per node (no array call), and the outer integral by adaptive
-  quadrature with mandatory breakpoints at the derivative kinks,
+  coloured by the parity of the flips below it, and the outer integral
+  by QUADPACK's 21-point Gauss-Kronrod rule on cosine-mapped pieces
+  between mandatory breakpoints at the jumps and square-root kinks,
+  bisected where its estimate (the distance from the embedded Gauss
+  rule) exceeds the tolerance.  It takes an array of theta and
+  evaluates the pieces of every theta together, one numpy pass per
+  round of bisection,
 - ``closed_form``: the same pairs (catalogue labels, both deformed
   families, band files, m = 0 harmonics), with the outer integral done
   exactly as well: a sum of cosines and of the band-overlap integral
@@ -55,7 +59,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -87,10 +90,10 @@ SNAP = 1e-12
 METHODS = ("mc", "quadrature", "closed_form")
 
 
+# no engine reads this; kept because perfbench/spans.py rebinds it
 def quad(*args, **kwargs):
     """``scipy.integrate.quad``, imported on first use: scipy.integrate
-    takes most of the time of a cold ``import spherebell``, and only
-    ``correlation_quadrature`` needs it."""
+    takes most of the time of a cold ``import spherebell``."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)
@@ -99,12 +102,15 @@ def quad(*args, **kwargs):
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach tolerance.
 
-    ``best_estimate`` carries the value the integrator got to.
+    ``best_estimate`` carries the value the integrator got to, and
+    ``abserr`` the outer integral's error estimate there (C's is
+    ``abserr / pi``).
     """
 
-    def __init__(self, message: str, best_estimate: float):
+    def __init__(self, message: str, best_estimate: float, abserr: float = math.nan):
         super().__init__(message)
         self.best_estimate = best_estimate
+        self.abserr = abserr
 
 
 class ClosedFormDomainError(ValueError):
@@ -633,74 +639,89 @@ def closed_form_slope(c: Colouring | ColouringPair | str | int) -> float:
 # Deterministic quadrature over the reduced integral
 
 
+# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (qk21; Piessens et
+# al., 1983): its nodes in [0, 1), largest first, which mirror about 0,
+# their Kronrod weights, and the weights of the embedded 10-point Gauss
+# rule, whose nodes are those of odd index here.
+_KRONROD_X = (
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+    0.2943928627014602, 0.14887433898163122, 0.0,
+)
+_KRONROD_W = (
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+    0.14277593857706009, 0.14773910490133849, 0.1494455540029169,
+)
+_GAUSS_W = (
+    0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+    0.29552422471475287,
+)
+# theta rows per block of the quadrature engine, which bounds its
+# temporaries (pieces x 21 nodes x flips per row)
+_QUADRATURE_ROWS = 32
+
+
+def _cosine_mapped_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """qk21's nodes on the piece [0, 1] under the map
+    x -> (1 - cos u) / 2 = sin(u / 2)^2, u = (pi / 2)(1 + x), and its
+    Kronrod and Gauss weights times the map's derivative (pi / 4) sin u.
+    A square-root kink at an end of the piece is analytic in u."""
+    half = np.array(_KRONROD_X)
+    u = HALF_PI * (1.0 + np.concatenate((-half, half[-2::-1])))
+    gauss = np.zeros(half.size)
+    gauss[1::2] = _GAUSS_W
+    kronrod, gauss = (
+        np.concatenate((w, w[-2::-1])) * (0.25 * PI * np.sin(u))
+        for w in (np.array(_KRONROD_W), gauss)
+    )
+    return np.sin(0.5 * u) ** 2, kronrod, gauss
+
+
+_NODES, _KRONROD, _GAUSS = _cosine_mapped_rule()
+
+
 def _quadrature_integrand(
-    c: Colouring, theta: float, north: int, flips: tuple[float, ...]
-) -> Callable[[float], float]:
-    """The outer integrand eps -> sin(eps) a(eps) int_0^pi a[alpha] d omega
-    of :func:`correlation_quadrature`, in Python floats.
+    t: np.ndarray, eps: np.ndarray, north: int, flips: tuple[float, ...]
+) -> np.ndarray:
+    """The outer integrand sin(eps) a(eps) int_0^pi a[alpha] d omega of
+    :func:`correlation_quadrature` at theta t and polar angle eps
+    (broadcast), elementwise.
 
-    ``north`` and ``flips`` are ``_flips_of(c)``.  Consecutive flips
-    alternate, so the colour at a polar angle x is north times
-    (-1)^(number of flips <= x), and at a flip itself the colour above
-    it.  As omega runs 0 -> pi the partner's polar angle alpha falls
-    monotonically from theta + eps to |theta - eps|, so the inner
-    integral is a signed sum of arcs whose colour changes at each flip
-    v strictly inside that window, crossed at
-    omega = arccos((cos theta cos eps - cos v) / (sin theta sin eps)).
+    ``north`` and ``flips`` are ``_flips_of(c)``: consecutive flips
+    alternate, so the colour at a polar angle x is level[number of flips
+    <= x], at a flip itself the colour above it.  As omega runs 0 -> pi
+    the partner's polar angle alpha falls monotonically from t + eps to
+    |t - eps|, so the inner integral is pi a(|t - eps|) + 2 sum_v s_v
+    omega_v over the flips v strictly inside that window, with s_v the
+    colour above v and v crossed at
+    omega_v = arccos((cos t cos eps - cos v) / (sin t sin eps)).  Where
+    sin t sin eps < 1e-14 the circle collapses to the point
+    alpha = arccos(cos t cos eps) (a removable limit).
     """
-    cos_flips = [math.cos(v) for v in flips]
-    st, ct = math.sin(theta), math.cos(theta)
-
-    def f(eps: float) -> float:
-        se, ce = math.sin(eps), math.cos(eps)
-        a_here = -north if bisect_right(flips, eps) % 2 else north
-        denom = st * se
-        if denom < 1e-14:
-            # collapsed circle: alpha is constant (removable limit)
-            alpha = arccos_clamped_array(np.array([ct * ce]))
-            return se * a_here * (PI * float(c.evaluate_polar(alpha)[0]))
-        i0 = bisect_right(flips, abs(theta - eps))
-        i1 = bisect_left(flips, theta + eps)
-        # the first arc lies above the i1 flips below theta + eps, and
-        # descending flips are crossed at ascending omegas
-        colour = -north if i1 % 2 else north
-        x = ct * ce
-        inner = start = 0.0
-        for cos_v in reversed(cos_flips[i0:i1]):
-            omega = math.acos(min(max((x - cos_v) / denom, -1.0), 1.0))
-            inner += colour * (omega - start)
-            colour, start = -colour, omega
-        inner += colour * (PI - start)
-        return se * a_here * inner
-
-    return f
+    f = np.array(flips)
+    level = north * (1.0 - 2.0 * (np.arange(f.size + 1) % 2))
+    se = np.sin(eps)
+    x = np.cos(t) * np.cos(eps)
+    denom = np.sin(t) * se
+    collapsed = denom < 1e-14
+    low = np.abs(t - eps)
+    active = (low[..., None] < f) & (f < (t + eps)[..., None])
+    cos_omega = (x[..., None] - np.cos(f)) / np.where(collapsed, 1.0, denom)[..., None]
+    omega = np.arccos(np.clip(cos_omega, -1.0, 1.0))
+    arcs = np.cumsum(np.where(active, level[1:] * omega, 0.0), axis=-1)[..., -1]
+    inner = PI * level[np.searchsorted(f, low, side="right")] + 2.0 * arcs
+    if collapsed.any():
+        alpha = arccos_clamped_array(x[collapsed])
+        inner[collapsed] = PI * level[np.searchsorted(f, alpha, side="right")]
+    return se * level[np.searchsorted(f, eps, side="right")] * inner
 
 
-def correlation_quadrature(
-    c: Colouring | ColouringPair, theta: float, tol: float = 1e-8
-) -> float:
-    """Deterministic C(theta) for an anticorrelated azimuthal pair.
-
-    ``c`` is the first party's colouring (the partner is its colour
-    swap), or a pair whose second party holds that swap (any other
-    pair raises ``ValueError``); the colouring must be azimuthally
-    symmetric and antipodal, and theta
-    must lie in (0, pi/2].  Raises :class:`QuadratureError` carrying the
-    best estimate if the outer integral does not converge.  ``tol``, the
-    outer integral's absolute tolerance, must be finite and positive.
-    """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"quadrature tolerance {tol!r} must be finite and positive")
-    c = _first_party(c)
-    theta = float(theta)
-    if not SNAP < theta <= HALF_PI + SNAP:
-        raise ValueError(f"theta {theta!r} outside (0, pi/2]")
-    theta = min(theta, HALF_PI)
-    north, flips = _flips_of(c)
-    breaks = {theta}
-    for v in flips:
-        for candidate in (v, v - theta, theta - v, v + theta):
-            breaks.add(candidate)
+def _breakpoints(theta: float, flips: tuple[float, ...]) -> list[float]:
+    """The outer integral's mandatory breakpoints in (0, pi/2), where
+    its integrand jumps or has a square-root kink: theta and every v,
+    v - theta, theta - v and v + theta over the flips v."""
+    breaks = {theta, *(b for v in flips for b in (v, v - theta, theta - v, v + theta))}
     # coincident candidates land one ulp apart (theta = pi/4 makes
     # theta - pi/6 and pi/3 - theta the same point for the three-band
     # colouring) and the sliver between them wrecks the subdivision
@@ -711,21 +732,108 @@ def correlation_quadrature(
         if pts and candidate - pts[-1] < 1e-9:
             continue
         pts.append(candidate)
-    result, abserr, info, *tail = quad(
-        _quadrature_integrand(c, theta, north, flips),
-        0.0,
-        HALF_PI,
-        points=pts,
-        limit=max(200, 20 * len(pts) + 50),
-        epsabs=tol,
-        epsrel=0.0,
-        full_output=1,
+    return pts
+
+
+def _gauss_kronrod(
+    t: np.ndarray, lo: np.ndarray, hi: np.ndarray, north: int, flips: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine-mapped qk21 integral of :func:`_quadrature_integrand`
+    over each piece [lo, hi] at theta t (1-d arrays of one length), and
+    its estimate |K21 - G10|, floored as in QUADPACK at 50 eps times
+    the Kronrod rule on |f| for the rounding.  Each piece's weighted
+    nodes are added in node order by ``cumsum``."""
+    h = (hi - lo)[:, None]
+    f = h * _quadrature_integrand(t[:, None], lo[:, None] + h * _NODES, north, flips)
+    kronrod, gauss, rounding = (
+        np.cumsum(g * w, axis=1)[:, -1]
+        for g, w in ((f, _KRONROD), (f, _GAUSS), (np.abs(f), _KRONROD))
     )
-    if tail:
-        raise QuadratureError(
-            f"outer integral did not converge: {tail[0]}", best_estimate=-result / PI
+    floor = 50.0 * np.finfo(float).eps * rounding
+    return kronrod, np.maximum(np.abs(kronrod - gauss), floor)
+
+
+def _outer_integrals(
+    t: np.ndarray, north: int, flips: tuple[float, ...], tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The outer integrals over [0, pi/2] of :func:`correlation_quadrature`
+    at each theta of the 1-d array t, in (0, pi/2], and their error
+    estimates, each at most tol.
+
+    Each theta's pieces lie between its :func:`_breakpoints`, and all
+    are evaluated in one call of :func:`_gauss_kronrod`; a theta's
+    integral and estimate are its pieces' sums.  While a theta's
+    estimate exceeds tol, its pieces whose estimate exceeds tol / (its
+    number of pieces) are bisected, and only the halves are evaluated.
+    A theta that would pass the subdivision limit of QUADPACK's calls,
+    max(200, 20 (breakpoints) + 50) pieces, raises
+    :class:`QuadratureError`.  The order of a theta's pieces depends on
+    its own bisections alone, and ``bincount`` adds them in that order,
+    so every value is independent of the rest of the array.
+    """
+    pts = [_breakpoints(theta, flips) for theta in t.tolist()]
+    limit = np.array([max(200, 20 * len(p) + 50) for p in pts])
+    owner = np.repeat(np.arange(t.size), [len(p) + 1 for p in pts])
+    lo = np.concatenate([[0.0, *p] for p in pts])
+    hi = np.concatenate([[*p, HALF_PI] for p in pts])
+    values, errors = _gauss_kronrod(t[owner], lo, hi, north, flips)
+    while True:
+        count = np.bincount(owner, minlength=t.size)
+        total, estimate = (np.bincount(owner, w, t.size) for w in (values, errors))
+        unsettled = ~(estimate <= tol)  # nan included
+        split = unsettled[owner] & (errors > tol / count[owner])
+        grown = count + np.bincount(owner[split], minlength=t.size)
+        failed = unsettled & ((grown > limit) | (grown == count))
+        if failed.any():
+            i = int(np.argmax(failed))
+            raise QuadratureError(
+                f"outer integral did not converge at theta={float(t[i])!r}: error "
+                f"estimate {estimate[i]:.3g} above tol {tol!r} at {count[i]} subintervals",
+                best_estimate=-total[i] / PI,
+                abserr=float(estimate[i]),
+            )
+        if not split.any():
+            return total, estimate
+        mid = 0.5 * (lo[split] + hi[split])
+        owners = np.tile(owner[split], 2)
+        ends = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+        halves = (owners, *ends, *_gauss_kronrod(t[owners], *ends, north, flips))
+        owner, lo, hi, values, errors = (
+            np.concatenate((old[~split], new))
+            for old, new in zip((owner, lo, hi, values, errors), halves)
         )
-    return -result / PI
+
+
+def correlation_quadrature(
+    c: Colouring | ColouringPair, theta: float | np.ndarray, tol: float = 1e-8
+) -> float | np.ndarray:
+    """Deterministic C(theta) for an anticorrelated azimuthal pair.
+
+    ``c`` is the first party's colouring (the partner is its colour
+    swap), or a pair whose second party holds that swap (any other
+    pair raises ``ValueError``); the colouring must be azimuthally
+    symmetric and antipodal, and theta must lie in (0, pi/2].  An array
+    theta gives an array of its shape from one pass of
+    :func:`_outer_integrals` per ``_QUADRATURE_ROWS`` elements, a float
+    the 0-d case as a float; each element is its float's value, bit for
+    bit.  Raises :class:`QuadratureError` carrying the best estimate if
+    the outer integral at some theta does not converge.  ``tol``, the
+    outer integral's absolute tolerance, must be finite and positive.
+    """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"quadrature tolerance {tol!r} must be finite and positive")
+    c = _first_party(c)
+    t = np.asarray(theta, dtype=float)
+    outside = t[~((SNAP < t) & (t <= HALF_PI + SNAP))]
+    if outside.size:
+        raise ValueError(f"theta {float(outside[0])!r} outside (0, pi/2]")
+    north, flips = _flips_of(c)
+    flat = np.minimum(np.ravel(t), HALF_PI)
+    values = np.empty(flat.size)
+    for i in range(0, flat.size, _QUADRATURE_ROWS):
+        block = flat[i : i + _QUADRATURE_ROWS]
+        values[i : i + _QUADRATURE_ROWS] = _outer_integrals(block, north, flips, tol)[0]
+    return float_if_0d(-values.reshape(t.shape) / PI)
 
 
 # ---------------------------------------------------------------------------
@@ -1026,8 +1134,9 @@ def curve_for(
     has none.  ``closed_form`` evaluates the whole grid in one call of
     the array engine.  ``mc`` runs the whole grid in one chunk-major
     pass of :func:`correlation_mc_grid`, so every theta shares the
-    plan's draws and alice's values on them.  ``quadrature`` runs its
-    points one after another.
+    plan's draws and alice's values on them.  ``quadrature``
+    evaluates the grid's points with theta > 0 in one call of
+    :func:`correlation_quadrature`.
     """
     if method not in METHODS:
         raise ValueError(f"method {method!r} not one of {METHODS}")
@@ -1045,9 +1154,11 @@ def curve_for(
     alice = _first_party(pair)
 
     def quadrature(ts: np.ndarray) -> np.ndarray:
-        _flips_of(alice)  # checks alice also where theta = 0 gives -1
-        values = [correlation_quadrature(alice, t, tol) if t >= SNAP else -1.0 for t in ts]
-        return np.array(values)
+        live = ts >= SNAP
+        values = np.full(ts.shape, -1.0)
+        # checks alice also where theta = 0 gives -1
+        values[live] = correlation_quadrature(alice, ts[live], tol)
+        return values
 
     engine = functools.partial(closed_form, alice) if method == "closed_form" else quadrature
     values = antisymmetric(engine, grid).tolist()

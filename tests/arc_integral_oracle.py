@@ -4,14 +4,15 @@ Per outer node it reads the colour at eps and at the midpoint of every
 inner arc from ``evaluate_polar``, finds the flips inside the partner's
 polar window with ``searchsorted``, and takes the arcs' omegas with
 numpy's arccos and their signed total with ``np.sum``.  The library's
-scalar integrand reads the same colours from the parity of the flips
-below each angle, and its omegas from libm's acos in a running sum, so
-the two agree to rounding (a few ulp), not bit for bit.  They part in
-two null sets of the outer integral: at a flip itself, where a
-colouring's tie-break convention and the flip parity may disagree, and
-where theta + eps or |theta - eps| lies one ulp from a flip, where the
-oracle's midpoint of the one-ulp arc can round onto the flip and read
-its tie-break instead of the arc's colour.
+array integrand reads the same colours from the parity of the flips
+below each angle, and sums pi a(|theta - eps|) + 2 sum_v s_v omega_v
+over the flips instead of the arcs, so the two agree to rounding (a few
+ulp), not bit for bit.  They part in two null sets of the outer
+integral: at a flip itself, where a colouring's tie-break convention
+and the flip parity may disagree, and where theta + eps or
+|theta - eps| lies one ulp from a flip, where the oracle's midpoint of
+the one-ulp arc can round onto the flip and read its tie-break instead
+of the arc's colour.
 """
 
 import math
@@ -57,8 +58,8 @@ def inner_arc_integral(theta, eps, edges, colour_at):
 
 def integrand(c, theta, north, flips):
     """The outer integrand eps -> sin(eps) a(eps) int_0^pi a[alpha] d omega
-    of ``correlation_quadrature(c, theta)``, with the signature of the
-    library's ``_quadrature_integrand`` (``north`` is not read)."""
+    of ``correlation_quadrature(c, theta)`` at one node (``north`` is not
+    read)."""
     edges = np.array(flips)
     colour_at = c.evaluate_polar
 

@@ -361,6 +361,17 @@ class TestCurveCommand:
         assert code == 3
         assert not out.exists()
 
+    def test_quadrature_failure_exits_three_and_leaves_no_out_file(self, tmp_path, capsys):
+        # tol 1e-16 lies below the rounding floor of every piece
+        out = tmp_path / "c3.csv"
+        code, _, err = run(
+            capsys, "curve", "--colouring", "3", "--method", "quadrature",
+            "--grid", "0.1:0.4:4", "--tol", "1e-16", "--out", str(out),
+        )
+        assert code == 3
+        assert err.startswith("numerical failure: outer integral did not converge")
+        assert not out.exists()
+
     @staticmethod
     def values_by_method(capsys, label, grid):
         values = {}
@@ -977,6 +988,18 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
     )
     assert run_probe(probe) == "[]"
+
+
+def test_quadrature_curve_leaves_scipy_integrate_unloaded(tmp_path):
+    # the quadrature engine is numpy alone
+    probe = (
+        "import sys; from spherebell import cli; "
+        "argv = ['curve', '--colouring', '4', '--method', 'quadrature', "
+        "'--grid', '0.1:0.5:5', '--out', sys.argv[1]]; "
+        "print(cli.main(argv), 'scipy.integrate' in sys.modules)"
+    )
+    assert run_probe(probe, str(tmp_path / "c4.csv")) == "0 False"
+    assert len(rows_of((tmp_path / "c4.csv").read_text())) == 6
 
 
 def _glibc() -> bool:

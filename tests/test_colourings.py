@@ -561,6 +561,13 @@ class TestAntipodalFlipRule:
         terms = tuple((2 * k + 1, 0, c) for k, c in enumerate(coefficients))
         self.assert_agrees(HarmonicColouring(terms))
 
+    def test_subnormal_top_coefficient(self):
+        # its ratio to the dipole's overflowed the companion matrix of
+        # legroots, which raised LinAlgError
+        h = HarmonicColouring(((1, 0, 1.0), (3, 0, 2.225073858507e-311)))
+        assert h.flips == (1, (PI / 2,))
+        assert _flip_rule_accepts(h)
+
     def test_sliver_band_is_rejected(self):
         # a plus band of width 5e-10 in the south has no mirror: the
         # midpoint pass merged its edges and stepped over it, the flip

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre, polynomial
 import arc_integral_oracle
+import quadrature_oracle
 from closed_form_tables import DEFORMED_DOMAIN, table_value
 from scalar_sum_oracle import chi as oracle_chi
 from scalar_sum_oracle import exact_value as oracle_value
@@ -1292,13 +1293,13 @@ def test_polar_edges_resolve_close_harmonic_flips():
         assert abs(closed_form(h, theta) - closed_form(bands, theta)) <= 1e-11
 
 
-# The scalar quadrature integrand against the numpy one it replaced
-# (tests/arc_integral_oracle.py).  The crossings' omegas come from
-# libm's acos instead of numpy's arccos, which rounds differently on a
-# few percent of arguments: each of the few omegas in a window may
-# move by an ulp of pi and enters the signed arc sum twice.  Over 520
-# catalogue, family and harmonic points C(theta) moved by at most
-# 3.3e-16; QUAD_ORACLE_TOL is the bound the tests hold it to.
+# The array quadrature integrand against the numpy one of
+# tests/arc_integral_oracle.py, which reads colours from
+# ``evaluate_polar`` and sums the arcs one by one where the engine sums
+# pi a(|theta - eps|) + 2 sum_v s_v omega_v: each of the few omegas in
+# a window may round differently and enters the sum twice.  Fed through
+# the same engine at the same nodes, the oracle integrand moves C(theta)
+# by rounding alone; QUAD_ORACLE_TOL is the bound the tests hold it to.
 INTEGRAND_ORACLE_TOL = 16 * math.ulp(PI)
 QUAD_ORACLE_TOL = 2e-15
 
@@ -1312,11 +1313,28 @@ INTEGRAND_CASES = [
 
 
 def _integrands(colouring, theta):
+    """The engine's array integrand at one node, and the oracle's."""
     north, flips = _flips_of(colouring)
-    return (
-        _quadrature_integrand(colouring, theta, north, flips),
-        arc_integral_oracle.integrand(colouring, theta, north, flips),
-    )
+
+    def f(eps):
+        return float(_quadrature_integrand(np.array([theta]), np.array([eps]), north, flips)[0])
+
+    return f, arc_integral_oracle.integrand(colouring, theta, north, flips)
+
+
+def _oracle_integrand(colouring):
+    """``arc_integral_oracle.integrand`` of ``colouring`` at every node,
+    with the signature of the engine's ``_quadrature_integrand``."""
+
+    def integrand(t, eps, north, flips):
+        t, eps = np.broadcast_arrays(t, eps)
+        values = [
+            arc_integral_oracle.integrand(colouring, theta, north, flips)(e)
+            for theta, e in zip(t.ravel().tolist(), eps.ravel().tolist())
+        ]
+        return np.reshape(values, eps.shape)
+
+    return integrand
 
 
 @pytest.mark.parametrize("colouring", INTEGRAND_CASES, ids=lambda c: c.label)
@@ -1330,7 +1348,7 @@ class TestScalarIntegrand:
     def test_special_points(self, colouring):
         # eps on a flip, one ulp either side of it, and near 0 and pi/2.
         # On a flip (a null set of the outer integral) the oracle reads
-        # the colouring's tie-break and the scalar integrand the colour
+        # the colouring's tie-break and the array integrand the colour
         # above the flip.  An m = 0 harmonic's flips are Legendre roots
         # good to rounding, so one ulp off a flip its sign may also
         # disagree with the parity.  Elsewhere the colours agree.
@@ -1357,9 +1375,7 @@ class TestScalarIntegrand:
     def test_quadrature_against_the_oracle_integrand(self, colouring, monkeypatch):
         thetas = (0.05 * PI, 0.2 * PI, 0.37 * PI, HALF_PI)
         values = [correlation_quadrature(colouring, t, 1e-8) for t in thetas]
-        monkeypatch.setattr(
-            correlation, "_quadrature_integrand", arc_integral_oracle.integrand
-        )
+        monkeypatch.setattr(correlation, "_quadrature_integrand", _oracle_integrand(colouring))
         for theta, value in zip(thetas, values):
             oracle = correlation_quadrature(colouring, theta, 1e-8)
             assert abs(value - oracle) <= QUAD_ORACLE_TOL
@@ -1369,7 +1385,7 @@ def test_one_ulp_arc_is_coloured_by_parity():
     # theta = pi/4 and eps one ulp above the flip 3pi/8 put theta + eps
     # one ulp above the flip 5pi/8, so the first inner arc spans one ulp
     # of alpha and ~2.6e-8 of omega.  The oracle's midpoint of that arc
-    # rounds onto 5pi/8 and reads the closed band edge's +1; the scalar
+    # rounds onto 5pi/8 and reads the closed band edge's +1; the array
     # integrand reads the arc's colour, -1, from the flip parity.
     colouring = make_catalogue("4")
     theta, eps = PI / 4, math.nextafter(3 * PI / 8, PI)
@@ -1395,15 +1411,105 @@ def test_random_band_sets_against_the_oracle_integrand(north_edges, north_value,
     colouring = _antipodal_bands(north_edges, north_value)
     value = correlation_quadrature(colouring, theta, 1e-10)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(correlation, "_quadrature_integrand", arc_integral_oracle.integrand)
+        patch.setattr(correlation, "_quadrature_integrand", _oracle_integrand(colouring))
         oracle = correlation_quadrature(colouring, theta, 1e-10)
     assert abs(value - oracle) <= QUAD_ORACLE_TOL
+
+
+@pytest.mark.parametrize("colouring", INTEGRAND_CASES, ids=lambda c: c.label)
+def test_array_engine_against_the_quadpack_oracle(colouring):
+    # each engine lies within tol / pi of C, so the two within 2 tol / pi
+    tol = 1e-10
+    flips = [v for v in _flips_of(colouring)[1] if v <= HALF_PI]
+    thetas = np.array(sorted({0.05 * PI, 0.2 * PI, 0.37 * PI, HALF_PI, *flips}))
+    values = correlation_quadrature(colouring, thetas, tol)
+    for theta, value in zip(thetas.tolist(), values.tolist()):
+        oracle = quadrature_oracle.correlation_quadrature(colouring, theta, tol)
+        assert abs(value - oracle) <= 2 * tol / PI, theta
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    north_edges=st.lists(
+        st.floats(0.05, 1.5), max_size=7, unique_by=lambda x: round(x, 1)
+    ),
+    north_value=st.sampled_from([1, -1]),
+    theta=st.floats(0.02, HALF_PI),
+    pick=st.integers(0, 400),
+    tol=st.sampled_from([1e-4, 1e-8, 1e-11]),
+)
+def test_quadrature_lies_within_its_estimate(north_edges, north_value, theta, pick, tol):
+    # theta is drawn or a tangency: at theta = |v +- w| a window edge
+    # theta + v, theta - v or v - theta of flip v falls on flip w, and
+    # at theta = v the window of v opens at the pole; both put a piece's
+    # end on a flip
+    colouring = _antipodal_bands(north_edges, north_value)
+    north, flips = _flips_of(colouring)
+    tangencies = {t for v in flips for w in flips for t in (abs(v - w), v + w)}
+    candidates = [theta, *sorted(t for t in tangencies | set(flips) if SNAP < t <= HALF_PI)]
+    theta = candidates[pick % len(candidates)]
+    integral, estimate = correlation._outer_integrals(np.array([theta]), north, flips, tol)
+    value = -integral[0] / PI
+    assert estimate[0] <= tol
+    assert value == correlation_quadrature(colouring, theta, tol)
+    assert abs(value - closed_form(colouring, theta)) <= estimate[0] / PI + 1e-13
+
+
+class TestQuadratureArrays:
+    @pytest.mark.parametrize(
+        "colouring",
+        [make_catalogue("4"), make_catalogue("3_delta", delta=0.03 * PI), EXACT_ENGINE_CASES[-1]],
+        ids=lambda c: c.label,
+    )
+    def test_array_is_its_float_calls(self, colouring):
+        # shuffled, with repeats, over more than one block of rows
+        _, flips = _flips_of(colouring)
+        base = [*np.linspace(0.01, 0.5, 30) * PI, *(v for v in flips if v <= HALF_PI)]
+        thetas = np.random.default_rng(27).permutation(base + base[:7])
+        values = correlation_quadrature(colouring, thetas, 1e-10)
+        assert isinstance(values, np.ndarray) and values.shape == thetas.shape
+        for theta, value in zip(thetas.tolist(), values.tolist()):
+            assert correlation_quadrature(colouring, theta, 1e-10) == value
+        square = correlation_quadrature(colouring, thetas[:36].reshape(6, 6), 1e-10)
+        assert np.array_equal(square, values[:36].reshape(6, 6))
+        assert type(correlation_quadrature(colouring, thetas[0], 1e-10)) is float
+
+    def test_a_theta_out_of_subdivisions_fails_the_array(self, monkeypatch):
+        # a rapid oscillation at one theta, which no piece resolves
+        bad = 0.2 * PI
+        integrand = correlation._quadrature_integrand
+
+        def noisy(t, eps, north, flips):
+            noise = np.where(t == bad, 1e-6 * np.sin(1e9 * eps), 0.0)
+            return integrand(t, eps, north, flips) + noise
+
+        monkeypatch.setattr(correlation, "_quadrature_integrand", noisy)
+        three = make_catalogue("3")
+        with pytest.raises(QuadratureError) as alone:
+            correlation_quadrature(three, bad, 1e-8)
+        with pytest.raises(QuadratureError, match="did not converge") as inside:
+            correlation_quadrature(three, np.array([0.1 * PI, bad, 0.3 * PI]), 1e-8)
+        assert inside.value.best_estimate == alone.value.best_estimate
+        assert inside.value.abserr == alone.value.abserr > 1e-8
+        assert abs(alone.value.best_estimate - closed_form("3", bad)) <= 1e-6
+
+    def test_array_messages_are_the_float_messages(self):
+        three = make_catalogue("3")
+        for bad in (0.0, 0.6 * PI, math.nan):
+            with pytest.raises(ValueError) as single:
+                correlation_quadrature(three, bad)
+            with pytest.raises(ValueError) as inside:
+                correlation_quadrature(three, np.array([0.3, bad, -1.0]))
+            assert str(inside.value) == str(single.value)
+            assert str(single.value) == f"theta {bad!r} outside (0, pi/2]"
+        with pytest.raises(ValueError, match=r"^quadrature tolerance nan must be finite"):
+            correlation_quadrature(three, np.array([0.3]), math.nan)
 
 
 def test_quadrature_reads_colours_from_the_flips(monkeypatch):
     # the integrand decides colours by flip parity: evaluate_polar runs
     # only in _flips_of (at most three calls, none once cached), never
-    # once per node of the outer integral
+    # at the nodes of the outer integral
     calls = []
     evaluate_polar = BandColouring.evaluate_polar
 
@@ -1412,18 +1518,17 @@ def test_quadrature_reads_colours_from_the_flips(monkeypatch):
         return evaluate_polar(self, eps)
 
     nodes = []
-    quad = correlation.quad
+    integrand = correlation._quadrature_integrand
 
-    def counted_quad(f, *args, **kwargs):
-        out = quad(f, *args, **kwargs)
-        nodes.append(out[2]["neval"])
-        return out
+    def counted_integrand(t, eps, *args):
+        nodes.append(np.size(eps))
+        return integrand(t, eps, *args)
 
     monkeypatch.setattr(BandColouring, "evaluate_polar", counted)
-    monkeypatch.setattr(correlation, "quad", counted_quad)
+    monkeypatch.setattr(correlation, "_quadrature_integrand", counted_integrand)
     correlation_quadrature(make_catalogue("4"), 0.3 * PI)
     assert len(calls) <= 3
-    assert nodes[0] > 100
+    assert sum(nodes) > 100
 
 
 # ---------------------------------------------------------------------------
