@@ -43,6 +43,17 @@ def rows_of(text):
     return list(csv.reader(io.StringIO(text)))
 
 
+def avx512_loops():
+    """Whether numpy dispatches its AVX-512 loops, which round np.cos,
+    np.sin and np.arccos differently in the last bit; CI runs the pinned
+    tests again with them switched off (NPY_DISABLE_CPU_FEATURES)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX512_SKX", False))
+
+
 class TestParseGrid:
     def test_units_of_pi(self):
         grid = parse_grid("0:0.5:3")
@@ -129,6 +140,22 @@ class TestCurveCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "d9b9a459f50112ca05d190afcef40f6801ca1a8445fc9fd43bdc3871c45b34e0"
         )
+
+    def test_folded_quadrature_curve_is_pinned(self, tmp_path, capsys):
+        # 23 angles over [0, pi]: the last 11 are folded by antisymmetry;
+        # the engine's values at pi/2 differ in the last bit with and
+        # without AVX-512 dispatch, so each loop has its digest
+        out = tmp_path / "q4.csv"
+        code, _, _ = run(
+            capsys, "curve", "--colouring", "4", "--method", "quadrature",
+            "--grid", "0:1:23", "--out", str(out),
+        )
+        assert code == 0
+        digest = {
+            True: "74190e178e68750ceaad0bbe6225878af6a69a07822de67efd479beefa80a993",
+            False: "1823f8680f0a022f70fa7c8b35670974e3a13ba945aa29c000891bb8186c9a37",
+        }[avx512_loops()]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "argv",
@@ -558,6 +585,17 @@ class TestVerifyCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "3db6ad3943c2495c1153885f073dbf547413a5c2dfb3450f8fcb17883307af88"
         )
+
+    def test_quadrature_verification_is_pinned(self, capsys):
+        # the quadrature engine at the 100 default angles, printed in
+        # full precision: each loop has its digest, as above
+        code, out, _ = run(capsys, "verify", "--colouring", "3", "--method", "quadrature")
+        assert code == 0
+        digest = {
+            True: "4e12827f1314349ba9f66481ae74536e4bc2a93a73eb9e20b08daf0667121dde",
+            False: "f9ec88f07e7c720fcbdea6905a28e993ea63cd0c9d6b7efbc2701b2b4884f8de",
+        }[avx512_loops()]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_missing_curve_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
