@@ -128,11 +128,6 @@ def chain_bounds(theta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return n.astype(int), np.where(at_half_pi, 0.0, 1.0 - 1.0 / n)
 
 
-def chain_length_for(theta: float) -> int:
-    """N = max(2, ceil(pi / 2 theta)), with 1e-12 boundary snapping."""
-    return int(chain_bounds(float(theta))[0])
-
-
 def theorem1_bounds(theta: float) -> BoundReport:
     """The chain bound pair -(1 - 1/N) <= C(theta) <= 1 - 1/N.
 

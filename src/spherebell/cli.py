@@ -48,7 +48,6 @@ from .colourings import load_colouring, make_catalogue
 from .correlation import (
     METHODS,
     SamplingPlan,
-    antisymmetric,
     closed_form,
     curve_for,
     format_sig,
@@ -200,10 +199,6 @@ def _sampled_colouring(args: argparse.Namespace):
     return grid, colouring, plan
 
 
-def _c1(thetas: np.ndarray) -> np.ndarray:
-    return antisymmetric(lambda t: closed_form("1", t), thetas)
-
-
 def _theorem1_upper(thetas: np.ndarray) -> np.ndarray:
     """Theorem 1's upper bound at each theta folded into [0, pi/2], and
     1 at 0 and pi."""
@@ -215,8 +210,8 @@ def _theorem1_upper(thetas: np.ndarray) -> np.ndarray:
 
 
 REFERENCE_COLUMNS = {
-    "c1": _c1,
-    "neg_c1": lambda ts: -_c1(ts),
+    "c1": lambda ts: closed_form("1", ts),
+    "neg_c1": lambda ts: -closed_form("1", ts),
     "q_singlet": singlet_correlation,
     # 0.0 - upper keeps +0.0 at pi/2, where -upper would print -0
     "theorem1_lower": lambda ts: 0.0 - _theorem1_upper(ts),

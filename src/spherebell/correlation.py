@@ -43,15 +43,16 @@ compute it:
 Every theta-taking function here has one array body; a float theta
 runs as the 0-d case of the array path and gives a float.
 
-The two exact engines read the colouring's ``flips`` record, its value
-at the north pole and the polar angles where its colour flips, through
-one validated, cached pass (``_flips_of``).  The Monte Carlo event path
+The two exact engines share one front door (``_exact_engine``), which
+gives their theta domain and reads the colouring's ``flips`` record, its
+value at the north pole and the polar angles where its colour flips,
+through one validated, cached pass (``_flips_of``).  The Monte Carlo event path
 reads a band bob's record, and the sampled antipodality check thins at
 a band colouring's flip cosines.
 
 Shared plumbing: the sampled gamma and antipodality checks, curve
-containers, antisymmetry extension to [0, pi], finite mixtures, the
-exact circle-colouring correlation, and the CSV schema.
+containers, antisymmetry extension of a curve to [0, pi], finite
+mixtures, the exact circle-colouring correlation, and the CSV schema.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -136,6 +138,12 @@ class SamplingPlan:
     chunk_size: int = 65536
 
     def __post_init__(self) -> None:
+        for name in ("master_seed", "n_samples", "chunk_size"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {value!r}") from None
         if not 0 <= int(self.master_seed) < 2**64:
             raise ValueError("master_seed must fit in 64 bits")
         if self.n_samples < 1:
@@ -259,21 +267,6 @@ def _as_pair(c: Colouring | ColouringPair) -> ColouringPair:
     if isinstance(c, ColouringPair):
         return c
     return ColouringPair.anticorrelated(c)
-
-
-def _first_party(
-    c: Colouring | ColouringPair | str | int,
-) -> Colouring | str | int:
-    """The colouring a deterministic engine reads from ``c``.  Those
-    engines assume the second party holds the first's colour swap, so
-    a pair passes only when its bob is ``negate(alice)``."""
-    if not isinstance(c, ColouringPair):
-        return c
-    if c.bob != negate(c.alice):
-        raise ValueError(
-            "deterministic engines assume the second party holds the colour swap"
-        )
-    return c.alice
 
 
 # The event path of correlation_mc_grid: a band bob on a dense grid.
@@ -581,43 +574,46 @@ def correlation_mc(
 
 
 # ---------------------------------------------------------------------------
-# The flip record of the exact engines
+# The flip record and the front door of the exact engines
 
 
 @functools.lru_cache(maxsize=256)
 def _flips_of(
-    c: Colouring | str | int, delta: float | None = None
+    c: Colouring | ColouringPair | str | int, delta: float | None = None
 ) -> tuple[int, tuple[float, ...]]:
     """The ``flips`` record (value at the north pole, polar angles where
-    the colour flips) of a colouring or catalogue label (``delta`` as in
-    :func:`closed_form`).
+    the colour flips) of the colouring an exact engine reads from ``c``:
+    a colouring, a catalogue label (``delta`` as in :func:`closed_form`)
+    or a pair.  The exact engines assume the second party holds the
+    first's colour swap, so a pair passes only when its bob is
+    ``negate(alice)``.
 
-    Checks the exact engines' preconditions: the colouring must be
-    azimuthally symmetric and antipodal.  Consecutive flips alternate,
-    and the K flips f_i are antipodal when K is odd and each
+    Checks the exact engines' preconditions and raises
+    :class:`ClosedFormDomainError` where one fails: the colouring must
+    be azimuthally symmetric and antipodal.  Consecutive flips
+    alternate, and the K flips f_i are antipodal when K is odd and each
     f_i + f_(K-1-i) is within 1e-9 of pi.
     """
+    if isinstance(c, ColouringPair):
+        if c.bob != negate(c.alice):
+            raise ClosedFormDomainError(
+                "deterministic engines assume the second party holds the colour swap"
+            )
+        c = c.alice
     if isinstance(c, (str, int)):
-        c = make_catalogue(c, delta=delta, Delta=delta)
+        try:
+            c = make_catalogue(c, delta=delta, Delta=delta)
+        except ValueError as exc:
+            raise ClosedFormDomainError(str(exc)) from None
     if not c.is_azimuthal:
-        raise ValueError(
+        raise ClosedFormDomainError(
             f"exact engines need an azimuthally symmetric colouring, got {c.label!r}"
         )
     north, flips = c.flips
     pairs = zip(flips, reversed(flips))
     if len(flips) % 2 == 0 or any(abs(lo + hi - PI) > 1e-9 for lo, hi in pairs):
-        raise ValueError(f"colouring {c.label!r} is not antipodal")
+        raise ClosedFormDomainError(f"colouring {c.label!r} is not antipodal")
     return north, flips
-
-
-def _exact_flips(
-    c: Colouring | ColouringPair | str | int, delta: float | None = None
-) -> tuple[int, tuple[float, ...]]:
-    """``_flips_of`` the colouring ``closed_form`` reads from c."""
-    try:
-        return _flips_of(_first_party(c), delta)
-    except ValueError as exc:
-        raise ClosedFormDomainError(str(exc)) from None
 
 
 def closed_form_slope(c: Colouring | ColouringPair | str | int) -> float:
@@ -632,7 +628,48 @@ def closed_form_slope(c: Colouring | ColouringPair | str | int) -> float:
     |t1 - t2| sin v / pi times, and each crossing changes alice * bob by
     2.  The bound is tight for the hemisphere, whose slope is 2/pi.
     """
-    return 2.0 / PI * sum(math.sin(v) for v in _exact_flips(c)[1])
+    return 2.0 / PI * sum(math.sin(v) for v in _flips_of(c)[1])
+
+
+def _exact_engine(
+    values_of: Callable[[np.ndarray, int, tuple[float, ...]], np.ndarray],
+    rows: int,
+    c: Colouring | ColouringPair | str | int,
+    theta: float | np.ndarray,
+    delta: float | None = None,
+) -> float | np.ndarray:
+    """C(theta) of the colouring that ``_flips_of(c, delta)`` reads from
+    ``c``: the front door of both exact engines.  ``values_of(t, north,
+    flips)`` gives C on a 1-d block of at most ``rows`` angles t in
+    [1e-12, pi/2].
+
+    theta is a float, which runs as the 0-d case and gives a float, or
+    an array, which gives an array of its shape; each element is the
+    value its float gives, bit for bit.  The domain is theta in [0, pi]:
+    any theta outside [-1e-12, pi + 1e-12], nan included, raises
+    :class:`ClosedFormDomainError` naming the first in units of pi,
+    before the colouring is read, and theta is clamped into [0, pi].
+    theta past pi/2 + 1e-12 is folded to pi - theta by the antisymmetry
+    C(pi - theta) = -C(theta) of an antipodal colouring, and theta
+    within 1e-12 past pi/2 is clamped to pi/2.  Where the angle so
+    reached lies below ``SNAP`` = 1e-12, C is -1 (perfect
+    anticorrelation) before the fold's sign and ``values_of`` is not
+    called: theta = 0 gives -1 and theta = pi gives +1.
+    """
+    t, bad = clamp_angles(theta)
+    if bad is not None:
+        raise ClosedFormDomainError(bad)
+    north, flips = _flips_of(c, delta)
+    folded = t > HALF_PI + SNAP
+    fold = folded.any()
+    flat = np.ravel(np.minimum(np.where(folded, PI - t, t) if fold else t, HALF_PI))
+    live = np.flatnonzero(flat >= SNAP)
+    values = np.full(flat.size, -1.0)
+    for i in range(0, live.size, rows):
+        block = live[i : i + rows]
+        values[block] = values_of(flat[block], north, flips)
+    values = values.reshape(t.shape)
+    return float_if_0d(np.where(folded, -values, values) if fold else values)
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +794,7 @@ def _outer_integrals(
     t: np.ndarray, north: int, flips: tuple[float, ...], tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The outer integrals over [0, pi/2] of :func:`correlation_quadrature`
-    at each theta of the 1-d array t, in (0, pi/2], and their error
+    at each theta of the 1-d array t, in [1e-12, pi/2], and their error
     estimates, each at most tol.
 
     Each theta's pieces lie between its :func:`_breakpoints`, and all
@@ -805,35 +842,24 @@ def _outer_integrals(
 
 
 def correlation_quadrature(
-    c: Colouring | ColouringPair, theta: float | np.ndarray, tol: float = 1e-8
+    c: Colouring | ColouringPair | str | int,
+    theta: float | np.ndarray,
+    tol: float = 1e-8,
 ) -> float | np.ndarray:
-    """Deterministic C(theta) for an anticorrelated azimuthal pair.
+    """Deterministic C(theta) for an anticorrelated azimuthal pair, by
+    quadrature of the outer integral.
 
-    ``c`` is the first party's colouring (the partner is its colour
-    swap), or a pair whose second party holds that swap (any other
-    pair raises ``ValueError``); the colouring must be azimuthally
-    symmetric and antipodal, and theta must lie in (0, pi/2].  An array
-    theta gives an array of its shape from one pass of
-    :func:`_outer_integrals` per ``_QUADRATURE_ROWS`` elements, a float
-    the 0-d case as a float; each element is its float's value, bit for
-    bit.  Raises :class:`QuadratureError` carrying the best estimate if
-    the outer integral at some theta does not converge.  ``tol``, the
-    outer integral's absolute tolerance, must be finite and positive.
+    ``c`` and theta are read by the front door :func:`_exact_engine`,
+    which gives their domain; each block of ``_QUADRATURE_ROWS`` angles
+    is one pass of :func:`_outer_integrals`.  Raises
+    :class:`QuadratureError` carrying the best estimate if the outer
+    integral at some theta does not converge.  ``tol``, the outer
+    integral's absolute tolerance, must be finite and positive.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"quadrature tolerance {tol!r} must be finite and positive")
-    c = _first_party(c)
-    t = np.asarray(theta, dtype=float)
-    outside = t[~((SNAP < t) & (t <= HALF_PI + SNAP))]
-    if outside.size:
-        raise ValueError(f"theta {float(outside[0])!r} outside (0, pi/2]")
-    north, flips = _flips_of(c)
-    flat = np.minimum(np.ravel(t), HALF_PI)
-    values = np.empty(flat.size)
-    for i in range(0, flat.size, _QUADRATURE_ROWS):
-        block = flat[i : i + _QUADRATURE_ROWS]
-        values[i : i + _QUADRATURE_ROWS] = _outer_integrals(block, north, flips, tol)[0]
-    return float_if_0d(-values.reshape(t.shape) / PI)
+    values_of = lambda t, north, flips: -_outer_integrals(t, north, flips, tol)[0] / PI
+    return _exact_engine(values_of, _QUADRATURE_ROWS, c, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -937,24 +963,24 @@ def chi(theta: float, a: float, b: float, alpha: float) -> float:
 # The exact engine: sums of cosines and chi terms over derived pieces
 
 
-def clamp_angles(
-    theta: float | np.ndarray, top: float
-) -> tuple[np.ndarray, float | None]:
-    """theta as an array clamped into [0, top] (a float runs as the 0-d
-    case), and its first element outside [-SNAP, top + SNAP] (nan
-    included), or None if there is none."""
+def clamp_angles(theta: float | np.ndarray) -> tuple[np.ndarray, str | None]:
+    """theta as an array clamped into [0, pi] (a float runs as the 0-d
+    case), and a message naming its first element outside
+    [-SNAP, pi + SNAP] (nan included) in units of pi, or None if there
+    is none."""
     t = np.asarray(theta, dtype=float)
-    outside = t[~((-SNAP <= t) & (t <= top + SNAP))]
-    return np.clip(t, 0.0, top), (float(outside[0]) if outside.size else None)
+    outside = t[~((-SNAP <= t) & (t <= PI + SNAP))]
+    bad = f"theta={float(outside[0]) / PI:g}*pi outside [0, pi]" if outside.size else None
+    return np.clip(t, 0.0, PI), bad
 
 
 def checked_theta(theta: float | np.ndarray) -> np.ndarray:
     """theta as an array clamped into [0, pi] by :func:`clamp_angles`.
     Any theta outside [-1e-12, pi + 1e-12], nan included, raises
     ``ValueError`` naming the first in units of pi."""
-    t, bad = clamp_angles(theta, PI)
+    t, bad = clamp_angles(theta)
     if bad is not None:
-        raise ValueError(f"theta={bad / PI:g}*pi outside [0, pi]")
+        raise ValueError(bad)
     return t
 
 
@@ -963,8 +989,9 @@ _ENGINE_ROWS = 128
 
 
 def _exact_values(t: np.ndarray, north: int, flips: tuple[float, ...]) -> np.ndarray:
-    """C(t) for a 1-d array of t in (0, pi/2] from the colour-flip
-    structure.
+    """C(t) for a 1-d array of t in [1e-12, pi/2] from the colour-flip
+    structure.  A single flip at the equator is the hemisphere, whose
+    value is the linear law -(1 - 2 t / pi) with no ``chi`` term at all.
 
     The inner omega integral of ``correlation_quadrature`` is
     pi a(|t - eps|) + 2 sum_v s_v omega_v(eps), summed over the flips v
@@ -991,6 +1018,8 @@ def _exact_values(t: np.ndarray, north: int, flips: tuple[float, ...]) -> np.nda
     ``cumsum``, which is the order of the per-theta sum, so every value
     is independent of the rest of the array.
     """
+    if len(flips) == 1 and abs(flips[0] - HALF_PI) < SNAP:
+        return -(1.0 - 2.0 * t / PI)
     f = np.array(flips)
     n = t.size
     # level[k] is a(eps) between flips k - 1 and k; the jump at flip i
@@ -1031,25 +1060,19 @@ def closed_form(
     theta: float | np.ndarray,
     delta: float | None = None,
 ) -> float | np.ndarray:
-    """Exact C(theta) on [0, pi/2] for an antipodal azimuthal colouring.
+    """Exact C(theta) for an antipodal azimuthal colouring.
 
     ``c`` is a colouring, a catalogue label, built by
     :func:`make_catalogue`, or a pair whose second party holds the
     first's colour swap; ``delta`` is the parameter of 3_delta or
-    2_Delta when the label does not inline it.  ``theta`` is an array,
-    which gives an array of its shape from one call of the array engine
-    (a crossing scan or a curve is one call), or a float, which runs as
-    the 0-d case and gives a float; each element is the value its float
-    gives, bit for bit.
-    The value is a sum of cosines and closed-form ``chi`` terms over
-    pieces derived from the colouring's flip edges, so it carries
-    rounding error only and has no tolerance to set.  A single flip at
-    the equator is the hemisphere, whose value is the linear law
-    -(1 - 2 theta / pi) with no ``chi`` term at all.  Raises
-    :class:`ClosedFormDomainError` for any theta outside [0, pi/2], a
-    bad label or parameter, a pair whose second party is not the
-    first's colour swap, and a colouring that is not antipodal and
-    azimuthal.
+    2_Delta when the label does not inline it.  ``c`` and theta are read
+    by the front door :func:`_exact_engine`, which gives their domain
+    and raises :class:`ClosedFormDomainError` outside it; an array runs
+    in blocks of ``_ENGINE_ROWS`` rows of :func:`_exact_values` (a
+    crossing scan or a curve is one call).  The value is a sum of
+    cosines and closed-form ``chi`` terms over pieces derived from the
+    colouring's flip edges, so it carries rounding error only and has no
+    tolerance to set.
 
     The triangle angles of Phi come from numpy's ``arctan2``.  With K
     flips each value lies within K (K + 2) 5e-14 of the one libm's
@@ -1063,23 +1086,7 @@ def closed_form(
     last bits may differ between numpy's AVX-512 loop and its other
     loops, so between hosts; reruns on one host are identical.
     """
-    t, bad = clamp_angles(theta, HALF_PI)
-    if bad is not None:
-        raise ClosedFormDomainError(
-            f"closed forms cover theta in [0, pi/2]; got theta={bad / PI:g}*pi"
-        )
-    north, flips = _exact_flips(c, delta)
-    if len(flips) == 1 and abs(flips[0] - HALF_PI) < SNAP:
-        values = -(1.0 - 2.0 * t / PI)
-    else:
-        flat = np.ravel(t)
-        values = np.empty(flat.size)
-        for i in range(0, flat.size, _ENGINE_ROWS):
-            values[i : i + _ENGINE_ROWS] = _exact_values(
-                flat[i : i + _ENGINE_ROWS], north, flips
-            )
-        values = values.reshape(np.shape(t))
-    return float_if_0d(np.where(t < SNAP, -1.0, values))
+    return _exact_engine(_exact_values, _ENGINE_ROWS, c, theta, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -1127,16 +1134,12 @@ def curve_for(
 ) -> CorrelationCurve:
     """Evaluate C(theta) on a grid with the requested engine.
 
-    The deterministic engines are defined on [0, pi/2]; points beyond
-    pi/2 are obtained from the antisymmetry C(pi - theta) = -C(theta),
-    and theta = 0 returns -1 exactly (perfect anticorrelation).  ``tol``
-    is the outer-integral tolerance of ``quadrature``; the closed form
-    has none.  ``closed_form`` evaluates the whole grid in one call of
-    the array engine.  ``mc`` runs the whole grid in one chunk-major
-    pass of :func:`correlation_mc_grid`, so every theta shares the
-    plan's draws and alice's values on them.  ``quadrature``
-    evaluates the grid's points with theta > 0 in one call of
-    :func:`correlation_quadrature`.
+    ``closed_form`` and ``quadrature`` evaluate the whole grid in one
+    call of :func:`closed_form` or :func:`correlation_quadrature`;
+    ``tol`` is the outer-integral tolerance of ``quadrature``, and the
+    closed form has none.  ``mc`` runs the whole grid in one
+    chunk-major pass of :func:`correlation_mc_grid`, so every theta
+    shares the plan's draws and alice's values on them.
     """
     if method not in METHODS:
         raise ValueError(f"method {method!r} not one of {METHODS}")
@@ -1151,17 +1154,10 @@ def curve_for(
         points = tuple(CurvePoint(t, v, s) for t, (v, s) in zip(grid, estimates))
         return CorrelationCurve(colouring_label=label, method=method, points=points)
 
-    alice = _first_party(pair)
-
-    def quadrature(ts: np.ndarray) -> np.ndarray:
-        live = ts >= SNAP
-        values = np.full(ts.shape, -1.0)
-        # checks alice also where theta = 0 gives -1
-        values[live] = correlation_quadrature(alice, ts[live], tol)
-        return values
-
-    engine = functools.partial(closed_form, alice) if method == "closed_form" else quadrature
-    values = antisymmetric(engine, grid).tolist()
+    if method == "closed_form":
+        values = closed_form(pair, grid).tolist()
+    else:
+        values = correlation_quadrature(pair, grid, tol).tolist()
     points = tuple(CurvePoint(t, v, None) for t, v in zip(grid, values))
     return CorrelationCurve(colouring_label=label, method=method, points=points)
 
@@ -1169,18 +1165,6 @@ def curve_for(
 def float_if_0d(values: np.ndarray) -> float | np.ndarray:
     """A 0-d array (the value of a float theta) as a float."""
     return float(values) if np.ndim(values) == 0 else values
-
-
-def antisymmetric(value: Callable, theta: float | np.ndarray) -> float | np.ndarray:
-    """An engine defined on [0, pi/2], extended to theta in [0, pi] by
-    the antisymmetry C(pi - theta) = -C(theta).  theta goes to ``value``
-    clamped into [0, pi] and folded into [0, pi/2] in one call; a float
-    runs as the 0-d case and gives a float.  theta is checked by
-    :func:`checked_theta`."""
-    t = checked_theta(theta)
-    folded = t > HALF_PI + SNAP
-    values = value(np.where(folded, PI - t, t))
-    return float_if_0d(np.where(folded, -values, values))
 
 
 def extend_to_pi(curve: CorrelationCurve) -> CorrelationCurve:

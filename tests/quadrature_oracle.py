@@ -17,15 +17,17 @@ import numpy as np
 from scipy.integrate import quad
 
 from spherebell.colourings import Colouring, ColouringPair
-from spherebell.correlation import (
-    HALF_PI,
-    PI,
-    SNAP,
-    QuadratureError,
-    _first_party,
-    _flips_of,
-)
+from spherebell.correlation import HALF_PI, PI, SNAP, QuadratureError, _flips_of
 from spherebell.geometry import arccos_clamped_array
+
+
+def _first_party(c: Colouring | ColouringPair) -> Colouring:
+    """The colouring the engines read from ``c``: a pair's first party,
+    which ``_flips_of`` checks against its second."""
+    if isinstance(c, ColouringPair):
+        _flips_of(c)
+        return c.alice
+    return c
 
 
 def integrand(

@@ -10,7 +10,6 @@ from spherebell.bounds import (
     ChainCorrelations,
     braunstein_caves_value,
     chain_bounds,
-    chain_length_for,
     chsh_value,
     lemma1_bounds,
     lemma2_bound,
@@ -95,23 +94,23 @@ class TestChainLength:
         ],
     )
     def test_values(self, theta, n):
-        assert chain_length_for(theta) == n
+        assert chain_bounds(theta)[0] == n
 
     def test_boundary_snapping(self):
         # pi/2N computed with rounding noise still picks N, not N+1
         for n in range(2, 9):
             t = PI / (2 * n)
-            assert chain_length_for(t * (1.0 - 1e-15)) == n
-            assert chain_length_for(t) == n
+            assert chain_bounds(t * (1.0 - 1e-15))[0] == n
+            assert chain_bounds(t)[0] == n
 
     def test_just_above_boundary_steps_up(self):
-        assert chain_length_for(PI / 6 - 1e-6) == 4
+        assert chain_bounds(PI / 6 - 1e-6)[0] == 4
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            chain_length_for(0.0)
+            chain_bounds(0.0)
         with pytest.raises(ValueError):
-            chain_length_for(PI / 2 + 0.01)
+            chain_bounds(PI / 2 + 0.01)
 
 
 @pytest.mark.parametrize("n", range(2, 41))
@@ -124,7 +123,7 @@ def test_pi_over_n_snaps_within_snap(n, offset):
         ceil, floor = n, n
     else:
         ceil, floor = (n, n - 1) if offset > 0.0 else (n + 1, n)
-    assert chain_length_for(PI / (2 * n) + offset) == ceil
+    assert chain_bounds(PI / (2 * n) + offset)[0] == ceil
     theta = PI / n + offset
     if n >= 3:
         assert lemma2_bound(theta, 0.0) == -1.0 + 2.0 / ceil

@@ -624,6 +624,26 @@ class TestSweepCommand:
         assert match, err
         assert float(match.group(1)) == pytest.approx(0.431, abs=0.003)
 
+    def test_single_deformation_table_past_half_pi(self, capsys):
+        # the table used to stop at pi/2 (exit 2, "closed forms cover
+        # theta in [0, pi/2]"); past it each column is the fold
+        code, out, _ = run(
+            capsys, "sweep", "--family", "3_delta", "--delta", "0", "--grid", "0.34:0.7:5",
+        )
+        assert code == 0
+        rows = rows_of(out)[1:]
+        grid = parse_grid("0.34:0.7:5")
+        assert [float(r[0]) for r in rows] == pytest.approx(grid / PI, abs=1e-12)
+        past = [(t, r) for t, r in zip(grid.tolist(), rows) if t > PI / 2]
+        assert len(past) == 3
+        for t, row in past:
+            folded = [
+                -correlation.closed_form("3_delta", PI - t, delta=0.0),
+                -correlation.closed_form("3", PI - t),
+                -correlation.closed_form("1", PI - t),
+            ]
+            assert row[1:4] == [correlation.format_sig(v) for v in folded]
+
     def test_delta_grid_mode(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
         code, _, err = run(

@@ -35,7 +35,6 @@ from spherebell.correlation import (
     SamplingPlan,
     _flips_of,
     _quadrature_integrand,
-    antisymmetric,
     chi,
     circle_correlation,
     closed_form,
@@ -74,6 +73,25 @@ class TestSamplingPlan:
             SamplingPlan(1, 0)
         with pytest.raises(ValueError):
             SamplingPlan(1, 10, chunk_size=0)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [((1, 1e5), "n_samples"), ((1.7, 1000), "master_seed"), ((1, 10, 64.0), "chunk_size")],
+    )
+    def test_fields_must_be_integers(self, fields, name):
+        # SamplingPlan(1, 1e5) used to build and then fail in the
+        # estimator with a TypeError; a seed of 1.7 silently ran seed 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SamplingPlan(*fields)
+
+    def test_numpy_integers_pass(self):
+        # harmonic_search derives restart seeds as numpy uint64 values
+        seed = np.random.SeedSequence([5]).generate_state(1, dtype=np.uint64)[0]
+        plan = SamplingPlan(seed, np.int64(100), np.int32(64))
+        assert list(plan.chunks()) == [(0, 64), (1, 36)]
+        assert correlation_mc(pair_for(1), 0.3, plan) == correlation_mc(
+            pair_for(1), 0.3, SamplingPlan(int(seed), 100, 64)
+        )
 
     def test_chunks_cover_exactly(self):
         plan = SamplingPlan(9, 150_000, chunk_size=65536)
@@ -298,10 +316,14 @@ class TestCorrelationQuadrature:
         assert abs(value) <= 1e-6
 
     def test_theta_domain(self):
-        with pytest.raises(ValueError):
-            correlation_quadrature(make_catalogue(1), 0.0, 1e-8)
-        with pytest.raises(ValueError):
-            correlation_quadrature(make_catalogue(1), 0.6 * PI, 1e-8)
+        # theta = 0 gives -1 and theta past pi/2 the fold, as in the
+        # closed form; only theta outside [0, pi] raises
+        one, t = make_catalogue(1), 0.6 * PI
+        assert correlation_quadrature(one, 0.0, 1e-8) == -1.0
+        assert correlation_quadrature(one, t, 1e-8) == -correlation_quadrature(one, PI - t, 1e-8)
+        for bad in (-1e-9, math.nan, PI + 1e-9):
+            with pytest.raises(ClosedFormDomainError, match=r"outside \[0, pi\]"):
+                correlation_quadrature(one, bad, 1e-8)
 
     def test_non_antipodal_colouring_rejected(self):
         lopsided = BandColouring(((0.0, 0.6 * PI),))
@@ -497,8 +519,12 @@ class TestClosedForm:
         assert inline == pytest.approx(direct, abs=1e-12)
 
     def test_theta_outside_half_turn(self):
-        with pytest.raises(ClosedFormDomainError):
-            closed_form("3", 0.6 * PI)
+        # past pi/2 the value is the fold; outside [0, pi] theta is refused
+        t = 0.6 * PI
+        assert closed_form("3", t) == -closed_form("3", PI - t)
+        for bad in (-1e-9, math.nan, PI + 1e-9):
+            with pytest.raises(ClosedFormDomainError, match=r"outside \[0, pi\]"):
+                closed_form("3", bad)
 
     def test_shrunk_cap_family_against_quadrature(self):
         for cap in (0.01 * PI, 0.03 * PI, PI / 12):
@@ -733,7 +759,12 @@ class TestArrayEngine:
 
     @pytest.mark.parametrize("bad", [-1e-9, 0.6 * PI, math.nan])
     def test_one_angle_out_of_range_fails_the_array(self, bad):
-        with pytest.raises(ClosedFormDomainError):
+        if bad == 0.6 * PI:
+            # past pi/2 but inside [0, pi]: the array holds its fold
+            values = closed_form("3", np.array([0.1, bad, 0.2]))
+            assert values[1] == -closed_form("3", PI - bad)
+            bad = PI + 1e-9
+        with pytest.raises(ClosedFormDomainError, match=r"outside \[0, pi\]"):
             closed_form("3", np.array([0.1, bad, 0.2]))
 
     def test_array_rows_are_independent(self):
@@ -841,9 +872,18 @@ class TestSignPath:
         assert hits and hits == all_crossings(lambda t: closed_form(c, t), level, bracket)
 
     def test_sign_path_shares_the_domain_errors(self):
-        c1 = reference_curve("c1")
+        # a scan past pi/2 reads the fold; past pi it raises, as does a
+        # colouring with no closed form
+        three, c1 = make_catalogue("3"), reference_curve("c1")
+
+        def folded(t):
+            return np.where(t > HALF_PI, -closed_form(three, PI - t), closed_form(three, t))
+
+        hits = all_crossings(three, c1, (0.1, 0.6 * PI))
+        assert hits == all_crossings(folded, c1, (0.1, 0.6 * PI))
+        assert any(hit.theta_star > HALF_PI for hit in hits)
         with pytest.raises(ClosedFormDomainError):
-            all_crossings(make_catalogue("3"), c1, (0.1, 0.6 * PI))
+            all_crossings(three, c1, (0.1, PI + 1e-9))
         with pytest.raises(ClosedFormDomainError):
             all_crossings(HarmonicColouring(((1, 1, 1.0),)), c1, CROSSING_BRACKET)
 
@@ -921,16 +961,14 @@ class TestCurveFor:
         colouring = make_catalogue("3_delta", delta=-0.02 * PI)
         grid = [0.0, 1e-13, 0.2 * PI, HALF_PI, HALF_PI + 1e-13, 0.7 * PI, PI - 1e-13, PI]
         curve = curve_for(colouring, grid, "closed_form")
-        expected = [
-            antisymmetric(lambda t: closed_form(colouring, t), t) for t in grid
-        ]
+        expected = [closed_form(colouring, t) for t in grid]
         assert [p.value for p in curve.points] == expected
         assert curve.points[0].value == -1.0 and curve.points[-1].value == 1.0
         with pytest.raises(ValueError):
             curve_for(colouring, [0.2, PI + 1e-9], "closed_form")
 
     def test_antisymmetric_float_is_its_0d_case(self):
-        fold = functools.partial(antisymmetric, functools.partial(closed_form, "3"))
+        fold = functools.partial(closed_form, "3")
         for t in (0.0, 0.2 * PI, HALF_PI, 0.7 * PI, PI):
             value = fold(t)
             assert type(value) is float and type(fold(np.float64(t))) is float
@@ -1007,6 +1045,44 @@ class TestPairsInDeterministicEngines:
         for pair in NOT_THE_SWAP:
             with pytest.raises(ValueError, match="colour swap"):
                 curve_for(pair, [0.3 * PI], method)
+
+
+@pytest.mark.parametrize(
+    "engine, method, blocks",
+    [
+        (closed_form, "closed_form", "_exact_values"),
+        (correlation_quadrature, "quadrature", "_outer_integrals"),
+    ],
+    ids=["closed_form", "quadrature"],
+)
+def test_exact_engines_share_one_theta_rule(engine, method, blocks, monkeypatch):
+    # one front door: -1 below SNAP, SNAP itself computed, within SNAP
+    # past pi/2 clamped to pi/2, farther past it folded by antisymmetry.
+    # The quadrature used to raise at theta = 0 and SNAP, and curve_for
+    # with it; both engines raised past pi/2.
+    computed = []
+    inner = getattr(correlation, blocks)
+
+    def spy(t, *args):
+        computed.extend(t.tolist())
+        return inner(t, *args)
+
+    monkeypatch.setattr(correlation, blocks, spy)
+    three = make_catalogue("3")
+    thetas = [0.0, 0.5 * SNAP, SNAP, HALF_PI, HALF_PI + 5e-13, PI - SNAP, PI]
+    values = engine(three, np.array(thetas)).tolist()
+    assert SNAP in computed and min(computed) == SNAP
+    assert values == [engine(three, t) for t in thetas]
+    assert values[:2] == [-1.0, -1.0]
+    assert values[4] == values[3]
+    for t, value in zip(thetas[5:], values[5:]):
+        assert value == -engine(three, PI - t)
+    assert values[-1] == 1.0
+    curve = curve_for(three, [SNAP, 0.1], method)
+    assert [p.value for p in curve.points] == [values[2], engine(three, 0.1)]
+    for pair in NOT_THE_SWAP:
+        with pytest.raises(ClosedFormDomainError, match="colour swap"):
+            engine(pair, 0.3 * PI)
 
 
 class TestExtendToPi:
@@ -1220,7 +1296,7 @@ class TestCsvRoundTrip:
             curve,
             buffer,
             references={
-                "c1": spy("c1", lambda t: antisymmetric(lambda u: closed_form("1", u), t)),
+                "c1": spy("c1", lambda t: closed_form("1", t)),
                 "q": spy("q", singlet_correlation),
             },
         )
@@ -1495,13 +1571,18 @@ class TestQuadratureArrays:
 
     def test_array_messages_are_the_float_messages(self):
         three = make_catalogue("3")
-        for bad in (0.0, 0.6 * PI, math.nan):
-            with pytest.raises(ValueError) as single:
+        # 0 and 0.6 pi lie inside [0, pi]: -1 and the fold
+        values = correlation_quadrature(three, np.array([0.3, 0.0, 0.6 * PI]))
+        assert values.tolist() == [
+            correlation_quadrature(three, 0.3), -1.0, -correlation_quadrature(three, PI - 0.6 * PI)
+        ]
+        for bad in (-1e-9, math.nan, PI + 1e-9):
+            with pytest.raises(ClosedFormDomainError) as single:
                 correlation_quadrature(three, bad)
-            with pytest.raises(ValueError) as inside:
+            with pytest.raises(ClosedFormDomainError) as inside:
                 correlation_quadrature(three, np.array([0.3, bad, -1.0]))
             assert str(inside.value) == str(single.value)
-            assert str(single.value) == f"theta {bad!r} outside (0, pi/2]"
+            assert str(single.value) == f"theta={bad / PI:g}*pi outside [0, pi]"
         with pytest.raises(ValueError, match=r"^quadrature tolerance nan must be finite"):
             correlation_quadrature(three, np.array([0.3]), math.nan)
 

@@ -304,8 +304,15 @@ class TestCrossingCertificate:
         assert calls == [(400,), (15,)]
 
     def test_scan_past_half_pi_still_raises(self):
+        # past pi/2 the certified scan reads the fold, as the full scan
+        # of the array engine does; its last point past pi raises
+        three, end = make_catalogue("3"), HALF_PI + 1e-3
+        assert closed_form(three, end) == -closed_form(three, PI - end)
+        full = lambda t: closed_form(three, t)
+        hits = all_crossings(three, singlet_correlation, (1.0, end))
+        assert hits == all_crossings(full, singlet_correlation, (1.0, end))
         with pytest.raises(ClosedFormDomainError):
-            all_crossings(make_catalogue("3"), singlet_correlation, (1.0, HALF_PI + 1e-3))
+            all_crossings(three, singlet_correlation, (1.0, PI + 1e-9))
 
 
 def walk_both(diff, lo, hi, tol):
