@@ -92,10 +92,10 @@ SNAP = 1e-12
 METHODS = ("mc", "quadrature", "closed_form")
 
 
-# no engine reads this; kept because perfbench/spans.py rebinds it
 def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on first use: scipy.integrate
-    takes most of the time of a cold ``import spherebell``."""
+    """``scipy.integrate.quad``, imported on first use.  No engine calls
+    it: only ``perfbench/spans.py`` uses the name, which it rebinds.
+    It needs scipy, which spherebell does not otherwise import."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)
@@ -660,16 +660,21 @@ def _exact_engine(
     if bad is not None:
         raise ClosedFormDomainError(bad)
     north, flips = _flips_of(c, delta)
-    folded = t > HALF_PI + SNAP
-    fold = folded.any()
-    flat = np.ravel(np.minimum(np.where(folded, PI - t, t) if fold else t, HALF_PI))
-    live = np.flatnonzero(flat >= SNAP)
-    values = np.full(flat.size, -1.0)
-    for i in range(0, live.size, rows):
-        block = live[i : i + rows]
+    top = t.max(initial=0.0)
+    folded = t > HALF_PI + SNAP if top > HALF_PI + SNAP else None
+    flat = np.ravel(t if folded is None else np.where(folded, PI - t, t))
+    if top > HALF_PI:
+        flat = np.minimum(flat, HALF_PI)
+    if flat.min(initial=HALF_PI) < SNAP:
+        live = np.flatnonzero(flat >= SNAP)
+        values = np.full(flat.size, -1.0)
+    else:  # every angle is live: its blocks are slices
+        live, values = None, np.empty(flat.size)
+    for i in range(0, flat.size if live is None else live.size, rows):
+        block = slice(i, i + rows) if live is None else live[i : i + rows]
         values[block] = values_of(flat[block], north, flips)
     values = values.reshape(t.shape)
-    return float_if_0d(np.where(folded, -values, values) if fold else values)
+    return float_if_0d(values if folded is None else np.where(folded, -values, values))
 
 
 # ---------------------------------------------------------------------------
@@ -971,7 +976,9 @@ def clamp_angles(theta: float | np.ndarray) -> tuple[np.ndarray, str | None]:
     t = np.asarray(theta, dtype=float)
     outside = t[~((-SNAP <= t) & (t <= PI + SNAP))]
     bad = f"theta={float(outside[0]) / PI:g}*pi outside [0, pi]" if outside.size else None
-    return np.clip(t, 0.0, PI), bad
+    # np.clip's value with fewer fixed numpy calls; 0.0 goes first, so
+    # that -0.0 clamps to 0.0 as np.clip clamps it
+    return np.minimum(np.maximum(0.0, t), PI), bad
 
 
 def checked_theta(theta: float | np.ndarray) -> np.ndarray:
@@ -1165,23 +1172,6 @@ def curve_for(
 def float_if_0d(values: np.ndarray) -> float | np.ndarray:
     """A 0-d array (the value of a float theta) as a float."""
     return float(values) if np.ndim(values) == 0 else values
-
-
-def extend_to_pi(curve: CorrelationCurve) -> CorrelationCurve:
-    """Extend a curve from [0, pi/2] to [0, pi] by antisymmetry."""
-    thetas = curve.thetas()
-    if thetas.size == 0 or thetas[-1] < HALF_PI - 1e-9:
-        raise ValueError("curve must cover [0, pi/2] before extension")
-    reflected = [
-        CurvePoint(PI - p.theta, -p.value, p.stderr)
-        for p in reversed(curve.points)
-        if p.theta < HALF_PI - SNAP
-    ]
-    return CorrelationCurve(
-        colouring_label=curve.colouring_label,
-        method=curve.method,
-        points=tuple(list(curve.points) + reflected),
-    )
 
 
 @dataclass(frozen=True)

@@ -74,12 +74,78 @@ SCAN_POINTS = 400
 SCAN_STRIDE = 8
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use, so that
-    importing spherebell does not load scipy.optimize."""
-    from scipy.optimize import minimize as scipy_minimize
+def _nelder_mead(
+    objective: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    max_iter: int,
+    xatol: float,
+    fatol: float,
+    adaptive: bool,
+) -> tuple[np.ndarray, float]:
+    """The Nelder-Mead simplex from the float vector ``x0``: (x, fun),
+    the best vertex and its value.
 
-    return scipy_minimize(*args, **kwargs)
+    It is scipy's ``minimize(method="Nelder-Mead")`` with the options
+    ``maxiter``, ``xatol``, ``fatol`` and ``adaptive`` (scipy 1.17,
+    ``_minimize_neldermead``, BSD-3-Clause), operation for operation
+    but for its factors rho = 1, which leave every product exact, so
+    that x, fun and the objective's calls are scipy's bit for bit.
+    The first simplex moves each coordinate of x0 by 5% (a zero one to
+    0.00025); ``adaptive`` takes Gao and Han's parameters for the
+    dimension (Comput. Optim. Appl. 51, 259 (2012)).  The vertices are
+    reordered by ``np.argsort`` after every step, as scipy reorders
+    them: on a quantised objective with many ties, a stable sort would
+    order tied vertices differently and walk another path.  The
+    search stops once every vertex is within ``xatol`` of the best in
+    every coordinate and within ``fatol`` of it in value, or after
+    ``max_iter`` - 1 steps.  ``objective`` must leave its argument
+    unchanged.
+    """
+    n = x0.size
+    if adaptive:
+        chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    else:
+        chi, psi, sigma = 2, 0.5, 0.5
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([objective(x) for x in sim], dtype=float)
+    for _ in range(2):  # scipy sorts the first simplex twice
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    for _ in range(max_iter - 1):
+        if (
+            np.max(np.abs(sim[1:] - sim[0])) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]  # reflect
+        fxr = objective(xr)
+        if fxr < fsim[0]:  # expand
+            xe = (1 + chi) * xbar - chi * sim[-1]
+            fxe = objective(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contract outside
+                xc = (1 + psi) * xbar - psi * sim[-1]
+                fxc = objective(xc)
+                keep = fxc <= fxr
+            else:  # contract inside
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = objective(xc)
+                keep = fxc < fsim[-1]
+            if keep:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = objective(sim[j])
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return sim[0], float(np.min(fsim))
 
 
 class NoCrossingError(RuntimeError):
@@ -673,11 +739,12 @@ def harmonic_search(
 
     Coefficients run over odd l up to l_max (all m, or m = 0 only);
     the sign is scale invariant so winners are reported unit-norm.
-    Each restart runs a Nelder-Mead simplex from a random start, with a
-    fixed per-restart sampling plan so every comparison inside the
-    simplex uses common random numbers: the basis rows at the restart's
-    sample and partner points are built once, alice's beside bob's, as
-    one float32 stack (:func:`common_random_correlation`).  A simplex
+    Each restart runs a Nelder-Mead simplex (:func:`_nelder_mead`) from
+    a random start, with a fixed per-restart sampling plan so every
+    comparison inside the simplex uses common random numbers: the basis
+    rows at the restart's sample and partner points are built once,
+    alice's beside bob's, as one float32 stack
+    (:func:`common_random_correlation`).  A simplex
     step divides its vector by its norm, sums the rows in float32,
     re-reads in float64 the few points whose float32 amplitude is
     within the stated bound of zero, and counts the points where the
@@ -733,18 +800,8 @@ def harmonic_search(
             evals += 1
             return correlation(x / norm)
 
-        result = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": max_iter,
-                "xatol": 1e-3,
-                "fatol": 1e-4,
-                "adaptive": dim > 2,
-            },
-        )
-        return float(result.fun), np.asarray(result.x), evals
+        x, fun = _nelder_mead(objective, x0, max_iter, 1e-3, 1e-4, dim > 2)
+        return fun, x, evals
 
     outcomes = [run_restart(k) for k in range(restarts)]
     best_k = min(range(restarts), key=lambda k: (outcomes[k][0], k))

@@ -27,6 +27,7 @@ from spherebell.correlation import (
     SamplingPlan,
     closed_form,
 )
+from spherebell.quantum import werner_correlation
 
 PI = math.pi
 HALF = math.sqrt(0.5)
@@ -250,6 +251,68 @@ class TestLemma2:
                 t1 = theorem1_bounds(float(theta)).lower
                 l2 = lemma2_bound(float(theta), gamma)
                 assert t1 <= l2 + 2.0 * gamma + 1e-12
+
+
+# theta in (0, pi/2): a 0.005 pi grid and the angles pi/n
+WERNER_THETAS = sorted(
+    set(np.linspace(0.0, 0.5 * PI, 101)[1:-1].tolist()) | {PI / n for n in range(3, 9)}
+)
+
+
+def werner_broken_bounds(v, theta):
+    """The bounds that the Werner state of visibility v breaks at theta:
+    its curve is -v cos(theta), at singlet fidelity r = (3v + 1)/4, and
+    gamma = (1 - v)/2, since C(0) = -v."""
+    value = werner_correlation((3.0 * v + 1.0) / 4.0, theta)
+    gamma = (1.0 - v) / 2.0
+    broken = []
+    for name, rep in (
+        ("theorem1", theorem1_bounds(theta)),
+        ("lemma1", lemma1_bounds(theta, gamma)),
+    ):
+        if not rep.lower <= value <= rep.upper:
+            broken.append(name)
+    if value < lemma2_bound(theta, gamma):
+        broken.append("lemma2")
+    return broken
+
+
+class TestWernerVisibility:
+    # Werner states have a local hidden-variable model for every
+    # projective measurement up to visibility about 0.68 (Hirsch et al.,
+    # Quantum 1, 3 (2017); Designolle et al., arXiv:2302.04721), so no
+    # LHV bound may flag a state below it
+    @pytest.mark.parametrize("v", [0.5, 0.6, 0.68])
+    def test_locally_modelled_states_break_no_bound(self, v):
+        assert all(werner_broken_bounds(v, t) == [] for t in WERNER_THETAS)
+
+    def test_chsh_threshold_at_quarter_turn(self):
+        # Theorem 1 flags v > (1 - 1/N)/cos(theta), least at pi/4: 1/sqrt(2)
+        assert werner_broken_bounds(HALF + 1e-6, PI / 4) == ["theorem1"]
+        assert werner_broken_bounds(HALF - 1e-6, PI / 4) == []
+        worst = min((1.0 - 1.0 / chain_bounds(t)[0]) / math.cos(t) for t in WERNER_THETAS)
+        assert worst == pytest.approx(HALF, abs=1e-12)
+
+    def test_lemma2_threshold_at_quarter_turn(self):
+        # Lemma 2 flags v > 2(1 - 1/N)/(1 + cos(theta)): 0.879 at pi/4
+        threshold = 2.0 * (1.0 - 1.0 / 4.0) / (1.0 + math.cos(PI / 4))
+        assert threshold == pytest.approx(0.87868, abs=1e-5)
+        assert "lemma2" in werner_broken_bounds(threshold + 1e-6, PI / 4)
+        assert "lemma2" not in werner_broken_bounds(threshold - 1e-6, PI / 4)
+
+    def test_lemma1_flags_no_visibility_up_to_one(self):
+        assert all("lemma1" not in werner_broken_bounds(1.0, t) for t in WERNER_THETAS)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_zero_gamma_gives_the_anticorrelated_bounds(self, n):
+        # at gamma = 0 Lemma 1 is the triangle bound [-1, 1/3], which the
+        # hemisphere meets at 2 pi/3, and Lemma 2 the n-cycle bound
+        # -1 + 2/n, which it meets at pi/n
+        rep = lemma1_bounds(2.0 * PI / 3.0, 0.0)
+        assert (rep.lower, rep.upper) == (-1.0, pytest.approx(1.0 / 3.0, abs=1e-15))
+        assert closed_form("1", 2.0 * PI / 3.0) == pytest.approx(rep.upper, abs=1e-12)
+        assert lemma2_bound(PI / n, 0.0) == pytest.approx(-1.0 + 2.0 / n, abs=1e-12)
+        assert closed_form("1", PI / n) == pytest.approx(-1.0 + 2.0 / n, abs=1e-12)
 
 
 class TestLemma3:

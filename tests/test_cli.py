@@ -1060,6 +1060,19 @@ def test_quadrature_curve_leaves_scipy_integrate_unloaded(tmp_path):
     assert len(rows_of((tmp_path / "c4.csv").read_text())) == 6
 
 
+def test_search_leaves_scipy_unloaded(tmp_path):
+    # the Nelder-Mead simplex is the package's own, so no command
+    # imports scipy; this all-m search runs it in 10 dimensions
+    probe = (
+        "import sys; from spherebell import cli; "
+        "argv = ['search', '--theta', '0.3', '--lmax', '3', '--restarts', '1', "
+        "'--n', '2000', '--out', sys.argv[1]]; "
+        "print(cli.main(argv), 'scipy.optimize' in sys.modules, 'scipy' in sys.modules)"
+    )
+    assert run_probe(probe, str(tmp_path / "search.json")) == "0 False False"
+    assert json.loads((tmp_path / "search.json").read_text())["evaluations"] > 0
+
+
 def _glibc() -> bool:
     try:
         return bool(os.confstr("CS_GNU_LIBC_VERSION"))

@@ -42,7 +42,6 @@ from spherebell.correlation import (
     correlation_mc_grid,
     correlation_quadrature,
     curve_for,
-    extend_to_pi,
     format_sig,
     gamma_of,
     mixture_correlation,
@@ -146,6 +145,16 @@ class TestCorrelationMC:
             correlation_mc(pair_for(1), -0.2, SamplingPlan(1, 10))
         with pytest.raises(ValueError):
             correlation_mc(pair_for(1), PI + 0.2, SamplingPlan(1, 10))
+
+    def test_monte_carlo_agrees_on_the_reflected_angle(self):
+        mc, stderr = correlation_mc(pair_for(3), 0.6 * PI, SamplingPlan(23, 1_000_000))
+        assert abs(mc + closed_form("3", 0.4 * PI)) <= 3 * stderr
+
+    def test_antisymmetry_of_monte_carlo_estimates(self):
+        plan = SamplingPlan(29, 500_000)
+        v1, s1 = correlation_mc(pair_for(2), 0.3 * PI, plan)
+        v2, s2 = correlation_mc(pair_for(2), 0.7 * PI, plan.scaled(1))
+        assert abs(v1 + v2) <= 3 * math.hypot(s1, s2)
 
 
 def per_point_mc(pair, theta, plan):
@@ -1083,30 +1092,6 @@ def test_exact_engines_share_one_theta_rule(engine, method, blocks, monkeypatch)
     for pair in NOT_THE_SWAP:
         with pytest.raises(ClosedFormDomainError, match="colour swap"):
             engine(pair, 0.3 * PI)
-
-
-class TestExtendToPi:
-    def test_reflection_of_the_hemisphere_line(self):
-        thetas = np.linspace(0.0, 0.5, 21) * PI
-        curve = extend_to_pi(curve_for(make_catalogue(1), thetas, "closed_form"))
-        lookup = {round(p.theta / PI, 6): p.value for p in curve.points}
-        assert lookup[0.75] == pytest.approx(0.5, abs=1e-12)
-        assert lookup[0.5] == pytest.approx(0.0, abs=1e-12)
-
-    def test_requires_coverage_to_half_turn(self):
-        partial = curve_for(make_catalogue(1), [0.1 * PI, 0.2 * PI], "closed_form")
-        with pytest.raises(ValueError):
-            extend_to_pi(partial)
-
-    def test_monte_carlo_agrees_on_the_reflected_angle(self):
-        mc, stderr = correlation_mc(pair_for(3), 0.6 * PI, SamplingPlan(23, 1_000_000))
-        assert abs(mc + closed_form("3", 0.4 * PI)) <= 3 * stderr
-
-    def test_antisymmetry_of_monte_carlo_estimates(self):
-        plan = SamplingPlan(29, 500_000)
-        v1, s1 = correlation_mc(pair_for(2), 0.3 * PI, plan)
-        v2, s2 = correlation_mc(pair_for(2), 0.7 * PI, plan.scaled(1))
-        assert abs(v1 + v2) <= 3 * math.hypot(s1, s2)
 
 
 class TestGamma:

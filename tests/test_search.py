@@ -693,6 +693,50 @@ def test_search_report_layout():
     assert payload["theta_over_pi"] == pytest.approx(0.3, abs=1e-12)
 
 
+def nelder_mead_objective(kind, dim):
+    """A smooth objective, the same rounded to steps of 1/16, or a
+    fraction of 512 sign disagreements, which ties as the search's does."""
+    rng = np.random.default_rng(dim)
+    centre, weights = rng.standard_normal(dim), rng.uniform(0.5, 2.0, dim)
+    a, b = rng.standard_normal((2, 512, dim))
+    smooth = lambda x: float(np.sum(weights * (x - centre) ** 2))
+    return {
+        "smooth": smooth,
+        "rounded": lambda x: round(16 * smooth(x)) / 16,
+        "signs": lambda x: np.count_nonzero((a @ x >= 0) != (b @ x >= 0)) / 512,
+    }[kind]
+
+
+# 12 steps stop every run of dimension 3 or more at max_iter; with 3000
+# the runs stop on the tolerances, except the smooth ones in 21 and 25
+# dimensions
+@pytest.mark.parametrize("max_iter", [12, 3000])
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("kind", ["smooth", "rounded", "signs"])
+@pytest.mark.parametrize("dim", [2, 3, 8, 21, 25])
+def test_nelder_mead_is_scipys_bit_for_bit(dim, kind, adaptive, max_iter):
+    from scipy.optimize import minimize
+
+    objective = nelder_mead_objective(kind, dim)
+    x0 = np.random.default_rng(100 + dim).standard_normal(dim)
+    x0[dim // 2] = 0.0  # a zero coordinate starts its own simplex step
+    calls = {"ours": [], "scipy": []}
+
+    def counted(side):
+        def f(x):
+            calls[side].append(x.tobytes())
+            return objective(x)
+
+        return f
+
+    x, fun = search._nelder_mead(counted("ours"), x0, max_iter, 1e-3, 1e-4, adaptive)
+    options = {"maxiter": max_iter, "xatol": 1e-3, "fatol": 1e-4, "adaptive": adaptive}
+    ref = minimize(counted("scipy"), x0, method="Nelder-Mead", options=options)
+    assert calls["ours"] == calls["scipy"]
+    assert x.tobytes() == ref.x.tobytes()
+    assert fun == ref.fun
+
+
 # two chunks, the second one short
 TWO_CHUNKS = SamplingPlan(29, 3000, chunk_size=2048)
 ALL_M_L3 = [(l, m) for l in (1, 3) for m in range(-l, l + 1)]
