@@ -660,21 +660,16 @@ def _exact_engine(
     if bad is not None:
         raise ClosedFormDomainError(bad)
     north, flips = _flips_of(c, delta)
-    top = t.max(initial=0.0)
-    folded = t > HALF_PI + SNAP if top > HALF_PI + SNAP else None
-    flat = np.ravel(t if folded is None else np.where(folded, PI - t, t))
-    if top > HALF_PI:
-        flat = np.minimum(flat, HALF_PI)
-    if flat.min(initial=HALF_PI) < SNAP:
-        live = np.flatnonzero(flat >= SNAP)
-        values = np.full(flat.size, -1.0)
-    else:  # every angle is live: its blocks are slices
-        live, values = None, np.empty(flat.size)
-    for i in range(0, flat.size if live is None else live.size, rows):
-        block = slice(i, i + rows) if live is None else live[i : i + rows]
+    folded = t > HALF_PI + SNAP
+    fold = folded.any()
+    flat = np.ravel(np.minimum(np.where(folded, PI - t, t) if fold else t, HALF_PI))
+    live = np.flatnonzero(flat >= SNAP)
+    values = np.full(flat.size, -1.0)
+    for i in range(0, live.size, rows):
+        block = live[i : i + rows]
         values[block] = values_of(flat[block], north, flips)
     values = values.reshape(t.shape)
-    return float_if_0d(values if folded is None else np.where(folded, -values, values))
+    return float_if_0d(np.where(folded, -values, values) if fold else values)
 
 
 # ---------------------------------------------------------------------------
@@ -976,9 +971,7 @@ def clamp_angles(theta: float | np.ndarray) -> tuple[np.ndarray, str | None]:
     t = np.asarray(theta, dtype=float)
     outside = t[~((-SNAP <= t) & (t <= PI + SNAP))]
     bad = f"theta={float(outside[0]) / PI:g}*pi outside [0, pi]" if outside.size else None
-    # np.clip's value with fewer fixed numpy calls; 0.0 goes first, so
-    # that -0.0 clamps to 0.0 as np.clip clamps it
-    return np.minimum(np.maximum(0.0, t), PI), bad
+    return np.clip(t, 0.0, PI), bad
 
 
 def checked_theta(theta: float | np.ndarray) -> np.ndarray:

@@ -73,31 +73,34 @@ SCAN_POINTS = 400
 # runs), against 1.58 ms for all 400 in one call.
 SCAN_STRIDE = 8
 
+# The Nelder-Mead simplex stops once its vertices lie within XATOL of
+# the best in every coordinate and within FATOL of it in value.
+XATOL = 1e-3
+FATOL = 1e-4
+
 
 def _nelder_mead(
     objective: Callable[[np.ndarray], float],
     x0: np.ndarray,
     max_iter: int,
-    xatol: float,
-    fatol: float,
     adaptive: bool,
 ) -> tuple[np.ndarray, float]:
     """The Nelder-Mead simplex from the float vector ``x0``: (x, fun),
     the best vertex and its value.
 
     It is scipy's ``minimize(method="Nelder-Mead")`` with the options
-    ``maxiter``, ``xatol``, ``fatol`` and ``adaptive`` (scipy 1.17,
-    ``_minimize_neldermead``, BSD-3-Clause), operation for operation
-    but for its factors rho = 1, which leave every product exact, so
-    that x, fun and the objective's calls are scipy's bit for bit.
-    The first simplex moves each coordinate of x0 by 5% (a zero one to
-    0.00025); ``adaptive`` takes Gao and Han's parameters for the
+    ``maxiter``, ``adaptive``, ``xatol=XATOL`` and ``fatol=FATOL``
+    (scipy 1.17, ``_minimize_neldermead``, BSD-3-Clause), operation for
+    operation but for its factors rho = 1, which leave every product
+    exact, so that x, fun and the objective's calls are scipy's bit for
+    bit.  The first simplex moves each coordinate of x0 by 5% (a zero
+    one to 0.00025); ``adaptive`` takes Gao and Han's parameters for the
     dimension (Comput. Optim. Appl. 51, 259 (2012)).  The vertices are
     reordered by ``np.argsort`` after every step, as scipy reorders
     them: on a quantised objective with many ties, a stable sort would
     order tied vertices differently and walk another path.  The
-    search stops once every vertex is within ``xatol`` of the best in
-    every coordinate and within ``fatol`` of it in value, or after
+    search stops once every vertex is within ``XATOL`` of the best in
+    every coordinate and within ``FATOL`` of it in value, or after
     ``max_iter`` - 1 steps.  ``objective`` must leave its argument
     unchanged.
     """
@@ -115,8 +118,8 @@ def _nelder_mead(
         sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
     for _ in range(max_iter - 1):
         if (
-            np.max(np.abs(sim[1:] - sim[0])) <= xatol
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+            np.max(np.abs(sim[1:] - sim[0])) <= XATOL
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL
         ):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
@@ -800,7 +803,7 @@ def harmonic_search(
             evals += 1
             return correlation(x / norm)
 
-        x, fun = _nelder_mead(objective, x0, max_iter, 1e-3, 1e-4, dim > 2)
+        x, fun = _nelder_mead(objective, x0, max_iter, dim > 2)
         return fun, x, evals
 
     outcomes = [run_restart(k) for k in range(restarts)]

@@ -729,8 +729,13 @@ def test_nelder_mead_is_scipys_bit_for_bit(dim, kind, adaptive, max_iter):
 
         return f
 
-    x, fun = search._nelder_mead(counted("ours"), x0, max_iter, 1e-3, 1e-4, adaptive)
-    options = {"maxiter": max_iter, "xatol": 1e-3, "fatol": 1e-4, "adaptive": adaptive}
+    x, fun = search._nelder_mead(counted("ours"), x0, max_iter, adaptive)
+    options = {
+        "maxiter": max_iter,
+        "xatol": search.XATOL,
+        "fatol": search.FATOL,
+        "adaptive": adaptive,
+    }
     ref = minimize(counted("scipy"), x0, method="Nelder-Mead", options=options)
     assert calls["ours"] == calls["scipy"]
     assert x.tobytes() == ref.x.tobytes()
