@@ -213,11 +213,14 @@ def lemma4_check(theta: float, value: float) -> bool:
 def _classify(
     value: float, lower: float, upper: float, slack: float, statistical: bool
 ) -> str:
+    """A statistical point within its slack of the bounds is inconclusive,
+    and so is one outside them with slack 0: its samples all agreed, and
+    C = +-1 on (0, pi/2], where |C| <= 1 - 1/N < 1, is sampling noise."""
     if lower - slack <= value <= upper + slack:
         if statistical and not lower <= value <= upper:
             return STATUS_INCONCLUSIVE
         return STATUS_SATISFIED
-    return STATUS_VIOLATED
+    return STATUS_INCONCLUSIVE if statistical and slack == 0.0 else STATUS_VIOLATED
 
 
 def _chain_point(theta: float) -> bool:
@@ -256,20 +259,13 @@ def verify_curve(curve: CorrelationCurve) -> list[BoundReport]:
 
     Grid points must sit in [0, pi/2]; theta = 0, where no chain bound
     applies, is skipped.  Points carrying a stderr get the statistical
-    treatment, and a stderr that is negative or not finite (the nan of a
-    one-sample estimate) raises ``ValueError``; others the strict one.  The
-    chain-bound report carries a ``saturated`` flag marking
-    equality-within-slack with either edge, the way the hemisphere curve
-    touches the lower bound at theta = pi / 2N.  The chain bounds of
-    the whole grid are one call of :func:`chain_bounds`.
+    treatment, others the strict one.  The chain-bound report carries a
+    ``saturated`` flag marking equality-within-slack with either edge,
+    the way the hemisphere curve touches the lower bound at
+    theta = pi / 2N.  The chain bounds of the whole grid are one call
+    of :func:`chain_bounds`.
     """
     points = [p for p in curve.points if _chain_point(p.theta)]
-    for point in curve.points:
-        if point.stderr is not None and not 0.0 <= point.stderr < math.inf:
-            raise ValueError(
-                f"curve point at theta {point.theta!r} has stderr {point.stderr!r}, "
-                "which bounds no statistical test"
-            )
     chains, uppers = chain_bounds(np.array([p.theta for p in points]))
     reports: list[BoundReport] = []
     for point, n_chain, upper in zip(points, chains.tolist(), uppers.tolist()):

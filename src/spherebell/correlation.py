@@ -146,8 +146,8 @@ class SamplingPlan:
                 raise ValueError(f"{name} must be an integer, not {value!r}") from None
         if not 0 <= int(self.master_seed) < 2**64:
             raise ValueError("master_seed must fit in 64 bits")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
+        if self.n_samples < 2:
+            raise ValueError("n_samples must be at least 2: one sample has no stderr")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
 
@@ -557,12 +557,8 @@ def correlation_mc_grid(
             totals += [np.sum(a_vals * draws.colours(bob, t), dtype=np.int64) for t in distinct]
     by_theta = dict(zip(distinct, totals.tolist()))
     n = plan.n_samples
-    estimates = []
-    for t in grid:
-        value = by_theta[t] / n
-        variance = max(0.0, 1.0 - value * value) / (n - 1) if n > 1 else math.nan
-        estimates.append((value, math.sqrt(variance)))
-    return estimates
+    values = [by_theta[t] / n for t in grid]
+    return [(v, math.sqrt(max(0.0, 1.0 - v * v) / (n - 1))) for v in values]
 
 
 def correlation_mc(
@@ -1102,6 +1098,11 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class CorrelationCurve:
+    """C(theta) on a sorted grid, by one method.  The error-bar contract
+    is stated here only: a point is tested statistically exactly when it
+    carries a stderr, a stderr is finite and >= 0, and every point of an
+    ``mc`` curve carries one."""
+
     colouring_label: str
     method: str
     points: tuple[CurvePoint, ...]
@@ -1116,6 +1117,12 @@ class CorrelationCurve:
         for p in pts:
             if not -1.0 - 1e-9 <= p.value <= 1.0 + 1e-9:
                 raise ValueError(f"correlation value {p.value!r} outside [-1, 1]")
+            missing = self.method == "mc" and p.stderr is None
+            if missing or not (p.stderr is None or 0.0 <= p.stderr < math.inf):
+                raise ValueError(
+                    f"curve point at theta {p.theta!r} has stderr {p.stderr!r}, "
+                    "which bounds no statistical test"
+                )
         object.__setattr__(self, "points", pts)
 
     def thetas(self) -> np.ndarray:
@@ -1144,22 +1151,17 @@ def curve_for(
     if method not in METHODS:
         raise ValueError(f"method {method!r} not one of {METHODS}")
     pair = _as_pair(c)
-    label = pair.alice.label
     grid = [float(t) for t in thetas]
-
     if method == "mc":
         if plan is None:
             raise ValueError("mc requires a sampling plan")
         estimates = correlation_mc_grid(pair, grid, plan)
-        points = tuple(CurvePoint(t, v, s) for t, (v, s) in zip(grid, estimates))
-        return CorrelationCurve(colouring_label=label, method=method, points=points)
-
-    if method == "closed_form":
-        values = closed_form(pair, grid).tolist()
+    elif method == "closed_form":
+        estimates = [(v, None) for v in closed_form(pair, grid).tolist()]
     else:
-        values = correlation_quadrature(pair, grid, tol).tolist()
-    points = tuple(CurvePoint(t, v, None) for t, v in zip(grid, values))
-    return CorrelationCurve(colouring_label=label, method=method, points=points)
+        estimates = [(v, None) for v in correlation_quadrature(pair, grid, tol).tolist()]
+    points = tuple(CurvePoint(t, v, s) for t, (v, s) in zip(grid, estimates))
+    return CorrelationCurve(colouring_label=pair.alice.label, method=method, points=points)
 
 
 def float_if_0d(values: np.ndarray) -> float | np.ndarray:
@@ -1258,11 +1260,14 @@ def check_antipodal(
 def mixture_correlation(
     components: Sequence[tuple[float, CorrelationCurve]],
 ) -> CorrelationCurve:
-    """Pointwise convex combination of curves sharing a theta grid."""
+    """Pointwise convex combination of curves sharing a theta grid.  Its
+    method is the first of ``METHODS`` among the components' (``mc`` if
+    any is); an ``mc`` mixture carries the stderr sqrt(sum (w sigma)^2),
+    where an exact component counts as sigma = 0, and any other none."""
     if not components:
         raise ValueError("mixture needs at least one component")
     weights = np.array([w for w, _ in components], dtype=float)
-    if np.any(weights < 0.0):
+    if not np.all(weights >= 0.0):  # a nan weight too
         raise ValueError("mixture weights must be non-negative")
     if abs(float(weights.sum()) - 1.0) > 1e-12:
         raise ValueError(f"mixture weights sum to {weights.sum()!r}, not 1")
@@ -1272,25 +1277,16 @@ def mixture_correlation(
         if other.shape != base.shape or np.any(np.abs(other - base) > 1e-12):
             raise ValueError("mixture curves must share a theta grid")
     values = sum(w * curve.values() for w, curve in components)
-    stderrs = [
-        [p.stderr for p in curve.points] for _, curve in components
-    ]
-    combined_stderr: list[float | None]
-    if all(all(s is not None for s in column) for column in stderrs):
-        combined_stderr = [
-            math.sqrt(sum((w * s) ** 2 for w, s in zip(weights, col)))
-            for col in zip(*stderrs)
+    method = min((curve.method for _, curve in components), key=METHODS.index)
+    stderrs: list[float | None] = [None] * base.size
+    if method == "mc":
+        stderrs = [
+            math.sqrt(sum((w * (p.stderr or 0.0)) ** 2 for w, p in zip(weights, col)))
+            for col in zip(*(curve.points for _, curve in components))
         ]
-    else:
-        combined_stderr = [None] * base.size
-    methods = {curve.method for _, curve in components}
-    for method in ("mc", "quadrature", "closed_form"):
-        if method in methods:
-            break
     label = "+".join(f"{w:g}*{curve.colouring_label}" for w, curve in components)
     points = tuple(
-        CurvePoint(float(t), float(v), s)
-        for t, v, s in zip(base, values, combined_stderr)
+        CurvePoint(float(t), float(v), s) for t, v, s in zip(base, values, stderrs)
     )
     return CorrelationCurve(colouring_label=label, method=method, points=points)
 
@@ -1357,8 +1353,8 @@ def write_curve_csv(
 
 def read_curve_csv(fh) -> CorrelationCurve:
     """Read back a curve CSV (reference columns are ignored).  Every row
-    must carry the first row's method and colouring label, and an
-    ``mc`` row its stderr."""
+    must carry the first row's method and colouring label; the stderrs
+    are checked by :class:`CorrelationCurve`."""
     reader = csv.reader(fh)
     header = next(reader, [])
     if tuple(header[:5]) != CSV_COLUMNS:
@@ -1382,8 +1378,6 @@ def read_curve_csv(fh) -> CorrelationCurve:
                 f"CSV row {row!r}: method and label differ from the first row's "
                 f"{first[3]!r}, {first[4]!r}"
             )
-        if row[3] == "mc" and stderr is None:
-            raise ValueError(f"CSV row {row!r}: an mc row needs a stderr")
         points.append(CurvePoint(theta, value, stderr))
     if first is None:
         raise ValueError("CSV contains no data rows")

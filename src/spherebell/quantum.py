@@ -262,10 +262,7 @@ def mc_quantum_curve(
     for t in grid:
         w = np.array([math.sin(t), math.cos(t)])
         value = float(w @ mean)
-        if n > 1:
-            stderr = math.sqrt(max(0.0, float(w @ scatter @ w)) / (n - 1) / n)
-        else:
-            stderr = float("nan")
+        stderr = math.sqrt(max(0.0, float(w @ scatter @ w)) / (n - 1) / n)
         estimates.append((value, stderr))
     return estimates
 

@@ -58,6 +58,7 @@ from .correlation import (
     closed_form,
     closed_form_slope,
     correlation_mc,
+    format_sig,
 )
 from .quantum import singlet_correlation
 
@@ -438,8 +439,6 @@ def sweep(
 
 
 def sweep_to_csv(result: SweepResult, fh) -> None:
-    from .correlation import format_sig
-
     fh.write(f"{result.parameter}_over_pi,theta_star_over_pi,reference\n")
     for r in result.rows:
         star = "" if math.isnan(r.theta_star) else format_sig(r.theta_star / PI)
@@ -457,10 +456,7 @@ class ThetaMaxEstimate:
 
 
 def estimate_theta_max(
-    include_two_delta: bool = False,
-    delta_grid: Sequence[float] = DELTA_GRID,
-    two_delta_grid: Sequence[float] = TWO_DELTA_GRID,
-    tol: float = 1e-4,
+    include_two_delta: bool = False, tol: float = 1e-4
 ) -> ThetaMaxEstimate:
     """Threshold estimates from the catalogue plus the swept families.
 
@@ -492,20 +488,18 @@ def estimate_theta_max(
         if above is not None:
             s_candidates.append((above, label))
 
-    deformed = sweep("3_delta", delta_grid, "c1", tol)
+    deformed = sweep("3_delta", DELTA_GRID, "c1", tol)
     w_candidates.append((deformed.best_theta, f"3_delta:{deformed.best_delta / PI:g}"))
     s_candidates.append((deformed.best_theta, f"3_delta:{deformed.best_delta / PI:g}"))
 
     if include_two_delta:
-        widened = sweep("2_Delta", two_delta_grid, "c1", tol)
+        widened = sweep("2_Delta", TWO_DELTA_GRID, "c1", tol)
         s_candidates.extend(
             (r.theta_star, f"2_Delta:{r.delta / PI:g}")
             for r in widened.rows
             if not math.isnan(r.theta_star)
         )
 
-    if not w_candidates or not s_candidates:
-        raise NoCrossingError("catalogue produced no threshold witnesses")
     upper_w, w_witness = min(w_candidates)
     upper_s, s_witness = min(s_candidates)
     witnesses["weak"] = {"colouring": w_witness, "theta_star_over_pi": upper_w / PI}

@@ -439,12 +439,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("stderr", [math.nan, math.inf, -0.5])
     def test_non_finite_stderr_is_rejected(self, stderr):
-        # a one-sample estimate has stderr nan, which tests nothing: it
-        # must not read as a violation; nor may a negative stderr, whose
-        # slack 3 * stderr < 0 used to make the point a violation
-        curve = CorrelationCurve("one_sample", "mc", (CurvePoint(0.3 * PI, -1.0, stderr),))
+        # a nan or inf stderr tests nothing, and a negative one gives the
+        # slack 3 * stderr < 0, which made the point a violation: the
+        # curve itself refuses all three
         with pytest.raises(ValueError, match="stderr"):
-            verify_curve(curve)
+            verify_curve(
+                CorrelationCurve("one_sample", "mc", (CurvePoint(0.3 * PI, -1.0, stderr),))
+            )
 
     def test_one_sample_monte_carlo_is_rejected(self):
         with pytest.raises(ValueError, match="stderr"):

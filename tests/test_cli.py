@@ -219,7 +219,7 @@ class TestCurveCommand:
             (
                 "theta_over_pi,value,stderr,method,colouring_label\n"
                 "0.1,-0.5,0.01,mc,2\n0.2,-0.3,,mc,2\n",
-                "CSV row ['0.2', '-0.3', '', 'mc', '2']: an mc row needs a stderr",
+                "curve point at theta 0.6283185307179586 has stderr None",
             ),
         ],
         ids=[
@@ -538,6 +538,19 @@ class TestVerifyCommand:
             assert a["value"] == pytest.approx(b["value"], abs=1e-11)
             keys = ("lower", "upper", "satisfied", "status", "saturated")
             assert [a[k] for k in keys] == [b[k] for k in keys]
+
+    def test_samples_that_all_agree_are_inconclusive(self, capsys):
+        # at 50 samples every product at theta = 0.005 pi, 0.01 pi and
+        # 0.015 pi is -1: the value -1 with stderr 0 left no slack, and
+        # the hemisphere read as violating theorem 1 (exit 1)
+        code, out, _ = run(
+            capsys, "verify", "--colouring", "1", "--method", "mc", "--n", "50",
+            "--grid", "0.005:0.5:100",
+        )
+        assert code == 0
+        agreed = [e for e in json.loads(out)["grid"] if e["value"] == -1.0]
+        assert [round(e["theta_over_pi"], 3) for e in agreed] == [0.005, 0.01, 0.015]
+        assert {e["status"] for e in agreed} == {"inconclusive"}
 
     def test_grid_past_half_pi_exits_before_monte_carlo(self, monkeypatch, capsys):
         def no_sampling(*args, **kwargs):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from spherebell import correlation
+from spherebell.bounds import verify_curve
 from spherebell.colourings import (
     BandColouring,
     ColouringPair,
@@ -1310,6 +1311,87 @@ class TestCsvRoundTrip:
     def test_significant_digit_formatting(self):
         assert format_sig(-0.5) == "-0.5"
         assert len(format_sig(1 / 3).replace("0.", "")) == 12
+
+
+class TestErrorBarContract:
+    """Every curve the library builds keeps the error-bar contract of
+    :class:`CorrelationCurve` through a CSV round trip, and a mixture
+    with a Monte Carlo component is tested statistically."""
+
+    GRID = [PI / 8, PI / 6, PI / 4]
+
+    @classmethod
+    def built(cls, method, label="1", seed=3):
+        plan = SamplingPlan(seed, 20_000) if method == "mc" else None
+        return curve_for(make_catalogue(label), cls.GRID, method, plan=plan)
+
+    @staticmethod
+    def round_trip(curve):
+        buffer = io.StringIO()
+        write_curve_csv(curve, buffer)
+        buffer.seek(0)
+        return read_curve_csv(buffer)
+
+    @pytest.mark.parametrize(
+        "methods, mixed_method",
+        [
+            (["closed_form"], "closed_form"),
+            (["quadrature"], "quadrature"),
+            (["mc"], "mc"),
+            (["mc", "closed_form"], "mc"),
+            (["quadrature", "closed_form"], "quadrature"),
+            (["mc", "mc"], "mc"),
+        ],
+        ids=["closed_form", "quadrature", "mc", "mc+closed_form", "quadrature+closed_form", "mc+mc"],
+    )
+    def test_round_trip_keeps_method_label_and_stderrs(self, methods, mixed_method):
+        # the components are colourings 1 and 3, in equal parts
+        curves = [self.built(m, label) for m, label in zip(methods, "13")]
+        curve = curves[0] if len(curves) == 1 else mixture_correlation(
+            [(0.5, c) for c in curves]
+        )
+        statistical = mixed_method == "mc"
+        assert curve.method == mixed_method
+        assert [p.stderr is not None for p in curve.points] == [statistical] * len(self.GRID)
+        back = self.round_trip(curve)
+        assert (back.method, back.colouring_label) == (curve.method, curve.colouring_label)
+        for orig, copy in zip(curve.points, back.points, strict=True):
+            assert copy.theta == pytest.approx(orig.theta, rel=1e-11)
+            assert copy.value == pytest.approx(orig.value, rel=1e-11)
+            if statistical:
+                assert copy.stderr == pytest.approx(orig.stderr, rel=1e-11)
+            else:
+                assert copy.stderr is None
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_monte_carlo_and_exact_mixture_is_tested_statistically(self, seed):
+        # half the hemisphere's MC curve plus half its closed form is
+        # again an antipodal model; the mixture used to carry no stderr,
+        # so verify judged it with the exact slack and read it as
+        # violating theorem 1 at every one of these seeds
+        mc = self.built("mc", seed=seed)
+        mixed = mixture_correlation([(0.5, mc), (0.5, self.built("closed_form"))])
+        assert mixed.method == "mc"
+        for curve in (mixed, self.round_trip(mixed)):
+            reports = verify_curve(curve)
+            assert reports and all(r.status != "violated" for r in reports)
+
+    def test_exact_component_adds_no_variance(self):
+        mc = self.built("mc")
+        mixed = mixture_correlation([(0.7, self.built("closed_form")), (0.3, mc)])
+        assert mixed.method == "mc"
+        assert [p.stderr for p in mixed.points] == [0.3 * p.stderr for p in mc.points]
+
+    def test_one_sample_plan_is_refused(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            SamplingPlan(1, 1)
+
+    def test_nan_weight_is_refused_by_the_weight_check(self):
+        # a nan weight passed both weight checks and failed only later,
+        # as a correlation value nan outside [-1, 1]
+        curves = [self.built("closed_form"), self.built("closed_form", "3")]
+        with pytest.raises(ValueError, match="non-negative"):
+            mixture_correlation([(math.nan, curves[0]), (1.0, curves[1])])
 
 
 def test_quadrature_error_carries_best_estimate():
