@@ -80,6 +80,7 @@ from .colourings import (
 from .geometry import (
     arccos_clamped_array,
     clamp_cos,
+    half_angle_cos_sin,
     partner_cos_many,
     partner_frame,
     partner_many,
@@ -172,7 +173,8 @@ class SamplingPlan:
         each: alice's axis (eps, phi), uniform on the sphere, and bob's
         position omega on her partner circle, uniform on [0, 2pi).
         cos(eps) is drawn uniform on [-1, 1] and kept as drawn; no eps
-        is formed."""
+        is formed, and phi and omega take the half-angle trig of
+        :class:`Draws`."""
         for index, length in self.chunks():
             rng = self.chunk_rng(index)
             cos_eps = rng.uniform(-1.0, 1.0, length)
@@ -190,8 +192,14 @@ class Draws:
     """One chunk of sample points, as the trig values the partner maps
     read: cos(eps) as drawn, sin(eps) = sqrt((1 - cos eps)(1 + cos eps))
     (eps lies in [0, pi], so the root is its sine), and phi and omega.
-    Each cosine and sine of phi and omega is computed on first use and
-    at most once per chunk.
+    The cosines and sines of phi and omega are computed on first use,
+    at most once per chunk, by ``geometry.half_angle_cos_sin`` from
+    numpy's vectorised tan: each lies within 2.3e-16
+    (``geometry.HALF_ANGLE_TOL``) of ``np.cos``/``np.sin`` on [0, 2pi),
+    and omega = 0 gives (1, 0) exactly.  Every path of an engine reads these values from this one
+    record, so the paths agree bit for bit with each other; against
+    libm's trig a colour can differ only for a draw within about 1e-15
+    of a colour boundary.
 
     This is the one place that forms and reads a party's axes, also for
     the sampled checks (at theta = 0, omega = 0).  :meth:`axes` gives
@@ -210,18 +218,23 @@ class Draws:
 
     @functools.cached_property
     def cos_omega(self) -> np.ndarray:
-        return np.cos(self.omega)
+        return half_angle_cos_sin(self.omega)[0]
 
     @functools.cached_property
     def frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """Alice's axes a and the tangents u of ``partner_frame``."""
+        """Alice's axes a and the tangents u of ``partner_frame``.  Its
+        cos omega becomes the record's unless that was read first, which
+        no engine does (alice is read first, and an azimuthal reader
+        takes cos eps at theta = 0), so omega's trig is taken once per
+        chunk, and a chunk read only through cos omega keeps no sin."""
+        cos_omega, sin_omega = half_angle_cos_sin(self.omega)
+        self.__dict__.setdefault("cos_omega", cos_omega)
         return partner_frame(
             self.cos_eps,
             self.sin_eps,
-            np.cos(self.phi),
-            np.sin(self.phi),
-            self.cos_omega,
-            np.sin(self.omega),
+            *half_angle_cos_sin(self.phi),
+            cos_omega,
+            sin_omega,
         )
 
     def axes(self, c: Colouring, theta: float = 0.0, cols=slice(None)) -> np.ndarray:
@@ -1200,8 +1213,8 @@ def gamma_of(
     """Sampled gamma of a pair, and C(0) from fresh samples: each batch
     reads both parties by :meth:`Draws.colours` at ``n_samples`` axes
     of :func:`_sampled_axes`."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2: one sample has no stderr")
     n = int(n_samples)
 
     def batch() -> tuple[np.ndarray, np.ndarray]:
@@ -1215,7 +1228,7 @@ def gamma_of(
 
     a2, b2 = batch()
     c0 = float(np.mean(a2 * b2))
-    c0_stderr = math.sqrt(max(0.0, 1.0 - c0 * c0) / max(1, n - 1))
+    c0_stderr = math.sqrt(max(0.0, 1.0 - c0 * c0) / (n - 1))
     return GammaEstimate(gamma, gamma_stderr, c0, c0_stderr)
 
 

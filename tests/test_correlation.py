@@ -1133,6 +1133,9 @@ class TestGamma:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             gamma_of(pair_for(1), 0, np.random.default_rng(1))
+        # one sample would report stderr 0, which bounds nothing
+        with pytest.raises(ValueError, match="one sample has no stderr"):
+            gamma_of(pair_for(2), 1, np.random.default_rng(0))
 
     TILTED = HarmonicColouring(((1, 1, math.sin(PI / 6)), (1, 0, math.cos(PI / 6))))
 

@@ -9,9 +9,11 @@ from scipy import stats
 from spherebell.correlation import SamplingPlan
 from spherebell.geometry import (
     ARCCOS_HARD,
+    HALF_ANGLE_TOL,
     NumericalError,
     arccos_clamped_array,
     cos_sin,
+    half_angle_cos_sin,
     partner_cos_many,
     partner_frame,
     partner_many,
@@ -176,12 +178,30 @@ class TestSampleAxisPair:
         eps = np.arccos(draw.cos_eps)
         assert np.max(np.abs(draw.sin_eps - np.sin(eps))) <= 5e-16
         assert np.max(np.abs(draw.cos_eps - np.cos(eps))) <= 5e-16
-        assert np.array_equal(draw.cos_omega, np.cos(draw.omega))
+        # cos omega: the half-angle trig bit for bit, within the stated
+        # bound of libm's (sin omega is checked through the frame below)
+        assert np.array_equal(draw.cos_omega, half_angle_cos_sin(draw.omega)[0])
+        assert np.max(np.abs(draw.cos_omega - np.cos(draw.omega))) <= HALF_ANGLE_TOL
         assert draw.frame is draw.frame
         a, u = draw.frame
         assert np.array_equal(a[2], draw.cos_eps)
         assert np.allclose(np.sum(u * u, axis=0), 1.0, rtol=0.0, atol=1e-15)
         assert np.allclose(np.sum(a * u, axis=0), 0.0, rtol=0.0, atol=1e-15)
+
+    def test_record_frame_is_the_half_angle_frame(self):
+        # alice's axes and tangents: partner_frame of the drawn cosine,
+        # its root sine and the half-angle trig of phi and omega, within
+        # the stated bound of libm's; reading the frame first records
+        # its cos omega, so omega's trig is taken once
+        draw = self.drawn(17, 5000)
+        trig = half_angle_cos_sin(draw.phi) + half_angle_cos_sin(draw.omega)
+        for got, want in zip(trig, cos_sin(draw.phi, draw.omega)):
+            assert np.max(np.abs(got - want)) <= HALF_ANGLE_TOL
+        expected = partner_frame(draw.cos_eps, draw.sin_eps, *trig)
+        for got, want in zip(draw.frame, expected):
+            assert np.array_equal(got, want)
+        assert "cos_omega" in vars(draw)
+        assert np.array_equal(draw.cos_omega, trig[2])
 
     def test_mean_cosine_at_fixed_angle(self):
         draw = self.drawn(5, 1000)
@@ -204,6 +224,43 @@ class TestSampleAxisPair:
         cos_alpha = partner_cos_many(theta, draw.cos_eps, draw.sin_eps, draw.cos_omega)
         result = stats.kstest(cos_alpha, stats.uniform(loc=-1.0, scale=2.0).cdf)
         assert result.pvalue > 1e-3
+
+
+class TestHalfAngleTrig:
+    """``half_angle_cos_sin`` against libm's ``np.cos``/``np.sin``."""
+
+    EDGES = np.array(
+        [
+            0.0,
+            5e-324,
+            PI / 2,
+            np.nextafter(PI, 0.0),
+            PI,
+            3 * PI / 2,
+            np.nextafter(2 * PI, 0.0),
+        ]
+    )
+
+    def test_within_the_stated_bound_of_libm(self):
+        angles = np.concatenate(
+            [np.random.default_rng(23).uniform(0.0, 2.0 * PI, 1_000_000), self.EDGES]
+        )
+        cos, sin = half_angle_cos_sin(angles)
+        assert np.max(np.abs(cos - np.cos(angles))) <= HALF_ANGLE_TOL
+        assert np.max(np.abs(sin - np.sin(angles))) <= HALF_ANGLE_TOL
+        assert np.max(np.abs(cos * cos + sin * sin - 1.0)) <= 4.5e-16
+
+    def test_zero_is_exact(self):
+        # omega = 0 (alice at theta = 0 in the sampled checks) must keep
+        # the frame's tangent exactly south
+        cos, sin = half_angle_cos_sin(np.zeros(3))
+        assert np.array_equal(cos, np.ones(3))
+        assert np.array_equal(sin, np.zeros(3))
+
+    def test_leaves_its_argument(self):
+        angles = self.EDGES.copy()
+        half_angle_cos_sin(angles)
+        assert np.array_equal(angles, self.EDGES)
 
 
 def test_partner_polar_many_matches_scalar():

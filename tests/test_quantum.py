@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from quantum_frame_oracle import frame_pq
-from spherebell.correlation import SamplingPlan
-from spherebell.geometry import cos_sin, partner_frame
+from spherebell.correlation import Draws, SamplingPlan
+from spherebell.geometry import HALF_ANGLE_TOL, cos_sin, partner_frame
 from spherebell.quantum import (
     TwoQubitState,
     WernerParam,
     _frame_pq,
+    _haar_draws,
     haar_angles,
     haar_unitaries,
     mc_quantum_correlation,
@@ -328,6 +329,55 @@ class TestSpinTensor:
         a, tangent = partner_frame(*cos_sin(*haar_angles(np.random.default_rng(61), 20_000)))
         pq = _frame_pq(spin_tensor(state), a, tangent)
         assert np.max(np.abs(pq - frame_pq(state.rho, u))) <= tol
+
+
+class TestHaarFrames:
+    """The engine's frames (drawn cos eps, half-angle trig of phi and
+    omega) against the libm construction from the Euler angles of the
+    same generator."""
+
+    STATES = [TwoQubitState.named(name) for name in ("singlet", "phi+", "psi+")] + [
+        TwoQubitState.werner(0.37),
+        *(random_state(np.random.default_rng(k)) for k in range(3)),
+    ]
+
+    @staticmethod
+    def both(seed, n):
+        engine = Draws(*_haar_draws(np.random.default_rng(seed), n)).frame
+        libm = partner_frame(*cos_sin(*haar_angles(np.random.default_rng(seed), n)))
+        return engine, libm
+
+    def test_axes_and_tangents_agree_with_libm(self):
+        # a coordinate sums at most two products, each with at most two
+        # half-angle factors (HALF_ANGLE_TOL each) and cos or sin eps
+        # (an ulp apart: the root against sin(arccos)), so it moves by
+        # about 4 HALF_ANGLE_TOL plus both sides' roundings; 2.9 was the
+        # largest seen over 2e6 frames
+        (a, u), (a_libm, u_libm) = self.both(71, 200_000)
+        assert np.max(np.abs(a - a_libm)) <= 6 * HALF_ANGLE_TOL
+        assert np.max(np.abs(u - u_libm)) <= 6 * HALF_ANGLE_TOL
+
+    @pytest.mark.parametrize("state", STATES)
+    def test_frame_values_agree_with_libm(self, state):
+        # p = a^T T u and q = a^T T a sum nine products of the shifted
+        # coordinates with entries of T; 6.1 HALF_ANGLE_TOL max|T| was
+        # the largest seen over 2e6 frames of 40 random states, under
+        # numpy's AVX-512 loops and with them switched off
+        tensor = spin_tensor(state)
+        (a, u), (a_libm, u_libm) = self.both(73, 200_000)
+        pq = _frame_pq(tensor, a, u)
+        pq_libm = _frame_pq(tensor, a_libm, u_libm)
+        bound = 8 * HALF_ANGLE_TOL * np.max(np.abs(tensor))
+        assert np.max(np.abs(pq - pq_libm)) <= bound
+
+    def test_engine_reads_these_frames(self):
+        # one chunk: the curve's value at pi/2 and 0 is the mean of p and q
+        state = random_state(np.random.default_rng(79))
+        a, u = Draws(*_haar_draws(SamplingPlan(83, 3000).chunk_rng(0), 3000)).frame
+        mean = _frame_pq(spin_tensor(state), a, u).mean(axis=1)
+        curve = mc_quantum_curve(state, [0.0, PI / 2], SamplingPlan(83, 3000))
+        assert curve[0][0] == pytest.approx(mean[1], abs=1e-16)
+        assert curve[1][0] == pytest.approx(mean[0], abs=1e-16)
 
 
 class TestHaarSampling:
