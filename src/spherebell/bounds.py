@@ -271,35 +271,24 @@ def verify_curve(curve: CorrelationCurve) -> list[BoundReport]:
     for point, n_chain, upper in zip(points, chains.tolist(), uppers.tolist()):
         statistical = point.stderr is not None
         slack = 3.0 * point.stderr if statistical else EXACT_SLACK
-        lower = 0.0 - upper
-        status = _classify(point.value, lower, upper, slack, statistical)
-        touches = abs(point.value - lower) <= slack or abs(point.value - upper) <= slack
-        reports.append(
-            BoundReport(
-                theta=point.theta,
-                n_chain=n_chain,
-                lower=lower,
-                upper=upper,
-                tested_value=point.value,
-                satisfied=status != STATUS_VIOLATED,
-                source="theorem1",
-                status=status,
-                saturated=status != STATUS_VIOLATED and touches,
-            )
-        )
+        checks = [("theorem1", 0.0 - upper, upper)]
         if SNAP < point.theta < PI / 3.0 - SNAP:
             edge = math.cos(point.theta)
-            status = _classify(point.value, -edge, edge, slack, statistical)
+            checks.append(("lemma4", -edge, edge))
+        for source, lo, hi in checks:
+            status = _classify(point.value, lo, hi, slack, statistical)
+            touches = abs(point.value - lo) <= slack or abs(point.value - hi) <= slack
             reports.append(
                 BoundReport(
                     theta=point.theta,
                     n_chain=n_chain,
-                    lower=-edge,
-                    upper=edge,
+                    lower=lo,
+                    upper=hi,
                     tested_value=point.value,
                     satisfied=status != STATUS_VIOLATED,
-                    source="lemma4",
+                    source=source,
                     status=status,
+                    saturated=source == "theorem1" and status != STATUS_VIOLATED and touches,
                 )
             )
     return reports

@@ -158,8 +158,9 @@ class HarmonicColouring:
     (odd-degree harmonics are odd under point inversion, which makes
     the sign function antipodal) and at least one nonzero coefficient.
     The tie value sgn(0) := +1 keeps evaluation deterministic on the
-    measure-zero nodal set.
-    """
+    measure-zero nodal set.  The readers sign :meth:`amplitude`, which
+    reads ``Draws`` axes itself and scales ``terms`` (kept as given) by
+    a power of two, so power-of-two multiples of them read alike."""
 
     terms: tuple[tuple[int, int, float], ...]
     label: str = "harmonic"
@@ -183,14 +184,34 @@ class HarmonicColouring:
     def is_azimuthal(self) -> bool:
         return all(m == 0 for _, m, _ in self.terms)
 
-    def amplitude_vectors(self, v: np.ndarray) -> np.ndarray:
-        """The harmonic sum at the unit vectors v, a (3, ...) array of
-        Cartesian coordinates: :meth:`amplitude_from_rows` of the basis
-        rows from :func:`harmonic_rows`."""
-        return self.amplitude_from_rows(harmonic_rows(self._live_modes(), v[2], v[:2]))
+    @functools.cached_property
+    def _read_terms(self) -> tuple[tuple[int, int, float], ...]:
+        """The terms with c != 0 that the readers sum, each c times the
+        power of two that brings the largest |c| into [0.5, 1): exact,
+        so 2^k times the coefficients reads alike, bit for bit, and no
+        product overflows or goes subnormal at the ends of the range."""
+        _, exponent = math.frexp(max(abs(c) for _, _, c in self.terms))
+        return tuple((l, m, math.ldexp(c, -exponent)) for l, m, c in self.terms if c != 0.0)
 
-    def _live_modes(self) -> list[tuple[int, int]]:
-        return [(l, m) for l, m, c in self.terms if c != 0.0]
+    @property
+    def amplitude_bound(self) -> float:
+        """sum |c| sqrt((2l + 1) / 4 pi) over the read terms, which bounds
+        |:meth:`amplitude`|: |Y_lm| <= sqrt((2l + 1) / 4 pi)."""
+        terms = self._read_terms
+        return sum(abs(c) * math.sqrt((2 * l + 1) / (4.0 * math.pi)) for l, _, c in terms)
+
+    def rows(self, axes: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+        """:func:`harmonic_rows` of the live modes at ``axes`` as
+        ``correlation.Draws.axes`` gives them: polar cosines (clamped by
+        :func:`clamp_cos`) if azimuthal, a (3, ...) Cartesian array if not."""
+        modes = [(l, m) for l, m, _ in self._read_terms]
+        if self.is_azimuthal:
+            return harmonic_rows(modes, clamp_cos(axes))
+        return harmonic_rows(modes, axes[2], axes[:2])
+
+    def amplitude(self, axes: np.ndarray) -> np.ndarray:
+        """The harmonic sum the readers sign, at the axes of :meth:`rows`."""
+        return self.amplitude_from_rows(self.rows(axes))
 
     def amplitude_from_rows(
         self, rows: Iterable[tuple[int, int, np.ndarray]]
@@ -198,15 +219,15 @@ class HarmonicColouring:
         """The harmonic sum from basis rows (l, m, Y_lm), as
         :func:`harmonic_rows` yields them.
 
-        c * Y_lm is added in term order as the rows arrive, and terms
-        with c = 0 are skipped.  A row that arrives before its term's
-        turn waits for it, and a row is dropped after its last term, so
-        terms listed degree by degree (as the search and the colouring
-        files list them) never hold more than one row.  Summing the
-        same rows always takes the same steps, so cached rows give the
-        amplitude bit for bit.
+        c * Y_lm is added in term order as the rows arrive, over the
+        read terms (c != 0, scaled by a power of two).  A row that
+        arrives before its term's turn waits for it, and a row is
+        dropped after its last term, so terms listed degree by degree
+        (as the search and the colouring files list them) never hold
+        more than one row.  Summing the same rows always takes the same
+        steps, so cached rows give the amplitude bit for bit.
         """
-        live = [(l, m, c) for l, m, c in self.terms if c != 0.0]
+        live = self._read_terms
         last_use = {(l, m): k for k, (l, m, _) in enumerate(live)}
         waiting: dict[tuple[int, int], np.ndarray] = {}
         total = None
@@ -232,8 +253,8 @@ class HarmonicColouring:
 
     def evaluate_vectors(self, v: np.ndarray) -> np.ndarray:
         """Values at the unit vectors v, a (3, ...) array of Cartesian
-        coordinates."""
-        return _signed(self.amplitude_vectors(v) >= 0.0)
+        coordinates; an azimuthally symmetric colouring reads z alone."""
+        return _signed(self.amplitude(v[2] if self.is_azimuthal else v) >= 0.0)
 
     def evaluate_cos(self, x: np.ndarray) -> np.ndarray:
         """Values of an azimuthally symmetric colouring at the polar
@@ -241,8 +262,7 @@ class HarmonicColouring:
         the drift check of :func:`clamp_cos`."""
         if not self.is_azimuthal:
             raise ValueError("colouring is not azimuthally symmetric")
-        rows = harmonic_rows(self._live_modes(), clamp_cos(x))
-        return _signed(self.amplitude_from_rows(rows) >= 0.0)
+        return _signed(self.amplitude(x) >= 0.0)
 
     def evaluate_polar(self, eps: np.ndarray) -> np.ndarray:
         return self.evaluate_cos(np.cos(np.asarray(eps, dtype=float)))
@@ -258,7 +278,7 @@ class HarmonicColouring:
         if not self.is_azimuthal:
             raise ValueError("colouring is not azimuthally symmetric")
         series = np.zeros(max(l for l, _, _ in self.terms) + 1)
-        for l, _, coefficient in self.terms:
+        for l, _, coefficient in self._read_terms:
             series[l] += coefficient * math.sqrt((2 * l + 1) / (4.0 * math.pi))
         # a trailing coefficient within rounding of the largest lies below
         # legroots' own backward error, and a subnormal one overflows

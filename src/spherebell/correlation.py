@@ -73,13 +73,11 @@ from .colourings import (
     ColouringPair,
     HarmonicColouring,
     Negated,
-    harmonic_rows,
     make_catalogue,
     negate,
 )
 from .geometry import (
     arccos_clamped_array,
-    clamp_cos,
     half_angle_cos_sin,
     partner_cos_many,
     partner_frame,
@@ -207,8 +205,8 @@ class Draws:
     reader (:func:`_reader`) takes: the polar cosine, read by
     ``evaluate_cos``, for an azimuthally symmetric colouring and the
     Cartesian axis, read by ``evaluate_vectors``, for any other.
-    :meth:`colours` reads a colouring there, :meth:`rows` the basis at
-    the coordinates of :meth:`coords`."""
+    :meth:`colours` reads a colouring there; a harmonic colouring turns
+    them into basis coordinates itself (``HarmonicColouring.rows``)."""
 
     def __init__(self, cos_eps: np.ndarray, phi: np.ndarray, omega: np.ndarray):
         self.cos_eps = cos_eps
@@ -253,27 +251,6 @@ class Draws:
     def colours(self, c: Colouring, theta: float = 0.0, cols=slice(None)) -> np.ndarray:
         """The colours of ``c`` at the axes at separation theta."""
         return _reader(c)(self.axes(c, theta, cols))
-
-    def coords(
-        self, c: HarmonicColouring, thetas: Sequence[float]
-    ) -> tuple[np.ndarray, ...]:
-        """The axes of ``c`` at each theta, side by side, as the
-        coordinates :func:`harmonic_rows` takes: the polar cosine,
-        clamped as ``evaluate_cos`` clamps, for an azimuthally symmetric
-        colouring, z and (x, y) for any other."""
-        axes = np.concatenate([self.axes(c, t) for t in thetas], axis=-1)
-        if c.is_azimuthal:
-            return (clamp_cos(axes),)
-        return axes[2], axes[:2]
-
-    def rows(
-        self, c: HarmonicColouring, thetas: Sequence[float]
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """:func:`harmonic_rows` of the live modes of ``c`` at its
-        :meth:`coords`: :meth:`HarmonicColouring.amplitude_from_rows` of
-        them is the amplitude the reader of ``c`` signs."""
-        modes = [(l, m) for l, m, w in c.terms if w != 0.0]
-        return harmonic_rows(modes, *self.coords(c, thetas))
 
 
 def _as_pair(c: Colouring | ColouringPair) -> ColouringPair:
@@ -417,16 +394,14 @@ def _trig_grid(
     core = bob.inner if isinstance(bob, Negated) else bob
     if not isinstance(core, HarmonicColouring):
         return None
-    live = [(l, c) for l, _, c in core.terms if c != 0.0]
-    size = max(l for l, _ in live) + 1
+    size = max(l for l, _, c in core.terms if c != 0.0) + 1
     if len(grid) <= TRIG_POINTS_PER_NODE * size:
         return None
     nodes = PI * np.arange(size) / size
     gaps = np.subtract.outer(np.array(grid), nodes)
     kernel = (2.0 / size) * sum(np.cos(k * gaps) for k in range(1, size, 2))
     lebesgue = float(np.max(np.sum(np.abs(kernel), axis=1)))
-    bound = sum(abs(c) * math.sqrt((2 * l + 1) / (4.0 * PI)) for l, c in live)
-    return nodes.tolist(), kernel, TRIG_MARGIN * bound * (1.0 + lebesgue)
+    return nodes.tolist(), kernel, TRIG_MARGIN * core.amplitude_bound * (1.0 + lebesgue)
 
 
 def _harmonic_sums(
@@ -443,7 +418,7 @@ def _harmonic_sums(
     core, sign = (bob.inner, -1) if isinstance(bob, Negated) else (bob, 1)
     values = np.empty((len(nodes), a_vals.size))
     for j, t in enumerate(nodes):
-        values[j] = core.amplitude_from_rows(draws.rows(core, [t]))
+        values[j] = core.amplitude(draws.axes(core, t))
     weights = sign * a_vals.astype(float)
     sums = np.empty(len(grid), dtype=np.int64)
     for lo in range(0, len(grid), TRIG_BLOCK):
@@ -534,10 +509,11 @@ def correlation_mc_grid(
     L + 1 coefficients are fixed by its values at the L + 1 nodes
     pi j / (L + 1), where the cosines and sines of those frequencies
     are orthogonal, so p = K V exactly: V holds the chunk's amplitudes
-    at the nodes (:meth:`Draws.rows` and ``amplitude_from_rows``, as per
-    theta) and K is the interpolation matrix of :func:`_trig_grid`.
-    Every |Y_lm| <= sqrt((2l + 1) / 4 pi), so |p| <= S = sum |c_lm|
-    sqrt((2l + 1) / 4 pi).  The per-theta amplitude and each node value
+    at the nodes (``HarmonicColouring.amplitude`` at :meth:`Draws.axes`,
+    as per theta) and K is the interpolation matrix of :func:`_trig_grid`.
+    |p| <= S, the colouring's ``amplitude_bound`` (sum |c_lm|
+    sqrt((2l + 1) / 4 pi) over the coefficients its reader sums, scaled
+    by a power of two).  The per-theta amplitude and each node value
     round by at most about 1e-14 S for L <= 11 (a recurrence over the
     degrees, on an axis whose length is 1 to within 1e-16), and the
     interpolated value by Lambda times that plus the rounding of the

@@ -49,7 +49,6 @@ from .colourings import (
     Colouring,
     ColouringPair,
     HarmonicColouring,
-    harmonic_rows,
     make_catalogue,
 )
 from .correlation import (
@@ -606,22 +605,21 @@ class _RowStack:
     them, at bob's at theta, as one (len(modes), 2n) float32 matrix.
 
     It keeps beside them each row's largest |Y_k| in float64 (``M_k``,
-    from the float64 row) and the points' coordinates, from which
-    :meth:`reread` rebuilds float64 rows at a few points."""
+    from the float64 row) and the points' axes, alice's beside bob's in
+    the form ``Draws.axes`` gives every colouring over ``modes``, at a
+    few of which :meth:`reread` reads a colouring in float64."""
 
     def __init__(self, draws: Draws, modes: Sequence[tuple[int, int]], theta: float):
-        # is_azimuthal reads only the orders, so the coordinates come in
-        # the form every colouring over modes is read in
         basis = HarmonicColouring(tuple((l, m, 1.0) for l, m in modes))
         self.modes = list(modes)
         self.size = draws.cos_eps.size
-        self.coords = draws.coords(basis, [0.0, theta])
+        self.axes = np.concatenate([draws.axes(basis, t) for t in (0.0, theta)], axis=-1)
         self.rows = np.empty((len(modes), 2 * self.size), dtype=np.float32)
         self.row_max = np.empty(len(modes))
         slots: dict[tuple[int, int], list[int]] = {}
         for k, mode in enumerate(self.modes):
             slots.setdefault(mode, []).append(k)
-        for l, m, row in harmonic_rows(slots, *self.coords):
+        for l, m, row in basis.rows(self.axes):
             for k in slots[l, m]:
                 self.rows[k] = row
                 self.row_max[k] = np.abs(row).max()
@@ -644,16 +642,12 @@ class _RowStack:
             out += term
 
     def reread(self, c: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """The float64 amplitude at the points ``idx``, as the reader of
-        the colouring of c sums it: the rows rebuilt there by
-        :func:`harmonic_rows`, which works element by element and so
-        gives the bits of the full rows, summed by
-        :meth:`HarmonicColouring.amplitude_from_rows`."""
+        """The float64 amplitude at the points ``idx`` that the reader of
+        the colouring of c signs, :meth:`HarmonicColouring.amplitude`:
+        its rows work element by element, so they are the bits of the
+        full rows."""
         terms = tuple((l, m, ck) for (l, m), ck in zip(self.modes, c.tolist()))
-        coords = [v[..., idx] for v in self.coords]
-        return HarmonicColouring(terms).amplitude_from_rows(
-            harmonic_rows(self.modes, *coords)
-        )
+        return HarmonicColouring(terms).amplitude(self.axes[..., idx])
 
 
 def common_random_correlation(
@@ -666,7 +660,8 @@ def common_random_correlation(
     plan)[0]``, bit for bit.
 
     The points never change, so each chunk's basis is built here once,
-    as a float32 stack of rows (:class:`_RowStack`).  A call rounds c
+    as a float32 stack of the rows ``HarmonicColouring.rows`` gives at
+    alice's axes beside bob's (:class:`_RowStack`).  A call rounds c
     to float32 and sums c_k * Y_k in mode order in float32 buffers
     reused from call to call.  With K = len(modes), S = sum_k |c_k| M_k
     and M_k the largest |Y_k| on the chunk, the float32 amplitude is
@@ -674,12 +669,13 @@ def common_random_correlation(
 
         B = 2 (K + 3) 2^-24 S + 2^-149 sum_k (M_k + 2)
 
-    of the float64 amplitude the colouring's reader signs: rounding c
-    and the rows to float32, the products and the K - 1 sums take at
-    most K + 2 relative roundings of 2^-24 per term, the float64 sum
-    at most K + 1 of 2^-53, and the second term bounds the absolute
-    error of float32 roundings into the subnormal range (at most
-    2^-150 each; |c_k| <= 1).  The factor 2 also covers rounding B to
+    of the float64 amplitude the colouring's reader signs, over the
+    exact power-of-two scale of its coefficients: rounding c and the
+    rows to float32, the products and the K - 1 sums take at most
+    K + 2 relative roundings of 2^-24 per term, the float64 sum at
+    most K + 1 of 2^-53, and the second term bounds the absolute error
+    of float32 roundings into the subnormal range (at most 2^-150
+    each; |c_k| <= 1).  The factor 2 also covers rounding B to
     float32 for the comparison.  Where |amplitude| > B the float32
     sign is the float64 one; the points where |amplitude| <= B are
     re-read in float64 (:meth:`_RowStack.reread`).  Over every step of

@@ -405,7 +405,7 @@ def test_amplitude_sums_the_terms_in_any_order():
     x, phi, xy = _oracle_points()
     eps = np.arccos(x)
     expected = sum(c * oracle_harmonic(l, m, np.cos(eps), phi) for l, m, c in terms)
-    amplitude = h.amplitude_vectors(unit_vectors(eps, phi))
+    amplitude = h.amplitude(unit_vectors(eps, phi))
     assert np.max(np.abs(amplitude - expected)) <= 1e-13
     with pytest.raises(ValueError):
         h.amplitude_from_rows(harmonic_rows([(1, 0), (3, 2)], x, xy))
@@ -417,7 +417,7 @@ def test_harmonic_values_from_vectors_and_cosines():
     eps = np.arccos(rng.uniform(-1.0, 1.0, 2000))
     phi = rng.uniform(0.0, 2 * PI, 2000)
     v = unit_vectors(eps, phi)
-    signs = np.where(h.amplitude_vectors(v) >= 0.0, 1, -1)
+    signs = np.where(h.amplitude(v) >= 0.0, 1, -1)
     assert np.array_equal(h.evaluate_vectors(v), signs)
     assert np.array_equal(Negated(h).evaluate_vectors(v), -signs)
     with pytest.raises(ValueError):
@@ -432,6 +432,12 @@ def test_harmonic_values_from_vectors_and_cosines():
         )
         with pytest.raises(NumericalError):
             c.evaluate_cos(np.array([0.3, 1.5]))
+        # evaluate_vectors reads z as evaluate_cos does: clamped where it
+        # passes +-1 by rounding, an error past the drift check
+        w = np.array([[0.0, 0.0, 0.6], [0.0, 0.0, 0.8], [1.0 + 1e-12, -1.0 - 1e-12, 0.0]])
+        assert np.array_equal(c.evaluate_vectors(w), c.evaluate_cos(w[2]))
+        with pytest.raises(NumericalError):
+            c.evaluate_vectors(np.array([[0.0], [0.0], [1.0 + 2e-6]]))
 
 
 class TestNegation:

@@ -2002,7 +2002,12 @@ def test_trig_interpolation_error_is_far_inside_the_margin(degree, all_m):
         for m in (range(-l, l + 1) if all_m else (0,))
     )
     bob = HarmonicColouring(terms)
-    bound = sum(abs(c) * math.sqrt((2 * l + 1) / (4.0 * PI)) for l, _, c in terms)
+    # the reader sums the coefficients scaled by the power of two that
+    # brings the largest |c| into [0.5, 1), so the margin is in its units
+    _, exponent = math.frexp(max(abs(c) for _, _, c in terms))
+    bound = sum(
+        abs(math.ldexp(c, -exponent)) * math.sqrt((2 * l + 1) / (4.0 * PI)) for l, _, c in terms
+    )
     grid = sorted({0.0, PI, *np.linspace(0.0, PI, 57).tolist(), *rng.uniform(0.0, PI, 40)})
     nodes, kernel, margin = correlation._trig_grid(bob, grid)
     assert len(nodes) == degree + 1
@@ -2010,10 +2015,42 @@ def test_trig_interpolation_error_is_far_inside_the_margin(degree, all_m):
     expected = correlation.TRIG_MARGIN * bound * (1.0 + lebesgue)
     assert margin == pytest.approx(expected, rel=1e-12)
     draws = next(SamplingPlan(degree, 20_000).draws())
-    amplitude = lambda t: bob.amplitude_from_rows(draws.rows(bob, [t]))
+    amplitude = lambda t: bob.amplitude(draws.axes(bob, t))
     values = np.array([amplitude(t) for t in nodes])
     direct = np.array([amplitude(t) for t in grid])
     assert np.max(np.abs(kernel @ values - direct)) / bound <= 1e-12
+
+
+# 2^k times a colouring's coefficients is the same colouring; these
+# coefficients are multiples of 1/16 below 2, so ldexp gives each multiple
+# exactly down to 2^-1070, and the equal pair down to 2^-1074
+SCALE_M0 = ((1, 0, 1.0), (3, 0, 1.0))
+SCALE_ALL_M = ((1, 0, 0.75), (1, 1, -0.5), (3, -2, 1.25), (3, 0, 0.3125), (5, 1, -0.875))
+
+
+@pytest.mark.parametrize(
+    "terms, k",
+    [(SCALE_M0, k) for k in (-1074, -1070, -1000, 1000, 1023)]
+    + [(SCALE_ALL_M, k) for k in (-1070, -1000, 1000, 1023)],
+)
+def test_harmonic_scale_multiples_read_bit_for_bit(terms, k):
+    unit = HarmonicColouring(terms)
+    scaled = HarmonicColouring(tuple((l, m, math.ldexp(c, k)) for l, m, c in terms))
+    assert all(c != 0.0 for _, _, c in scaled.terms)
+    plan = SamplingPlan(1, 20_000)
+    (draws,) = SamplingPlan(3, 2000).draws()
+    for t in (0.0, 0.3 * PI):
+        axes = draws.axes(unit, t)
+        assert np.array_equal(scaled.amplitude(axes), unit.amplitude(axes))
+    # 3 thetas take the per-theta path, 40 the trig path
+    for grid in (np.linspace(0.1, 0.4, 3) * PI, np.linspace(0.0, 0.5, 40) * PI):
+        expected = correlation_mc_grid(unit, grid.tolist(), plan)
+        assert correlation_mc_grid(scaled, grid.tolist(), plan) == expected
+    assert correlation._trig_grid(scaled, sorted(grid.tolist())) is not None
+    if unit.is_azimuthal:
+        assert scaled.flips == unit.flips
+        thetas = np.linspace(0.0, 1.0, 21) * PI
+        assert np.array_equal(closed_form(scaled, thetas), closed_form(unit, thetas))
 
 
 @pytest.mark.parametrize(
@@ -2045,7 +2082,8 @@ def test_draws_read_every_party_by_one_rule(c):
     if isinstance(c, HarmonicColouring):
         # the basis rows at alice's axes and, beside them, at her
         # partner's at theta sum to the amplitudes her reader signs
-        amplitude = c.amplitude_from_rows(draws.rows(c, [0.0, 0.3]))
+        axes = np.concatenate([draws.axes(c, t) for t in (0.0, 0.3)], axis=-1)
+        amplitude = c.amplitude(axes)
         expected = np.concatenate([alice, -draws.colours(bob, 0.3)])
         assert np.array_equal(np.where(amplitude >= 0.0, 1, -1), expected)
 

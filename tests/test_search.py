@@ -754,6 +754,12 @@ def unit_colouring(modes, vector):
     return c, HarmonicColouring(tuple((l, m, float(v)) for (l, m), v in zip(modes, c)))
 
 
+def side_by_side(draws, c, theta):
+    """The axes of ``c`` at alice's points and, beside them, at bob's at
+    theta, as ``search._RowStack`` keeps them."""
+    return np.concatenate([draws.axes(c, t) for t in (0.0, theta)], axis=-1)
+
+
 def mc_value(h, theta, plan=TWO_CHUNKS):
     return correlation_mc(ColouringPair.anticorrelated(h), theta, plan)[0]
 
@@ -803,11 +809,11 @@ def test_planted_near_zero_amplitudes_are_reread_in_float64(monkeypatch):
     draws = next(TWO_CHUNKS.draws())
     basis = HarmonicColouring(tuple((l, m, 1.0) for l, m in ALL_M_L3))
     points = [5, 311, 1500, 2048 + 5, 2048 + 700, 2048 + 2047]  # alice's, bob's
-    rows = np.array([row for _, _, row in draws.rows(basis, [0.0, theta])])
+    rows = np.array([row for _, _, row in basis.rows(side_by_side(draws, basis, theta))])
     q, _ = np.linalg.qr(rows[:, points])
     v = np.random.default_rng(12).standard_normal(len(ALL_M_L3))
     c, h = unit_colouring(ALL_M_L3, v - q @ (q.T @ v))
-    planted = h.amplitude_from_rows(draws.rows(h, [0.0, theta]))[points]
+    planted = h.amplitude(side_by_side(draws, h, theta))[points]
     assert np.all(np.abs(planted) < 1e-14)
     cached = common_random_correlation(theta, ALL_M_L3, TWO_CHUNKS)
     reread = search._RowStack.reread
@@ -830,7 +836,7 @@ def test_float32_amplitude_is_within_the_stated_bound(modes):
     for draws in SamplingPlan(5, 30_000, chunk_size=20_000).draws():
         stack = search._RowStack(draws, modes, theta)
         basis = HarmonicColouring(tuple((l, m, 1.0) for l, m in modes))
-        rows = {(l, m): row for l, m, row in draws.rows(basis, [0.0, theta])}
+        rows = {(l, m): row for l, m, row in basis.rows(side_by_side(draws, basis, theta))}
         rows64 = np.array([rows[mode] for mode in modes])
         assert np.array_equal(stack.rows, rows64.astype(np.float32))
         assert np.array_equal(stack.row_max, np.abs(rows64).max(axis=1))
@@ -840,7 +846,7 @@ def test_float32_amplitude_is_within_the_stated_bound(modes):
         for v in rng.standard_normal((20, len(modes))):
             c, h = unit_colouring(modes, v)
             stack.amplitude(c.astype(np.float32), amp, term)
-            exact = h.amplitude_from_rows(draws.rows(h, [0.0, theta]))
+            exact = h.amplitude(side_by_side(draws, h, theta))
             error = np.max(np.abs(amp.astype(float) - exact))
             S = float(np.abs(c) @ stack.row_max)
             bound = stack.bound(c)
@@ -869,7 +875,7 @@ def test_float32_bound_floor_covers_subnormal_rows():
     for v in rng.standard_normal((10, 2)):
         c, h = unit_colouring(modes, v)
         stack.amplitude(c.astype(np.float32), amp, term)
-        exact = h.amplitude_from_rows(draws.rows(h, [0.0, 0.0]))
+        exact = h.amplitude(side_by_side(draws, h, 0.0))
         error = np.max(np.abs(amp.astype(float) - exact))
         bound = stack.bound(c)
         assert error <= bound
@@ -897,7 +903,7 @@ def test_term_order_sum_of_draws_rows_is_correlation_mc(modes, terms):
     total = 0
     for draws in TWO_CHUNKS.draws():
         n = draws.cos_eps.size
-        plus = h.amplitude_from_rows(draws.rows(basis, [0.0, theta])) >= 0.0
+        plus = h.amplitude_from_rows(basis.rows(side_by_side(draws, basis, theta))) >= 0.0
         total += 2 * int(np.count_nonzero(plus[:n] != plus[n:])) - n
     assert total / TWO_CHUNKS.n_samples == mc_value(h, theta)
 
