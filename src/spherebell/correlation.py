@@ -368,15 +368,16 @@ def _event_sums(
 
 
 # The trig path of correlation_mc_grid: a harmonic bob on a dense grid.
-# Margin of the certificate, in units of S (1 + Lambda) (see the
+# Margin of the certificate, in units of (S + l1) (1 + Lambda) (see the
 # docstring).
 TRIG_MARGIN = 1e-9
 # A grid takes the trig path when it has more than this many distinct
 # points per node (L + 1 nodes for degree L).  Measured on one chunk of
-# 20000 and of 65536 samples (2-core Xeon, numpy 2.4.6) for m = 0 and
-# all-m bobs with L = 1 to 11, the per-theta path took 0.6 to 1.5 times
-# as long as the trig path at L + 2 points, 1.0 to 2.2 times at 2 L + 3
-# points and 0.9 to 3.1 times at 3 L + 4 points (a shared, noisy host).
+# 20000 and of 65536 samples (2-core Xeon, numpy 2.4.6, a noisy host)
+# for L = 1 to 11, the per-theta path took 0.9 to 1.1, 1.0 to 1.7 and
+# 1.1 to 2.2 times as long as the trig path at L + 2, 2 L + 3 and
+# 3 L + 4 points for all-m bobs, and 0.5 to 1.1 times at 2 L + 3 and
+# 0.7 to 1.4 times at 6 L + 7 to 10 L + 11 points for m = 0 bobs.
 TRIG_POINTS_PER_NODE = 2
 # interpolated grid rows held at once, which bounds the temporaries
 TRIG_BLOCK = 4
@@ -387,12 +388,12 @@ def _trig_grid(
 ) -> tuple[list[float], np.ndarray, float] | None:
     """(nodes, interpolation matrix K, certificate margin) of the trig
     path for a harmonic bob (or his colour swap) on a sorted grid of
-    distinct thetas; None for any other bob, or for a grid with at most
-    TRIG_POINTS_PER_NODE points per node.  For degree L there are
-    L + 1 nodes pi j / (L + 1), and K[g, j] = (2 / (L + 1))
-    sum_{k = 1, 3, ..., L} cos(k (theta_g - node_j))."""
+    distinct thetas; None for any other bob, one with no ``read_margin``,
+    or a grid with at most TRIG_POINTS_PER_NODE points per node.  For
+    degree L there are L + 1 nodes pi j / (L + 1), and K[g, j] =
+    (2 / (L + 1)) sum_{k = 1, 3, ..., L} cos(k (theta_g - node_j))."""
     core = bob.inner if isinstance(bob, Negated) else bob
-    if not isinstance(core, HarmonicColouring):
+    if not isinstance(core, HarmonicColouring) or core.read_margin is None:
         return None
     size = max(l for l, _, c in core.terms if c != 0.0) + 1
     if len(grid) <= TRIG_POINTS_PER_NODE * size:
@@ -401,7 +402,8 @@ def _trig_grid(
     gaps = np.subtract.outer(np.array(grid), nodes)
     kernel = (2.0 / size) * sum(np.cos(k * gaps) for k in range(1, size, 2))
     lebesgue = float(np.max(np.sum(np.abs(kernel), axis=1)))
-    return nodes.tolist(), kernel, TRIG_MARGIN * core.amplitude_bound * (1.0 + lebesgue)
+    bound = core.amplitude_bound + core.polynomial_bound
+    return nodes.tolist(), kernel, TRIG_MARGIN * bound * (1.0 + lebesgue)
 
 
 def _harmonic_sums(
@@ -418,7 +420,7 @@ def _harmonic_sums(
     core, sign = (bob.inner, -1) if isinstance(bob, Negated) else (bob, 1)
     values = np.empty((len(nodes), a_vals.size))
     for j, t in enumerate(nodes):
-        values[j] = core.amplitude(draws.axes(core, t))
+        values[j] = core.polynomial_amplitude(draws.axes(core, t))
     weights = sign * a_vals.astype(float)
     sums = np.empty(len(grid), dtype=np.int64)
     for lo in range(0, len(grid), TRIG_BLOCK):
@@ -509,22 +511,25 @@ def correlation_mc_grid(
     L + 1 coefficients are fixed by its values at the L + 1 nodes
     pi j / (L + 1), where the cosines and sines of those frequencies
     are orthogonal, so p = K V exactly: V holds the chunk's amplitudes
-    at the nodes (``HarmonicColouring.amplitude`` at :meth:`Draws.axes`,
-    as per theta) and K is the interpolation matrix of :func:`_trig_grid`.
-    |p| <= S, the colouring's ``amplitude_bound`` (sum |c_lm|
-    sqrt((2l + 1) / 4 pi) over the coefficients its reader sums, scaled
-    by a power of two).  The per-theta amplitude and each node value
-    round by at most about 1e-14 S for L <= 11 (a recurrence over the
-    degrees, on an axis whose length is 1 to within 1e-16), and the
-    interpolated value by Lambda times that plus the rounding of the
-    product, where Lambda, the largest absolute row sum of K, is its
-    Lebesgue constant (2.1 to 2.6 for L <= 11).  A pair (draw, theta) is
-    certified when |K V| > TRIG_MARGIN S (1 + Lambda), 1e5 times that
-    error bound, and then the per-theta amplitude has the sign of K V
-    and cannot be the tie 0.  The others, a fraction of about
-    2 TRIG_MARGIN S (1 + Lambda) rho, with rho the density of p at 0
-    (about 2.5e-8 for a random unit coefficient vector over every (l, m)
-    with l <= 5), are read per theta, so every sum is the same integer.
+    at the nodes (``HarmonicColouring.polynomial_amplitude`` at
+    :meth:`Draws.axes`) and K is the interpolation matrix of
+    :func:`_trig_grid`.  |p| <= S, the colouring's ``amplitude_bound``
+    (sum |c_lm| sqrt((2l + 1) / 4 pi) over the coefficients its reader
+    sums, scaled by a power of two), and l1 its ``polynomial_bound``.
+    Each node value rounds by at most 4 L 2^-53 l1, and the recurrence
+    sum whose sign the per-theta reader gives by about 1e-14 S for
+    L <= 11 (on an axis whose length is 1 to within 1e-16); the
+    interpolated value by Lambda times the node error plus the rounding
+    of the product, where Lambda, the largest absolute row sum of K, is
+    its Lebesgue constant (2.1 to 2.6 for L <= 11).  A pair (draw,
+    theta) is certified when |K V| > TRIG_MARGIN (S + l1) (1 + Lambda),
+    over 10^4 times that error for L < 200, and then the per-theta
+    amplitude has the sign of K V and cannot be the tie 0.  The others,
+    a fraction of about
+    2 TRIG_MARGIN (S + l1) (1 + Lambda) rho, with rho the density of p
+    at 0 (about 2.5e-8 for a random unit coefficient vector over every
+    (l, m) with l <= 5), are read per theta, so every sum is the same
+    integer.
     """
     grid = checked_theta([float(t) for t in thetas]).tolist()
     if not grid:
@@ -1226,9 +1231,9 @@ def check_antipodal(
     at their exact negations.  A band colouring (or its swap) redraws
     axes whose polar cosine is within EDGE_TOL of +-(a flip cosine),
     where either colour is legitimate.  A harmonic needs no thinning:
-    every step of ``harmonic_rows`` and of the term-order sum is
-    sign-symmetric in IEEE arithmetic, so its amplitude at -a is
-    exactly minus that at a."""
+    every step of its per-order polynomial, of ``harmonic_rows`` and of
+    the term-order sum is sign-symmetric in IEEE arithmetic, so both
+    amplitudes at -a are exactly minus those at a."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     core = c.inner if isinstance(c, Negated) else c

@@ -44,10 +44,12 @@ def clamp_cos(x: np.ndarray) -> np.ndarray:
 
     Excess magnitude up to ``ARCCOS_HARD`` is clamped away; beyond that
     a :class:`NumericalError` is raised, since errors that large
-    indicate a wrong formula rather than rounding noise.
+    indicate a wrong formula rather than rounding noise.  A nan passes
+    through as nan and hides no other entry's excess.
     """
     x = np.asarray(x, dtype=float)
-    excess = np.max(np.abs(x), initial=0.0) - 1.0
+    # fmax skips nan, where max would return it and pass every check
+    excess = np.fmax.reduce(np.abs(x), axis=None, initial=0.0) - 1.0
     if excess > ARCCOS_HARD:
         raise NumericalError(
             f"cosine exceeds [-1, 1] by {excess:.3g} (> {ARCCOS_HARD})"

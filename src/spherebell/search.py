@@ -642,10 +642,10 @@ class _RowStack:
             out += term
 
     def reread(self, c: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """The float64 amplitude at the points ``idx`` that the reader of
-        the colouring of c signs, :meth:`HarmonicColouring.amplitude`:
-        its rows work element by element, so they are the bits of the
-        full rows."""
+        """The float64 amplitude at the points ``idx`` whose signs the
+        readers of the colouring of c give, the recurrence sum
+        :meth:`HarmonicColouring.amplitude`, not its polynomial: its rows
+        work element by element, so they are the bits of the full rows."""
         terms = tuple((l, m, ck) for (l, m), ck in zip(self.modes, c.tolist()))
         return HarmonicColouring(terms).amplitude(self.axes[..., idx])
 

@@ -10,6 +10,7 @@ from antipodal_midpoint_oracle import is_antipodal as midpoint_is_antipodal
 from spherical_harmonic_oracle import real_spherical_harmonic as oracle_harmonic
 
 from spherebell.colourings import (
+    READ_MARGIN,
     BandColouring,
     Colouring,
     ColouringPair,
@@ -23,8 +24,9 @@ from spherebell.colourings import (
     make_catalogue,
     negate,
     real_spherical_harmonic,
+    _signed,
 )
-from spherebell.correlation import _flips_of, check_antipodal
+from spherebell.correlation import _flips_of, _trig_grid, check_antipodal
 from spherebell.geometry import NumericalError, arccos_clamped_array, unit_vectors
 
 PI = math.pi
@@ -250,6 +252,14 @@ class TestEvaluateCos:
         assert value.shape == () and value.dtype == np.int64
         assert value == c.evaluate_cos(np.array([x]))[0]
 
+    def test_a_nan_hides_no_drift(self):
+        # the drift check skipped every entry beside a nan, so 1.5 read
+        # as the pole
+        for c in (make_catalogue(2), HarmonicColouring(((3, 0, 1.0), (1, 0, 0.4)))):
+            for colouring in (c, Negated(c)):
+                with pytest.raises(NumericalError):
+                    colouring.evaluate_cos(np.array([math.nan, 1.5]))
+
     def test_drift_beyond_rounding_is_a_numerical_error(self):
         c = make_catalogue(2)
         self.assert_matches_arccos_path(c, np.array([1.0 + 1e-7, -1.0 - 1e-7]))
@@ -438,6 +448,159 @@ def test_harmonic_values_from_vectors_and_cosines():
         assert np.array_equal(c.evaluate_vectors(w), c.evaluate_cos(w[2]))
         with pytest.raises(NumericalError):
             c.evaluate_vectors(np.array([[0.0], [0.0], [1.0 + 2e-6]]))
+
+
+def _random_harmonic(rng, degree, all_m):
+    return HarmonicColouring(
+        tuple(
+            (l, m, float(rng.standard_normal()))
+            for l in range(1, degree + 1, 2)
+            for m in (range(-l, l + 1) if all_m else (0,))
+        )
+    )
+
+
+def _reader_points(rng, n=4000):
+    """Random unit vectors, both poles and points on the equator."""
+    eps = np.concatenate((np.arccos(rng.uniform(-1.0, 1.0, n)), [0.0, PI, PI / 2, PI / 2]))
+    return unit_vectors(eps, rng.uniform(0.0, 2 * PI, eps.size))
+
+
+@pytest.mark.parametrize("degree", [1, 3, 5, 7, 9, 11])
+@pytest.mark.parametrize("all_m", [True, False])
+def test_polynomial_amplitude_is_within_the_stated_bound(degree, all_m):
+    # |polynomial - exact| <= 4 L 2^-53 l1 and |recurrence - exact| <=
+    # 1e-14 S; the oracle's own lpmv rounds by up to 1e-13 per row
+    rng = np.random.default_rng(degree + 20 * all_m)
+    for _ in range(3):
+        h = _random_harmonic(rng, degree, all_m)
+        v = _reader_points(rng)
+        axes = v if all_m else v[2]
+        poly = h.polynomial_amplitude(axes)
+        S, l1 = h.amplitude_bound, h.polynomial_bound
+        horner = 4 * degree * 2.0**-53 * l1
+        assert np.max(np.abs(poly - h.amplitude(axes))) <= horner + 1e-14 * S
+        phi = np.arctan2(v[1], v[0])
+        oracle = sum(c * oracle_harmonic(l, m, v[2], phi) for l, m, c in h._read_terms)
+        total = sum(abs(c) for _, _, c in h._read_terms)
+        assert np.max(np.abs(poly - oracle)) <= horner + 1e-13 * total
+        # the readers' margin is 10^4 times both errors
+        assert h.read_margin == pytest.approx(READ_MARGIN * (l1 + S), rel=1e-15)
+        assert h.read_margin >= 1e4 * (horner + 1e-14 * S)
+
+
+def _planted(h):
+    """The axes of the readers of h at random points and at points where
+    its amplitude is zero or within rounding of zero: z = 0 and the flips
+    of an m = 0 harmonic, the poles of one without m = 0 terms."""
+    rng = np.random.default_rng(len(h.terms))
+    v = _reader_points(rng, 2000)
+    if not h.is_azimuthal:
+        return np.concatenate((v, _nodal_points(h, rng)), axis=1)
+    x = np.cos(np.array(h.flips[1]))
+    return np.concatenate((v[2], [0.0, -0.0, 1.0, -1.0, math.nan], x, -x))
+
+
+def _nodal_points(h, rng, count=4):
+    """Unit vectors within rounding of the nodal set of h, bisected on
+    ``count`` random great circles through the poles (h is odd, so its
+    sign changes on each)."""
+    eps = []
+    phi = rng.uniform(0.0, 2 * PI, count)
+    grid = np.linspace(0.01, 2 * PI - 0.01, 401)
+    for p in phi:
+        values = h.amplitude(unit_vectors(grid, p))
+        j = np.flatnonzero((values[:-1] >= 0.0) != (values[1:] >= 0.0))[0]
+        lo, hi = grid[j], grid[j + 1]
+        start = values[j] >= 0.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if (h.amplitude(unit_vectors(np.array([mid]), p))[0] >= 0.0) == start:
+                lo = mid
+            else:
+                hi = mid
+        eps.append(lo)
+    return unit_vectors(np.array(eps), phi)
+
+
+PLANTED = [
+    HarmonicColouring(((1, 0, 1.0),)),
+    HarmonicColouring(((3, 0, 1.0), (1, 0, 0.4))),
+    HarmonicColouring(((1, 0, 0.3), (5, 0, -1.0), (3, 0, 0.2), (7, 0, 0.6))),
+    HarmonicColouring(((1, 1, 0.5), (3, -2, 1.0), (3, 1, 0.3))),
+    HarmonicColouring(((3, 2, 1.0), (1, 0, 0.5), (5, -1, -0.3), (5, 5, 0.25))),
+]
+
+
+@pytest.mark.parametrize("h", PLANTED, ids=["Y10", "m0_l3", "m0_l7", "no_m0", "all_m"])
+def test_polynomial_readers_sign_the_recurrence_bit_for_bit(h, monkeypatch):
+    axes = _planted(h)
+    expected = _signed(h.amplitude(axes) >= 0.0)
+    reread = []
+    amplitude = HarmonicColouring.amplitude
+
+    def recording(self, axes):
+        reread.append(np.size(axes) // (1 if self.is_azimuthal else 3))
+        return amplitude(self, axes)
+
+    monkeypatch.setattr(HarmonicColouring, "amplitude", recording)
+    for colouring, sign in ((h, 1), (Negated(h), -1)):
+        read = colouring.evaluate_cos if h.is_azimuthal else colouring.evaluate_vectors
+        assert np.array_equal(read(axes), sign * expected)
+        vectors = _planted_vectors(h, axes)
+        assert np.array_equal(colouring.evaluate_vectors(vectors), sign * expected)
+    # the margin re-read fired at the planted points and only near them
+    assert 0 < max(reread) <= 20
+    if h.is_azimuthal:
+        # the nodal tie z = 0 of an odd polynomial reads +1
+        assert h.evaluate_cos(np.array([0.0, -0.0])).tolist() == [1, 1]
+    else:
+        poles = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
+        assert np.array_equal(h.evaluate_vectors(poles), _signed(h.amplitude(poles) >= 0.0))
+
+
+def _planted_vectors(h, axes):
+    if not h.is_azimuthal:
+        return axes
+    return np.array([np.zeros_like(axes), np.zeros_like(axes), axes])
+
+
+@pytest.mark.parametrize("degree", [1, 5, 11])
+@pytest.mark.parametrize("all_m", [True, False])
+def test_polynomial_amplitude_is_exactly_odd(degree, all_m):
+    rng = np.random.default_rng(100 + degree)
+    h = _random_harmonic(rng, degree, all_m)
+    v = _reader_points(rng)
+    axes = v if all_m else v[2]
+    assert np.array_equal(h.polynomial_amplitude(-axes), -h.polynomial_amplitude(axes))
+    read = h.evaluate_vectors if all_m else h.evaluate_cos
+    # the tie aside, the colours are antipodal
+    assert np.array_equal(read(-axes), -read(axes))
+
+
+def test_polynomial_readers_keep_0d_inputs_0d():
+    for h in PLANTED:
+        axes = _planted(h)
+        read = h.evaluate_cos if h.is_azimuthal else h.evaluate_vectors
+        values = read(axes)
+        # a random point, and the z = 0 tie or a pole, which take the re-read
+        for k in (3, -9 if h.is_azimuthal else -4):
+            one = read(axes[..., k])
+            assert isinstance(one, np.ndarray) and one.shape == () and one == values[k]
+            assert h.polynomial_amplitude(axes[..., k]).shape == ()
+    assert HarmonicColouring(((3, 0, 1.0),)).evaluate_cos(0.0) == 1
+
+
+def test_polynomial_gives_way_to_the_recurrence_at_high_degree():
+    # the coefficient sum l1 grows about 4 times per two degrees: at
+    # L = 61 the margin would exceed S, so the recurrence reads alone
+    # and the trig path is not taken
+    rng = np.random.default_rng(4)
+    h = HarmonicColouring(tuple((l, 0, float(rng.standard_normal())) for l in range(1, 62, 2)))
+    assert h.read_margin is None
+    assert _trig_grid(h, np.linspace(0.01, 1.5, 200).tolist()) is None
+    x = rng.uniform(-1.0, 1.0, 500)
+    assert np.array_equal(h.evaluate_cos(x), _signed(h.amplitude(x) >= 0.0))
 
 
 class TestNegation:

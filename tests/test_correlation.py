@@ -2012,13 +2012,19 @@ def test_trig_interpolation_error_is_far_inside_the_margin(degree, all_m):
     nodes, kernel, margin = correlation._trig_grid(bob, grid)
     assert len(nodes) == degree + 1
     lebesgue = np.max(np.sum(np.abs(kernel), axis=1))
-    expected = correlation.TRIG_MARGIN * bound * (1.0 + lebesgue)
+    # the node values come from the per-order polynomial, so the margin
+    # also covers its rounding, in units of its coefficient sum l1
+    expected = correlation.TRIG_MARGIN * (bound + bob.polynomial_bound) * (1.0 + lebesgue)
     assert margin == pytest.approx(expected, rel=1e-12)
     draws = next(SamplingPlan(degree, 20_000).draws())
     amplitude = lambda t: bob.amplitude(draws.axes(bob, t))
     values = np.array([amplitude(t) for t in nodes])
     direct = np.array([amplitude(t) for t in grid])
     assert np.max(np.abs(kernel @ values - direct)) / bound <= 1e-12
+    # the node values the trig path takes interpolate to within 1e-4 of
+    # the margin of the per-theta amplitude
+    values = np.array([bob.polynomial_amplitude(draws.axes(bob, t)) for t in nodes])
+    assert np.max(np.abs(kernel @ values - direct)) <= 1e-4 * margin
 
 
 # 2^k times a colouring's coefficients is the same colouring; these

@@ -12,6 +12,7 @@ from spherebell.geometry import (
     HALF_ANGLE_TOL,
     NumericalError,
     arccos_clamped_array,
+    clamp_cos,
     cos_sin,
     half_angle_cos_sin,
     partner_cos_many,
@@ -72,6 +73,18 @@ def test_arccos_drift_is_a_numerical_error():
     with pytest.raises(NumericalError):
         arccos_clamped_array(np.array([0.2, 1.0 + 1e-5]))
     assert issubclass(NumericalError, ValueError)
+
+
+def test_a_nan_hides_no_drift():
+    # max |x| was nan with a nan anywhere, and nan > ARCCOS_HARD is False,
+    # so 1.5 beside a nan was clamped to 1 without a word
+    for x in ([math.nan, 1.5], [1.5, math.nan], [0.2, math.nan, -1.5]):
+        with pytest.raises(NumericalError):
+            clamp_cos(np.array(x))
+    # a nan alone, or beside drift within rounding, still passes as nan
+    out = clamp_cos(np.array([math.nan, 1.0 + 1e-9, -0.5]))
+    assert math.isnan(out[0]) and out[1:].tolist() == [1.0, -0.5]
+    assert math.isnan(clamp_cos(math.nan))
 
 
 def test_arccos_clamped_interior_matches_acos():

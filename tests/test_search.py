@@ -843,10 +843,16 @@ def test_float32_amplitude_is_within_the_stated_bound(modes):
         amp = np.empty(stack.rows.shape[1], dtype=np.float32)
         term = np.empty_like(amp)
         K, u = len(modes), 2.0**-24
-        for v in rng.standard_normal((20, len(modes))):
+        # equal entries make max |c| = K^-1/2, below 0.5 for K > 4
+        exponents = []
+        for v in [*rng.standard_normal((20, len(modes))), np.ones(K)]:
             c, h = unit_colouring(modes, v)
             stack.amplitude(c.astype(np.float32), amp, term)
-            exact = h.amplitude(side_by_side(draws, h, theta))
+            # the reader sums c times 2^-e, e the frexp exponent of max |c|;
+            # the bound is on the unscaled sum, 2^e times that, exactly
+            _, e = math.frexp(np.max(np.abs(c)))
+            exponents.append(e)
+            exact = np.ldexp(h.amplitude(side_by_side(draws, h, theta)), e)
             error = np.max(np.abs(amp.astype(float) - exact))
             S = float(np.abs(c) @ stack.row_max)
             bound = stack.bound(c)
@@ -858,6 +864,7 @@ def test_float32_amplitude_is_within_the_stated_bound(modes):
             # the float32 sum really is float32: the bound is not slack
             # around a float64 sum
             assert error > 0.0
+        assert K <= 4 or min(exponents) < 0
 
 
 def test_float32_bound_floor_covers_subnormal_rows():
