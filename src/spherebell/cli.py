@@ -384,29 +384,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default: stdout)")
         p.set_defaults(parser=p)
 
+    def sampling(p: argparse.ArgumentParser, n: int, n_help: str) -> None:
+        p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
+        p.add_argument("--n", type=int, default=n, help=n_help)
+
+    def sampled_curve(p: argparse.ArgumentParser, grid: str) -> None:
+        p.add_argument("--colouring", help="catalogue label, label:param, or @file.json")
+        p.add_argument("--method", choices=METHODS, default="closed_form")
+        p.add_argument("--grid", default=grid, help="start:stop:count in units of pi")
+        sampling(p, DEFAULT_N, "Monte Carlo samples")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=TOL_HELP)
+
     p_curve = sub.add_parser("curve", help="correlation curve as CSV")
     common(p_curve)
-    p_curve.add_argument("--colouring", help="catalogue label, label:param, or @file.json")
-    p_curve.add_argument("--method", choices=METHODS, default="closed_form")
-    p_curve.add_argument("--grid", default="0:0.5:101", help="start:stop:count in units of pi")
-    p_curve.add_argument("--seed", type=seed, default=DEFAULT_SEED)
-    p_curve.add_argument("--n", type=int, default=DEFAULT_N, help="Monte Carlo samples")
-    p_curve.add_argument("--tol", type=float, default=DEFAULT_TOL, help=TOL_HELP)
+    sampled_curve(p_curve, "0:0.5:101")
     p_curve.set_defaults(func=run_curve)
 
     p_verify = sub.add_parser("verify", help="bound verification as JSON")
     common(p_verify)
-    p_verify.add_argument("--colouring")
+    sampled_curve(p_verify, "0.005:0.5:100")
     p_verify.add_argument(
         "--curve-file",
         dest="curve_file",
         help="verify a curve CSV as-is instead of computing one",
     )
-    p_verify.add_argument("--method", choices=METHODS, default="closed_form")
-    p_verify.add_argument("--grid", default="0.005:0.5:100")
-    p_verify.add_argument("--seed", type=seed, default=DEFAULT_SEED)
-    p_verify.add_argument("--n", type=int, default=DEFAULT_N)
-    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL, help=TOL_HELP)
     p_verify.set_defaults(func=run_verify)
 
     p_sweep = sub.add_parser("sweep", help="deformation sweeps and crossing tables")
@@ -428,10 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--theta", type=float, help="angle in units of pi")
     p_search.add_argument("--lmax", type=int, default=3)
     p_search.add_argument("--restarts", type=int, default=16)
-    p_search.add_argument(
-        "--n", type=int, default=20_000, help="Monte Carlo samples per evaluation"
-    )
-    p_search.add_argument("--seed", type=seed, default=DEFAULT_SEED)
+    sampling(p_search, 20_000, "Monte Carlo samples per evaluation")
     p_search.add_argument("--max-iter", dest="max_iter", type=int, default=400)
     p_search.add_argument(
         "--azimuthal-only",
@@ -453,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quantum.add_argument(
         "--mc", action="store_true", help="Monte Carlo instead of analytic"
     )
-    p_quantum.add_argument("--n", type=int, default=100_000)
-    p_quantum.add_argument("--seed", type=seed, default=DEFAULT_SEED)
+    sampling(p_quantum, 100_000, "Monte Carlo samples, read by --mc only")
     p_quantum.set_defaults(func=run_quantum)
 
     p_slope = sub.add_parser("slope", help="slope of C at pi/2")

@@ -152,11 +152,19 @@ class BandColouring:
         return self.evaluate_cos(v[2])
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: an integral number (3.0 is one), not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class HarmonicColouring:
     """Sign of a sum of real spherical harmonics of odd degree.
 
-    ``terms`` is a sequence of (l, m, coefficient) with every l odd
+    ``terms`` is a sequence of (l, m, coefficient) with integers l and m
+    (an integral float such as 3.0 is read as one), every l odd
     (odd-degree harmonics are odd under point inversion, which makes
     the sign function antipodal) and at least one nonzero coefficient.
     The tie value sgn(0) := +1 keeps evaluation deterministic on the
@@ -170,7 +178,9 @@ class HarmonicColouring:
     label: str = "harmonic"
 
     def __post_init__(self) -> None:
-        terms = tuple((int(l), int(m), float(c)) for l, m, c in self.terms)
+        terms = tuple(
+            (_integer(l, "degree"), _integer(m, "order"), float(c)) for l, m, c in self.terms
+        )
         if not terms:
             raise ValueError("at least one harmonic term is required")
         for l, m, c in terms:
@@ -214,29 +224,21 @@ class HarmonicColouring:
         return harmonic_rows(modes, axes[2], axes[:2])
 
     def amplitude(self, axes: np.ndarray) -> np.ndarray:
-        """The harmonic sum the readers sign, at the axes of :meth:`rows`."""
-        return self.amplitude_from_rows(self.rows(axes))
+        """The harmonic sum the readers sign, at the axes of :meth:`rows`.
 
-    def amplitude_from_rows(
-        self, rows: Iterable[tuple[int, int, np.ndarray]]
-    ) -> np.ndarray:
-        """The harmonic sum from basis rows (l, m, Y_lm), as
-        :func:`harmonic_rows` yields them.
-
-        c * Y_lm is added in term order as the rows arrive, over the
-        read terms (c != 0, scaled by a power of two).  A row that
-        arrives before its term's turn waits for it, and a row is
+        c * Y_lm is added in term order as :meth:`rows` yields the rows,
+        over the read terms (c != 0, scaled by a power of two).  A row
+        that arrives before its term's turn waits for it, and a row is
         dropped after its last term, so terms listed degree by degree
         (as the search and the colouring files list them) never hold
-        more than one row.  Summing the same rows always takes the same
-        steps, so cached rows give the amplitude bit for bit.
+        more than one row.
         """
         live = self._read_terms
         last_use = {(l, m): k for k, (l, m, _) in enumerate(live)}
         waiting: dict[tuple[int, int], np.ndarray] = {}
         total = None
         k = 0
-        for l, m, row in rows:
+        for l, m, row in self.rows(axes):
             waiting[l, m] = row
             while k < len(live) and live[k][:2] in waiting:
                 mode, c = live[k][:2], live[k][2]
@@ -247,8 +249,6 @@ class HarmonicColouring:
                 if last_use[mode] == k:
                     del waiting[mode]
                 k += 1
-        if k < len(live):
-            raise ValueError(f"no basis row for the term {live[k]!r}")
         return total
 
     @functools.cached_property
@@ -638,7 +638,8 @@ def colouring_from_spec(spec: dict) -> Colouring:
       units of pi for the parametric labels),
     - ``kind: "bands"`` with ``bands``, a list of [lo, hi] pairs in
       units of pi (optional ``label``),
-    - ``kind: "harmonic"`` with ``terms``, a list of [l, m, coefficient].
+    - ``kind: "harmonic"`` with ``terms``, a list of [l, m, coefficient]
+      with integers l and m.
     """
     if not isinstance(spec, dict):
         raise ValueError("a colouring description must be a JSON object")
@@ -657,8 +658,7 @@ def colouring_from_spec(spec: dict) -> Colouring:
         )
         return BandColouring(bands, label=str(spec.get("label", "bands")))
     if kind == "harmonic":
-        terms = tuple((int(l), int(m), float(c)) for l, m, c in spec["terms"])
-        return HarmonicColouring(terms, label=str(spec.get("label", "harmonic")))
+        return HarmonicColouring(spec["terms"], label=str(spec.get("label", "harmonic")))
     raise ValueError(f"unknown colouring kind {kind!r}")
 
 

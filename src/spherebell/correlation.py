@@ -367,12 +367,9 @@ def _event_sums(
     return sums
 
 
-# The trig path of correlation_mc_grid: a harmonic bob on a dense grid.
-# Margin of the certificate, in units of (S + l1) (1 + Lambda) (see the
-# docstring).
-TRIG_MARGIN = 1e-9
-# A grid takes the trig path when it has more than this many distinct
-# points per node (L + 1 nodes for degree L).  Measured on one chunk of
+# The trig path of correlation_mc_grid (a harmonic bob on a dense grid)
+# is taken when the grid has more than this many distinct points per
+# node (L + 1 nodes for degree L).  Measured on one chunk of
 # 20000 and of 65536 samples (2-core Xeon, numpy 2.4.6, a noisy host)
 # for L = 1 to 11, the per-theta path took 0.9 to 1.1, 1.0 to 1.7 and
 # 1.1 to 2.2 times as long as the trig path at L + 2, 2 L + 3 and
@@ -402,8 +399,7 @@ def _trig_grid(
     gaps = np.subtract.outer(np.array(grid), nodes)
     kernel = (2.0 / size) * sum(np.cos(k * gaps) for k in range(1, size, 2))
     lebesgue = float(np.max(np.sum(np.abs(kernel), axis=1)))
-    bound = core.amplitude_bound + core.polynomial_bound
-    return nodes.tolist(), kernel, TRIG_MARGIN * bound * (1.0 + lebesgue)
+    return nodes.tolist(), kernel, core.read_margin * (1.0 + lebesgue)
 
 
 def _harmonic_sums(
@@ -513,23 +509,18 @@ def correlation_mc_grid(
     are orthogonal, so p = K V exactly: V holds the chunk's amplitudes
     at the nodes (``HarmonicColouring.polynomial_amplitude`` at
     :meth:`Draws.axes`) and K is the interpolation matrix of
-    :func:`_trig_grid`.  |p| <= S, the colouring's ``amplitude_bound``
-    (sum |c_lm| sqrt((2l + 1) / 4 pi) over the coefficients its reader
-    sums, scaled by a power of two), and l1 its ``polynomial_bound``.
-    Each node value rounds by at most 4 L 2^-53 l1, and the recurrence
-    sum whose sign the per-theta reader gives by about 1e-14 S for
-    L <= 11 (on an axis whose length is 1 to within 1e-16); the
-    interpolated value by Lambda times the node error plus the rounding
-    of the product, where Lambda, the largest absolute row sum of K, is
-    its Lebesgue constant (2.1 to 2.6 for L <= 11).  A pair (draw,
-    theta) is certified when |K V| > TRIG_MARGIN (S + l1) (1 + Lambda),
-    over 10^4 times that error for L < 200, and then the per-theta
-    amplitude has the sign of K V and cannot be the tie 0.  The others,
-    a fraction of about
-    2 TRIG_MARGIN (S + l1) (1 + Lambda) rho, with rho the density of p
-    at 0 (about 2.5e-8 for a random unit coefficient vector over every
-    (l, m) with l <= 5), are read per theta, so every sum is the same
-    integer.
+    :func:`_trig_grid`.  The node values and the sum whose sign the
+    per-theta reader gives are within the errors that
+    ``HarmonicColouring.polynomial_amplitude`` states, far inside the
+    colouring's ``read_margin`` r; the interpolated value is off by
+    Lambda times the node error plus the rounding of the product, where
+    Lambda, the largest absolute row sum of K, is its Lebesgue constant
+    (2.1 to 2.6 for L <= 11).  A pair (draw, theta) is certified when
+    |K V| > r (1 + Lambda), and then the per-theta amplitude has the
+    sign of K V and cannot be the tie 0.  The others, a fraction of
+    about 2 r (1 + Lambda) rho, with rho the density of p at 0 (about
+    2.5e-8 for a random unit coefficient vector over every (l, m) with
+    l <= 5), are read per theta, so every sum is the same integer.
     """
     grid = checked_theta([float(t) for t in thetas]).tolist()
     if not grid:

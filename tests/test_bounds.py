@@ -1,5 +1,6 @@
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -436,6 +437,49 @@ class TestVerify:
         reports = verify_curve(curve)
         assert any(not r.satisfied for r in reports)
         assert all(r.status == "violated" for r in reports if not r.satisfied)
+
+    def test_monte_carlo_violation_is_family_wise(self):
+        # m = 166 statistical checks on the 100-point grid (100 chain
+        # bounds, 66 quantum sandwiches), so z* = 4.53 stderr; a point
+        # 3.5 stderr outside its chain bound was a violation at 3 stderr
+        grid = np.linspace(0.005, 0.5, 100) * PI
+        sigmas = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 166))
+        stderr = 0.01
+        # 0.3 pi, 0.4 pi and 0.45 pi have the chain bound 1/2
+        planted = {59: 3.5, 79: sigmas + 0.5, 89: sigmas - 0.01}
+        points = tuple(
+            CurvePoint(float(t), 0.5 + planted[k] * stderr if k in planted else 0.0, stderr)
+            for k, t in enumerate(grid)
+        )
+        reports = verify_curve(CorrelationCurve("planted", "mc", points))
+        assert len(reports) == 166
+        chain = {k: r for k, r in enumerate(r for r in reports if r.source == "theorem1")}
+        assert chain[59].status == "inconclusive" and chain[59].satisfied
+        assert chain[79].status == "violated" and not chain[79].satisfied
+        assert chain[89].status == "inconclusive" and chain[89].satisfied
+        assert [r.status for r in reports if r.status == "violated"] == ["violated"]
+        # outside the 3-stderr slack, no planted point touches its bound
+        assert not any(chain[k].saturated for k in planted)
+
+    def test_a_lone_monte_carlo_check_has_its_own_threshold(self):
+        # one statistical check: z* = 3.29, so 3.5 stderr out is violated
+        # and 3.2 stderr out inconclusive
+        for sigmas, status in [(3.5, "violated"), (3.2, "inconclusive")]:
+            point = CurvePoint(0.4 * PI, 0.5 + sigmas * 0.01, 0.01)
+            (report,) = verify_curve(CorrelationCurve("lone", "mc", (point,)))
+            assert report.status == status
+
+    def test_hemisphere_monte_carlo_is_rarely_called_violated(self):
+        # a correct colouring: at 3 stderr, 16 of these 400 runs reported
+        # a violation; the family-wise rule allows about 0.4 of them
+        grid = np.linspace(0.005, 0.5, 100) * PI
+        hemisphere = make_catalogue("1")
+
+        def violated(seed):
+            reports = verify_colouring(hemisphere, grid, "mc", plan=SamplingPlan(seed, 2000))
+            return any(r.status == "violated" for r in reports)
+
+        assert sum(violated(10_000 + s) for s in range(400)) <= 2
 
     @pytest.mark.parametrize("stderr", [math.nan, math.inf, -0.5])
     def test_non_finite_stderr_is_rejected(self, stderr):

@@ -355,6 +355,19 @@ class TestCurveCommand:
         assert out == ""
         assert err.startswith("error:") and "not finite" in err
 
+    @pytest.mark.parametrize(
+        "term, named", [([3.9, 0.7, 1.0], "3.9"), ([True, 0, 1.0], "True"), ([1, 0.5, 1.0], "0.5")]
+    )
+    def test_fractional_or_bool_harmonic_degree_is_usage_error(
+        self, term, named, tmp_path, capsys
+    ):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"kind": "harmonic", "terms": [term]}))
+        code, out, err = run(capsys, "curve", "--colouring", f"@{path}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err
+
     def test_out_in_missing_directory_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "absent" / "c.csv"
         code, _, err = run(
@@ -551,6 +564,35 @@ class TestVerifyCommand:
         agreed = [e for e in json.loads(out)["grid"] if e["value"] == -1.0]
         assert [round(e["theta_over_pi"], 3) for e in agreed] == [0.005, 0.01, 0.015]
         assert {e["status"] for e in agreed} == {"inconclusive"}
+
+    def test_monte_carlo_excursion_at_half_pi_is_inconclusive(self, tmp_path, capsys):
+        # a random unit harmonic over every (l, m) with l <= 5 reads
+        # 0.025 +- 0.00707 at pi/2, where every colouring has C = 0: 3.5
+        # stderr out, beyond 3 stderr but inside z* = 4.53
+        terms = [
+            [1, -1, 0.022270145655310183], [1, 0, 0.16060884992938643],
+            [1, 1, -0.24688195154487633], [3, -3, -0.3933026730026029],
+            [3, -2, -0.187880893044113], [3, -1, -0.14453706318991935],
+            [3, 0, -0.11813278147730392], [3, 1, -0.11869735008838446],
+            [3, 2, -0.03771633658836824], [3, 3, -0.08737569330899336],
+            [5, -5, 0.22640921511501808], [5, -4, -0.19756724816331997],
+            [5, -3, 0.2509204476686389], [5, -2, -0.3172922005600399],
+            [5, -1, 0.26038419819353203], [5, 0, 0.04312772019253203],
+            [5, 1, -0.39215970741700923], [5, 2, 0.004441650264556145],
+            [5, 3, -0.21700941335234006], [5, 4, -0.30419748689770354],
+            [5, 5, 0.21852242972091976],
+        ]
+        path = tmp_path / "harmonic_full.json"
+        path.write_text(json.dumps({"kind": "harmonic", "label": "harmonic_full", "terms": terms}))
+        code, out, _ = run(
+            capsys, "verify", "--colouring", f"@{path}", "--method", "mc", "--n", "20000",
+            "--grid", "0.005:0.5:100", "--seed", "160868915",
+        )
+        assert code == 0
+        grid = json.loads(out)["grid"]
+        assert grid[-1]["theta_over_pi"] == 0.5 and grid[-1]["value"] == 0.025
+        unsure = [(e["theta_over_pi"], e["status"]) for e in grid if e["status"] != "satisfied"]
+        assert unsure == [(0.5, "inconclusive")]
 
     def test_grid_past_half_pi_exits_before_monte_carlo(self, monkeypatch, capsys):
         def no_sampling(*args, **kwargs):
@@ -1038,6 +1080,65 @@ class TestConfigMerge:
         code, _, _ = run(capsys, "curve", "--config", str(config))
         assert code == 0
         assert len(rows_of((tmp_path / "c.csv").read_text())) == 4
+
+
+class TestParserDefaults:
+    # every flag of the sampled commands and its default, stated here
+    # apart from the helpers that build the parser
+    DEFAULTS = {
+        "curve": {
+            "colouring": None, "method": "closed_form", "grid": "0:0.5:101",
+            "seed": 0x42D, "n": 1_000_000, "tol": 1e-8,
+        },
+        "verify": {
+            "colouring": None, "curve_file": None, "method": "closed_form",
+            "grid": "0.005:0.5:100", "seed": 0x42D, "n": 1_000_000, "tol": 1e-8,
+        },
+        "search": {
+            "theta": None, "lmax": 3, "restarts": 16, "n": 20_000, "seed": 0x42D,
+            "max_iter": 400, "azimuthal_only": False,
+        },
+        "quantum": {
+            "state": "singlet", "state_file": None, "grid": "0:0.5:51", "mc": False,
+            "n": 100_000, "seed": 0x42D,
+        },
+    }
+    # a value other than the default for every key, as a config file holds it
+    CONFIG = {
+        "curve": {
+            "colouring": "3", "method": "mc", "grid": "0.1:0.5:3", "seed": 16, "n": 500,
+            "tol": 1e-6,
+        },
+        "verify": {
+            "colouring": "3", "curve_file": "c.csv", "method": "quadrature",
+            "grid": "0.1:0.5:3", "seed": 16, "n": 500, "tol": 1e-6,
+        },
+        "search": {
+            "theta": 0.3, "lmax": 5, "restarts": 2, "n": 500, "seed": 16, "max_iter": 10,
+            "azimuthal_only": True,
+        },
+        "quantum": {
+            "state": "phi+", "state_file": "rho.txt", "grid": "0:0.5:3", "mc": True,
+            "n": 500, "seed": 16,
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(DEFAULTS))
+    def test_every_flag_keeps_its_default(self, command):
+        args = vars(cli.build_parser().parse_args([command]))
+        flags = {k: v for k, v in args.items() if k not in ("command", "func", "parser")}
+        assert flags == {"config": None, "out": None, **self.DEFAULTS[command]}
+
+    @pytest.mark.parametrize("command", sorted(CONFIG))
+    def test_config_maps_every_key(self, command, tmp_path):
+        parser = cli.build_parser()
+        config = tmp_path / "cfg.json"
+        values = {**self.CONFIG[command], "out": "x.txt"}
+        config.write_text(json.dumps(values))
+        tokens = cli._config_argv(str(config), parser.parse_args([command]).parser)
+        args = vars(parser.parse_args([command, *tokens]))
+        assert {k: args[k] for k in values} == values
+        assert set(values) == set(self.DEFAULTS[command]) | {"out"}
 
 
 def run_probe(probe, *args):

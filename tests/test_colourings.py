@@ -412,13 +412,11 @@ def test_amplitude_sums_the_terms_in_any_order():
     # rows that arrive early wait for their term
     terms = ((5, -3, 0.2), (1, 0, 0.4), (3, 2, -0.7), (1, 0, 0.25), (3, -1, 0.0))
     h = HarmonicColouring(terms)
-    x, phi, xy = _oracle_points()
+    x, phi, _ = _oracle_points()
     eps = np.arccos(x)
     expected = sum(c * oracle_harmonic(l, m, np.cos(eps), phi) for l, m, c in terms)
     amplitude = h.amplitude(unit_vectors(eps, phi))
     assert np.max(np.abs(amplitude - expected)) <= 1e-13
-    with pytest.raises(ValueError):
-        h.amplitude_from_rows(harmonic_rows([(1, 0), (3, 2)], x, xy))
 
 
 def test_harmonic_values_from_vectors_and_cosines():
@@ -793,6 +791,26 @@ class TestSerialization:
         c = colouring_from_spec({"kind": "harmonic", "terms": [[3, -2, 0.5]]})
         assert isinstance(c, HarmonicColouring)
         assert c.terms == ((3, -2, 0.5),)
+
+    @pytest.mark.parametrize(
+        "term, named",
+        [
+            ([3.9, 0.7, 1.0], "degree 3.9"),
+            ([True, 0, 1.0], "degree True"),
+            ([3, 1.5, 1.0], "order 1.5"),
+        ],
+    )
+    def test_harmonic_spec_takes_integer_degrees_and_orders(self, term, named):
+        # a fractional degree or order was truncated, and true read as 1
+        with pytest.raises(ValueError, match=named):
+            colouring_from_spec({"kind": "harmonic", "terms": [term]})
+
+    def test_harmonic_terms_take_integral_floats_only(self):
+        with pytest.raises(ValueError, match="degree 1.5"):
+            HarmonicColouring(((1.5, 0, 1.0),))
+        c = colouring_from_spec({"kind": "harmonic", "terms": [[3.0, -2.0, 0.5]]})
+        assert c.terms == ((3, -2, 0.5),)
+        assert all(type(l) is int and type(m) is int for l, m, _ in c.terms)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

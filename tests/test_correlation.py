@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from spherebell import correlation
+from spherebell import colourings, correlation
 from spherebell.bounds import verify_curve
 from spherebell.colourings import (
     BandColouring,
@@ -1987,7 +1987,7 @@ def test_trig_path_falls_back_pair_by_pair(monkeypatch):
         return colours(draws, c, theta, cols)
 
     monkeypatch.setattr(correlation.Draws, "colours", counting)
-    monkeypatch.setattr(correlation, "TRIG_MARGIN", 0.01)
+    monkeypatch.setattr(colourings, "READ_MARGIN", 0.01)
     assert correlation_mc_grid(pair, grid, plan) == expected
     assert sum(fallbacks) >= 0.01 * plan.n_samples * len(grid)
 
@@ -2014,7 +2014,7 @@ def test_trig_interpolation_error_is_far_inside_the_margin(degree, all_m):
     lebesgue = np.max(np.sum(np.abs(kernel), axis=1))
     # the node values come from the per-order polynomial, so the margin
     # also covers its rounding, in units of its coefficient sum l1
-    expected = correlation.TRIG_MARGIN * (bound + bob.polynomial_bound) * (1.0 + lebesgue)
+    expected = colourings.READ_MARGIN * (bound + bob.polynomial_bound) * (1.0 + lebesgue)
     assert margin == pytest.approx(expected, rel=1e-12)
     draws = next(SamplingPlan(degree, 20_000).draws())
     amplitude = lambda t: bob.amplitude(draws.axes(bob, t))
@@ -2025,6 +2025,25 @@ def test_trig_interpolation_error_is_far_inside_the_margin(degree, all_m):
     # the margin of the per-theta amplitude
     values = np.array([bob.polynomial_amplitude(draws.axes(bob, t)) for t in nodes])
     assert np.max(np.abs(kernel @ values - direct)) <= 1e-4 * margin
+
+
+@pytest.mark.parametrize("degree", [1, 3, 5, 7, 9, 11])
+@pytest.mark.parametrize("all_m", [True, False])
+def test_trig_margin_is_the_readers_margin(degree, all_m):
+    # the trig path's certificate is the per-theta reader's margin times
+    # 1 + Lambda, the same float
+    rng = np.random.default_rng(100 + degree)
+    bob = HarmonicColouring(
+        tuple(
+            (l, m, float(rng.standard_normal()))
+            for l in range(1, degree + 1, 2)
+            for m in (range(-l, l + 1) if all_m else (0,))
+        )
+    )
+    grid = np.linspace(0.0, PI, 3 * degree + 4).tolist()
+    _, kernel, margin = correlation._trig_grid(negate(bob), grid)
+    lebesgue = float(np.max(np.sum(np.abs(kernel), axis=1)))
+    assert margin == bob.read_margin * (1.0 + lebesgue)
 
 
 # 2^k times a colouring's coefficients is the same colouring; these

@@ -902,15 +902,16 @@ def test_float32_bound_floor_covers_subnormal_rows():
 )
 def test_term_order_sum_of_draws_rows_is_correlation_mc(modes, terms):
     # the Monte Carlo reader sums its rows in term order, whatever order
-    # the terms come in and however often a mode repeats; the rows of
-    # every chunk's basis give it bit for bit
+    # the terms come in and however often a mode repeats; its sum at the
+    # axes of every chunk's basis, which the search re-reads, gives it
+    # bit for bit
     theta = 0.35 * PI
     basis = HarmonicColouring(tuple((l, m, 1.0) for l, m in modes))
     h = HarmonicColouring(terms)
     total = 0
     for draws in TWO_CHUNKS.draws():
         n = draws.cos_eps.size
-        plus = h.amplitude_from_rows(basis.rows(side_by_side(draws, basis, theta))) >= 0.0
+        plus = h.amplitude(side_by_side(draws, basis, theta)) >= 0.0
         total += 2 * int(np.count_nonzero(plus[:n] != plus[n:])) - n
     assert total / TWO_CHUNKS.n_samples == mc_value(h, theta)
 
