@@ -29,7 +29,7 @@ from numpy.polynomial import legendre
 from .geometry import arccos_clamped_array, clamp_cos, unit_vectors
 
 EDGE_TOL = 1e-9
-# the readers' margin, in units of l1 + S (HarmonicColouring.read_margin)
+# the reader's margin, in units of l1 + S (HarmonicColouring.read_margin)
 READ_MARGIN = 1e-9
 
 
@@ -47,12 +47,12 @@ def _signed(plus: np.ndarray) -> np.ndarray:
 
 @runtime_checkable
 class Colouring(Protocol):
-    """Anything that can be evaluated to +-1 on arrays of directions.
+    """Anything that reads +-1 at arrays of directions.
 
-    ``correlation.Draws`` reads an azimuthally symmetric colouring by
-    ``evaluate_cos`` (values from cos(polar) alone) and any other by
-    ``evaluate_vectors`` (values at Cartesian unit vectors), for Monte
-    Carlo and the sampled checks.  The exact engines read the ``flips``
+    :meth:`read` takes axes as ``correlation.Draws.axes`` gives them:
+    polar cosines for an azimuthally symmetric colouring, a (3, ...)
+    Cartesian array for any other.  Monte Carlo and the sampled checks
+    read a colouring only so.  The exact engines read the ``flips``
     record (north value, flip angles) of an azimuthal colouring, which
     is no member here: a non-azimuthal harmonic's raises ``ValueError``,
     which ``isinstance`` does not catch on Python 3.10 and 3.11.
@@ -61,9 +61,7 @@ class Colouring(Protocol):
     label: str
     is_azimuthal: bool
 
-    def evaluate_cos(self, x: np.ndarray) -> np.ndarray: ...
-    def evaluate_vectors(self, v: np.ndarray) -> np.ndarray: ...
-    def evaluate_polar(self, eps: np.ndarray) -> np.ndarray: ...
+    def read(self, axes: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -117,8 +115,8 @@ class BandColouring:
     def evaluate_many(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
         return self.evaluate_polar(eps)
 
-    def evaluate_cos(self, x: np.ndarray) -> np.ndarray:
-        """Values at the polar angles arccos(x), bit for bit
+    def read(self, x: np.ndarray) -> np.ndarray:
+        """Values at the polar cosines x, bit for bit
         ``evaluate_polar(arccos_clamped_array(x))``, mostly without the
         arccos.
 
@@ -147,14 +145,17 @@ class BandColouring:
             values[near] = self.evaluate_polar(arccos_clamped_array(x[near]))
         return values
 
-    def evaluate_vectors(self, v: np.ndarray) -> np.ndarray:
-        """Values at the unit vectors v, from their z coordinates."""
-        return self.evaluate_cos(v[2])
+
+def _number(value, name: str) -> float:
+    """``value`` as a float: a number, not a bool or a string."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise ValueError(f"{name} {value!r} is not a number")
+    return float(value)
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int: an integral number (3.0 is one), not a bool."""
-    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+    """``value`` as an int: an integral number (3.0 is one)."""
+    if not _number(value, name).is_integer():
         raise ValueError(f"{name} {value!r} is not an integer")
     return int(value)
 
@@ -168,18 +169,19 @@ class HarmonicColouring:
     (odd-degree harmonics are odd under point inversion, which makes
     the sign function antipodal) and at least one nonzero coefficient.
     The tie value sgn(0) := +1 keeps evaluation deterministic on the
-    measure-zero nodal set.  The readers give the signs of
+    measure-zero nodal set.  :meth:`read` gives the signs of
     :meth:`amplitude`, which reads ``Draws`` axes itself and scales
     ``terms`` (kept as given) by a power of two, so power-of-two
     multiples of them read alike, from its several times faster
-    :meth:`polynomial_amplitude`, certified by a margin (:meth:`_read`)."""
+    :meth:`polynomial_amplitude`, certified by a margin."""
 
     terms: tuple[tuple[int, int, float], ...]
     label: str = "harmonic"
 
     def __post_init__(self) -> None:
         terms = tuple(
-            (_integer(l, "degree"), _integer(m, "order"), float(c)) for l, m, c in self.terms
+            (_integer(l, "degree"), _integer(m, "order"), _number(c, "coefficient"))
+            for l, m, c in self.terms
         )
         if not terms:
             raise ValueError("at least one harmonic term is required")
@@ -200,7 +202,7 @@ class HarmonicColouring:
 
     @functools.cached_property
     def _read_terms(self) -> tuple[tuple[int, int, float], ...]:
-        """The terms with c != 0 that the readers sum, each c times the
+        """The terms with c != 0 that the amplitudes sum, each c times the
         power of two that brings the largest |c| into [0.5, 1): exact,
         so 2^k times the coefficients reads alike, bit for bit, and no
         product overflows or goes subnormal at the ends of the range."""
@@ -224,7 +226,7 @@ class HarmonicColouring:
         return harmonic_rows(modes, axes[2], axes[:2])
 
     def amplitude(self, axes: np.ndarray) -> np.ndarray:
-        """The harmonic sum the readers sign, at the axes of :meth:`rows`.
+        """The harmonic sum :meth:`read` signs, at the axes of :meth:`rows`.
 
         c * Y_lm is added in term order as :meth:`rows` yields the rows,
         over the read terms (c != 0, scaled by a power of two).  A row
@@ -319,10 +321,12 @@ class HarmonicColouring:
                 total += value
         return np.asarray(total)
 
-    def _read(self, axes: np.ndarray) -> np.ndarray:
-        """The signs of :meth:`amplitude` at the axes of :meth:`rows`:
-        those of :meth:`polynomial_amplitude`, re-read by :meth:`amplitude`
-        where its size is at most :attr:`read_margin` or nan (or is None)."""
+    def read(self, axes: np.ndarray) -> np.ndarray:
+        """The signs of :meth:`amplitude` at the axes of :meth:`rows`
+        (polar cosines with the drift check of :func:`clamp_cos`, or
+        Cartesian): those of :meth:`polynomial_amplitude`, re-read by
+        :meth:`amplitude` where its size is at most :attr:`read_margin`
+        or nan (or is None)."""
         axes = np.asarray(axes, dtype=float)
         margin = self.read_margin
         if margin is None:
@@ -336,23 +340,15 @@ class HarmonicColouring:
 
     # no engine reads this; kept because perfbench/spans.py rebinds it
     def evaluate_many(self, eps: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        return self.evaluate_vectors(unit_vectors(eps, phi))
-
-    def evaluate_vectors(self, v: np.ndarray) -> np.ndarray:
-        """Values at the unit vectors v, a (3, ...) array of Cartesian
-        coordinates; an azimuthally symmetric colouring reads z alone."""
-        return self._read(v[2] if self.is_azimuthal else v)
-
-    def evaluate_cos(self, x: np.ndarray) -> np.ndarray:
-        """Values of an azimuthally symmetric colouring at the polar
-        angles arccos(x), from x alone.  x is clamped to [-1, 1], with
-        the drift check of :func:`clamp_cos`."""
-        if not self.is_azimuthal:
-            raise ValueError("colouring is not azimuthally symmetric")
-        return self._read(x)
+        v = unit_vectors(eps, phi)
+        return self.read(v[2] if self.is_azimuthal else v)
 
     def evaluate_polar(self, eps: np.ndarray) -> np.ndarray:
-        return self.evaluate_cos(np.cos(np.asarray(eps, dtype=float)))
+        """Values of an azimuthally symmetric colouring at the polar
+        angles eps; any other raises ``ValueError``."""
+        if not self.is_azimuthal:
+            raise ValueError("colouring is not azimuthally symmetric")
+        return self.read(np.cos(np.asarray(eps, dtype=float)))
 
     @functools.cached_property
     def flips(self) -> tuple[int, tuple[float, ...]]:
@@ -521,11 +517,8 @@ class Negated:
     def evaluate_polar(self, eps: np.ndarray) -> np.ndarray:
         return -self.inner.evaluate_polar(eps)
 
-    def evaluate_cos(self, x: np.ndarray) -> np.ndarray:
-        return -self.inner.evaluate_cos(x)
-
-    def evaluate_vectors(self, v: np.ndarray) -> np.ndarray:
-        return -self.inner.evaluate_vectors(v)
+    def read(self, axes: np.ndarray) -> np.ndarray:
+        return -self.inner.read(axes)
 
 
 def negate(c: Colouring) -> Colouring:
@@ -649,12 +642,13 @@ def colouring_from_spec(spec: dict) -> Colouring:
         Delta = spec.get("Delta")
         return make_catalogue(
             spec["label"],
-            delta=None if delta is None else float(delta) * math.pi,
-            Delta=None if Delta is None else float(Delta) * math.pi,
+            delta=None if delta is None else _number(delta, "delta") * math.pi,
+            Delta=None if Delta is None else _number(Delta, "Delta") * math.pi,
         )
     if kind == "bands":
         bands = tuple(
-            (float(lo) * math.pi, float(hi) * math.pi) for lo, hi in spec["bands"]
+            (_number(lo, "band edge") * math.pi, _number(hi, "band edge") * math.pi)
+            for lo, hi in spec["bands"]
         )
         return BandColouring(bands, label=str(spec.get("label", "bands")))
     if kind == "harmonic":

@@ -51,8 +51,8 @@ reads a band bob's record, and the sampled antipodality check thins at
 a band colouring's flip cosines.
 
 Shared plumbing: the sampled gamma and antipodality checks, curve
-containers, antisymmetry extension of a curve to [0, pi], finite
-mixtures, the exact circle-colouring correlation, and the CSV schema.
+containers, finite mixtures, the exact circle-colouring correlation,
+and the CSV schema.
 """
 
 from __future__ import annotations
@@ -181,11 +181,6 @@ class SamplingPlan:
             yield Draws(cos_eps, phi, omega)
 
 
-def _reader(c: Colouring) -> Callable[[np.ndarray], np.ndarray]:
-    """The reader of ``c`` at the axes of :meth:`Draws.axes`."""
-    return c.evaluate_cos if c.is_azimuthal else c.evaluate_vectors
-
-
 class Draws:
     """One chunk of sample points, as the trig values the partner maps
     read: cos(eps) as drawn, sin(eps) = sqrt((1 - cos eps)(1 + cos eps))
@@ -201,12 +196,11 @@ class Draws:
 
     This is the one place that forms and reads a party's axes, also for
     the sampled checks (at theta = 0, omega = 0).  :meth:`axes` gives
-    them at separation theta from alice's in the form the colouring's
-    reader (:func:`_reader`) takes: the polar cosine, read by
-    ``evaluate_cos``, for an azimuthally symmetric colouring and the
-    Cartesian axis, read by ``evaluate_vectors``, for any other.
-    :meth:`colours` reads a colouring there; a harmonic colouring turns
-    them into basis coordinates itself (``HarmonicColouring.rows``)."""
+    them at separation theta from alice's in the form ``Colouring.read``
+    takes: the polar cosine for an azimuthally symmetric colouring and
+    the Cartesian axis for any other.  :meth:`colours` reads a colouring
+    there; a harmonic colouring turns them into basis coordinates itself
+    (``HarmonicColouring.rows``)."""
 
     def __init__(self, cos_eps: np.ndarray, phi: np.ndarray, omega: np.ndarray):
         self.cos_eps = cos_eps
@@ -236,8 +230,8 @@ class Draws:
         )
 
     def axes(self, c: Colouring, theta: float = 0.0, cols=slice(None)) -> np.ndarray:
-        """The axes at separation theta on the draws ``cols``, for the
-        reader of ``c``: ``partner_cos_many`` of cos eps as drawn, sin
+        """The axes at separation theta on the draws ``cols``, for
+        ``c.read``: ``partner_cos_many`` of cos eps as drawn, sin
         eps and cos omega (unclamped) for an azimuthally symmetric
         colouring, ``partner_many`` of the frame for any other."""
         if c.is_azimuthal:
@@ -250,7 +244,7 @@ class Draws:
 
     def colours(self, c: Colouring, theta: float = 0.0, cols=slice(None)) -> np.ndarray:
         """The colours of ``c`` at the axes at separation theta."""
-        return _reader(c)(self.axes(c, theta, cols))
+        return c.read(self.axes(c, theta, cols))
 
 
 def _as_pair(c: Colouring | ColouringPair) -> ColouringPair:
@@ -363,7 +357,7 @@ def _event_sums(
         ct = np.array([[math.cos(theta)] for theta in grid])
         st = np.array([[math.sin(theta)] for theta in grid])
         x = ct * cos_eps[rest] - st * sin_eps[rest] * cos_omega[rest]
-        sums += np.sum(a_vals[rest] * bob.evaluate_cos(x), axis=1, dtype=np.int64)
+        sums += np.sum(a_vals[rest] * bob.read(x), axis=1, dtype=np.int64)
     return sums
 
 
@@ -452,16 +446,15 @@ def correlation_mc_grid(
     trig value of the draws at most once, and alice is evaluated on it
     once; then only bob moves, over the distinct thetas of the grid.
     Both are read by :meth:`Draws.colours`, alice at theta = 0 and bob
-    per theta: an azimuthally symmetric bob (bands, an m = 0 harmonic,
-    or the colour swap of either) by his polar cosine alone, which
-    ``evaluate_cos`` decides (a band bob by comparison with its edges'
-    cosines, bit for bit the arccos path), any other by his Cartesian
-    axis, from whose coordinates ``evaluate_vectors`` reads his harmonic
-    basis.  Every theta sees the same draws it would see alone, and the
-    products alice * bob are exactly +-1, so each chunk sum is an
-    integer and every estimate is bit-identical to
-    ``correlation_mc(c, theta, plan)``.  The standard error is
-    sqrt((1 - mean^2) / (n - 1)).
+    per theta, by his ``read``: an azimuthally symmetric bob (bands, an
+    m = 0 harmonic, or the colour swap of either) at his polar cosine
+    alone (a band bob by comparison with its edges' cosines, bit for
+    bit the arccos path), any other at his Cartesian axis, from whose
+    coordinates his harmonic basis is built.  Every theta sees the same
+    draws it would see alone, and the products alice * bob are exactly
+    +-1, so each chunk sum is an integer and every estimate is
+    bit-identical to ``correlation_mc(c, theta, plan)``.  The standard
+    error is sqrt((1 - mean^2) / (n - 1)).
 
     Two paths pay per draw rather than per (draw, theta) on a dense
     grid, and give every chunk the same integer sums.
@@ -488,8 +481,8 @@ def correlation_mc_grid(
     the farther root is at least half the roots' separation away), or
     |x - cos v| >= EVENT_SIGMA if he never crosses v.  That is 5e-13,
     while ``partner_cos_many`` and the edge comparisons of
-    ``evaluate_cos`` (or its arccos path) round by about 1e-15, and the
-    computed crossing times are off by about 1e-16 / EVENT_SIGMA (arccos
+    ``BandColouring.read`` (or its arccos path) round by about 1e-15, and
+    the computed crossing times are off by about 1e-16 / EVENT_SIGMA (arccos
     is conditioned by R / g and psi by 1 / R, both <= 1 / EVENT_SIGMA),
     far inside EVENT_TAU.  So the per-theta path gives every certified
     sample exactly the colours its events give.  The others, about
@@ -1218,8 +1211,8 @@ def check_antipodal(
     c: Colouring, n_samples: int, rng: np.random.Generator
 ) -> AntipodalReport:
     """Sampled antipodality check: c(-a) must equal -c(a), with ``c``
-    read by :func:`_reader` at the axes a of :func:`_sampled_axes` and
-    at their exact negations.  A band colouring (or its swap) redraws
+    read by ``c.read`` at the axes a of :func:`_sampled_axes` and at
+    their exact negations.  A band colouring (or its swap) redraws
     axes whose polar cosine is within EDGE_TOL of +-(a flip cosine),
     where either colour is legitimate.  A harmonic needs no thinning:
     every step of its per-order polynomial, of ``harmonic_rows`` and of
@@ -1229,7 +1222,6 @@ def check_antipodal(
         raise ValueError("n_samples must be at least 1")
     core = c.inner if isinstance(c, Negated) else c
     edges = np.abs(np.cos(c.flips[1])) if isinstance(core, BandColouring) else []
-    read = _reader(c)
     tested = violations = 0
     while tested < n_samples:
         draws = _sampled_axes(rng, n_samples - tested)
@@ -1237,7 +1229,7 @@ def check_antipodal(
         gaps = np.subtract.outer(np.abs(draws.cos_eps), edges)
         ok = np.all(np.abs(gaps) > EDGE_TOL, axis=1)
         axes = draws.axes(c)[..., ok]
-        violations += int(np.count_nonzero(read(axes) != -read(-axes)))
+        violations += int(np.count_nonzero(c.read(axes) != -c.read(-axes)))
         tested += int(np.count_nonzero(ok))
     return AntipodalReport(n_tested=n_samples, n_violations=violations)
 

@@ -642,12 +642,10 @@ class _RowStack:
             out += term
 
     def reread(self, c: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """The float64 amplitude at the points ``idx`` whose signs the
-        readers of the colouring of c give, the recurrence sum
-        :meth:`HarmonicColouring.amplitude`, not its polynomial: its rows
-        work element by element, so they are the bits of the full rows."""
+        """The signs at the points ``idx`` of the colouring of c, read
+        by its ``read`` in float64 as the Monte Carlo engine reads it."""
         terms = tuple((l, m, ck) for (l, m), ck in zip(self.modes, c.tolist()))
-        return HarmonicColouring(terms).amplitude(self.axes[..., idx])
+        return HarmonicColouring(terms).read(self.axes[..., idx])
 
 
 def common_random_correlation(
@@ -669,7 +667,7 @@ def common_random_correlation(
 
         B = 2 (K + 3) 2^-24 S + 2^-149 sum_k (M_k + 2)
 
-    of the float64 amplitude the colouring's reader signs, over the
+    of the float64 amplitude the colouring's ``read`` signs, over the
     exact power-of-two scale of its coefficients: rounding c and the
     rows to float32, the products and the K - 1 sums take at most
     K + 2 relative roundings of 2^-24 per term, the float64 sum at
@@ -678,7 +676,7 @@ def common_random_correlation(
     each; |c_k| <= 1).  The factor 2 also covers rounding B to
     float32 for the comparison.  Where |amplitude| > B the float32
     sign is the float64 one; the points where |amplitude| <= B are
-    re-read in float64 (:meth:`_RowStack.reread`).  Over every step of
+    re-read by ``read`` (:meth:`_RowStack.reread`).  Over every step of
     five searches (the README one, all-m l <= 3 and 5, m = 0 l <= 7)
     the float32 error was at most 0.88 K 2^-24 S, under a quarter of
     B, and 2 to 13 points in a million were re-read (2 on the README
@@ -712,7 +710,7 @@ def common_random_correlation(
             np.abs(a, out=t)
             if t.min() <= bound:
                 idx = np.flatnonzero(t <= bound)
-                p[idx] = s.reread(c, idx) >= 0.0
+                p[idx] = s.reread(c, idx) > 0
             np.not_equal(p[:n], p[n:], out=differ[:n])
             total += 2 * int(np.count_nonzero(differ[:n])) - n
         return total / plan.n_samples

@@ -368,6 +368,24 @@ class TestCurveCommand:
         assert out == ""
         assert err.startswith("error:") and named in err
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"kind": "harmonic", "terms": [[1, 0, "0.5"]]}, "coefficient '0.5'"),
+            ({"kind": "bands", "bands": [[0, "0.5"]]}, "band edge '0.5'"),
+        ],
+        ids=["coefficient", "band_edge"],
+    )
+    def test_string_number_in_colouring_file_is_usage_error(
+        self, spec, named, tmp_path, capsys
+    ):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "curve", "--colouring", f"@{path}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err
+
     def test_out_in_missing_directory_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "absent" / "c.csv"
         code, _, err = run(

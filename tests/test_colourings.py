@@ -228,7 +228,7 @@ class TestEvaluateCos:
     def assert_matches_arccos_path(c, x):
         for colouring in (c, Negated(c)):
             expected = colouring.evaluate_polar(arccos_clamped_array(x))
-            assert np.array_equal(colouring.evaluate_cos(x), expected)
+            assert np.array_equal(colouring.read(x), expected)
 
     def test_nan_takes_the_arccos_path(self):
         # a band reaching the south pole used to read nan as +1
@@ -248,9 +248,9 @@ class TestEvaluateCos:
     def test_0d_cosine_on_a_pole_or_a_flip(self, label, x):
         # took the arccos path into a numpy scalar, which raised TypeError
         c = make_catalogue(label)
-        value = c.evaluate_cos(x)
+        value = c.read(x)
         assert value.shape == () and value.dtype == np.int64
-        assert value == c.evaluate_cos(np.array([x]))[0]
+        assert value == c.read(np.array([x]))[0]
 
     def test_a_nan_hides_no_drift(self):
         # the drift check skipped every entry beside a nan, so 1.5 read
@@ -258,14 +258,14 @@ class TestEvaluateCos:
         for c in (make_catalogue(2), HarmonicColouring(((3, 0, 1.0), (1, 0, 0.4)))):
             for colouring in (c, Negated(c)):
                 with pytest.raises(NumericalError):
-                    colouring.evaluate_cos(np.array([math.nan, 1.5]))
+                    colouring.read(np.array([math.nan, 1.5]))
 
     def test_drift_beyond_rounding_is_a_numerical_error(self):
         c = make_catalogue(2)
         self.assert_matches_arccos_path(c, np.array([1.0 + 1e-7, -1.0 - 1e-7]))
         for colouring in (c, Negated(c)):
             with pytest.raises(NumericalError):
-                colouring.evaluate_cos(np.array([0.3, 1.5]))
+                colouring.read(np.array([0.3, 1.5]))
 
     @given(
         north_flips=st.lists(
@@ -288,8 +288,8 @@ def test_sign_readers_give_int64_arrays_of_the_input_shape():
     azimuthal = HarmonicColouring(((1, 0, 1.0), (3, 0, -0.7)))
     cases = [
         (make_catalogue(3).evaluate_polar, eps),
-        (all_m.evaluate_vectors, unit_vectors(eps, 0.3 * eps)),
-        (azimuthal.evaluate_cos, np.cos(eps)),
+        (all_m.read, unit_vectors(eps, 0.3 * eps)),
+        (azimuthal.read, np.cos(eps)),
     ]
     for read, points in cases:
         values = read(points)
@@ -426,26 +426,27 @@ def test_harmonic_values_from_vectors_and_cosines():
     phi = rng.uniform(0.0, 2 * PI, 2000)
     v = unit_vectors(eps, phi)
     signs = np.where(h.amplitude(v) >= 0.0, 1, -1)
-    assert np.array_equal(h.evaluate_vectors(v), signs)
-    assert np.array_equal(Negated(h).evaluate_vectors(v), -signs)
+    assert np.array_equal(h.read(v), signs)
+    assert np.array_equal(Negated(h).read(v), -signs)
     with pytest.raises(ValueError):
-        h.evaluate_cos(v[2])
-    # an m = 0 colouring reads cos(polar) alone, with the drift check
+        h.evaluate_polar(eps)
+    # an m = 0 colouring reads cos(polar) alone, with the drift check; a
+    # zero m != 0 term makes the same colouring read Cartesian axes
     z = HarmonicColouring(((3, 0, 1.0), (1, 0, 0.4)))
-    for c in (z, Negated(z)):
-        assert np.array_equal(c.evaluate_cos(v[2]), c.evaluate_vectors(v))
-        assert np.array_equal(c.evaluate_cos(np.cos(eps)), c.evaluate_polar(eps))
-        assert np.array_equal(
-            c.evaluate_cos(np.array([1.0 + 1e-9])), c.evaluate_polar(np.array([0.0]))
-        )
+    cartesian = HarmonicColouring(z.terms + ((1, 1, 0.0),))
+    assert not cartesian.is_azimuthal
+    for c, twin in ((z, cartesian), (Negated(z), Negated(cartesian))):
+        assert np.array_equal(c.read(v[2]), twin.read(v))
+        assert np.array_equal(c.read(np.cos(eps)), c.evaluate_polar(eps))
+        assert np.array_equal(c.read(np.array([1.0 + 1e-9])), c.evaluate_polar(np.array([0.0])))
         with pytest.raises(NumericalError):
-            c.evaluate_cos(np.array([0.3, 1.5]))
-        # evaluate_vectors reads z as evaluate_cos does: clamped where it
-        # passes +-1 by rounding, an error past the drift check
-        w = np.array([[0.0, 0.0, 0.6], [0.0, 0.0, 0.8], [1.0 + 1e-12, -1.0 - 1e-12, 0.0]])
-        assert np.array_equal(c.evaluate_vectors(w), c.evaluate_cos(w[2]))
+            c.read(np.array([0.3, 1.5]))
+        # polar cosines are clamped where they pass +-1 by rounding, an
+        # error past the drift check
+        w = np.array([1.0 + 1e-12, -1.0 - 1e-12, 0.6])
+        assert np.array_equal(c.read(w), c.read(np.array([1.0, -1.0, 0.6])))
         with pytest.raises(NumericalError):
-            c.evaluate_vectors(np.array([[0.0], [0.0], [1.0 + 2e-6]]))
+            c.read(np.array([1.0 + 2e-6]))
 
 
 def _random_harmonic(rng, degree, all_m):
@@ -543,24 +544,15 @@ def test_polynomial_readers_sign_the_recurrence_bit_for_bit(h, monkeypatch):
 
     monkeypatch.setattr(HarmonicColouring, "amplitude", recording)
     for colouring, sign in ((h, 1), (Negated(h), -1)):
-        read = colouring.evaluate_cos if h.is_azimuthal else colouring.evaluate_vectors
-        assert np.array_equal(read(axes), sign * expected)
-        vectors = _planted_vectors(h, axes)
-        assert np.array_equal(colouring.evaluate_vectors(vectors), sign * expected)
+        assert np.array_equal(colouring.read(axes), sign * expected)
     # the margin re-read fired at the planted points and only near them
     assert 0 < max(reread) <= 20
     if h.is_azimuthal:
         # the nodal tie z = 0 of an odd polynomial reads +1
-        assert h.evaluate_cos(np.array([0.0, -0.0])).tolist() == [1, 1]
+        assert h.read(np.array([0.0, -0.0])).tolist() == [1, 1]
     else:
         poles = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
-        assert np.array_equal(h.evaluate_vectors(poles), _signed(h.amplitude(poles) >= 0.0))
-
-
-def _planted_vectors(h, axes):
-    if not h.is_azimuthal:
-        return axes
-    return np.array([np.zeros_like(axes), np.zeros_like(axes), axes])
+        assert np.array_equal(h.read(poles), _signed(h.amplitude(poles) >= 0.0))
 
 
 @pytest.mark.parametrize("degree", [1, 5, 11])
@@ -571,22 +563,20 @@ def test_polynomial_amplitude_is_exactly_odd(degree, all_m):
     v = _reader_points(rng)
     axes = v if all_m else v[2]
     assert np.array_equal(h.polynomial_amplitude(-axes), -h.polynomial_amplitude(axes))
-    read = h.evaluate_vectors if all_m else h.evaluate_cos
     # the tie aside, the colours are antipodal
-    assert np.array_equal(read(-axes), -read(axes))
+    assert np.array_equal(h.read(-axes), -h.read(axes))
 
 
 def test_polynomial_readers_keep_0d_inputs_0d():
     for h in PLANTED:
         axes = _planted(h)
-        read = h.evaluate_cos if h.is_azimuthal else h.evaluate_vectors
-        values = read(axes)
+        values = h.read(axes)
         # a random point, and the z = 0 tie or a pole, which take the re-read
         for k in (3, -9 if h.is_azimuthal else -4):
-            one = read(axes[..., k])
+            one = h.read(axes[..., k])
             assert isinstance(one, np.ndarray) and one.shape == () and one == values[k]
             assert h.polynomial_amplitude(axes[..., k]).shape == ()
-    assert HarmonicColouring(((3, 0, 1.0),)).evaluate_cos(0.0) == 1
+    assert HarmonicColouring(((3, 0, 1.0),)).read(0.0) == 1
 
 
 def test_polynomial_gives_way_to_the_recurrence_at_high_degree():
@@ -598,7 +588,7 @@ def test_polynomial_gives_way_to_the_recurrence_at_high_degree():
     assert h.read_margin is None
     assert _trig_grid(h, np.linspace(0.01, 1.5, 200).tolist()) is None
     x = rng.uniform(-1.0, 1.0, 500)
-    assert np.array_equal(h.evaluate_cos(x), _signed(h.amplitude(x) >= 0.0))
+    assert np.array_equal(h.read(x), _signed(h.amplitude(x) >= 0.0))
 
 
 class TestNegation:
@@ -607,9 +597,8 @@ class TestNegation:
         n = negate(c)
         assert n.label == "-3"
         eps = np.linspace(0, PI, 50)
-        assert np.array_equal(n.evaluate_cos(np.cos(eps)), -c.evaluate_cos(np.cos(eps)))
-        v = unit_vectors(eps, np.zeros(50))
-        assert np.array_equal(n.evaluate_vectors(v), -c.evaluate_vectors(v))
+        assert np.array_equal(n.read(np.cos(eps)), -c.read(np.cos(eps)))
+        assert np.array_equal(n.evaluate_polar(eps), -c.evaluate_polar(eps))
 
     def test_double_negation_unwraps(self):
         c = make_catalogue(3)
@@ -804,6 +793,22 @@ class TestSerialization:
         # a fractional degree or order was truncated, and true read as 1
         with pytest.raises(ValueError, match=named):
             colouring_from_spec({"kind": "harmonic", "terms": [term]})
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"kind": "harmonic", "terms": [[1, 0, True]]}, "coefficient True"),
+            ({"kind": "harmonic", "terms": [["3", 0, 1.0]]}, "degree '3'"),
+            ({"kind": "harmonic", "terms": [[1, 0, "0.5"]]}, "coefficient '0.5'"),
+            ({"kind": "bands", "bands": [["0", "0.5"]]}, "band edge '0'"),
+            ({"kind": "catalogue", "label": "3_delta", "delta": "0.01"}, "delta '0.01'"),
+        ],
+        ids=["bool_coefficient", "string_degree", "string_coefficient", "string_band", "string_delta"],
+    )
+    def test_spec_numbers_are_not_strings_or_bools(self, spec, named):
+        # each read as a number: true as 1.0, "3" as l = 3, "0.5" as 0.5
+        with pytest.raises(ValueError, match=f"{named} is not a number"):
+            colouring_from_spec(spec)
 
     def test_harmonic_terms_take_integral_floats_only(self):
         with pytest.raises(ValueError, match="degree 1.5"):

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from spherebell import colourings, correlation
-from spherebell.bounds import verify_curve
+from spherebell.bounds import STATUS_VIOLATED, verify_colouring, verify_curve
 from spherebell.colourings import (
     BandColouring,
+    Colouring,
     ColouringPair,
     HarmonicColouring,
     colouring_from_spec,
@@ -36,6 +37,7 @@ from spherebell.correlation import (
     SamplingPlan,
     _flips_of,
     _quadrature_integrand,
+    check_antipodal,
     chi,
     circle_correlation,
     closed_form,
@@ -176,11 +178,9 @@ def per_point_mc(pair, theta, plan):
         a_vals = pair.alice.evaluate_many(eps, phi)
         if pair.bob.is_azimuthal:
             cos_alpha = partner_cos_many(theta, np.cos(eps), np.sin(eps), np.cos(omega))
-            b_vals = pair.bob.evaluate_cos(cos_alpha)
+            b_vals = pair.bob.read(cos_alpha)
         else:
-            b_vals = pair.bob.evaluate_vectors(
-                partner_many(theta, *partner_frame(*cos_sin(eps, phi, omega)))
-            )
+            b_vals = pair.bob.read(partner_many(theta, *partner_frame(*cos_sin(eps, phi, omega))))
         total += int(np.sum(a_vals * b_vals, dtype=np.int64))
     return total / plan.n_samples
 
@@ -1777,7 +1777,7 @@ def test_band_flips_read_the_jumps():
 
 
 class _ShapeSpy:
-    """A bob that records the shape of every ``evaluate_cos`` input."""
+    """A bob that records the shape of every ``read`` input."""
 
     is_azimuthal = True
 
@@ -1785,9 +1785,9 @@ class _ShapeSpy:
         self.inner = inner
         self.shapes = []
 
-    def evaluate_cos(self, x):
+    def read(self, x):
         self.shapes.append(np.shape(x))
-        return self.inner.evaluate_cos(x)
+        return self.inner.read(x)
 
 
 def test_event_path_certifies_crossings_on_grid_thetas():
@@ -1835,7 +1835,7 @@ def test_event_path_certifies_crossings_on_grid_thetas():
     spy = _ShapeSpy(bob)
     sums = correlation._event_sums(spy, flips, a_vals, draws, grid)
     expected = [
-        int(np.sum(a_vals * bob.evaluate_cos(partner_cos_many(t, *trig)))) for t in grid
+        int(np.sum(a_vals * bob.read(partner_cos_many(t, *trig)))) for t in grid
     ]
     assert sums.tolist() == expected
     ((rows, shaky),) = [shape for shape in spy.shapes if len(shape) == 2]
@@ -2091,7 +2091,7 @@ def test_draws_read_every_party_by_one_rule(c):
     (draws,) = SamplingPlan(17, 3000, chunk_size=3000).draws()
     a, u = draws.frame
     # alice at theta = 0: her drawn polar cosine, or the frame's axis a
-    alice = c.evaluate_cos(draws.cos_eps) if c.is_azimuthal else c.evaluate_vectors(a)
+    alice = c.read(draws.cos_eps if c.is_azimuthal else a)
     assert np.array_equal(draws.colours(c, 0.0), alice)
     assert np.array_equal(draws.colours(c), alice)
     bob = negate(c)
@@ -2099,9 +2099,9 @@ def test_draws_read_every_party_by_one_rule(c):
     trig = draws.cos_eps[cols], draws.sin_eps[cols], draws.cos_omega[cols]
     for t in (0.3, 1.2, PI):
         if c.is_azimuthal:
-            expected = bob.evaluate_cos(partner_cos_many(t, *trig))
+            expected = bob.read(partner_cos_many(t, *trig))
         else:
-            expected = bob.evaluate_vectors(partner_many(t, a[:, cols], u[:, cols]))
+            expected = bob.read(partner_many(t, a[:, cols], u[:, cols]))
         assert np.array_equal(draws.colours(bob, t, cols), expected)
         assert np.array_equal(draws.colours(bob, t)[cols], expected)
     if isinstance(c, HarmonicColouring):
@@ -2111,6 +2111,42 @@ def test_draws_read_every_party_by_one_rule(c):
         amplitude = c.amplitude(axes)
         expected = np.concatenate([alice, -draws.colours(bob, 0.3)])
         assert np.array_equal(np.where(amplitude >= 0.0, 1, -1), expected)
+
+
+class _TiltedHemisphere:
+    """A colouring from outside the library, with only ``label``,
+    ``is_azimuthal`` and ``read``: +1 on the closed hemisphere around a
+    tilted pole."""
+
+    label = "tilted"
+    is_azimuthal = False
+    pole = np.array([math.sin(0.4), 0.0, math.cos(0.4)])
+
+    def read(self, axes):
+        return np.where(self.pole @ axes >= 0.0, 1, -1)
+
+
+def test_a_colouring_from_outside_needs_only_read():
+    c = _TiltedHemisphere()
+    assert isinstance(c, Colouring)
+    grid = [0.0, 0.3 * PI, HALF_PI, 0.8 * PI, PI]
+    plan = SamplingPlan(5, 40_000)
+    # a hemisphere in any tilt follows the linear law -1 + 2 theta / pi
+    curve = curve_for(c, grid, "mc", plan)
+    for point in curve.points:
+        assert abs(point.value - (-1.0 + 2.0 * point.theta / PI)) <= 5.0 * point.stderr
+    assert curve.points[0].value == -1.0 and curve.points[-1].value == 1.0
+    reports = verify_colouring(c, grid[1:3], "mc", plan)
+    assert reports and all(r.status != STATUS_VIOLATED for r in reports)
+    rng = np.random.default_rng(8)
+    assert check_antipodal(c, 5000, rng).n_violations == 0
+    estimate = gamma_of(ColouringPair.anticorrelated(c), 5000, rng)
+    assert (estimate.gamma, estimate.c0_value) == (0.0, -1.0)
+    # a plain function stays a curve to all_crossings
+    curve = lambda t: np.cos(t)
+    assert not isinstance(curve, Colouring)
+    (hit,) = all_crossings(curve, lambda t: 0.5, (0.1, 1.5), tol=1e-9)
+    assert hit.theta_star == pytest.approx(PI / 3, abs=1e-8)
 
 
 def test_sparse_grids_stay_per_theta(monkeypatch):
