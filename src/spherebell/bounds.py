@@ -212,10 +212,10 @@ def lemma3_reflection_angles(theta: float) -> list[ReflectionAngle]:
 def lemma4_check(theta: float, value: float) -> bool:
     """Strict sandwich -cos(theta) < value < cos(theta) on (0, pi/3)."""
     t = float(theta)
-    if not SNAP < t < PI / 3.0 - SNAP:
+    checks = {source: (lo, hi) for source, lo, hi in _checks(t, 1.0)}
+    if "lemma4" not in checks:
         raise ValueError(f"theta {t!r} outside (0, pi/3)")
-    edge = math.cos(t)
-    return -edge < float(value) < edge
+    return checks["lemma4"][0] < float(value) < checks["lemma4"][1]
 
 
 def _classify(

@@ -210,9 +210,9 @@ def _theorem1_upper(thetas: np.ndarray) -> np.ndarray:
 
 
 REFERENCE_COLUMNS = {
-    "c1": lambda ts: closed_form("1", ts),
-    "neg_c1": lambda ts: -closed_form("1", ts),
-    "q_singlet": singlet_correlation,
+    "c1": search_mod.REFERENCES["c1"][0],
+    "neg_c1": search_mod.REFERENCES["c1"][1],
+    "q_singlet": search_mod.REFERENCES["singlet"][0],
     # 0.0 - upper keeps +0.0 at pi/2, where -upper would print -0
     "theorem1_lower": lambda ts: 0.0 - _theorem1_upper(ts),
     "theorem1_upper": _theorem1_upper,

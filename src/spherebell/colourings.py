@@ -28,7 +28,6 @@ from numpy.polynomial import legendre
 
 from .geometry import arccos_clamped_array, clamp_cos, unit_vectors
 
-EDGE_TOL = 1e-9
 # the reader's margin, in units of l1 + S (HarmonicColouring.read_margin)
 READ_MARGIN = 1e-9
 
@@ -116,33 +115,23 @@ class BandColouring:
         return self.evaluate_polar(eps)
 
     def read(self, x: np.ndarray) -> np.ndarray:
-        """Values at the polar cosines x, bit for bit
-        ``evaluate_polar(arccos_clamped_array(x))``, mostly without the
-        arccos.
-
-        arccos is decreasing, so a sample x < cos v - EDGE_TOL lies
-        below the flip v, and the colour is north times -1 for each
-        flip below it.  A sample farther than EDGE_TOL from every flip
-        cosine is decided so: since |d arccos / dx| >= 1, its polar
-        angle is also farther than EDGE_TOL from every flip, which
-        rounding cannot bridge.  Where two bands touch, both sides are
-        +1, so no sample needs a check there.  The samples within
-        EDGE_TOL of a flip cosine, of -1 or of 1, beyond +-1 (where
-        the drift check of ``arccos_clamped_array`` raises) or nan take
-        the arccos path.
+        """Values at the polar cosines x: the north value times -1 for
+        each flip whose cosine lies above x, so arccos is never taken.
+        A cosine equal to a flip's takes the colour on the flip's north
+        side.  Only nan and cosines past +-1 are read as
+        ``evaluate_polar(arccos_clamped_array(x))``, whose drift check
+        raises beyond rounding and which reads nan as -1.
         """
         x = np.asarray(x, dtype=float)
         north, flips = self.flips
-        near = ~(np.abs(x) < 1.0 - EDGE_TOL)
         plus = np.full(x.shape, north > 0)
         for v in flips:
-            c = math.cos(v)
-            below = x < c - EDGE_TOL
-            near |= (x <= c + EDGE_TOL) ^ below
-            plus ^= below
+            plus ^= x < math.cos(v)
         values = _signed(plus)
-        if near.any():
-            values[near] = self.evaluate_polar(arccos_clamped_array(x[near]))
+        # min and max are nan if any x is; they allocate no array
+        if not (-1.0 <= x.min(initial=1.0) and x.max(initial=-1.0) <= 1.0):
+            off = ~(np.abs(x) <= 1.0)
+            values[off] = self.evaluate_polar(arccos_clamped_array(x[off]))
         return values
 
 
@@ -165,14 +154,15 @@ class HarmonicColouring:
     """Sign of a sum of real spherical harmonics of odd degree.
 
     ``terms`` is a sequence of (l, m, coefficient) with integers l and m
-    (an integral float such as 3.0 is read as one), every l odd
+    (an integral float such as 3.0 is read as one) and every l odd
     (odd-degree harmonics are odd under point inversion, which makes
-    the sign function antipodal) and at least one nonzero coefficient.
-    The tie value sgn(0) := +1 keeps evaluation deterministic on the
-    measure-zero nodal set.  :meth:`read` gives the signs of
-    :meth:`amplitude`, which reads ``Draws`` axes itself and scales
-    ``terms`` (kept as given) by a power of two, so power-of-two
-    multiples of them read alike, from its several times faster
+    the sign function antipodal).  They are kept as given, but the
+    colouring is read from one coefficient vector (:attr:`_read_terms`):
+    term order does not matter, repeated modes add, and a vector that
+    sums to zero is refused.  The tie value sgn(0) := +1 keeps
+    evaluation deterministic on the measure-zero nodal set.
+    :meth:`read` gives the signs of :meth:`amplitude`, which reads
+    ``Draws`` axes itself, from its several times faster
     :meth:`polynomial_amplitude`, certified by a margin."""
 
     terms: tuple[tuple[int, int, float], ...]
@@ -192,9 +182,9 @@ class HarmonicColouring:
                 raise ValueError(f"order {m} exceeds degree {l}")
             if not math.isfinite(c):
                 raise ValueError(f"coefficient {c!r} of Y_{l},{m} is not finite")
-        if all(c == 0.0 for _, _, c in terms):
-            raise ValueError("all coefficients are zero")
         object.__setattr__(self, "terms", terms)
+        if not self._read_terms:
+            raise ValueError("all coefficients are zero once repeated modes are summed")
 
     @property
     def is_azimuthal(self) -> bool:
@@ -202,12 +192,21 @@ class HarmonicColouring:
 
     @functools.cached_property
     def _read_terms(self) -> tuple[tuple[int, int, float], ...]:
-        """The terms with c != 0 that the amplitudes sum, each c times the
-        power of two that brings the largest |c| into [0.5, 1): exact,
-        so 2^k times the coefficients reads alike, bit for bit, and no
+        """The coefficient vector every reader reads: (l, m, c) with
+        c != 0 for each mode in (l, m) order, c the exact sum
+        (``math.fsum``, of terms scaled so that none overflows) of the
+        mode's coefficients times the power of two that brings the
+        largest |c| into [0.5, 1).  So any order or exact splitting of
+        the terms, and 2^k times them, read alike bit for bit, and no
         product overflows or goes subnormal at the ends of the range."""
-        _, exponent = math.frexp(max(abs(c) for _, _, c in self.terms))
-        return tuple((l, m, math.ldexp(c, -exponent)) for l, m, c in self.terms if c != 0.0)
+        _, top = math.frexp(max(abs(c) for _, _, c in self.terms))
+        sums: dict[tuple[int, int], list[float]] = {}
+        for l, m, c in self.terms:
+            sums.setdefault((l, m), []).append(math.ldexp(c, -top))
+        vector = [(l, m, math.fsum(cs)) for (l, m), cs in sorted(sums.items())]
+        vector = [term for term in vector if term[2] != 0.0]
+        _, exponent = math.frexp(max((abs(c) for _, _, c in vector), default=0.0))
+        return tuple((l, m, math.ldexp(c, -exponent)) for l, m, c in vector)
 
     @property
     def amplitude_bound(self) -> float:
@@ -226,31 +225,15 @@ class HarmonicColouring:
         return harmonic_rows(modes, axes[2], axes[:2])
 
     def amplitude(self, axes: np.ndarray) -> np.ndarray:
-        """The harmonic sum :meth:`read` signs, at the axes of :meth:`rows`.
-
-        c * Y_lm is added in term order as :meth:`rows` yields the rows,
-        over the read terms (c != 0, scaled by a power of two).  A row
-        that arrives before its term's turn waits for it, and a row is
-        dropped after its last term, so terms listed degree by degree
-        (as the search and the colouring files list them) never hold
-        more than one row.
-        """
-        live = self._read_terms
-        last_use = {(l, m): k for k, (l, m, _) in enumerate(live)}
-        waiting: dict[tuple[int, int], np.ndarray] = {}
+        """The harmonic sum :meth:`read` signs, at the axes of :meth:`rows`:
+        c * Y_lm over :attr:`_read_terms`, added in the (l, m) order in
+        which :meth:`rows` yields the rows."""
         total = None
-        k = 0
-        for l, m, row in self.rows(axes):
-            waiting[l, m] = row
-            while k < len(live) and live[k][:2] in waiting:
-                mode, c = live[k][:2], live[k][2]
-                if total is None:
-                    total = c * waiting[mode]
-                else:
-                    total += c * waiting[mode]
-                if last_use[mode] == k:
-                    del waiting[mode]
-                k += 1
+        for (_, _, row), (_, _, c) in zip(self.rows(axes), self._read_terms):
+            if total is None:
+                total = c * row
+            else:
+                total += c * row
         return total
 
     @functools.cached_property

@@ -67,7 +67,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .colourings import (
-    EDGE_TOL,
     BandColouring,
     Colouring,
     ColouringPair,
@@ -448,12 +447,12 @@ def correlation_mc_grid(
     Both are read by :meth:`Draws.colours`, alice at theta = 0 and bob
     per theta, by his ``read``: an azimuthally symmetric bob (bands, an
     m = 0 harmonic, or the colour swap of either) at his polar cosine
-    alone (a band bob by comparison with its edges' cosines, bit for
-    bit the arccos path), any other at his Cartesian axis, from whose
-    coordinates his harmonic basis is built.  Every theta sees the same
-    draws it would see alone, and the products alice * bob are exactly
-    +-1, so each chunk sum is an integer and every estimate is
-    bit-identical to ``correlation_mc(c, theta, plan)``.  The standard
+    alone (a band bob by comparison with its flips' cosines), any other
+    at his Cartesian axis, from whose coordinates his harmonic basis is
+    built.  Every theta sees the same draws it would see alone, and the
+    products alice * bob are exactly +-1, so each chunk sum is an
+    integer and every estimate is bit-identical to
+    ``correlation_mc(c, theta, plan)``.  The standard
     error is sqrt((1 - mean^2) / (n - 1)).
 
     Two paths pay per draw rather than per (draw, theta) on a dense
@@ -480,8 +479,8 @@ def correlation_mc_grid(
     (R cos phi - R cos h = -2R sin((phi - h)/2) sin((phi + h)/2), and
     the farther root is at least half the roots' separation away), or
     |x - cos v| >= EVENT_SIGMA if he never crosses v.  That is 5e-13,
-    while ``partner_cos_many`` and the edge comparisons of
-    ``BandColouring.read`` (or its arccos path) round by about 1e-15, and
+    while ``partner_cos_many`` and the flip cosines that
+    ``BandColouring.read`` compares with round by about 1e-15, and
     the computed crossing times are off by about 1e-16 / EVENT_SIGMA (arccos
     is conditioned by R / g and psi by 1 / R, both <= 1 / EVENT_SIGMA),
     far inside EVENT_TAU.  So the per-theta path gives every certified
@@ -1213,10 +1212,11 @@ def check_antipodal(
     """Sampled antipodality check: c(-a) must equal -c(a), with ``c``
     read by ``c.read`` at the axes a of :func:`_sampled_axes` and at
     their exact negations.  A band colouring (or its swap) redraws
-    axes whose polar cosine is within EDGE_TOL of +-(a flip cosine),
-    where either colour is legitimate.  A harmonic needs no thinning:
-    every step of its per-order polynomial, of ``harmonic_rows`` and of
-    the term-order sum is sign-symmetric in IEEE arithmetic, so both
+    axes whose polar cosine is within 1e-9 of +-(a flip cosine), where
+    cos(pi - v) and -cos v may round apart, so either colour is
+    legitimate.  A harmonic needs no thinning: every step of its
+    per-order polynomial, of ``harmonic_rows`` and of the sum over its
+    coefficient vector is sign-symmetric in IEEE arithmetic, so both
     amplitudes at -a are exactly minus those at a."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -1227,7 +1227,7 @@ def check_antipodal(
         draws = _sampled_axes(rng, n_samples - tested)
         # |x| - |e| is x - e or x + e up to sign, exactly
         gaps = np.subtract.outer(np.abs(draws.cos_eps), edges)
-        ok = np.all(np.abs(gaps) > EDGE_TOL, axis=1)
+        ok = np.all(np.abs(gaps) > 1e-9, axis=1)
         axes = draws.axes(c)[..., ok]
         violations += int(np.count_nonzero(c.read(axes) != -c.read(-axes)))
         tested += int(np.count_nonzero(ok))

@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .correlation import Draws, SamplingPlan, checked_theta, float_if_0d
+from .correlation import SamplingPlan, checked_theta, float_if_0d
+from .geometry import half_angle_cos_sin, partner_frame
 
 PI = math.pi
 
@@ -175,6 +176,15 @@ def _haar_draws(
     return cos_eps, phi, rng.uniform(0.0, 2.0 * PI, n)
 
 
+def _haar_frame(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``Draws(*_haar_draws(rng, n)).frame`` bit for bit, with phi and
+    omega let go before the frame is built."""
+    cos_eps, phi, omega = _haar_draws(rng, n)
+    trig = (*half_angle_cos_sin(phi), *half_angle_cos_sin(omega))
+    del phi, omega
+    return partner_frame(cos_eps, np.sqrt((1.0 - cos_eps) * (1.0 + cos_eps)), *trig)
+
+
 def haar_angles(
     rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,9 +256,9 @@ def mc_quantum_curve(
     werner_correlation(twirl(state), theta).  The frame U = Rz(phi)
     Ry(eps) Rz(omega) rotates z to Alice's axis a and x to the tangent
     u of ``geometry.partner_frame`` at (eps, phi, omega), so a frame costs
-    two 3-vectors, the :class:`Draws` frame of :func:`_haar_draws` (its
-    trig within 2.3e-16 of libm's), against the state's
-    ``spin_tensor``, computed once, and no complex matrix.  Only (p, q)
+    two 3-vectors, :func:`_haar_frame` (its trig within 2.3e-16 of
+    libm's), against the state's ``spin_tensor``, computed once, and no
+    complex matrix.  Only (p, q)
     are random: each chunk of ``plan`` gives their mean and 2x2 scatter
     once for the whole grid, and the chunks are merged in index order by
     the pairwise update of Chan, Golub and LeVeque (1979).  The value at theta is w . mean and
@@ -262,7 +272,7 @@ def mc_quantum_curve(
     tensor = spin_tensor(state)
     n, mean, scatter = 0, np.zeros(2), np.zeros((2, 2))
     for index, length in plan.chunks():
-        a, u = Draws(*_haar_draws(plan.chunk_rng(index), length)).frame
+        a, u = _haar_frame(plan.chunk_rng(index), length)
         chunk_mean, chunk_scatter = _frame_moments(_frame_pq(tensor, a, u))
         delta = chunk_mean - mean
         mean = mean + delta * (length / (n + length))

@@ -339,8 +339,8 @@ TWO_DELTA_GRID = tuple(float(d) for d in np.linspace(*DELTA_CAP_RANGE, 13))
 # each reference a sweep crosses, its negation, and a bound on the slope
 # of both: 2/pi for the linear law, |sin theta| <= 1 for -cos theta.
 # The functions live as long as the module, so a scan can tell them
-# apart by identity.
-_REFERENCES = {
+# apart by identity.  The curve command's reference columns are these.
+REFERENCES = {
     "c1": (lambda t: closed_form("1", t), lambda t: -closed_form("1", t), 2.0 / PI),
     "singlet": (singlet_correlation, lambda t: -singlet_correlation(t), 1.0),
 }
@@ -349,15 +349,15 @@ _REFERENCES = {
 def reference_curve(name: str) -> Callable[[np.ndarray], np.ndarray]:
     """The reference a sweep crosses: "c1" (the linear law) or "singlet",
     a function of a theta array (a float runs as its 0-d case)."""
-    if name not in _REFERENCES:
-        raise ValueError(f"reference {name!r} not one of {sorted(_REFERENCES)}")
-    return _REFERENCES[name][0]
+    if name not in REFERENCES:
+        raise ValueError(f"reference {name!r} not one of {sorted(REFERENCES)}")
+    return REFERENCES[name][0]
 
 
 def _reference_slope(g: Callable) -> float:
     """The slope bound of a reference curve or its negation; inf for
     any other curve."""
-    for curve, negation, slope in _REFERENCES.values():
+    for curve, negation, slope in REFERENCES.values():
         if g is curve or g is negation:
             return slope
     return math.inf
@@ -421,7 +421,7 @@ def sweep(
     if left_sign is None:
         target, label = ref, reference
     else:
-        target, label = _REFERENCES[reference][1], f"neg_{reference}"
+        target, label = REFERENCES[reference][1], f"neg_{reference}"
     members = [
         (float(d), make_catalogue(family, **{parameter: float(d)}))
         for d in (default if grid is None else grid)
@@ -472,7 +472,7 @@ def estimate_theta_max(
     catalogue and the two one-parameter families): colourings without
     that symmetry are not searched.
     """
-    c1, neg_c1, _ = _REFERENCES["c1"]
+    c1, neg_c1, _ = REFERENCES["c1"]
     witnesses: dict = {}
 
     w_candidates: list[tuple[float, str]] = []

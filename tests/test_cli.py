@@ -106,6 +106,7 @@ class TestCurveCommand:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.loop_dependent
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -128,6 +129,7 @@ class TestCurveCommand:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.loop_dependent
     def test_hemisphere_closed_form_output_is_pinned(self, tmp_path, capsys):
         # every reference column, and the fold past pi/2; the hemisphere
         # values and np.cos round alike with and without AVX-512 dispatch
@@ -141,6 +143,7 @@ class TestCurveCommand:
             "d9b9a459f50112ca05d190afcef40f6801ca1a8445fc9fd43bdc3871c45b34e0"
         )
 
+    @pytest.mark.loop_dependent
     def test_folded_quadrature_curve_is_pinned(self, tmp_path, capsys):
         # 23 angles over [0, pi]: the last 11 are folded by antisymmetry;
         # the engine's values at pi/2 differ in the last bit with and
@@ -306,6 +309,7 @@ class TestCurveCommand:
         assert code == 2
         assert "zebra" in err
 
+    @pytest.mark.loop_dependent
     @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
     def test_bad_quadrature_tolerance_is_usage_error(self, tol, capsys):
         # a nan tolerance used to exit 3, as if the integral had not
@@ -354,6 +358,16 @@ class TestCurveCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "not finite" in err
+
+    def test_harmonic_terms_that_cancel_are_usage_error(self, tmp_path, capsys):
+        # the summed vector is zero, which read +1 everywhere and failed
+        # every antipodality check
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"kind": "harmonic", "terms": [[1, 0, 1.0], [1, 0, -1.0]]}))
+        code, out, err = run(capsys, "curve", "--colouring", f"@{path}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "all coefficients are zero" in err
 
     @pytest.mark.parametrize(
         "term, named", [([3.9, 0.7, 1.0], "3.9"), ([True, 0, 1.0], "True"), ([1, 0.5, 1.0], "0.5")]
@@ -419,6 +433,7 @@ class TestCurveCommand:
         assert code == 3
         assert not out.exists()
 
+    @pytest.mark.loop_dependent
     def test_quadrature_failure_exits_three_and_leaves_no_out_file(self, tmp_path, capsys):
         # tol 1e-16 lies below the rounding floor of every piece
         out = tmp_path / "c3.csv"
@@ -442,10 +457,12 @@ class TestCurveCommand:
             values[method] = [float(r[1]) for r in rows_of(out)[1:]]
         return values
 
+    @pytest.mark.loop_dependent
     def test_widened_two_band_closed_form_matches_quadrature(self, capsys):
         values = self.values_by_method(capsys, "2_Delta:0.02", "0.35:0.5:3")
         assert values["closed_form"] == pytest.approx(values["quadrature"], abs=1e-9)
 
+    @pytest.mark.loop_dependent
     def test_deformed_family_below_the_tables_matches_quadrature(self, capsys):
         values = self.values_by_method(capsys, "3_delta:-0.03", "0.2:0.4:3")
         assert values["closed_form"] == pytest.approx(values["quadrature"], abs=1e-9)
@@ -463,6 +480,7 @@ class TestCurveCommand:
         assert values[0] == -1.0 and values[-1] == 1.0
         assert values[1] == pytest.approx(-values[3], abs=1e-15)
 
+    @pytest.mark.loop_dependent
     def test_widened_two_band_by_quadrature(self, capsys):
         code, out, _ = run(
             capsys, "curve", "--colouring", "2_Delta:0.02", "--method", "quadrature",
@@ -624,6 +642,7 @@ class TestVerifyCommand:
         assert code == 2
         assert "theta=0.6*pi outside [0, pi/2]" in err
 
+    @pytest.mark.loop_dependent
     def test_dense_all_m_mc_output_is_pinned(self, tmp_path, capsys):
         # 40 angles of an all-m l <= 5 colouring: the grid takes the
         # trig path, whose output must stay the per-angle loop's, byte
@@ -650,6 +669,7 @@ class TestVerifyCommand:
             "8315307fda49429cd693e1e25d5598e52703cc151e4b360365f983e78ede1a8b"
         )
 
+    @pytest.mark.loop_dependent
     def test_readme_hemisphere_verification_is_pinned(self, capsys):
         # the README verify: the chain bounds at 100 angles, their
         # saturation marks and the quantum sandwich below pi/3
@@ -659,6 +679,7 @@ class TestVerifyCommand:
             "3db6ad3943c2495c1153885f073dbf547413a5c2dfb3450f8fcb17883307af88"
         )
 
+    @pytest.mark.loop_dependent
     def test_quadrature_verification_is_pinned(self, capsys):
         # the quadrature engine at the 100 default angles, printed in
         # full precision: each loop has its digest, as above
@@ -741,6 +762,7 @@ class TestSweepCommand:
         assert float(rows[-1][0]) == pytest.approx(1 / 24, abs=1e-11)
         assert "best delta/pi" in err
 
+    @pytest.mark.loop_dependent
     @pytest.mark.parametrize(
         "reference, digest, summary",
         [
@@ -764,6 +786,7 @@ class TestSweepCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert err == summary
 
+    @pytest.mark.loop_dependent
     def test_readme_delta_table_is_pinned(self, capsys):
         code, out, err = run(
             capsys, "sweep", "--family", "3_delta", "--delta", "-0.046", "--reference", "singlet"
@@ -790,6 +813,7 @@ class TestSweepCommand:
         assert float(rows[2][1]) < float(rows[1][1])
         assert "best Delta/pi" in err
 
+    @pytest.mark.loop_dependent
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -931,6 +955,7 @@ class TestQuantumCommand:
             assert row[3] == "werner"
             assert float(row[4]) == 1.0
 
+    @pytest.mark.loop_dependent
     def test_readme_singlet_curve_is_pinned(self, capsys):
         # the README quantum curve over [0, pi], whose values take np.cos
         code, out, _ = run(capsys, "quantum", "--state", "singlet", "--grid", "0:1:101")
@@ -1180,6 +1205,7 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
     assert run_probe(probe) == "[]"
 
 
+@pytest.mark.loop_dependent
 def test_quadrature_curve_leaves_scipy_integrate_unloaded(tmp_path):
     # the quadrature engine is numpy alone
     probe = (

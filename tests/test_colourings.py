@@ -173,7 +173,7 @@ class TestBandColouring:
 
 def _edge_probes(c):
     """cos(polar) values at and around every band edge, the poles and
-    beyond them: the samples the comparison step must hand on."""
+    beyond them: exact flip cosines, and cosines 1e-12 or more away."""
     cosines = [-1.0, 1.0, *(math.cos(v) for band in c.plus_bands for v in band)]
     offsets = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 2e-9, -2e-9)
     return np.array([x + d for x in cosines for d in offsets])
@@ -206,8 +206,9 @@ def _bands_from_flips(flips, north_value, split=False):
 
 
 class TestEvaluateCos:
-    """Band values read from cos(polar) by comparison, against the
-    arccos path they must reproduce bit for bit."""
+    """Band values read from cos(polar) by comparison with the flip
+    cosines: the band-interval oracle ``evaluate_polar`` away from them,
+    and the colour on a flip's north side at its exact cosine."""
 
     COLOURINGS = [
         make_catalogue(1),
@@ -225,24 +226,42 @@ class TestEvaluateCos:
     ]
 
     @staticmethod
-    def assert_matches_arccos_path(c, x):
-        for colouring in (c, Negated(c)):
-            expected = colouring.evaluate_polar(arccos_clamped_array(x))
-            assert np.array_equal(colouring.read(x), expected)
+    def assert_reads_bands(c, x):
+        """read(x) is evaluate_polar(arccos x) at every x but the exact
+        flip cosines (1e-12 from one is far beyond arccos's rounding),
+        and the colour between a flip v and the one before it at cos v."""
+        _, flips = c.flips
+        expected = c.evaluate_polar(arccos_clamped_array(x))
+        for before, v in zip((0.0, *flips), flips):
+            expected[x == math.cos(v)] = c.evaluate_polar(0.5 * (before + v))
+        for colouring, sign in ((c, 1), (Negated(c), -1)):
+            assert np.array_equal(colouring.read(x), sign * expected)
 
     def test_nan_takes_the_arccos_path(self):
         # a band reaching the south pole used to read nan as +1
         c = BandColouring(((0.2, PI),))
-        self.assert_matches_arccos_path(c, np.array([math.nan, 0.5]))
+        self.assert_reads_bands(c, np.array([math.nan, 0.5]))
 
     @pytest.mark.parametrize("c", COLOURINGS)
     def test_edge_cosines_and_their_neighbours(self, c):
-        self.assert_matches_arccos_path(c, _edge_probes(c))
+        self.assert_reads_bands(c, _edge_probes(c))
+
+    def test_flip_cosines_take_the_north_colour(self):
+        # each flip of colouring 3 at its own cosine: the band or gap
+        # north of it, where the closed bands of evaluate_polar read +1
+        c = make_catalogue(3)
+        x = np.array([math.cos(v) for v in c.flips[1]])
+        assert c.flips[1] == tuple(k * PI / 6 for k in range(1, 6))
+        assert c.read(x).tolist() == [1, -1, 1, -1, 1]
+        assert c.evaluate_polar(np.array(c.flips[1])).tolist() == [1] * 5
+        # touching bands share no flip: +1 on both sides and between
+        touching = BandColouring(((0.0, PI / 6), (PI / 6, PI / 2)))
+        assert touching.read(np.array([math.cos(PI / 6), math.cos(PI / 2)])).tolist() == [1, 1]
 
     @pytest.mark.parametrize("c", COLOURINGS)
     def test_uniform_samples(self, c):
         x = np.random.default_rng(3).uniform(-1.0, 1.0, 20_000)
-        self.assert_matches_arccos_path(c, x)
+        self.assert_reads_bands(c, x)
 
     @pytest.mark.parametrize("label, x", [(1, 1.0), (3, math.cos(PI / 6))])
     def test_0d_cosine_on_a_pole_or_a_flip(self, label, x):
@@ -262,7 +281,7 @@ class TestEvaluateCos:
 
     def test_drift_beyond_rounding_is_a_numerical_error(self):
         c = make_catalogue(2)
-        self.assert_matches_arccos_path(c, np.array([1.0 + 1e-7, -1.0 - 1e-7]))
+        self.assert_reads_bands(c, np.array([1.0 + 1e-7, -1.0 - 1e-7]))
         for colouring in (c, Negated(c)):
             with pytest.raises(NumericalError):
                 colouring.read(np.array([0.3, 1.5]))
@@ -279,7 +298,7 @@ class TestEvaluateCos:
     def test_random_antipodal_band_sets(self, north_flips, north_value, split, seed):
         c = _antipodal_bands(north_flips, north_value, split)
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, 2000)
-        self.assert_matches_arccos_path(c, np.concatenate([x, _edge_probes(c)]))
+        self.assert_reads_bands(c, np.concatenate([x, _edge_probes(c)]))
 
 
 def test_sign_readers_give_int64_arrays_of_the_input_shape():
@@ -334,6 +353,15 @@ class TestHarmonicColouring:
     def test_all_zero_coefficients_rejected(self):
         with pytest.raises(ValueError):
             HarmonicColouring(((1, 0, 0.0), (3, 1, 0.0)))
+
+    def test_terms_that_cancel_are_rejected(self):
+        # the summed vector is zero: read it would be +1 everywhere, which
+        # is no antipodal colouring
+        for terms in (((1, 0, 1.0), (1, 0, -1.0)), ((3, 1, 0.5), (1, 0, 0.0), (3, 1, -0.5))):
+            with pytest.raises(ValueError, match="all coefficients are zero"):
+                HarmonicColouring(terms)
+            with pytest.raises(ValueError, match="all coefficients are zero"):
+                colouring_from_spec({"kind": "harmonic", "terms": [list(t) for t in terms]})
 
     def test_azimuthal_flag(self):
         assert HarmonicColouring(((3, 0, 1.0),)).is_azimuthal
@@ -407,9 +435,10 @@ def test_rows_come_degree_by_degree_for_any_request_order():
     )
 
 
+@pytest.mark.loop_dependent
 def test_amplitude_sums_the_terms_in_any_order():
-    # out of degree order, a repeated mode and a zero coefficient: the
-    # rows that arrive early wait for their term
+    # out of degree order, a repeated mode and a zero coefficient: one
+    # coefficient per mode, summed over the rows in (l, m) order
     terms = ((5, -3, 0.2), (1, 0, 0.4), (3, 2, -0.7), (1, 0, 0.25), (3, -1, 0.0))
     h = HarmonicColouring(terms)
     x, phi, _ = _oracle_points()
@@ -419,6 +448,7 @@ def test_amplitude_sums_the_terms_in_any_order():
     assert np.max(np.abs(amplitude - expected)) <= 1e-13
 
 
+@pytest.mark.loop_dependent
 def test_harmonic_values_from_vectors_and_cosines():
     h = HarmonicColouring(((3, 2, 1.0), (1, 0, 0.5), (5, -1, -0.3)))
     rng = np.random.default_rng(12)
@@ -465,6 +495,7 @@ def _reader_points(rng, n=4000):
     return unit_vectors(eps, rng.uniform(0.0, 2 * PI, eps.size))
 
 
+@pytest.mark.loop_dependent
 @pytest.mark.parametrize("degree", [1, 3, 5, 7, 9, 11])
 @pytest.mark.parametrize("all_m", [True, False])
 def test_polynomial_amplitude_is_within_the_stated_bound(degree, all_m):
@@ -531,6 +562,7 @@ PLANTED = [
 ]
 
 
+@pytest.mark.loop_dependent
 @pytest.mark.parametrize("h", PLANTED, ids=["Y10", "m0_l3", "m0_l7", "no_m0", "all_m"])
 def test_polynomial_readers_sign_the_recurrence_bit_for_bit(h, monkeypatch):
     axes = _planted(h)
@@ -555,6 +587,7 @@ def test_polynomial_readers_sign_the_recurrence_bit_for_bit(h, monkeypatch):
         assert np.array_equal(h.read(poles), _signed(h.amplitude(poles) >= 0.0))
 
 
+@pytest.mark.loop_dependent
 @pytest.mark.parametrize("degree", [1, 5, 11])
 @pytest.mark.parametrize("all_m", [True, False])
 def test_polynomial_amplitude_is_exactly_odd(degree, all_m):
@@ -567,6 +600,35 @@ def test_polynomial_amplitude_is_exactly_odd(degree, all_m):
     assert np.array_equal(h.read(-axes), -h.read(axes))
 
 
+def _rewritten(h, rng):
+    """The terms of h shuffled, the first split into four whose exact
+    sum is its coefficient c (0.625 c rounded, the exact rest, +1 and
+    -1: summed in a shuffled order, the rounding at +1 moves c), a zero
+    term and an absent m = 0 mode listed with opposite signs."""
+    l, m, c = h.terms[0]
+    a = 0.625 * c
+    parts = [(l, m, a), (l, m, 1.0), (l, m, c - a), (l, m, -1.0), (l, m, 0.0)]
+    parts += [*h.terms[1:], (9, 0, 0.125), (9, 0, -0.125)]
+    return HarmonicColouring(tuple(parts[k] for k in rng.permutation(len(parts))))
+
+
+@pytest.mark.loop_dependent
+@pytest.mark.parametrize("h", PLANTED, ids=["Y10", "m0_l3", "m0_l7", "no_m0", "all_m"])
+def test_terms_read_alike_in_any_order_or_split(h):
+    # one coefficient vector, the fsum of each mode's coefficients: every
+    # rewriting reads h bit for bit, also at the planted points within
+    # rounding of its nodal set
+    axes = _planted(h)
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        twin = _rewritten(h, rng)
+        assert twin._read_terms == h._read_terms
+        for read in ("amplitude", "polynomial_amplitude", "read"):
+            got, want = getattr(twin, read)(axes), getattr(h, read)(axes)
+            assert np.array_equal(got, want, equal_nan=True), read
+
+
+@pytest.mark.loop_dependent
 def test_polynomial_readers_keep_0d_inputs_0d():
     for h in PLANTED:
         axes = _planted(h)
@@ -579,6 +641,7 @@ def test_polynomial_readers_keep_0d_inputs_0d():
     assert HarmonicColouring(((3, 0, 1.0),)).read(0.0) == 1
 
 
+@pytest.mark.loop_dependent
 def test_polynomial_gives_way_to_the_recurrence_at_high_degree():
     # the coefficient sum l1 grows about 4 times per two degrees: at
     # L = 61 the margin would exceed S, so the recurrence reads alone

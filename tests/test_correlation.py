@@ -185,6 +185,7 @@ def per_point_mc(pair, theta, plan):
     return total / plan.n_samples
 
 
+@pytest.mark.loop_dependent
 class TestGridMC:
     GRID = (0.0, 0.05 * PI, 0.3 * PI, HALF_PI, 0.8 * PI, PI)
 
@@ -310,6 +311,7 @@ class TestGridMC:
             correlation_mc_grid(pair_for(1), [0.2, PI + 0.2], SamplingPlan(1, 10))
 
 
+@pytest.mark.loop_dependent
 class TestCorrelationQuadrature:
     def test_hemisphere_at_third_turn(self):
         value = correlation_quadrature(make_catalogue(1), PI / 3, 1e-8)
@@ -488,11 +490,13 @@ class TestClosedForm:
         assert closed_form("hemisphere", 0.3) == closed_form("1", 0.3)
         assert closed_form(1, 0.3) == closed_form("1", 0.3)
 
+    @pytest.mark.loop_dependent
     def test_three_band_against_quadrature(self):
         theta = 0.3 * PI
         quad = correlation_quadrature(make_catalogue(3), theta, 1e-8)
         assert closed_form("3", theta) == pytest.approx(quad, abs=1e-6)
 
+    @pytest.mark.loop_dependent
     @pytest.mark.parametrize("label", ["2", "3", "4"])
     @pytest.mark.parametrize("theta", CATALOGUE_THETAS)
     def test_catalogue_agreement_with_quadrature(self, label, theta):
@@ -507,6 +511,7 @@ class TestClosedForm:
         )
         assert abs(closed_form(label, theta) - mc) <= 3 * stderr
 
+    @pytest.mark.loop_dependent
     @pytest.mark.parametrize("delta", [-0.03 * PI, 0.03 * PI])
     @pytest.mark.parametrize("theta", [0.35 * PI, 0.42 * PI, 0.48 * PI])
     def test_deformed_family_against_quadrature(self, delta, theta):
@@ -536,6 +541,7 @@ class TestClosedForm:
             with pytest.raises(ClosedFormDomainError, match=r"outside \[0, pi\]"):
                 closed_form("3", bad)
 
+    @pytest.mark.loop_dependent
     def test_shrunk_cap_family_against_quadrature(self):
         for cap in (0.01 * PI, 0.03 * PI, PI / 12):
             c = make_catalogue("2_Delta", Delta=cap)
@@ -543,6 +549,7 @@ class TestClosedForm:
                 quad = correlation_quadrature(c, theta, 1e-10)
                 assert abs(closed_form("2_Delta", theta, delta=cap) - quad) <= 1e-9
 
+    @pytest.mark.loop_dependent
     def test_deformed_family_below_the_tables_against_quadrature(self):
         for delta in (-PI / 18, -0.03 * PI, 0.03 * PI, PI / 24):
             c = make_catalogue("3_delta", delta=delta)
@@ -550,6 +557,7 @@ class TestClosedForm:
                 quad = correlation_quadrature(c, theta, 1e-10)
                 assert abs(closed_form("3_delta", theta, delta=delta) - quad) <= 1e-9
 
+    @pytest.mark.loop_dependent
     @pytest.mark.parametrize(
         "colouring",
         [
@@ -597,6 +605,7 @@ EXACT_ENGINE_CASES = [
 ]
 
 
+@pytest.mark.loop_dependent
 @pytest.mark.parametrize("colouring", EXACT_ENGINE_CASES, ids=lambda c: c.label)
 def test_closed_form_against_tight_quadrature_on_and_off_the_flips(colouring):
     # theta on a flip makes chi windows and pieces degenerate
@@ -640,6 +649,7 @@ def _antipodal_bands(north_edges, north_value):
     return BandColouring(tuple(plus))
 
 
+@pytest.mark.loop_dependent
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     north_edges=st.lists(
@@ -717,6 +727,7 @@ def assert_matches_scalar_sum(colouring, thetas):
 
 
 class TestArrayEngine:
+    @pytest.mark.loop_dependent
     @pytest.mark.parametrize("colouring", ARRAY_ENGINE_CASES, ids=lambda c: c.label)
     def test_degenerate_angles_match_the_scalar_sum(self, colouring):
         _, flips = _flips_of(colouring)
@@ -799,6 +810,7 @@ def test_chi_is_the_scalar_antiderivative(theta, alpha, u, v):
     assert abs(chi(theta, a, b, alpha) - oracle_chi(theta, a, b, alpha)) <= ORACLE_TOL
 
 
+@pytest.mark.loop_dependent
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     north_edges=st.lists(st.floats(0.02, 1.55), max_size=5, unique=True),
@@ -986,7 +998,9 @@ class TestCurveFor:
         with pytest.raises(ValueError, match="outside"):
             fold(PI + 1e-9)
 
-    @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+    @pytest.mark.parametrize(
+        "method", ["closed_form", pytest.param("quadrature", marks=pytest.mark.loop_dependent)]
+    )
     @pytest.mark.parametrize("theta", [-0.1, math.nan])
     def test_negative_or_nan_theta_is_rejected(self, method, theta):
         # the quadrature engine used to read theta < SNAP, nan included,
@@ -1038,6 +1052,7 @@ class TestPairsInDeterministicEngines:
             with pytest.raises(ClosedFormDomainError, match="colour swap"):
                 closed_form(pair, 0.3 * PI)
 
+    @pytest.mark.loop_dependent
     def test_quadrature(self):
         pair = ColouringPair.anticorrelated(THREE)
         value = correlation_quadrature(pair, 0.3 * PI)
@@ -1047,7 +1062,9 @@ class TestPairsInDeterministicEngines:
             with pytest.raises(ValueError, match="colour swap"):
                 correlation_quadrature(pair, 0.3 * PI)
 
-    @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+    @pytest.mark.parametrize(
+        "method", ["closed_form", pytest.param("quadrature", marks=pytest.mark.loop_dependent)]
+    )
     def test_curve_for(self, method):
         pair = ColouringPair.anticorrelated(THREE)
         curve = curve_for(pair, [0.3 * PI, 0.7 * PI], method)
@@ -1061,7 +1078,10 @@ class TestPairsInDeterministicEngines:
     "engine, method, blocks",
     [
         (closed_form, "closed_form", "_exact_values"),
-        (correlation_quadrature, "quadrature", "_outer_integrals"),
+        pytest.param(
+            correlation_quadrature, "quadrature", "_outer_integrals",
+            marks=pytest.mark.loop_dependent,
+        ),
     ],
     ids=["closed_form", "quadrature"],
 )
@@ -1139,6 +1159,7 @@ class TestGamma:
 
     TILTED = HarmonicColouring(((1, 1, math.sin(PI / 6)), (1, 0, math.cos(PI / 6))))
 
+    @pytest.mark.loop_dependent
     @pytest.mark.parametrize(
         "pair, n, seed, expected",
         [
@@ -1211,6 +1232,7 @@ class TestMixture:
         with pytest.raises(ValueError):
             mixture_correlation([(0.5, one), (0.5, other)])
 
+    @pytest.mark.loop_dependent
     def test_stderr_combines_in_quadrature(self):
         plan = SamplingPlan(83, 40_000)
         thetas = [0.2 * PI]
@@ -1339,10 +1361,12 @@ class TestErrorBarContract:
         "methods, mixed_method",
         [
             (["closed_form"], "closed_form"),
-            (["quadrature"], "quadrature"),
+            pytest.param(["quadrature"], "quadrature", marks=pytest.mark.loop_dependent),
             (["mc"], "mc"),
             (["mc", "closed_form"], "mc"),
-            (["quadrature", "closed_form"], "quadrature"),
+            pytest.param(
+                ["quadrature", "closed_form"], "quadrature", marks=pytest.mark.loop_dependent
+            ),
             (["mc", "mc"], "mc"),
         ],
         ids=["closed_form", "quadrature", "mc", "mc+closed_form", "quadrature+closed_form", "mc+mc"],
@@ -1397,6 +1421,7 @@ class TestErrorBarContract:
             mixture_correlation([(math.nan, curves[0]), (1.0, curves[1])])
 
 
+@pytest.mark.loop_dependent
 def test_quadrature_error_carries_best_estimate():
     # an impossible tolerance forces the failure path
     with pytest.raises(QuadratureError) as info:
@@ -1483,6 +1508,7 @@ def _oracle_integrand(colouring):
     return integrand
 
 
+@pytest.mark.loop_dependent
 @pytest.mark.parametrize("colouring", INTEGRAND_CASES, ids=lambda c: c.label)
 class TestScalarIntegrand:
     def test_random_points(self, colouring):
@@ -1545,6 +1571,7 @@ def test_one_ulp_arc_is_coloured_by_parity():
     assert abs((f(eps) - oracle(eps)) - expected) <= INTEGRAND_ORACLE_TOL
 
 
+@pytest.mark.loop_dependent
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(
     north_edges=st.lists(
@@ -1574,6 +1601,7 @@ def test_array_engine_against_the_quadpack_oracle(colouring):
         assert abs(value - oracle) <= 2 * tol / PI, theta
 
 
+@pytest.mark.loop_dependent
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     north_edges=st.lists(
@@ -1601,6 +1629,7 @@ def test_quadrature_lies_within_its_estimate(north_edges, north_value, theta, pi
     assert abs(value - closed_form(colouring, theta)) <= estimate[0] / PI + 1e-13
 
 
+@pytest.mark.loop_dependent
 class TestQuadratureArrays:
     @pytest.mark.parametrize(
         "colouring",
@@ -1657,6 +1686,7 @@ class TestQuadratureArrays:
             correlation_quadrature(three, np.array([0.3]), math.nan)
 
 
+@pytest.mark.loop_dependent
 def test_quadrature_reads_colours_from_the_flips(monkeypatch):
     # the integrand decides colours by flip parity: evaluate_polar runs
     # only in _flips_of (at most three calls, none once cached), never
@@ -1703,6 +1733,7 @@ def band_colourings(draw):
     return BandColouring(tuple(bands))
 
 
+@pytest.mark.loop_dependent
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     alice=band_colourings(),
@@ -1732,6 +1763,7 @@ def test_event_path_is_bit_identical_to_per_theta_runs(alice, bob, relation, ext
     assert estimates == [correlation_mc(pair, t, plan) for t in grid]
 
 
+@pytest.mark.loop_dependent
 def test_event_path_falls_back_sample_by_sample(monkeypatch):
     # margins wide enough that most samples miss the certificate: the
     # per-theta fallback must give the same integers
@@ -1790,6 +1822,7 @@ class _ShapeSpy:
         return self.inner.read(x)
 
 
+@pytest.mark.loop_dependent
 def test_event_path_certifies_crossings_on_grid_thetas():
     # grid thetas placed on the crossing times of some samples, samples
     # that cross a flip at theta = 0 itself (alice's polar cosine on a
@@ -1936,6 +1969,7 @@ def harmonic_colourings(draw, top=11):
     return HarmonicColouring(tuple(draw(st.permutations(terms))))
 
 
+@pytest.mark.loop_dependent
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     bob=harmonic_colourings(),
@@ -1964,6 +1998,7 @@ def test_trig_path_is_bit_identical_to_per_theta_runs(bob, alice, relation, extr
     assert estimates == [correlation_mc(pair, t, plan) for t in grid]
 
 
+@pytest.mark.loop_dependent
 def test_trig_path_falls_back_pair_by_pair(monkeypatch):
     # a margin wide enough that many pairs miss the certificate: the
     # per-theta fallback must give the same integers
@@ -1992,6 +2027,7 @@ def test_trig_path_falls_back_pair_by_pair(monkeypatch):
     assert sum(fallbacks) >= 0.01 * plan.n_samples * len(grid)
 
 
+@pytest.mark.loop_dependent
 @pytest.mark.parametrize("degree", [1, 5, 11])
 @pytest.mark.parametrize("all_m", [True, False])
 def test_trig_interpolation_error_is_far_inside_the_margin(degree, all_m):
@@ -2027,6 +2063,7 @@ def test_trig_interpolation_error_is_far_inside_the_margin(degree, all_m):
     assert np.max(np.abs(kernel @ values - direct)) <= 1e-4 * margin
 
 
+@pytest.mark.loop_dependent
 @pytest.mark.parametrize("degree", [1, 3, 5, 7, 9, 11])
 @pytest.mark.parametrize("all_m", [True, False])
 def test_trig_margin_is_the_readers_margin(degree, all_m):
@@ -2053,6 +2090,7 @@ SCALE_M0 = ((1, 0, 1.0), (3, 0, 1.0))
 SCALE_ALL_M = ((1, 0, 0.75), (1, 1, -0.5), (3, -2, 1.25), (3, 0, 0.3125), (5, 1, -0.875))
 
 
+@pytest.mark.loop_dependent
 @pytest.mark.parametrize(
     "terms, k",
     [(SCALE_M0, k) for k in (-1074, -1070, -1000, 1000, 1023)]

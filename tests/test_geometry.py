@@ -166,6 +166,7 @@ class TestPartnerDirection:
         assert np.allclose(mirrored, b[:, 1], rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.loop_dependent
 class TestSampleAxisPair:
     """The Monte Carlo engine's axis pairs: ``SamplingPlan.draws`` for
     Alice, the partner maps for Bob."""
@@ -239,6 +240,7 @@ class TestSampleAxisPair:
         assert result.pvalue > 1e-3
 
 
+@pytest.mark.loop_dependent
 class TestHalfAngleTrig:
     """``half_angle_cos_sin`` against libm's ``np.cos``/``np.sin``."""
 

@@ -11,6 +11,7 @@ from spherebell.quantum import (
     WernerParam,
     _frame_pq,
     _haar_draws,
+    _haar_frame,
     haar_angles,
     haar_unitaries,
     mc_quantum_correlation,
@@ -331,6 +332,7 @@ class TestSpinTensor:
         assert np.max(np.abs(pq - frame_pq(state.rho, u))) <= tol
 
 
+@pytest.mark.loop_dependent
 class TestHaarFrames:
     """The engine's frames (drawn cos eps, half-angle trig of phi and
     omega) against the libm construction from the Euler angles of the
@@ -369,6 +371,14 @@ class TestHaarFrames:
         pq_libm = _frame_pq(tensor, a_libm, u_libm)
         bound = 8 * HALF_ANGLE_TOL * np.max(np.abs(tensor))
         assert np.max(np.abs(pq - pq_libm)) <= bound
+
+    def test_engine_frame_is_the_record_frame(self):
+        # the engine lets phi and omega go before it builds the frame;
+        # the frame is the Draws record's bit for bit
+        engine = _haar_frame(np.random.default_rng(67), 20_000)
+        record = Draws(*_haar_draws(np.random.default_rng(67), 20_000)).frame
+        for got, want in zip(engine, record):
+            assert np.array_equal(got, want)
 
     def test_engine_reads_these_frames(self):
         # one chunk: the curve's value at pi/2 and 0 is the mean of p and q

@@ -65,6 +65,7 @@ def c3(theta):
     return closed_form("3", theta)
 
 
+@pytest.mark.loop_dependent
 class TestFindCrossing:
     def test_three_band_passes_linear_law(self):
         hit = find_crossing(c3, c1, BRACKET, tol=1e-6)
@@ -146,6 +147,7 @@ def family_crossings(family, reference):
     ]
 
 
+@pytest.mark.loop_dependent
 class TestCrossingScan:
     @pytest.mark.parametrize("reference", ["c1", "singlet"])
     @pytest.mark.parametrize("family", sorted(CROSSING_FAMILIES))
@@ -227,6 +229,7 @@ CERTIFIED_COLOURINGS = [make_catalogue(label) for label in ("1", "2", "3", "4")]
 ]
 
 
+@pytest.mark.loop_dependent
 class TestCrossingCertificate:
     """The slope bound of ``closed_form_slope`` and the certified scan
     that skips the closed form where it fixes a sign."""
@@ -263,7 +266,7 @@ class TestCrossingCertificate:
     @pytest.mark.parametrize("negated", [False, True])
     @pytest.mark.parametrize("reference", ["c1", "singlet"])
     def test_certified_signs_are_the_full_scan(self, reference, negated):
-        g = search._REFERENCES[reference][negated]
+        g = search.REFERENCES[reference][negated]
         xs = np.linspace(*CROSSING_BRACKET, search.SCAN_POINTS)
         for c in CERTIFIED_COLOURINGS:
             slope = closed_form_slope(c) + search._reference_slope(g)
@@ -343,6 +346,7 @@ brackets = st.tuples(
 )
 
 
+@pytest.mark.loop_dependent
 class TestCrossingBisection:
     """The batched walk of ``_bisect_crossing`` against the sequential
     float loop of ``bisection_oracle``."""
@@ -409,6 +413,7 @@ class TestCrossingBisection:
         assert evals == 0 and reads == []
 
 
+@pytest.mark.loop_dependent
 class TestSweepDelta:
     GRID = (-0.046 * PI, -0.038 * PI, 0.0)
 
@@ -473,6 +478,7 @@ class TestSweepDelta:
         assert fields[2] == "c1"
 
 
+@pytest.mark.loop_dependent
 class TestSweepTwoDelta:
     def test_default_grid_sweep_matches_the_oracle(self, capsys):
         # the default-grid 2_Delta sweep through the CLI: every
@@ -515,6 +521,7 @@ class TestThetaMax:
         weak_candidates = est.witnesses["candidates"]["weak"]
         assert weak_candidates == sorted(weak_candidates)
 
+    @pytest.mark.loop_dependent
     def test_bounds_and_witnesses_are_pinned(self):
         # recorded from the per-point scan the array scan replaced
         est = estimate_theta_max(include_two_delta=True, tol=1e-5)
@@ -552,6 +559,7 @@ class TestThetaMax:
         assert strong["2"] == pytest.approx(0.3754, abs=0.002)
 
 
+@pytest.mark.loop_dependent
 class TestSlope:
     def test_hemisphere_slope_is_linear_law(self):
         est = slope_at_half_pi("1")
@@ -654,6 +662,7 @@ class TestHarmonicSearch:
         with pytest.raises(ValueError, match="max_iter"):
             harmonic_search(0.3 * PI, 1, max_iter=0)
 
+    @pytest.mark.loop_dependent
     def test_readme_search_is_pinned(self):
         # `spherebell search --theta 0.45 --lmax 5 --azimuthal-only` at the
         # default seed, 16 restarts and 20,000 samples
@@ -661,6 +670,7 @@ class TestHarmonicSearch:
         assert out.evaluations == 1451
         assert out.objective_value == -0.18133
 
+    @pytest.mark.loop_dependent
     def test_full_m_search_is_pinned(self):
         # the all-m branch (Cartesian partner axes, 10 modes) at the
         # default seed and 20,000 samples
@@ -710,6 +720,7 @@ def nelder_mead_objective(kind, dim):
 # 12 steps stop every run of dimension 3 or more at max_iter; with 3000
 # the runs stop on the tolerances, except the smooth ones in 21 and 25
 # dimensions
+@pytest.mark.loop_dependent
 @pytest.mark.parametrize("max_iter", [12, 3000])
 @pytest.mark.parametrize("adaptive", [False, True])
 @pytest.mark.parametrize("kind", ["smooth", "rounded", "signs"])
@@ -901,10 +912,10 @@ def test_float32_bound_floor_covers_subnormal_rows():
     ids=["out_of_mode_order", "repeated_mode"],
 )
 def test_term_order_sum_of_draws_rows_is_correlation_mc(modes, terms):
-    # the Monte Carlo reader sums its rows in term order, whatever order
-    # the terms come in and however often a mode repeats; its sum at the
-    # axes of every chunk's basis, which the search re-reads, gives it
-    # bit for bit
+    # the Monte Carlo reader sums its rows in (l, m) order over one
+    # coefficient per mode, whatever order the terms come in and however
+    # often a mode repeats; its sum at the axes of every chunk's basis,
+    # which the search re-reads, gives it bit for bit
     theta = 0.35 * PI
     basis = HarmonicColouring(tuple((l, m, 1.0) for l, m in modes))
     h = HarmonicColouring(terms)
